@@ -1466,7 +1466,7 @@ def run_peel_benchmark(
             for size in range(members_count + 1):
                 oracle = best_counted_subset(dense, members, size)
                 for backend, store in stores.items():
-                    kept = counted_subset_select(
+                    kept, _ = counted_subset_select(
                         store.as_kernel_buffers(), members, size
                     )
                     peel_checks += 1

@@ -100,6 +100,10 @@ class KernelBuffers:
     (``row * size + col`` for the CSR side, ``col * size + row`` for the
     CSC side) so a single binary search answers any ordered-pair lookup,
     with absent entries defaulting to ``prior`` and the diagonal to 0.
+    The sparse export also carries the store's own CSR row pointers and
+    column indices (``indptr``/``indices``, aligned with ``row_values``;
+    shared, not copied), so a gather over a few workers can scatter
+    their row segments instead of searching the global keys.
     """
 
     size: int
@@ -109,6 +113,8 @@ class KernelBuffers:
     col_keys: np.ndarray | None = None
     col_values: np.ndarray | None = None
     prior: float = 0.0
+    indptr: np.ndarray | None = None
+    indices: np.ndarray | None = None
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray) -> "KernelBuffers":
@@ -123,6 +129,8 @@ class KernelBuffers:
         col_keys: np.ndarray,
         col_values: np.ndarray,
         prior: float,
+        indptr: np.ndarray,
+        indices: np.ndarray,
     ) -> "KernelBuffers":
         return cls(
             size=size,
@@ -131,6 +139,8 @@ class KernelBuffers:
             col_keys=np.ascontiguousarray(col_keys, dtype=np.int64),
             col_values=np.ascontiguousarray(col_values, dtype=np.float64),
             prior=float(prior),
+            indptr=indptr,
+            indices=indices,
         )
 
     @property
@@ -283,24 +293,56 @@ def _lookup_sorted(
     return np.where(found, values[clamped], prior)
 
 
+def _scatter_rows(buffers: KernelBuffers, index: np.ndarray) -> np.ndarray:
+    """The sparse ``(k, k)`` submatrix over duplicate-free ``index``.
+
+    Scatters the stored entries of the candidates' CSR row segments into
+    a prior-filled block, so the cost follows the k rows' stored entries
+    instead of ``k²`` binary searches over the global key array. A stored
+    column is mapped to its candidate position through an *uninitialised*
+    worker-to-position array, O(1) to allocate at any store size: only
+    the k candidate slots are written, so a read counts only if, clipped
+    into range, it maps back to the same worker. All scratch is
+    allocated per call; the buffers themselves are shared read-only
+    (e.g. by the fallback ladder's watchdog threads). Values are exactly
+    those of the key search: stored value where present, prior
+    elsewhere, 0 on the diagonal.
+    """
+    count = index.size
+    sub = np.full((count, count), buffers.prior, dtype=np.float64)
+    starts = buffers.indptr[index]
+    lengths = buffers.indptr[index + 1] - starts
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if count else 0
+    if total:
+        # Flat positions of every segment entry, segment by segment.
+        flat = np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+        columns = buffers.indices[flat]
+        position = np.empty(buffers.size, dtype=np.intp)
+        position[index] = np.arange(count)
+        local = position[columns]
+        hit = np.flatnonzero(np.take(index, local, mode="clip") == columns)
+        owner = np.searchsorted(ends, hit, side="right")
+        sub[owner, local[hit]] = buffers.row_values[flat[hit]]
+    sub.ravel()[:: count + 1] = 0.0  # the diagonal
+    return sub
+
+
 def gather_symmetric(buffers: KernelBuffers, index: np.ndarray) -> np.ndarray:
     """``sub + sub.T`` over the candidate submatrix, from flat buffers.
 
     Produces exactly the floats of ``quality.gather(index)`` plus its
     transpose — the dense branch is the same fancy-indexing expression,
-    the sparse branch the same searchsorted lookup with prior default
-    and zero diagonal — so group selections over the result are
-    bit-identical to the store-backed TPG path.
+    the sparse branch scatters the candidates' CSR row segments
+    (:func:`_scatter_rows`: prior default, zero diagonal) — so group
+    selections over the result are bit-identical to the store-backed TPG
+    path. ``index`` must be duplicate-free (a candidate set).
     """
     index = np.asarray(index, dtype=np.int64)
     if buffers.is_dense:
         sub = buffers.dense[index[:, None], index]
     else:
-        targets = index[:, None] * np.int64(buffers.size) + index[None, :]
-        sub = _lookup_sorted(
-            buffers.row_keys, buffers.row_values, targets, buffers.prior
-        )
-        np.fill_diagonal(sub, 0.0)
+        sub = _scatter_rows(buffers, index)
     return sub + sub.T
 
 
@@ -357,13 +399,17 @@ def _peel_small_numpy(sub: np.ndarray, size: int, keep: np.ndarray) -> None:
 
 def counted_subset_select(
     buffers: KernelBuffers, members, size: int, stats=None
-) -> list[int]:
+) -> tuple[list[int], float]:
     """Greedy counted-subset peel over flat quality buffers.
 
-    Bit-identical to ``repro.core.revenue.best_counted_subset`` (the
-    scalar oracle) in floats *and* tie-breaks, while paying ONE bulk
-    gather (:func:`gather_block`) for the whole peel instead of a store
-    round-trip per iteration:
+    Returns ``(kept, pair_sum)``: the kept members and their ordered pair
+    sum (Equation 2's numerator for the counted subset). ``kept`` is
+    bit-identical to ``repro.core.revenue.best_counted_subset`` (the
+    scalar oracle) in floats *and* tie-breaks, and ``pair_sum`` to the
+    store's ``submatrix_sum(kept)`` — it sums the kept block cut from the
+    same master gather, an array of the same values and shape. The whole
+    evaluation pays ONE bulk gather (:func:`gather_block`) instead of a
+    store round-trip per peel iteration plus a re-gather of the result:
 
     * while more than :data:`PAIRWISE_CLIFF` members survive, the
       oracle's per-member others-arrays hold at least eight elements and
@@ -377,16 +423,16 @@ def counted_subset_select(
       otherwise) with the same left-to-right order;
     * ties peel the highest surviving worker index in both regimes.
 
-    ``members`` must be duplicate-free. Returns the kept members sorted
-    ascending, exactly like the oracle. ``stats`` counts the endgame
+    ``members`` must be duplicate-free. The kept members come sorted
+    ascending, exactly like the oracle's. ``stats`` counts the endgame
     dispatch like every other kernel entry point.
     """
     ensure_pairwise_cliff()
     kept = sorted(int(member) for member in members)
-    if size >= len(kept):
-        return kept
     order = np.asarray(kept, dtype=np.int64)
     master = gather_block(buffers, order, order)
+    if size >= len(kept):
+        return kept, float(master.sum())
     alive = list(range(order.size))
     cur = len(alive)
 
@@ -431,7 +477,11 @@ def counted_subset_select(
             if stats is not None:
                 stats.kernel_fallback_calls += 1
         alive = [alive[position] for position in range(cur) if keep[position]]
-    return [int(order[position]) for position in alive]
+    index = np.asarray(alive, dtype=np.intp)
+    # A fresh C-contiguous block of the kept values, shaped like the
+    # store's own gather: its sum reduces in the same order.
+    pair_sum = float(master[np.ix_(index, index)].sum())
+    return [int(order[position]) for position in alive], pair_sum
 
 
 def greedy_group_select(

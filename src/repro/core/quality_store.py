@@ -577,8 +577,10 @@ class SparseQualityStore:
         for the row orientation, ``col * size + row`` for the column
         orientation) so one binary search answers any lookup; absent
         pairs default to the prior and the diagonal to 0 — exactly the
-        floats :meth:`q_row`/:meth:`q_col` materialize. Built lazily and
-        cached (the deviation arrays are immutable).
+        floats :meth:`q_row`/:meth:`q_col` materialize. The export also
+        shares (without copying) the CSR row pointers and column indices,
+        which small square gathers scatter from. Built lazily and cached
+        (the deviation arrays are immutable).
         """
         from repro.core.kernels import KernelBuffers
 
@@ -597,6 +599,8 @@ class SparseQualityStore:
                 col_keys=col_owner * size + self._col_indices,
                 col_values=self._col_data,
                 prior=self._prior,
+                indptr=self._indptr,
+                indices=self._indices,
             )
         return self._kernel_buffers
 

@@ -76,13 +76,9 @@ def best_counted_subset(
 
     Returns the members themselves when ``size >= len(members)``.
     """
-    if size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
-    kept = sorted(members)
-    if len(kept) != len(set(kept)):
-        raise ValueError(f"duplicate members: {sorted(members)}")
+    kept = _sorted_members(members, size)
     if resolve_kernel(kernel) == "native":
-        return counted_subset_select(quality.as_kernel_buffers(), kept, size)
+        return counted_subset_select(quality.as_kernel_buffers(), kept, size)[0]
     ensure_pairwise_cliff()
     while len(kept) > size:
         if len(kept) <= _VECTOR_PEEL_LIMIT:
@@ -108,6 +104,35 @@ def best_counted_subset(
     return kept
 
 
+def _sorted_members(members: Sequence[int], size: int) -> list[int]:
+    if size < 0:
+        raise ValueError(f"size must be non-negative, got {size}")
+    kept = sorted(members)
+    if len(kept) != len(set(kept)):
+        raise ValueError(f"duplicate members: {sorted(members)}")
+    return kept
+
+
+def _counted_subset(
+    quality: QualityStore,
+    members: Sequence[int],
+    size: int,
+    kernel: str = DEFAULT_KERNEL,
+) -> tuple[list[int], float]:
+    """:func:`best_counted_subset` plus the kept members' ordered pair sum.
+
+    The native kernel takes the sum from the peel's own master gather
+    (no second gather); the scalar oracle re-gathers the kept block.
+    Both equal ``quality.submatrix_sum(kept)`` bit for bit.
+    """
+    if resolve_kernel(kernel) == "native":
+        return counted_subset_select(
+            quality.as_kernel_buffers(), _sorted_members(members, size), size
+        )
+    kept = best_counted_subset(quality, members, size, kernel=kernel)
+    return kept, quality.submatrix_sum(np.asarray(kept, dtype=np.intp))
+
+
 def group_revenue(
     quality: QualityStore,
     members: Sequence[int],
@@ -130,12 +155,14 @@ def group_revenue(
     count = len(members)
     if count < min_group_size:
         return 0.0
-    if count > capacity:
-        members = best_counted_subset(quality, members, capacity, kernel=kernel)
-        count = capacity
-    if count < 2:
+    if count <= capacity:
+        if count < 2:
+            return 0.0
+        return quality.ordered_pair_sum(members) / (count - 1)
+    _, pair_sum = _counted_subset(quality, members, capacity, kernel=kernel)
+    if capacity < 2:
         return 0.0
-    return quality.ordered_pair_sum(members) / (count - 1)
+    return pair_sum / (capacity - 1)
 
 
 def marginal_gain(
@@ -456,13 +483,14 @@ class RevenueCache:
         self._member_arrays[task] = None
         self._counted[task] = None
 
-    def _peel(self, members: Sequence[int], capacity: int) -> list[int]:
-        """Overflow peel through the cache's configured :attr:`kernel`."""
+    def _peel(
+        self, members: Sequence[int], capacity: int
+    ) -> tuple[list[int], float]:
+        """Overflow peel through the cache's configured :attr:`kernel`:
+        the counted subset and its ordered pair sum."""
         if self.kernel == "native":
             self.peel_kernel_calls += 1
-        return best_counted_subset(
-            self.quality, members, capacity, kernel=self.kernel
-        )
+        return _counted_subset(self.quality, members, capacity, kernel=self.kernel)
 
     def _refresh(self, task: int) -> None:
         """Recompute the task's revenue from the cached pair sum.
@@ -481,17 +509,13 @@ class RevenueCache:
         elif count <= capacity:
             self.revenues[task] = self.pair_sums[task] / (count - 1)
         else:
-            kept = self._peel(members, capacity)
+            kept, pair_sum = self._peel(members, capacity)
             self._counted[task] = tuple(kept)
             self.full_evaluations += 1
             if capacity < 2:
                 self.revenues[task] = 0.0
             else:
-                # ``kept`` is validated by the peel, so the unchecked
-                # submatrix sum (bit-identical gather) suffices.
-                self.revenues[task] = self.quality.submatrix_sum(
-                    np.asarray(kept, dtype=np.intp)
-                ) / (capacity - 1)
+                self.revenues[task] = pair_sum / (capacity - 1)
 
     # ------------------------------------------------------------------
     # marginal evaluations (the solvers' hot path)
@@ -513,19 +537,45 @@ class RevenueCache:
             new_revenue = (self.pair_sums[task] + cross) / (new_count - 1)
         else:
             # Inlined ``group_revenue`` for the over-capacity join: peel
-            # the hypothetical group, then take the unchecked submatrix
-            # sum (``kept`` is validated by the peel). Arithmetic matches
-            # the public function bit-for-bit; only the per-call overhead
-            # (list re-validation, duplicate check) is skipped.
+            # the hypothetical group; the peel also returns the counted
+            # subset's pair sum. Arithmetic matches the public function
+            # bit-for-bit.
             if new_count < self.min_group_size or capacity < 2:
                 new_revenue = 0.0
             else:
-                kept = self._peel([*members, worker], capacity)
-                new_revenue = self.quality.submatrix_sum(
-                    np.asarray(kept, dtype=np.intp)
-                ) / (capacity - 1)
+                _, pair_sum = self._peel([*members, worker], capacity)
+                new_revenue = pair_sum / (capacity - 1)
             self.full_evaluations += 1
         return new_revenue - float(self.revenues[task])
+
+    def join_gains(self, workers: np.ndarray, task: int) -> list[float]:
+        """:meth:`join_gain` of each idle worker in ``workers`` for one task.
+
+        Within capacity and at or above ``B`` every gain is
+        ``(S + cross) / (k_new - 1) - Q`` with one ``cross`` per worker,
+        so the whole set is scored from two block gathers: the workers'
+        rows over the members and the members' rows over the workers.
+        Each worker's row part and column part are reduced separately
+        over contiguous rows (numpy reduces a C-contiguous row exactly as
+        it reduces the same values as a fresh 1-D array, on both sides of
+        the pairwise cliff), then added — the floats of ``cross_sum``.
+        Other joins (overflow, below ``B``) take the scalar path.
+        """
+        members = self._members[task]
+        new_count = len(members) + 1
+        if (
+            new_count > int(self.capacities[task])
+            or new_count < self.min_group_size
+            or new_count < 2
+        ):
+            return [float(self.join_gain(w, task)) for w in workers.tolist()]
+        index = self.member_array(task)
+        row_part = self.quality.gather_rows(workers, index).sum(axis=1)
+        col_part = np.ascontiguousarray(
+            self.quality.gather_rows(index, workers).T
+        ).sum(axis=1)
+        new_revenue = (self.pair_sums[task] + (row_part + col_part)) / (new_count - 1)
+        return (new_revenue - self.revenues[task]).tolist()
 
     def leave_delta(self, worker: int, task: int) -> float:
         """``Q(W_j) - Q(W_j - {w_i})`` for a current member of ``task``."""

@@ -35,7 +35,7 @@ from repro.core.game import DEFAULT_TOLERANCE, _BestResponseDynamics
 from repro.core.kernels import DEFAULT_KERNEL
 from repro.core.model import Instance
 from repro.core.stats import SolverStats
-from repro.core.tpg import greedy_best_group
+from repro.core.tpg import seed_groups
 from repro.core.validity import ValidPairs
 
 __all__ = ["merge_shard_pairs", "reconcile_borders", "seed_border_groups"]
@@ -86,17 +86,16 @@ def seed_border_groups(
     border task, the best minimum-size group drawn from the
     still-unassigned border workers; the highest-revenue group commits
     first (lowest task id on exact ties), members leave the pool, and
-    stale cached groups recompute — exactly the stage-1 loop, restricted
-    to the entities the shard-local solves were blind to. Only strictly
-    positive-revenue groups commit, so the merged score is monotone
-    non-decreasing; the halo passes afterwards grow and rebalance the
-    new groups through ordinary best-response. Deterministic throughout
-    (sorted iteration, first-max commits), preserving sharded-run
-    bit-reproducibility. Returns the number of workers seeded.
+    stale cached groups recompute — the stage-1 loop
+    (:func:`~repro.core.tpg.seed_groups`), restricted to the entities the
+    shard-local solves were blind to. Only strictly positive-revenue
+    groups commit, so the merged score is monotone non-decreasing, and
+    the paper's wider-candidate tie rule is not replayed; the halo
+    passes afterwards grow and rebalance the new groups through ordinary
+    best-response. Deterministic throughout (first-max commits),
+    preserving sharded-run bit-reproducibility. Returns the number of
+    workers seeded.
     """
-    minimum = instance.min_group_size
-    quality = instance.quality
-    buffers = quality.as_kernel_buffers() if kernel == "native" else None
     available = np.zeros(instance.worker_count, dtype=bool)
     for worker in border_workers:
         worker = int(worker)
@@ -104,52 +103,22 @@ def seed_border_groups(
             available[worker] = True
     if not available.any():
         return 0
-    open_tasks = {
-        int(task)
-        for task in border_tasks
-        if not assignment.members(int(task))
-    }
-    seeded = 0
-    cache: dict[int, tuple[list[int], float]] = {}
-    while open_tasks:
-        best_task, best_group, best_score = -1, [], 0.0
-        dead_tasks: list[int] = []
-        for task in sorted(open_tasks):
-            if task not in cache:
-                candidates = [
-                    worker
-                    for worker in valid_pairs.workers_for_task[task]
-                    if available[worker]
-                ]
-                cache[task] = greedy_best_group(
-                    quality, candidates, minimum, buffers=buffers, stats=stats
-                )
-            group, score = cache[task]
-            if not group:
-                dead_tasks.append(task)
-                continue
-            if score > best_score:
-                best_task, best_group, best_score = task, group, score
-        for task in dead_tasks:
-            open_tasks.discard(task)
-            cache.pop(task, None)
-        if best_task < 0:
-            break
-        for worker in best_group:
-            assignment.assign(worker, best_task)
-            available[worker] = False
-        seeded += len(best_group)
-        open_tasks.discard(best_task)
-        cache.pop(best_task, None)
-        taken = set(best_group)
-        stale = [
-            task
-            for task, (group, _) in cache.items()
-            if not taken.isdisjoint(group)
-        ]
-        for task in stale:
-            del cache[task]
-    return seeded
+    open_tasks = sorted(
+        {int(task) for task in border_tasks if not assignment.members(int(task))}
+    )
+    committed = seed_groups(
+        instance,
+        valid_pairs,
+        assignment,
+        available,
+        open_tasks,
+        kernel=kernel,
+        stats=stats,
+        prefer_wider=False,
+        positive_only=True,
+    )
+    # Every committed task was empty before, so its members are its seeds.
+    return sum(assignment.assigned_count(task) for task in committed)
 
 
 def reconcile_borders(

@@ -13,10 +13,20 @@ Two stages:
    are full or workers run out.
 
 The implementation keeps the asymptotics of the paper's analysis
-(``max(O(m n n_bar), O(m_bar n^2))``) but adds two standard engineering
-touches: stage 1 caches each task's best set and only recomputes sets that
-lost a member to an assignment, and stage 2 uses a version-stamped heap so
-each commit re-scores only the pairs of the task whose membership changed.
+(``max(O(m n n_bar), O(m_bar n^2))``) and batches both stages:
+
+* stage 1 (:func:`seed_groups`) caches each task's best set in a
+  version-stamped max-heap and recomputes only the sets that lost a member
+  to the last commit, found through an inverted index from each worker to
+  the cached sets holding it — no per-commit rescan of the open tasks;
+* stage 2 keeps a version-stamped heap of pair gains, so each commit
+  re-scores only the pairs of the task whose membership changed, and
+  scores all of that task's idle candidates in one block evaluation
+  (:meth:`~repro.core.revenue.RevenueCache.join_gains`).
+
+Every score, tie-break and counter is bit-identical to the scalar loops
+these replace; the sharding pipeline's border seeding reuses
+:func:`seed_groups` with its own floor and tie rule.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from repro.core.model import Instance
 from repro.core.stats import SolverStats
 from repro.core.validity import ValidPairs, compute_valid_pairs
 
-__all__ = ["solve_tpg", "greedy_best_group", "TPGResult"]
+__all__ = ["solve_tpg", "greedy_best_group", "seed_groups", "TPGResult"]
 
 
 @dataclass(frozen=True)
@@ -221,8 +231,18 @@ def _solve_tpg_full(
     stats = SolverStats(solver="TPG")
 
     started = time.perf_counter()
-    seeded = _stage_one(
-        instance, valid_pairs, assignment, available, kernel=kernel, stats=stats
+    seeded = set(
+        seed_groups(
+            instance,
+            valid_pairs,
+            assignment,
+            available,
+            range(instance.task_count),
+            kernel=kernel,
+            stats=stats,
+            prefer_wider=True,
+            positive_only=False,
+        )
     )
     stage_one_done = time.perf_counter()
     _stage_two(
@@ -241,74 +261,131 @@ def _solve_tpg_full(
     return TPGResult(assignment=assignment, seeded_tasks=len(seeded), stats=stats)
 
 
-def _stage_one(
+class _TaskWorkers:
+    """Each task's valid workers as an index array, built on first use."""
+
+    __slots__ = ("_lists", "_arrays")
+
+    def __init__(self, valid_pairs: ValidPairs) -> None:
+        self._lists = valid_pairs.workers_for_task
+        self._arrays: dict[int, np.ndarray] = {}
+
+    def idle(self, task: int, available: np.ndarray) -> np.ndarray:
+        """The task's still-available workers, in validity order."""
+        workers = self._arrays.get(task)
+        if workers is None:
+            workers = np.asarray(self._lists[task], dtype=np.intp)
+            self._arrays[task] = workers
+        return workers[available[workers]]
+
+
+def seed_groups(
     instance: Instance,
     valid_pairs: ValidPairs,
     assignment: Assignment,
     available: np.ndarray,
+    tasks,
     kernel: str = DEFAULT_KERNEL,
     stats: SolverStats | None = None,
-) -> set[int]:
-    """Seed tasks with B-worker groups; returns the seeded task set."""
+    *,
+    prefer_wider: bool,
+    positive_only: bool,
+) -> list[int]:
+    """Commit best ``B``-groups to ``tasks`` until none is left to commit.
+
+    The stage-1 loop: every task caches its best group over the
+    available workers (:func:`greedy_best_group`); the highest-scoring
+    cached group commits (lowest task id among equal scores), its members
+    leave the pool, and exactly the cached groups that held one of them
+    are recomputed. Tasks left without a group drop out. Returns the
+    committed tasks in commit order.
+
+    A version-stamped max-heap over ``(-score, task)`` finds the commit
+    without rescanning every open task, and an inverted index from each
+    worker to the tasks whose cached group holds it finds the stale
+    groups without sweeping the cache. ``prefer_wider`` replays the
+    paper's tie rule (lines 6-9) over the tied top entries, in task
+    order: a later task with the *same* group and strictly more available
+    candidates takes the commit. ``positive_only`` commits only groups
+    scoring above zero (the border seeding's monotone-score floor).
+    """
     minimum = instance.min_group_size
     quality = instance.quality
     buffers = quality.as_kernel_buffers() if kernel == "native" else None
-    open_tasks = set(range(instance.task_count))
-    seeded: set[int] = set()
-    # Cached best group per task; invalidated when a member gets taken.
-    cache: dict[int, tuple[list[int], float]] = {}
+    pool = _TaskWorkers(valid_pairs)
+    groups: dict[int, list[int]] = {}  # cached best group of each live task
+    holders: dict[int, set[int]] = {}  # worker -> tasks whose group holds it
+    versions = [0] * instance.task_count
+    heap: list[tuple[float, int, int]] = []  # (-score, task, version)
 
-    while open_tasks:
-        best_task, best_group, best_score = -1, [], -np.inf
-        dead_tasks: list[int] = []
-        for task in open_tasks:
-            if task not in cache:
-                candidates = [
-                    worker
-                    for worker in valid_pairs.workers_for_task[task]
-                    if available[worker]
-                ]
-                cache[task] = greedy_best_group(
-                    quality, candidates, minimum, buffers=buffers, stats=stats
-                )
-            group, score = cache[task]
-            if not group:
-                dead_tasks.append(task)
-                continue
-            if score > best_score:
-                best_task, best_group, best_score = task, group, score
-            elif score == best_score and best_group == group:
-                # Competition for the same set: prefer the task with the
-                # most remaining candidates (paper lines 6-9).
-                if _candidate_count(valid_pairs, available, task) > _candidate_count(
-                    valid_pairs, available, best_task
-                ):
-                    best_task = task
-        for task in dead_tasks:
-            open_tasks.discard(task)
-            cache.pop(task, None)
-        if best_task < 0:
+    def evaluate(task: int) -> None:
+        versions[task] += 1
+        candidates = pool.idle(task, available).tolist()
+        group, score = greedy_best_group(
+            quality, candidates, minimum, buffers=buffers, stats=stats
+        )
+        if not group:
+            return  # no group left: the task drops out
+        groups[task] = group
+        for worker in group:
+            holders.setdefault(worker, set()).add(task)
+        heapq.heappush(heap, (-score, task, versions[task]))
+
+    def pop_live() -> tuple[float, int, int] | None:
+        while heap:
+            entry = heapq.heappop(heap)
+            if entry[2] == versions[entry[1]]:
+                return entry
+        return None
+
+    def candidate_count(task: int) -> int:
+        return int(pool.idle(task, available).size)
+
+    for task in tasks:
+        evaluate(task)
+
+    committed: list[int] = []
+    while True:
+        top = pop_live()
+        if top is None or (positive_only and not -top[0] > 0.0):
             break
+        best_task = top[1]
+        group = groups[best_task]
+        if prefer_wider:
+            tied = [top]
+            while heap and heap[0][0] == top[0]:
+                entry = heapq.heappop(heap)
+                if entry[2] == versions[entry[1]]:
+                    tied.append(entry)
+            most = None
+            for _, task, _ in tied[1:]:
+                if groups[task] == group:
+                    if most is None:
+                        most = candidate_count(best_task)
+                    count = candidate_count(task)
+                    if count > most:
+                        best_task, most = task, count
+            for entry in tied:
+                if entry[1] != best_task:
+                    heapq.heappush(heap, entry)
 
-        for worker in best_group:
+        versions[best_task] += 1
+        del groups[best_task]
+        for worker in group:
             assignment.assign(worker, best_task)
             available[worker] = False
-        open_tasks.discard(best_task)
-        cache.pop(best_task, None)
-        seeded.add(best_task)
-        taken = set(best_group)
-        stale = [
-            t for t, (group, _) in cache.items() if not taken.isdisjoint(group)
-        ]
-        for task in stale:
-            del cache[task]
-    return seeded
-
-
-def _candidate_count(
-    valid_pairs: ValidPairs, available: np.ndarray, task: int
-) -> int:
-    return sum(1 for worker in valid_pairs.workers_for_task[task] if available[worker])
+        committed.append(best_task)
+        stale: set[int] = set()
+        for worker in group:
+            stale |= holders.pop(worker, set())
+        stale.discard(best_task)
+        for task in sorted(stale):
+            for worker in groups.pop(task):
+                tasks_held = holders.get(worker)
+                if tasks_held is not None:
+                    tasks_held.discard(task)
+            evaluate(task)
+    return committed
 
 
 def _stage_two(
@@ -329,23 +406,28 @@ def _stage_two(
     if not open_tasks or not available.any():
         return
 
+    pool = _TaskWorkers(valid_pairs)
+    cache = assignment.revenue_cache
     versions = [0] * instance.task_count
     heap: list[tuple[float, int, int, int]] = []  # (-gain, version, worker, task)
 
     def push_pairs_for_task(task: int) -> None:
-        pushed = 0
-        for worker in valid_pairs.workers_for_task[task]:
-            if available[worker]:
-                gain = assignment.join_gain(worker, task)
-                heapq.heappush(heap, (-gain, versions[task], worker, task))
-                pushed += 1
+        idle = pool.idle(task, available)
+        if not idle.size:
+            return
+        # One batched evaluation scores every idle candidate of the task.
+        gains = cache.join_gains(idle, task)
+        version = versions[task]
+        for worker, gain in zip(idle.tolist(), gains):
+            heapq.heappush(heap, (-gain, version, worker, task))
         if stats is not None:
-            stats.gain_evaluations += pushed
+            stats.gain_evaluations += len(gains)
 
     for task in open_tasks:
         push_pairs_for_task(task)
 
-    while heap and open_tasks and available.any():
+    idle_workers = int(np.count_nonzero(available))
+    while heap and open_tasks and idle_workers:
         negative_gain, version, worker, task = heapq.heappop(heap)
         if task not in open_tasks or not available[worker]:
             continue
@@ -356,6 +438,7 @@ def _stage_two(
             break  # heap max is non-positive: no pair improves the score
         assignment.assign(worker, task)
         available[worker] = False
+        idle_workers -= 1
         versions[task] += 1
         if assignment.assigned_count(task) >= instance.tasks[task].capacity:
             open_tasks.discard(task)

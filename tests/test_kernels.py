@@ -25,12 +25,14 @@ from repro.core.kernels import (
     KernelBuffers,
     counted_subset_select,
     gather_block,
+    gather_symmetric,
     ordered_row_sums,
     resolve_kernel,
     segment_sums_ordered,
     verify_pairwise_cliff,
 )
 from repro.core.model import Instance
+from repro.core.quality import CooperationMatrix
 from repro.core.quality_store import (
     SharedDenseQualityStore,
     SparseQualityStore,
@@ -319,6 +321,84 @@ class TestGatherBlock:
         )
 
 
+class TestGatherSymmetric:
+    """The sparse branch scatters the candidates' CSR row segments; it
+    must equal the global key search and the dense gather exactly."""
+
+    @staticmethod
+    def _sparse(seed: int):
+        rng = np.random.default_rng(seed)
+        size = 30
+        q = rng.uniform(0.0, 1.0, size=(size, size))
+        q[rng.random((size, size)) < 0.6] = 0.4  # the prior
+        q[:, 5] = q[5, :] = 0.4  # worker 5: no stored deviation at all
+        q[7, :] = 0.4  # worker 7: no stored row (its column is stored)
+        dense = CooperationMatrix(q)
+        return dense, SparseQualityStore.from_dense(dense, prior=0.4)
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            [17, 3, 29, 0, 11, 8],  # unsorted
+            [4, 22],  # size 2
+            [22, 4],
+            [5, 7, 1, 2],  # workers without stored deviations
+            [5, 7],
+            list(range(30))[::-1],
+        ],
+    )
+    def test_matches_key_search_and_dense_gather(self, index):
+        for seed in range(3):
+            dense, sparse = self._sparse(seed)
+            buffers = sparse.as_kernel_buffers()
+            index = np.asarray(index)
+            scattered = gather_symmetric(buffers, index)
+            searched = gather_block(buffers, index, index)
+            sub = dense.gather(index)
+            assert np.array_equal(scattered, searched + searched.T)
+            assert np.array_equal(scattered, sub + sub.T)
+            assert np.array_equal(
+                scattered, gather_symmetric(dense.as_kernel_buffers(), index)
+            )
+
+    def test_buffers_share_the_store_csr(self):
+        _, sparse = self._sparse(0)
+        buffers = sparse.as_kernel_buffers()
+        assert buffers.indptr is sparse._indptr
+        assert buffers.indices is sparse._indices
+
+
+class TestPeelPairSum:
+    """``counted_subset_select`` returns the kept block's pair sum from its
+    one master gather; it must be the store's ``submatrix_sum`` bit for
+    bit."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pair_sum_matches_submatrix_sum(self, backend):
+        base = make_dense_instance(16, 3, seed=12)
+        instance, cleanup = _with_backend(base, backend)
+        try:
+            quality = instance.quality
+            buffers = quality.as_kernel_buffers()
+            rng = np.random.default_rng(6)
+            for members_count in range(7, 13):
+                members = [
+                    int(w)
+                    for w in rng.choice(16, size=members_count, replace=False)
+                ]
+                for size in range(members_count + 1):
+                    kept, pair_sum = counted_subset_select(buffers, members, size)
+                    expected = quality.submatrix_sum(
+                        np.asarray(kept, dtype=np.intp)
+                    )
+                    assert repr(pair_sum) == repr(expected), (
+                        backend, members_count, size,
+                    )
+        finally:
+            if cleanup is not None:
+                cleanup()
+
+
 class TestCountedSubsetSelectParity:
     """The peel kernel must reproduce the scalar oracle bit-for-bit at
     every kept size around the pairwise cliff, on every backend."""
@@ -340,7 +420,7 @@ class TestCountedSubsetSelectParity:
                 )
                 for size in range(members_count + 1):
                     oracle = best_counted_subset(quality, members, size)
-                    kernel = counted_subset_select(buffers, members, size)
+                    kernel, _ = counted_subset_select(buffers, members, size)
                     assert kernel == oracle, (backend, members_count, size)
         finally:
             if cleanup is not None:

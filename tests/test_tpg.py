@@ -157,6 +157,188 @@ class TestSolveTPG:
         assert assignment.total_score() >= -1e-9
 
 
+def _tie_instance(quality: np.ndarray, workers_for_task, backend: str):
+    """Hand-built batch: B = 2, capacity 2, validity given per task."""
+    from repro.core.model import Instance, Task, Worker
+    from repro.core.quality_store import SparseQualityStore
+    from repro.core.validity import ValidPairs
+    from repro.spatial.geometry import Point
+
+    size = quality.shape[0]
+    store = CooperationMatrix(quality)
+    if backend == "sparse":
+        store = SparseQualityStore.from_dense(store, prior=0.0)
+    workers = [
+        Worker(worker_id=i, location=Point(0.5, 0.5), speed=1.0, radius=1.0)
+        for i in range(size)
+    ]
+    tasks = [
+        Task(task_id=j, location=Point(0.5, 0.5), capacity=2, deadline=5.0)
+        for j in range(len(workers_for_task))
+    ]
+    tasks_for_worker = [
+        [task for task, valid in enumerate(workers_for_task) if worker in valid]
+        for worker in range(size)
+    ]
+    instance = Instance(
+        workers=workers, tasks=tasks, quality=store, min_group_size=2
+    )
+    return instance, ValidPairs.from_worker_lists(
+        tasks_for_worker, len(workers_for_task)
+    )
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+@pytest.mark.parametrize("kernel", ["python", "native"])
+class TestStageOneTies:
+    """Paper lines 6-9: how stage 1 breaks equal group scores."""
+
+    def test_same_group_goes_to_the_task_with_more_candidates(
+        self, kernel, backend
+    ):
+        # Both tasks' best group is {0, 1} with the same score; task 1 can
+        # also use worker 2, so it has more candidates and takes the group.
+        q = np.full((3, 3), 0.1)
+        q[0, 1] = q[1, 0] = 0.9
+        instance, pairs = _tie_instance(q, [(0, 1), (0, 1, 2)], backend)
+        result = solve_tpg_with_stats(instance, pairs, kernel=kernel)
+        assert result.assignment.members(1) == (0, 1)
+        assert result.assignment.members(0) == ()
+        assert result.seeded_tasks == 1
+
+    def test_different_groups_go_to_the_lowest_task_id(self, kernel, backend):
+        # Task 0's best group {0, 1} and task 1's best group {1, 2} score
+        # the same. Task 1 has more candidates, but the groups differ, so
+        # the lowest task id commits first and task 1 re-seeds from the
+        # workers left.
+        q = np.zeros((4, 4))
+        q[0, 1] = q[1, 0] = 0.5
+        q[1, 2] = q[2, 1] = 0.5
+        instance, pairs = _tie_instance(q, [(0, 1), (1, 2, 3)], backend)
+        result = solve_tpg_with_stats(instance, pairs, kernel=kernel)
+        assert result.assignment.members(0) == (0, 1)
+        assert sorted(result.assignment.members(1)) == [2, 3]
+        assert result.seeded_tasks == 2
+
+
+class TestStageTwoParity:
+    """Stage 2 scores a task's idle candidates in one block evaluation;
+    every gain, hence every assignment and counter, must match the scalar
+    ``join_gain`` it replaces."""
+
+    @staticmethod
+    def _stores(size: int, seed: int):
+        from repro.core.quality_store import (
+            SharedDenseQualityStore,
+            SparseQualityStore,
+        )
+
+        rng = np.random.default_rng(seed)
+        # Mixed magnitudes make sequential and pairwise sums differ.
+        q = rng.uniform(0.0, 1.0, size=(size, size))
+        q[rng.random((size, size)) < 0.4] = 1e-16
+        q[rng.random((size, size)) < 0.3] = 0.25  # becomes the sparse prior
+        dense = CooperationMatrix(q)
+        shared = SharedDenseQualityStore.create(dense)
+        return {
+            "dense": dense,
+            "sparse": SparseQualityStore.from_dense(dense, prior=0.25),
+            "shared": shared,
+        }, shared
+
+    @pytest.mark.parametrize("min_group_size", [1, 2, 3])
+    def test_block_gains_match_scalar_join_gain(self, min_group_size):
+        from repro.core.revenue import RevenueCache
+
+        size = 24
+        stores, shared = self._stores(size, seed=min_group_size)
+        try:
+            for backend, store in stores.items():
+                for count in range(1, 12):
+                    for capacity in (count, count + 1, 12):
+                        cache = RevenueCache(store, [capacity], min_group_size)
+                        for worker in range(count):
+                            cache.join(worker, 0)
+                        idle = np.arange(count, size, dtype=np.intp)[::-1]
+                        batched = cache.join_gains(idle, 0)
+                        scalar = [cache.join_gain(int(w), 0) for w in idle]
+                        assert [repr(g) for g in batched] == [
+                            repr(float(g)) for g in scalar
+                        ], (backend, count, capacity)
+        finally:
+            shared.close()
+            shared.unlink()
+
+    @pytest.mark.parametrize("allow_negative_gain", [False, True])
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "shared"])
+    def test_tpg_matches_a_scalar_stage_two(
+        self, backend, allow_negative_gain, monkeypatch
+    ):
+        from repro.core.model import Instance
+        from repro.core.quality_store import (
+            SharedDenseQualityStore,
+            SparseQualityStore,
+        )
+        from repro.core.revenue import RevenueCache
+
+        base = generate_instance(
+            90, 8, capacity=12, min_group_size=2, remaining_time=5,
+            speed_range=(0.1, 0.2), radius_range=(0.3, 0.5), seed=3,
+        )
+        dense = base.quality.to_dense()
+        store = {
+            "dense": dense,
+            "sparse": SparseQualityStore.from_dense(dense, prior=0.3),
+            "shared": SharedDenseQualityStore.create(dense),
+        }[backend]
+        instance = Instance(
+            workers=base.workers, tasks=base.tasks, quality=store,
+            min_group_size=base.min_group_size,
+        )
+        pairs = compute_valid_pairs(instance)
+
+        def run():
+            outcomes = []
+            for kernel in ("python", "native"):
+                result = solve_tpg_with_stats(
+                    instance, pairs, allow_negative_gain=allow_negative_gain,
+                    kernel=kernel,
+                )
+                stats = result.stats
+                outcomes.append(
+                    (
+                        result.assignment.to_pairs(),
+                        repr(result.assignment.total_score()),
+                        stats.gain_evaluations,
+                        stats.incremental_updates,
+                        stats.peel_kernel_calls,
+                        stats.revenue_evaluations,
+                    )
+                )
+            return outcomes
+
+        try:
+            # The groups grow past numpy's 8-element pairwise cliff.
+            filled = solve_tpg(instance, pairs, allow_negative_gain=True)
+            assert max(
+                filled.assigned_count(task) for task in range(instance.task_count)
+            ) > 9
+            batched = run()
+            monkeypatch.setattr(
+                RevenueCache,
+                "join_gains",
+                lambda self, workers, task: [
+                    self.join_gain(worker, task) for worker in workers.tolist()
+                ],
+            )
+            scalar = run()
+        finally:
+            if backend == "shared":
+                store.close()
+                store.unlink()
+        assert batched == scalar
+
+
 class TestExactBestGroup:
     def test_exact_is_optimal(self):
         import itertools
