@@ -10,10 +10,12 @@ package is the machinery that *hunts* for the places they disagree:
   Python oracle (catching :class:`~repro.core.revenue.RevenueCache`
   drift);
 * :mod:`repro.audit.differential` — runs the cross-product
-  {approaches} x {quality backends} x {validity strategies} x
-  {best-response kernels} on one
+  {approaches} x {quality backends} x {validity strategies} on one
   instance and flags any divergence between combinations documented as
   identical;
+* :mod:`repro.audit.reference` — the bit-exact scalar evaluations the
+  batched kernels replaced (greedy counted-subset peel, per-candidate
+  ``join_gain`` scan), kept as oracles for the kernel unit tests;
 * :mod:`repro.audit.fuzzer` — seeded boundary-biased instance generation
   (capacity == B, zero-speed workers, expired deadlines, duplicate
   locations, tie-heavy dyadic qualities);

@@ -9,12 +9,10 @@ The repo documents three equivalence families:
 * the three quality-store backends are *repr-identical* under every
   solver (``repro.core.quality_store`` bit-identity contract);
 * every registered approach is deterministic given its seed, so the same
-  (approach, backend, strategy) combination must reproduce itself;
-* the two best-response kernels (``python``/``native``) are
-  repr-identical on every GT variant (``repro.core.kernels`` contract).
+  (approach, backend, strategy) combination must reproduce itself.
 
 :func:`run_differential` executes the full cross-product
-``approaches x backends x strategies x kernels`` on one instance and emits an
+``approaches x backends x strategies`` on one instance and emits an
 :class:`~repro.audit.invariants.AuditFinding` for every divergence —
 plus the invariant audit of each produced assignment, so a combination
 that agrees with its peers but violates Definition 3/4 or Equation 2/3
@@ -26,7 +24,6 @@ instance is itself a bug worth shrinking).
 from __future__ import annotations
 
 from repro.core.assignment import Assignment
-from repro.core.kernels import KERNELS
 from repro.core.model import Instance
 from repro.core.quality_store import (
     SharedDenseQualityStore,
@@ -95,7 +92,6 @@ def run_differential(
     approaches=None,
     backends=BACKENDS,
     strategies=STRATEGIES,
-    kernels=KERNELS,
     seed: int = 0,
     epsilon: float = 0.05,
     tolerance: float = 1e-9,
@@ -104,11 +100,9 @@ def run_differential(
     """All divergences and invariant violations on one instance.
 
     Every approach is instantiated fresh (same ``seed``) for each
-    (backend, strategy, kernel) combination, so seeded randomness replays
+    (backend, strategy) combination, so seeded randomness replays
     identically; the first combination of each approach is the reference
-    and every other must match its assignment repr-exactly. The kernel
-    axis only changes the GT variants' execution path, so a divergence
-    there localises the bug to :mod:`repro.core.kernels`.
+    and every other must match its assignment repr-exactly.
     """
     from repro.experiments.config import make_solver
 
@@ -176,50 +170,45 @@ def run_differential(
             reference_combo = ""
             for backend, variant in variants:
                 for strategy in strategies:
-                    for kernel in kernels:
-                        context = (
-                            f"approach={approach} backend={backend} "
-                            f"strategy={strategy} kernel={kernel}"
+                    context = (
+                        f"approach={approach} backend={backend} "
+                        f"strategy={strategy}"
+                    )
+                    solver = make_solver(approach, epsilon=epsilon, seed=seed)
+                    try:
+                        assignment = solver(variant, pairs_by_strategy[strategy])
+                    except Exception as error:
+                        findings.append(
+                            AuditFinding(
+                                check="crash",
+                                detail=f"{type(error).__name__}: {error}",
+                                context=context,
+                            )
                         )
-                        solver = make_solver(
-                            approach, epsilon=epsilon, seed=seed, kernel=kernel
+                        continue
+                    signature = _signature(assignment)
+                    if reference is None:
+                        reference = signature
+                        reference_combo = context
+                    elif signature != reference:
+                        findings.append(
+                            AuditFinding(
+                                check="differential",
+                                detail=(
+                                    f"diverges from reference "
+                                    f"[{reference_combo}]: {signature[2]} "
+                                    f"vs {reference[2]}"
+                                ),
+                                context=context,
+                            )
                         )
-                        try:
-                            assignment = solver(
-                                variant, pairs_by_strategy[strategy]
+                    if audit_each:
+                        findings.extend(
+                            finding.with_context(context)
+                            for finding in audit_assignment(
+                                assignment, tolerance=tolerance
                             )
-                        except Exception as error:
-                            findings.append(
-                                AuditFinding(
-                                    check="crash",
-                                    detail=f"{type(error).__name__}: {error}",
-                                    context=context,
-                                )
-                            )
-                            continue
-                        signature = _signature(assignment)
-                        if reference is None:
-                            reference = signature
-                            reference_combo = context
-                        elif signature != reference:
-                            findings.append(
-                                AuditFinding(
-                                    check="differential",
-                                    detail=(
-                                        f"diverges from reference "
-                                        f"[{reference_combo}]: {signature[2]} "
-                                        f"vs {reference[2]}"
-                                    ),
-                                    context=context,
-                                )
-                            )
-                        if audit_each:
-                            findings.extend(
-                                finding.with_context(context)
-                                for finding in audit_assignment(
-                                    assignment, tolerance=tolerance
-                                )
-                            )
+                        )
     finally:
         for cleanup in cleanups:
             cleanup()

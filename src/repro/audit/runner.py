@@ -31,7 +31,6 @@ from repro.audit.differential import (
     run_differential,
     run_sharded_check,
 )
-from repro.core.kernels import KERNELS
 from repro.audit.fuzzer import FuzzConfig, fuzz_instance
 from repro.audit.invariants import AuditFinding
 from repro.audit.shrink import shrink_instance
@@ -87,7 +86,6 @@ def audit_instance(
     approaches=None,
     backends=BACKENDS,
     strategies=STRATEGIES,
-    kernels=KERNELS,
     seed: int = 0,
     tolerance: float = 1e-9,
     sharded: bool = True,
@@ -111,7 +109,6 @@ def audit_instance(
         approaches=approaches,
         backends=backends,
         strategies=strategies,
-        kernels=kernels,
         seed=seed,
         tolerance=tolerance,
     )
@@ -142,7 +139,6 @@ def run_audit(
     approaches=None,
     backends=BACKENDS,
     strategies=STRATEGIES,
-    kernels=KERNELS,
     fuzz_config: FuzzConfig = FuzzConfig(),
     max_instances: int | None = None,
     tolerance: float = 1e-9,
@@ -182,7 +178,6 @@ def run_audit(
             approaches=approaches,
             backends=backends,
             strategies=strategies,
-            kernels=kernels,
             seed=seed,
             tolerance=tolerance,
             sharded_gap_tolerance=sharded_gap_tolerance,
@@ -299,7 +294,6 @@ def run_self_test(
     approaches=("PGREEDY",),
     backends=("dense",),
     strategies=("grid",),
-    kernels=("python",),
 ) -> SelfTestResult:
     """Prove the harness catches an injected pair-sum off-by-one.
 
@@ -318,7 +312,6 @@ def run_self_test(
                 approaches=approaches,
                 backends=backends,
                 strategies=strategies,
-                kernels=kernels,
                 seed=seed,
                 sharded=False,
             )

@@ -43,7 +43,6 @@ import time
 
 from repro.core.assignment import Assignment
 from repro.core.bounds import upper_bound
-from repro.core.kernels import DEFAULT_KERNEL, KERNELS
 from repro.core.validity import compute_valid_pairs
 from repro.datasets.io import load_instance, save_instance
 from repro.datasets.synthetic import generate_instance
@@ -152,7 +151,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         args.approach,
         epsilon=args.epsilon,
         seed=args.seed,
-        kernel=args.kernel,
         shards=args.shards,
         halo_rounds=args.halo_rounds,
         shard_timeout=args.shard_timeout,
@@ -236,7 +234,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         capacity=args.capacity,
         dataset=args.dataset,
         quality_backend=args.quality_backend,
-        kernel=args.kernel,
         shards=args.shards,
         halo_rounds=args.halo_rounds,
         shard_timeout=args.shard_timeout,
@@ -249,7 +246,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.approach,
         epsilon=args.epsilon,
         seed=args.seed,
-        kernel=settings.kernel,
         shards=settings.shards,
         halo_rounds=settings.halo_rounds,
         shard_timeout=settings.shard_timeout,
@@ -393,7 +389,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     report = profile_solve(
         instance,
         approach=args.approach,
-        kernel=args.kernel,
         epsilon=args.epsilon,
         seed=args.seed,
         top=args.top,
@@ -471,16 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--epsilon", type=float, default=0.05)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=DEFAULT_KERNEL,
-        help="evaluation kernel for the GT/TPG variants: 'native' batches "
-        "Equation 5 scans per round and routes overflow counted-subset "
-        "peels through the bulk-gather peel kernel (numba-compiled when "
-        "available, bit-identical numpy fallback otherwise); results "
-        "match 'python' exactly (see docs/PERFORMANCE.md)",
-    )
-    solve.add_argument(
         "--solver-budget",
         type=float,
         default=None,
@@ -538,14 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cooperation-store backend: 'sparse' keeps the synthetic "
         "community matrix as prior + CSR deviations in O(nnz) memory "
         "('unif'/'skew' datasets only; see docs/PERFORMANCE.md)",
-    )
-    simulate.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=DEFAULT_KERNEL,
-        help="evaluation kernel for the GT variants, covering the batched "
-        "Equation 5 scan and the overflow peel (same results either "
-        "way; see docs/PERFORMANCE.md)",
     )
     simulate.add_argument("--csv", default=None, help="per-round CSV output")
     simulate.add_argument("--jsonl", default=None, help="per-round JSONL output")
@@ -735,13 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--epsilon", type=float, default=0.05)
     profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=DEFAULT_KERNEL,
-        help="evaluation kernel to profile; compare 'python' vs 'native' "
-        "runs to see which interpreted loops the kernels displaced",
-    )
     profile.add_argument(
         "--top",
         type=int,

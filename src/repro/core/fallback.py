@@ -38,7 +38,6 @@ from typing import Callable
 from repro.core.assignment import Assignment
 from repro.core.baselines.pair_greedy import solve_pair_greedy
 from repro.core.baselines.random_assign import solve_random
-from repro.core.kernels import DEFAULT_KERNEL
 from repro.core.model import Instance
 from repro.core.stats import SolverStats
 from repro.core.tpg import solve_tpg
@@ -100,23 +99,17 @@ class DegradationRecord:
         return f"DEGRADED to {self.answered_by}: {trail}"
 
 
-def default_tiers(
-    seed=None, kernel: str = DEFAULT_KERNEL
-) -> tuple[tuple[str, SolverFn], ...]:
+def default_tiers(seed=None) -> tuple[tuple[str, SolverFn], ...]:
     """The standard degradation ladder below the primary.
 
     TPG keeps most of the cooperation score at a fraction of GT's cost;
     pair-greedy drops the task-priority seeding; seeded random is the
-    O(m) floor that cannot fail or meaningfully overrun. ``kernel``
-    selects the TPG tier's evaluation path — the stage-1 group kernel
-    and the revenue cache's overflow counted-subset peel (bit-identical
-    either way) — so a ``kernel="native"`` primary degrades to an
-    equally accelerated TPG.
+    O(m) floor that cannot fail or meaningfully overrun.
     """
     rng = ensure_rng(seed)
 
     def tpg_tier(instance: Instance, valid_pairs: ValidPairs) -> Assignment:
-        return solve_tpg(instance, valid_pairs, kernel=kernel)
+        return solve_tpg(instance, valid_pairs)
 
     def rand_tier(instance: Instance, valid_pairs: ValidPairs) -> Assignment:
         return solve_random(instance, valid_pairs, seed=rng)

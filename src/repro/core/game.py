@@ -27,35 +27,28 @@ Optimizations
   members-to-be; an exchange ``w_x`` in / ``w_y`` out only matters to a
   worker ``w_i`` with ``q_i(w_y) > q_i(w_x)`` (current best) or
   ``q_i(w_y) < q_i(w_x)`` (other tasks).
-* **Vectorized scans**: a full best-response scan scores all of a
-  worker's within-capacity candidate tasks in one batched numpy pass —
-  a single gather of ``q[worker, members]`` (and its transpose) per
-  task, summed segment-wise in strict left-to-right order
-  (:func:`~repro.core.kernels.segment_sums_ordered`) — instead of one
-  ``join_gain`` call per task. The batched arithmetic is bit-identical
-  to the scalar path for groups of fewer than
-  :data:`_VECTOR_GROUP_LIMIT` members, where ``ndarray.sum()`` itself
-  reduces sequentially; at eight or more elements numpy's pairwise
-  summation reorders, so those groups fall back to the scalar
-  evaluation. (``np.add.reduceat``, which this path historically used,
-  reorders segments of as few as *three* elements on current numpy and
-  silently broke the contract.) Bit-identity preserves the exact
-  potential function and hence the reached equilibria.
-* **Batched kernel** (``kernel="native"``): at the start of each round
-  the utilities of *every* worker's candidates are evaluated in one
-  pass over flat CSR buffers (:mod:`repro.core.kernels` — numba-njit
-  when available, vectorized numpy otherwise), and each worker's scan
-  replays the precomputed row when its candidate tasks' membership
-  versions are unchanged. Same floats as ``kernel="python"``, enforced
-  by the parity suite and the differential audit's kernel axis.
-* **Mid-round dirty rescan** (``kernel="native"``): an accepted move
-  only stales the prepass rows of the moved tasks' watchers. Those
-  workers are collected in a dirty set and, the next time a stale row
-  is actually needed, *all* of them are re-scored in one batched
-  ``score_candidates`` call that patches the prepass in place — so the
-  scans that follow replay refreshed rows instead of each paying a
-  per-worker kernel dispatch. A row the batch somehow missed still
-  falls back to the single-row :meth:`_BestResponseDynamics._kernel_rescan`.
+* **Batched scans**: at the start of each round the utilities of
+  *every* worker's candidates are evaluated in one vectorized pass over
+  flat CSR buffers (:func:`~repro.core.kernels.score_candidates`), and
+  each worker's scan replays the precomputed row when its candidate
+  tasks' membership versions are unchanged. The batch sums each gather
+  strictly left to right, which is ``ndarray.sum()``'s own order for
+  groups of fewer than :data:`_VECTOR_GROUP_LIMIT` members, so the
+  floats equal the scalar ``join_gain`` of
+  :func:`repro.audit.reference.reference_utilities`; at eight or more
+  elements numpy's pairwise summation reorders, so those groups (and
+  overflow joins, which need the best-subset peel) are scored by the
+  scalar ``join_gain``. Bit-identity preserves the exact potential
+  function and hence the reached equilibria.
+* **Mid-round dirty rescan**: an accepted move only stales the prepass
+  rows of the moved tasks' watchers. Those workers are collected in a
+  dirty set and, the next time a stale row is actually needed, *all* of
+  them are re-scored in one batched ``score_candidates`` call that
+  patches the prepass in place — so the scans that follow replay
+  refreshed rows instead of each paying a per-worker call. Rounds
+  restricted to a player list (the sharded solver's halo passes) skip
+  the prepass and re-score one row at a time
+  (:meth:`_BestResponseDynamics._kernel_rescan`).
 
 Every solve is instrumented: the returned :class:`GameResult` carries a
 :class:`~repro.core.stats.SolverStats` with revenue-evaluation counters,
@@ -70,14 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.assignment import UNASSIGNED, Assignment
-from repro.core.kernels import (
-    CODE_CURRENT,
-    CODE_SCALAR,
-    DEFAULT_KERNEL,
-    resolve_kernel,
-    score_candidates,
-    segment_sums_ordered,
-)
+from repro.core.kernels import CODE_CURRENT, CODE_SCALAR, score_candidates
 from repro.core.model import Instance
 from repro.core.stats import RoundStats, SolverStats
 from repro.core.tpg import solve_tpg_with_stats
@@ -90,8 +76,8 @@ DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_ROUNDS = 500
 
 #: Candidate groups of fewer than this many members are scored by the
-#: vectorized batch path, whose strict left-to-right segment sums match
-#: the scalar ``cross_sum``'s ``ndarray.sum()`` exactly below this size.
+#: batched pass, whose strict left-to-right sums match the scalar
+#: ``cross_sum``'s ``ndarray.sum()`` exactly below this size.
 #: From eight summed elements on, ``ndarray.sum()`` switches to pairwise
 #: (reordered) summation that the sequential batch reduction cannot
 #: reproduce bit-for-bit, so those groups use the scalar ``join_gain``.
@@ -160,7 +146,6 @@ def solve_game_theoretic(
     tolerance: float = DEFAULT_TOLERANCE,
     player_order: str = "sequential",
     seed=None,
-    kernel: str = DEFAULT_KERNEL,
 ) -> GameResult:
     """Run best-response dynamics to a (near-)Nash assignment.
 
@@ -186,14 +171,9 @@ def solve_game_theoretic(
         any order but may reach different equilibria.
     seed:
         Used by ``init="random"`` and ``player_order="shuffled"``.
-    kernel:
-        ``"python"`` (the historical per-worker scan) or ``"native"``
-        (a per-round batched prepass over all workers' candidates, see
-        :mod:`repro.core.kernels`). Bit-identical results either way.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    kernel = resolve_kernel(kernel)
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     if player_order not in ("sequential", "shuffled"):
@@ -210,14 +190,13 @@ def solve_game_theoretic(
     rng = ensure_rng(seed)
     init_started = time.perf_counter()
     assignment, seeded_tasks = _initial_assignment(
-        instance, valid_pairs, init, rng, kernel=kernel, stats=stats
+        instance, valid_pairs, init, rng, stats=stats
     )
     stats.phase_seconds["init"] = time.perf_counter() - init_started
     initial_score = assignment.total_score()
 
     dynamics = _BestResponseDynamics(
-        instance, valid_pairs, assignment, tolerance, lazy_update, stats,
-        kernel=kernel,
+        instance, valid_pairs, assignment, tolerance, lazy_update, stats
     )
     if player_order == "shuffled":
         dynamics.order_rng = rng
@@ -285,18 +264,15 @@ def _initial_assignment(
     valid_pairs: ValidPairs,
     init: str,
     seed,
-    kernel: str = DEFAULT_KERNEL,
     stats: SolverStats | None = None,
 ) -> tuple[Assignment, int]:
     assignment = Assignment(instance, valid_pairs, allow_overflow=True)
     if init == "tpg":
-        tpg = solve_tpg_with_stats(instance, valid_pairs, kernel=kernel)
+        tpg = solve_tpg_with_stats(instance, valid_pairs)
         if stats is not None and tpg.stats is not None:
-            # Surface the seeding TPG's kernel dispatch counters through
-            # the GT run's stats (its other counters stay TPG-scoped).
-            stats.kernel_compiled_calls += tpg.stats.kernel_compiled_calls
+            # Surface the seeding TPG's kernel dispatch count through the
+            # GT run's stats (its other counters stay TPG-scoped).
             stats.kernel_fallback_calls += tpg.stats.kernel_fallback_calls
-            stats.kernel_compile_seconds += tpg.stats.kernel_compile_seconds
         for worker, task in tpg.assignment.to_pairs():
             assignment.assign(worker, task)
         return assignment, tpg.seeded_tasks
@@ -323,7 +299,6 @@ class _BestResponseDynamics:
         tolerance: float,
         lazy_update: bool,
         stats: SolverStats | None = None,
-        kernel: str = DEFAULT_KERNEL,
     ) -> None:
         self.instance = instance
         self.valid_pairs = valid_pairs
@@ -331,15 +306,10 @@ class _BestResponseDynamics:
         self.tolerance = tolerance
         self.lazy_update = lazy_update
         self.quality = instance.quality
-        self.kernel = resolve_kernel(kernel)
         self.stats = stats if stats is not None else SolverStats(solver="GT")
         self.order_rng = None  # set for player_order="shuffled"
         self.cache = assignment.revenue_cache
-        # The cache's own overflow peels ride the selected kernel too
-        # (bit-identical; counted in peel_kernel_calls).
-        self.cache.kernel = self.kernel
-        # Candidate tasks per worker as plain lists (fast iteration) —
-        # the vectorized scan indexes cache arrays with them directly.
+        # Candidate tasks per worker as plain lists (fast iteration).
         self._tasks_lists: list[list[int]] = [
             list(tasks) for tasks in valid_pairs.tasks_for_worker
         ]
@@ -368,7 +338,7 @@ class _BestResponseDynamics:
         self._counted: list[tuple[int, ...]] = [
             assignment.counted_members(task) for task in range(instance.task_count)
         ]
-        # kernel="native" state: the validity relation as one flat CSR
+        # Batched-scan state: the validity relation as one flat CSR
         # (slot order == each worker's candidate-list order), the quality
         # store's kernel buffers, and the latest round-start prepass as
         # ``(stamps, values, codes)`` (see _run_prepass). ``_rescan_dirty``
@@ -376,32 +346,31 @@ class _BestResponseDynamics:
         # staled; _refresh_prepass_rows re-scores them in one batch.
         self._prepass: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._rescan_dirty: set[int] = set()
-        if self.kernel == "native":
-            counts = np.fromiter(
-                (len(tasks) for tasks in self._tasks_lists),
-                dtype=np.int64,
-                count=len(self._tasks_lists),
-            )
-            self._vp_indptr = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=self._vp_indptr[1:])
-            self._vp_tasks = np.fromiter(
-                (task for tasks in self._tasks_lists for task in tasks),
-                dtype=np.int64,
-                count=int(self._vp_indptr[-1]),
-            )
-            self._capacities_array = np.asarray(self._capacities, dtype=np.int64)
-            self._kernel_buffers = self.quality.as_kernel_buffers()
+        counts = np.fromiter(
+            (len(tasks) for tasks in self._tasks_lists),
+            dtype=np.int64,
+            count=len(self._tasks_lists),
+        )
+        self._vp_indptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=self._vp_indptr[1:])
+        self._vp_tasks = np.fromiter(
+            (task for tasks in self._tasks_lists for task in tasks),
+            dtype=np.int64,
+            count=int(self._vp_indptr[-1]),
+        )
+        self._capacities_array = np.asarray(self._capacities, dtype=np.int64)
+        self._kernel_buffers = self.quality.as_kernel_buffers()
 
     # ------------------------------------------------------------------
     def _run_prepass(self) -> None:
         """Score every (worker, candidate) slot in one batched pass.
 
-        Runs at the start of each round for ``kernel="native"``. The
-        result is stamped per worker with the sum of its candidate
-        tasks' membership versions — the same integer the scalar stamp
-        loop in :meth:`_best_alternative` computes — so a scan later in
-        the round replays the precomputed row exactly when none of the
-        worker's candidate memberships moved since the prepass.
+        Runs at the start of each unrestricted round. The result is
+        stamped per worker with the sum of its candidate tasks'
+        membership versions — the same integer the stamp loop in
+        :meth:`_best_alternative` computes — so a scan later in the round
+        replays the precomputed row exactly when none of the worker's
+        candidate memberships moved since the prepass.
         """
         cache = self.cache
         mem_indptr, mem_flat = cache.members_csr()
@@ -606,7 +575,7 @@ class _BestResponseDynamics:
         Returns ``(moves, score_gain)``; the gain equals the potential
         increase of the round (Theorem V.1).
         """
-        if self.kernel == "native" and players is None:
+        if players is None:
             # Restricted rounds skip the all-workers prepass: with few
             # players the per-worker kernel rescan is cheaper than
             # scoring every worker's candidates up front.
@@ -681,9 +650,10 @@ class _BestResponseDynamics:
         """The worker's best task *other than* staying put.
 
         With LUB enabled and a clean cache, only the cached candidate is
-        re-evaluated; otherwise all valid tasks are scored in one
-        vectorized pass. ``current_utility`` is the already-computed
-        ``leave_delta`` of the worker's current task.
+        re-evaluated; otherwise all valid tasks are scored by the batched
+        kernel (a prepass replay or a one-row rescan). ``current_utility``
+        is the already-computed ``leave_delta`` of the worker's current
+        task.
         """
         assignment = self.assignment
         stats = self.stats
@@ -739,118 +709,19 @@ class _BestResponseDynamics:
             # Round-start prepass replay: the stamp match proves none of
             # the worker's candidate memberships (including its own
             # task's) moved since the batched pass, so the precomputed
-            # utilities and classifications are still exact. Only the
-            # deferred slots are filled here: overflow/oversized joins
-            # via the scalar peel (memoized, like the legacy path) and
-            # the worker's own task via the caller's ``leave_delta``.
+            # utilities and classifications are still exact.
             start = int(self._vp_indptr[worker])
             end = int(self._vp_indptr[worker + 1])
             utilities = prepass[1][start:end].copy()
             codes = prepass[2][start:end]
-            self._fill_deferred_slots(worker, tasks, utilities, codes, current_utility)
-            best_position = int(np.argmax(utilities))
-            best_task = tasks[best_position]
-            best_utility = float(utilities[best_position])
-            self._scan_memo[worker] = (
-                stamp, current_task, current_utility, best_task, best_utility
-            )
-            self._cached_best[worker] = best_task
-            self._dirty[worker] = False
-            return best_task, best_utility
-
-        if self.kernel == "native":
+        else:
             # Mid-round rescan: the worker's neighbourhood moved since
             # the round-start prepass (or no prepass ran — restricted
-            # reconcile rounds). Re-score just this worker's candidate
-            # row through the same batched kernel instead of the
-            # interpreted python scan below; the kernel reproduces the
-            # scalar summation order, so the floats are identical.
+            # reconcile rounds). Re-score just this worker's row.
             utilities, codes = self._kernel_rescan(worker, tasks, current_task)
-            self._fill_deferred_slots(worker, tasks, utilities, codes, current_utility)
-            best_position = int(np.argmax(utilities))
-            best_task = tasks[best_position]
-            best_utility = float(utilities[best_position])
-            self._scan_memo[worker] = (
-                stamp, current_task, current_utility, best_task, best_utility
-            )
-            self._cached_best[worker] = best_task
-            self._dirty[worker] = False
-            return best_task, best_utility
-
-        member_list = cache.member_list
-        member_array = cache.member_array
-        pair_sums = cache.pair_sums
-        revenues = cache.revenues
-        capacities = self._capacities
-        minimum = self._minimum
-        memo = self._overflow_memo
-        # Backend-polymorphic row/column gathers (QualityStore protocol):
-        # dense stores return zero-cost views, the sparse store serves
-        # LRU-cached materialized rows with identical float values.
-        q_row = self.quality.q_row(worker)
-        q_col = self.quality.q_col(worker)
-
-        utilities = np.empty(len(tasks))
-        batch_arrays: list[np.ndarray] = []
-        batch_positions: list[int] = []
-        batch_tasks: list[int] = []
-        batch_lengths: list[int] = []
-        offsets: list[int] = []
-        offset = 0
-        for position, task in enumerate(tasks):
-            if task == current_task:
-                utilities[position] = current_utility
-                continue
-            members = len(member_list(task))
-            if members + 1 > capacities[task] or members >= _VECTOR_GROUP_LIMIT:
-                # Overflow joins need the best-subset peel; oversized
-                # groups need the scalar path's exact summation order.
-                # Both are pure in the task's membership, so the memo
-                # returns the identical float until the version moves.
-                key = (worker, task)
-                version = versions[task]
-                entry = memo.get(key)
-                if entry is not None and entry[0] == version:
-                    utilities[position] = entry[1]
-                else:
-                    gain = cache.join_gain(worker, task)
-                    memo[key] = (version, gain)
-                    utilities[position] = gain
-            elif members == 0 or members + 1 < minimum:
-                # Empty task (a singleton group has no pairs) or a group
-                # that stays below B even with the newcomer: revenue 0.
-                utilities[position] = 0.0 - revenues[task]
-            else:
-                batch_arrays.append(member_array(task))
-                batch_positions.append(position)
-                batch_tasks.append(task)
-                batch_lengths.append(members)
-                offsets.append(offset)
-                offset += members
-
-        if batch_arrays:
-            # One gather of q[worker, members] (and the transpose column)
-            # per task, summed segment-wise in strict left-to-right order
-            # — ndarray.sum()'s order for these group sizes (< 8), which
-            # the scalar join_gain path relies on. np.add.reduceat is NOT
-            # usable here: it reorders segments of three or more elements
-            # on current numpy and breaks bit-identity with the scalar
-            # path (the divergence went unnoticed while no divergent
-            # candidate happened to win a worker's argmax).
-            concatenated = np.concatenate(batch_arrays)
-            starts = np.asarray(offsets, dtype=np.intp)
-            lengths = np.asarray(batch_lengths, dtype=np.intp)
-            cross = segment_sums_ordered(
-                q_row[concatenated], starts, lengths
-            ) + segment_sums_ordered(q_col[concatenated], starts, lengths)
-            task_index = np.asarray(batch_tasks, dtype=np.intp)
-            current_revenues = revenues[task_index]
-            # Denominator (new_count - 1) equals the current member count.
-            new_revenues = (pair_sums[task_index] + cross) / np.asarray(
-                batch_lengths, dtype=np.int64
-            )
-            utilities[batch_positions] = new_revenues - current_revenues
-
+        # Only the deferred slots remain: overflow/oversized joins via the
+        # memoized scalar peel, the worker's own task via ``leave_delta``.
+        self._fill_deferred_slots(worker, tasks, utilities, codes, current_utility)
         best_position = int(np.argmax(utilities))
         best_task = tasks[best_position]
         best_utility = float(utilities[best_position])
@@ -859,24 +730,6 @@ class _BestResponseDynamics:
         )
         self._cached_best[worker] = best_task
         self._dirty[worker] = False
-        return best_task, best_utility
-
-    def _best_alternative_reference(
-        self, worker: int, current_task: int, current_utility: float
-    ) -> tuple[int, float]:
-        """Scalar reference scan — the oracle the vectorized path must
-        match exactly (kept for the test suite and for debugging)."""
-        assignment = self.assignment
-        best_task, best_utility = UNASSIGNED, -np.inf
-        for task in self._tasks_lists[worker]:
-            if task == current_task:
-                utility = current_utility
-            else:
-                utility = assignment.join_gain(worker, task)
-            if utility > best_utility:
-                best_task, best_utility = task, utility
-        if best_task == UNASSIGNED:
-            return UNASSIGNED, 0.0
         return best_task, best_utility
 
     # ------------------------------------------------------------------

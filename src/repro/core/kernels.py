@@ -1,14 +1,14 @@
-"""Batched best-response kernels for the Equation-5 utility scan.
+"""Batched evaluation kernels for the GT and TPG hot paths.
 
 The game solver's hot loop scores every candidate task of every worker
-once per round. ``kernel="python"`` keeps the historical per-worker
-numpy scan in :mod:`repro.core.game`; ``kernel="native"`` evaluates the
-utilities of *all* workers' candidates in one pass over flat CSR-style
-arrays — compiled with numba when it is importable, otherwise through a
-vectorized numpy fallback that produces bit-identical floats. Both
-kernels reproduce the scalar ``join_gain`` summation order exactly, so
-the choice of kernel never changes an assignment (enforced by the
-differential audit's kernel axis and the parity test suite).
+once per round. :func:`score_candidates` evaluates the Equation-5
+utilities of *all* workers' candidates in one vectorized numpy pass over
+flat CSR-style arrays; :func:`counted_subset_select` runs the Equation-2
+best-``a_j``-subset peel from one bulk gather, and :func:`best_group`
+TPG's stage-1 group selection. Each reproduces the scalar evaluation it
+replaced float for float — those scalar references now live in
+:mod:`repro.audit.reference`, and the unit tests hold the kernels to
+them bit for bit.
 
 Summation-order contract
 ------------------------
@@ -16,43 +16,30 @@ The scalar path (``RevenueCache.join_gain`` via ``cross_sum``) sums the
 row gather and the column gather separately with ``ndarray.sum()``,
 which numpy evaluates strictly left-to-right for fewer than eight
 elements and with pairwise (reordered) partial sums from eight elements
-on. ``np.add.reduceat`` — the historical batch reduction — does *not*
-share that contract: on current numpy its SIMD partial sums reorder
-segments of as few as three elements, which silently broke the batch
-path's bit-identity with the scalar path. Every reduction in this
-module therefore accumulates strictly left-to-right
-(:func:`segment_sums_ordered`, or a plain loop in the compiled kernel),
-and groups of :data:`~repro.core.game._VECTOR_GROUP_LIMIT` or more
-members — where the scalar path itself reorders — are deferred to the
-scalar evaluation via :data:`CODE_SCALAR`.
-
-numba is an *optional* dependency: when it is absent the ``"native"``
-kernel silently degrades to the numpy fallback (counted separately in
-:class:`~repro.core.stats.SolverStats.kernel_fallback_calls`), so the
-flag is safe to enable everywhere. Compiled kernels are cached on disk
-(``cache=True``; numba writes next to this module's ``__pycache__`` or
-to ``NUMBA_CACHE_DIR``), so the one-off compile cost is paid once per
-environment, not once per process.
+on. ``np.add.reduceat`` does *not* share that contract: on current numpy
+its SIMD partial sums reorder segments of as few as three elements.
+Every float reduction in this module therefore either accumulates
+strictly left-to-right (column by column over padded rows, or
+:func:`ordered_row_sums`) or calls genuine ``ndarray.sum()`` on arrays
+of the oracle's exact shape, and groups of
+:data:`~repro.core.game._VECTOR_GROUP_LIMIT` or more members — where the
+scalar path itself reorders — are deferred to the scalar evaluation via
+:data:`CODE_SCALAR`. :func:`verify_pairwise_cliff` checks at first use
+that numpy still puts the pairwise cliff at :data:`PAIRWISE_CLIFF`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_AVAILABLE",
-    "KERNELS",
-    "DEFAULT_KERNEL",
     "PAIRWISE_CLIFF",
     "CODE_VALUE",
     "CODE_SCALAR",
     "CODE_CURRENT",
     "KernelBuffers",
-    "resolve_kernel",
-    "segment_sums_ordered",
     "ordered_row_sums",
     "verify_pairwise_cliff",
     "ensure_pairwise_cliff",
@@ -65,30 +52,10 @@ __all__ = [
     "best_group",
 ]
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - the common case in this repo's CI
-    _njit = None
-    NUMBA_AVAILABLE = False
-
-#: The selectable kernels; ``"python"`` is the historical per-worker
-#: scan, ``"native"`` the batched all-workers pass (numba when present).
-KERNELS = ("python", "native")
-DEFAULT_KERNEL = "python"
-
 #: Per-slot classification emitted by :func:`score_candidates`.
 CODE_VALUE = 0  #: utility fully evaluated by the kernel
 CODE_SCALAR = 1  #: overflow/oversized join — needs the scalar peel path
 CODE_CURRENT = 2  #: the worker's own task — caller fills ``leave_delta``
-
-
-def resolve_kernel(name: str) -> str:
-    """Validate a kernel name (raises ``ValueError`` on an unknown one)."""
-    if name not in KERNELS:
-        raise ValueError(f"unknown kernel {name!r}; expected one of {KERNELS}")
-    return name
 
 
 @dataclass(frozen=True)
@@ -148,45 +115,10 @@ class KernelBuffers:
         return self.dense is not None
 
 
-def segment_sums_ordered(
-    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Per-segment sums in strict left-to-right order.
-
-    Bit-identical to summing each segment with a sequential loop — and
-    therefore to ``ndarray.sum()`` for segments of fewer than eight
-    elements, which is exactly the regime the batch scan handles (larger
-    groups go through the scalar path). ``np.add.reduceat`` cannot be
-    used here: its SIMD partial sums reorder segments of three or more
-    elements on current numpy.
-
-    The implementation pads every segment to the maximum length with
-    zeros (exact: ``x + 0.0 == x`` for the non-negative partial sums
-    that occur here) and accumulates column by column, which keeps each
-    row's additions in segment order while staying fully vectorized.
-    """
-    starts = np.asarray(starts, dtype=np.intp)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if starts.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    width = int(lengths.max()) if lengths.size else 0
-    if width == 0:
-        return np.zeros(starts.size, dtype=np.float64)
-    offsets = np.arange(width, dtype=np.intp)
-    index = starts[:, None] + offsets[None, :]
-    lane = offsets[None, :] < lengths[:, None]
-    np.minimum(index, max(values.size - 1, 0), out=index)
-    padded = np.where(lane, values[index], 0.0)
-    total = padded[:, 0].copy()
-    for column in range(1, width):
-        total += padded[:, column]
-    return total
-
-
 #: numpy's pairwise-summation threshold: ``ndarray.sum()`` accumulates
 #: strictly left-to-right below this many elements and with reordered
 #: (block-pairwise) partial sums from it on. The counted-subset peel and
-#: ``repro.core.revenue._VECTOR_PEEL_LIMIT`` both assume this value;
+#: its scalar reference (``repro.audit.reference``) both assume this value;
 #: :func:`verify_pairwise_cliff` fails loudly if a numpy upgrade moves it.
 PAIRWISE_CLIFF = 8
 
@@ -199,11 +131,11 @@ def ordered_row_sums(matrix: np.ndarray) -> np.ndarray:
     Bit-identical to ``matrix.sum(axis=1)`` for widths below
     :data:`PAIRWISE_CLIFF` (where numpy itself reduces sequentially), and
     the single source of truth for the counted-subset peel's ordered
-    accumulation: both the vector branch of
-    ``repro.core.revenue.best_counted_subset`` and the numpy fallback of
-    :func:`counted_subset_select` route through it, so the summation
-    order that defines the peel (hence the potential function) lives in
-    exactly one place.
+    accumulation: both the sub-cliff endgame of
+    :func:`counted_subset_select` and the vector branch of the scalar
+    reference peel (:func:`repro.audit.reference.reference_counted_subset`)
+    route through it, so the summation order that defines the peel (hence
+    the potential function) lives in exactly one place.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     rows, width = matrix.shape
@@ -250,7 +182,7 @@ def verify_pairwise_cliff(sum_func=None) -> None:
                 f"{float(sequential)!r}): the pairwise-summation cliff "
                 f"moved below {PAIRWISE_CLIFF}. The counted-subset peel's "
                 "summation-order contract "
-                "(repro.core.revenue._VECTOR_PEEL_LIMIT) is broken — pin "
+                "(kernels.counted_subset_select) is broken — pin "
                 "numpy, or update PAIRWISE_CLIFF and the peel kernels "
                 "together."
             )
@@ -268,7 +200,7 @@ def verify_pairwise_cliff(sum_func=None) -> None:
             f"{float(pairwise)!r}, sequential gives {float(sequential)!r}): "
             "the pairwise-summation cliff moved. The counted-subset peel's "
             "summation-order contract "
-            "(repro.core.revenue._VECTOR_PEEL_LIMIT) is broken — pin "
+            "(kernels.counted_subset_select) is broken — pin "
             "numpy, or update PAIRWISE_CLIFF and the peel kernels together."
         )
 
@@ -373,8 +305,8 @@ def gather_block(
     return block
 
 
-def _peel_small_numpy(sub: np.ndarray, size: int, keep: np.ndarray) -> None:
-    """Sub-cliff peel endgame over a gathered submatrix (numpy fallback).
+def _peel_small(sub: np.ndarray, size: int, keep: np.ndarray) -> None:
+    """Sub-cliff peel endgame over a gathered submatrix.
 
     ``sub`` holds at most :data:`PAIRWISE_CLIFF` survivors (zero
     diagonal); every iteration re-sums each survivor's row and column
@@ -398,14 +330,15 @@ def _peel_small_numpy(sub: np.ndarray, size: int, keep: np.ndarray) -> None:
 
 
 def counted_subset_select(
-    buffers: KernelBuffers, members, size: int, stats=None
+    buffers: KernelBuffers, members, size: int
 ) -> tuple[list[int], float]:
     """Greedy counted-subset peel over flat quality buffers.
 
     Returns ``(kept, pair_sum)``: the kept members and their ordered pair
     sum (Equation 2's numerator for the counted subset). ``kept`` is
-    bit-identical to ``repro.core.revenue.best_counted_subset`` (the
-    scalar oracle) in floats *and* tie-breaks, and ``pair_sum`` to the
+    bit-identical to the scalar reference peel
+    (:func:`repro.audit.reference.reference_counted_subset`) in floats
+    *and* tie-breaks, and ``pair_sum`` to the
     store's ``submatrix_sum(kept)`` — it sums the kept block cut from the
     same master gather, an array of the same values and shape. The whole
     evaluation pays ONE bulk gather (:func:`gather_block`) instead of a
@@ -418,14 +351,12 @@ def counted_subset_select(
       the bits match by construction rather than by emulating numpy's
       blocked accumulation;
     * at or below the cliff every oracle reduction is strictly
-      sequential, so the endgame runs as one compiled loop
-      (:func:`_peel_small_njit` under numba, :func:`_peel_small_numpy`
-      otherwise) with the same left-to-right order;
+      sequential, so the endgame (:func:`_peel_small`) re-sums the
+      survivors' rows and columns in the same left-to-right order;
     * ties peel the highest surviving worker index in both regimes.
 
     ``members`` must be duplicate-free. The kept members come sorted
-    ascending, exactly like the oracle's. ``stats`` counts the endgame
-    dispatch like every other kernel entry point.
+    ascending, exactly like the oracle's.
     """
     ensure_pairwise_cliff()
     kept = sorted(int(member) for member in members)
@@ -462,20 +393,7 @@ def counted_subset_select(
             index = np.asarray(alive, dtype=np.intp)
             sub = np.ascontiguousarray(master[np.ix_(index, index)])
         keep = np.ones(cur, dtype=np.int64)
-        if NUMBA_AVAILABLE:  # pragma: no cover - requires numba
-            started = time.perf_counter()
-            _peel_small_njit(sub, np.int64(size), keep)
-            if stats is not None:
-                stats.kernel_compiled_calls += 1
-                if _compile_seconds_pending["peel"]:
-                    stats.kernel_compile_seconds += (
-                        time.perf_counter() - started
-                    )
-            _compile_seconds_pending["peel"] = False
-        else:
-            _peel_small_numpy(sub, size, keep)
-            if stats is not None:
-                stats.kernel_fallback_calls += 1
+        _peel_small(sub, size, keep)
         alive = [alive[position] for position in range(cur) if keep[position]]
     index = np.asarray(alive, dtype=np.intp)
     # A fresh C-contiguous block of the kept values, shaped like the
@@ -542,7 +460,7 @@ def exact_group_select(
     return best, float(pair_sums[best])
 
 
-def _score_candidates_numpy(
+def score_candidates(
     buffers: KernelBuffers,
     vp_indptr: np.ndarray,
     vp_tasks: np.ndarray,
@@ -554,8 +472,25 @@ def _score_candidates_numpy(
     minimum: int,
     limit: int,
     current_tasks: np.ndarray,
+    stats=None,
     worker_ids: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Score every (worker, candidate-task) slot of the validity CSR.
+
+    Returns ``(values, codes)`` — one float and one classification code
+    (:data:`CODE_VALUE` / :data:`CODE_SCALAR` / :data:`CODE_CURRENT`)
+    per slot of ``vp_tasks``. Values for non-``CODE_VALUE`` slots are
+    placeholders the caller must fill (scalar peel / ``leave_delta``).
+
+    ``worker_ids`` maps CSR rows to quality-store worker ids when the
+    call covers a subset of workers (one row per rescanned worker, as in
+    the mid-round rescan path); by default row ``i`` *is* worker ``i``.
+    ``current_tasks`` is always indexed by row. The optional ``stats``
+    (a :class:`~repro.core.stats.SolverStats`) counts the call in
+    ``kernel_fallback_calls``.
+    """
+    if stats is not None:
+        stats.kernel_fallback_calls += 1
     slots = vp_tasks.size
     values = np.zeros(slots, dtype=np.float64)
     codes = np.zeros(slots, dtype=np.uint8)
@@ -622,378 +557,6 @@ def _score_candidates_numpy(
     return values, codes
 
 
-if NUMBA_AVAILABLE:  # pragma: no cover - requires numba in the environment
-
-    @_njit(cache=True)
-    def _score_dense_njit(
-        dense,
-        vp_indptr,
-        vp_tasks,
-        mem_indptr,
-        mem_flat,
-        pair_sums,
-        revenues,
-        capacities,
-        minimum,
-        limit,
-        current_tasks,
-        worker_ids,
-        values,
-        codes,
-    ):
-        worker_count = vp_indptr.size - 1
-        for row in range(worker_count):
-            worker = worker_ids[row]
-            current = current_tasks[row]
-            for slot in range(vp_indptr[row], vp_indptr[row + 1]):
-                task = vp_tasks[slot]
-                count = mem_indptr[task + 1] - mem_indptr[task]
-                if task == current:
-                    codes[slot] = 2
-                    values[slot] = 0.0
-                elif count + 1 > capacities[task] or count >= limit:
-                    codes[slot] = 1
-                    values[slot] = 0.0
-                elif count == 0 or count + 1 < minimum:
-                    codes[slot] = 0
-                    values[slot] = 0.0 - revenues[task]
-                else:
-                    row_total = 0.0
-                    col_total = 0.0
-                    for position in range(mem_indptr[task], mem_indptr[task + 1]):
-                        member = mem_flat[position]
-                        row_total += dense[worker, member]
-                        col_total += dense[member, worker]
-                    codes[slot] = 0
-                    values[slot] = (
-                        pair_sums[task] + (row_total + col_total)
-                    ) / count - revenues[task]
-
-    @_njit(cache=True)
-    def _sparse_pair_njit(keys, vals, target, prior):
-        low = 0
-        high = keys.size
-        while low < high:
-            mid = (low + high) // 2
-            if keys[mid] < target:
-                low = mid + 1
-            else:
-                high = mid
-        if low < keys.size and keys[low] == target:
-            return vals[low]
-        return prior
-
-    @_njit(cache=True)
-    def _score_csr_njit(
-        size,
-        row_keys,
-        row_values,
-        col_keys,
-        col_values,
-        prior,
-        vp_indptr,
-        vp_tasks,
-        mem_indptr,
-        mem_flat,
-        pair_sums,
-        revenues,
-        capacities,
-        minimum,
-        limit,
-        current_tasks,
-        worker_ids,
-        values,
-        codes,
-    ):
-        worker_count = vp_indptr.size - 1
-        for row in range(worker_count):
-            worker = worker_ids[row]
-            current = current_tasks[row]
-            for slot in range(vp_indptr[row], vp_indptr[row + 1]):
-                task = vp_tasks[slot]
-                count = mem_indptr[task + 1] - mem_indptr[task]
-                if task == current:
-                    codes[slot] = 2
-                    values[slot] = 0.0
-                elif count + 1 > capacities[task] or count >= limit:
-                    codes[slot] = 1
-                    values[slot] = 0.0
-                elif count == 0 or count + 1 < minimum:
-                    codes[slot] = 0
-                    values[slot] = 0.0 - revenues[task]
-                else:
-                    row_total = 0.0
-                    col_total = 0.0
-                    for position in range(mem_indptr[task], mem_indptr[task + 1]):
-                        member = mem_flat[position]
-                        if member == worker:
-                            continue
-                        target = worker * size + member
-                        row_total += _sparse_pair_njit(
-                            row_keys, row_values, target, prior
-                        )
-                        col_total += _sparse_pair_njit(
-                            col_keys, col_values, target, prior
-                        )
-                    codes[slot] = 0
-                    values[slot] = (
-                        pair_sums[task] + (row_total + col_total)
-                    ) / count - revenues[task]
-
-
-    @_njit(cache=True)
-    def _group_symmetric_dense_njit(dense, index, out):
-        n = index.size
-        for i in range(n):
-            a = index[i]
-            for j in range(n):
-                b = index[j]
-                out[i, j] = dense[a, b] + dense[b, a]
-
-    @_njit(cache=True)
-    def _group_symmetric_csr_njit(size, row_keys, row_values, prior, index, out):
-        n = index.size
-        for i in range(n):
-            a = index[i]
-            for j in range(n):
-                if i == j:
-                    out[i, j] = 0.0
-                    continue
-                b = index[j]
-                forward = _sparse_pair_njit(
-                    row_keys, row_values, a * size + b, prior
-                )
-                backward = _sparse_pair_njit(
-                    row_keys, row_values, b * size + a, prior
-                )
-                out[i, j] = forward + backward
-
-    @_njit(cache=True)
-    def _greedy_group_njit(symmetric, size, chosen):
-        # Scalar transliteration of greedy_group_select: row-major
-        # first-max seed pair, then argmax cross-sum growth. Identical
-        # float additions in identical order.
-        count = symmetric.shape[0]
-        for i in range(count):
-            symmetric[i, i] = -np.inf
-        best = -np.inf
-        flat = 0
-        for i in range(count):
-            for j in range(count):
-                if symmetric[i, j] > best:
-                    best = symmetric[i, j]
-                    flat = i * count + j
-        first = flat // count
-        second = flat - first * count
-        chosen[0] = first
-        chosen[1] = second
-        cross = np.empty(count, dtype=np.float64)
-        for c in range(count):
-            add = symmetric[second, c]
-            if not np.isfinite(add):
-                add = 0.0
-            cross[c] = symmetric[first, c] + add
-        cross[first] = -np.inf
-        cross[second] = -np.inf
-        pair_sum = symmetric[first, second]
-        n_chosen = 2
-        while n_chosen < size:
-            nxt = 0
-            best = -np.inf
-            for c in range(count):
-                if cross[c] > best:
-                    best = cross[c]
-                    nxt = c
-            if not np.isfinite(cross[nxt]):
-                chosen[0] = -1
-                return 0.0
-            pair_sum += cross[nxt]
-            chosen[n_chosen] = nxt
-            n_chosen += 1
-            for c in range(count):
-                add = symmetric[nxt, c]
-                if not np.isfinite(add):
-                    add = 0.0
-                cross[c] += add
-            cross[nxt] = -np.inf
-        return pair_sum
-
-    @_njit(cache=True)
-    def _peel_small_njit(sub, size, keep):
-        # Scalar transliteration of _peel_small_numpy: strictly
-        # sequential per-survivor row/column sums (the sub-cliff regime,
-        # where a leading/interleaved +0.0 never changes a partial sum of
-        # non-negative qualities), ties peel the last surviving position.
-        n = sub.shape[0]
-        remaining = 0
-        for i in range(n):
-            if keep[i] != 0:
-                remaining += 1
-        while remaining > size:
-            weakest = -1
-            weakest_score = np.inf
-            for i in range(n):
-                if keep[i] == 0:
-                    continue
-                row_total = 0.0
-                col_total = 0.0
-                for j in range(n):
-                    if keep[j] == 0:
-                        continue
-                    row_total += sub[i, j]
-                    col_total += sub[j, i]
-                score = row_total + col_total
-                if score <= weakest_score:
-                    weakest = i
-                    weakest_score = score
-            keep[weakest] = 0
-            remaining -= 1
-
-    @_njit(cache=True)
-    def _exact_group_njit(symmetric, combos, chosen):
-        # Scalar transliteration of exact_group_select: per combination,
-        # accumulate the position pairs in lexicographic order starting
-        # from the first pair's value; first-max wins.
-        n = combos.shape[0]
-        size = combos.shape[1]
-        best_val = -np.inf
-        best_row = 0
-        for r in range(n):
-            total = symmetric[combos[r, 0], combos[r, 1]]
-            for i in range(size):
-                for j in range(i + 1, size):
-                    if i == 0 and j == 1:
-                        continue
-                    total = total + symmetric[combos[r, i], combos[r, j]]
-            if total > best_val:
-                best_val = total
-                best_row = r
-        for k in range(size):
-            chosen[k] = combos[best_row, k]
-        return best_val
-
-
-#: One-off compile bookkeeping: numba compiles lazily on first call, so
-#: the first invocation's wall time includes compilation (or a disk
-#: cache load). Recorded once per process and surfaced through
-#: ``SolverStats.kernel_compile_seconds``.
-_compile_seconds_pending: dict[str, bool] = {
-    "dense": True,
-    "csr": True,
-    "group_dense": True,
-    "group_csr": True,
-    "peel": True,
-}
-
-
-def score_candidates(
-    buffers: KernelBuffers,
-    vp_indptr: np.ndarray,
-    vp_tasks: np.ndarray,
-    mem_indptr: np.ndarray,
-    mem_flat: np.ndarray,
-    pair_sums: np.ndarray,
-    revenues: np.ndarray,
-    capacities: np.ndarray,
-    minimum: int,
-    limit: int,
-    current_tasks: np.ndarray,
-    stats=None,
-    worker_ids: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score every (worker, candidate-task) slot of the validity CSR.
-
-    Returns ``(values, codes)`` — one float and one classification code
-    (:data:`CODE_VALUE` / :data:`CODE_SCALAR` / :data:`CODE_CURRENT`)
-    per slot of ``vp_tasks``. Values for non-``CODE_VALUE`` slots are
-    placeholders the caller must fill (scalar peel / ``leave_delta``).
-
-    ``worker_ids`` maps CSR rows to quality-store worker ids when the
-    call covers a subset of workers (one row per rescanned worker, as in
-    the mid-round rescan path); by default row ``i`` *is* worker ``i``.
-    ``current_tasks`` is always indexed by row.
-
-    Dispatches to the compiled numba kernel when available, else to the
-    vectorized numpy fallback; both produce bit-identical floats. The
-    optional ``stats`` (a :class:`~repro.core.stats.SolverStats`) counts
-    dispatches and the one-off compile time.
-    """
-    if NUMBA_AVAILABLE:
-        slots = vp_tasks.size
-        values = np.zeros(slots, dtype=np.float64)
-        codes = np.zeros(slots, dtype=np.uint8)
-        variant = "dense" if buffers.is_dense else "csr"
-        row_workers = (
-            np.arange(vp_indptr.size - 1, dtype=np.int64)
-            if worker_ids is None
-            else np.ascontiguousarray(worker_ids, dtype=np.int64)
-        )
-        started = time.perf_counter()
-        if buffers.is_dense:
-            _score_dense_njit(
-                np.ascontiguousarray(buffers.dense, dtype=np.float64),
-                vp_indptr,
-                vp_tasks,
-                mem_indptr,
-                mem_flat,
-                pair_sums,
-                revenues,
-                capacities,
-                np.int64(minimum),
-                np.int64(limit),
-                current_tasks,
-                row_workers,
-                values,
-                codes,
-            )
-        else:
-            _score_csr_njit(
-                np.int64(buffers.size),
-                buffers.row_keys,
-                buffers.row_values,
-                buffers.col_keys,
-                buffers.col_values,
-                np.float64(buffers.prior),
-                vp_indptr,
-                vp_tasks,
-                mem_indptr,
-                mem_flat,
-                pair_sums,
-                revenues,
-                capacities,
-                np.int64(minimum),
-                np.int64(limit),
-                current_tasks,
-                row_workers,
-                values,
-                codes,
-            )
-        if stats is not None:
-            stats.kernel_compiled_calls += 1
-            if _compile_seconds_pending[variant]:
-                stats.kernel_compile_seconds += time.perf_counter() - started
-        _compile_seconds_pending[variant] = False
-        return values, codes
-
-    values, codes = _score_candidates_numpy(
-        buffers,
-        vp_indptr,
-        vp_tasks,
-        mem_indptr,
-        mem_flat,
-        pair_sums,
-        revenues,
-        capacities,
-        minimum,
-        limit,
-        current_tasks,
-        worker_ids=worker_ids,
-    )
-    if stats is not None:
-        stats.kernel_fallback_calls += 1
-    return values, codes
-
-
 def best_group(
     buffers: KernelBuffers,
     candidates,
@@ -1009,61 +572,15 @@ def best_group(
     candidate counts) is given. Returns ``(group, Q)`` with global
     worker ids in selection order and the Equation 2 revenue, exactly
     like ``tpg.greedy_best_group`` — the floats are bit-identical to the
-    store-backed path (same gathered values, same operation order),
-    compiled with numba when available, shared numpy code otherwise.
+    same selection run on the store's ``gather`` (same gathered values,
+    same operation order).
 
     The caller is responsible for the ``len(candidates) >= size >= 2``
     precondition and for choosing greedy vs. exact; this function only
-    evaluates. ``stats`` counts dispatches like :func:`score_candidates`.
+    evaluates. ``stats`` counts the call like :func:`score_candidates`.
     """
     index = np.asarray(candidates, dtype=np.int64)
-    count = index.size
     divisor = size - 1
-    if NUMBA_AVAILABLE:  # pragma: no cover - requires numba
-        variant = "group_dense" if buffers.is_dense else "group_csr"
-        started = time.perf_counter()
-        symmetric = np.empty((count, count), dtype=np.float64)
-        if buffers.is_dense:
-            _group_symmetric_dense_njit(
-                np.ascontiguousarray(buffers.dense, dtype=np.float64),
-                index,
-                symmetric,
-            )
-        else:
-            _group_symmetric_csr_njit(
-                np.int64(buffers.size),
-                buffers.row_keys,
-                buffers.row_values,
-                np.float64(buffers.prior),
-                index,
-                symmetric,
-            )
-        chosen = np.empty(size, dtype=np.int64)
-        if table is not None:
-            combos = table[0]
-            pair_sum = _exact_group_njit(
-                symmetric, np.ascontiguousarray(combos, dtype=np.int64), chosen
-            )
-            result = (
-                [int(index[local]) for local in chosen],
-                float(pair_sum) / divisor,
-            )
-        else:
-            pair_sum = _greedy_group_njit(symmetric, np.int64(size), chosen)
-            if chosen[0] < 0:
-                result = ([], 0.0)
-            else:
-                result = (
-                    [int(index[local]) for local in chosen],
-                    float(pair_sum) / divisor,
-                )
-        if stats is not None:
-            stats.kernel_compiled_calls += 1
-            if _compile_seconds_pending[variant]:
-                stats.kernel_compile_seconds += time.perf_counter() - started
-        _compile_seconds_pending[variant] = False
-        return result
-
     symmetric = gather_symmetric(buffers, index)
     if stats is not None:
         stats.kernel_fallback_calls += 1

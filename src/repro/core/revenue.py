@@ -23,13 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.kernels import (
-    DEFAULT_KERNEL,
-    counted_subset_select,
-    ensure_pairwise_cliff,
-    ordered_row_sums,
-    resolve_kernel,
-)
+from repro.core.kernels import counted_subset_select
 from repro.core.quality import CooperationMatrix
 from repro.core.quality_store import QualityStore
 
@@ -42,22 +36,8 @@ __all__ = [
     "worker_average_quality",
 ]
 
-#: Group sizes up to this bound use the vectorized peeling kernel. Above
-#: it the scalar reference loop runs instead: numpy sums arrays of eight
-#: or more elements (``kernels.PAIRWISE_CLIFF``) with pairwise
-#: (block-unrolled) accumulation, so the submatrix row sums would stop
-#: being bit-identical to the per-member ``cross_sum`` calls — and
-#: bit-identical contributions are what keeps the peel order (hence the
-#: potential function) unchanged. ``kernels.ensure_pairwise_cliff``
-#: verifies at first use that numpy still honors this boundary.
-_VECTOR_PEEL_LIMIT = 7
-
-
 def best_counted_subset(
-    quality: QualityStore,
-    members: Sequence[int],
-    size: int,
-    kernel: str = DEFAULT_KERNEL,
+    quality: QualityStore, members: Sequence[int], size: int
 ) -> list[int]:
     """The (approximately) best ``size``-subset of ``members``.
 
@@ -68,69 +48,27 @@ def best_counted_subset(
     tie-break is part of the potential function's definition; changing it
     would change which equilibria the game reaches.)
 
-    ``kernel="native"`` evaluates the whole peel through
-    :func:`~repro.core.kernels.counted_subset_select` — one bulk gather
-    of the master submatrix plus a compiled (numba when available)
-    endgame — with bit-identical floats and tie-breaks; ``"python"``
-    keeps this scalar oracle.
+    Evaluated by :func:`~repro.core.kernels.counted_subset_select` from
+    one bulk gather of the members' submatrix; its floats and tie-breaks
+    are those of the scalar reference peel
+    (:func:`repro.audit.reference.reference_counted_subset`).
 
-    Returns the members themselves when ``size >= len(members)``.
+    Returns the members themselves, sorted, when ``size >= len(members)``.
     """
-    kept = _sorted_members(members, size)
-    if resolve_kernel(kernel) == "native":
-        return counted_subset_select(quality.as_kernel_buffers(), kept, size)[0]
-    ensure_pairwise_cliff()
-    while len(kept) > size:
-        if len(kept) <= _VECTOR_PEEL_LIMIT:
-            index = np.asarray(kept, dtype=np.intp)
-            sub = quality.gather(index)
-            # The diagonal is exactly 0.0, so including it keeps every
-            # partial sum bit-identical to cross_sum over the others.
-            # ordered_row_sums is the shared ordered-accumulation helper
-            # (bit-identical to sub.sum(axis=1)/sum(axis=0) below the
-            # pairwise cliff — the only regime this branch handles).
-            contributions = ordered_row_sums(sub) + ordered_row_sums(sub.T)
-            minimum = contributions.min()
-            # Ties peel the highest index; kept is sorted ascending, so
-            # that is the last position attaining the minimum.
-            weakest = int(np.flatnonzero(contributions == minimum)[-1])
-        else:
-            scored = [
-                (quality.cross_sum(worker, [k for k in kept if k != worker]), -worker)
-                for worker in kept
-            ]
-            weakest = min(range(len(kept)), key=lambda idx: scored[idx])
-        kept.pop(weakest)
-    return kept
-
-
-def _sorted_members(members: Sequence[int], size: int) -> list[int]:
-    if size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
-    kept = sorted(members)
-    if len(kept) != len(set(kept)):
-        raise ValueError(f"duplicate members: {sorted(members)}")
-    return kept
+    return _counted_subset(quality, members, size)[0]
 
 
 def _counted_subset(
-    quality: QualityStore,
-    members: Sequence[int],
-    size: int,
-    kernel: str = DEFAULT_KERNEL,
+    quality: QualityStore, members: Sequence[int], size: int
 ) -> tuple[list[int], float]:
-    """:func:`best_counted_subset` plus the kept members' ordered pair sum.
-
-    The native kernel takes the sum from the peel's own master gather
-    (no second gather); the scalar oracle re-gathers the kept block.
-    Both equal ``quality.submatrix_sum(kept)`` bit for bit.
-    """
-    if resolve_kernel(kernel) == "native":
-        return counted_subset_select(
-            quality.as_kernel_buffers(), _sorted_members(members, size), size
-        )
-    kept = best_counted_subset(quality, members, size, kernel=kernel)
-    return kept, quality.submatrix_sum(np.asarray(kept, dtype=np.intp))
+    """:func:`best_counted_subset` plus the kept members' ordered pair sum,
+    taken from the peel's own gather — bit for bit
+    ``quality.submatrix_sum(kept)``."""
+    if size < 0:
+        raise ValueError(f"size must be non-negative, got {size}")
+    if len(members) != len(set(members)):
+        raise ValueError(f"duplicate members: {sorted(members)}")
+    return counted_subset_select(quality.as_kernel_buffers(), members, size)
 
 
 def group_revenue(
@@ -138,7 +76,6 @@ def group_revenue(
     members: Sequence[int],
     capacity: int,
     min_group_size: int,
-    kernel: str = DEFAULT_KERNEL,
 ) -> float:
     """``Q(W_j)`` of Equation 2.
 
@@ -159,7 +96,7 @@ def group_revenue(
         if count < 2:
             return 0.0
         return quality.ordered_pair_sum(members) / (count - 1)
-    _, pair_sum = _counted_subset(quality, members, capacity, kernel=kernel)
+    _, pair_sum = _counted_subset(quality, members, capacity)
     if capacity < 2:
         return 0.0
     return pair_sum / (capacity - 1)
@@ -257,7 +194,6 @@ class RevenueCache:
         "_members",
         "_member_arrays",
         "_counted",
-        "kernel",
         "full_evaluations",
         "incremental_updates",
         "peel_kernel_calls",
@@ -283,16 +219,10 @@ class RevenueCache:
         self._members: list[list[int]] = [[] for _ in range(task_count)]
         self._member_arrays: list[np.ndarray | None] = [None] * task_count
         self._counted: list[tuple[int, ...] | None] = [None] * task_count
-        #: Peel dispatch path for the overflow evaluations: ``"python"``
-        #: (the scalar oracle, default) or ``"native"`` (the bulk-gather
-        #: kernel). Solvers running with ``kernel="native"`` set this so
-        #: the RevenueCache's own overflow paths ride the same kernel;
-        #: results are bit-identical either way.
-        self.kernel = DEFAULT_KERNEL
         self.full_evaluations = 0
         self.incremental_updates = 0
-        #: Overflow peels dispatched through the native kernel (0 for
-        #: ``kernel="python"``); surfaced via SolverStats.
+        #: Overflow peels run through ``kernels.counted_subset_select``;
+        #: surfaced via SolverStats.
         self.peel_kernel_calls = 0
 
     # ------------------------------------------------------------------
@@ -417,7 +347,6 @@ class RevenueCache:
         # sharing the array objects themselves is safe.
         clone._member_arrays = list(self._member_arrays)
         clone._counted = list(self._counted)
-        clone.kernel = self.kernel
         clone.full_evaluations = self.full_evaluations
         clone.incremental_updates = self.incremental_updates
         clone.peel_kernel_calls = self.peel_kernel_calls
@@ -486,11 +415,9 @@ class RevenueCache:
     def _peel(
         self, members: Sequence[int], capacity: int
     ) -> tuple[list[int], float]:
-        """Overflow peel through the cache's configured :attr:`kernel`:
-        the counted subset and its ordered pair sum."""
-        if self.kernel == "native":
-            self.peel_kernel_calls += 1
-        return _counted_subset(self.quality, members, capacity, kernel=self.kernel)
+        """Counted overflow peel: the kept subset and its ordered pair sum."""
+        self.peel_kernel_calls += 1
+        return _counted_subset(self.quality, members, capacity)
 
     def _refresh(self, task: int) -> None:
         """Recompute the task's revenue from the cached pair sum.
@@ -594,14 +521,10 @@ class RevenueCache:
             without = (self.pair_sums[task] - cross) / (count - 2)
         else:
             rest = [m for m in members if m != worker]
-            if self.kernel == "native" and len(rest) > capacity:
+            if len(rest) > capacity:
                 self.peel_kernel_calls += 1
             without = group_revenue(
-                self.quality,
-                rest,
-                capacity,
-                self.min_group_size,
-                kernel=self.kernel,
+                self.quality, rest, capacity, self.min_group_size
             )
             self.full_evaluations += 1
         return current - without

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.assignment import UNASSIGNED, Assignment
 from repro.core.game import DEFAULT_TOLERANCE, _BestResponseDynamics
-from repro.core.kernels import DEFAULT_KERNEL
 from repro.core.model import Instance
 from repro.core.stats import SolverStats
 from repro.core.tpg import seed_groups
@@ -77,7 +76,6 @@ def seed_border_groups(
     assignment: Assignment,
     border_workers,
     border_tasks,
-    kernel: str = DEFAULT_KERNEL,
     stats: SolverStats | None = None,
 ) -> int:
     """Bootstrap the cross-shard groups best-response cannot form.
@@ -112,7 +110,6 @@ def seed_border_groups(
         assignment,
         available,
         open_tasks,
-        kernel=kernel,
         stats=stats,
         prefer_wider=False,
         positive_only=True,
@@ -129,7 +126,6 @@ def reconcile_borders(
     border_tasks=(),
     halo_rounds: int = 2,
     tolerance: float = DEFAULT_TOLERANCE,
-    kernel: str = DEFAULT_KERNEL,
     stats: SolverStats | None = None,
 ) -> tuple[int, int, int]:
     """Boundary repair: seed stranded groups, then bounded halo passes.
@@ -145,7 +141,7 @@ def reconcile_borders(
     if order and len(border_tasks):
         seeded = seed_border_groups(
             instance, valid_pairs, assignment, order, border_tasks,
-            kernel=kernel, stats=stats,
+            stats=stats,
         )
     if not order or halo_rounds <= 0:
         return 0, 0, seeded
@@ -156,7 +152,6 @@ def reconcile_borders(
         tolerance,
         lazy_update=False,
         stats=stats,
-        kernel=kernel,
     )
     rounds_run = 0
     total_moves = 0

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.assignment import Assignment
-from repro.core.kernels import DEFAULT_KERNEL, resolve_kernel
 from repro.core.model import Instance
 from repro.core.sharding.partition import (
     ShardPlan,
@@ -69,12 +68,12 @@ class ShardedSolveResult:
     border_seeded: int = 0
 
 
-def _base_solver(approach: str, epsilon: float, seed, kernel: str):
+def _base_solver(approach: str, epsilon: float, seed):
     # Deferred: repro.experiments.config imports this package for the
     # --shards plumbing; importing it lazily keeps the layering acyclic.
     from repro.experiments.config import make_solver
 
-    return make_solver(approach, epsilon=epsilon, seed=seed, kernel=kernel)
+    return make_solver(approach, epsilon=epsilon, seed=seed)
 
 
 def _failover_shard(
@@ -96,7 +95,7 @@ def _failover_shard(
 
     started = time.perf_counter()
     primary = _base_solver(
-        payload["approach"], payload["epsilon"], payload["seed"], payload["kernel"]
+        payload["approach"], payload["epsilon"], payload["seed"]
     )
     solver = FallbackSolver(
         primary,
@@ -123,7 +122,7 @@ def _solve_shard_payload(payload: dict, submitted_at: float) -> dict:
     """
     started = time.perf_counter()
     solver = _base_solver(
-        payload["approach"], payload["epsilon"], payload["seed"], payload["kernel"]
+        payload["approach"], payload["epsilon"], payload["seed"]
     )
     assignment = solver(payload["instance"], payload["valid_pairs"])
     stats_log = getattr(solver, "stats_log", None)
@@ -141,11 +140,10 @@ def _passthrough(
     approach: str,
     epsilon: float,
     seed,
-    kernel: str,
     started: float,
 ) -> ShardedSolveResult:
     """Monolithic solve — ``shards=1`` must be repr-identical to it."""
-    solver = _base_solver(approach, epsilon, seed, kernel)
+    solver = _base_solver(approach, epsilon, seed)
     assignment = solver(instance, valid_pairs)
     stats_log = getattr(solver, "stats_log", None)
     stats = stats_log[-1] if stats_log else SolverStats(solver=approach)
@@ -160,7 +158,6 @@ def solve_sharded(
     approach: str = "GT",
     epsilon: float = 0.05,
     seed=None,
-    kernel: str = DEFAULT_KERNEL,
     shards: "int | str" = "auto",
     halo_rounds: int = 2,
     n_jobs: int = 1,
@@ -186,7 +183,6 @@ def solve_sharded(
             f"approach {approach!r} does not support sharded solving; "
             f"shardable: {SHARDABLE_APPROACHES}"
         )
-    kernel = resolve_kernel(kernel)
     if halo_rounds < 0:
         raise ValueError(f"halo_rounds must be >= 0, got {halo_rounds}")
     if shard_timeout is not None and shard_timeout <= 0:
@@ -199,7 +195,7 @@ def solve_sharded(
     request = resolve_shard_request(shards)
     if request == 1:
         return _passthrough(
-            instance, valid_pairs, approach, epsilon, seed, kernel, started
+            instance, valid_pairs, approach, epsilon, seed, started
         )
     plan = partition_instance(
         instance,
@@ -208,7 +204,7 @@ def solve_sharded(
     )
     if plan.shard_count == 1:
         return _passthrough(
-            instance, valid_pairs, approach, epsilon, seed, kernel, started
+            instance, valid_pairs, approach, epsilon, seed, started
         )
     partition_seconds = time.perf_counter() - started
 
@@ -227,7 +223,6 @@ def solve_sharded(
             "approach": approach,
             "epsilon": epsilon,
             "seed": seed,
-            "kernel": kernel,
             "instance": piece.instance,
             "valid_pairs": piece.valid_pairs,
         }
@@ -290,7 +285,6 @@ def solve_sharded(
         plan.border_worker_indices(),
         border_tasks=np.flatnonzero(plan.task_border),
         halo_rounds=halo_rounds,
-        kernel=kernel,
         stats=stats,
     )
     assignment.clamp_to_capacity()

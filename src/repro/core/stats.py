@@ -16,7 +16,7 @@ switch, so the numbers are always available after a solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 __all__ = ["RoundStats", "SolverStats"]
@@ -77,25 +77,19 @@ class SolverStats:
     fallback_answers:
         Per-tier answer counts of a fallback chain (empty for unwrapped
         solvers); sums to ``runs`` when every call went through a chain.
-    kernel_compiled_calls / kernel_fallback_calls:
-        Batched best-response kernel dispatches (``kernel="native"``):
-        compiled numba invocations vs. pure-numpy fallback passes (numba
-        absent). Both zero for ``kernel="python"`` solves.
-    kernel_compile_seconds:
-        Wall-clock of the first compiled invocation per kernel variant —
-        numba's lazy JIT compile (or on-disk cache load) cost, recorded
-        once per process rather than spread over later calls.
+    kernel_fallback_calls:
+        Batched kernel calls (:mod:`repro.core.kernels`): GT's round
+        prepasses and row rescans plus TPG's stage-1 group evaluations.
+        The name predates the removal of the compiled variant; the
+        benchmark reads it as ``kernels.calls``.
     peel_kernel_calls:
-        Overflow counted-subset peels dispatched through the bulk-gather
-        peel kernel (``kernels.counted_subset_select``) by the
-        :class:`~repro.core.revenue.RevenueCache`. Zero for
-        ``kernel="python"`` solves, which run the scalar oracle peel.
+        Overflow counted-subset peels run through the bulk-gather peel
+        kernel (``kernels.counted_subset_select``) by the
+        :class:`~repro.core.revenue.RevenueCache`.
     rescan_batches / rescan_rows:
-        Mid-round dirty-rescan kernel (``kernel="native"``): batched
-        refresh calls issued after accepted moves, and how many stale
-        prepass rows they re-scored in total. Both zero for
-        ``kernel="python"`` solves (those rescan workers one at a time
-        in the interpreted path).
+        Mid-round dirty rescan: batched refresh calls issued after
+        accepted moves, and how many stale prepass rows they re-scored
+        in total.
     shard_count / border_workers / halo_rounds / halo_moves:
         Geo-sharded solving (:mod:`repro.core.sharding`): number of
         spatial shards the instance was split into (1 = monolithic or
@@ -127,9 +121,7 @@ class SolverStats:
     runs: int = 1
     degraded_solves: int = 0
     fallback_answers: dict[str, int] = field(default_factory=dict)
-    kernel_compiled_calls: int = 0
     kernel_fallback_calls: int = 0
-    kernel_compile_seconds: float = 0.0
     peel_kernel_calls: int = 0
     rescan_batches: int = 0
     rescan_rows: int = 0
@@ -163,9 +155,7 @@ class SolverStats:
             self.fallback_answers[tier] = (
                 self.fallback_answers.get(tier, 0) + count
             )
-        self.kernel_compiled_calls += other.kernel_compiled_calls
         self.kernel_fallback_calls += other.kernel_fallback_calls
-        self.kernel_compile_seconds += other.kernel_compile_seconds
         self.peel_kernel_calls += other.peel_kernel_calls
         self.rescan_batches += other.rescan_batches
         self.rescan_rows += other.rescan_rows
@@ -198,6 +188,12 @@ class SolverStats:
         return total
 
     @property
+    def kernel_compiled_calls(self) -> int:
+        """Always 0: there is no compiled kernel variant any more. Kept,
+        read-only, because ``bench/workloads.py`` still reads it."""
+        return 0
+
+    @property
     def cache_hit_ratio(self) -> float:
         """LUB hits over all best-response scans (0 when none ran)."""
         scans = self.cache_hits + self.cache_misses
@@ -228,9 +224,7 @@ class SolverStats:
             "runs": self.runs,
             "degraded_solves": self.degraded_solves,
             "fallback_answers": dict(self.fallback_answers),
-            "kernel_compiled_calls": self.kernel_compiled_calls,
             "kernel_fallback_calls": self.kernel_fallback_calls,
-            "kernel_compile_seconds": self.kernel_compile_seconds,
             "peel_kernel_calls": self.peel_kernel_calls,
             "rescan_batches": self.rescan_batches,
             "rescan_rows": self.rescan_rows,
@@ -246,8 +240,11 @@ class SolverStats:
     @classmethod
     def from_dict(cls, payload: dict) -> "SolverStats":
         """Inverse of :meth:`to_dict` (used by the sweep checkpoint
-        journal); tolerates records written before newer fields existed."""
-        payload = dict(payload)
+        journal). Tolerates records written before newer fields existed,
+        and ignores keys of fields since dropped (e.g.
+        ``kernel_compile_seconds``)."""
+        known = {f.name for f in fields(cls)}
+        payload = {key: value for key, value in payload.items() if key in known}
         rounds = [RoundStats(**entry) for entry in payload.pop("rounds", [])]
         return cls(rounds=rounds, **payload)
 
@@ -271,15 +268,8 @@ class SolverStats:
                 for tier, count in sorted(self.fallback_answers.items())
             )
             parts.append(f"degraded={self.degraded_solves} via={answers}")
-        if self.kernel_compiled_calls or self.kernel_fallback_calls:
-            parts.append(
-                f"kernel={self.kernel_compiled_calls}c"
-                f"/{self.kernel_fallback_calls}f"
-            )
-            if self.kernel_compile_seconds:
-                parts.append(
-                    f"compile={self.kernel_compile_seconds * 1e3:.1f}ms"
-                )
+        if self.kernel_fallback_calls:
+            parts.append(f"kernels={self.kernel_fallback_calls}")
         if self.peel_kernel_calls:
             parts.append(f"peel={self.peel_kernel_calls}k")
         if self.rescan_batches:

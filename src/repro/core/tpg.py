@@ -15,7 +15,9 @@ Two stages:
 The implementation keeps the asymptotics of the paper's analysis
 (``max(O(m n n_bar), O(m_bar n^2))``) and batches both stages:
 
-* stage 1 (:func:`seed_groups`) caches each task's best set in a
+* stage 1 (:func:`seed_groups`) evaluates each task's best set in one
+  kernel call over the store's flat buffers
+  (:func:`~repro.core.kernels.best_group`), caches it in a
   version-stamped max-heap and recomputes only the sets that lost a member
   to the last commit, found through an inverted index from each worker to
   the cached sets holding it — no per-commit rescan of the open tasks;
@@ -38,13 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.assignment import Assignment
-from repro.core.kernels import (
-    DEFAULT_KERNEL,
-    best_group as _kernel_best_group,
-    exact_group_select,
-    greedy_group_select,
-    resolve_kernel,
-)
+from repro.core.kernels import best_group
 from repro.core.model import Instance
 from repro.core.stats import SolverStats
 from repro.core.validity import ValidPairs, compute_valid_pairs
@@ -101,7 +97,7 @@ def _combo_table(
 
 
 def exact_best_group(
-    quality, candidates: list[int], size: int, buffers=None, stats=None
+    quality, candidates: list[int], size: int, stats=None
 ) -> tuple[list[int], float]:
     """Exhaustive max-quality ``size``-group (tiny candidate sets only).
 
@@ -109,29 +105,24 @@ def exact_best_group(
     and by tests as the oracle for the greedy's approximation quality.
 
     The enumeration is vectorized
-    (:func:`~repro.core.kernels.exact_group_select`): each combination's
-    pair sum is the sequential left-to-right accumulation over its
-    position pairs in lexicographic order — the same float additions, in
-    the same order, as the scalar loop it replaced — and ``argmax`` keeps
-    the first maximum exactly like a strict ``>`` scan. With ``buffers``
-    (the quality store's kernel export) the whole evaluation runs in
-    :func:`~repro.core.kernels.best_group` instead — bit-identical.
+    (:func:`~repro.core.kernels.exact_group_select`, run by
+    :func:`~repro.core.kernels.best_group`): each combination's pair sum
+    is the sequential left-to-right accumulation over its position pairs
+    in lexicographic order — the same float additions, in the same
+    order, as the scalar loop it replaced — and ``argmax`` keeps the
+    first maximum exactly like a strict ``>`` scan. ``stats`` counts the
+    kernel call.
     """
     count = len(candidates)
     if count < size or size < 2:
         return [], 0.0
-    ordered = sorted(candidates)
-    table = _combo_table(count, size)
-    if buffers is not None:
-        return _kernel_best_group(buffers, ordered, size, table=table, stats=stats)
-    index = np.asarray(ordered, dtype=np.intp)
-    sub = quality.gather(index)
-    symmetric = sub + sub.T
-
-    combos, _ = table
-    best, pair_sum = exact_group_select(symmetric, table[1])
-    best_group = [ordered[i] for i in combos[best]]
-    return best_group, pair_sum / (size - 1)
+    return best_group(
+        quality.as_kernel_buffers(),
+        sorted(candidates),
+        size,
+        table=_combo_table(count, size),
+        stats=stats,
+    )
 
 
 #: Candidate-count threshold below which stage 1 solves the B-group
@@ -141,44 +132,32 @@ EXACT_SEED_THRESHOLD = 12
 
 
 def greedy_best_group(
-    quality, candidates: list[int], size: int, buffers=None, stats=None
+    quality, candidates: list[int], size: int, stats=None
 ) -> tuple[list[int], float]:
     """Greedy max-quality ``size``-group from ``candidates``.
 
     Seeds with the candidate pair maximizing ``q_i(w_k) + q_k(w_i)`` and
     grows by argmax cross-sum additions
-    (:func:`~repro.core.kernels.greedy_group_select`). Returns
-    ``(group, Q)`` where ``Q`` is the Equation 2 revenue of the group
-    (denominator ``size - 1``); returns ``([], 0.0)`` when there are not
-    enough candidates. Falls back to the exact enumeration when the
-    candidate set is tiny (:data:`EXACT_SEED_THRESHOLD`). Pass
-    ``buffers`` (the store's ``as_kernel_buffers()`` export) to evaluate
-    through the compiled stage-1 kernel — bit-identical floats either
-    way, enforced by the parity suite.
+    (:func:`~repro.core.kernels.greedy_group_select`), evaluated over the
+    quality store's kernel buffers. Returns ``(group, Q)`` where
+    ``Q`` is the Equation 2 revenue of the group (denominator
+    ``size - 1``); returns ``([], 0.0)`` when there are not enough
+    candidates. Falls back to the exact enumeration when the candidate
+    set is tiny (:data:`EXACT_SEED_THRESHOLD`). ``stats`` counts the
+    kernel calls.
     """
     count = len(candidates)
     if count < size or size < 2:
         return [], 0.0
     if count <= EXACT_SEED_THRESHOLD:
-        return exact_best_group(quality, candidates, size, buffers=buffers, stats=stats)
-    if buffers is not None:
-        return _kernel_best_group(buffers, candidates, size, stats=stats)
-    index = np.asarray(candidates, dtype=np.intp)
-    sub = quality.gather(index)
-    symmetric = sub + sub.T
-    selection = greedy_group_select(symmetric, size)
-    if selection is None:
-        return [], 0.0
-    chosen, pair_sum = selection
-    group = [int(index[local]) for local in chosen]
-    return group, pair_sum / (size - 1)
+        return exact_best_group(quality, candidates, size, stats=stats)
+    return best_group(quality.as_kernel_buffers(), candidates, size, stats=stats)
 
 
 def solve_tpg(
     instance: Instance,
     valid_pairs: ValidPairs | None = None,
     allow_negative_gain: bool = False,
-    kernel: str = DEFAULT_KERNEL,
 ) -> Assignment:
     """Run TPG and return a feasible assignment.
 
@@ -193,40 +172,27 @@ def solve_tpg(
         not positive (an extra worker can dilute a group's average).
         Enable to reproduce the paper's literal "assign every worker to
         his/her most suitable task" reading.
-    kernel:
-        ``"python"`` evaluates stage-1 groups through the quality store;
-        ``"native"`` through the batched kernel buffers
-        (:func:`~repro.core.kernels.best_group` — numba when available).
-        Bit-identical assignments either way.
     """
-    return _solve_tpg_full(
-        instance, valid_pairs, allow_negative_gain, kernel=kernel
-    ).assignment
+    return _solve_tpg_full(instance, valid_pairs, allow_negative_gain).assignment
 
 
 def solve_tpg_with_stats(
     instance: Instance,
     valid_pairs: ValidPairs | None = None,
     allow_negative_gain: bool = False,
-    kernel: str = DEFAULT_KERNEL,
 ) -> TPGResult:
     """Like :func:`solve_tpg` but also reports stage-1 statistics."""
-    return _solve_tpg_full(instance, valid_pairs, allow_negative_gain, kernel=kernel)
+    return _solve_tpg_full(instance, valid_pairs, allow_negative_gain)
 
 
 def _solve_tpg_full(
     instance: Instance,
     valid_pairs: ValidPairs | None,
     allow_negative_gain: bool,
-    kernel: str = DEFAULT_KERNEL,
 ) -> TPGResult:
-    kernel = resolve_kernel(kernel)
     if valid_pairs is None:
         valid_pairs = compute_valid_pairs(instance)
     assignment = Assignment(instance, valid_pairs)
-    # Stage 2's join-gain probes can hit overflow peels; route them (and
-    # any later cache refresh) through the selected kernel.
-    assignment.revenue_cache.kernel = kernel
     available = np.ones(instance.worker_count, dtype=bool)
     stats = SolverStats(solver="TPG")
 
@@ -238,7 +204,6 @@ def _solve_tpg_full(
             assignment,
             available,
             range(instance.task_count),
-            kernel=kernel,
             stats=stats,
             prefer_wider=True,
             positive_only=False,
@@ -285,7 +250,6 @@ def seed_groups(
     assignment: Assignment,
     available: np.ndarray,
     tasks,
-    kernel: str = DEFAULT_KERNEL,
     stats: SolverStats | None = None,
     *,
     prefer_wider: bool,
@@ -311,7 +275,6 @@ def seed_groups(
     """
     minimum = instance.min_group_size
     quality = instance.quality
-    buffers = quality.as_kernel_buffers() if kernel == "native" else None
     pool = _TaskWorkers(valid_pairs)
     groups: dict[int, list[int]] = {}  # cached best group of each live task
     holders: dict[int, set[int]] = {}  # worker -> tasks whose group holds it
@@ -322,7 +285,7 @@ def seed_groups(
         versions[task] += 1
         candidates = pool.idle(task, available).tolist()
         group, score = greedy_best_group(
-            quality, candidates, minimum, buffers=buffers, stats=stats
+            quality, candidates, minimum, stats=stats
         )
         if not group:
             return  # no group left: the task drops out

@@ -19,7 +19,6 @@ from repro.core.baselines.random_assign import solve_random
 from repro.core.baselines.wflow import solve_wflow
 from repro.core.online import solve_online_greedy
 from repro.core.game import solve_game_theoretic
-from repro.core.kernels import DEFAULT_KERNEL, resolve_kernel
 from repro.core.model import Instance
 from repro.core.sharding.partition import resolve_shard_request
 from repro.core.tpg import solve_tpg_with_stats
@@ -108,13 +107,6 @@ class ExperimentSettings:
     #: :class:`~repro.experiments.parallel.SweepExecutor` moves it into
     #: shared memory — so it is configured on the executor, not here.
     quality_backend: str = "dense"
-    #: Evaluation kernel for the GT variants and TPG: ``"python"`` (the
-    #: historical per-worker scan) or ``"native"`` (the batched prepass,
-    #: mid-round rescan and stage-1 group kernels of
-    #: :mod:`repro.core.kernels`; numba-compiled when numba is
-    #: importable, bit-identical numpy fallback otherwise). Results are
-    #: identical either way — the knob trades wall-clock only.
-    kernel: str = DEFAULT_KERNEL
     #: Geo-sharded solving (GT/TPG family only): ``1`` keeps the
     #: monolithic solver, ``"auto"`` targets ~2500 workers per shard,
     #: an explicit count pins the shard total. Flows into the sweep
@@ -135,7 +127,6 @@ class ExperimentSettings:
                 f"unknown quality_backend {self.quality_backend!r}; "
                 "expected 'dense' or 'sparse'"
             )
-        resolve_kernel(self.kernel)
         object.__setattr__(self, "shards", resolve_shard_request(self.shards))
         if self.halo_rounds < 0:
             raise ValueError(
@@ -181,7 +172,6 @@ def make_solver(
     name: str,
     epsilon: float = DEFAULT_EPSILON,
     seed=None,
-    kernel: str = DEFAULT_KERNEL,
     shards: "int | str" = 1,
     halo_rounds: int = 2,
     shard_timeout: "float | None" = None,
@@ -189,8 +179,7 @@ def make_solver(
     """Instantiate an approach by its paper name.
 
     ``epsilon`` only affects the TSI variants; ``seed`` only affects
-    RAND; ``kernel`` only affects the GT variants and TPG (and never
-    their results — see :mod:`repro.core.kernels`).
+    RAND.
 
     ``shards`` other than ``1`` routes the GT/TPG family through the
     geo-sharded solver (:func:`repro.core.sharding.solve_sharded`):
@@ -209,7 +198,6 @@ def make_solver(
     """
     if name not in APPROACHES:
         raise ValueError(f"unknown approach {name!r}; known: {sorted(APPROACHES)}")
-    kernel = resolve_kernel(kernel)
     request = resolve_shard_request(shards)
     if request != 1:
         from repro.core.sharding.solver import (
@@ -230,7 +218,6 @@ def make_solver(
                 approach=name,
                 epsilon=epsilon,
                 seed=seed,
-                kernel=kernel,
                 shards=request,
                 halo_rounds=halo_rounds,
                 shard_timeout=shard_timeout,
@@ -240,10 +227,10 @@ def make_solver(
 
         solver.stats_log = []
         return solver
-    return APPROACHES[name](epsilon, seed, kernel)
+    return APPROACHES[name](epsilon, seed)
 
 
-def _rand_factory(epsilon: float, seed, kernel: str = DEFAULT_KERNEL) -> SolverFn:
+def _rand_factory(epsilon: float, seed) -> SolverFn:
     rng = ensure_rng(seed)
 
     def solver(instance: Instance, valid_pairs: ValidPairs) -> Assignment:
@@ -252,16 +239,16 @@ def _rand_factory(epsilon: float, seed, kernel: str = DEFAULT_KERNEL) -> SolverF
     return solver
 
 
-def _mflow_factory(epsilon: float, seed, kernel: str = DEFAULT_KERNEL) -> SolverFn:
+def _mflow_factory(epsilon: float, seed) -> SolverFn:
     def solver(instance: Instance, valid_pairs: ValidPairs) -> Assignment:
         return solve_mflow(instance, valid_pairs)
 
     return solver
 
 
-def _tpg_factory(epsilon: float, seed, kernel: str = DEFAULT_KERNEL) -> SolverFn:
+def _tpg_factory(epsilon: float, seed) -> SolverFn:
     def solver(instance: Instance, valid_pairs: ValidPairs) -> Assignment:
-        result = solve_tpg_with_stats(instance, valid_pairs, kernel=kernel)
+        result = solve_tpg_with_stats(instance, valid_pairs)
         if result.stats is not None:
             solver.stats_log.append(result.stats)
         return result.assignment
@@ -271,9 +258,7 @@ def _tpg_factory(epsilon: float, seed, kernel: str = DEFAULT_KERNEL) -> SolverFn
 
 
 def _gt_factory(use_epsilon: bool, lazy_update: bool, label: str):
-    def factory(
-        epsilon: float, seed, kernel: str = DEFAULT_KERNEL
-    ) -> SolverFn:
+    def factory(epsilon: float, seed) -> SolverFn:
         effective_epsilon = epsilon if use_epsilon else 0.0
 
         def solver(instance: Instance, valid_pairs: ValidPairs) -> Assignment:
@@ -282,7 +267,6 @@ def _gt_factory(use_epsilon: bool, lazy_update: bool, label: str):
                 valid_pairs,
                 epsilon=effective_epsilon,
                 lazy_update=lazy_update,
-                kernel=kernel,
             )
             if result.stats is not None:
                 result.stats.solver = label
@@ -295,30 +279,28 @@ def _gt_factory(use_epsilon: bool, lazy_update: bool, label: str):
     return factory
 
 
-def _wflow_factory(epsilon: float, seed, kernel: str = DEFAULT_KERNEL) -> SolverFn:
+def _wflow_factory(epsilon: float, seed) -> SolverFn:
     def solver(instance: Instance, valid_pairs: ValidPairs) -> Assignment:
         return solve_wflow(instance, valid_pairs)
 
     return solver
 
 
-def _pair_greedy_factory(epsilon: float, seed, kernel: str = DEFAULT_KERNEL) -> SolverFn:
+def _pair_greedy_factory(epsilon: float, seed) -> SolverFn:
     def solver(instance: Instance, valid_pairs: ValidPairs) -> Assignment:
         return solve_pair_greedy(instance, valid_pairs)
 
     return solver
 
 
-def _online_factory(epsilon: float, seed, kernel: str = DEFAULT_KERNEL) -> SolverFn:
+def _online_factory(epsilon: float, seed) -> SolverFn:
     def solver(instance: Instance, valid_pairs: ValidPairs) -> Assignment:
         return solve_online_greedy(instance, valid_pairs)
 
     return solver
 
 
-def _local_search_factory(
-    epsilon: float, seed, kernel: str = DEFAULT_KERNEL
-) -> SolverFn:
+def _local_search_factory(epsilon: float, seed) -> SolverFn:
     from repro.core.local_search import solve_local_search
 
     def solver(instance: Instance, valid_pairs: ValidPairs) -> Assignment:
@@ -327,7 +309,7 @@ def _local_search_factory(
     return solver
 
 
-APPROACHES: dict[str, Callable[[float, object, str], SolverFn]] = {
+APPROACHES: dict[str, Callable[[float, object], SolverFn]] = {
     "RAND": _rand_factory,
     "MFLOW": _mflow_factory,
     "TPG": _tpg_factory,

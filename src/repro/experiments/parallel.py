@@ -323,12 +323,9 @@ def _spec_key(spec: CellSpec) -> str:
     ``quality_shm`` is deliberately excluded: shared-memory segment names
     are random per run and purely a transport detail, so a shared-backend
     sweep resumes from (and journals to) the same records as a dense one.
-    ``ExperimentSettings.kernel`` flows through ``asdict`` like every
-    other settings field, and stays in the key on purpose even though
-    both kernels are repr-identical: the journal's contract is "every
-    knob matches", not "we believe these knobs are equivalent" — if the
-    parity contract were ever broken, a resumed sweep must not paper
-    over it with stale cells.
+    Every settings field flows through ``asdict``, so a settings field
+    added or removed changes every key: records journaled before the
+    change stay readable but no longer match, and their cells re-run.
     """
     payload = asdict(spec)
     payload.pop("quality_shm", None)

@@ -8,8 +8,7 @@ under :mod:`cProfile`, and merges the function-level hotspots with the
 solver's own :class:`~repro.core.stats.SolverStats` ``phase_seconds``
 into one JSON-ready report. The ``repro profile`` subcommand (see
 :mod:`repro.cli`) prints the top functions per phase and can persist the
-report; ``benchmarks/bench_guard.py --only-hotpath`` embeds the same
-structure in ``BENCH_pr9.json``.
+report.
 
 Reading the report: ``phases[*].hotspots`` are sorted by ``tottime``
 (self time — where the interpreter actually spends cycles); ``cumtime``
@@ -28,7 +27,6 @@ import pstats
 import time
 from dataclasses import dataclass, field
 
-from repro.core.kernels import DEFAULT_KERNEL
 from repro.core.validity import compute_valid_pairs
 from repro.experiments.config import DEFAULT_EPSILON, make_solver
 
@@ -76,7 +74,6 @@ class ProfileReport:
     """The full phase x function report of one profiled solve."""
 
     approach: str
-    kernel: str
     workers: int
     tasks: int
     score: float
@@ -88,7 +85,6 @@ class ProfileReport:
     def to_dict(self) -> dict:
         return {
             "approach": self.approach,
-            "kernel": self.kernel,
             "workers": self.workers,
             "tasks": self.tasks,
             "score": self.score,
@@ -104,7 +100,7 @@ class ProfileReport:
     def summary_lines(self, top: int = 5) -> list[str]:
         """Human-readable digest for CLI output."""
         lines = [
-            f"profile[{self.approach}] kernel={self.kernel} "
+            f"profile[{self.approach}] "
             f"{self.workers}w/{self.tasks}t score={self.score:.4f}"
         ]
         for phase in self.phases:
@@ -154,7 +150,6 @@ def _collect_hotspots(profiler: cProfile.Profile, top: int) -> tuple:
 def profile_solve(
     instance,
     approach: str = "GT+ALL",
-    kernel: str = DEFAULT_KERNEL,
     epsilon: float = DEFAULT_EPSILON,
     seed=None,
     top: int = 15,
@@ -179,7 +174,7 @@ def profile_solve(
         hotspots=_collect_hotspots(profiler, top),
     )
 
-    solver = make_solver(approach, epsilon=epsilon, seed=seed, kernel=kernel)
+    solver = make_solver(approach, epsilon=epsilon, seed=seed)
     profiler = cProfile.Profile()
     started = time.perf_counter()
     profiler.enable()
@@ -193,7 +188,6 @@ def profile_solve(
 
     report = ProfileReport(
         approach=approach,
-        kernel=kernel,
         workers=instance.worker_count,
         tasks=instance.task_count,
         score=float(assignment.total_score()),

@@ -193,7 +193,6 @@ def run_single_approach(
         name,
         epsilon=settings.epsilon,
         seed=seed + 1,
-        kernel=settings.kernel,
         shards=shards,
         halo_rounds=settings.halo_rounds,
         shard_timeout=settings.shard_timeout,

@@ -168,7 +168,7 @@ class TestDifferentialRunner:
         from repro.core.quality_store import SparseQualityStore
         from repro.experiments import config
 
-        def evil_factory(epsilon, seed, kernel="python"):
+        def evil_factory(epsilon, seed):
             def solver(instance, valid_pairs):
                 assignment = make_solver("PGREEDY")(instance, valid_pairs)
                 if isinstance(instance.quality, SparseQualityStore):
@@ -192,7 +192,7 @@ class TestDifferentialRunner:
     def test_solver_crash_becomes_finding(self, monkeypatch):
         from repro.experiments import config
 
-        def crashing_factory(epsilon, seed, kernel="python"):
+        def crashing_factory(epsilon, seed):
             def solver(instance, valid_pairs):
                 raise RuntimeError("boom")
 

@@ -167,22 +167,23 @@ class TestProfile:
             tottimes = [spot["tottime"] for spot in phase["hotspots"]]
             assert tottimes == sorted(tottimes, reverse=True)
 
-    def test_profile_instance_file_native_kernel(self, instance_file, capsys):
+    def test_profile_instance_file(self, instance_file, capsys):
         code = main(
-            [
-                "profile",
-                "--instance",
-                str(instance_file),
-                "--kernel",
-                "native",
-                "--top",
-                "2",
-            ]
+            ["profile", "--instance", str(instance_file), "--top", "2"]
         )
         assert code == 0
         printed = capsys.readouterr().out
-        assert "kernel=native" in printed
         assert "solver stats:" in printed
+        assert "kernels=" in printed  # the batched path ran
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "profile"])
+    def test_kernel_flag_is_gone(self, command, instance_file):
+        argv = [command, "--kernel", "native"]
+        if command == "solve":
+            argv.insert(1, str(instance_file))
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
 
 class TestErrorHandling:

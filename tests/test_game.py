@@ -273,6 +273,7 @@ class TestVectorizedScan:
     def test_vectorized_best_alternative_matches_reference(self):
         # The batched numpy scan must agree with the scalar reference
         # loop bit-for-bit: same best task, same utility float.
+        from repro.audit.reference import reference_best_alternative
         from repro.core.game import _BestResponseDynamics
         from repro.core.tpg import solve_tpg
 
@@ -290,8 +291,8 @@ class TestVectorizedScan:
             vector = dynamics._best_alternative(
                 worker, current_task, current_utility
             )
-            reference = dynamics._best_alternative_reference(
-                worker, current_task, current_utility
+            reference = reference_best_alternative(
+                assignment, worker, pairs.tasks_for_worker[worker]
             )
             assert vector == reference
 
@@ -368,6 +369,7 @@ class TestVectorGroupBoundary:
 
     @pytest.mark.parametrize("size", [7, 8, 9])
     def test_boundary_sizes_bit_identical(self, size):
+        from repro.audit.reference import reference_best_alternative
         from repro.core.game import _BestResponseDynamics
 
         instance = self._scan_instance(size)
@@ -381,8 +383,8 @@ class TestVectorGroupBoundary:
         vector_task, vector_utility = dynamics._best_alternative(
             0, UNASSIGNED, 0.0
         )
-        ref_task, ref_utility = dynamics._best_alternative_reference(
-            0, UNASSIGNED, 0.0
+        ref_task, ref_utility = reference_best_alternative(
+            assignment, 0, pairs.tasks_for_worker[0]
         )
         assert vector_task == ref_task == 0
         assert repr(float(vector_utility)) == repr(float(ref_utility))

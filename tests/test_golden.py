@@ -48,8 +48,6 @@ from tests.conftest import make_dense_instance
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_solves.json"
 CORPUS_DIR = Path(__file__).parent / "data" / "audit_corpus"
 BACKENDS = ("dense", "sparse")
-#: Keyword arguments every solve below passes through.
-SOLVE_KWARGS = {"kernel": "native"}
 
 #: SolverStats counters recorded per solve (all deterministic).
 COUNTERS = (
@@ -115,11 +113,11 @@ def _outcome(assignment, stats: SolverStats | None, **extra) -> dict:
 
 def _solve_cases(instance) -> dict:
     valid_pairs = compute_valid_pairs(instance)
-    gt = solve_game_theoretic(instance, valid_pairs, **SOLVE_KWARGS)
+    gt = solve_game_theoretic(instance, valid_pairs)
     gt_all = solve_game_theoretic(
-        instance, valid_pairs, epsilon=0.01, lazy_update=True, **SOLVE_KWARGS
+        instance, valid_pairs, epsilon=0.01, lazy_update=True
     )
-    tpg = solve_tpg_with_stats(instance, valid_pairs, **SOLVE_KWARGS)
+    tpg = solve_tpg_with_stats(instance, valid_pairs)
     return {
         "GT": _outcome(
             gt.assignment, gt.stats,
@@ -139,8 +137,7 @@ def _solve_cases(instance) -> dict:
 def _sharded_case(instance) -> dict:
     valid_pairs = compute_valid_pairs(instance)
     result = solve_sharded(
-        instance, valid_pairs, approach="GT", shards=2, halo_rounds=2,
-        **SOLVE_KWARGS,
+        instance, valid_pairs, approach="GT", shards=2, halo_rounds=2
     )
     record = _outcome(result.assignment, result.stats)
     record["stats"].update(
@@ -151,7 +148,7 @@ def _sharded_case(instance) -> dict:
 
 def _fallback_case(instance) -> dict:
     valid_pairs = compute_valid_pairs(instance)
-    primary = make_solver("GT+ALL", epsilon=0.01, seed=5, **SOLVE_KWARGS)
+    primary = make_solver("GT+ALL", epsilon=0.01, seed=5)
     wrapped = FallbackSolver(primary, budget=None, label="GT+ALL")
     assignment = wrapped(instance, valid_pairs)
     return _outcome(
@@ -169,7 +166,7 @@ def _scripted_case(instance, orders) -> dict:
     stats = SolverStats()
     dynamics = _BestResponseDynamics(
         instance, valid_pairs, assignment, DEFAULT_TOLERANCE,
-        lazy_update=False, stats=stats, **SOLVE_KWARGS,
+        lazy_update=False, stats=stats,
     )
     trace = []
     for order in orders:
@@ -185,7 +182,7 @@ def _border_seed_case(instance) -> dict:
     seeded = seed_border_groups(
         instance, valid_pairs, assignment,
         range(instance.worker_count), range(instance.task_count),
-        stats=stats, **SOLVE_KWARGS,
+        stats=stats,
     )
     return _outcome(assignment, stats, seeded=seeded)
 

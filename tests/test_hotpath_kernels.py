@@ -1,18 +1,11 @@
-"""Parity suite for the PR 9 hot-path kernels.
+"""Parity suite for TPG's stage-1 group kernel.
 
-Three surfaces, each with a scalar oracle it must match repr-exactly:
-
-* the **mid-round dirty rescan** — after an accepted move the native
-  engine re-scores all affected prepass rows in one batched call; the
-  python kernel replays the same scalar scans, so assignments, per-round
-  move counts and every evaluation counter must agree bitwise;
-* the **stage-1 group kernel** — TPG's ``greedy_best_group`` /
-  ``exact_best_group`` evaluated through ``kernels.best_group`` vs the
-  store-backed python path (shared selection primitives make this
-  bit-identical by construction; the tests enforce it stays that way);
-* the **vectorized validity construction** — covered by
-  ``tests/test_validity.py`` and the differential harness; here the
-  profiling harness riding on the same PR gets its smoke coverage.
+``tpg.greedy_best_group`` / ``tpg.exact_best_group`` evaluate through
+:func:`repro.core.kernels.best_group` over the store's flat kernel
+buffers; the selection primitives run on the store's own
+``quality.gather`` must give the same groups and the same floats. The
+solve-level outputs of the batched path (mid-round rescans, stage 1,
+border seeding) are pinned by ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -20,32 +13,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.audit.corpus import load_corpus_entry
-from repro.core.assignment import Assignment
-from repro.core.game import (
-    DEFAULT_TOLERANCE,
-    _BestResponseDynamics,
-    solve_game_theoretic,
-)
-from repro.core.kernels import NUMBA_AVAILABLE, best_group
+from repro.core.kernels import best_group, exact_group_select, greedy_group_select
 from repro.core.model import Instance
 from repro.core.quality_store import (
     SharedDenseQualityStore,
     SparseQualityStore,
 )
-from repro.core.sharding.reconcile import seed_border_groups
 from repro.core.stats import SolverStats
 from repro.core.tpg import (
     EXACT_SEED_THRESHOLD,
+    _combo_table,
     greedy_best_group,
-    solve_tpg,
-    solve_tpg_with_stats,
 )
-from repro.core.validity import compute_valid_pairs
 from tests.conftest import make_dense_instance
-
-CORPUS_DIR = "tests/data/audit_corpus"
-BACKENDS = ("dense", "sparse", "shared")
 
 
 def _with_backend(instance: Instance, backend: str):
@@ -74,143 +54,23 @@ def _with_backend(instance: Instance, backend: str):
     return swapped, None
 
 
-def _signature(assignment) -> tuple:
-    return (
-        tuple(assignment.to_pairs()),
-        repr(assignment.total_score()),
-        repr(assignment),
-    )
+def _store_group(quality, candidates: list[int], size: int):
+    """The stage-1 selection run on the store's own ``gather``."""
+    if len(candidates) <= EXACT_SEED_THRESHOLD:
+        ordered = sorted(candidates)
+        index = np.asarray(ordered, dtype=np.intp)
+        sub = quality.gather(index)
+        combos, pair_columns = _combo_table(len(ordered), size)
+        best, pair_sum = exact_group_select(sub + sub.T, pair_columns)
+        return [ordered[i] for i in combos[best]], pair_sum / (size - 1)
+    index = np.asarray(candidates, dtype=np.intp)
+    sub = quality.gather(index)
+    selection = greedy_group_select(sub + sub.T, size)
+    if selection is None:
+        return [], 0.0
+    chosen, pair_sum = selection
+    return [int(index[local]) for local in chosen], pair_sum / (size - 1)
 
-
-def _contended_instance() -> Instance:
-    """Dense 60w/12t batch where best-response actually moves workers.
-
-    Smaller dense fixtures converge at the TPG seed (zero moves), which
-    would leave the mid-round rescan path untested.
-    """
-    return make_dense_instance(60, 12, seed=3)
-
-
-# ---------------------------------------------------------------------------
-# Mid-round dirty rescan
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize(
-    "label, kwargs",
-    [
-        ("GT", dict(epsilon=0.0, lazy_update=False)),
-        ("GT+ALL", dict(epsilon=0.01, lazy_update=True)),
-    ],
-)
-class TestMidRoundRescanParity:
-    def test_solve_assignment_and_counters_match(self, label, kwargs, backend):
-        base = _contended_instance()
-        instance, cleanup = _with_backend(base, backend)
-        try:
-            valid_pairs = compute_valid_pairs(instance)
-            python = solve_game_theoretic(
-                instance, valid_pairs, kernel="python", **kwargs
-            )
-            native = solve_game_theoretic(
-                instance, valid_pairs, kernel="native", **kwargs
-            )
-        finally:
-            if cleanup is not None:
-                cleanup()
-        assert _signature(native.assignment) == _signature(python.assignment)
-        assert repr(native.final_score) == repr(python.final_score)
-        assert (native.moves, native.rounds) == (python.moves, python.rounds)
-        # The batched refresh must not change *when* gains are evaluated,
-        # only where the arithmetic runs — counter parity proves it.
-        for counter in ("gain_evaluations", "cache_hits", "cache_misses"):
-            assert getattr(native.stats, counter) == getattr(
-                python.stats, counter
-            ), counter
-        assert python.stats.rescan_batches == 0
-        assert native.moves > 0, "fixture must force mid-round moves"
-        assert native.stats.rescan_batches > 0
-        assert native.stats.rescan_rows >= native.stats.rescan_batches
-
-
-class TestScriptedRescanRounds:
-    """Forced-move scripts driving the dynamics engine round by round."""
-
-    def _scripted(self, instance, valid_pairs, kernel, orders):
-        assignment = Assignment(instance, valid_pairs, allow_overflow=True)
-        for worker, task in solve_tpg(instance, valid_pairs).to_pairs():
-            assignment.assign(worker, task)
-        stats = SolverStats()
-        dynamics = _BestResponseDynamics(
-            instance,
-            valid_pairs,
-            assignment,
-            DEFAULT_TOLERANCE,
-            lazy_update=False,
-            stats=stats,
-            kernel=kernel,
-        )
-        trace = []
-        for order in orders:
-            moves, gain = dynamics.run_round(players=order)
-            trace.append(
-                (
-                    moves,
-                    repr(gain),
-                    repr(sorted(assignment.to_pairs())),
-                    repr(assignment.total_score()),
-                )
-            )
-        return trace, stats
-
-    def test_full_rounds_use_batched_rescan_and_match(self):
-        instance = _contended_instance()
-        valid_pairs = compute_valid_pairs(instance)
-        orders = [None] * 4
-        python_trace, python_stats = self._scripted(
-            instance, valid_pairs, "python", orders
-        )
-        native_trace, native_stats = self._scripted(
-            instance, valid_pairs, "native", orders
-        )
-        assert native_trace == python_trace
-        assert sum(step[0] for step in python_trace) > 0
-        assert native_stats.rescan_batches > 0
-        assert python_stats.rescan_batches == 0
-        assert (
-            native_stats.gain_evaluations == python_stats.gain_evaluations
-        )
-
-    def test_restricted_orders_match_without_prepass(self):
-        """Reconcile-style restricted rounds: custom player orders skip
-        the all-workers prepass by design, falling back to the
-        single-row kernel rescans — parity must hold there too."""
-        instance = _contended_instance()
-        valid_pairs = compute_valid_pairs(instance)
-        count = instance.worker_count
-        permutation = (
-            np.random.default_rng(7).permutation(count).tolist()
-        )
-        orders = [
-            list(range(count)),
-            list(reversed(range(count))),
-            permutation,
-        ]
-        python_trace, _ = self._scripted(
-            instance, valid_pairs, "python", orders
-        )
-        native_trace, native_stats = self._scripted(
-            instance, valid_pairs, "native", orders
-        )
-        assert native_trace == python_trace
-        assert sum(step[0] for step in python_trace) > 0
-        assert native_stats.rescan_batches == 0  # documented: no prepass
-
-
-# ---------------------------------------------------------------------------
-# TPG stage-1 group kernel
-# ---------------------------------------------------------------------------
 
 #: (candidate_count, group_size) shapes spanning both selection regimes
 #: and the exactly-8-member boundary (= game._VECTOR_GROUP_LIMIT, the
@@ -227,14 +87,13 @@ GROUP_SHAPES = (
 
 
 class TestStageOneGroupKernel:
-    @pytest.mark.parametrize("backend", ("dense", "sparse"))
+    @pytest.mark.parametrize("backend", ("dense", "sparse", "shared"))
     @pytest.mark.parametrize("count, size", GROUP_SHAPES)
     def test_best_group_matches_store_path(self, count, size, backend):
         base = make_dense_instance(40, 6, seed=9)
         instance, cleanup = _with_backend(base, backend)
         try:
             quality = instance.quality
-            buffers = quality.as_kernel_buffers()
             rng = np.random.default_rng(count * 31 + size)
             for trial in range(3):
                 candidates = sorted(
@@ -243,111 +102,38 @@ class TestStageOneGroupKernel:
                         instance.worker_count, size=count, replace=False
                     )
                 )
-                store_group, store_score = greedy_best_group(
+                store_group, store_score = _store_group(
                     quality, candidates, size
                 )
                 stats = SolverStats()
                 kernel_group, kernel_score = greedy_best_group(
-                    quality, candidates, size, buffers=buffers, stats=stats
+                    quality, candidates, size, stats=stats
                 )
                 assert kernel_group == store_group, (count, size, trial)
                 assert repr(kernel_score) == repr(store_score)
                 assert len(kernel_group) == size
-                dispatched = (
-                    stats.kernel_compiled_calls + stats.kernel_fallback_calls
-                )
-                assert dispatched > 0
+                assert stats.kernel_fallback_calls == 1
         finally:
             if cleanup is not None:
                 cleanup()
 
     def test_exact_regime_boundary_is_honoured(self):
         # C(12, 3) enumerates; 13 candidates go greedy — both through
-        # the kernel, both matching the store path (previous test); here
+        # the kernel, both matching the store's gather (previous test); here
         # we pin the threshold itself so a drive-by change is visible.
         assert EXACT_SEED_THRESHOLD == 12
 
     def test_too_few_candidates_returns_empty(self):
         instance = make_dense_instance(10, 2, seed=1)
-        buffers = instance.quality.as_kernel_buffers()
-        group, score = greedy_best_group(
-            instance.quality, [1, 2], 3, buffers=buffers
-        )
+        group, score = greedy_best_group(instance.quality, [1, 2], 3)
         assert group == [] and score == 0.0
-
-    @pytest.mark.parametrize(
-        "name",
-        ["kernel_group8", "kernel_solo_worker", "kernel_zero_pairs"],
-    )
-    def test_tpg_corpus_entry_is_kernel_invariant(self, name):
-        instance, metadata = load_corpus_entry(f"{CORPUS_DIR}/{name}.json")
-        assert metadata["findings"] == []
-        valid_pairs = compute_valid_pairs(instance)
-        python = solve_tpg_with_stats(
-            instance, valid_pairs, kernel="python"
-        )
-        native = solve_tpg_with_stats(
-            instance, valid_pairs, kernel="native"
-        )
-        assert _signature(native.assignment) == _signature(python.assignment)
-        assert native.seeded_tasks == python.seeded_tasks
-
-    def test_tpg_native_reports_kernel_dispatches(self):
-        instance = _contended_instance()
-        valid_pairs = compute_valid_pairs(instance)
-        native = solve_tpg_with_stats(instance, valid_pairs, kernel="native")
-        dispatched = (
-            native.stats.kernel_compiled_calls
-            + native.stats.kernel_fallback_calls
-        )
-        assert dispatched > 0, "native stage 1 never entered the kernel"
-        if not NUMBA_AVAILABLE:
-            assert native.stats.kernel_compiled_calls == 0
-        python = solve_tpg_with_stats(instance, valid_pairs, kernel="python")
-        assert (
-            python.stats.kernel_compiled_calls
-            + python.stats.kernel_fallback_calls
-        ) == 0
 
     def test_best_group_rejects_short_candidate_lists(self):
         # best_group's contract: the caller (greedy/exact_best_group)
         # guarantees len(candidates) >= size >= 2 — the guard lives
-        # there, so tpg.greedy_best_group with buffers stays total.
+        # there, so tpg.greedy_best_group stays total.
         instance = make_dense_instance(12, 2, seed=2)
         buffers = instance.quality.as_kernel_buffers()
         group, score = best_group(buffers, list(range(4)), 3)
         assert len(group) == 3
         assert isinstance(score, float)
-
-
-class TestSeedBorderGroupsKernel:
-    def test_border_seeding_is_kernel_invariant(self):
-        instance = _contended_instance()
-        valid_pairs = compute_valid_pairs(instance)
-
-        def run(kernel):
-            assignment = Assignment(instance, valid_pairs, allow_overflow=True)
-            stats = SolverStats()
-            seeded = seed_border_groups(
-                instance,
-                valid_pairs,
-                assignment,
-                range(instance.worker_count),
-                range(instance.task_count),
-                kernel=kernel,
-                stats=stats,
-            )
-            return seeded, _signature(assignment), stats
-
-        python_seeded, python_sig, python_stats = run("python")
-        native_seeded, native_sig, native_stats = run("native")
-        assert native_seeded == python_seeded > 0
-        assert native_sig == python_sig
-        assert (
-            native_stats.kernel_compiled_calls
-            + native_stats.kernel_fallback_calls
-        ) > 0
-        assert (
-            python_stats.kernel_compiled_calls
-            + python_stats.kernel_fallback_calls
-        ) == 0

@@ -1,12 +1,12 @@
-"""Kernel parity suite — ``python`` vs ``native`` must be repr-identical.
+"""Kernel suite — the batched evaluations against their scalar references.
 
-The contract under test (``repro.core.kernels`` module docstring): the
-choice of best-response kernel never changes an assignment — not its
-pairs, not its score repr, not its string form — on any quality-store
-backend, with or without numba installed. The suite runs in full on
-both configurations: when numba is absent the ``native`` kernel
-exercises the numpy fallback (and the counters prove which path ran);
-the numba-specific compile test skips gracefully.
+Every kernel in :mod:`repro.core.kernels` replaced a scalar evaluation
+and must reproduce its floats bit for bit on every quality-store
+backend: :func:`~repro.core.kernels.score_candidates` rows against the
+per-candidate ``join_gain`` scan, :func:`~repro.core.kernels.
+counted_subset_select` against the greedy reference peel (both kept in
+:mod:`repro.audit.reference`), and the gathers against the stores' own
+lookups. Solve-level outputs are pinned by ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -14,21 +14,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.audit.corpus import load_corpus_entry
 from repro.audit.fuzzer import _KERNEL_SHAPES, fuzz_instance
-from repro.core.fallback import FallbackSolver
+from repro.audit.reference import (
+    VECTOR_PEEL_LIMIT,
+    reference_best_alternative,
+    reference_counted_subset,
+    reference_utilities,
+)
+from repro.core.assignment import Assignment
+from repro.core.game import DEFAULT_TOLERANCE, _VECTOR_GROUP_LIMIT, _BestResponseDynamics
 from repro.core.kernels import (
-    DEFAULT_KERNEL,
-    KERNELS,
-    NUMBA_AVAILABLE,
+    CODE_CURRENT,
+    CODE_SCALAR,
     PAIRWISE_CLIFF,
-    KernelBuffers,
     counted_subset_select,
     gather_block,
     gather_symmetric,
     ordered_row_sums,
-    resolve_kernel,
-    segment_sums_ordered,
+    score_candidates,
     verify_pairwise_cliff,
 )
 from repro.core.model import Instance
@@ -37,16 +40,12 @@ from repro.core.quality_store import (
     SharedDenseQualityStore,
     SparseQualityStore,
 )
-from repro.core.stats import SolverStats
+from repro.core.tpg import solve_tpg
 from repro.core.validity import compute_valid_pairs
-from repro.experiments.config import make_solver
 from tests.conftest import make_dense_instance
 
 CORPUS_DIR = "tests/data/audit_corpus"
 BACKENDS = ("dense", "sparse", "shared")
-#: All three dispatch through the kernel under ``native``: the GT family
-#: via prepass/rescan gain scoring, TPG via the stage-1 group kernel.
-PARITY_APPROACHES = ("GT", "GT+ALL", "TPG")
 
 
 def _with_backend(instance: Instance, backend: str):
@@ -74,53 +73,6 @@ def _with_backend(instance: Instance, backend: str):
     return swapped, None
 
 
-def _signature(assignment) -> tuple:
-    return (
-        tuple(assignment.to_pairs()),
-        repr(assignment.total_score()),
-        repr(assignment),
-    )
-
-
-def _solve(instance, approach: str, kernel: str):
-    pairs = compute_valid_pairs(instance)
-    solver = make_solver(approach, epsilon=0.01, seed=5, kernel=kernel)
-    assignment = solver(instance, pairs)
-    log = getattr(solver, "stats_log", None)
-    stats = SolverStats.merged(log) if log else None
-    return _signature(assignment), stats
-
-
-class TestResolveKernel:
-    def test_known_names_pass_through(self):
-        for name in KERNELS:
-            assert resolve_kernel(name) == name
-        assert DEFAULT_KERNEL in KERNELS
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("fortran")
-
-
-class TestSegmentSumsOrdered:
-    def test_matches_sequential_python_sum_bitwise(self):
-        rng = np.random.default_rng(9)
-        values = rng.uniform(0.0, 1.0, size=64)
-        lengths = np.array([0, 1, 2, 3, 7, 8, 9, 16, 18], dtype=np.intp)
-        starts = np.zeros_like(lengths)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        sums = segment_sums_ordered(values, starts, lengths)
-        for i, (start, length) in enumerate(zip(starts, lengths)):
-            expected = 0.0
-            for value in values[start : start + length]:
-                expected = expected + float(value)
-            assert repr(float(sums[i])) == repr(expected), f"segment {i}"
-
-    def test_empty_input(self):
-        empty = np.array([], dtype=np.intp)
-        assert segment_sums_ordered(np.array([]), empty, empty).size == 0
-
-
 class TestKernelBuffers:
     def test_dense_and_csr_agree(self, dense_instance):
         sparse = SparseQualityStore.from_dense(
@@ -140,58 +92,11 @@ class TestKernelBuffers:
         assert np.array_equal(rebuilt, dense_buffers.dense)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("approach", PARITY_APPROACHES)
-class TestKernelParity:
-    def test_native_matches_python_repr_exactly(self, approach, backend):
-        base = make_dense_instance(30, 6, seed=2)
-        instance, cleanup = _with_backend(base, backend)
-        try:
-            python_sig, _ = _solve(instance, approach, "python")
-            native_sig, native_stats = _solve(instance, approach, "native")
-        finally:
-            if cleanup is not None:
-                cleanup()
-        assert native_sig == python_sig
-        assert native_stats is not None
-        ran = (
-            native_stats.kernel_compiled_calls
-            + native_stats.kernel_fallback_calls
-        )
-        assert ran > 0, "native solve never entered the kernel"
-        if not NUMBA_AVAILABLE:
-            assert native_stats.kernel_compiled_calls == 0
-
-
-class TestFallbackChainParity:
-    def test_budgetless_fallback_wrapper_is_kernel_invariant(self):
-        instance = make_dense_instance(25, 5, seed=4)
-        pairs = compute_valid_pairs(instance)
-        signatures = []
-        for kernel in KERNELS:
-            primary = make_solver("GT+ALL", epsilon=0.01, seed=5, kernel=kernel)
-            wrapped = FallbackSolver(primary, budget=None, label="GT+ALL")
-            signatures.append(_signature(wrapped(instance, pairs)))
-            assert not wrapped.degradation_log[-1].degraded
-        assert signatures[0] == signatures[1]
-
-
 class TestKernelBoundaryShapes:
     """The fuzzer's kernel-boundary layouts and their committed repros."""
 
-    @pytest.mark.parametrize(
-        "name",
-        ["kernel_group8", "kernel_solo_worker", "kernel_zero_pairs"],
-    )
-    def test_corpus_entry_is_kernel_invariant(self, name):
-        instance, metadata = load_corpus_entry(f"{CORPUS_DIR}/{name}.json")
-        assert metadata["findings"] == []
-        python_sig, _ = _solve(instance, "GT", "python")
-        native_sig, _ = _solve(instance, "GT", "native")
-        assert native_sig == python_sig
-
     def test_group8_saturates_vector_limit(self):
-        from repro.core.game import _VECTOR_GROUP_LIMIT
+        from repro.audit.corpus import load_corpus_entry
 
         instance, _ = load_corpus_entry(f"{CORPUS_DIR}/kernel_group8.json")
         assert instance.worker_count == _VECTOR_GROUP_LIMIT + 1
@@ -246,9 +151,7 @@ class TestPairwiseCliff:
         verify_pairwise_cliff()  # must not raise on the pinned numpy
 
     def test_cliff_constant_matches_the_oracle_limit(self):
-        from repro.core.revenue import _VECTOR_PEEL_LIMIT
-
-        assert PAIRWISE_CLIFF == _VECTOR_PEEL_LIMIT + 1 == 8
+        assert PAIRWISE_CLIFF == VECTOR_PEEL_LIMIT + 1 == 8
 
     def test_always_sequential_impostor_is_rejected(self):
         # A numpy whose sum stayed sequential at 8 elements would make
@@ -259,7 +162,7 @@ class TestPairwiseCliff:
                 total = total + float(value)
             return total
 
-        with pytest.raises(RuntimeError, match="_VECTOR_PEEL_LIMIT"):
+        with pytest.raises(RuntimeError, match="pairwise-summation cliff"):
             verify_pairwise_cliff(sum_func=sequential)
 
     def test_early_pairwise_impostor_is_rejected(self):
@@ -271,7 +174,7 @@ class TestPairwiseCliff:
             mid = (len(values) + 1) // 2
             return pairwise(values[:mid]) + pairwise(values[mid:])
 
-        with pytest.raises(RuntimeError, match="_VECTOR_PEEL_LIMIT"):
+        with pytest.raises(RuntimeError, match="pairwise-summation cliff"):
             verify_pairwise_cliff(sum_func=pairwise)
 
     def test_ordered_row_sums_is_strictly_sequential(self):
@@ -400,13 +303,12 @@ class TestPeelPairSum:
 
 
 class TestCountedSubsetSelectParity:
-    """The peel kernel must reproduce the scalar oracle bit-for-bit at
-    every kept size around the pairwise cliff, on every backend."""
+    """The peel kernel must reproduce the scalar reference peel
+    bit-for-bit at every kept size around the pairwise cliff, on every
+    backend."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_peel_matches_oracle_across_the_cliff(self, backend):
-        from repro.core.revenue import best_counted_subset
-
         base = make_dense_instance(16, 3, seed=9)
         instance, cleanup = _with_backend(base, backend)
         try:
@@ -419,41 +321,82 @@ class TestCountedSubsetSelectParity:
                     for w in rng.choice(16, size=members_count, replace=False)
                 )
                 for size in range(members_count + 1):
-                    oracle = best_counted_subset(quality, members, size)
+                    oracle = reference_counted_subset(quality, members, size)
                     kernel, _ = counted_subset_select(buffers, members, size)
                     assert kernel == oracle, (backend, members_count, size)
         finally:
             if cleanup is not None:
                 cleanup()
 
-    def test_peel_boundary_shapes_are_kernel_invariant(self):
-        from repro.audit.fuzzer import _kernel_boundary_instance
 
-        for shape in ("peelcliff", "peelfit", "tiedpeel"):
-            for seed in range(3):
-                instance = _kernel_boundary_instance(
-                    shape, np.random.default_rng(seed)
-                )
-                python_sig, _ = _solve(instance, "GT", "python")
-                native_sig, stats = _solve(instance, "GT", "native")
-                assert native_sig == python_sig, (shape, seed)
+class TestScoreCandidatesParity:
+    """A batched row, its deferred slots filled, must equal the scalar
+    ``join_gain`` scan slot for slot, on every backend."""
 
-    def test_native_gt_counts_peel_dispatches_on_overflow(self):
-        from repro.audit.fuzzer import _kernel_boundary_instance
-
-        instance = _kernel_boundary_instance(
-            "tiedpeel", np.random.default_rng(0)
+    @staticmethod
+    def _rows(assignment: Assignment, tasks_lists: list[list[int]]):
+        cache = assignment.revenue_cache
+        counts = [len(tasks) for tasks in tasks_lists]
+        vp_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        vp_tasks = np.asarray(
+            [task for tasks in tasks_lists for task in tasks], dtype=np.int64
         )
-        _, python_stats = _solve(instance, "GT", "python")
-        _, native_stats = _solve(instance, "GT", "native")
-        assert python_stats.peel_kernel_calls == 0
-        assert native_stats.peel_kernel_calls > 0
+        mem_indptr, mem_flat = cache.members_csr()
+        current = np.asarray(
+            [assignment.task_of(w) for w in range(len(tasks_lists))],
+            dtype=np.int64,
+        )
+        values, codes = score_candidates(
+            assignment.instance.quality.as_kernel_buffers(),
+            vp_indptr,
+            vp_tasks,
+            mem_indptr,
+            mem_flat,
+            cache.pair_sums,
+            cache.revenues,
+            cache.capacities,
+            assignment.instance.min_group_size,
+            _VECTOR_GROUP_LIMIT,
+            current,
+        )
+        return vp_indptr, values, codes
 
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-class TestCompiledKernels:
-    def test_compiled_path_reports_compiled_calls(self):
-        instance = make_dense_instance(20, 4, seed=6)
-        _, stats = _solve(instance, "GT", "native")
-        assert stats is not None and stats.kernel_compiled_calls > 0
-        assert stats.kernel_fallback_calls == 0
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rows_match_the_reference_scan(self, backend):
+        # 60 workers for 6 tasks of capacity 8: full tasks defer to the
+        # scalar peel, 7-member ones are the widest batched segments.
+        base = make_dense_instance(60, 6, capacity=8, seed=3)
+        instance, cleanup = _with_backend(base, backend)
+        try:
+            pairs = compute_valid_pairs(instance)
+            tasks_lists = [list(tasks) for tasks in pairs.tasks_for_worker]
+            assignment = Assignment(instance, pairs, allow_overflow=True)
+            for worker, task in solve_tpg(instance, pairs).to_pairs():
+                assignment.assign(worker, task)
+            dynamics = _BestResponseDynamics(
+                instance, pairs, assignment, DEFAULT_TOLERANCE, lazy_update=False
+            )
+            seen_codes = set()
+            for _ in range(3):  # the TPG seed, then states after moves
+                indptr, values, codes = self._rows(assignment, tasks_lists)
+                seen_codes.update(codes.tolist())
+                for worker, tasks in enumerate(tasks_lists):
+                    row = slice(indptr[worker], indptr[worker + 1])
+                    utilities = values[row].copy()
+                    expected = reference_utilities(assignment, worker, tasks)
+                    for position, code in enumerate(codes[row]):
+                        if code in (CODE_SCALAR, CODE_CURRENT):
+                            utilities[position] = expected[position]
+                    assert [repr(float(u)) for u in utilities] == [
+                        repr(float(e)) for e in expected
+                    ], (backend, worker)
+                    if tasks:
+                        best = int(np.argmax(utilities))
+                        assert reference_best_alternative(
+                            assignment, worker, tasks
+                        ) == (tasks[best], float(utilities[best]))
+                dynamics.run_round()
+            assert {CODE_SCALAR, CODE_CURRENT} <= seen_codes
+        finally:
+            if cleanup is not None:
+                cleanup()

@@ -119,7 +119,7 @@ class TestFailureInjection:
         assert result.telemetry.retried_cells >= 1
 
     def test_timing_out_cell_records_failure_and_sweep_completes(self):
-        def sleepy_factory(epsilon, seed, kernel="python"):
+        def sleepy_factory(epsilon, seed):
             def solver(instance, valid_pairs):
                 time.sleep(1.2)
                 raise AssertionError("cell should have been abandoned")
@@ -283,7 +283,7 @@ class TestCheckpointResume:
     def test_keyboard_interrupt_flushes_journal_then_resumes(self, tmp_path):
         calls = {"count": 0, "armed": True}
 
-        def kboom_factory(epsilon, seed, kernel="python"):
+        def kboom_factory(epsilon, seed):
             inner = APPROACHES["RAND"](epsilon=epsilon, seed=seed)
 
             def solver(instance, valid_pairs):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audit.reference import reference_counted_subset
 from repro.core.quality import CooperationMatrix
 from repro.core.revenue import (
     best_counted_subset,
@@ -254,64 +255,62 @@ def _backend_quality(matrix: CooperationMatrix, backend: str):
     return store, cleanup
 
 
-@pytest.mark.parametrize("kernel", ["python", "native"])
 @pytest.mark.parametrize("backend", ["dense", "sparse", "shared"])
 class TestBestCountedSubsetEdges:
-    """Edge regimes of the peel, pinned on every backend x kernel."""
+    """Edge regimes of the peel, pinned on every backend."""
 
-    def run(self, matrix, members, size, backend, kernel):
+    def run(self, matrix, members, size, backend):
         quality, cleanup = _backend_quality(matrix, backend)
         try:
-            return best_counted_subset(quality, members, size, kernel=kernel)
+            return best_counted_subset(quality, members, size)
         finally:
             if cleanup is not None:
                 cleanup()
 
-    def test_size_zero_peels_to_empty(self, backend, kernel):
+    def test_size_zero_peels_to_empty(self, backend):
         matrix = CooperationMatrix.random_uniform(9, seed=3)
-        assert self.run(matrix, list(range(9)), 0, backend, kernel) == []
-        assert self.run(matrix, [], 0, backend, kernel) == []
+        assert self.run(matrix, list(range(9)), 0, backend) == []
+        assert self.run(matrix, [], 0, backend) == []
 
-    def test_size_equal_to_members_is_identity(self, backend, kernel):
+    def test_size_equal_to_members_is_identity(self, backend):
         matrix = CooperationMatrix.random_uniform(9, seed=3)
         members = [6, 1, 8, 0, 3]
-        kept = self.run(matrix, members, len(members), backend, kernel)
+        kept = self.run(matrix, members, len(members), backend)
         assert kept == sorted(members)
 
-    def test_duplicates_rejected_before_dispatch(self, backend, kernel):
+    def test_duplicates_rejected_before_dispatch(self, backend):
         matrix = CooperationMatrix.random_uniform(5, seed=3)
         quality, cleanup = _backend_quality(matrix, backend)
         try:
             with pytest.raises(ValueError, match="duplicate"):
-                best_counted_subset(quality, [0, 0, 1], 2, kernel=kernel)
+                best_counted_subset(quality, [0, 0, 1], 2)
             with pytest.raises(ValueError):
-                best_counted_subset(quality, [0, 1], -1, kernel=kernel)
+                best_counted_subset(quality, [0, 1], -1)
         finally:
             if cleanup is not None:
                 cleanup()
 
-    def test_all_tied_peels_highest_index_first(self, backend, kernel):
+    def test_all_tied_peels_highest_index_first(self, backend):
         # Uniform quality ties every contribution at every step; the
         # peel must shed indices from the top on both sides of the
         # pairwise cliff (10 -> 9 -> 8 -> 7 -> ... -> 3).
         matrix = uniform_matrix(10, 0.5)
         for size in (9, 8, 7, 3):
-            kept = self.run(matrix, list(range(10)), size, backend, kernel)
-            assert kept == list(range(size)), (backend, kernel, size)
+            kept = self.run(matrix, list(range(10)), size, backend)
+            assert kept == list(range(size)), (backend, size)
 
-    def test_cliff_sizes_match_python_oracle(self, backend, kernel):
+    def test_cliff_sizes_match_reference_peel(self, backend):
         # kept counts 7/8/9 straddle numpy's pairwise-summation cliff;
-        # every (members, size) cell must agree with the dense python
-        # oracle repr-exactly.
+        # every (members, size) cell must agree with the scalar
+        # reference peel on the dense matrix repr-exactly.
         matrix = CooperationMatrix.random_uniform(12, seed=17)
         for members_count in (7, 8, 9, 10):
             members = list(range(members_count))
             for size in range(members_count):
-                expected = best_counted_subset(matrix, members, size)
+                expected = reference_counted_subset(matrix, members, size)
                 assert (
-                    self.run(matrix, members, size, backend, kernel)
-                    == expected
-                ), (backend, kernel, members_count, size)
+                    self.run(matrix, members, size, backend) == expected
+                ), (backend, members_count, size)
 
 
 class TestTieBreakPin:
@@ -396,31 +395,28 @@ class TestRevenueCacheIncremental:
         cache.join_gain(3, 0)  # overflow probe counts as full evaluation
         assert cache.full_evaluations == 2
 
-    def test_native_kernel_overflow_is_repr_identical(self):
-        q, python_cache = self.make_cache(capacities=(2, 4))
-        _, native_cache = self.make_cache(capacities=(2, 4))
-        native_cache.kernel = "native"
-        for worker in (0, 1, 2, 3):
-            python_cache.join(worker, 0)
-            native_cache.join(worker, 0)
-        assert repr(native_cache.revenue(0)) == repr(python_cache.revenue(0))
-        assert native_cache.counted_subset(0) == python_cache.counted_subset(0)
-        assert python_cache.peel_kernel_calls == 0
-        assert native_cache.peel_kernel_calls > 0
-        # Overflow probes dispatch through the kernel too.
-        probes_before = native_cache.peel_kernel_calls
-        assert repr(native_cache.join_gain(4, 0)) == repr(
-            python_cache.join_gain(4, 0)
-        )
-        assert native_cache.peel_kernel_calls > probes_before
-
-    def test_clone_copies_kernel_and_peel_counter(self):
+    def test_overflow_peels_match_the_reference_and_are_counted(self):
         q, cache = self.make_cache(capacities=(2, 4))
-        cache.kernel = "native"
+        for worker in (0, 1, 2, 3):
+            cache.join(worker, 0)
+        kept = reference_counted_subset(q, [0, 1, 2, 3], 2)
+        assert cache.counted_subset(0) == tuple(kept)
+        assert repr(cache.revenue(0)) == repr(q.submatrix_sum(np.asarray(kept)))
+        assert cache.peel_kernel_calls == 2  # joins 3 and 4 overflow
+        # Overflow probes peel (and count) too.
+        assert repr(cache.join_gain(4, 0)) == repr(
+            q.submatrix_sum(
+                np.asarray(reference_counted_subset(q, [0, 1, 2, 3, 4], 2))
+            )
+            - cache.revenue(0)
+        )
+        assert cache.peel_kernel_calls == 3
+
+    def test_clone_copies_peel_counter(self):
+        q, cache = self.make_cache(capacities=(2, 4))
         for worker in (0, 1, 2):
             cache.join(worker, 0)
         clone = cache.clone()
-        assert clone.kernel == "native"
         assert clone.peel_kernel_calls == cache.peel_kernel_calls > 0
 
     def test_join_gain_matches_mutation(self):

@@ -189,24 +189,21 @@ def _tie_instance(quality: np.ndarray, workers_for_task, backend: str):
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
-@pytest.mark.parametrize("kernel", ["python", "native"])
 class TestStageOneTies:
     """Paper lines 6-9: how stage 1 breaks equal group scores."""
 
-    def test_same_group_goes_to_the_task_with_more_candidates(
-        self, kernel, backend
-    ):
+    def test_same_group_goes_to_the_task_with_more_candidates(self, backend):
         # Both tasks' best group is {0, 1} with the same score; task 1 can
         # also use worker 2, so it has more candidates and takes the group.
         q = np.full((3, 3), 0.1)
         q[0, 1] = q[1, 0] = 0.9
         instance, pairs = _tie_instance(q, [(0, 1), (0, 1, 2)], backend)
-        result = solve_tpg_with_stats(instance, pairs, kernel=kernel)
+        result = solve_tpg_with_stats(instance, pairs)
         assert result.assignment.members(1) == (0, 1)
         assert result.assignment.members(0) == ()
         assert result.seeded_tasks == 1
 
-    def test_different_groups_go_to_the_lowest_task_id(self, kernel, backend):
+    def test_different_groups_go_to_the_lowest_task_id(self, backend):
         # Task 0's best group {0, 1} and task 1's best group {1, 2} score
         # the same. Task 1 has more candidates, but the groups differ, so
         # the lowest task id commits first and task 1 re-seeds from the
@@ -215,7 +212,7 @@ class TestStageOneTies:
         q[0, 1] = q[1, 0] = 0.5
         q[1, 2] = q[2, 1] = 0.5
         instance, pairs = _tie_instance(q, [(0, 1), (1, 2, 3)], backend)
-        result = solve_tpg_with_stats(instance, pairs, kernel=kernel)
+        result = solve_tpg_with_stats(instance, pairs)
         assert result.assignment.members(0) == (0, 1)
         assert sorted(result.assignment.members(1)) == [2, 3]
         assert result.seeded_tasks == 2
@@ -298,24 +295,18 @@ class TestStageTwoParity:
         pairs = compute_valid_pairs(instance)
 
         def run():
-            outcomes = []
-            for kernel in ("python", "native"):
-                result = solve_tpg_with_stats(
-                    instance, pairs, allow_negative_gain=allow_negative_gain,
-                    kernel=kernel,
-                )
-                stats = result.stats
-                outcomes.append(
-                    (
-                        result.assignment.to_pairs(),
-                        repr(result.assignment.total_score()),
-                        stats.gain_evaluations,
-                        stats.incremental_updates,
-                        stats.peel_kernel_calls,
-                        stats.revenue_evaluations,
-                    )
-                )
-            return outcomes
+            result = solve_tpg_with_stats(
+                instance, pairs, allow_negative_gain=allow_negative_gain
+            )
+            stats = result.stats
+            return (
+                result.assignment.to_pairs(),
+                repr(result.assignment.total_score()),
+                stats.gain_evaluations,
+                stats.incremental_updates,
+                stats.peel_kernel_calls,
+                stats.revenue_evaluations,
+            )
 
         try:
             # The groups grow past numpy's 8-element pairwise cliff.
