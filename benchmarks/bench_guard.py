@@ -17,19 +17,7 @@ Two sections, both written to ``BENCH_pr2.json`` next to the repo root:
   ``speedup_vs_serial_estimate`` additionally reports
   sum-of-cell-time / wall, the core-independent view.
 
-A third section — the best-response kernel record — is written to
-``BENCH_pr6.json``:
-
-* **kernel_guard** — solves GT and GT+ALL on the seed grid with
-  ``kernel="python"`` and ``kernel="native"`` and checks the assignments
-  and scores are **repr-identical** (the ``repro.core.kernels``
-  contract), recording per-kernel wall-clocks, the measured speedup,
-  whether numba was importable (without it ``native`` runs the numpy
-  fallback, so the speedup documents the fallback's ceiling, not the
-  compiled kernel's), and the kernel counters from
-  :class:`~repro.core.stats.SolverStats`.
-
-A fourth group of sections — the quality-store scale record — is written
+A third group of sections — the quality-store scale record — is written
 to ``BENCH_pr4.json``:
 
 * **backend_parity** — builds the *same* community quality matrix as a
@@ -47,7 +35,7 @@ to ``BENCH_pr4.json``:
   per-worker zero-copy attach, against the per-process rebuild and
   memcpy costs it replaces.
 
-A fifth section — the geo-sharded scale record — is written to
+A fourth section — the geo-sharded scale record — is written to
 ``BENCH_pr7.json``:
 
 * **shard_scaling** — per worker count (default 20 000 / 100 000),
@@ -65,7 +53,7 @@ A fifth section — the geo-sharded scale record — is written to
   sweep); the largest size runs sharded-only — the monolithic solve is
   not affordable there, completing it *is* the result.
 
-A sixth section — the crash-recovery record — is written to
+A fifth section — the crash-recovery record — is written to
 ``BENCH_pr8.json``:
 
 * **chaos_guard** — runs one small sweep three ways: serial (the
@@ -77,47 +65,6 @@ A sixth section — the crash-recovery record — is written to
   Records cells/sec for the clean and chaotic legs plus the recovery
   overhead ratio — the price of supervision when children actually die.
 
-A seventh section — the interpreted-hot-path record — is written to
-``BENCH_pr9.json``:
-
-* **hotpath_guard** — the full-loop kernel-coverage record. Per size
-  (default 2 000 / 20 000 workers on the sparse-geometry population):
-  (a) *validity* — the vectorized grid construction vs the scalar
-  ``query_circle`` + ``_deadline_ok`` oracle, timed both end-to-end and
-  on the candidate-scan stage alone (the stage the vectorization
-  replaced — the end-to-end ratio is Amdahl-limited by the shared
-  ``ValidPairs`` tuple assembly both paths pay, see
-  docs/PERFORMANCE.md), with structural membership parity checked; at
-  n >= 20 000 the scan-stage speedup must reach >= 5x. (b) *GT
-  end-to-end* — ``kernel="python"`` vs ``kernel="native"`` (round-start
-  prepass + mid-round rescan + TPG stage-1 kernels together), repr
-  parity on pairs and score, rescan/kernel counters recorded; at the
-  gate size the native speedup must reach >= 1.5x even on the numpy
-  fallback (the compiled numba figure comes from the CI hotpath job and
-  is folded in as ``compiled_reference`` when ``BENCH_pr6.json`` was
-  measured with numba importable). (c) one sharded 100k leg solved with
-  ``kernel="native"`` — completing it is the result. (d) embedded
-  ``repro profile`` hotspot reports (python vs native at the smallest
-  size) so the record shows *which* interpreted loops the kernels
-  displaced, not just the ratio.
-
-An eighth section — the shared-scalar-walls record — is written to
-``BENCH_pr10.json``:
-
-* **peel_guard** — the overflow counted-subset peel and bulk-gather
-  record. (a) *parity* — GT solved across {dense, sparse, shared} x
-  {python, native} on a small contended instance must produce one
-  repr-identical fingerprint; direct ``counted_subset_select`` calls at
-  the kept sizes straddling numpy's pairwise-summation cliff (7/8/9 and
-  beyond) must equal the scalar ``best_counted_subset`` oracle on every
-  backend, and ``gather_rows`` must equal the dense lookup. (b) *GT
-  end-to-end* — python vs native on the *contended* population
-  (tasks = workers // 16, capacity 8, dense reach): every join probe
-  against a full task overflows and peels 9 members, the regime PR 9
-  documented as kernel-invariant ("the shared scalar walls"); at the
-  gate size the native speedup must reach >= 1.5x even on the numpy
-  fallback. Records per-kernel peel dispatch counters alongside.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_guard.py              # everything
@@ -128,10 +75,6 @@ Usage::
         --scale-sizes 2000 8000 20000
     PYTHONPATH=src python benchmarks/bench_guard.py --only-shards \\
         --shard-sizes 20000 100000
-    PYTHONPATH=src python benchmarks/bench_guard.py --only-hotpath \\
-        --hotpath-sizes 2000 20000 --hotpath-shard-size 100000
-    PYTHONPATH=src python benchmarks/bench_guard.py --only-peel \\
-        --peel-sizes 4000 20000
 
 Exit status is non-zero when an incremental score deviates from the
 oracle or a parallel sweep result deviates from serial — both are
@@ -177,43 +120,9 @@ RSS_RATIO_FLOOR = 5.0
 RSS_RATIO_SIZE = 20000
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pr2.json"
 SCALE_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pr4.json"
-KERNEL_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pr6.json"
 SHARD_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pr7.json"
 CHAOS_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pr8.json"
-HOTPATH_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pr9.json"
 
-#: Interpreted-hot-path record: sizes and acceptance bars. Sizes use the
-#: shard benchmark's sparse-geometry population (tasks = workers // 4,
-#: sparse store, grid validity) so GT at 20k workers is affordable and
-#: representative of the regime the kernels target. Gates apply at
-#: HOTPATH_GATE_SIZE: the native GT end-to-end speedup must reach
-#: >= 1.5x even on the numpy fallback, and the vectorized validity
-#: candidate-scan stage must beat the scalar loop >= 5x (end-to-end
-#: validity is recorded alongside but not gated — both paths share the
-#: ValidPairs tuple assembly, an Amdahl floor the scan ratio excludes).
-DEFAULT_HOTPATH_SIZES = (2000, 20000)
-HOTPATH_GATE_SIZE = 20000
-HOTPATH_GT_SPEEDUP_FLOOR = 1.5
-VALIDITY_SCAN_SPEEDUP_FLOOR = 5.0
-HOTPATH_SHARD_SIZE = 100000
-HOTPATH_PROFILE_TOP = 10
-
-#: Shared-scalar-walls record: sizes and acceptance bars. The peel
-#: population keeps the hotpath family's dense reach but starves task
-#: slots (tasks = workers // PEEL_TASK_DIVISOR, capacity
-#: PEEL_CAPACITY): groups saturate at 8 members, so every further join
-#: probe overflows and peels a 9-member group — one kept count past
-#: numpy's pairwise cliff, the regime the PR 9 record documented as
-#: bounded near 1x because both kernels ran the identical scalar peel.
-#: The gate applies at PEEL_GATE_SIZE: native GT end-to-end must reach
-#: >= PEEL_GT_SPEEDUP_FLOOR even on the numpy fallback.
-PEEL_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pr10.json"
-DEFAULT_PEEL_SIZES = (4000, 20000)
-PEEL_GATE_SIZE = 20000
-PEEL_GT_SPEEDUP_FLOOR = 1.5
-PEEL_TASK_DIVISOR = 16
-PEEL_CAPACITY = 8
-PEEL_PARITY_WORKERS = 1000
 #: Chaos-guard kill probability per first attempt (see run_chaos_benchmark).
 #: 0.2 is the smallest decade-ish rate whose seeded draws actually fire
 #: on the 6-cell guard sweep (at 0.1 no cell draws a kill, so the
@@ -408,120 +317,6 @@ def run_sweep_benchmark(
         "parallel_telemetry": parallel.telemetry.to_dict(),
         "scores": serial_table,
     }
-    return record, failures
-
-
-def run_kernel_benchmark(
-    seeds=DEFAULT_SEEDS,
-    workers: int = DEFAULT_WORKERS,
-    tasks: int = DEFAULT_TASKS,
-    repeats: int = 3,
-) -> tuple[dict, list[str]]:
-    """Python vs native kernel: repr parity + per-kernel wall-clocks.
-
-    Both kernels must produce the same assignment down to the last
-    float bit (divergence is a correctness bug in
-    ``repro.core.kernels``, never a tolerance issue). The measured
-    speedup is honest about the environment: when numba is not
-    importable the ``native`` kernel runs its numpy fallback, so the
-    recorded number is the fallback's ceiling — the compiled figure has
-    to come from an environment with numba (the CI kernel job).
-    """
-    from repro.core.kernels import NUMBA_AVAILABLE
-
-    failures: list[str] = []
-    record: dict = {
-        "scale": {"workers": workers, "tasks": tasks, "seeds": list(seeds)},
-        "repeats": repeats,
-        "numba_available": NUMBA_AVAILABLE,
-        "solvers": ["gt", "gtall"],
-        "note": (
-            "native == numba-compiled batched prepass when numba is "
-            "importable, numpy fallback otherwise; either way the "
-            "assignment is repr-identical to kernel='python'"
-        ),
-        "boundary_bugfix_note": (
-            "this PR also fixed the _VECTOR_GROUP_LIMIT boundary: the "
-            "historical np.add.reduceat batch reduction reorders "
-            "segments of >= 3 elements on current numpy, diverging "
-            "bitwise from the scalar join_gain path. The order-exact "
-            "replacement changes last-bit utilities where the old path "
-            "was wrong; on the seed grid plain GT is repr-identical to "
-            "the pre-PR solver, while GT+ALL at seed 0 converges to a "
-            "different (higher-scoring) equilibrium: 673.9239461574595 "
-            "-> 675.5963027046109."
-        ),
-        "seeds": {},
-    }
-    configs = {
-        "gt": dict(epsilon=0.0, lazy_update=False),
-        "gtall": dict(epsilon=0.05, lazy_update=True),
-    }
-    for seed in seeds:
-        instance = generate_instance(workers, tasks, seed=seed)
-        valid_pairs = compute_valid_pairs(instance)
-        entry: dict = {}
-        for solver, kwargs in configs.items():
-            per_kernel: dict = {}
-            for kernel in ("python", "native"):
-                best = float("inf")
-                result = None
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    result = solve_game_theoretic(
-                        instance, valid_pairs, kernel=kernel, **kwargs
-                    )
-                    best = min(best, time.perf_counter() - started)
-                failures += _check_oracle(
-                    f"{solver}[{kernel}]", seed, result.assignment
-                )
-                per_kernel[kernel] = {
-                    "seconds": best,
-                    "score": repr(result.final_score),
-                    "pairs": repr(result.assignment.to_pairs()),
-                    "rounds": result.rounds,
-                    "moves": result.moves,
-                    "stats": result.stats.to_dict() if result.stats else None,
-                }
-            identical = per_kernel["python"]["score"] == per_kernel["native"][
-                "score"
-            ] and per_kernel["python"]["pairs"] == per_kernel["native"]["pairs"]
-            if not identical:
-                failures.append(
-                    f"kernel parity {solver} seed={seed}: native diverges "
-                    f"from python ({per_kernel['native']['score']} vs "
-                    f"{per_kernel['python']['score']})"
-                )
-            entry[solver] = {
-                "identical": identical,
-                "speedup_native_vs_python": (
-                    per_kernel["python"]["seconds"]
-                    / per_kernel["native"]["seconds"]
-                ),
-                **{
-                    kernel: {
-                        key: value
-                        for key, value in per_kernel[kernel].items()
-                        if key != "pairs"  # repr'd pair lists are huge
-                    }
-                    for kernel in per_kernel
-                },
-            }
-        record["seeds"][str(seed)] = entry
-    record["summary"] = {}
-    for solver in configs:
-        entries = [record["seeds"][str(s)][solver] for s in seeds]
-        python_mean = sum(e["python"]["seconds"] for e in entries) / len(entries)
-        native_mean = sum(e["native"]["seconds"] for e in entries) / len(entries)
-        record["summary"][solver] = {
-            "python_mean_seconds": python_mean,
-            "native_mean_seconds": native_mean,
-            "speedup": python_mean / native_mean,
-            "identical": all(e["identical"] for e in entries),
-        }
-    record["parity"] = all(
-        entry["identical"] for entry in record["summary"].values()
-    )
     return record, failures
 
 
@@ -798,47 +593,12 @@ def _shard_instance_pairs(worker_count: int):
     return instance, compute_valid_pairs(instance, "grid")
 
 
-#: Hot-path population reach — each worker sees a ~30-60 task candidate
-#: set, the regime the batched kernels target. (At the shard family's
-#: 0.01-0.02 radii a worker sees ~3 tasks; scalar scans win there and
-#: the measurement says nothing about the batched paths.)
-HOTPATH_RADIUS_RANGE = (0.03, 0.06)
-
-
-def _hotpath_instance_pairs(worker_count: int):
-    """The hot-path benchmark population: dense reach, capacity slack.
-
-    Deliberately distinct from the shard family along two axes. Dense
-    reach (see :data:`HOTPATH_RADIUS_RANGE`) gives the batched candidate
-    scans real rows to batch. Capacity slack — task slots exceed the
-    worker count — keeps best-response in *within-capacity* scoring,
-    which is what the prepass/rescan kernels cover; on a contended
-    population the overflow peels (``best_counted_subset``) dominate,
-    run the identical scalar path under both kernels, and bound the
-    measurable ratio near 1x regardless of kernel quality (the Amdahl
-    companion to the validity scan-vs-assembly split;
-    see docs/PERFORMANCE.md). The contended regime stays covered by the
-    sharded-native leg, which runs on the shard family.
-    """
-    instance = generate_instance(
-        worker_count,
-        worker_count // 2,
-        capacity=8,
-        seed=0,
-        radius_range=HOTPATH_RADIUS_RANGE,
-        quality_backend="sparse",
-    )
-    return instance, compute_valid_pairs(instance, "grid")
-
-
 def _measure_shard_child(leg: str, worker_count: int) -> int:
     """Child-process mode: run one shard-benchmark leg, print JSON.
 
-    ``leg`` is ``mono`` (monolithic GT), ``sharded`` (auto-sharded GT)
-    or ``sharded-native`` (the same sharded solve with the native
-    evaluation kernels — the hotpath guard's 100k leg). A fresh process
-    per leg keeps ``ru_maxrss`` honest and the monolithic leg's memory
-    from flattering the sharded one.
+    ``leg`` is ``mono`` (monolithic GT) or ``sharded`` (auto-sharded
+    GT). A fresh process per leg keeps ``ru_maxrss`` honest and the
+    monolithic leg's memory from flattering the sharded one.
     """
     import hashlib
     import resource
@@ -852,14 +612,13 @@ def _measure_shard_child(leg: str, worker_count: int) -> int:
     if leg == "mono":
         assignment = make_solver("GT", seed=0)(instance, valid_pairs)
         extra: dict = {}
-    elif leg in ("sharded", "sharded-native"):
+    elif leg == "sharded":
         result = solve_sharded(
             instance,
             valid_pairs,
             approach="GT",
             seed=0,
             shards="auto",
-            kernel="native" if leg == "sharded-native" else "python",
         )
         assignment = result.assignment
         extra = {
@@ -873,10 +632,6 @@ def _measure_shard_child(leg: str, worker_count: int) -> int:
             "halo_moves": result.halo_moves,
             "phase_seconds": dict(result.stats.phase_seconds),
         }
-        if leg == "sharded-native":
-            # The hotpath guard wants the kernel dispatch/rescan
-            # counters, not just the wall-clock.
-            extra["stats"] = result.stats.to_dict()
     else:
         raise ValueError(f"unknown leg {leg!r}")
     seconds = time.perf_counter() - started
@@ -1128,485 +883,6 @@ def run_chaos_benchmark(
     return record, failures
 
 
-def _validity_scan_seconds(
-    instance: Instance, repeats: int
-) -> tuple[float, float]:
-    """Min-of-repeats wall of the candidate-scan stage, scalar vs
-    vectorized, with each path's own grid pre-built outside the timer.
-
-    This isolates exactly the loop the vectorization replaced: the
-    per-worker ``query_circle`` + ``_deadline_ok`` scan vs one
-    ``_grid_valid_lists`` call. The shared ``ValidPairs`` tuple assembly
-    both end-to-end paths pay is deliberately excluded here (it is the
-    Amdahl floor that caps the end-to-end ratio ~3x; see
-    docs/PERFORMANCE.md).
-    """
-    from repro.core.validity import (
-        _GRID_VECTOR_CELL_MULTIPLIER,
-        _deadline_ok,
-        _grid_valid_lists,
-        _max_remaining,
-        _reach_limit,
-    )
-    from repro.spatial.grid import GridIndex
-
-    task_items = [
-        (index, task.location) for index, task in enumerate(instance.tasks)
-    ]
-    mean_radius = float(
-        np.mean([worker.radius for worker in instance.workers])
-    )
-    scalar_index = GridIndex.build(
-        task_items, cell_size=max(mean_radius, 1e-6)
-    )
-    vector_index = GridIndex.build(
-        task_items,
-        cell_size=max(mean_radius * _GRID_VECTOR_CELL_MULTIPLIER, 1e-6),
-    )
-    max_remaining = _max_remaining(instance)
-
-    scalar_best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        for worker_index, worker in enumerate(instance.workers):
-            candidates = scalar_index.query_circle(
-                worker.location,
-                _reach_limit(instance, worker_index, max_remaining),
-            )
-            [
-                task_index
-                for task_index in candidates
-                if _deadline_ok(instance, worker_index, task_index)
-            ]
-        scalar_best = min(scalar_best, time.perf_counter() - started)
-
-    vector_best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        _grid_valid_lists(instance, vector_index, max_remaining)
-        vector_best = min(vector_best, time.perf_counter() - started)
-    return scalar_best, vector_best
-
-
-def run_hotpath_benchmark(
-    sizes=DEFAULT_HOTPATH_SIZES,
-    repeats: int = 2,
-    shard_size: int = HOTPATH_SHARD_SIZE,
-    gate_size: int = HOTPATH_GATE_SIZE,
-) -> tuple[dict, list[str]]:
-    """Full-loop kernel coverage: validity, GT end-to-end, sharded 100k.
-
-    Per size on the hot-path population (dense reach, capacity slack —
-    see :func:`_hotpath_instance_pairs`): vectorized-vs-scalar
-    validity (membership parity + scan-stage and end-to-end walls), and
-    the GT solve with ``kernel="python"`` vs ``kernel="native"`` (repr
-    parity on pairs and score, per-kernel stats with the rescan and
-    kernel dispatch counters). Gates at ``gate_size``: scan-stage
-    speedup >= VALIDITY_SCAN_SPEEDUP_FLOOR, native GT end-to-end
-    speedup >= HOTPATH_GT_SPEEDUP_FLOOR (on whatever the environment
-    provides — the numpy fallback locally, compiled numba in the CI
-    hotpath job). ``shard_size`` adds one ``kernel="native"`` sharded
-    leg in a child process (0 skips it); hotspot profiles at the
-    smallest size show *which* loops the kernels displaced.
-    """
-    from repro.core.kernels import NUMBA_AVAILABLE
-    from repro.core.validity import compute_valid_pairs_reference
-    from repro.experiments.profiling import profile_solve
-
-    failures: list[str] = []
-    record: dict = {
-        "geometry": {
-            "radius_range": list(HOTPATH_RADIUS_RANGE),
-            "tasks_per_worker": 0.5,
-            "capacity": 8,
-            "quality_backend": "sparse",
-            "validity_strategy": "grid",
-        },
-        "repeats": repeats,
-        "numba_available": NUMBA_AVAILABLE,
-        "gate_size": gate_size,
-        "gt_speedup_floor": HOTPATH_GT_SPEEDUP_FLOOR,
-        "validity_scan_floor": VALIDITY_SCAN_SPEEDUP_FLOOR,
-        "note": (
-            "native == numba-compiled kernels when importable, numpy "
-            "fallback otherwise; the GT gate applies to whichever this "
-            "environment provides. The validity gate applies to the "
-            "candidate-scan stage the vectorization replaced; end-to-end "
-            "validity is recorded but not gated (shared tuple-assembly "
-            "Amdahl floor, see docs/PERFORMANCE.md)."
-        ),
-        "sizes": {},
-    }
-
-    for worker_count in sizes:
-        instance, valid_pairs = _hotpath_instance_pairs(worker_count)
-        entry: dict = {}
-
-        # -- validity: membership parity + walls --------------------
-        reference = compute_valid_pairs_reference(instance)
-        if reference.tasks_for_worker != valid_pairs.tasks_for_worker:
-            failures.append(
-                f"validity parity n={worker_count}: vectorized grid "
-                "membership diverges from the scalar reference"
-            )
-        end_to_end_scalar = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            compute_valid_pairs_reference(instance)
-            end_to_end_scalar = min(
-                end_to_end_scalar, time.perf_counter() - started
-            )
-        end_to_end_vector = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            compute_valid_pairs(instance, "grid")
-            end_to_end_vector = min(
-                end_to_end_vector, time.perf_counter() - started
-            )
-        scan_scalar, scan_vector = _validity_scan_seconds(instance, repeats)
-        entry["validity"] = {
-            "pair_count": valid_pairs.pair_count,
-            "membership_identical": (
-                reference.tasks_for_worker == valid_pairs.tasks_for_worker
-            ),
-            "scalar_seconds": end_to_end_scalar,
-            "vectorized_seconds": end_to_end_vector,
-            "end_to_end_speedup": end_to_end_scalar / end_to_end_vector,
-            "scan_scalar_seconds": scan_scalar,
-            "scan_vectorized_seconds": scan_vector,
-            "scan_speedup": scan_scalar / scan_vector,
-        }
-        if (
-            worker_count >= gate_size
-            and entry["validity"]["scan_speedup"] < VALIDITY_SCAN_SPEEDUP_FLOOR
-        ):
-            failures.append(
-                f"validity scan stage n={worker_count}: "
-                f"{entry['validity']['scan_speedup']:.2f}x is below the "
-                f"{VALIDITY_SCAN_SPEEDUP_FLOOR:g}x floor"
-            )
-
-        # -- GT end-to-end: python vs native ------------------------
-        per_kernel: dict = {}
-        for kernel in ("python", "native"):
-            best = float("inf")
-            result = None
-            for _ in range(repeats):
-                started = time.perf_counter()
-                result = solve_game_theoretic(
-                    instance, valid_pairs, kernel=kernel
-                )
-                best = min(best, time.perf_counter() - started)
-            failures += _check_oracle(
-                f"hotpath GT[{kernel}]", 0, result.assignment
-            )
-            per_kernel[kernel] = {
-                "seconds": best,
-                "score": repr(result.final_score),
-                "pairs": repr(result.assignment.to_pairs()),
-                "rounds": result.rounds,
-                "moves": result.moves,
-                "stats": result.stats.to_dict() if result.stats else None,
-            }
-        identical = (
-            per_kernel["python"]["score"] == per_kernel["native"]["score"]
-            and per_kernel["python"]["pairs"] == per_kernel["native"]["pairs"]
-        )
-        if not identical:
-            failures.append(
-                f"hotpath GT parity n={worker_count}: native diverges from "
-                f"python ({per_kernel['native']['score']} vs "
-                f"{per_kernel['python']['score']})"
-            )
-        speedup = (
-            per_kernel["python"]["seconds"] / per_kernel["native"]["seconds"]
-        )
-        entry["gt"] = {
-            "identical": identical,
-            "speedup_native_vs_python": speedup,
-            **{
-                kernel: {
-                    key: value
-                    for key, value in per_kernel[kernel].items()
-                    if key != "pairs"  # repr'd pair lists are huge
-                }
-                for kernel in per_kernel
-            },
-        }
-        if worker_count >= gate_size and speedup < HOTPATH_GT_SPEEDUP_FLOOR:
-            failures.append(
-                f"hotpath GT n={worker_count}: native end-to-end speedup "
-                f"{speedup:.2f}x is below the "
-                f"{HOTPATH_GT_SPEEDUP_FLOOR:g}x floor"
-            )
-        record["sizes"][str(worker_count)] = entry
-
-    # -- hotspot profiles at the smallest size ----------------------
-    profile_size = min(sizes)
-    profile_instance, _ = _hotpath_instance_pairs(profile_size)
-    record["profiles"] = {
-        kernel: profile_solve(
-            profile_instance,
-            approach="GT",
-            kernel=kernel,
-            seed=0,
-            top=HOTPATH_PROFILE_TOP,
-        ).to_dict()
-        for kernel in ("python", "native")
-    }
-
-    # -- one sharded 100k leg with the native kernels ---------------
-    if shard_size:
-        payload, error = _run_shard_leg("sharded-native", shard_size)
-        if error:
-            failures.append(error)
-        else:
-            record["sharded_native"] = payload
-
-    # -- compiled reference: fold BENCH_pr6 when measured with numba --
-    if KERNEL_OUTPUT.exists():
-        kernel_payload = json.loads(KERNEL_OUTPUT.read_text(encoding="utf-8"))
-        guard = kernel_payload.get("kernel_guard", {})
-        record["compiled_reference"] = {
-            "numba_available": guard.get("numba_available"),
-            "scale": guard.get("scale"),
-            "summary": guard.get("summary"),
-        }
-    return record, failures
-
-
-def _peel_instance_pairs(worker_count: int):
-    """The shared-scalar-walls population: dense reach, starved slots.
-
-    Same reach geometry as the hotpath family, but task slots cover only
-    half the workers (tasks = n // 16 at capacity 8), so best-response
-    spends its rounds probing *full* tasks — every such probe overflows
-    and runs a 9-member counted-subset peel. This is the population the
-    hotpath record's docstring explicitly excluded because the peel used
-    to run the identical scalar path under both kernels.
-    """
-    instance = generate_instance(
-        worker_count,
-        worker_count // PEEL_TASK_DIVISOR,
-        capacity=PEEL_CAPACITY,
-        seed=0,
-        radius_range=HOTPATH_RADIUS_RANGE,
-        quality_backend="sparse",
-    )
-    return instance, compute_valid_pairs(instance, "grid")
-
-
-def run_peel_benchmark(
-    sizes=DEFAULT_PEEL_SIZES,
-    repeats: int = 2,
-    gate_size: int = PEEL_GATE_SIZE,
-) -> tuple[dict, list[str]]:
-    """Peel + bulk-gather record: backend/kernel parity, then the gate.
-
-    Parity: (a) the peel kernel vs the scalar oracle on every quality
-    backend at kept sizes straddling the pairwise cliff, (b)
-    ``gather_rows`` vs the dense lookup, (c) GT fingerprints across
-    {dense, sparse, shared} x {python, native} on a small contended
-    instance. Performance: python vs native GT per size on the
-    contended population, gated at ``gate_size`` (see
-    :data:`PEEL_GT_SPEEDUP_FLOOR`).
-    """
-    from repro.core.kernels import (
-        NUMBA_AVAILABLE,
-        counted_subset_select,
-        gather_block,
-    )
-    from repro.core.quality_store import SharedDenseQualityStore
-    from repro.core.revenue import best_counted_subset
-
-    failures: list[str] = []
-    record: dict = {
-        "geometry": {
-            "radius_range": list(HOTPATH_RADIUS_RANGE),
-            "tasks_per_worker": 1.0 / PEEL_TASK_DIVISOR,
-            "capacity": PEEL_CAPACITY,
-            "quality_backend": "sparse",
-            "validity_strategy": "grid",
-        },
-        "repeats": repeats,
-        "numba_available": NUMBA_AVAILABLE,
-        "gate_size": gate_size,
-        "gt_speedup_floor": PEEL_GT_SPEEDUP_FLOOR,
-        "note": (
-            "native == numba-compiled peel endgame when importable, "
-            "numpy fallback otherwise; the GT gate applies to whichever "
-            "this environment provides. The population is deliberately "
-            "overflow-dominated — the regime BENCH_pr9 documented as "
-            "bounded near 1x under the old shared scalar peel."
-        ),
-    }
-
-    # -- parity: peel kernel vs scalar oracle on every backend --------
-    parity_instance, parity_pairs = _peel_instance_pairs(
-        PEEL_PARITY_WORKERS
-    )
-    dense = parity_instance.quality.to_dense()
-    shared = SharedDenseQualityStore.create(dense)
-    peel_checks = 0
-    gather_checks = 0
-    rng = np.random.default_rng(0)
-    try:
-        stores = {
-            "dense": dense,
-            "sparse": parity_instance.quality,
-            "shared": shared,
-        }
-        for members_count in (7, 8, 9, 10, 16):
-            members = sorted(
-                int(worker)
-                for worker in rng.choice(
-                    PEEL_PARITY_WORKERS, size=members_count, replace=False
-                )
-            )
-            for size in range(members_count + 1):
-                oracle = best_counted_subset(dense, members, size)
-                for backend, store in stores.items():
-                    kept, _ = counted_subset_select(
-                        store.as_kernel_buffers(), members, size
-                    )
-                    peel_checks += 1
-                    if kept != oracle:
-                        failures.append(
-                            f"peel parity {backend} members="
-                            f"{members_count} size={size}: kernel kept "
-                            f"{kept} vs oracle {oracle}"
-                        )
-        for _ in range(20):
-            rows = rng.integers(0, PEEL_PARITY_WORKERS, size=8)
-            cols = rng.integers(0, PEEL_PARITY_WORKERS, size=12)
-            expected = dense.values[rows[:, None], cols].copy()
-            expected[rows[:, None] == cols[None, :]] = 0.0
-            for backend, store in stores.items():
-                gather_checks += 1
-                block = store.gather_rows(rows, cols)
-                if not np.array_equal(block, expected):
-                    failures.append(
-                        f"gather parity {backend}: gather_rows diverges "
-                        "from the dense lookup"
-                    )
-                    break
-                if not np.array_equal(
-                    gather_block(store.as_kernel_buffers(), rows, cols),
-                    expected,
-                ):
-                    failures.append(
-                        f"gather parity {backend}: gather_block diverges "
-                        "from the dense lookup"
-                    )
-                    break
-
-        # -- parity: GT across backends x kernels ---------------------
-        fingerprints: dict[str, dict[str, str]] = {}
-        for backend, store in stores.items():
-            instance = _with_quality(parity_instance, store)
-            for kernel in ("python", "native"):
-                result = solve_game_theoretic(
-                    instance, parity_pairs, kernel=kernel
-                )
-                failures += _check_oracle(
-                    f"peel parity GT[{backend}/{kernel}]",
-                    0,
-                    result.assignment,
-                )
-                fingerprints[f"{backend}/{kernel}"] = {
-                    "score": repr(result.final_score),
-                    "pairs": repr(result.assignment.to_pairs()),
-                }
-    finally:
-        shared.close()
-        shared.unlink()
-    reference = fingerprints["dense/python"]
-    for combo, fingerprint in fingerprints.items():
-        if fingerprint != reference:
-            failures.append(
-                f"peel parity GT {combo}: diverges from dense/python "
-                f"({fingerprint['score']} vs {reference['score']})"
-            )
-    record["parity"] = {
-        "workers": PEEL_PARITY_WORKERS,
-        "peel_checks": peel_checks,
-        "gather_checks": gather_checks,
-        "combos": sorted(fingerprints),
-        "identical": all(
-            fingerprint == reference
-            for fingerprint in fingerprints.values()
-        ),
-        "score": reference["score"],
-    }
-
-    # -- GT end-to-end: python vs native per size ---------------------
-    record["sizes"] = {}
-    for worker_count in sizes:
-        instance, valid_pairs = _peel_instance_pairs(worker_count)
-        per_kernel: dict = {}
-        for kernel in ("python", "native"):
-            best = float("inf")
-            result = None
-            for _ in range(repeats):
-                started = time.perf_counter()
-                result = solve_game_theoretic(
-                    instance, valid_pairs, kernel=kernel
-                )
-                best = min(best, time.perf_counter() - started)
-            failures += _check_oracle(
-                f"peel GT[{kernel}]", 0, result.assignment
-            )
-            per_kernel[kernel] = {
-                "seconds": best,
-                "score": repr(result.final_score),
-                "pairs": repr(result.assignment.to_pairs()),
-                "rounds": result.rounds,
-                "moves": result.moves,
-                "peel_kernel_calls": (
-                    result.stats.peel_kernel_calls if result.stats else 0
-                ),
-                "stats": result.stats.to_dict() if result.stats else None,
-            }
-        identical = (
-            per_kernel["python"]["score"] == per_kernel["native"]["score"]
-            and per_kernel["python"]["pairs"] == per_kernel["native"]["pairs"]
-        )
-        if not identical:
-            failures.append(
-                f"peel GT parity n={worker_count}: native diverges from "
-                f"python ({per_kernel['native']['score']} vs "
-                f"{per_kernel['python']['score']})"
-            )
-        if per_kernel["native"]["peel_kernel_calls"] == 0:
-            failures.append(
-                f"peel GT n={worker_count}: native solve never "
-                "dispatched the peel kernel — the population is not "
-                "overflow-dominated"
-            )
-        speedup = (
-            per_kernel["python"]["seconds"] / per_kernel["native"]["seconds"]
-        )
-        if worker_count >= gate_size and speedup < PEEL_GT_SPEEDUP_FLOOR:
-            failures.append(
-                f"peel GT n={worker_count}: native end-to-end speedup "
-                f"{speedup:.2f}x is below the "
-                f"{PEEL_GT_SPEEDUP_FLOOR:g}x floor"
-            )
-        record["sizes"][str(worker_count)] = {
-            "identical": identical,
-            "speedup_native_vs_python": speedup,
-            **{
-                kernel: {
-                    key: value
-                    for key, value in per_kernel[kernel].items()
-                    if key != "pairs"  # repr'd pair lists are huge
-                }
-                for kernel in per_kernel
-            },
-        }
-    return record, failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
@@ -1636,16 +912,6 @@ def main(argv: list[str] | None = None) -> int:
         "--skip-scale",
         action="store_true",
         help="skip the quality-store scale record (BENCH_pr4.json)",
-    )
-    parser.add_argument(
-        "--skip-kernel",
-        action="store_true",
-        help="skip the best-response kernel record (BENCH_pr6.json)",
-    )
-    parser.add_argument(
-        "--only-kernel",
-        action="store_true",
-        help="run only the best-response kernel record",
     )
     parser.add_argument(
         "--only-scale",
@@ -1709,62 +975,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-first-attempt SIGKILL probability of the chaotic leg",
     )
     parser.add_argument(
-        "--skip-hotpath",
-        action="store_true",
-        help="skip the interpreted-hot-path record (BENCH_pr9.json)",
-    )
-    parser.add_argument(
-        "--only-hotpath",
-        action="store_true",
-        help="run only the interpreted-hot-path record",
-    )
-    parser.add_argument(
-        "--hotpath-sizes",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_HOTPATH_SIZES),
-        metavar="N",
-        help="worker counts of the validity + GT kernel measurement "
-        f"(the gates apply at n >= {HOTPATH_GATE_SIZE})",
-    )
-    parser.add_argument(
-        "--hotpath-repeats",
-        type=int,
-        default=2,
-        help="min-of-N repeats of each hotpath timing leg (default 2)",
-    )
-    parser.add_argument(
-        "--hotpath-shard-size",
-        type=int,
-        default=HOTPATH_SHARD_SIZE,
-        help="worker count of the kernel-native sharded leg (0 skips it)",
-    )
-    parser.add_argument(
-        "--skip-peel",
-        action="store_true",
-        help="skip the shared-scalar-walls record (BENCH_pr10.json)",
-    )
-    parser.add_argument(
-        "--only-peel",
-        action="store_true",
-        help="run only the shared-scalar-walls record",
-    )
-    parser.add_argument(
-        "--peel-sizes",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_PEEL_SIZES),
-        metavar="N",
-        help="worker counts of the overflow-peel GT measurement "
-        f"(the gate applies at n >= {PEEL_GATE_SIZE})",
-    )
-    parser.add_argument(
-        "--peel-repeats",
-        type=int,
-        default=2,
-        help="min-of-N repeats of each peel timing leg (default 2)",
-    )
-    parser.add_argument(
         "--measure-rss",
         nargs=2,
         metavar=("BACKEND", "N"),
@@ -1788,12 +998,6 @@ def main(argv: list[str] | None = None) -> int:
         help="scale-record JSON path",
     )
     parser.add_argument(
-        "--kernel-out",
-        type=Path,
-        default=KERNEL_OUTPUT,
-        help="kernel-record JSON path",
-    )
-    parser.add_argument(
         "--shard-out",
         type=Path,
         default=SHARD_OUTPUT,
@@ -1805,18 +1009,6 @@ def main(argv: list[str] | None = None) -> int:
         default=CHAOS_OUTPUT,
         help="chaos-record JSON path",
     )
-    parser.add_argument(
-        "--hotpath-out",
-        type=Path,
-        default=HOTPATH_OUTPUT,
-        help="hotpath-record JSON path",
-    )
-    parser.add_argument(
-        "--peel-out",
-        type=Path,
-        default=PEEL_OUTPUT,
-        help="peel-record JSON path",
-    )
     args = parser.parse_args(argv)
 
     if args.measure_rss:
@@ -1827,66 +1019,20 @@ def main(argv: list[str] | None = None) -> int:
         return _measure_shard_child(leg, int(worker_count))
 
     if args.only_shards:
-        args.skip_kernel = True
         args.skip_scale = True
         args.skip_chaos = True
-        args.skip_hotpath = True
-        args.skip_peel = True
     if args.only_chaos:
-        args.skip_kernel = True
         args.skip_scale = True
         args.skip_shards = True
-        args.skip_hotpath = True
-        args.skip_peel = True
-    if args.only_hotpath:
-        args.skip_kernel = True
-        args.skip_scale = True
-        args.skip_shards = True
-        args.skip_chaos = True
-        args.skip_peel = True
-    if args.only_peel:
-        args.skip_kernel = True
-        args.skip_scale = True
-        args.skip_shards = True
-        args.skip_chaos = True
-        args.skip_hotpath = True
 
     failures: list[str] = []
     guard_record = None
-    kernel_record = None
     shard_record = None
     chaos_record = None
-    hotpath_record = None
-    peel_record = None
-    if not args.skip_kernel:
-        kernel_record, kernel_failures = run_kernel_benchmark(
-            workers=args.workers, tasks=args.tasks, repeats=args.repeats
-        )
-        failures += kernel_failures
-        args.kernel_out.write_text(
-            json.dumps({"kernel_guard": kernel_record}, indent=1) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {args.kernel_out}")
-    if args.only_kernel:
-        args.skip_scale = True
-        args.skip_shards = True
-        args.skip_chaos = True
-        args.skip_hotpath = True
-        args.skip_peel = True
     if args.only_scale:
         args.skip_shards = True
         args.skip_chaos = True
-        args.skip_hotpath = True
-        args.skip_peel = True
-    if (
-        not args.only_scale
-        and not args.only_kernel
-        and not args.only_shards
-        and not args.only_chaos
-        and not args.only_hotpath
-        and not args.only_peel
-    ):
+    if not (args.only_scale or args.only_shards or args.only_chaos):
         guard_record, failures = run_guard(
             workers=args.workers, tasks=args.tasks, repeats=args.repeats
         )
@@ -1949,44 +1095,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"wrote {args.chaos_out}")
 
-    if not args.skip_hotpath:
-        hotpath_record, hotpath_failures = run_hotpath_benchmark(
-            sizes=args.hotpath_sizes,
-            repeats=args.hotpath_repeats,
-            shard_size=args.hotpath_shard_size,
-        )
-        failures += hotpath_failures
-        args.hotpath_out.write_text(
-            json.dumps({"hotpath_guard": hotpath_record}, indent=1) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {args.hotpath_out}")
-
-    if not args.skip_peel:
-        peel_record, peel_failures = run_peel_benchmark(
-            sizes=args.peel_sizes, repeats=args.peel_repeats
-        )
-        failures += peel_failures
-        args.peel_out.write_text(
-            json.dumps({"peel_guard": peel_record}, indent=1) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {args.peel_out}")
-
-    if kernel_record is not None:
-        for solver, summary in kernel_record["summary"].items():
-            print(
-                f"kernel {solver}: python "
-                f"{summary['python_mean_seconds'] * 1e3:.1f} ms vs native "
-                f"{summary['native_mean_seconds'] * 1e3:.1f} ms "
-                f"({summary['speedup']:.2f}x"
-                + (
-                    ", numpy fallback — numba absent"
-                    if not kernel_record["numba_available"]
-                    else ""
-                )
-                + f"), identical: {summary['identical']}"
-            )
     if guard_record is not None:
         for solver in ("tpg", "gt", "gtall"):
             summary = guard_record["summary"][solver]
@@ -2062,58 +1170,11 @@ def main(argv: list[str] | None = None) -> int:
             f"recovered identical: "
             f"{chaos_record['chaos_recovered_identical']}"
         )
-    if hotpath_record is not None:
-        fallback_note = (
-            "" if hotpath_record["numba_available"] else " [numpy fallback]"
-        )
-        for size, entry in hotpath_record["sizes"].items():
-            validity = entry["validity"]
-            gt = entry["gt"]
-            print(
-                f"hotpath n={size}: validity scan "
-                f"{validity['scan_speedup']:.1f}x (end-to-end "
-                f"{validity['end_to_end_speedup']:.1f}x, membership "
-                f"identical: {validity['membership_identical']}); GT "
-                f"python {gt['python']['seconds']:.2f}s vs native "
-                f"{gt['native']['seconds']:.2f}s "
-                f"({gt['speedup_native_vs_python']:.2f}x{fallback_note}), "
-                f"identical: {gt['identical']}"
-            )
-        sharded = hotpath_record.get("sharded_native")
-        if sharded is not None:
-            print(
-                f"hotpath sharded-native n={sharded['workers']}: "
-                f"{sharded['seconds']:.1f}s over {sharded['shard_count']} "
-                f"shards"
-            )
-    if peel_record is not None:
-        fallback_note = (
-            "" if peel_record["numba_available"] else " [numpy fallback]"
-        )
-        parity = peel_record["parity"]
-        print(
-            f"peel parity (backends x kernels, n={parity['workers']}): "
-            + ("identical" if parity["identical"] else "DIVERGED")
-            + f" over {parity['peel_checks']} peel and "
-            f"{parity['gather_checks']} gather checks"
-        )
-        for size, entry in peel_record["sizes"].items():
-            print(
-                f"peel n={size}: GT python "
-                f"{entry['python']['seconds']:.2f}s vs native "
-                f"{entry['native']['seconds']:.2f}s "
-                f"({entry['speedup_native_vs_python']:.2f}x"
-                f"{fallback_note}), peel dispatches "
-                f"{entry['native']['peel_kernel_calls']}, identical: "
-                f"{entry['identical']}"
-            )
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     checks = []
-    if kernel_record is not None:
-        checks.append("kernel python/native repr-identical")
     if guard_record is not None:
         checks.append("incremental scores match the from-scratch oracle")
         if not args.skip_sweep:
@@ -2127,17 +1188,6 @@ def main(argv: list[str] | None = None) -> int:
     if chaos_record is not None:
         checks.append(
             "chaos-off pool repr-identical; chaotic run recovered exactly"
-        )
-    if hotpath_record is not None:
-        checks.append(
-            "validity membership identical and scan-stage speedup within "
-            "bars; GT kernels repr-identical with end-to-end speedup "
-            "within bars"
-        )
-    if peel_record is not None:
-        checks.append(
-            "peel and gather repr-identical to the scalar oracle across "
-            "backends x kernels; contended GT speedup within bars"
         )
     print("all checks passed: " + "; ".join(checks))
     return 0

@@ -167,7 +167,7 @@ class TestProfile:
             tottimes = [spot["tottime"] for spot in phase["hotspots"]]
             assert tottimes == sorted(tottimes, reverse=True)
 
-    def test_profile_instance_file(self, instance_file, capsys):
+    def test_profile_instance_file_native_kernel(self, instance_file, capsys):
         code = main(
             ["profile", "--instance", str(instance_file), "--top", "2"]
         )

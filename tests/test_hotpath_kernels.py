@@ -24,7 +24,9 @@ from repro.core.tpg import (
     EXACT_SEED_THRESHOLD,
     _combo_table,
     greedy_best_group,
+    solve_tpg_with_stats,
 )
+from repro.core.validity import compute_valid_pairs
 from tests.conftest import make_dense_instance
 
 
@@ -127,6 +129,12 @@ class TestStageOneGroupKernel:
         instance = make_dense_instance(10, 2, seed=1)
         group, score = greedy_best_group(instance.quality, [1, 2], 3)
         assert group == [] and score == 0.0
+
+    def test_tpg_native_reports_kernel_dispatches(self):
+        instance = make_dense_instance(60, 12, seed=3)
+        result = solve_tpg_with_stats(instance, compute_valid_pairs(instance))
+        assert result.stats.kernel_fallback_calls > 0, "stage 1 never ran"
+        assert result.stats.kernel_compiled_calls == 0
 
     def test_best_group_rejects_short_candidate_lists(self):
         # best_group's contract: the caller (greedy/exact_best_group)

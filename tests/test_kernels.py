@@ -329,6 +329,17 @@ class TestCountedSubsetSelectParity:
                 cleanup()
 
 
+    def test_native_gt_counts_peel_dispatches_on_overflow(self):
+        from repro.audit.fuzzer import _kernel_boundary_instance
+        from repro.core.game import solve_game_theoretic
+
+        instance = _kernel_boundary_instance(
+            "tiedpeel", np.random.default_rng(0)
+        )
+        result = solve_game_theoretic(instance, compute_valid_pairs(instance))
+        assert result.stats.peel_kernel_calls > 0
+
+
 class TestScoreCandidatesParity:
     """A batched row, its deferred slots filled, must equal the scalar
     ``join_gain`` scan slot for slot, on every backend."""

@@ -280,6 +280,36 @@ class TestCheckpointResume:
         )
         assert changed.telemetry.resumed_cells == 0
 
+    def test_journal_with_the_dropped_kernel_setting_opens(self, tmp_path):
+        """Records written while ``ExperimentSettings`` had a ``kernel``
+        field (and stats had the compiled-kernel counters) still load;
+        their keys no longer match, so their cells re-run."""
+        import json
+
+        from repro.experiments.parallel import SweepJournal, _journal_line
+
+        journal = tmp_path / "sweep.jsonl"
+        first = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        legacy = []
+        for record in SweepJournal(journal).load().values():
+            key = json.loads(record["key"])
+            key["settings"]["kernel"] = "python"
+            record["key"] = json.dumps(key, sort_keys=True)
+            stats = record["outcome"]["stats"]
+            if stats is not None:
+                stats["kernel_compiled_calls"] = 0
+                stats["kernel_compile_seconds"] = 0.0
+            legacy.append(_journal_line(record))
+        journal.write_text("\n".join(legacy) + "\n")
+
+        reader = SweepJournal(journal)
+        assert len(reader.load()) == 4
+        assert reader.recovered_lines == 0
+        resumed = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        assert resumed.telemetry.resumed_cells == 0
+        assert not resumed.failures
+        assert fingerprint(resumed) == fingerprint(first)
+
     def test_keyboard_interrupt_flushes_journal_then_resumes(self, tmp_path):
         calls = {"count": 0, "armed": True}
 

@@ -255,51 +255,58 @@ def _backend_quality(matrix: CooperationMatrix, backend: str):
     return store, cleanup
 
 
+#: The two peels under the edge-case pins: the batched production peel
+#: and the scalar reference the kernel tests hold it to.
+PEELS = {"native": best_counted_subset, "python": reference_counted_subset}
+
+
+@pytest.mark.parametrize("peel", ["python", "native"])
 @pytest.mark.parametrize("backend", ["dense", "sparse", "shared"])
 class TestBestCountedSubsetEdges:
-    """Edge regimes of the peel, pinned on every backend."""
+    """Edge regimes of the peel, pinned on every backend for both the
+    batched peel and its scalar reference."""
 
-    def run(self, matrix, members, size, backend):
+    def run(self, matrix, members, size, backend, peel):
         quality, cleanup = _backend_quality(matrix, backend)
         try:
-            return best_counted_subset(quality, members, size)
+            return PEELS[peel](quality, members, size)
         finally:
             if cleanup is not None:
                 cleanup()
 
-    def test_size_zero_peels_to_empty(self, backend):
+    def test_size_zero_peels_to_empty(self, backend, peel):
         matrix = CooperationMatrix.random_uniform(9, seed=3)
-        assert self.run(matrix, list(range(9)), 0, backend) == []
-        assert self.run(matrix, [], 0, backend) == []
+        assert self.run(matrix, list(range(9)), 0, backend, peel) == []
+        assert self.run(matrix, [], 0, backend, peel) == []
 
-    def test_size_equal_to_members_is_identity(self, backend):
+    def test_size_equal_to_members_is_identity(self, backend, peel):
         matrix = CooperationMatrix.random_uniform(9, seed=3)
         members = [6, 1, 8, 0, 3]
-        kept = self.run(matrix, members, len(members), backend)
+        kept = self.run(matrix, members, len(members), backend, peel)
         assert kept == sorted(members)
 
-    def test_duplicates_rejected_before_dispatch(self, backend):
+    def test_duplicates_rejected_before_dispatch(self, backend, peel):
         matrix = CooperationMatrix.random_uniform(5, seed=3)
         quality, cleanup = _backend_quality(matrix, backend)
         try:
             with pytest.raises(ValueError, match="duplicate"):
-                best_counted_subset(quality, [0, 0, 1], 2)
+                PEELS[peel](quality, [0, 0, 1], 2)
             with pytest.raises(ValueError):
-                best_counted_subset(quality, [0, 1], -1)
+                PEELS[peel](quality, [0, 1], -1)
         finally:
             if cleanup is not None:
                 cleanup()
 
-    def test_all_tied_peels_highest_index_first(self, backend):
+    def test_all_tied_peels_highest_index_first(self, backend, peel):
         # Uniform quality ties every contribution at every step; the
         # peel must shed indices from the top on both sides of the
         # pairwise cliff (10 -> 9 -> 8 -> 7 -> ... -> 3).
         matrix = uniform_matrix(10, 0.5)
         for size in (9, 8, 7, 3):
-            kept = self.run(matrix, list(range(10)), size, backend)
-            assert kept == list(range(size)), (backend, size)
+            kept = self.run(matrix, list(range(10)), size, backend, peel)
+            assert kept == list(range(size)), (backend, peel, size)
 
-    def test_cliff_sizes_match_reference_peel(self, backend):
+    def test_cliff_sizes_match_python_oracle(self, backend, peel):
         # kept counts 7/8/9 straddle numpy's pairwise-summation cliff;
         # every (members, size) cell must agree with the scalar
         # reference peel on the dense matrix repr-exactly.
@@ -309,8 +316,8 @@ class TestBestCountedSubsetEdges:
             for size in range(members_count):
                 expected = reference_counted_subset(matrix, members, size)
                 assert (
-                    self.run(matrix, members, size, backend) == expected
-                ), (backend, members_count, size)
+                    self.run(matrix, members, size, backend, peel) == expected
+                ), (backend, peel, members_count, size)
 
 
 class TestTieBreakPin:
@@ -395,7 +402,9 @@ class TestRevenueCacheIncremental:
         cache.join_gain(3, 0)  # overflow probe counts as full evaluation
         assert cache.full_evaluations == 2
 
-    def test_overflow_peels_match_the_reference_and_are_counted(self):
+    def test_native_kernel_overflow_is_repr_identical(self):
+        # Overflow revenues come from the batched peel; they must be the
+        # reference peel's subset and pair sum, and every peel is counted.
         q, cache = self.make_cache(capacities=(2, 4))
         for worker in (0, 1, 2, 3):
             cache.join(worker, 0)

@@ -72,6 +72,20 @@ class TestSolverStatsDataclass:
         assert payload["gain_evaluations"] == 7
         assert payload["rounds"][0]["moves"] == 2
 
+    def test_from_dict_ignores_dropped_fields(self):
+        # A record journaled before the compiled-kernel counters were
+        # dropped still loads; the stale keys are ignored.
+        payload = SolverStats(solver="GT", kernel_fallback_calls=4).to_dict()
+        payload["kernel_compiled_calls"] = 2
+        payload["kernel_compile_seconds"] = 0.25
+        restored = SolverStats.from_dict(payload)
+        assert restored.kernel_fallback_calls == 4
+        assert restored.kernel_compiled_calls == 0
+        assert restored.to_dict() == SolverStats.from_dict(
+            restored.to_dict()
+        ).to_dict()
+        assert "kernel_compile_seconds" not in restored.to_dict()
+
     def test_summary_is_one_line(self):
         stats = SolverStats(solver="GT", gain_evaluations=12, total_seconds=0.1)
         line = stats.summary()
