@@ -36,10 +36,17 @@ Optimizations
   groups of fewer than :data:`_VECTOR_GROUP_LIMIT` members, so the
   floats equal the scalar ``join_gain`` of
   :func:`repro.audit.reference.reference_utilities`; at eight or more
-  elements numpy's pairwise summation reorders, so those groups (and
-  overflow joins, which need the best-subset peel) are scored by the
-  scalar ``join_gain``. Bit-identity preserves the exact potential
-  function and hence the reached equilibria.
+  elements numpy's pairwise summation reorders, so those groups are
+  scored by the scalar ``join_gain``. Bit-identity preserves the exact
+  potential function and hence the reached equilibria.
+* **Batched overflow peels**: a join into a full task needs Equation
+  2's best-subset peel. Every kernel pass (prepass or dirty rescan)
+  collects the stale overflow joins of all the rows it scored and
+  peels them in lockstep, one
+  :func:`~repro.core.kernels.counted_subset_batch` call per group
+  shape, memoizing each exact gain under the task's membership version.
+  The scans then read the memo; a peel runs ahead of its scan, never
+  with different floats.
 * **Mid-round dirty rescan**: an accepted move only stales the prepass
   rows of the moved tasks' watchers. Those workers are collected in a
   dirty set and, the next time a stale row is actually needed, *all* of
@@ -319,8 +326,10 @@ class _BestResponseDynamics:
         self._minimum = instance.min_group_size
         # Overflow join gains are pure functions of (worker, task
         # membership); the revenue cache's per-task version stamp makes
-        # them memoizable. Once memberships stabilize, repeated scans of
-        # full tasks return the exact cached float instead of re-peeling.
+        # them memoizable. Kernel passes fill it ahead of the scans (see
+        # _memoize_overflow_peels); once memberships stabilize, repeated
+        # scans of full tasks return the exact cached float instead of
+        # re-peeling.
         self._overflow_memo: dict[tuple[int, int], tuple[int, float]] = {}
         # Exact whole-scan memo: a worker's best alternative is a pure
         # function of its candidate tasks' memberships (stamped by the
@@ -411,6 +420,7 @@ class _BestResponseDynamics:
         )
         self._prepass = (stamps, values, codes)
         self._rescan_dirty.clear()
+        self._peel_deferred_slots(np.flatnonzero(codes == CODE_SCALAR))
 
     def _refresh_prepass_rows(self) -> None:
         """Re-score every stale prepass row in one batched kernel call.
@@ -493,6 +503,53 @@ class _BestResponseDynamics:
         stamps[workers] = new_stamps
         self.stats.rescan_batches += 1
         self.stats.rescan_rows += int(workers.size)
+        self._peel_deferred_slots(positions[sub_codes == CODE_SCALAR])
+
+    def _peel_deferred_slots(self, slots: np.ndarray) -> None:
+        """Memoize every stale overflow peel among deferred prepass slots.
+
+        ``slots`` are positions in the flat validity CSR that a kernel
+        pass classified :data:`~repro.core.kernels.CODE_SCALAR`; their
+        owners come from one ``searchsorted`` over the row pointers.
+        """
+        owners = np.searchsorted(self._vp_indptr, slots, side="right") - 1
+        self._memoize_overflow_peels(owners, self._vp_tasks[slots])
+
+    def _memoize_overflow_peels(
+        self, workers: np.ndarray, tasks: np.ndarray
+    ) -> None:
+        """Peel the stale overflow joins among ``(workers[i], tasks[i])``
+        in lockstep and write their exact ``(version, gain)`` memo entries.
+
+        Only joins that need Equation 2's peel are kept — the task is
+        full, the joined group reaches ``B`` and the capacity is at least
+        2 — and only those whose memo entry is not at the task's current
+        version. Gains are pure functions of the task's membership, so a
+        peel run ahead of the scan that reads it leaves every utility the
+        scan sees unchanged; only the time of the evaluation moves.
+        """
+        cache = self.cache
+        sizes = cache.counts[tasks] + 1
+        capacities = self._capacities_array[tasks]
+        peel = (
+            (sizes > capacities) & (sizes >= self._minimum) & (capacities >= 2)
+        )
+        if not peel.any():
+            return
+        memo = self._overflow_memo
+        versions = cache.versions
+        stale_workers: list[int] = []
+        stale_tasks: list[int] = []
+        for worker, task in zip(workers[peel].tolist(), tasks[peel].tolist()):
+            entry = memo.get((worker, task))
+            if entry is None or entry[0] != versions[task]:
+                stale_workers.append(worker)
+                stale_tasks.append(task)
+        if not stale_tasks:
+            return
+        gains = cache.overflow_join_gains(stale_workers, stale_tasks)
+        for worker, task, gain in zip(stale_workers, stale_tasks, gains):
+            memo[worker, task] = (versions[task], gain)
 
     def _kernel_rescan(
         self, worker: int, tasks: list[int], current_task: int
@@ -545,23 +602,37 @@ class _BestResponseDynamics:
         current_utility: float,
     ) -> None:
         """Fill the slots a kernel pass deferred to the caller, in place:
-        overflow/oversized joins via the (memoized) scalar peel and the
-        worker's own task via the already-computed ``leave_delta``."""
+        overflow/oversized joins from the join-gain memo and the worker's
+        own task via the already-computed ``leave_delta``.
+
+        Peels a kernel pass already memoized are read back; this row's
+        remaining stale peels (restricted reconcile rounds and one-row
+        rescans run no pass ahead of the scan) go through the same
+        lockstep batch, and the other deferred joins — oversized within
+        capacity, or below ``B`` — through the scalar ``join_gain``.
+        """
         cache = self.cache
         versions = cache.versions
         memo = self._overflow_memo
-        for position in np.flatnonzero(codes == CODE_SCALAR):
-            position = int(position)
+        scalar = np.flatnonzero(codes == CODE_SCALAR).tolist()
+        misses = []
+        for position in scalar:
             task = tasks[position]
-            key = (worker, task)
-            version = versions[task]
-            entry = memo.get(key)
-            if entry is not None and entry[0] == version:
-                utilities[position] = entry[1]
-            else:
-                gain = cache.join_gain(worker, task)
-                memo[key] = (version, gain)
-                utilities[position] = gain
+            entry = memo.get((worker, task))
+            if entry is None or entry[0] != versions[task]:
+                misses.append(task)
+        if misses:
+            self._memoize_overflow_peels(
+                np.full(len(misses), worker, dtype=np.int64),
+                np.asarray(misses, dtype=np.int64),
+            )
+        for position in scalar:
+            task = tasks[position]
+            entry = memo.get((worker, task))
+            if entry is None or entry[0] != versions[task]:
+                entry = (versions[task], cache.join_gain(worker, task))
+                memo[worker, task] = entry
+            utilities[position] = entry[1]
         for position in np.flatnonzero(codes == CODE_CURRENT):
             utilities[int(position)] = current_utility
 
@@ -720,7 +791,7 @@ class _BestResponseDynamics:
             # reconcile rounds). Re-score just this worker's row.
             utilities, codes = self._kernel_rescan(worker, tasks, current_task)
         # Only the deferred slots remain: overflow/oversized joins via the
-        # memoized scalar peel, the worker's own task via ``leave_delta``.
+        # join-gain memo, the worker's own task via ``leave_delta``.
         self._fill_deferred_slots(worker, tasks, utilities, codes, current_utility)
         best_position = int(np.argmax(utilities))
         best_task = tasks[best_position]

@@ -3,9 +3,11 @@
 The game solver's hot loop scores every candidate task of every worker
 once per round. :func:`score_candidates` evaluates the Equation-5
 utilities of *all* workers' candidates in one vectorized numpy pass over
-flat CSR-style arrays; :func:`counted_subset_select` runs the Equation-2
-best-``a_j``-subset peel from one bulk gather, and :func:`best_group`
-TPG's stage-1 group selection. Each reproduces the scalar evaluation it
+flat CSR-style arrays; :func:`counted_subset_batch` runs the Equation-2
+best-``a_j``-subset peel of many equal-shaped groups in lockstep (one
+gather per chunk of groups; :func:`counted_subset_select` is its
+single-group call), and :func:`best_group` TPG's stage-1 group
+selection. Each reproduces the scalar evaluation it
 replaced float for float — those scalar references now live in
 :mod:`repro.audit.reference`, and the unit tests hold the kernels to
 them bit for bit.
@@ -20,8 +22,10 @@ on. ``np.add.reduceat`` does *not* share that contract: on current numpy
 its SIMD partial sums reorder segments of as few as three elements.
 Every float reduction in this module therefore either accumulates
 strictly left-to-right (column by column over padded rows, or
-:func:`ordered_row_sums`) or calls genuine ``ndarray.sum()`` on arrays
-of the oracle's exact shape, and groups of
+:func:`ordered_row_sums` over the last axis of a stack of groups) or
+calls genuine ``ndarray.sum()`` over contiguous last-axis rows of the
+oracle's exact length (numpy reduces each such row exactly like a fresh
+1-D array), and groups of
 :data:`~repro.core.game._VECTOR_GROUP_LIMIT` or more members — where the
 scalar path itself reorders — are deferred to the scalar evaluation via
 :data:`CODE_SCALAR`. :func:`verify_pairwise_cliff` checks at first use
@@ -46,6 +50,8 @@ __all__ = [
     "score_candidates",
     "gather_symmetric",
     "gather_block",
+    "PEEL_CHUNK",
+    "counted_subset_batch",
     "counted_subset_select",
     "greedy_group_select",
     "exact_group_select",
@@ -54,7 +60,7 @@ __all__ = [
 
 #: Per-slot classification emitted by :func:`score_candidates`.
 CODE_VALUE = 0  #: utility fully evaluated by the kernel
-CODE_SCALAR = 1  #: overflow/oversized join — needs the scalar peel path
+CODE_SCALAR = 1  #: overflow/oversized join — filled by the caller (peel/scalar)
 CODE_CURRENT = 2  #: the worker's own task — caller fills ``leave_delta``
 
 
@@ -126,24 +132,25 @@ _cliff_state = {"verified": False}
 
 
 def ordered_row_sums(matrix: np.ndarray) -> np.ndarray:
-    """Per-row sums in strict left-to-right order.
+    """Sums over the last axis in strict left-to-right order.
 
-    Bit-identical to ``matrix.sum(axis=1)`` for widths below
+    Bit-identical to ``matrix.sum(axis=-1)`` for widths below
     :data:`PAIRWISE_CLIFF` (where numpy itself reduces sequentially), and
     the single source of truth for the counted-subset peel's ordered
-    accumulation: both the sub-cliff endgame of
-    :func:`counted_subset_select` and the vector branch of the scalar
-    reference peel (:func:`repro.audit.reference.reference_counted_subset`)
-    route through it, so the summation order that defines the peel (hence
-    the potential function) lives in exactly one place.
+    accumulation: both the sub-cliff steps of
+    :func:`counted_subset_batch` (a ``(B, n, n)`` stack of groups) and
+    the vector branch of the scalar reference peel
+    (:func:`repro.audit.reference.reference_counted_subset`) route
+    through it, so the summation order that defines the peel (hence the
+    potential function) lives in exactly one place.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    rows, width = matrix.shape
+    width = matrix.shape[-1]
     if width == 0:
-        return np.zeros(rows, dtype=np.float64)
-    total = matrix[:, 0].astype(np.float64, copy=True)
+        return np.zeros(matrix.shape[:-1], dtype=np.float64)
+    total = matrix[..., 0].astype(np.float64, copy=True)
     for column in range(1, width):
-        total += matrix[:, column]
+        total += matrix[..., column]
     return total
 
 
@@ -182,7 +189,7 @@ def verify_pairwise_cliff(sum_func=None) -> None:
                 f"{float(sequential)!r}): the pairwise-summation cliff "
                 f"moved below {PAIRWISE_CLIFF}. The counted-subset peel's "
                 "summation-order contract "
-                "(kernels.counted_subset_select) is broken — pin "
+                "(kernels.counted_subset_batch) is broken — pin "
                 "numpy, or update PAIRWISE_CLIFF and the peel kernels "
                 "together."
             )
@@ -200,7 +207,7 @@ def verify_pairwise_cliff(sum_func=None) -> None:
             f"{float(pairwise)!r}, sequential gives {float(sequential)!r}): "
             "the pairwise-summation cliff moved. The counted-subset peel's "
             "summation-order contract "
-            "(kernels.counted_subset_select) is broken — pin "
+            "(kernels.counted_subset_batch) is broken — pin "
             "numpy, or update PAIRWISE_CLIFF and the peel kernels together."
         )
 
@@ -281,125 +288,140 @@ def gather_symmetric(buffers: KernelBuffers, index: np.ndarray) -> np.ndarray:
 def gather_block(
     buffers: KernelBuffers, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
-    """Rectangular quality gather ``q[rows[:, None], cols]`` from flat buffers.
+    """Rectangular quality gather ``q[rows[..., :, None], cols[..., None, :]]``
+    from flat buffers.
 
-    The dense branch is the stores' own fancy-indexing expression; the
-    sparse branch answers the whole ``(len(rows), len(cols))`` block with
-    one batched ``searchsorted`` over the globally sorted CSR keys —
-    absent pairs default to the prior, positions where ``rows[i] ==
-    cols[j]`` to 0. The floats are exactly those of per-row
-    ``q_row``/``gather`` round-trips, so reductions over the result stay
-    bit-identical to the interpreted path. Returns a fresh writable array.
+    One-dimensional ``rows``/``cols`` give the ``(len(rows), len(cols))``
+    block; leading batch dimensions give a stack of blocks (the peel
+    kernel gathers its ``(B, n, n)`` cube this way). The dense branch is
+    the stores' own fancy-indexing expression; the sparse branch answers
+    every position with one batched ``searchsorted`` over the globally
+    sorted CSR keys — absent pairs default to the prior, positions where
+    the row and column worker coincide to 0. The floats are exactly those
+    of per-row ``q_row``/``gather`` round-trips, so reductions over the
+    result stay bit-identical to the interpreted path. Returns a fresh
+    writable C-contiguous array.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)[..., :, None]
+    cols = np.asarray(cols, dtype=np.int64)[..., None, :]
     if buffers.is_dense:
-        return np.array(
-            buffers.dense[rows[:, None], cols], dtype=np.float64, copy=True
-        )
-    targets = rows[:, None] * np.int64(buffers.size) + cols[None, :]
+        return np.ascontiguousarray(buffers.dense[rows, cols], dtype=np.float64)
     block = _lookup_sorted(
-        buffers.row_keys, buffers.row_values, targets, buffers.prior
+        buffers.row_keys,
+        buffers.row_values,
+        rows * np.int64(buffers.size) + cols,
+        buffers.prior,
     )
-    block[rows[:, None] == cols[None, :]] = 0.0
+    block[rows == cols] = 0.0
     return block
 
 
-def _peel_small(sub: np.ndarray, size: int, keep: np.ndarray) -> None:
-    """Sub-cliff peel endgame over a gathered submatrix.
+#: Groups peeled per lockstep pass of :func:`counted_subset_batch`: the
+#: working set is a ``(chunk, n, n)`` cube, so chunking bounds the extra
+#: memory a whole kernel pass of stale overflow joins can allocate.
+PEEL_CHUNK = 512
 
-    ``sub`` holds at most :data:`PAIRWISE_CLIFF` survivors (zero
-    diagonal); every iteration re-sums each survivor's row and column
-    strictly left-to-right over the surviving positions — the regime
-    where the scalar oracle's own reductions are sequential — and peels
-    the *last* surviving position attaining the minimum (the
-    highest-index tie-break). Mutates ``keep`` (1 = alive) in place.
+
+def counted_subset_batch(
+    buffers: KernelBuffers, groups, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy counted-subset peel of ``B`` equal-shaped groups in lockstep.
+
+    ``groups`` is a ``(B, n)`` integer array, each row duplicate-free
+    and sorted ascending. Every row is peeled down to ``size`` members;
+    returns ``(kept, pair_sums)``: a ``(B, min(size, n))`` array of the
+    kept members (ascending) and the ``(B,)`` ordered pair sums of the
+    kept blocks (Equation 2's numerator for the counted subset). Each
+    row is bit-identical to the scalar reference peel
+    (:func:`repro.audit.reference.reference_counted_subset`) in floats
+    *and* tie-breaks, and each pair sum to the store's
+    ``submatrix_sum(kept)``. A chunk of at most :data:`PEEL_CHUNK`
+    groups pays ONE gather (:func:`gather_block`) of its ``(B, n, n)``
+    cube; every peel step then scores all of the chunk's groups at once:
+
+    * while more than :data:`PAIRWISE_CLIFF` members survive, the
+      oracle's per-member others-arrays hold at least eight elements and
+      numpy reduces them pairwise — reproduced by genuine
+      ``sum(axis=-1)`` reductions over fresh contiguous rows of identical
+      values, so the bits match by construction rather than by emulating
+      numpy's blocked accumulation;
+    * at or below the cliff every oracle reduction is strictly
+      sequential, so the survivors' rows and columns are re-summed left
+      to right by :func:`ordered_row_sums`;
+    * ties peel the last (= highest-index) survivor attaining a row's
+      minimum, in both regimes.
+
+    The kept blocks are cut from the same cube, so their pair sums reduce
+    arrays of the store gather's values and shape.
     """
-    positions = np.flatnonzero(keep)
-    work = sub
-    while positions.size > size:
-        contributions = ordered_row_sums(work) + ordered_row_sums(work.T)
-        minimum = contributions.min()
-        weakest = int(np.flatnonzero(contributions == minimum)[-1])
-        keep[positions[weakest]] = 0
-        positions = np.delete(positions, weakest)
-        if positions.size > size:
-            work = np.delete(
-                np.delete(work, weakest, axis=0), weakest, axis=1
+    ensure_pairwise_cliff()
+    groups = np.asarray(groups, dtype=np.int64)
+    count, width = groups.shape
+    size = min(size, width)
+    kept = np.empty((count, size), dtype=np.int64)
+    pair_sums = np.empty(count, dtype=np.float64)
+    for start in range(0, count, PEEL_CHUNK):
+        chunk = slice(start, start + PEEL_CHUNK)
+        kept[chunk], pair_sums[chunk] = _peel_chunk(buffers, groups[chunk], size)
+    return kept, pair_sums
+
+
+def _peel_chunk(
+    buffers: KernelBuffers, groups: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One lockstep pass of :func:`counted_subset_batch` over a chunk."""
+    count, cur = groups.shape
+    cube = gather_block(buffers, groups, groups)
+    lanes = np.arange(count)[:, None]
+    alive = np.broadcast_to(np.arange(cur), (count, cur))
+    sub = cube
+    while cur > size:
+        if cur > PAIRWISE_CLIFF:
+            # Each survivor's others-row/column as one contiguous (cur,
+            # cur - 1) block per group: row p is exactly np.delete(sub[b,
+            # p], p) (resp. the column), and the last-axis reduction
+            # applies numpy's pairwise blocking per row — the same bits
+            # as the oracle's 1-D ``ndarray.sum()``. ``np.take`` returns
+            # C-contiguous blocks; fancy or boolean indexing along the
+            # trailing axes would lay the group axis innermost, and numpy
+            # would then reduce each row sequentially instead.
+            flat = sub.reshape(count, cur * cur)
+            others = np.flatnonzero(~np.eye(cur, dtype=bool))
+            transposed = others % cur * cur + others // cur
+            scores = np.take(flat, others, axis=1).reshape(
+                count, cur, cur - 1
+            ).sum(axis=-1) + np.take(flat, transposed, axis=1).reshape(
+                count, cur, cur - 1
+            ).sum(axis=-1)
+        else:
+            scores = ordered_row_sums(sub) + ordered_row_sums(
+                sub.transpose(0, 2, 1)
             )
+        # Ties peel the last (= highest-index) surviving position.
+        ties = scores == scores.min(axis=1, keepdims=True)
+        weakest = cur - 1 - np.argmax(ties[:, ::-1], axis=1)
+        survivors = np.arange(cur) != weakest[:, None]
+        cur -= 1
+        alive = alive[survivors].reshape(count, cur)
+        sub = cube[lanes[:, :, None], alive[:, :, None], alive[:, None, :]]
+    # ``sub`` is now a fresh C-contiguous block of the kept values per
+    # group (or the cube itself), shaped like the store's own gather, so
+    # each flattened row sums in the same order.
+    pair_sums = sub.reshape(count, cur * cur).sum(axis=1)
+    return groups[lanes, alive], pair_sums
 
 
 def counted_subset_select(
     buffers: KernelBuffers, members, size: int
 ) -> tuple[list[int], float]:
-    """Greedy counted-subset peel over flat quality buffers.
-
-    Returns ``(kept, pair_sum)``: the kept members and their ordered pair
-    sum (Equation 2's numerator for the counted subset). ``kept`` is
-    bit-identical to the scalar reference peel
-    (:func:`repro.audit.reference.reference_counted_subset`) in floats
-    *and* tie-breaks, and ``pair_sum`` to the
-    store's ``submatrix_sum(kept)`` — it sums the kept block cut from the
-    same master gather, an array of the same values and shape. The whole
-    evaluation pays ONE bulk gather (:func:`gather_block`) instead of a
-    store round-trip per peel iteration plus a re-gather of the result:
-
-    * while more than :data:`PAIRWISE_CLIFF` members survive, the
-      oracle's per-member others-arrays hold at least eight elements and
-      numpy reduces them pairwise — reproduced by genuine
-      ``ndarray.sum()`` calls on identical fresh contiguous arrays, so
-      the bits match by construction rather than by emulating numpy's
-      blocked accumulation;
-    * at or below the cliff every oracle reduction is strictly
-      sequential, so the endgame (:func:`_peel_small`) re-sums the
-      survivors' rows and columns in the same left-to-right order;
-    * ties peel the highest surviving worker index in both regimes.
-
-    ``members`` must be duplicate-free. The kept members come sorted
-    ascending, exactly like the oracle's.
-    """
-    ensure_pairwise_cliff()
-    kept = sorted(int(member) for member in members)
-    order = np.asarray(kept, dtype=np.int64)
-    master = gather_block(buffers, order, order)
-    if size >= len(kept):
-        return kept, float(master.sum())
-    alive = list(range(order.size))
-    cur = len(alive)
-
-    while cur > size and cur > PAIRWISE_CLIFF:
-        index = np.asarray(alive, dtype=np.intp)
-        sub = master[np.ix_(index, index)]
-        # Each survivor's others-row/column as one contiguous (cur,
-        # cur - 1) copy: row p of the boolean-masked reshape is exactly
-        # np.delete(sub[p], p), and the axis-1 reduction applies numpy's
-        # pairwise blocking per row — the same bits as the oracle's 1-D
-        # ``ndarray.sum()`` over each fresh others-array.
-        off_diagonal = ~np.eye(cur, dtype=bool)
-        scores = (
-            sub[off_diagonal].reshape(cur, cur - 1).sum(axis=1)
-            + sub.T[off_diagonal].reshape(cur, cur - 1).sum(axis=1)
-        )
-        minimum = scores.min()
-        # Ties peel the last (= highest-index) surviving position.
-        weakest = int(np.flatnonzero(scores == minimum)[-1])
-        del alive[weakest]
-        cur -= 1
-
-    if cur > size:
-        if cur == order.size:
-            sub = master  # big-peel loop never ran: already contiguous
-        else:
-            index = np.asarray(alive, dtype=np.intp)
-            sub = np.ascontiguousarray(master[np.ix_(index, index)])
-        keep = np.ones(cur, dtype=np.int64)
-        _peel_small(sub, size, keep)
-        alive = [alive[position] for position in range(cur) if keep[position]]
-    index = np.asarray(alive, dtype=np.intp)
-    # A fresh C-contiguous block of the kept values, shaped like the
-    # store's own gather: its sum reduces in the same order.
-    pair_sum = float(master[np.ix_(index, index)].sum())
-    return [int(order[position]) for position in alive], pair_sum
+    """:func:`counted_subset_batch` of a single group: ``(kept,
+    pair_sum)`` with the kept members as a sorted list. ``members`` must
+    be duplicate-free."""
+    order = np.asarray(sorted(int(member) for member in members), dtype=np.int64)
+    kept, pair_sums = counted_subset_batch(
+        buffers, order.reshape(1, order.size), size
+    )
+    return kept[0].tolist(), float(pair_sums[0])
 
 
 def greedy_group_select(
@@ -480,7 +502,8 @@ def score_candidates(
     Returns ``(values, codes)`` — one float and one classification code
     (:data:`CODE_VALUE` / :data:`CODE_SCALAR` / :data:`CODE_CURRENT`)
     per slot of ``vp_tasks``. Values for non-``CODE_VALUE`` slots are
-    placeholders the caller must fill (scalar peel / ``leave_delta``).
+    placeholders the caller must fill (overflow peel or scalar
+    ``join_gain`` / ``leave_delta``).
 
     ``worker_ids`` maps CSR rows to quality-store worker ids when the
     call covers a subset of workers (one row per rescanned worker, as in

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.kernels import counted_subset_select
+from repro.core.kernels import counted_subset_batch, counted_subset_select
 from repro.core.quality import CooperationMatrix
 from repro.core.quality_store import QualityStore
 
@@ -48,10 +48,10 @@ def best_counted_subset(
     tie-break is part of the potential function's definition; changing it
     would change which equilibria the game reaches.)
 
-    Evaluated by :func:`~repro.core.kernels.counted_subset_select` from
-    one bulk gather of the members' submatrix; its floats and tie-breaks
-    are those of the scalar reference peel
-    (:func:`repro.audit.reference.reference_counted_subset`).
+    Evaluated by :func:`~repro.core.kernels.counted_subset_select`, the
+    single-group call of the lockstep peel kernel, from one gather of the
+    members' submatrix; its floats and tie-breaks are those of the scalar
+    reference peel (:func:`repro.audit.reference.reference_counted_subset`).
 
     Returns the members themselves, sorted, when ``size >= len(members)``.
     """
@@ -221,8 +221,8 @@ class RevenueCache:
         self._counted: list[tuple[int, ...] | None] = [None] * task_count
         self.full_evaluations = 0
         self.incremental_updates = 0
-        #: Overflow peels run through ``kernels.counted_subset_select``;
-        #: surfaced via SolverStats.
+        #: Overflow peels run through the lockstep peel kernel, one per
+        #: peeled group; surfaced via SolverStats.
         self.peel_kernel_calls = 0
 
     # ------------------------------------------------------------------
@@ -452,7 +452,8 @@ class RevenueCache:
 
         Fast path: within capacity the new revenue is
         ``(S + cross) / (k_new - 1)`` with the cached pair sum ``S``; only
-        overflow joins fall back to the peeling evaluation.
+        overflow joins fall back to the peeling evaluation
+        (:meth:`overflow_join_gains`).
         """
         members = self._members[task]
         new_count = len(members) + 1
@@ -462,17 +463,11 @@ class RevenueCache:
                 return 0.0 - self.revenues[task]
             cross = self.quality.cross_sum(worker, members)
             new_revenue = (self.pair_sums[task] + cross) / (new_count - 1)
-        else:
-            # Inlined ``group_revenue`` for the over-capacity join: peel
-            # the hypothetical group; the peel also returns the counted
-            # subset's pair sum. Arithmetic matches the public function
-            # bit-for-bit.
-            if new_count < self.min_group_size or capacity < 2:
-                new_revenue = 0.0
-            else:
-                _, pair_sum = self._peel([*members, worker], capacity)
-                new_revenue = pair_sum / (capacity - 1)
+        elif new_count < self.min_group_size or capacity < 2:
             self.full_evaluations += 1
+            new_revenue = 0.0
+        else:
+            return self.overflow_join_gains([worker], [task])[0]
         return new_revenue - float(self.revenues[task])
 
     def join_gains(self, workers: np.ndarray, task: int) -> list[float]:
@@ -503,6 +498,45 @@ class RevenueCache:
         ).sum(axis=1)
         new_revenue = (self.pair_sums[task] + (row_part + col_part)) / (new_count - 1)
         return (new_revenue - self.revenues[task]).tolist()
+
+    def overflow_join_gains(
+        self, workers: Sequence[int], tasks: Sequence[int]
+    ) -> list[float]:
+        """:meth:`join_gain` of each idle ``workers[i]`` for ``tasks[i]``,
+        for joins that overflow a task of capacity at least 2 and reach
+        ``B`` — the joins whose gain needs the counted-subset peel.
+
+        The hypothetical groups are bucketed by shape (member count,
+        capacity) and each bucket is peeled in lockstep by
+        :func:`~repro.core.kernels.counted_subset_batch`; the new revenue
+        is the counted subset's pair sum over ``capacity - 1`` (Equation
+        2, inlined from :func:`group_revenue` bit for bit). Every group
+        counts as one peel and one full evaluation, exactly as if it had
+        been scored one at a time.
+        """
+        buckets: dict[tuple[int, int], list[int]] = {}
+        for index, task in enumerate(tasks):
+            shape = (len(self._members[task]) + 1, int(self.capacities[task]))
+            buckets.setdefault(shape, []).append(index)
+        gains = [0.0] * len(tasks)
+        buffers = self.quality.as_kernel_buffers()
+        for (size, capacity), bucket in buckets.items():
+            groups = np.array(
+                [self._members[tasks[i]] + [workers[i]] for i in bucket],
+                dtype=np.int64,
+            )
+            groups.sort(axis=1)
+            if (groups[:, 1:] == groups[:, :-1]).any():
+                raise ValueError("a joining worker is already a member")
+            _, pair_sums = counted_subset_batch(buffers, groups, capacity)
+            revenues = self.revenues[[tasks[i] for i in bucket]]
+            for index, gain in zip(
+                bucket, (pair_sums / (capacity - 1) - revenues).tolist()
+            ):
+                gains[index] = gain
+        self.peel_kernel_calls += len(tasks)
+        self.full_evaluations += len(tasks)
+        return gains
 
     def leave_delta(self, worker: int, task: int) -> float:
         """``Q(W_j) - Q(W_j - {w_i})`` for a current member of ``task``."""

@@ -47,8 +47,9 @@ class SolverStats:
         Approach label (``"GT"``, ``"TPG"``, ...).
     revenue_evaluations:
         Full Equation-2 evaluations — the expensive from-scratch path
-        (overflow peeling via ``best_counted_subset`` plus the final
-        subset pair sum). The incremental engine exists to keep this low.
+        (overflow peeling plus the counted subset's pair sum) —
+        evaluated, including peels batched ahead of the scan that reads
+        them. The incremental engine exists to keep this low.
     incremental_updates:
         O(k) per-task pair-sum delta updates (joins/leaves) served by the
         :class:`~repro.core.revenue.RevenueCache` instead of a re-sum.
@@ -83,9 +84,11 @@ class SolverStats:
         The name predates the removal of the compiled variant; the
         benchmark reads it as ``kernels.calls``.
     peel_kernel_calls:
-        Overflow counted-subset peels run through the bulk-gather peel
-        kernel (``kernels.counted_subset_select``) by the
-        :class:`~repro.core.revenue.RevenueCache`.
+        Overflow counted-subset peels run through the lockstep peel
+        kernel (``kernels.counted_subset_batch``) by the
+        :class:`~repro.core.revenue.RevenueCache`, one per peeled group —
+        evaluated, including peels batched ahead of the scan that reads
+        them.
     rescan_batches / rescan_rows:
         Mid-round dirty rescan: batched refresh calls issued after
         accepted moves, and how many stale prepass rows they re-scored

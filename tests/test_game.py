@@ -388,3 +388,58 @@ class TestVectorGroupBoundary:
         )
         assert vector_task == ref_task == 0
         assert repr(float(vector_utility)) == repr(float(ref_utility))
+
+
+class TestOverflowMemoSoundness:
+    """Kernel passes peel stale overflow joins ahead of the scans that
+    read them. Every memo entry still at its task's current version must
+    be exactly the gain a fresh scalar ``join_gain`` computes now, and
+    the solve must still reach a Nash equilibrium."""
+
+    @staticmethod
+    def _instances():
+        from repro.audit.fuzzer import _kernel_boundary_instance
+
+        yield "contended_60x12", make_dense_instance(60, 12, seed=3)
+        for shape in ("peelcliff", "tiedpeel"):
+            for seed in range(3):
+                yield f"{shape}_{seed}", _kernel_boundary_instance(
+                    shape, np.random.default_rng(seed)
+                )
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize(
+        "options", [{}, {"epsilon": 0.01, "lazy_update": True}], ids=["GT", "GT+ALL"]
+    )
+    def test_current_memo_entries_equal_fresh_join_gains(
+        self, monkeypatch, backend, options
+    ):
+        from repro.audit.differential import _with_backend
+        from repro.core import game
+
+        engines = []
+
+        class Recording(game._BestResponseDynamics):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(game, "_BestResponseDynamics", Recording)
+        checked = 0
+        for name, base in self._instances():
+            instance, cleanup = _with_backend(base, backend)
+            try:
+                pairs = compute_valid_pairs(instance)
+                result = solve_game_theoretic(instance, pairs, **options)
+                cache = engines[-1].cache
+                for (worker, task), (version, gain) in engines[-1]._overflow_memo.items():
+                    if version != cache.versions[task]:
+                        continue
+                    fresh = cache.join_gain(worker, task)
+                    assert repr(gain) == repr(fresh), (name, worker, task)
+                    checked += 1
+                assert verify_nash_equilibrium(result.equilibrium, pairs) == [], name
+            finally:
+                if cleanup is not None:
+                    cleanup()
+        assert checked

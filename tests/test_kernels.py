@@ -3,10 +3,11 @@
 Every kernel in :mod:`repro.core.kernels` replaced a scalar evaluation
 and must reproduce its floats bit for bit on every quality-store
 backend: :func:`~repro.core.kernels.score_candidates` rows against the
-per-candidate ``join_gain`` scan, :func:`~repro.core.kernels.
-counted_subset_select` against the greedy reference peel (both kept in
-:mod:`repro.audit.reference`), and the gathers against the stores' own
-lookups. Solve-level outputs are pinned by ``tests/test_golden.py``.
+per-candidate ``join_gain`` scan, the lockstep peel
+(:func:`~repro.core.kernels.counted_subset_batch` and its single-group
+:func:`~repro.core.kernels.counted_subset_select`) against the greedy
+reference peel (both kept in :mod:`repro.audit.reference`), and the
+gathers against the stores' own lookups. Solve-level outputs are pinned by ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from repro.core.kernels import (
     CODE_CURRENT,
     CODE_SCALAR,
     PAIRWISE_CLIFF,
+    PEEL_CHUNK,
+    counted_subset_batch,
     counted_subset_select,
     gather_block,
     gather_symmetric,
@@ -338,6 +341,170 @@ class TestCountedSubsetSelectParity:
         )
         result = solve_game_theoretic(instance, compute_valid_pairs(instance))
         assert result.stats.peel_kernel_calls > 0
+
+
+class TestCountedSubsetBatchParity:
+    """The lockstep peel of ``B`` equal-shaped groups: every row's kept
+    members must be the reference peel's and every pair sum the store's
+    ``submatrix_sum``, repr-exactly, on every backend."""
+
+    @staticmethod
+    def _groups(count: int, width: int, workers: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return np.sort(
+            np.stack(
+                [rng.choice(workers, size=width, replace=False) for _ in range(count)]
+            ),
+            axis=1,
+        )
+
+    @staticmethod
+    def _assert_rows_match(quality, groups, size, kept, pair_sums, label):
+        assert kept.shape == (groups.shape[0], min(size, groups.shape[1]))
+        for row, members in enumerate(groups.tolist()):
+            oracle = reference_counted_subset(quality, members, size)
+            assert kept[row].tolist() == oracle, (label, row)
+            expected = quality.submatrix_sum(np.asarray(oracle, dtype=np.intp))
+            assert repr(float(pair_sums[row])) == repr(expected), (label, row)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("width", [5, 8, 9, 10, 12, 17])
+    def test_every_size_matches_the_reference(self, backend, width):
+        base = make_dense_instance(24, 3, seed=21)
+        instance, cleanup = _with_backend(base, backend)
+        try:
+            quality = instance.quality
+            buffers = quality.as_kernel_buffers()
+            groups = self._groups(4, width, 24, seed=width)
+            for size in range(width + 1):
+                kept, pair_sums = counted_subset_batch(buffers, groups, size)
+                self._assert_rows_match(
+                    quality, groups, size, kept, pair_sums, (backend, width, size)
+                )
+        finally:
+            if cleanup is not None:
+                cleanup()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "width, size", [(5, 4), (8, 7), (9, 8), (10, 8), (12, 8), (17, 8)]
+    )
+    def test_census_shapes_match_the_reference(self, backend, width, size):
+        base = make_dense_instance(40, 3, seed=22)
+        instance, cleanup = _with_backend(base, backend)
+        try:
+            quality = instance.quality
+            groups = self._groups(12, width, 40, seed=100 + width)
+            kept, pair_sums = counted_subset_batch(
+                quality.as_kernel_buffers(), groups, size
+            )
+            self._assert_rows_match(
+                quality, groups, size, kept, pair_sums, (backend, width, size)
+            )
+        finally:
+            if cleanup is not None:
+                cleanup()
+
+    @staticmethod
+    def _with_quality(q: np.ndarray) -> Instance:
+        base = make_dense_instance(q.shape[0], 2, seed=0)
+        return Instance(
+            workers=base.workers,
+            tasks=base.tasks,
+            quality=CooperationMatrix(q),
+            min_group_size=base.min_group_size,
+            now=base.now,
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_near_ties_follow_the_reference_summation_order(self, backend):
+        # One-decimal qualities make many contributions equal in exact
+        # arithmetic, so the summation order alone picks the weakest
+        # member: a reduction in any other order than the reference's
+        # (pairwise instead of sequential at eight elements, or the
+        # reverse) peels differently in about one percent of these groups.
+        q = np.round(np.random.default_rng(8).uniform(0.0, 1.0, (60, 60)), 1)
+        np.fill_diagonal(q, 0.0)
+        instance, cleanup = _with_backend(self._with_quality(q), backend)
+        try:
+            quality = instance.quality
+            buffers = quality.as_kernel_buffers()
+            for width, size in ((8, 7), (8, 4), (9, 8), (10, 8), (12, 8), (17, 8)):
+                groups = self._groups(400, width, 60, seed=width)
+                kept, pair_sums = counted_subset_batch(buffers, groups, size)
+                self._assert_rows_match(
+                    quality, groups, size, kept, pair_sums, (backend, width)
+                )
+        finally:
+            if cleanup is not None:
+                cleanup()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_all_tied_contributions_peel_the_highest_index(self, backend):
+        count = 20
+        q = np.full((count, count), 0.5)
+        np.fill_diagonal(q, 0.0)
+        instance, cleanup = _with_backend(self._with_quality(q), backend)
+        try:
+            quality = instance.quality
+            groups = self._groups(6, 12, count, seed=5)
+            for size in (11, 8, 7, 3):
+                kept, pair_sums = counted_subset_batch(
+                    quality.as_kernel_buffers(), groups, size
+                )
+                # Every contribution ties at every step, so each row
+                # keeps its lowest-index members.
+                assert kept.tolist() == groups[:, :size].tolist()
+                self._assert_rows_match(
+                    quality, groups, size, kept, pair_sums, (backend, size)
+                )
+        finally:
+            if cleanup is not None:
+                cleanup()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_single_group_is_the_select_call(self, backend):
+        base = make_dense_instance(24, 3, seed=23)
+        instance, cleanup = _with_backend(base, backend)
+        try:
+            buffers = instance.quality.as_kernel_buffers()
+            for width in (5, 9, 12):
+                members = self._groups(1, width, 24, seed=width)
+                for size in (0, width - 1, 8, width):
+                    kept, pair_sums = counted_subset_batch(buffers, members, size)
+                    single = counted_subset_select(
+                        buffers, members[0][::-1].tolist(), size
+                    )
+                    assert (kept[0].tolist(), repr(float(pair_sums[0]))) == (
+                        single[0], repr(single[1]),
+                    )
+        finally:
+            if cleanup is not None:
+                cleanup()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batches_straddling_the_chunk_boundary(self, backend):
+        base = make_dense_instance(30, 3, seed=24)
+        instance, cleanup = _with_backend(base, backend)
+        try:
+            quality = instance.quality
+            buffers = quality.as_kernel_buffers()
+            for width, size in ((5, 4), (9, 8)):
+                groups = self._groups(PEEL_CHUNK + 3, width, 30, seed=width)
+                kept, pair_sums = counted_subset_batch(buffers, groups, size)
+                for row in (0, PEEL_CHUNK - 1, PEEL_CHUNK, PEEL_CHUNK + 2):
+                    single = counted_subset_select(
+                        buffers, groups[row].tolist(), size
+                    )
+                    assert (kept[row].tolist(), repr(float(pair_sums[row]))) == (
+                        single[0], repr(single[1]),
+                    ), (width, row)
+                self._assert_rows_match(
+                    quality, groups, size, kept, pair_sums, (backend, width)
+                )
+        finally:
+            if cleanup is not None:
+                cleanup()
 
 
 class TestScoreCandidatesParity:
