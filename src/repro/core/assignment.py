@@ -127,21 +127,47 @@ class Assignment:
         CapacityError
             If the task is full and overflow is disabled.
         """
-        if self._task_of[worker] != UNASSIGNED:
+        self._check_assignable(worker, task, self._task_of, self.revenue_cache.counts)
+        self.revenue_cache.join(worker, task)
+        self._task_of[worker] = task
+
+    def assign_pairs(self, pairs) -> None:
+        """:meth:`assign` every ``(worker, task)`` pair, in order.
+
+        Each pair is checked exactly as :meth:`assign` checks it against
+        the state the earlier pairs leave behind, and the first failing
+        pair raises :meth:`assign`'s error — before any pair is applied,
+        so a rejected batch leaves the assignment untouched. The revenue
+        state is then built by :meth:`RevenueCache.join_pairs
+        <repro.core.revenue.RevenueCache.join_pairs>`, bit for bit that
+        of the sequential ``assign`` loop.
+        """
+        pairs = [(int(worker), int(task)) for worker, task in pairs]
+        task_of = self._task_of.copy()
+        counts = self.revenue_cache.counts.copy()
+        for worker, task in pairs:
+            self._check_assignable(worker, task, task_of, counts)
+            task_of[worker] = task
+            counts[task] += 1
+        if pairs:
+            workers, tasks = zip(*pairs)
+            self.revenue_cache.join_pairs(workers, tasks)
+        self._task_of = task_of
+
+    def _check_assignable(
+        self, worker: int, task: int, task_of: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """:meth:`assign`'s checks of one pair against the given state."""
+        if task_of[worker] != UNASSIGNED:
             raise ValidityError(
-                f"worker {worker} already assigned to task {self._task_of[worker]}"
+                f"worker {worker} already assigned to task {task_of[worker]}"
             )
         if self.valid_pairs is not None and not self.valid_pairs.is_valid(worker, task):
             raise ValidityError(f"pair <{worker}, {task}> violates Definition 3")
-        if (
-            not self.allow_overflow
-            and self.assigned_count(task) >= self.instance.tasks[task].capacity
-        ):
-            raise CapacityError(
-                f"task {task} is at capacity {self.instance.tasks[task].capacity}"
-            )
-        self.revenue_cache.join(worker, task)
-        self._task_of[worker] = task
+        if not self.allow_overflow:
+            capacity = self.instance.tasks[task].capacity
+            if counts[task] >= capacity:
+                raise CapacityError(f"task {task} is at capacity {capacity}")
 
     def unassign(self, worker: int) -> int:
         """Detach a worker; returns the task it was on.

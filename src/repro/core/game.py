@@ -53,9 +53,9 @@ Optimizations
   them are re-scored in one batched ``score_candidates`` call that
   patches the prepass in place — so the scans that follow replay
   refreshed rows instead of each paying a per-worker call. Rounds
-  restricted to a player list (the sharded solver's halo passes) skip
-  the prepass and re-score one row at a time
-  (:meth:`_BestResponseDynamics._kernel_rescan`).
+  restricted to a player list (the sharded solver's halo passes) run
+  the same pass over the player rows only; non-player rows are never
+  scored.
 
 Every solve is instrumented: the returned :class:`GameResult` carries a
 :class:`~repro.core.stats.SolverStats` with revenue-evaluation counters,
@@ -89,6 +89,11 @@ DEFAULT_MAX_ROUNDS = 500
 #: (reordered) summation that the sequential batch reduction cannot
 #: reproduce bit-for-bit, so those groups use the scalar ``join_gain``.
 _VECTOR_GROUP_LIMIT = 8
+
+#: Prepass stamp of a row the current round does not play. Real stamps
+#: are sums of membership versions, hence non-negative, so an unplayed
+#: row never replays.
+_UNPLAYED = -1
 
 
 @dataclass
@@ -245,10 +250,7 @@ def solve_game_theoretic(
     equilibrium = assignment.copy()
     assignment.clamp_to_capacity()
 
-    cache = assignment.revenue_cache
-    stats.revenue_evaluations = cache.full_evaluations
-    stats.incremental_updates = cache.incremental_updates
-    stats.peel_kernel_calls = cache.peel_kernel_calls
+    stats.add_cache_counters(assignment.revenue_cache)
     stats.phase_seconds["rounds"] = sum(r.seconds for r in stats.rounds)
     stats.total_seconds = time.perf_counter() - solve_started
 
@@ -280,15 +282,15 @@ def _initial_assignment(
             # Surface the seeding TPG's kernel dispatch count through the
             # GT run's stats (its other counters stay TPG-scoped).
             stats.kernel_fallback_calls += tpg.stats.kernel_fallback_calls
-        for worker, task in tpg.assignment.to_pairs():
-            assignment.assign(worker, task)
+        assignment.assign_pairs(tpg.assignment.to_pairs())
         return assignment, tpg.seeded_tasks
     if init == "random":
         rng = ensure_rng(seed)
-        for worker in range(instance.worker_count):
-            tasks = valid_pairs.tasks_for_worker[worker]
-            if tasks:
-                assignment.assign(worker, tasks[int(rng.integers(len(tasks)))])
+        assignment.assign_pairs(
+            (worker, tasks[int(rng.integers(len(tasks)))])
+            for worker, tasks in enumerate(valid_pairs.tasks_for_worker)
+            if tasks
+        )
         return assignment, 0
     if init == "empty":
         return assignment, 0
@@ -349,11 +351,10 @@ class _BestResponseDynamics:
         ]
         # Batched-scan state: the validity relation as one flat CSR
         # (slot order == each worker's candidate-list order), the quality
-        # store's kernel buffers, and the latest round-start prepass as
+        # store's kernel buffers, and the round's batched pass as
         # ``(stamps, values, codes)`` (see _run_prepass). ``_rescan_dirty``
         # holds the workers whose prepass rows an accepted move may have
         # staled; _refresh_prepass_rows re-scores them in one batch.
-        self._prepass: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._rescan_dirty: set[int] = set()
         counts = np.fromiter(
             (len(tasks) for tasks in self._tasks_lists),
@@ -369,141 +370,140 @@ class _BestResponseDynamics:
         )
         self._capacities_array = np.asarray(self._capacities, dtype=np.int64)
         self._kernel_buffers = self.quality.as_kernel_buffers()
+        # Until the first round every row is unplayed; a scan before it
+        # scores its own row (see _refresh_prepass_rows).
+        self._run_prepass(players=())
 
     # ------------------------------------------------------------------
-    def _run_prepass(self) -> None:
-        """Score every (worker, candidate) slot in one batched pass.
+    def _run_prepass(self, players=None) -> None:
+        """Score the round's player rows in one batched pass.
 
-        Runs at the start of each unrestricted round. The result is
-        stamped per worker with the sum of its candidate tasks'
-        membership versions — the same integer the stamp loop in
-        :meth:`_best_alternative` computes — so a scan later in the round
-        replays the precomputed row exactly when none of the worker's
-        candidate memberships moved since the prepass.
+        Runs at the start of every round: ``players=None`` scores every
+        worker's row, a player list only those rows (the sharded
+        solver's halo passes). Each scored row is stamped with the sum of
+        its candidate tasks' membership versions — the same integer the
+        stamp loop in :meth:`_best_alternative` computes — so a scan
+        later in the round replays the precomputed row exactly when none
+        of the worker's candidate memberships moved since the pass. Every
+        other row gets the :data:`_UNPLAYED` stamp, which never replays.
         """
-        cache = self.cache
-        mem_indptr, mem_flat = cache.members_csr()
-        versions = np.asarray(cache.versions, dtype=np.int64)
-        slot_versions = versions[self._vp_tasks]
-        stamps = np.zeros(self.instance.worker_count, dtype=np.int64)
-        counts = np.diff(self._vp_indptr)
-        nonempty = counts > 0
-        if slot_versions.size:
-            # reduceat over the *nonempty* segments only: dropping an
-            # empty segment's start leaves the partition unchanged (its
-            # start equals its successor's), while keeping it would hit
-            # reduceat's hazardous empty-segment semantics. Integer
-            # sums, so reduceat's reordering is harmless here.
-            starts = self._vp_indptr[:-1][nonempty]
-            stamps[nonempty] = np.add.reduceat(slot_versions, starts)
-        current_tasks = np.fromiter(
-            (
-                self.assignment.task_of(worker)
-                for worker in range(self.instance.worker_count)
-            ),
-            dtype=np.int64,
-            count=self.instance.worker_count,
+        slots = self._vp_tasks.size
+        self._prepass = (
+            np.full(self.instance.worker_count, _UNPLAYED, dtype=np.int64),
+            np.zeros(slots, dtype=np.float64),
+            np.zeros(slots, dtype=np.uint8),
         )
-        values, codes = score_candidates(
-            self._kernel_buffers,
-            self._vp_indptr,
-            self._vp_tasks,
-            mem_indptr,
-            mem_flat,
-            cache.pair_sums,
-            cache.revenues,
-            self._capacities_array,
-            self._minimum,
-            _VECTOR_GROUP_LIMIT,
-            current_tasks,
-            stats=self.stats,
-        )
-        self._prepass = (stamps, values, codes)
         self._rescan_dirty.clear()
-        self._peel_deferred_slots(np.flatnonzero(codes == CODE_SCALAR))
+        if players is None:
+            rows = np.arange(self.instance.worker_count, dtype=np.int64)
+        else:
+            rows = np.unique(np.asarray(players, dtype=np.int64))
+        self._score_rows(rows)
 
-    def _refresh_prepass_rows(self) -> None:
-        """Re-score every stale prepass row in one batched kernel call.
+    def _refresh_prepass_rows(self, worker: int) -> None:
+        """Re-score ``worker``'s stale row, together with every other
+        stale player row, in one batched kernel call.
 
         An accepted move bumps the membership versions of (at most) two
-        tasks, staling exactly the prepass rows of those tasks' watchers
-        — the workers accumulated in ``_rescan_dirty``. This builds a
-        sub-CSR over those rows (global task ids, so the full cache
-        arrays index directly, like the round-start prepass) and patches
-        the prepass arrays in place: stamps, utilities and
-        classification codes. Rows whose stamp turns out unchanged are
-        skipped — their precomputed values are still exact.
+        tasks, staling exactly the rows of those tasks' watchers — the
+        workers accumulated in ``_rescan_dirty``. Only rows the round
+        plays are re-scored (an :data:`_UNPLAYED` row never reaches the
+        kernel), plus ``worker`` itself, so a scan outside any round —
+        or after a membership change made behind the engine's back —
+        scores its own row the same way. Rows whose stamp turns out
+        unchanged are skipped: their precomputed values are still exact.
         """
         dirty = self._rescan_dirty
-        prepass = self._prepass
-        if not dirty or prepass is None:
-            return
-        stamps, values, codes = prepass
+        dirty.add(worker)
+        rows = np.fromiter(sorted(dirty), dtype=np.int64, count=len(dirty))
+        dirty.clear()
+        rows = rows[(self._prepass[0][rows] != _UNPLAYED) | (rows == worker)]
+        scored = self._score_rows(rows, only_changed=True)
+        if scored:
+            self.stats.rescan_batches += 1
+            self.stats.rescan_rows += scored
+
+    def _score_rows(self, rows: np.ndarray, only_changed: bool = False) -> int:
+        """Score the candidate rows of ``rows`` (sorted worker ids) in one
+        :func:`~repro.core.kernels.score_candidates` call and patch the
+        prepass in place: stamps, utilities and classification codes.
+
+        The member CSR covers only the tasks these rows score, under
+        local ids, with their per-task state gathered by global id.
+        ``only_changed`` drops the rows whose stamp is unchanged. Stale
+        overflow joins among the scored slots are peeled in lockstep
+        (:meth:`_peel_deferred_slots`). Returns the number of rows scored.
+        """
+        stamps, values, codes = self._prepass
+        starts = self._vp_indptr[rows]
+        counts = self._vp_indptr[rows + 1] - starts
+        nonempty = counts > 0
+        rows, starts, counts = rows[nonempty], starts[nonempty], counts[nonempty]
+        if not rows.size:
+            return 0
         cache = self.cache
         versions = np.asarray(cache.versions, dtype=np.int64)
-        workers = np.fromiter(sorted(dirty), dtype=np.int64, count=len(dirty))
-        dirty.clear()
-        starts = self._vp_indptr[workers]
-        counts = self._vp_indptr[workers + 1] - starts
-        nonempty = counts > 0
-        workers = workers[nonempty]
-        starts = starts[nonempty]
-        counts = counts[nonempty]
-        if not workers.size:
-            return
-        sub_indptr = np.zeros(workers.size + 1, dtype=np.int64)
+        sub_indptr = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(counts, out=sub_indptr[1:])
-        total = int(sub_indptr[-1])
         # Slot positions of each row's slice in the flat CSR: for row i,
         # starts[i] .. starts[i] + counts[i] - 1.
         positions = np.repeat(starts - sub_indptr[:-1], counts) + np.arange(
-            total, dtype=np.int64
-        )
-        slot_versions = versions[self._vp_tasks[positions]]
-        # Integer sums — reduceat's segment reordering is harmless, and
-        # every segment is nonempty after the filter above.
-        new_stamps = np.add.reduceat(slot_versions, sub_indptr[:-1])
-        changed = new_stamps != stamps[workers]
-        if not changed.any():
-            return
-        workers = workers[changed]
-        starts = starts[changed]
-        counts = counts[changed]
-        new_stamps = new_stamps[changed]
-        sub_indptr = np.zeros(workers.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=sub_indptr[1:])
-        total = int(sub_indptr[-1])
-        positions = np.repeat(starts - sub_indptr[:-1], counts) + np.arange(
-            total, dtype=np.int64
+            int(sub_indptr[-1]), dtype=np.int64
         )
         sub_tasks = self._vp_tasks[positions]
-        mem_indptr, mem_flat = cache.members_csr()
+        # Integer sums — reduceat's segment reordering is harmless, and
+        # every segment is nonempty after the filter above.
+        row_stamps = np.add.reduceat(versions[sub_tasks], sub_indptr[:-1])
+        if only_changed:
+            changed = row_stamps != stamps[rows]
+            if not changed.any():
+                return 0
+            if not changed.all():
+                slot_changed = np.repeat(changed, counts)
+                rows, counts = rows[changed], counts[changed]
+                row_stamps = row_stamps[changed]
+                positions = positions[slot_changed]
+                sub_tasks = sub_tasks[slot_changed]
+                sub_indptr = np.zeros(rows.size + 1, dtype=np.int64)
+                np.cumsum(counts, out=sub_indptr[1:])
+        # Local ids of the scored tasks. The trailing slot stays -1, so
+        # an idle worker's UNASSIGNED (-1) current task maps to no task.
+        local = np.full(self.instance.task_count + 1, -1, dtype=np.int64)
+        local[sub_tasks] = 0
+        tasks = np.flatnonzero(local[:-1] == 0)
+        local[tasks] = np.arange(tasks.size, dtype=np.int64)
+        member_array = cache.member_array
+        mem_indptr = np.zeros(tasks.size + 1, dtype=np.int64)
+        np.cumsum(cache.counts[tasks], out=mem_indptr[1:])
+        mem_flat = np.concatenate(
+            [member_array(task) for task in tasks.tolist()]
+        ).astype(np.int64, copy=False)
+        task_of = self.assignment.task_of
         current_tasks = np.fromiter(
-            (self.assignment.task_of(int(worker)) for worker in workers),
+            (task_of(worker) for worker in rows.tolist()),
             dtype=np.int64,
-            count=workers.size,
+            count=rows.size,
         )
         sub_values, sub_codes = score_candidates(
             self._kernel_buffers,
             sub_indptr,
-            sub_tasks,
+            local[sub_tasks],
             mem_indptr,
             mem_flat,
-            cache.pair_sums,
-            cache.revenues,
-            self._capacities_array,
+            cache.pair_sums[tasks],
+            cache.revenues[tasks],
+            self._capacities_array[tasks],
             self._minimum,
             _VECTOR_GROUP_LIMIT,
-            current_tasks,
+            local[current_tasks],
             stats=self.stats,
-            worker_ids=workers,
+            worker_ids=rows,
         )
         values[positions] = sub_values
         codes[positions] = sub_codes
-        stamps[workers] = new_stamps
-        self.stats.rescan_batches += 1
-        self.stats.rescan_rows += int(workers.size)
+        stamps[rows] = row_stamps
         self._peel_deferred_slots(positions[sub_codes == CODE_SCALAR])
+        return int(rows.size)
 
     def _peel_deferred_slots(self, slots: np.ndarray) -> None:
         """Memoize every stale overflow peel among deferred prepass slots.
@@ -551,48 +551,6 @@ class _BestResponseDynamics:
         for worker, task, gain in zip(stale_workers, stale_tasks, gains):
             memo[worker, task] = (versions[task], gain)
 
-    def _kernel_rescan(
-        self, worker: int, tasks: list[int], current_task: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Score one worker's candidate row through the batched kernel.
-
-        Builds a single-row CSR over the worker's candidate tasks
-        (member lists gathered in cache order, per-task state gathered by
-        global task id) and dispatches the same
-        :func:`~repro.core.kernels.score_candidates` the round-start
-        prepass uses — ``worker_ids`` carries the real worker id for the
-        quality lookups. Slot order equals ``tasks`` order, so the
-        returned ``(values, codes)`` align with the scan positions.
-        """
-        cache = self.cache
-        member_array = cache.member_array
-        count = len(tasks)
-        arrays = [member_array(task) for task in tasks]
-        lengths = np.fromiter((a.size for a in arrays), dtype=np.int64, count=count)
-        mem_indptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(lengths, out=mem_indptr[1:])
-        mem_flat = np.concatenate(arrays).astype(np.int64, copy=False)
-        task_index = np.asarray(tasks, dtype=np.intp)
-        try:
-            current_position = tasks.index(current_task)
-        except ValueError:  # unassigned (or an invalid current task)
-            current_position = -1
-        return score_candidates(
-            self._kernel_buffers,
-            np.array([0, count], dtype=np.int64),
-            np.arange(count, dtype=np.int64),
-            mem_indptr,
-            mem_flat,
-            cache.pair_sums[task_index],
-            cache.revenues[task_index],
-            self._capacities_array[task_index],
-            self._minimum,
-            _VECTOR_GROUP_LIMIT,
-            np.array([current_position], dtype=np.int64),
-            stats=self.stats,
-            worker_ids=np.array([worker], dtype=np.int64),
-        )
-
     def _fill_deferred_slots(
         self,
         worker: int,
@@ -605,28 +563,15 @@ class _BestResponseDynamics:
         overflow/oversized joins from the join-gain memo and the worker's
         own task via the already-computed ``leave_delta``.
 
-        Peels a kernel pass already memoized are read back; this row's
-        remaining stale peels (restricted reconcile rounds and one-row
-        rescans run no pass ahead of the scan) go through the same
-        lockstep batch, and the other deferred joins — oversized within
-        capacity, or below ``B`` — through the scalar ``join_gain``.
+        The row replays a pass at the current memberships, and that pass
+        memoized every overflow peel among its slots, so peels are read
+        back. The other deferred joins — oversized within capacity, or
+        below ``B`` — go through the scalar ``join_gain`` (memoized too).
         """
         cache = self.cache
         versions = cache.versions
         memo = self._overflow_memo
-        scalar = np.flatnonzero(codes == CODE_SCALAR).tolist()
-        misses = []
-        for position in scalar:
-            task = tasks[position]
-            entry = memo.get((worker, task))
-            if entry is None or entry[0] != versions[task]:
-                misses.append(task)
-        if misses:
-            self._memoize_overflow_peels(
-                np.full(len(misses), worker, dtype=np.int64),
-                np.asarray(misses, dtype=np.int64),
-            )
-        for position in scalar:
+        for position in np.flatnonzero(codes == CODE_SCALAR).tolist():
             task = tasks[position]
             entry = memo.get((worker, task))
             if entry is None or entry[0] != versions[task]:
@@ -643,14 +588,14 @@ class _BestResponseDynamics:
         ``players`` restricts the round to the given workers, in the
         given order — the sharded solver's halo-reconcile passes play
         border workers only. ``None`` (the default) plays everyone.
-        Returns ``(moves, score_gain)``; the gain equals the potential
-        increase of the round (Theorem V.1).
+        Either way the round starts with one batched pass over exactly
+        the rows it plays (:meth:`_run_prepass`); non-players are never
+        scored. Returns ``(moves, score_gain)``; the gain equals the
+        potential increase of the round (Theorem V.1).
         """
-        if players is None:
-            # Restricted rounds skip the all-workers prepass: with few
-            # players the per-worker kernel rescan is cheaper than
-            # scoring every worker's candidates up front.
-            self._run_prepass()
+        if players is not None:
+            players = [int(worker) for worker in players]
+        self._run_prepass(players)
         moves = 0
         gain = 0.0
         if players is not None:
@@ -703,14 +648,11 @@ class _BestResponseDynamics:
         if best_task != UNASSIGNED:
             assignment.assign(worker, best_task)
             self._after_membership_change(best_task)
-        if self._prepass is not None:
-            # The move bumped (at most) these two tasks' membership
-            # versions, staling exactly their watchers' prepass rows.
-            for task in (current_task, best_task):
-                if task != UNASSIGNED:
-                    self._rescan_dirty.update(
-                        self.valid_pairs.workers_for_task[task]
-                    )
+        # The move bumped (at most) these two tasks' membership versions,
+        # staling exactly their watchers' prepass rows.
+        for task in (current_task, best_task):
+            if task != UNASSIGNED:
+                self._rescan_dirty.update(self.valid_pairs.workers_for_task[task])
         self._cached_best[worker] = best_task
         self._dirty[worker] = False
         return best_utility - current_utility
@@ -721,10 +663,10 @@ class _BestResponseDynamics:
         """The worker's best task *other than* staying put.
 
         With LUB enabled and a clean cache, only the cached candidate is
-        re-evaluated; otherwise all valid tasks are scored by the batched
-        kernel (a prepass replay or a one-row rescan). ``current_utility``
-        is the already-computed ``leave_delta`` of the worker's current
-        task.
+        re-evaluated; otherwise all valid tasks are read from the
+        round's batched pass, re-scored first if the row went stale
+        (:meth:`_refresh_prepass_rows`). ``current_utility`` is the
+        already-computed ``leave_delta`` of the worker's current task.
         """
         assignment = self.assignment
         stats = self.stats
@@ -765,31 +707,19 @@ class _BestResponseDynamics:
         stats.cache_misses += 1
         stats.gain_evaluations += len(tasks)
 
-        prepass = self._prepass
-        if (
-            prepass is not None
-            and self._rescan_dirty
-            and prepass[0][worker] != stamp
-        ):
-            # The row is stale and moves have accumulated a dirty set:
-            # refresh every stale row in one batched call, then replay
-            # this worker's (now exact) row below. Later stale workers
-            # in the same round replay without any further kernel work.
-            self._refresh_prepass_rows()
-        if prepass is not None and prepass[0][worker] == stamp:
-            # Round-start prepass replay: the stamp match proves none of
-            # the worker's candidate memberships (including its own
-            # task's) moved since the batched pass, so the precomputed
-            # utilities and classifications are still exact.
-            start = int(self._vp_indptr[worker])
-            end = int(self._vp_indptr[worker + 1])
-            utilities = prepass[1][start:end].copy()
-            codes = prepass[2][start:end]
-        else:
-            # Mid-round rescan: the worker's neighbourhood moved since
-            # the round-start prepass (or no prepass ran — restricted
-            # reconcile rounds). Re-score just this worker's row.
-            utilities, codes = self._kernel_rescan(worker, tasks, current_task)
+        stamps, values, codes = self._prepass
+        if stamps[worker] != stamp:
+            # The row is stale: refresh it together with every other
+            # stale row in one batched call, so later stale workers in
+            # the same round replay without further kernel work.
+            self._refresh_prepass_rows(worker)
+        # The stamp match proves none of the worker's candidate
+        # memberships (its own task's included) moved since its row was
+        # scored, so the batched utilities and classifications are exact.
+        start = int(self._vp_indptr[worker])
+        end = int(self._vp_indptr[worker + 1])
+        utilities = values[start:end].copy()
+        codes = codes[start:end]
         # Only the deferred slots remain: overflow/oversized joins via the
         # join-gain memo, the worker's own task via ``leave_delta``.
         self._fill_deferred_slots(worker, tasks, utilities, codes, current_utility)

@@ -23,7 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.kernels import counted_subset_batch, counted_subset_select
+from repro.core.kernels import (
+    PAIRWISE_CLIFF,
+    counted_subset_batch,
+    counted_subset_select,
+    gather_block,
+    ordered_row_sums,
+)
 from repro.core.quality import CooperationMatrix
 from repro.core.quality_store import QualityStore
 
@@ -252,28 +258,6 @@ class RevenueCache:
             self._member_arrays[task] = array
         return array
 
-    def members_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """All memberships as one flat CSR pair ``(indptr, members)``.
-
-        Segment ``indptr[j]:indptr[j+1]`` lists task ``j``'s members in
-        insertion order — the exact gather order the scalar ``cross_sum``
-        sums in, which the batched kernels must reproduce bit-for-bit.
-        Rebuilt on demand (the kernel prepass snapshots it once per
-        round, stamped by :attr:`versions`).
-        """
-        task_count = len(self._members)
-        counts = np.fromiter(
-            (len(members) for members in self._members),
-            dtype=np.int64,
-            count=task_count,
-        )
-        indptr = np.zeros(task_count + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        flat = np.empty(int(indptr[-1]), dtype=np.int64)
-        for task, members in enumerate(self._members):
-            flat[indptr[task] : indptr[task + 1]] = members
-        return indptr, flat
-
     def revenue(self, task: int) -> float:
         """Cached ``Q(W_j)``."""
         return float(self.revenues[task])
@@ -384,6 +368,75 @@ class RevenueCache:
         self._member_arrays[task] = None
         self.incremental_updates += 1
         self._refresh(task)
+
+    def join_pairs(self, workers: Sequence[int], tasks: Sequence[int]) -> None:
+        """:meth:`join` of ``workers[i]`` to ``tasks[i]`` for every ``i``,
+        in order — the state of the sequential replay, bit for bit.
+
+        A task's state depends only on its own join sequence, so each
+        task's joins are replayed in lockstep with every other task of
+        the same shape (members already present, joins that fit within
+        capacity), from two gathered blocks per shape: the joiners' rows
+        over the final member list and its columns over the joiners.
+        Join ``i`` of a task with ``p`` members present adds the cross
+        sum over its ``p + i`` predecessors, reduced in ``cross_sum``'s
+        order: strictly left to right
+        (:func:`~repro.core.kernels.ordered_row_sums`) below
+        :data:`~repro.core.kernels.PAIRWISE_CLIFF`, as genuine
+        ``ndarray.sum()`` over fresh contiguous rows at or above it. The
+        joins that would overflow a task take the scalar :meth:`join`, so
+        peels and counters match the sequential replay too.
+        """
+        joiners: dict[int, list[int]] = {}
+        for worker, task in zip(workers, tasks):
+            joiners.setdefault(task, []).append(worker)
+        shapes: dict[tuple[int, int], list[int]] = {}
+        overflow: list[tuple[int, int]] = []
+        for task, joining in joiners.items():
+            present = len(self._members[task])
+            room = max(int(self.capacities[task]) - present, 0)
+            if room < len(joining):
+                overflow.extend((worker, task) for worker in joining[room:])
+                joining = joiners[task] = joining[:room]
+            if joining:
+                shapes.setdefault((present, len(joining)), []).append(task)
+        buffers = self.quality.as_kernel_buffers()
+        for (present, joins), group in shapes.items():
+            members = np.array(
+                [self._members[task] + joiners[task] for task in group],
+                dtype=np.int64,
+            )
+            entering = members[:, present:]
+            rows = gather_block(buffers, entering, members)
+            cols = gather_block(buffers, members, entering)
+            index = np.asarray(group, dtype=np.intp)
+            pair_sums = self.pair_sums[index]
+            for step in range(joins):
+                width = present + step
+                row = rows[:, step, :width]
+                col = cols[:, :width, step]
+                if width < PAIRWISE_CLIFF:
+                    cross = ordered_row_sums(row) + ordered_row_sums(col)
+                else:
+                    cross = np.ascontiguousarray(row).sum(axis=1) + (
+                        np.ascontiguousarray(col).sum(axis=1)
+                    )
+                pair_sums += cross
+            self.pair_sums[index] = pair_sums
+            count = present + joins
+            if count < self.min_group_size or count < 2:
+                self.revenues[index] = 0.0
+            else:
+                self.revenues[index] = pair_sums / (count - 1)
+            self.counts[index] = count
+            for task in group:
+                self._members[task].extend(joiners[task])
+                self.versions[task] += joins
+                self._member_arrays[task] = None
+                self._counted[task] = None
+            self.incremental_updates += joins * len(group)
+        for worker, task in overflow:
+            self.join(worker, task)
 
     def leave(self, worker: int, task: int) -> None:
         """Remove ``worker`` from the task (incremental pair-sum delta)."""

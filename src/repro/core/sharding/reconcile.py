@@ -50,23 +50,21 @@ def merge_shard_pairs(
     ``shard_pairs`` is an iterable of global-id pair lists, one per
     shard *in shard order* — together with each list being sorted
     (``Assignment.to_pairs`` output), the replay order, and hence the
-    incremental revenue state, is deterministic. Overflow is enabled so
-    the reconcile dynamics can model crowd-out on the merged state.
+    incremental revenue state, is deterministic. Each shard's pairs are
+    replayed in one :meth:`~repro.core.assignment.Assignment.assign_pairs`
+    call. Overflow is enabled so the reconcile dynamics can model
+    crowd-out on the merged state.
     """
     assignment = Assignment(instance, valid_pairs, allow_overflow=True)
     for shard, pairs in enumerate(shard_pairs):
-        for worker, task in pairs:
-            try:
-                assignment.assign(int(worker), int(task))
-            except Exception as error:
-                # A bad pair here means a shard produced (or a failover
-                # re-solve returned) an assignment that does not map back
-                # into the global instance — name the shard so the repro
-                # is findable instead of surfacing a bare index error.
-                raise RuntimeError(
-                    f"shard {shard} merge failed replaying pair "
-                    f"(worker={worker}, task={task}): {error}"
-                ) from error
+        try:
+            assignment.assign_pairs(pairs)
+        except Exception as error:
+            # A bad pair here means a shard produced (or a failover
+            # re-solve returned) an assignment that does not map back
+            # into the global instance — name the shard so the repro is
+            # findable instead of surfacing a bare index error.
+            raise RuntimeError(f"shard {shard} merge failed: {error}") from error
     return assignment
 
 

@@ -289,6 +289,9 @@ def solve_sharded(
     )
     assignment.clamp_to_capacity()
     reconcile_seconds = time.perf_counter() - merge_started
+    # The merge replay, border seeding, halo passes and clamp all run on
+    # the merged assignment's own revenue cache.
+    stats.add_cache_counters(assignment.revenue_cache)
 
     stats.shard_count = plan.shard_count
     stats.border_workers = plan.border_worker_count

@@ -53,6 +53,10 @@ class SolverStats:
     incremental_updates:
         O(k) per-task pair-sum delta updates (joins/leaves) served by the
         :class:`~repro.core.revenue.RevenueCache` instead of a re-sum.
+        These two and ``peel_kernel_calls`` are read from the solve's
+        revenue caches (:meth:`add_cache_counters`); a sharded solve adds
+        the merged assignment's cache — merge replay, border seeding,
+        halo passes and clamp — to the shards' counts.
     gain_evaluations:
         Candidate ``(worker, task)`` utilities scored by the solvers'
         marginal-gain machinery.
@@ -92,7 +96,7 @@ class SolverStats:
     rescan_batches / rescan_rows:
         Mid-round dirty rescan: batched refresh calls issued after
         accepted moves, and how many stale prepass rows they re-scored
-        in total.
+        in total (full and player-restricted rounds alike).
     shard_count / border_workers / halo_rounds / halo_moves:
         Geo-sharded solving (:mod:`repro.core.sharding`): number of
         spatial shards the instance was split into (1 = monolithic or
@@ -135,6 +139,13 @@ class SolverStats:
     border_seeded: int = 0
     shard_failures: int = 0
     shard_failovers: int = 0
+
+    def add_cache_counters(self, cache) -> None:
+        """Add a :class:`~repro.core.revenue.RevenueCache`'s counters:
+        full evaluations, incremental updates and overflow peels."""
+        self.revenue_evaluations += cache.full_evaluations
+        self.incremental_updates += cache.incremental_updates
+        self.peel_kernel_calls += cache.peel_kernel_calls
 
     def merge(self, other: "SolverStats") -> "SolverStats":
         """Accumulate another run's counters into this object (in place).

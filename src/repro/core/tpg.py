@@ -216,10 +216,7 @@ def _solve_tpg_full(
     )
     finished = time.perf_counter()
 
-    cache = assignment.revenue_cache
-    stats.revenue_evaluations = cache.full_evaluations
-    stats.incremental_updates = cache.incremental_updates
-    stats.peel_kernel_calls = cache.peel_kernel_calls
+    stats.add_cache_counters(assignment.revenue_cache)
     stats.phase_seconds["stage1"] = stage_one_done - started
     stats.phase_seconds["stage2"] = finished - stage_one_done
     stats.total_seconds = finished - started

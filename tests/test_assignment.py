@@ -262,3 +262,178 @@ class TestCopyClonesRevenueCache:
         assert assignment.total_score() == 0.0
         assert assignment.audit() == []
         assert clone.audit() == []
+
+
+def _plain(value):
+    """A repr-comparable copy of a cache field (arrays as typed lists)."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.tolist())
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    return value
+
+
+def _cache_state(assignment) -> str:
+    state = assignment.revenue_cache.state_dict()
+    del state["quality"]  # shared, immutable
+    return repr({name: _plain(value) for name, value in state.items()})
+
+
+class TestAssignPairs:
+    """``assign_pairs`` must leave exactly the state of a sequential
+    ``assign`` loop — every float, version, counted subset and counter —
+    and reject bad pairs with ``assign``'s own errors."""
+
+    #: (capacity, members before, members joined) per task: final group
+    #: sizes 7, 8, 9 and 10 straddle the pairwise-summation cliff, two
+    #: more 8-from-empty tasks share a lockstep shape, two tasks overflow
+    #: (one was full, one already over capacity), and four single joins
+    #: probe cross sums of 7 to 10 terms (see _scenario).
+    PLAN = [(12, 3, 4), (12, 0, 8), (12, 6, 3), (12, 1, 9), (5, 5, 3),
+            (4, 6, 2), (12, 0, 8), (12, 0, 8),
+            (12, 7, 1), (12, 8, 1), (12, 9, 1), (12, 10, 1)]
+
+    @staticmethod
+    def _instance(quality, capacities):
+        from repro.core.model import Instance, Task, Worker
+        from repro.core.quality import CooperationMatrix
+        from repro.spatial.geometry import Point
+
+        origin = Point(0.0, 0.0)
+        workers = [
+            Worker(worker_id=i, location=origin, speed=1.0, radius=10.0)
+            for i in range(quality.shape[0])
+        ]
+        tasks = [
+            Task(task_id=j, location=origin, capacity=c, deadline=100.0)
+            for j, c in enumerate(capacities)
+        ]
+        return Instance(
+            workers=workers, tasks=tasks, quality=CooperationMatrix(quality),
+            min_group_size=3,
+        )
+
+    def _scenario(self, seed):
+        rng = np.random.default_rng(seed)
+        count = sum(before + joined for _, before, joined in self.PLAN) + 10
+        # Magnitudes over sixteen decades: whether a small term is
+        # absorbed depends on what it is added to, so a reordered cross
+        # sum differs in its last bits.
+        quality = 10.0 ** rng.uniform(-16.0, 0.0, size=(count, count))
+        np.fill_diagonal(quality, 0.0)
+        workers = rng.permutation(count).tolist()
+        before, joins = [], []
+        for task, (_, present, joined) in enumerate(self.PLAN):
+            members = [workers.pop() for _ in range(present)]
+            if joined == 1:
+                # Probe: a zero pair sum before the join, so the joined
+                # pair sum *is* the cross sum, bit for bit.
+                quality[np.ix_(members, members)] = 0.0
+            before += [(worker, task) for worker in members]
+            joins += [(workers.pop(), task) for _ in range(joined)]
+        order = rng.permutation(len(joins))
+        base = self._instance(quality, [c for c, _, _ in self.PLAN])
+        return base, before, [joins[i] for i in order]
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "shared"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_state_matches_the_sequential_replay(self, backend, seed):
+        from repro.audit.differential import _with_backend
+
+        base, before, joins = self._scenario(seed)
+        instance, cleanup = _with_backend(base, backend)
+        try:
+            valid = compute_valid_pairs(instance)
+            states = []
+            for bulk in (False, True):
+                assignment = Assignment(instance, valid, allow_overflow=True)
+                for worker, task in before:
+                    assignment.assign(worker, task)
+                if bulk:
+                    assignment.assign_pairs(joins)
+                else:
+                    for worker, task in joins:
+                        assignment.assign(worker, task)
+                states.append(
+                    (_cache_state(assignment), assignment.to_pairs())
+                )
+            assert states[0] == states[1]
+            cache = assignment.revenue_cache
+            assert cache.peel_kernel_calls > 0  # the overflow tail peeled
+            assert sorted(cache.counts.tolist()) == sorted(
+                before + joined for _, before, joined in self.PLAN
+            )
+        finally:
+            if cleanup is not None:
+                cleanup()
+
+    def test_empty_batch_is_a_no_op(self, instance, pairs):
+        assignment = Assignment(instance, pairs)
+        state = _cache_state(assignment)
+        assignment.assign_pairs([])
+        assert _cache_state(assignment) == state
+
+    @staticmethod
+    def _outcome(assignment, pairs, bulk):
+        try:
+            if bulk:
+                assignment.assign_pairs(pairs)
+            else:
+                for worker, task in pairs:
+                    assignment.assign(worker, task)
+        except Exception as error:  # noqa: BLE001 — compared below
+            return type(error), str(error)
+        return None
+
+    def _bad_batches(self, instance, pairs):
+        invalid = next(
+            (worker, task)
+            for worker in range(instance.worker_count)
+            for task in range(instance.task_count)
+            if not pairs.is_valid(worker, task)
+        )
+        usable = [
+            (worker, pairs.tasks_for_worker[worker][0])
+            for worker in range(instance.worker_count)
+            if pairs.tasks_for_worker[worker] and worker != invalid[0]
+        ]
+        task = usable[0][1]
+        crowd = [
+            (worker, task) for worker in pairs.workers_for_task[task]
+            if worker != invalid[0]
+        ]
+        assert len(crowd) > instance.tasks[task].capacity
+        return {
+            "duplicate": [usable[1], usable[2], (usable[1][0], usable[3][1])],
+            "already_assigned": [usable[1], usable[0]],
+            "invalid": [usable[1], invalid, usable[2]],
+            "over_capacity": crowd,
+        }
+
+    @pytest.mark.parametrize(
+        "kind", ["duplicate", "already_assigned", "invalid", "over_capacity"]
+    )
+    def test_bad_pairs_raise_the_sequential_error(self, instance, pairs, kind):
+        batch = self._bad_batches(instance, pairs)[kind]
+        outcomes = []
+        for bulk in (False, True):
+            assignment = Assignment(instance, pairs)
+            if kind == "already_assigned":
+                assignment.assign(*batch[1])
+            before = _cache_state(assignment)
+            outcomes.append(self._outcome(assignment, batch, bulk))
+            if bulk:
+                # Rejected up front: nothing of the batch was applied.
+                assert _cache_state(assignment) == before
+        assert outcomes[0] is not None
+        assert outcomes[0] == outcomes[1]
+        expected = CapacityError if kind == "over_capacity" else ValidityError
+        assert outcomes[1][0] is expected
+
+    def test_merge_names_the_failing_shard(self, instance, pairs):
+        from repro.core.sharding import merge_shard_pairs
+
+        batch = self._bad_batches(instance, pairs)["invalid"]
+        with pytest.raises(RuntimeError, match="^shard 1 merge failed") as info:
+            merge_shard_pairs(instance, pairs, [batch[:1], batch[1:]])
+        assert isinstance(info.value.__cause__, ValidityError)

@@ -519,7 +519,14 @@ class TestScoreCandidatesParity:
         vp_tasks = np.asarray(
             [task for tasks in tasks_lists for task in tasks], dtype=np.int64
         )
-        mem_indptr, mem_flat = cache.members_csr()
+        # Every task's members as one flat CSR, in the cache's order.
+        members = [cache.member_list(task) for task in range(cache.task_count)]
+        mem_indptr = np.concatenate(
+            [[0], np.cumsum([len(group) for group in members])]
+        ).astype(np.int64)
+        mem_flat = np.asarray(
+            [worker for group in members for worker in group], dtype=np.int64
+        )
         current = np.asarray(
             [assignment.task_of(w) for w in range(len(tasks_lists))],
             dtype=np.int64,
