@@ -1,15 +1,15 @@
-"""Micro-benchmarks for the substrates: spatial indexes, validity
-strategies, max-flow, and the incremental revenue engine."""
+"""Micro-benchmarks for the substrates: the grid index, grid validity
+against its brute-force reference, max-flow, and the incremental
+revenue engine."""
 
 import numpy as np
 import pytest
 
 from repro.core.assignment import Assignment
-from repro.core.validity import compute_valid_pairs
+from repro.core.validity import compute_valid_pairs, compute_valid_pairs_reference
 from repro.flow.bipartite import max_bipartite_assignment
 from repro.spatial.geometry import Point
 from repro.spatial.grid import GridIndex
-from repro.spatial.rtree import RTree
 
 from benchmarks.conftest import make_batch
 
@@ -31,40 +31,6 @@ def queries():
     return [Point(float(x), float(y)) for x, y in centers]
 
 
-def test_rtree_bulk_load(benchmark, points):
-    benchmark(RTree.bulk_load, points)
-
-
-def test_rtree_insert_grown(benchmark, points):
-    def grow():
-        tree = RTree()
-        for item, point in points:
-            tree.insert(item, point)
-        return tree
-
-    benchmark(grow)
-
-
-def test_rtree_circle_queries(benchmark, points, queries):
-    tree = RTree.bulk_load(points)
-
-    def run():
-        return sum(len(tree.query_circle(center, 0.08)) for center in queries)
-
-    benchmark(run)
-
-
-def test_kdtree_circle_queries(benchmark, points, queries):
-    from repro.spatial.kdtree import KDTree
-
-    tree = KDTree.build(points)
-
-    def run():
-        return sum(len(tree.query_circle(center, 0.08)) for center in queries)
-
-    benchmark(run)
-
-
 def test_grid_circle_queries(benchmark, points, queries):
     grid = GridIndex.build(points, cell_size=0.08)
 
@@ -74,10 +40,13 @@ def test_grid_circle_queries(benchmark, points, queries):
     benchmark(run)
 
 
-@pytest.mark.parametrize("strategy", ["rtree", "grid", "kdtree", "matrix"])
-def test_validity_strategies(benchmark, strategy):
+@pytest.mark.parametrize(
+    "compute", [compute_valid_pairs, compute_valid_pairs_reference],
+    ids=["grid", "reference"],
+)
+def test_validity(benchmark, compute):
     instance, _ = make_batch(dataset="unif")
-    benchmark(compute_valid_pairs, instance, strategy)
+    benchmark(compute, instance)
 
 
 def test_dinic_bipartite(benchmark):

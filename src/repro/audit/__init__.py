@@ -1,18 +1,19 @@
 """Differential audit harness — correctness tooling for the solver stack.
 
-Four PRs of backends, validity strategies, solvers and fallback tiers all
-promise either repr-identical results or Definition-3/4 feasibility; this
-package is the machinery that *hunts* for the places they disagree:
+Quality-store backends, the grid validity path, solvers and fallback
+tiers all promise either repr-identical results or Definition-3/4
+feasibility; this package is the machinery that *hunts* for the places
+they disagree:
 
 * :mod:`repro.audit.invariants` — re-derives Definition 3/4 feasibility,
   the B-threshold and Equation-2/3 revenue for any
   :class:`~repro.core.assignment.Assignment` against a from-scratch pure
   Python oracle (catching :class:`~repro.core.revenue.RevenueCache`
   drift);
-* :mod:`repro.audit.differential` — runs the cross-product
-  {approaches} x {quality backends} x {validity strategies} on one
-  instance and flags any divergence between combinations documented as
-  identical;
+* :mod:`repro.audit.differential` — checks the grid's valid pairs
+  against the brute-force Definition 3 oracle, runs the cross-product
+  {approaches} x {quality backends} on one instance and flags any
+  divergence between combinations documented as identical;
 * :mod:`repro.audit.reference` — the bit-exact scalar evaluations the
   batched kernels replaced (greedy counted-subset peel, per-candidate
   ``join_gain`` scan), kept as oracles for the kernel unit tests;

@@ -2,17 +2,19 @@
 
 The repo documents three equivalence families:
 
-* the four validity strategies produce *identical* valid-pair structures
-  (``repro.core.validity`` module docstring), and the vectorized grid
-  construction matches its scalar per-worker reference loop
+* the vectorized grid validity path — the fresh build
+  (:func:`~repro.core.validity.compute_valid_pairs`) and the
+  round-to-round :class:`~repro.core.validity.IncrementalValidityIndex`
+  alike — produces exactly Definition 3's pairs, as computed by the
+  brute-force oracle
   (:func:`~repro.core.validity.compute_valid_pairs_reference`);
 * the three quality-store backends are *repr-identical* under every
   solver (``repro.core.quality_store`` bit-identity contract);
 * every registered approach is deterministic given its seed, so the same
-  (approach, backend, strategy) combination must reproduce itself.
+  (approach, backend) combination must reproduce itself.
 
 :func:`run_differential` executes the full cross-product
-``approaches x backends x strategies`` on one instance and emits an
+``approaches x backends`` on one instance and emits an
 :class:`~repro.audit.invariants.AuditFinding` for every divergence —
 plus the invariant audit of each produced assignment, so a combination
 that agrees with its peers but violates Definition 3/4 or Equation 2/3
@@ -30,7 +32,7 @@ from repro.core.quality_store import (
     SparseQualityStore,
 )
 from repro.core.validity import (
-    STRATEGIES,
+    IncrementalValidityIndex,
     ValidPairs,
     compute_valid_pairs,
     compute_valid_pairs_reference,
@@ -87,11 +89,37 @@ def _signature(assignment: Assignment) -> tuple:
     )
 
 
+def _validity_parity(instance: Instance, pairs: ValidPairs) -> list[AuditFinding]:
+    """The grid's pairs — fresh and incremental — against brute force."""
+    reference = compute_valid_pairs_reference(instance).tasks_for_worker
+    candidates = [("grid", pairs)]
+    if len({task.task_id for task in instance.tasks}) == instance.task_count:
+        # A fresh incremental index at the mean radius: a different
+        # cell tiling from the fresh build's, over stable task ids.
+        radii = [worker.radius for worker in instance.workers]
+        index = IncrementalValidityIndex(
+            cell_size=sum(radii) / len(radii) if radii else 1.0
+        )
+        index.sync(instance.tasks)
+        candidates.append(("incremental", index.compute(instance)))
+    return [
+        AuditFinding(
+            check="validity-parity",
+            detail=(
+                f"{name} membership diverges from the brute-force "
+                f"reference: {candidate.tasks_for_worker} vs {reference}"
+            ),
+            context=f"validity={name} vs reference",
+        )
+        for name, candidate in candidates
+        if candidate.tasks_for_worker != reference
+    ]
+
+
 def run_differential(
     instance: Instance,
     approaches=None,
     backends=BACKENDS,
-    strategies=STRATEGIES,
     seed: int = 0,
     epsilon: float = 0.05,
     tolerance: float = 1e-9,
@@ -100,61 +128,17 @@ def run_differential(
     """All divergences and invariant violations on one instance.
 
     Every approach is instantiated fresh (same ``seed``) for each
-    (backend, strategy) combination, so seeded randomness replays
-    identically; the first combination of each approach is the reference
-    and every other must match its assignment repr-exactly.
+    backend, so seeded randomness replays identically; the first
+    backend of each approach is the reference and every other must
+    match its assignment repr-exactly.
     """
     from repro.experiments.config import make_solver
 
     if approaches is None:
         approaches = _default_approaches()
 
-    findings: list[AuditFinding] = []
-
-    # Validity parity — the four strategies must agree pair-for-pair.
-    pairs_by_strategy: dict[str, ValidPairs] = {}
-    reference_strategy = strategies[0]
-    for strategy in strategies:
-        pairs_by_strategy[strategy] = compute_valid_pairs(instance, strategy)
-        if (
-            pairs_by_strategy[strategy].tasks_for_worker
-            != pairs_by_strategy[reference_strategy].tasks_for_worker
-        ):
-            findings.append(
-                AuditFinding(
-                    check="validity-parity",
-                    detail=(
-                        f"strategy {strategy!r} disagrees with "
-                        f"{reference_strategy!r}: "
-                        f"{pairs_by_strategy[strategy].tasks_for_worker} vs "
-                        f"{pairs_by_strategy[reference_strategy].tasks_for_worker}"
-                    ),
-                    context=f"strategy={strategy}",
-                )
-            )
-
-    # The vectorized grid construction vs its scalar per-worker oracle —
-    # same grid recipe, historical query_circle + _deadline_ok loop. The
-    # strategy cross-check above cannot catch a bug that is symmetric
-    # across the batched paths; the scalar oracle can.
-    if "grid" in pairs_by_strategy:
-        scalar_reference = compute_valid_pairs_reference(instance)
-        if (
-            scalar_reference.tasks_for_worker
-            != pairs_by_strategy["grid"].tasks_for_worker
-        ):
-            findings.append(
-                AuditFinding(
-                    check="validity-parity",
-                    detail=(
-                        "vectorized grid membership diverges from the "
-                        "scalar reference loop: "
-                        f"{pairs_by_strategy['grid'].tasks_for_worker} vs "
-                        f"{scalar_reference.tasks_for_worker}"
-                    ),
-                    context="strategy=grid vs scalar reference",
-                )
-            )
+    valid_pairs = compute_valid_pairs(instance)
+    findings = _validity_parity(instance, valid_pairs)
 
     variants: list[tuple[str, Instance]] = []
     cleanups = []
@@ -169,46 +153,42 @@ def run_differential(
             reference: tuple | None = None
             reference_combo = ""
             for backend, variant in variants:
-                for strategy in strategies:
-                    context = (
-                        f"approach={approach} backend={backend} "
-                        f"strategy={strategy}"
+                context = f"approach={approach} backend={backend}"
+                solver = make_solver(approach, epsilon=epsilon, seed=seed)
+                try:
+                    assignment = solver(variant, valid_pairs)
+                except Exception as error:
+                    findings.append(
+                        AuditFinding(
+                            check="crash",
+                            detail=f"{type(error).__name__}: {error}",
+                            context=context,
+                        )
                     )
-                    solver = make_solver(approach, epsilon=epsilon, seed=seed)
-                    try:
-                        assignment = solver(variant, pairs_by_strategy[strategy])
-                    except Exception as error:
-                        findings.append(
-                            AuditFinding(
-                                check="crash",
-                                detail=f"{type(error).__name__}: {error}",
-                                context=context,
-                            )
+                    continue
+                signature = _signature(assignment)
+                if reference is None:
+                    reference = signature
+                    reference_combo = context
+                elif signature != reference:
+                    findings.append(
+                        AuditFinding(
+                            check="differential",
+                            detail=(
+                                f"diverges from reference "
+                                f"[{reference_combo}]: {signature[2]} "
+                                f"vs {reference[2]}"
+                            ),
+                            context=context,
                         )
-                        continue
-                    signature = _signature(assignment)
-                    if reference is None:
-                        reference = signature
-                        reference_combo = context
-                    elif signature != reference:
-                        findings.append(
-                            AuditFinding(
-                                check="differential",
-                                detail=(
-                                    f"diverges from reference "
-                                    f"[{reference_combo}]: {signature[2]} "
-                                    f"vs {reference[2]}"
-                                ),
-                                context=context,
-                            )
+                    )
+                if audit_each:
+                    findings.extend(
+                        finding.with_context(context)
+                        for finding in audit_assignment(
+                            assignment, tolerance=tolerance
                         )
-                    if audit_each:
-                        findings.extend(
-                            finding.with_context(context)
-                            for finding in audit_assignment(
-                                assignment, tolerance=tolerance
-                            )
-                        )
+                    )
     finally:
         for cleanup in cleanups:
             cleanup()

@@ -58,7 +58,7 @@ class AuditFinding:
     ``"definition4-disjoint"``, ``"definition4-capacity"``,
     ``"b-threshold"``, ``"equation2"``, ``"equation3"``,
     ``"revenue-drift"``, ``"validity-parity"``, ``"differential"``,
-    ``"crash"``); ``context`` carries the approach/backend/strategy
+    ``"crash"``); ``context`` carries the approach/backend
     combination that produced it (empty for direct assignment audits).
     """
 

@@ -24,7 +24,6 @@ from pathlib import Path
 
 from repro.core.model import Instance
 from repro.core.revenue import RevenueCache
-from repro.core.validity import STRATEGIES
 from repro.audit.corpus import iter_corpus, save_corpus_entry
 from repro.audit.differential import (
     BACKENDS,
@@ -85,7 +84,6 @@ def audit_instance(
     instance: Instance,
     approaches=None,
     backends=BACKENDS,
-    strategies=STRATEGIES,
     seed: int = 0,
     tolerance: float = 1e-9,
     sharded: bool = True,
@@ -108,7 +106,6 @@ def audit_instance(
         instance,
         approaches=approaches,
         backends=backends,
-        strategies=strategies,
         seed=seed,
         tolerance=tolerance,
     )
@@ -138,7 +135,6 @@ def run_audit(
     out_dir: str | Path | None = None,
     approaches=None,
     backends=BACKENDS,
-    strategies=STRATEGIES,
     fuzz_config: FuzzConfig = FuzzConfig(),
     max_instances: int | None = None,
     tolerance: float = 1e-9,
@@ -177,7 +173,6 @@ def run_audit(
             instance,
             approaches=approaches,
             backends=backends,
-            strategies=strategies,
             seed=seed,
             tolerance=tolerance,
             sharded_gap_tolerance=sharded_gap_tolerance,
@@ -293,14 +288,13 @@ def run_self_test(
     offset: float = 1.0,
     approaches=("PGREEDY",),
     backends=("dense",),
-    strategies=("grid",),
 ) -> SelfTestResult:
     """Prove the harness catches an injected pair-sum off-by-one.
 
-    A single cheap deterministic approach on one backend/strategy is
-    enough — the mutation corrupts the revenue cache itself, which the
-    invariant auditor's oracle recomputation flags regardless of which
-    solver built the assignment. Runs entirely under
+    A single cheap deterministic approach on one backend is enough —
+    the mutation corrupts the revenue cache itself, which the invariant
+    auditor's oracle recomputation flags regardless of which solver
+    built the assignment. Runs entirely under
     :func:`injected_pair_sum_bug`, including the shrink, and reports the
     minimal repro size.
     """
@@ -311,7 +305,6 @@ def run_self_test(
                 instance,
                 approaches=approaches,
                 backends=backends,
-                strategies=strategies,
                 seed=seed,
                 sharded=False,
             )

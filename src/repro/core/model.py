@@ -8,6 +8,7 @@ cooperation matrix, the minimum group size ``B`` and the batch timestamp
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +18,11 @@ from repro.spatial.geometry import Point
 from repro.utils.errors import InvalidInstanceError
 
 __all__ = ["Worker", "Task", "Instance"]
+
+
+def _finite_point(point: Point) -> bool:
+    # Chained comparisons reject NaN and +-inf without a call per value.
+    return -math.inf < point.x < math.inf and -math.inf < point.y < math.inf
 
 
 def _validate_carved_copies(workers, originals_w, tasks, originals_t) -> None:
@@ -78,13 +84,15 @@ class Worker:
     arrival_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.speed < 0:
+        # One chained comparison rejects negative, NaN and infinite values.
+        if not (0.0 <= self.speed < math.inf and 0.0 <= self.radius < math.inf):
             raise InvalidInstanceError(
-                f"worker {self.worker_id}: negative speed {self.speed}"
+                f"worker {self.worker_id}: speed {self.speed} and radius "
+                f"{self.radius} must be finite and >= 0"
             )
-        if self.radius < 0:
+        if not _finite_point(self.location):
             raise InvalidInstanceError(
-                f"worker {self.worker_id}: negative radius {self.radius}"
+                f"worker {self.worker_id}: non-finite location {self.location}"
             )
 
     def moved_to(self, location: Point) -> "Worker":
@@ -121,6 +129,13 @@ class Task:
             raise InvalidInstanceError(
                 f"task {self.task_id}: capacity must be >= 1, got {self.capacity}"
             )
+        if not _finite_point(self.location):
+            raise InvalidInstanceError(
+                f"task {self.task_id}: non-finite location {self.location}"
+            )
+        # An infinite deadline is legal: the task never expires.
+        if math.isnan(self.deadline):
+            raise InvalidInstanceError(f"task {self.task_id}: NaN deadline")
         if self.deadline < self.created_time:
             raise InvalidInstanceError(
                 f"task {self.task_id}: deadline {self.deadline} precedes "

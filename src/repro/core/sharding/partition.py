@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.model import Instance
-from repro.core.validity import _max_remaining, _reach_limit
+from repro.core.validity import _max_remaining, _reach_limits
 
 __all__ = ["ShardPlan", "partition_instance", "resolve_shard_request"]
 
@@ -140,10 +140,12 @@ def partition_instance(
     if worker_count == 0 or task_count == 0:
         return _trivial_plan(instance, occupied=0)
 
-    max_remaining = _max_remaining(instance)
-    max_reach = max(
-        _reach_limit(instance, index, max_remaining)
-        for index in range(worker_count)
+    max_reach = float(
+        _reach_limits(
+            np.array([worker.radius for worker in instance.workers]),
+            np.array([worker.speed for worker in instance.workers]),
+            _max_remaining(instance),
+        ).max()
     )
     cell_size = max(_MIN_CELL, max_reach * _CELL_MARGIN)
 

@@ -2,20 +2,22 @@
 
 A pair ``<w_i, t_j>`` is valid when the task lies inside the worker's
 working area (radius ``r_i``) and the worker can reach the task location
-before its deadline at speed ``v_i``. The batch framework computes, for
-every worker, the valid task set ``T_i`` by a circular range query over a
-spatial index of task locations — exactly the paper's R-tree recipe — and
-then applies the deadline filter.
+before its deadline at speed ``v_i``. The paper computes each worker's
+valid task set ``T_i`` with a circular range query over an R-tree of
+task locations, then applies the deadline filter.
 
-Four interchangeable strategies are provided:
+This module answers the same range query with a uniform grid
+(:class:`~repro.spatial.grid.GridIndex`) instead of an R-tree: workers
+whose query circles cover the same cell rectangle are scored as one
+numpy block. On every named bench regime the grid beat an R-tree, a
+k-d tree and a dense distance matrix (docs/PERFORMANCE.md,
+"Substrates"), so it is the only production path — shared by
+:func:`compute_valid_pairs` and :class:`IncrementalValidityIndex`.
 
-* ``"rtree"`` — STR bulk-loaded R-tree (the paper's choice);
-* ``"grid"``  — uniform hash grid, usually fastest here;
-* ``"kdtree"`` — balanced median-split k-d tree;
-* ``"matrix"`` — fully vectorized numpy distance matrix, best for small
-  batches where index construction dominates.
-
-All four produce identical results (asserted by the test suite).
+:func:`compute_valid_pairs_reference` is its oracle: a brute-force
+scalar scan of every ``(worker, task)`` pair through
+:meth:`~repro.core.model.Instance.is_pair_valid`. It shares no cell,
+rectangle or reach-limit code with the grid.
 """
 
 from __future__ import annotations
@@ -26,23 +28,14 @@ from itertools import islice
 import numpy as np
 
 from repro.core.model import Instance, Task
-from repro.spatial.geometry import pairwise_distances
 from repro.spatial.grid import GridIndex
-from repro.spatial.kdtree import KDTree
-from repro.spatial.rtree import RTree
 
 __all__ = [
     "ValidPairs",
     "compute_valid_pairs",
     "compute_valid_pairs_reference",
     "IncrementalValidityIndex",
-    "STRATEGIES",
 ]
-
-#: The interchangeable validity strategies (all produce identical
-#: results; the audit harness cross-checks them on every instance).
-STRATEGIES = ("rtree", "grid", "kdtree", "matrix")
-_STRATEGIES = STRATEGIES
 
 
 @dataclass(frozen=True)
@@ -171,8 +164,8 @@ def compute_valid_pairs(
     instance:
         The batch to analyse.
     strategy:
-        ``"rtree"``, ``"grid"``, ``"kdtree"`` or ``"matrix"`` (see module
-        docstring).
+        Must be ``"grid"``, the only validity path (see the module
+        docstring); any other value raises ``ValueError``.
     travel_model:
         Optional alternative travel metric (e.g.
         :class:`~repro.spatial.roadnet.RoadNetworkTravel`). The working
@@ -181,17 +174,50 @@ def compute_valid_pairs(
         model's distances. ``None`` keeps the paper's straight-line
         travel.
     """
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}")
+    if strategy != "grid":
+        raise ValueError(f"unknown strategy {strategy!r}; expected 'grid'")
     if instance.task_count == 0 or instance.worker_count == 0:
-        return ValidPairs.from_worker_lists(
-            [[] for _ in range(instance.worker_count)], instance.task_count
-        )
+        return _no_pairs(instance)
     if travel_model is not None:
         return _compute_with_travel_model(instance, travel_model)
-    if strategy == "matrix":
-        return _compute_matrix(instance)
-    return _compute_indexed(instance, strategy)
+    mean_radius = float(np.mean([worker.radius for worker in instance.workers]))
+    index = GridIndex.build(
+        ((position, task.location) for position, task in enumerate(instance.tasks)),
+        cell_size=max(mean_radius * _GRID_CELL_MULTIPLIER, 1e-6),
+    )
+    return ValidPairs.from_sorted_rows(
+        _grid_valid_lists(instance, index, _max_remaining(instance)),
+        instance.task_count,
+    )
+
+
+def compute_valid_pairs_reference(instance: Instance) -> ValidPairs:
+    """Brute-force Definition 3 — the grid's oracle.
+
+    Tests every ``(worker, task)`` pair with the scalar
+    :meth:`~repro.core.model.Instance.is_pair_valid` (``math.hypot``
+    distance against the radius, then the deadline test), so it shares
+    no cell, rectangle or reach-limit code with the grid. O(m x n); the
+    audit harness and the tests compare it against
+    :func:`compute_valid_pairs` and :class:`IncrementalValidityIndex`.
+    """
+    return ValidPairs.from_worker_lists(
+        [
+            [
+                task
+                for task in range(instance.task_count)
+                if instance.is_pair_valid(worker, task)
+            ]
+            for worker in range(instance.worker_count)
+        ],
+        instance.task_count,
+    )
+
+
+def _no_pairs(instance: Instance) -> ValidPairs:
+    return ValidPairs.from_worker_lists(
+        [[] for _ in range(instance.worker_count)], instance.task_count
+    )
 
 
 #: Relative slack on the speed x deadline reach bound. A valid pair
@@ -211,85 +237,29 @@ def _max_remaining(instance: Instance) -> float:
     )
 
 
-def _reach_limit(
-    instance: Instance, worker_index: int, max_remaining: float
-) -> float:
-    """The worker's effective reach: within radius *and* within speed x
-    longest remaining deadline is necessary; the per-task deadline check
-    happens after the range query.
+def _reach_limits(
+    radii: np.ndarray, speeds: np.ndarray, max_remaining: float
+) -> np.ndarray:
+    """Each worker's effective reach, ``min(r_i, v_i * max_remaining)``.
 
-    ``min(r_i, v_i * max_remaining)`` prunes candidates for slow workers
-    with large preference radii (a zero-speed worker only ever reaches
-    distance 0). The slack factor keeps the bound a strict superset of
-    :func:`_deadline_ok`, so all four strategies stay identical.
+    Within the radius *and* within speed x longest remaining deadline is
+    necessary for validity; the per-task deadline check happens after
+    the range query. The slack factor keeps the bound a superset of the
+    deadline test. A zero-speed worker only ever reaches distance 0, so
+    its limit is 0 outright — ``0 * inf`` would be NaN when some task
+    never expires.
     """
-    worker = instance.workers[worker_index]
-    return min(worker.radius, worker.speed * max_remaining * _REACH_SLACK)
+    with np.errstate(invalid="ignore"):
+        reach = np.minimum(radii, speeds * max_remaining * _REACH_SLACK)
+    return np.where(speeds > 0, reach, 0.0)
 
 
-def _compute_indexed(
-    instance: Instance, strategy: str, vectorized: bool = True
-) -> ValidPairs:
-    task_items = [
-        (index, task.location) for index, task in enumerate(instance.tasks)
-    ]
-    if strategy == "rtree":
-        index = RTree.bulk_load(task_items)
-    elif strategy == "kdtree":
-        index = KDTree.build(task_items)
-    else:
-        mean_radius = float(
-            np.mean([worker.radius for worker in instance.workers])
-        )
-        # Membership is invariant to the cell size (the range query and
-        # deadline filters are exact), so the two grid paths pick the
-        # granularity that suits them: the scalar loop wants small cells
-        # (fewer non-candidates scanned per bucket), the batched path
-        # wants coarse cells (fewer rectangle groups, so the per-group
-        # numpy dispatch overhead amortizes over bigger blocks).
-        multiplier = _GRID_VECTOR_CELL_MULTIPLIER if vectorized else 1.0
-        cell = max(mean_radius * multiplier, 1e-6)
-        index = GridIndex.build(task_items, cell_size=cell)
-
-    max_remaining = _max_remaining(instance)
-    if strategy == "grid" and vectorized:
-        return ValidPairs.from_sorted_rows(
-            _grid_valid_lists(instance, index, max_remaining),
-            instance.task_count,
-        )
-    tasks_for_worker: list[list[int]] = []
-    for worker_index, worker in enumerate(instance.workers):
-        candidates = index.query_circle(
-            worker.location, _reach_limit(instance, worker_index, max_remaining)
-        )
-        valid = [
-            task_index
-            for task_index in candidates
-            if _deadline_ok(instance, worker_index, task_index)
-        ]
-        tasks_for_worker.append(valid)
-    return ValidPairs.from_worker_lists(tasks_for_worker, instance.task_count)
-
-
-def compute_valid_pairs_reference(instance: Instance) -> ValidPairs:
-    """Scalar per-worker grid construction — the vectorized path's oracle.
-
-    Runs the historical ``query_circle`` + per-candidate ``_deadline_ok``
-    loop over the same grid the vectorized path batches over; the audit
-    harness and the bench guard compare the two for membership parity.
-    """
-    if instance.task_count == 0 or instance.worker_count == 0:
-        return ValidPairs.from_worker_lists(
-            [[] for _ in range(instance.worker_count)], instance.task_count
-        )
-    return _compute_indexed(instance, "grid", vectorized=False)
-
-
-#: Cell-size factor of the vectorized grid build relative to the mean
-#: worker radius (the scalar path's cell size). Coarser cells trade a
-#: wider candidate superset (cheap float32 prefilter cells) for far
-#: fewer worker rectangle groups; ~3x is the sweet spot at n = 20k.
-_GRID_VECTOR_CELL_MULTIPLIER = 3.0
+#: Cell-size factor of the grid build relative to the mean worker
+#: radius. Membership is invariant to the cell size (the distance and
+#: deadline filters are exact); coarser cells trade a wider candidate
+#: superset (cheap float32 prefilter cells) for far fewer worker
+#: rectangle groups, and ~3x is the sweet spot at n = 20k.
+_GRID_CELL_MULTIPLIER = 3.0
 
 #: Row-chunk budget for the batched distance matrices: a worker-group's
 #: (rows x candidates) block is processed in slices of at most this many
@@ -345,18 +315,19 @@ def _grid_valid_lists(
     max_remaining: float,
     position_of=None,
 ) -> "list[np.ndarray]":
-    """Batched grid validity: per-worker candidate lists, membership
-    identical to the scalar ``query_circle`` + ``_deadline_ok`` loop.
+    """Batched grid validity: per-worker valid task lists.
 
-    Workers sharing the same candidate cell rectangle are scored as one
-    broadcast block — distances via :func:`np.hypot` (the elementwise
-    twin of ``Point.distance_to``'s ``math.hypot``), then the same two
-    masks the scalar path applies: within the reach limit, and
-    deadline-feasible (``remaining < 0`` rejects; zero-speed workers
-    only reach distance 0; otherwise ``distance / speed <= remaining``).
-    Each emitted row is sorted ascending and duplicate-free (candidates
-    are argsorted once per rectangle group; a task lives in exactly one
-    cell), satisfying :meth:`ValidPairs.from_sorted_rows`'s contract.
+    Each worker's query circle has its reach limit (:func:`_reach_limits`)
+    as radius, and workers whose circles cover the same cell rectangle
+    are scored as one broadcast block — distances via :func:`np.hypot`,
+    then two masks: within the reach limit, and deadline-feasible
+    (``remaining < 0`` rejects; zero-speed workers only reach distance
+    0; otherwise ``distance / speed <= remaining``). Membership is
+    Definition 3's, which :func:`compute_valid_pairs_reference` checks
+    by brute force. Each emitted row is sorted ascending and
+    duplicate-free (candidates are argsorted once per rectangle group; a
+    task lives in exactly one cell), satisfying
+    :meth:`ValidPairs.from_sorted_rows`'s contract.
     """
     workers = instance.workers
     cell_size = index.cell_size
@@ -379,8 +350,7 @@ def _grid_valid_lists(
     speeds = np.fromiter(
         (w.speed for w in workers), dtype=np.float64, count=count
     )
-    # Same float expression as _reach_limit, elementwise.
-    limits = np.minimum(radii, speeds * max_remaining * _REACH_SLACK)
+    limits = _reach_limits(radii, speeds, max_remaining)
     # Coordinate/limit magnitude bound for the prefilter's additive
     # reach margin.
     scale = 1.0
@@ -397,9 +367,8 @@ def _grid_valid_lists(
         )
     margin = scale * _PREFILTER_MARGIN
 
-    # query_circle's inclusive cell rectangle, elementwise: identical
-    # IEEE subtract/divide then floor, so the scanned cells match the
-    # scalar path cell-for-cell.
+    # The inclusive cell rectangle each reach circle covers, with the
+    # same subtract/divide/floor as GridIndex.query_circle.
     min_cx = np.floor((wx - limits) / cell_size).astype(np.int64)
     max_cx = np.floor((wx + limits) / cell_size).astype(np.int64)
     min_cy = np.floor((wy - limits) / cell_size).astype(np.int64)
@@ -464,9 +433,8 @@ def _grid_valid_lists(
             dy32 = cand_y32[None, :] - block_wy.astype(np.float32)[:, None]
             # float32 squared-distance prefilter — a strict superset of
             # hypot(dx, dy) <= limit thanks to the additive margin (see
-            # _PREFILTER_MARGIN); exact float64 hypot then runs only on
-            # the surviving cells, so membership is decided by the same
-            # comparison as the scalar path.
+            # _PREFILTER_MARGIN); exact float64 hypot then decides
+            # membership on the surviving cells only.
             threshold = (
                 ((block_limits + margin) * (block_limits + margin))
                 .astype(np.float32)[:, None]
@@ -500,18 +468,6 @@ def _grid_valid_lists(
     return result
 
 
-def _deadline_ok(instance: Instance, worker_index: int, task_index: int) -> bool:
-    worker = instance.workers[worker_index]
-    task = instance.tasks[task_index]
-    remaining = task.remaining_time(instance.now)
-    if remaining < 0:
-        return False
-    distance = worker.location.distance_to(task.location)
-    if worker.speed <= 0:
-        return distance == 0.0
-    return distance / worker.speed <= remaining
-
-
 class IncrementalValidityIndex:
     """Task-side validity state maintained *across* batch rounds.
 
@@ -523,14 +479,12 @@ class IncrementalValidityIndex:
     stable ``task_id``), so per-round cost is proportional to the churn,
     not the pool size.
 
-    Results are *identical* to ``compute_valid_pairs(strategy="grid")``:
-    candidate order cannot matter (``ValidPairs.from_worker_lists``
-    sorts), the range query filters by exact distance, and every
-    candidate passes the exact per-task ``_deadline_ok`` check — so the
-    outcome is invariant to the index's cell size, which here is fixed
-    at construction instead of re-derived from each round's mean worker
-    radius. The equivalence is asserted round-by-round by the test
-    suite.
+    Results are *identical* to :func:`compute_valid_pairs`: both run
+    :func:`_grid_valid_lists`, whose exact distance and deadline filters
+    make the outcome invariant to the index's cell size, which here is
+    fixed at construction instead of re-derived from each round's mean
+    worker radius. The test suite asserts the equivalence, and equality
+    with :func:`compute_valid_pairs_reference`, round by round.
 
     Stale-deadline contract: the reach bound's ``max_remaining`` is
     re-derived from the *live* task set on every delta — an expired or
@@ -600,9 +554,7 @@ class IncrementalValidityIndex:
         query is mapped back through ``task_id``).
         """
         if instance.task_count == 0 or instance.worker_count == 0:
-            return ValidPairs.from_worker_lists(
-                [[] for _ in range(instance.worker_count)], instance.task_count
-            )
+            return _no_pairs(instance)
         position_of = {
             task.task_id: position
             for position, task in enumerate(instance.tasks)
@@ -650,28 +602,4 @@ def _compute_with_travel_model(instance: Instance, travel_model) -> ValidPairs:
             elif distance / worker.speed <= remaining:
                 valid.append(task_index)
         tasks_for_worker.append(valid)
-    return ValidPairs.from_worker_lists(tasks_for_worker, instance.task_count)
-
-
-def _compute_matrix(instance: Instance) -> ValidPairs:
-    """Vectorized validity: one (m, n) distance matrix, two masks."""
-    distances = pairwise_distances(
-        instance.worker_locations(), instance.task_locations()
-    )
-    radii = np.array([worker.radius for worker in instance.workers])
-    speeds = np.array([worker.speed for worker in instance.workers])
-    remaining = np.array(
-        [task.remaining_time(instance.now) for task in instance.tasks]
-    )
-
-    within_radius = distances <= radii[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        travel = np.where(
-            speeds[:, None] > 0, distances / np.maximum(speeds[:, None], 1e-300), np.inf
-        )
-    travel = np.where((speeds[:, None] <= 0) & (distances == 0.0), 0.0, travel)
-    in_time = (travel <= remaining[None, :]) & (remaining[None, :] >= 0)
-
-    valid = within_radius & in_time
-    tasks_for_worker = [np.flatnonzero(valid[i]).tolist() for i in range(valid.shape[0])]
     return ValidPairs.from_worker_lists(tasks_for_worker, instance.task_count)

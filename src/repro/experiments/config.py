@@ -62,7 +62,7 @@ DEFAULT_APPROACH_ORDER = (
 
 #: The approaches the audit harness cross-checks by default
 #: (``repro.audit.differential``). Every registered approach is
-#: deterministic given its seed — the same (approach, backend, strategy)
+#: deterministic given its seed — the same (approach, backend)
 #: combination must reproduce repr-identically — so any of them may be
 #: passed to the differential runner; this default keeps one
 #: representative per solver family to bound the cross-product's cost:

@@ -26,11 +26,7 @@ import numpy as np
 
 from repro.core.assignment import Assignment
 from repro.core.model import Instance, Task, Worker
-from repro.core.validity import (
-    IncrementalValidityIndex,
-    ValidPairs,
-    compute_valid_pairs,
-)
+from repro.core.validity import IncrementalValidityIndex, ValidPairs
 from repro.datasets.synthetic import gaussian_in_range
 from repro.simulation.faults import FaultEvent, FaultInjector, FaultModel
 from repro.simulation.population import Population
@@ -69,17 +65,6 @@ class BatchConfig:
     task_duration: float = 1.0
     batch_interval: float = 1.0
     carryover: bool = True
-    validity_strategy: str = "grid"
-    incremental_validity: bool = True
-    """Maintain the validity task index incrementally across rounds.
-
-    Applies the open-task pool's arrivals/departures/expiries to one
-    long-lived :class:`~repro.core.validity.IncrementalValidityIndex`
-    instead of rebuilding the spatial index every round. Only effective
-    with ``validity_strategy="grid"`` (other strategies keep the full
-    rebuild). Results are identical either way — the flag exists for
-    differential testing, not because behavior differs.
-    """
     task_arrivals: object | None = None
     """Optional arrival process (see :mod:`repro.simulation.arrivals`).
 
@@ -278,16 +263,14 @@ class BatchSimulator:
         busy_until: dict[int, float] = {}
         open_tasks: list[_OpenTask] = []
         next_task_id = 0
-        validity_index: IncrementalValidityIndex | None = None
-        if config.incremental_validity and config.validity_strategy == "grid":
-            # Fixed cell size (the mean configured radius) instead of the
-            # per-round mean of materialized radii: the incremental index
-            # outlives any single round, and ValidPairs results are
-            # invariant to the cell size (exact distance + deadline
-            # filters, sorted candidate lists).
-            validity_index = IncrementalValidityIndex(
-                cell_size=sum(config.radius_range) / 2.0
-            )
+        # One task index maintained across rounds from the pool's deltas.
+        # Fixed cell size (the mean configured radius) instead of the
+        # per-round mean of materialized radii: the index outlives any
+        # single round, and ValidPairs results are invariant to the cell
+        # size (exact distance + deadline filters, sorted candidate lists).
+        validity_index = IncrementalValidityIndex(
+            cell_size=sum(config.radius_range) / 2.0
+        )
 
         for round_index in range(config.rounds):
             now = round_index * config.batch_interval
@@ -361,18 +344,12 @@ class BatchSimulator:
                 min_group_size=config.min_group_size,
                 now=now,
             )
-            if validity_index is not None:
-                # Delta maintenance: expiries/cancellations/served tasks
-                # leave the index, arrivals join it; the reach bound's
-                # max_remaining is re-derived from the live pool so an
-                # expired task can never widen a worker's candidate
-                # radius.
-                validity_index.sync(instance.tasks)
-                valid_pairs = validity_index.compute(instance)
-            else:
-                valid_pairs = compute_valid_pairs(
-                    instance, strategy=config.validity_strategy
-                )
+            # Delta maintenance: expiries/cancellations/served tasks
+            # leave the index, arrivals join it; the reach bound's
+            # max_remaining is re-derived from the live pool so an
+            # expired task can never widen a worker's candidate radius.
+            validity_index.sync(instance.tasks)
+            valid_pairs = validity_index.compute(instance)
             if self.instance_hook is not None:
                 self.instance_hook(instance, valid_pairs)
 

@@ -1,22 +1,16 @@
-"""Spatial substrate: geometry primitives and spatial indexes.
+"""Spatial substrate: geometry primitives, the grid index and road networks.
 
 The batch framework (paper Section III) computes, for every worker, the set
 of tasks inside the worker's working area via a spatial range query. The
-paper suggests an R-tree; this package provides one built from scratch
-(:class:`~repro.spatial.rtree.RTree`) plus a uniform grid index
-(:class:`~repro.spatial.grid.GridIndex`) that is often faster for the
-paper's point workloads in the unit square.
+paper prescribes an R-tree; this package answers the same query with a
+uniform grid (:class:`~repro.spatial.grid.GridIndex`), which beat an
+R-tree, a k-d tree and a dense distance matrix on every named bench
+regime. :func:`repro.core.validity.compute_valid_pairs_reference` checks
+the grid's answers against a brute-force scan.
 """
 
-from repro.spatial.geometry import (
-    BoundingBox,
-    Point,
-    euclidean,
-    pairwise_distances,
-    travel_time,
-)
+from repro.spatial.geometry import Point, euclidean, travel_time
 from repro.spatial.grid import GridIndex
-from repro.spatial.kdtree import KDTree
 from repro.spatial.roadnet import (
     EuclideanTravel,
     RoadNetwork,
@@ -24,20 +18,15 @@ from repro.spatial.roadnet import (
     grid_network,
     random_geometric_network,
 )
-from repro.spatial.rtree import RTree
 
 __all__ = [
-    "KDTree",
     "EuclideanTravel",
     "RoadNetwork",
     "RoadNetworkTravel",
     "grid_network",
     "random_geometric_network",
-    "BoundingBox",
     "Point",
     "euclidean",
-    "pairwise_distances",
     "travel_time",
     "GridIndex",
-    "RTree",
 ]

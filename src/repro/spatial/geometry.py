@@ -2,16 +2,13 @@
 
 The paper maps all locations (Meetup check-ins and synthetic data alike)
 into the unit square ``[0, 1]^2`` and measures Euclidean distance, so a
-light-weight 2-D point plus an axis-aligned bounding box is all the
-geometry the system needs.
+light-weight 2-D point is all the geometry the system needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,106 +51,3 @@ def travel_time(worker_location: Point, task_location: Point, speed: float) -> f
     if speed <= 0.0:
         return 0.0 if distance == 0.0 else math.inf
     return distance / speed
-
-
-def pairwise_distances(xy_a: np.ndarray, xy_b: np.ndarray) -> np.ndarray:
-    """Dense Euclidean distance matrix between two point arrays.
-
-    ``xy_a`` has shape ``(m, 2)`` and ``xy_b`` shape ``(n, 2)``; the result
-    has shape ``(m, n)``. Used by the validity layer when index-free,
-    fully vectorized filtering is cheaper than per-worker range queries
-    (small batches).
-    """
-    a = np.asarray(xy_a, dtype=float)
-    b = np.asarray(xy_b, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 2 or b.ndim != 2 or b.shape[1] != 2:
-        raise ValueError("expected arrays of shape (k, 2)")
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
-    """An axis-aligned rectangle ``[min_x, max_x] x [min_y, max_y]``."""
-
-    min_x: float
-    min_y: float
-    max_x: float
-    max_y: float
-
-    def __post_init__(self) -> None:
-        if self.min_x > self.max_x or self.min_y > self.max_y:
-            raise ValueError(f"degenerate bounding box: {self}")
-
-    @classmethod
-    def from_point(cls, point: Point) -> "BoundingBox":
-        return cls(point.x, point.y, point.x, point.y)
-
-    @classmethod
-    def from_circle(cls, center: Point, radius: float) -> "BoundingBox":
-        """The tight box around a disk — used to prefilter range queries."""
-        if radius < 0:
-            raise ValueError(f"negative radius: {radius}")
-        return cls(
-            center.x - radius, center.y - radius, center.x + radius, center.y + radius
-        )
-
-    @property
-    def area(self) -> float:
-        return (self.max_x - self.min_x) * (self.max_y - self.min_y)
-
-    @property
-    def margin(self) -> float:
-        """Half-perimeter; a common R-tree split quality measure."""
-        return (self.max_x - self.min_x) + (self.max_y - self.min_y)
-
-    def union(self, other: "BoundingBox") -> "BoundingBox":
-        return BoundingBox(
-            min(self.min_x, other.min_x),
-            min(self.min_y, other.min_y),
-            max(self.max_x, other.max_x),
-            max(self.max_y, other.max_y),
-        )
-
-    def enlargement(self, other: "BoundingBox") -> float:
-        """Area growth if ``other`` were merged into this box.
-
-        The classic Guttman insertion heuristic descends into the child
-        whose box grows the least.
-        """
-        return self.union(other).area - self.area
-
-    def intersects(self, other: "BoundingBox") -> bool:
-        return not (
-            other.min_x > self.max_x
-            or other.max_x < self.min_x
-            or other.min_y > self.max_y
-            or other.max_y < self.min_y
-        )
-
-    def contains_point(self, point: Point) -> bool:
-        return (
-            self.min_x <= point.x <= self.max_x
-            and self.min_y <= point.y <= self.max_y
-        )
-
-    def contains_box(self, other: "BoundingBox") -> bool:
-        return (
-            self.min_x <= other.min_x
-            and self.min_y <= other.min_y
-            and self.max_x >= other.max_x
-            and self.max_y >= other.max_y
-        )
-
-    def min_distance_to_point(self, point: Point) -> float:
-        """Smallest distance from ``point`` to any point of the box.
-
-        Zero when the point lies inside; used for circle-query pruning and
-        best-first kNN traversal.
-        """
-        dx = max(self.min_x - point.x, 0.0, point.x - self.max_x)
-        dy = max(self.min_y - point.y, 0.0, point.y - self.max_y)
-        return math.hypot(dx, dy)
-
-    def center(self) -> Point:
-        return Point((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)

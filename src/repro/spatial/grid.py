@@ -1,10 +1,14 @@
 """A uniform grid index over 2-D points.
 
-For the paper's workloads — points in the unit square, circular range
-queries with radii of 5-25% of the space — a uniform grid answers queries
-in near-constant time and builds in O(n). The validity layer lets callers
-choose between :class:`GridIndex` and the R-tree; both expose the same
-``query_circle`` interface and the test suite checks they agree.
+The paper answers Definition 3's circular range queries with an R-tree.
+This repo answers them with a uniform grid instead: for the paper's
+workloads — points in the unit square, query radii of 5-25% of the
+space — a grid answers queries in near-constant time, builds in O(n),
+and lets the validity layer score all workers that cover the same cell
+rectangle as one numpy block. On every named bench regime it beat an
+R-tree, a k-d tree and a dense distance matrix (docs/PERFORMANCE.md,
+"Substrates"), so it is the repo's only spatial index; the tests check
+it against brute force.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 from collections import defaultdict
 from typing import Hashable, Iterable, Iterator
 
-from repro.spatial.geometry import BoundingBox, Point
+from repro.spatial.geometry import Point
 
 __all__ = ["GridIndex"]
 
@@ -101,23 +105,6 @@ class GridIndex:
                 )
         return results
 
-    def query_box(self, box: BoundingBox) -> list[Hashable]:
-        """Items whose point lies inside ``box`` (boundary inclusive)."""
-        results: list[Hashable] = []
-        min_cx = math.floor(box.min_x / self.cell_size)
-        max_cx = math.floor(box.max_x / self.cell_size)
-        min_cy = math.floor(box.min_y / self.cell_size)
-        max_cy = math.floor(box.max_y / self.cell_size)
-        for cx in range(min_cx, max_cx + 1):
-            for cy in range(min_cy, max_cy + 1):
-                bucket = self._cells.get((cx, cy))
-                if not bucket:
-                    continue
-                results.extend(
-                    item for item, point in bucket if box.contains_point(point)
-                )
-        return results
-
     def cells(
         self,
     ) -> Iterator[tuple[tuple[int, int], list[tuple[Hashable, Point]]]]:
@@ -128,21 +115,6 @@ class GridIndex:
         yielded bucket corrupts the index.
         """
         return iter(self._cells.items())
-
-    def cell_range(
-        self, center: Point, radius: float
-    ) -> tuple[int, int, int, int]:
-        """The inclusive cell rectangle ``query_circle`` would scan.
-
-        Exposed so batched range queries can group workers by identical
-        rectangles; the float operations mirror ``query_circle`` exactly.
-        """
-        return (
-            math.floor((center.x - radius) / self.cell_size),
-            math.floor((center.x + radius) / self.cell_size),
-            math.floor((center.y - radius) / self.cell_size),
-            math.floor((center.y + radius) / self.cell_size),
-        )
 
     def __len__(self) -> int:
         return self._size

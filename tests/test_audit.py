@@ -207,35 +207,39 @@ class TestDifferentialRunner:
         assert any("boom" in f.detail for f in findings)
 
     def test_validity_parity_divergence_is_flagged(self, monkeypatch):
+        # Corrupt the grid (drop one valid pair from the batched lists);
+        # the brute-force reference must flag it for both the fresh
+        # build and the incremental index, which share the grid code.
         from repro.audit import differential
-        from repro.core.validity import ValidPairs
+        from repro.core import validity
 
-        real = differential.compute_valid_pairs
+        real = validity._grid_valid_lists
 
-        def broken(instance, strategy="grid", travel_model=None):
-            pairs = real(instance, strategy, travel_model)
-            if strategy == "kdtree" and pairs.pair_count:
-                lists = [list(t) for t in pairs.tasks_for_worker]
-                for tasks in lists:
-                    if tasks:
-                        tasks.pop()  # drop one valid pair
-                        break
-                return ValidPairs.from_worker_lists(
-                    lists, instance.task_count
-                )
-            return pairs
+        def broken(*args, **kwargs):
+            rows = real(*args, **kwargs)
+            for position, row in enumerate(rows):
+                if len(row):
+                    rows[position] = row[:-1]
+                    break
+            return rows
 
-        monkeypatch.setattr(differential, "compute_valid_pairs", broken)
+        monkeypatch.setattr(validity, "_grid_valid_lists", broken)
         instance = make_dense_instance(seed=1)
         findings = differential.run_differential(
             instance, approaches=("PGREEDY",), backends=("dense",)
         )
-        assert any(f.check == "validity-parity" for f in findings)
+        flagged = {
+            f.context for f in findings if f.check == "validity-parity"
+        }
+        assert flagged == {
+            "validity=grid vs reference",
+            "validity=incremental vs reference",
+        }
 
-    def test_four_way_validity_parity_on_boundary_instances(self):
-        # The satellite fix tightened the range query to
-        # min(r_i, v_i * max_remaining); parity across all four
-        # strategies on boundary-heavy instances is the regression net.
+    def test_validity_reference_parity_on_boundary_instances(self):
+        # The range query is pruned to min(r_i, v_i * max_remaining);
+        # parity of the grid with the brute-force reference on
+        # boundary-heavy instances is the regression net.
         for index in range(30):
             instance = fuzz_instance((7, index))
             findings = run_differential(
@@ -365,7 +369,6 @@ class TestMutationSelfTest:
                 out_dir=tmp_path,
                 approaches=("PGREEDY",),
                 backends=("dense",),
-                strategies=("grid",),
                 max_instances=20,
             )
         assert not outcome.ok
@@ -385,7 +388,7 @@ class TestZeroFindings:
 
     def test_seeded_fuzz_is_clean(self):
         # The acceptance run: a fresh seeded fuzz session over the full
-        # approach x backend x strategy cross-product must come back
+        # approach x backend cross-product must come back
         # clean now that the known bugs are fixed.
         outcome = run_audit(
             budget=FUZZ_BUDGET, seed=2026, corpus_dir=None, out_dir=None

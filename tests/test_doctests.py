@@ -15,8 +15,6 @@ import repro.core.revenue
 import repro.flow.bipartite
 import repro.flow.graph
 import repro.spatial.grid
-import repro.spatial.kdtree
-import repro.spatial.rtree
 import repro.utils.timer
 
 MODULES = [
@@ -26,8 +24,6 @@ MODULES = [
     repro.flow.bipartite,
     repro.flow.graph,
     repro.spatial.grid,
-    repro.spatial.kdtree,
-    repro.spatial.rtree,
     repro.utils.timer,
 ]
 

@@ -2,18 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.spatial.geometry import (
-    BoundingBox,
-    Point,
-    euclidean,
-    pairwise_distances,
-    travel_time,
-)
+from repro.spatial.geometry import Point, euclidean, travel_time
 
 coords = st.floats(
     min_value=-100, max_value=100, allow_nan=False, allow_infinity=False
@@ -60,91 +53,3 @@ class TestTravelTime:
 
     def test_euclidean_helper(self):
         assert euclidean(Point(0, 0), Point(0, 3)) == 3.0
-
-
-class TestPairwiseDistances:
-    def test_matches_point_distance(self):
-        a = np.array([[0.0, 0.0], [1.0, 1.0]])
-        b = np.array([[3.0, 4.0]])
-        result = pairwise_distances(a, b)
-        assert result.shape == (2, 1)
-        assert result[0, 0] == pytest.approx(5.0)
-        assert result[1, 0] == pytest.approx(math.hypot(2, 3))
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            pairwise_distances(np.zeros((3,)), np.zeros((2, 2)))
-
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10**6))
-    def test_random_agreement_with_scalar(self, m, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(-5, 5, size=(m, 2))
-        b = rng.uniform(-5, 5, size=(n, 2))
-        matrix = pairwise_distances(a, b)
-        for i in range(m):
-            for j in range(n):
-                expected = Point(*a[i]).distance_to(Point(*b[j]))
-                assert matrix[i, j] == pytest.approx(expected)
-
-
-class TestBoundingBox:
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            BoundingBox(1, 0, 0, 1)
-
-    def test_from_circle(self):
-        box = BoundingBox.from_circle(Point(0.5, 0.5), 0.25)
-        assert box == BoundingBox(0.25, 0.25, 0.75, 0.75)
-
-    def test_from_circle_negative_radius(self):
-        with pytest.raises(ValueError):
-            BoundingBox.from_circle(Point(0, 0), -1.0)
-
-    def test_area_and_margin(self):
-        box = BoundingBox(0, 0, 2, 3)
-        assert box.area == 6
-        assert box.margin == 5
-
-    def test_union(self):
-        a = BoundingBox(0, 0, 1, 1)
-        b = BoundingBox(2, 2, 3, 3)
-        assert a.union(b) == BoundingBox(0, 0, 3, 3)
-
-    def test_enlargement(self):
-        a = BoundingBox(0, 0, 1, 1)
-        b = BoundingBox(1, 0, 2, 1)
-        assert a.enlargement(b) == pytest.approx(1.0)
-
-    def test_intersects(self):
-        a = BoundingBox(0, 0, 1, 1)
-        assert a.intersects(BoundingBox(0.5, 0.5, 2, 2))
-        assert not a.intersects(BoundingBox(1.5, 1.5, 2, 2))
-        # Touching boundaries count as intersecting.
-        assert a.intersects(BoundingBox(1, 1, 2, 2))
-
-    def test_contains(self):
-        box = BoundingBox(0, 0, 1, 1)
-        assert box.contains_point(Point(0.5, 0.5))
-        assert box.contains_point(Point(1, 1))
-        assert not box.contains_point(Point(1.01, 0.5))
-        assert box.contains_box(BoundingBox(0.2, 0.2, 0.8, 0.8))
-        assert not box.contains_box(BoundingBox(0.2, 0.2, 1.2, 0.8))
-
-    def test_min_distance_inside_is_zero(self):
-        box = BoundingBox(0, 0, 1, 1)
-        assert box.min_distance_to_point(Point(0.5, 0.5)) == 0.0
-
-    def test_min_distance_outside(self):
-        box = BoundingBox(0, 0, 1, 1)
-        assert box.min_distance_to_point(Point(4, 5)) == pytest.approx(5.0)
-
-    def test_center(self):
-        assert BoundingBox(0, 0, 2, 4).center() == Point(1, 2)
-
-    @given(coords, coords, coords, coords)
-    def test_union_contains_both(self, x1, y1, x2, y2):
-        a = BoundingBox.from_point(Point(x1, y1))
-        b = BoundingBox.from_point(Point(x2, y2))
-        union = a.union(b)
-        assert union.contains_box(a)
-        assert union.contains_box(b)

@@ -1,14 +1,13 @@
-"""Tests for the uniform grid index, including equivalence with the
-R-tree on identical workloads."""
+"""Tests for the uniform grid index, including equivalence with a
+brute-force scan on random workloads."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spatial.geometry import BoundingBox, Point
+from repro.spatial.geometry import Point
 from repro.spatial.grid import GridIndex
-from repro.spatial.rtree import RTree
 
 
 def random_points(rng, count):
@@ -59,14 +58,6 @@ class TestGridBasics:
         assert len(grid) == 30
         assert sorted(item for item, _ in grid) == list(range(30))
 
-    def test_box_query(self):
-        rng = np.random.default_rng(3)
-        points = random_points(rng, 150)
-        grid = GridIndex.build(points, 0.15)
-        box = BoundingBox(0.2, 0.3, 0.7, 0.9)
-        expected = sorted(i for i, p in points if box.contains_point(p))
-        assert sorted(grid.query_box(box)) == expected
-
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -74,15 +65,14 @@ class TestGridBasics:
     st.floats(0.05, 0.8),
     st.integers(0, 2**31),
 )
-def test_grid_matches_rtree(count, cell_size, seed):
-    """Both indexes return identical circle-query results."""
+def test_grid_matches_brute_force(count, cell_size, seed):
+    """Circle queries return exactly the points a full scan keeps."""
     rng = np.random.default_rng(seed)
     points = random_points(rng, count)
     grid = GridIndex.build(points, cell_size)
-    tree = RTree.bulk_load(points)
     for _ in range(5):
         center = Point(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
         radius = float(rng.uniform(0, 0.6))
-        assert sorted(grid.query_circle(center, radius)) == sorted(
-            tree.query_circle(center, radius)
-        )
+        assert sorted(grid.query_circle(center, radius)) == [
+            item for item, point in points if point.distance_to(center) <= radius
+        ]

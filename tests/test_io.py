@@ -1,5 +1,7 @@
 """Round-trip tests for dataset/instance persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.datasets.io import (
     save_meetup_dataset,
 )
 from repro.datasets.meetup import generate_meetup_dataset
+from repro.utils.errors import InvalidInstanceError
 
 from tests.conftest import make_dense_instance
 
@@ -40,6 +43,26 @@ class TestInstanceRoundTrip:
         payload["format_version"] = 999
         with pytest.raises(ValueError):
             instance_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "side, field, literal",
+        [
+            ("workers", "radius", "NaN"),
+            ("workers", "speed", "Infinity"),
+            ("workers", "x", "NaN"),
+            ("tasks", "y", "-Infinity"),
+            ("tasks", "deadline", "NaN"),
+        ],
+    )
+    def test_non_finite_json_rejected(self, tmp_path, side, field, literal):
+        instance = make_dense_instance(5, 2, min_group_size=2, capacity=2, seed=0)
+        payload = instance_to_dict(instance)
+        payload[side][0][field] = float(literal.replace("Infinity", "inf"))
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(payload))
+        assert literal in path.read_text()
+        with pytest.raises(InvalidInstanceError):
+            load_instance(path)
 
     def test_solvers_agree_after_round_trip(self, tmp_path):
         from repro.core.tpg import solve_tpg

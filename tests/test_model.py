@@ -34,6 +34,24 @@ class TestWorker:
         with pytest.raises(InvalidInstanceError):
             Worker(worker_id=0, location=Point(0, 0), speed=1.0, radius=-0.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("speed", float("nan")),
+            ("speed", float("inf")),
+            ("radius", float("nan")),
+            ("radius", float("inf")),
+            ("location", Point(float("nan"), 0.5)),
+            ("location", Point(0.5, float("-inf"))),
+        ],
+        ids=["speed-nan", "speed-inf", "radius-nan", "radius-inf", "x-nan", "y-inf"],
+    )
+    def test_non_finite_fields_rejected(self, field, value):
+        fields = dict(worker_id=0, location=Point(0, 0), speed=1.0, radius=0.5)
+        fields[field] = value
+        with pytest.raises(InvalidInstanceError):
+            Worker(**fields)
+
     def test_moved_to(self):
         worker = Worker(worker_id=3, location=Point(0, 0), speed=1.0, radius=0.5)
         moved = worker.moved_to(Point(1, 1))
@@ -56,6 +74,23 @@ class TestTask:
                 deadline=1.0,
                 created_time=2.0,
             )
+
+    @pytest.mark.parametrize(
+        "location",
+        [Point(float("nan"), 0.0), Point(0.0, float("inf"))],
+        ids=["x-nan", "y-inf"],
+    )
+    def test_non_finite_location_rejected(self, location):
+        with pytest.raises(InvalidInstanceError):
+            Task(task_id=0, location=location, capacity=3, deadline=1.0)
+
+    def test_nan_deadline_rejected(self):
+        with pytest.raises(InvalidInstanceError):
+            Task(task_id=0, location=Point(0, 0), capacity=3, deadline=float("nan"))
+
+    def test_infinite_deadline_allowed(self):
+        task = Task(task_id=0, location=Point(0, 0), capacity=3, deadline=float("inf"))
+        assert task.remaining_time(1e9) == float("inf")
 
     def test_remaining_time(self):
         task = Task(task_id=0, location=Point(0, 0), capacity=3, deadline=5.0)

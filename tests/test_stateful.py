@@ -2,8 +2,9 @@
 
 Three rule-based state machines drive long random operation sequences:
 
-* the R-tree against a brute-force list model (insert/delete/query must
-  always agree, invariants must always hold);
+* the grid index against a brute-force list model (insert/delete/query
+  must always agree across arbitrarily long mutation sequences, as the
+  incremental validity index relies on between rounds);
 * the Assignment against a from-scratch Equation 2/3 evaluation
   (incremental pair sums and revenues must never drift);
 * the RevenueCache directly, with random join/leave/exchange moves
@@ -26,7 +27,7 @@ from repro.core.assignment import UNASSIGNED, Assignment
 from repro.core.quality import CooperationMatrix
 from repro.core.revenue import RevenueCache, best_counted_subset, group_revenue
 from repro.spatial.geometry import Point
-from repro.spatial.rtree import RTree
+from repro.spatial.grid import GridIndex
 
 from tests.conftest import make_dense_instance
 
@@ -35,19 +36,23 @@ coordinates = st.tuples(
 )
 
 
-class RTreeMachine(RuleBasedStateMachine):
-    """The R-tree must behave exactly like a list of (id, point)."""
+class GridIndexMachine(RuleBasedStateMachine):
+    """The grid index must behave exactly like a list of (id, point)."""
 
     def __init__(self):
         super().__init__()
-        self.tree = RTree(max_entries=4)
+        self.grid: GridIndex | None = None
         self.model: list[tuple[int, Point]] = []
         self.next_id = 0
+
+    @initialize(cell_size=st.floats(0.05, 0.8))
+    def build(self, cell_size):
+        self.grid = GridIndex(cell_size=cell_size)
 
     @rule(xy=coordinates)
     def insert(self, xy):
         point = Point(*xy)
-        self.tree.insert(self.next_id, point)
+        self.grid.insert(self.next_id, point)
         self.model.append((self.next_id, point))
         self.next_id += 1
 
@@ -56,11 +61,11 @@ class RTreeMachine(RuleBasedStateMachine):
     def delete_existing(self, data):
         index = data.draw(st.integers(0, len(self.model) - 1))
         item, point = self.model.pop(index)
-        assert self.tree.delete(item, point)
+        assert self.grid.delete(item, point)
 
     @rule(xy=coordinates)
     def delete_missing(self, xy):
-        assert not self.tree.delete(-1, Point(*xy))
+        assert not self.grid.delete(-1, Point(*xy))
 
     @rule(xy=coordinates, radius=st.floats(0, 1.5))
     def query_circle(self, xy, radius):
@@ -68,19 +73,13 @@ class RTreeMachine(RuleBasedStateMachine):
         expected = sorted(
             item for item, p in self.model if p.distance_to(center) <= radius
         )
-        assert sorted(self.tree.query_circle(center, radius)) == expected
-
-    @rule(xy=coordinates, k=st.integers(1, 5))
-    def nearest(self, xy, k):
-        center = Point(*xy)
-        result = self.tree.nearest(center, k)
-        expected = sorted(p.distance_to(center) for _, p in self.model)[:k]
-        assert [round(d, 12) for _, d in result] == [round(d, 12) for d in expected]
+        assert sorted(self.grid.query_circle(center, radius)) == expected
 
     @invariant()
-    def structure_is_sound(self):
-        self.tree.check_invariants()
-        assert len(self.tree) == len(self.model)
+    def contents_match(self):
+        if self.grid is not None:
+            assert len(self.grid) == len(self.model)
+            assert sorted(self.grid) == sorted(self.model, key=lambda e: e[0])
 
 
 class AssignmentMachine(RuleBasedStateMachine):
@@ -222,8 +221,8 @@ TestRevenueCacheStateful.settings = settings(
     max_examples=30, stateful_step_count=60, deadline=None
 )
 
-TestRTreeStateful = RTreeMachine.TestCase
-TestRTreeStateful.settings = settings(
+TestGridIndexStateful = GridIndexMachine.TestCase
+TestGridIndexStateful.settings = settings(
     max_examples=25, stateful_step_count=40, deadline=None
 )
 

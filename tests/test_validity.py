@@ -4,10 +4,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.validity import ValidPairs, compute_valid_pairs
+from repro.core.validity import (
+    IncrementalValidityIndex,
+    ValidPairs,
+    compute_valid_pairs,
+    compute_valid_pairs_reference,
+)
 from repro.datasets.synthetic import generate_instance
 
 from tests.conftest import make_dense_instance
+
+
+def incremental_pairs(instance, cell_size=0.1):
+    """The instance's pairs through a fresh incremental index."""
+    index = IncrementalValidityIndex(cell_size=cell_size)
+    index.sync(instance.tasks)
+    return index.compute(instance)
+
+
+def assert_matches_reference(instance):
+    """Grid and incremental index both equal the brute-force oracle."""
+    reference = compute_valid_pairs_reference(instance)
+    assert compute_valid_pairs(instance) == reference
+    assert incremental_pairs(instance) == reference
 
 
 class TestValidPairsStructure:
@@ -34,9 +53,11 @@ class TestValidPairsStructure:
 
 class TestComputeValidPairs:
     def test_unknown_strategy(self):
+        # "grid" is the only validity path; the retired names are errors.
         instance = make_dense_instance(10, 3)
-        with pytest.raises(ValueError):
-            compute_valid_pairs(instance, strategy="quadtree")
+        for strategy in ("quadtree", "rtree", "kdtree", "matrix"):
+            with pytest.raises(ValueError):
+                compute_valid_pairs(instance, strategy=strategy)
 
     def test_matches_definition(self):
         instance = make_dense_instance(25, 5, seed=3)
@@ -47,12 +68,8 @@ class TestComputeValidPairs:
                     worker, task
                 )
 
-    @pytest.mark.parametrize("strategy", ["rtree", "grid", "kdtree", "matrix"])
-    def test_strategies_agree(self, strategy):
-        instance = generate_instance(60, 15, seed=5)
-        reference = compute_valid_pairs(instance, strategy="matrix")
-        result = compute_valid_pairs(instance, strategy=strategy)
-        assert result == reference
+    def test_grid_matches_reference(self):
+        assert_matches_reference(generate_instance(60, 15, seed=5))
 
     def test_empty_instances(self):
         instance = make_dense_instance(4, 2)
@@ -89,40 +106,40 @@ class TestComputeValidPairs:
     st.integers(0, 10),
     st.integers(0, 10**6),
 )
-def test_property_strategies_always_agree(worker_count, task_count, seed):
-    instance = generate_instance(
-        worker_count,
-        task_count,
-        speed_range=(0.05, 0.4),
-        radius_range=(0.05, 0.6),
-        seed=seed,
+def test_property_grid_matches_reference(worker_count, task_count, seed):
+    assert_matches_reference(
+        generate_instance(
+            worker_count,
+            task_count,
+            speed_range=(0.05, 0.4),
+            radius_range=(0.05, 0.6),
+            seed=seed,
+        )
     )
-    matrix = compute_valid_pairs(instance, strategy="matrix")
-    grid = compute_valid_pairs(instance, strategy="grid")
-    rtree = compute_valid_pairs(instance, strategy="rtree")
-    kdtree = compute_valid_pairs(instance, strategy="kdtree")
-    assert matrix == grid == rtree == kdtree
 
 
 class TestReachLimitRegression:
     def test_reach_limit_is_speed_bounded(self):
-        # Regression: ``_reach_limit`` returned ``r_i`` alone, ignoring
+        # Regression: the reach limit returned ``r_i`` alone, ignoring
         # that a worker can never pass ``v_i * max_remaining`` before
         # every deadline expires. The fixed bound is
         # ``min(r_i, v_i * max_remaining)`` (plus float slack).
-        from repro.core.validity import _max_remaining, _reach_limit
+        import numpy as np
+
+        from repro.core.validity import _max_remaining, _reach_limits
 
         instance = generate_instance(
             5, 3, speed_range=(0.01, 0.02), radius_range=(0.8, 0.9), seed=0
         )
         max_remaining = _max_remaining(instance)
-        for worker_index, worker in enumerate(instance.workers):
-            limit = _reach_limit(instance, worker_index, max_remaining)
-            assert limit <= worker.radius
-            assert limit <= worker.speed * max_remaining * (1.0 + 1e-9)
+        radii = np.array([worker.radius for worker in instance.workers])
+        speeds = np.array([worker.speed for worker in instance.workers])
+        limits = _reach_limits(radii, speeds, max_remaining)
+        assert np.all(limits <= radii)
+        assert np.all(limits <= speeds * max_remaining * (1.0 + 1e-9))
 
     def test_zero_speed_worker_reaches_only_distance_zero(self):
-        from repro.core.validity import _max_remaining, _reach_limit
+        from repro.core.validity import _max_remaining, _reach_limits
         from repro.core.model import Instance, Task, Worker
         from repro.core.quality import CooperationMatrix
         from repro.spatial.geometry import Point
@@ -143,14 +160,43 @@ class TestReachLimitRegression:
             workers=workers, tasks=tasks, quality=quality,
             min_group_size=2, now=0.0,
         )
-        assert _reach_limit(instance, 0, _max_remaining(instance)) == 0.0
+        limits = _reach_limits(
+            np.array([1.0, 1.0]), np.array([0.0, 1.0]), _max_remaining(instance)
+        )
+        assert limits[0] == 0.0
         # The radius-0 range query still returns the co-located task:
         # <w0, t0> is valid (distance 0), <w0, t1> is not.
-        for strategy in ("rtree", "grid", "kdtree", "matrix"):
-            pairs = compute_valid_pairs(instance, strategy=strategy)
-            assert pairs.is_valid(0, 0), strategy
-            assert not pairs.is_valid(0, 1), strategy
-            assert pairs.is_valid(1, 0) and pairs.is_valid(1, 1), strategy
+        for pairs in (compute_valid_pairs(instance), incremental_pairs(instance)):
+            assert pairs.tasks_for_worker == ((0,), (0, 1))
+        assert_matches_reference(instance)
+
+    def test_zero_speed_worker_keeps_its_task_under_infinite_deadline(self):
+        # Regression: with a task that never expires the reach limit
+        # was ``0 * inf = NaN`` for a zero-speed worker, and the grid
+        # dropped the task the worker stands on.
+        from repro.core.model import Instance, Task, Worker
+        from repro.core.quality import CooperationMatrix
+        from repro.spatial.geometry import Point
+        import numpy as np
+
+        instance = Instance(
+            workers=[
+                Worker(worker_id=0, location=Point(0.5, 0.5), speed=0.0,
+                       radius=0.3),
+            ],
+            tasks=[
+                Task(task_id=0, location=Point(0.5, 0.5), capacity=2,
+                     deadline=float("inf")),
+            ],
+            quality=CooperationMatrix(np.zeros((1, 1))),
+            min_group_size=2,
+            now=0.0,
+        )
+        assert compute_valid_pairs(instance).tasks_for_worker == ((0,),)
+        assert incremental_pairs(instance).tasks_for_worker == ((0,),)
+        assert compute_valid_pairs_reference(instance).tasks_for_worker == (
+            (0,),
+        )
 
     def test_expired_deadlines_and_empty_task_lists(self):
         from repro.core.validity import _max_remaining
@@ -164,23 +210,22 @@ class TestReachLimitRegression:
             now=max(t.deadline for t in expired.tasks) + 1.0,
         )
         assert _max_remaining(expired) == 0.0
-        for strategy in ("rtree", "grid", "kdtree", "matrix"):
-            assert compute_valid_pairs(expired, strategy=strategy).pair_count == 0
+        assert compute_valid_pairs(expired).pair_count == 0
+        assert_matches_reference(expired)
 
-    def test_speed_bound_preserves_four_way_parity(self):
-        # Slow workers with big radii are exactly where the new bound
-        # prunes; the four strategies must keep agreeing there.
+    def test_speed_bound_preserves_reference_parity(self):
+        # Slow workers with big radii are exactly where the speed bound
+        # prunes; the grid must keep matching brute force there.
         for seed in range(6):
-            instance = generate_instance(
-                40, 8,
-                speed_range=(0.005, 0.05),
-                radius_range=(0.3, 0.9),
-                remaining_time=2.0,
-                seed=seed,
+            assert_matches_reference(
+                generate_instance(
+                    40, 8,
+                    speed_range=(0.005, 0.05),
+                    radius_range=(0.3, 0.9),
+                    remaining_time=2.0,
+                    seed=seed,
+                )
             )
-            reference = compute_valid_pairs(instance, strategy="matrix")
-            for strategy in ("rtree", "grid", "kdtree"):
-                assert compute_valid_pairs(instance, strategy=strategy) == reference
 
 
 class TestIncrementalValidityIndex:
@@ -248,8 +293,9 @@ class TestIncrementalValidityIndex:
             index.sync(instance.tasks)
             assert len(index) == len(pool)
             incremental = index.compute(instance)
-            rebuilt = compute_valid_pairs(instance, strategy="grid")
+            rebuilt = compute_valid_pairs(instance)
             assert incremental == rebuilt, f"round {round_index}"
+            assert incremental == compute_valid_pairs_reference(instance)
 
     def test_expired_candidate_tightens_reach_bound(self):
         from repro.core.model import Task, Worker
@@ -295,7 +341,7 @@ class TestIncrementalValidityIndex:
         assert index.max_remaining(3.0) == _max_remaining(second)
         assert index.max_remaining(3.0) == pytest.approx(0.2)
         incremental = index.compute(second)
-        assert incremental == compute_valid_pairs(second, strategy="grid")
+        assert incremental == compute_valid_pairs(second)
         # Positional index 0 — the fresh task is reachable (0.1 travel).
         assert incremental.tasks_for_worker[0] == (0,)
 
