@@ -1,12 +1,17 @@
 """Micro-benchmarks for the substrates: the grid index, grid validity
-against its brute-force reference, max-flow, and the incremental
-revenue engine."""
+against its brute-force reference, TPG stage 1 against its from-scratch
+reference, max-flow, and the incremental revenue engine."""
+
+import math
 
 import numpy as np
 import pytest
 
+from repro.audit.reference import reference_seed_groups, stage_one_trace
 from repro.core.assignment import Assignment
+from repro.core.tpg import seed_groups
 from repro.core.validity import compute_valid_pairs, compute_valid_pairs_reference
+from repro.datasets.synthetic import generate_instance
 from repro.flow.bipartite import max_bipartite_assignment
 from repro.spatial.geometry import Point
 from repro.spatial.grid import GridIndex
@@ -47,6 +52,43 @@ def test_grid_circle_queries(benchmark, points, queries):
 def test_validity(benchmark, compute):
     instance, _ = make_batch(dataset="unif")
     benchmark(compute, instance)
+
+
+@pytest.fixture(scope="module")
+def hotpath_batch():
+    """An eighth of the hot-path population (8 000 workers, 4 000 tasks,
+    reach stretched to keep ~24 candidates per worker) on the sparse
+    store."""
+    window = 0.125
+    stretch = 1.0 / math.sqrt(window)
+    instance = generate_instance(
+        round(8000 * window),
+        round(4000 * window),
+        capacity=8,
+        speed_range=(0.01 * stretch, 0.05 * stretch),
+        radius_range=(0.03 * stretch, 0.06 * stretch),
+        seed=[1, 0],
+        quality_backend="sparse",
+    )
+    return instance, compute_valid_pairs(instance)
+
+
+@pytest.mark.parametrize(
+    "seeder, oracle",
+    [(seed_groups, reference_seed_groups), (reference_seed_groups, seed_groups)],
+    ids=["cached", "reference"],
+)
+def test_stage_one(benchmark, hotpath_batch, seeder, oracle):
+    instance, valid_pairs = hotpath_batch
+    available = np.ones(instance.worker_count, dtype=bool)
+    tasks = range(instance.task_count)
+    flags = dict(prefer_wider=True, positive_only=False)
+    trace = benchmark(
+        stage_one_trace, seeder, instance, valid_pairs, available, tasks, **flags
+    )
+    assert trace == stage_one_trace(
+        oracle, instance, valid_pairs, available, tasks, **flags
+    )
 
 
 def test_dinic_bipartite(benchmark):

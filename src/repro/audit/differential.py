@@ -8,6 +8,10 @@ The repo documents three equivalence families:
   alike — produces exactly Definition 3's pairs, as computed by the
   brute-force oracle
   (:func:`~repro.core.validity.compute_valid_pairs_reference`);
+* TPG stage 1 (:func:`~repro.core.tpg.seed_groups`: cached candidate
+  blocks, one bulk commit) reproduces the from-scratch loop
+  (:func:`~repro.audit.reference.reference_seed_groups`) repr-exactly,
+  on every backend, under both call sites' flags;
 * the three quality-store backends are *repr-identical* under every
   solver (``repro.core.quality_store`` bit-identity contract);
 * every registered approach is deterministic given its seed, so the same
@@ -25,12 +29,15 @@ instance is itself a bug worth shrinking).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.assignment import Assignment
 from repro.core.model import Instance
 from repro.core.quality_store import (
     SharedDenseQualityStore,
     SparseQualityStore,
 )
+from repro.core.tpg import seed_groups
 from repro.core.validity import (
     IncrementalValidityIndex,
     ValidPairs,
@@ -38,6 +45,7 @@ from repro.core.validity import (
     compute_valid_pairs_reference,
 )
 from repro.audit.invariants import AuditFinding, audit_assignment
+from repro.audit.reference import reference_seed_groups, stage_one_trace
 
 __all__ = ["BACKENDS", "run_differential", "run_sharded_check"]
 
@@ -116,6 +124,56 @@ def _validity_parity(instance: Instance, pairs: ValidPairs) -> list[AuditFinding
     ]
 
 
+#: Stage 1's two call sites: TPG over every worker, and the sharded
+#: border seeding over a partial pool (here every worker but each third).
+_STAGE_ONE_SITES = (
+    ("tpg", dict(prefer_wider=True, positive_only=False), None),
+    ("border", dict(prefer_wider=False, positive_only=True), 3),
+)
+
+
+def _stage_one_parity(
+    backend: str, instance: Instance, pairs: ValidPairs
+) -> list[AuditFinding]:
+    """Stage 1's cached blocks and bulk commit against the from-scratch
+    loop: commits, groups, score reprs, kernel calls and revenue state."""
+    findings = []
+    tasks = range(instance.task_count)
+    for site, flags, skip in _STAGE_ONE_SITES:
+        available = np.ones(instance.worker_count, dtype=bool)
+        if skip is not None:
+            available[::skip] = False
+        context = f"stage1={site} backend={backend}"
+        try:
+            cached = stage_one_trace(
+                seed_groups, instance, pairs, available, tasks, **flags
+            )
+        except Exception as error:
+            findings.append(
+                AuditFinding(
+                    check="crash",
+                    detail=f"{type(error).__name__}: {error}",
+                    context=context,
+                )
+            )
+            continue
+        scratch = stage_one_trace(
+            reference_seed_groups, instance, pairs, available, tasks, **flags
+        )
+        if cached != scratch:
+            findings.append(
+                AuditFinding(
+                    check="stage1-parity",
+                    detail=(
+                        "cached stage 1 diverges from the from-scratch "
+                        f"loop: commits {cached[0]} vs {scratch[0]}"
+                    ),
+                    context=context,
+                )
+            )
+    return findings
+
+
 def run_differential(
     instance: Instance,
     approaches=None,
@@ -148,6 +206,7 @@ def run_differential(
             variants.append((backend, variant))
             if cleanup is not None:
                 cleanups.append(cleanup)
+            findings.extend(_stage_one_parity(backend, variant, valid_pairs))
 
         for approach in approaches:
             reference: tuple | None = None

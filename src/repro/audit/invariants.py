@@ -57,8 +57,8 @@ class AuditFinding:
     ``check`` is a stable machine-readable label (``"definition3"``,
     ``"definition4-disjoint"``, ``"definition4-capacity"``,
     ``"b-threshold"``, ``"equation2"``, ``"equation3"``,
-    ``"revenue-drift"``, ``"validity-parity"``, ``"differential"``,
-    ``"crash"``); ``context`` carries the approach/backend
+    ``"revenue-drift"``, ``"validity-parity"``, ``"stage1-parity"``,
+    ``"differential"``, ``"crash"``); ``context`` carries the approach/backend
     combination that produced it (empty for direct assignment audits).
     """
 

@@ -102,7 +102,7 @@ def seed_border_groups(
     open_tasks = sorted(
         {int(task) for task in border_tasks if not assignment.members(int(task))}
     )
-    committed = seed_groups(
+    commits = seed_groups(
         instance,
         valid_pairs,
         assignment,
@@ -112,8 +112,7 @@ def seed_border_groups(
         prefer_wider=False,
         positive_only=True,
     )
-    # Every committed task was empty before, so its members are its seeds.
-    return sum(assignment.assigned_count(task) for task in committed)
+    return sum(len(group) for _, group, _ in commits)
 
 
 def reconcile_borders(

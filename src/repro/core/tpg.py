@@ -15,20 +15,23 @@ Two stages:
 The implementation keeps the asymptotics of the paper's analysis
 (``max(O(m n n_bar), O(m_bar n^2))``) and batches both stages:
 
-* stage 1 (:func:`seed_groups`) evaluates each task's best set in one
-  kernel call over the store's flat buffers
-  (:func:`~repro.core.kernels.best_group`), caches it in a
-  version-stamped max-heap and recomputes only the sets that lost a member
-  to the last commit, found through an inverted index from each worker to
-  the cached sets holding it — no per-commit rescan of the open tasks;
+* stage 1 (:func:`seed_groups`) gathers each task's candidate block once
+  (:class:`_CandidateBlocks`) and re-evaluates it by masking the workers
+  that have left, caches each best set in a version-stamped max-heap and
+  recomputes only the sets that lost a member to the last commit, found
+  through an inverted index from each worker to the cached sets holding
+  it — no per-commit rescan of the open tasks. All groups commit in one
+  :meth:`~repro.core.assignment.Assignment.assign_pairs` call;
 * stage 2 keeps a version-stamped heap of pair gains, so each commit
   re-scores only the pairs of the task whose membership changed, and
   scores all of that task's idle candidates in one block evaluation
   (:meth:`~repro.core.revenue.RevenueCache.join_gains`).
 
 Every score, tie-break and counter is bit-identical to the scalar loops
-these replace; the sharding pipeline's border seeding reuses
-:func:`seed_groups` with its own floor and tie rule.
+these replace (stage 1's from-scratch loop is
+:func:`repro.audit.reference.reference_seed_groups`); the sharding
+pipeline's border seeding reuses :func:`seed_groups` with its own floor
+and tie rule.
 """
 
 from __future__ import annotations
@@ -40,12 +43,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.assignment import Assignment
-from repro.core.kernels import best_group
+from repro.core.kernels import (
+    block_entries,
+    exact_group_select,
+    greedy_group_select,
+)
 from repro.core.model import Instance
 from repro.core.stats import SolverStats
 from repro.core.validity import ValidPairs, compute_valid_pairs
 
-__all__ = ["solve_tpg", "greedy_best_group", "seed_groups", "TPGResult"]
+__all__ = ["solve_tpg", "seed_groups", "TPGResult"]
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ class TPGResult:
     stats: SolverStats | None = None
 
 
-#: Memoized combination tables for :func:`exact_best_group`, keyed by
+#: Memoized combination tables for stage 1's exact selection, keyed by
 #: ``(candidate_count, size)``: the combination matrix plus one pair of
 #: column index arrays per unordered position pair. Stage 1 calls the
 #: exact seeder hundreds of times per batch with the same tiny shapes,
@@ -96,62 +103,10 @@ def _combo_table(
     return table
 
 
-def exact_best_group(
-    quality, candidates: list[int], size: int, stats=None
-) -> tuple[list[int], float]:
-    """Exhaustive max-quality ``size``-group (tiny candidate sets only).
-
-    Used by :func:`greedy_best_group` below a candidate-count threshold,
-    and by tests as the oracle for the greedy's approximation quality.
-
-    The enumeration is vectorized
-    (:func:`~repro.core.kernels.exact_group_select`, run by
-    :func:`~repro.core.kernels.best_group`): each combination's pair sum
-    is the sequential left-to-right accumulation over its position pairs
-    in lexicographic order — the same float additions, in the same
-    order, as the scalar loop it replaced — and ``argmax`` keeps the
-    first maximum exactly like a strict ``>`` scan. ``stats`` counts the
-    kernel call.
-    """
-    count = len(candidates)
-    if count < size or size < 2:
-        return [], 0.0
-    return best_group(
-        quality.as_kernel_buffers(),
-        sorted(candidates),
-        size,
-        table=_combo_table(count, size),
-        stats=stats,
-    )
-
-
 #: Candidate-count threshold below which stage 1 solves the B-group
 #: subproblem exactly instead of greedily. C(12, 3) = 220 evaluations —
 #: cheaper than the vectorized greedy's setup at that size.
 EXACT_SEED_THRESHOLD = 12
-
-
-def greedy_best_group(
-    quality, candidates: list[int], size: int, stats=None
-) -> tuple[list[int], float]:
-    """Greedy max-quality ``size``-group from ``candidates``.
-
-    Seeds with the candidate pair maximizing ``q_i(w_k) + q_k(w_i)`` and
-    grows by argmax cross-sum additions
-    (:func:`~repro.core.kernels.greedy_group_select`), evaluated over the
-    quality store's kernel buffers. Returns ``(group, Q)`` where
-    ``Q`` is the Equation 2 revenue of the group (denominator
-    ``size - 1``); returns ``([], 0.0)`` when there are not enough
-    candidates. Falls back to the exact enumeration when the candidate
-    set is tiny (:data:`EXACT_SEED_THRESHOLD`). ``stats`` counts the
-    kernel calls.
-    """
-    count = len(candidates)
-    if count < size or size < 2:
-        return [], 0.0
-    if count <= EXACT_SEED_THRESHOLD:
-        return exact_best_group(quality, candidates, size, stats=stats)
-    return best_group(quality.as_kernel_buffers(), candidates, size, stats=stats)
 
 
 def solve_tpg(
@@ -197,8 +152,9 @@ def _solve_tpg_full(
     stats = SolverStats(solver="TPG")
 
     started = time.perf_counter()
-    seeded = set(
-        seed_groups(
+    seeded = {
+        task
+        for task, _, _ in seed_groups(
             instance,
             valid_pairs,
             assignment,
@@ -208,7 +164,7 @@ def _solve_tpg_full(
             prefer_wider=True,
             positive_only=False,
         )
-    )
+    }
     stage_one_done = time.perf_counter()
     _stage_two(
         instance, valid_pairs, assignment, available, seeded,
@@ -241,6 +197,92 @@ class _TaskWorkers:
         return workers[available[workers]]
 
 
+class _CandidateBlocks:
+    """Each task's stage-1 candidate block, gathered once per call.
+
+    A task's valid workers are fixed within a batch; only their
+    availability shrinks. The first evaluation keeps the task's
+    available candidates — ascending, as :class:`ValidPairs` lists them,
+    so one order serves the greedy and the exact selection — and, on the
+    sparse store, only the entries of their symmetric block that differ
+    from ``2 * prior`` (:func:`~repro.core.kernels.block_entries`). A
+    re-evaluation rebuilds that block from the default fill and the
+    entries and cuts out the rows and columns of the candidates still
+    available: off the diagonal, which neither selection reads, the same
+    floats a fresh gather of the survivors gives. The dense stores keep
+    only the ids and index their matrix.
+    """
+
+    __slots__ = ("_buffers", "_lists", "_available", "_blocks")
+
+    def __init__(self, quality, valid_pairs: ValidPairs, available: np.ndarray):
+        self._buffers = quality.as_kernel_buffers()
+        self._lists = valid_pairs.workers_for_task
+        self._available = available
+        self._blocks: dict[int, tuple] = {}  # task -> (ids, entries)
+
+    def live_count(self, task: int) -> int:
+        """How many of the task's candidates are still available."""
+        return int(np.count_nonzero(self._available[self._blocks[task][0]]))
+
+    def free(self, task: int) -> None:
+        self._blocks.pop(task, None)
+
+    def best_group(
+        self, task: int, size: int, stats: SolverStats | None
+    ) -> tuple[list[int], float]:
+        """The task's best ``size``-group over its available candidates.
+
+        Returns ``(group, Q)`` with the group in selection order and
+        ``Q`` its Equation 2 revenue, or ``([], 0.0)`` — freeing the
+        block — when no group is left. Exact enumeration up to
+        :data:`EXACT_SEED_THRESHOLD` live candidates, greedy above it;
+        ``stats`` counts one kernel call per selection run.
+        """
+        if size < 2:
+            return [], 0.0
+        buffers = self._buffers
+        block = self._blocks.get(task)
+        if block is None:
+            workers = np.asarray(self._lists[task], dtype=np.intp)
+            ids = workers[self._available[workers]]
+            entries = None if buffers.is_dense else block_entries(buffers, ids)
+            self._blocks[task] = block = (ids, entries)
+        ids, entries = block
+        live = self._available[ids].nonzero()[0]
+        count = live.size
+        if count < size:
+            self.free(task)
+            return [], 0.0
+        if entries is None:
+            survivors = ids[live]
+            sub = buffers.dense[survivors[:, None], survivors]
+            symmetric = sub + sub.T
+        else:
+            positions, values = entries
+            whole = np.empty(ids.size * ids.size)
+            whole.fill(2.0 * buffers.prior)
+            whole[positions] = values
+            symmetric = (
+                whole.reshape(ids.size, ids.size)
+                .take(live, axis=0)
+                .take(live, axis=1)
+            )
+        if stats is not None:
+            stats.kernel_fallback_calls += 1
+        if count <= EXACT_SEED_THRESHOLD:
+            combos, pair_columns = _combo_table(count, size)
+            best, pair_sum = exact_group_select(symmetric, pair_columns)
+            chosen = combos[best]
+        else:
+            selection = greedy_group_select(symmetric, size)
+            if selection is None:
+                self.free(task)
+                return [], 0.0
+            chosen, pair_sum = selection
+        return ids[live[chosen]].tolist(), pair_sum / (size - 1)
+
+
 def seed_groups(
     instance: Instance,
     valid_pairs: ValidPairs,
@@ -251,15 +293,15 @@ def seed_groups(
     *,
     prefer_wider: bool,
     positive_only: bool,
-) -> list[int]:
+) -> list[tuple[int, list[int], float]]:
     """Commit best ``B``-groups to ``tasks`` until none is left to commit.
 
     The stage-1 loop: every task caches its best group over the
-    available workers (:func:`greedy_best_group`); the highest-scoring
+    available workers (:class:`_CandidateBlocks`); the highest-scoring
     cached group commits (lowest task id among equal scores), its members
     leave the pool, and exactly the cached groups that held one of them
     are recomputed. Tasks left without a group drop out. Returns the
-    committed tasks in commit order.
+    commits in order, as ``(task, group in selection order, Q)``.
 
     A version-stamped max-heap over ``(-score, task)`` finds the commit
     without rescanning every open task, and an inverted index from each
@@ -269,10 +311,13 @@ def seed_groups(
     order: a later task with the *same* group and strictly more available
     candidates takes the commit. ``positive_only`` commits only groups
     scoring above zero (the border seeding's monotone-score floor).
+    Selection never reads the revenue state, so every commit reaches
+    ``assignment`` in one :meth:`~repro.core.assignment.Assignment.assign_pairs`
+    call at the end — the state of one ``assign`` per member, bit for
+    bit.
     """
     minimum = instance.min_group_size
-    quality = instance.quality
-    pool = _TaskWorkers(valid_pairs)
+    blocks = _CandidateBlocks(instance.quality, valid_pairs, available)
     groups: dict[int, list[int]] = {}  # cached best group of each live task
     holders: dict[int, set[int]] = {}  # worker -> tasks whose group holds it
     versions = [0] * instance.task_count
@@ -280,10 +325,7 @@ def seed_groups(
 
     def evaluate(task: int) -> None:
         versions[task] += 1
-        candidates = pool.idle(task, available).tolist()
-        group, score = greedy_best_group(
-            quality, candidates, minimum, stats=stats
-        )
+        group, score = blocks.best_group(task, minimum, stats)
         if not group:
             return  # no group left: the task drops out
         groups[task] = group
@@ -298,13 +340,10 @@ def seed_groups(
                 return entry
         return None
 
-    def candidate_count(task: int) -> int:
-        return int(pool.idle(task, available).size)
-
     for task in tasks:
         evaluate(task)
 
-    committed: list[int] = []
+    commits: list[tuple[int, list[int], float]] = []
     while True:
         top = pop_live()
         if top is None or (positive_only and not -top[0] > 0.0):
@@ -321,8 +360,8 @@ def seed_groups(
             for _, task, _ in tied[1:]:
                 if groups[task] == group:
                     if most is None:
-                        most = candidate_count(best_task)
-                    count = candidate_count(task)
+                        most = blocks.live_count(best_task)
+                    count = blocks.live_count(task)
                     if count > most:
                         best_task, most = task, count
             for entry in tied:
@@ -331,10 +370,9 @@ def seed_groups(
 
         versions[best_task] += 1
         del groups[best_task]
-        for worker in group:
-            assignment.assign(worker, best_task)
-            available[worker] = False
-        committed.append(best_task)
+        blocks.free(best_task)
+        available[group] = False
+        commits.append((best_task, group, -top[0]))
         stale: set[int] = set()
         for worker in group:
             stale |= holders.pop(worker, set())
@@ -345,7 +383,10 @@ def seed_groups(
                 if tasks_held is not None:
                     tasks_held.discard(task)
             evaluate(task)
-    return committed
+    assignment.assign_pairs(
+        (worker, task) for task, group, _ in commits for worker in group
+    )
+    return commits
 
 
 def _stage_two(

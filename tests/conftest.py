@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.model import Instance, Task, Worker
 from repro.core.quality import CooperationMatrix
-from repro.core.validity import compute_valid_pairs
+from repro.core.validity import ValidPairs, compute_valid_pairs
 from repro.datasets.synthetic import generate_instance
 from repro.spatial.geometry import Point
 
@@ -94,3 +94,16 @@ def make_example1_instance() -> tuple[Instance, dict[str, int], dict[str, int]]:
 @pytest.fixture
 def example1():
     return make_example1_instance()
+
+
+def one_task_blocks(quality, candidates):
+    """TPG stage 1's block cache over one task whose valid workers are
+    ``candidates``, with every worker available: ``(blocks, available)``."""
+    from repro.core.tpg import _CandidateBlocks
+
+    wanted = set(candidates)
+    pairs = ValidPairs.from_worker_lists(
+        [[0] if worker in wanted else [] for worker in range(quality.size)], 1
+    )
+    available = np.ones(quality.size, dtype=bool)
+    return _CandidateBlocks(quality, pairs, available), available

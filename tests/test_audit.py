@@ -236,6 +236,26 @@ class TestDifferentialRunner:
             "validity=incremental vs reference",
         }
 
+    def test_stage_one_divergence_is_flagged(self, monkeypatch):
+        # Send every stage-1 evaluation down the greedy selection; the
+        # from-scratch loop still enumerates small candidate sets, so the
+        # groups (selection order vs lexicographic) diverge on every
+        # backend and under both call sites' flags.
+        from repro.audit import differential
+        from repro.core import tpg
+
+        monkeypatch.setattr(tpg, "EXACT_SEED_THRESHOLD", 0)
+        instance = make_dense_instance(seed=1)
+        findings = differential.run_differential(instance, approaches=())
+        flagged = {
+            f.context for f in findings if f.check == "stage1-parity"
+        }
+        assert flagged == {
+            f"stage1={site} backend={backend}"
+            for site in ("tpg", "border")
+            for backend in differential.BACKENDS
+        }
+
     def test_validity_reference_parity_on_boundary_instances(self):
         # The range query is pruned to min(r_i, v_i * max_remaining);
         # parity of the grid with the brute-force reference on

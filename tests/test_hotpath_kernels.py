@@ -1,11 +1,13 @@
-"""Parity suite for TPG's stage-1 group kernel.
+"""Parity suite for TPG's stage-1 group evaluation.
 
-``tpg.greedy_best_group`` / ``tpg.exact_best_group`` evaluate through
-:func:`repro.core.kernels.best_group` over the store's flat kernel
-buffers; the selection primitives run on the store's own
-``quality.gather`` must give the same groups and the same floats. The
-solve-level outputs of the batched path (mid-round rescans, stage 1,
-border seeding) are pinned by ``tests/test_golden.py``.
+``tpg.seed_groups`` evaluates each task through its cached candidate
+block (``tpg._CandidateBlocks``): gathered once, then re-evaluated over
+the still-available workers. Every evaluation must give the groups and
+the floats of the from-scratch oracle
+(:func:`repro.audit.reference.reference_best_group`), which gathers the
+survivors through the store's own ``quality.gather``. The solve-level
+outputs of the batched path (mid-round rescans, stage 1, border seeding)
+are pinned by ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -13,21 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.kernels import best_group, exact_group_select, greedy_group_select
+from repro.audit.reference import reference_best_group
 from repro.core.model import Instance
 from repro.core.quality_store import (
     SharedDenseQualityStore,
     SparseQualityStore,
 )
 from repro.core.stats import SolverStats
-from repro.core.tpg import (
-    EXACT_SEED_THRESHOLD,
-    _combo_table,
-    greedy_best_group,
-    solve_tpg_with_stats,
-)
+from repro.core.tpg import EXACT_SEED_THRESHOLD, solve_tpg_with_stats
 from repro.core.validity import compute_valid_pairs
-from tests.conftest import make_dense_instance
+from tests.conftest import make_dense_instance, one_task_blocks
 
 
 def _with_backend(instance: Instance, backend: str):
@@ -54,24 +51,6 @@ def _with_backend(instance: Instance, backend: str):
 
         return swapped, cleanup
     return swapped, None
-
-
-def _store_group(quality, candidates: list[int], size: int):
-    """The stage-1 selection run on the store's own ``gather``."""
-    if len(candidates) <= EXACT_SEED_THRESHOLD:
-        ordered = sorted(candidates)
-        index = np.asarray(ordered, dtype=np.intp)
-        sub = quality.gather(index)
-        combos, pair_columns = _combo_table(len(ordered), size)
-        best, pair_sum = exact_group_select(sub + sub.T, pair_columns)
-        return [ordered[i] for i in combos[best]], pair_sum / (size - 1)
-    index = np.asarray(candidates, dtype=np.intp)
-    sub = quality.gather(index)
-    selection = greedy_group_select(sub + sub.T, size)
-    if selection is None:
-        return [], 0.0
-    chosen, pair_sum = selection
-    return [int(index[local]) for local in chosen], pair_sum / (size - 1)
 
 
 #: (candidate_count, group_size) shapes spanning both selection regimes
@@ -101,47 +80,43 @@ class TestStageOneGroupKernel:
                 candidates = sorted(
                     int(x)
                     for x in rng.choice(
-                        instance.worker_count, size=count, replace=False
+                        instance.worker_count, size=count + 3, replace=False
                     )
                 )
-                store_group, store_score = _store_group(
-                    quality, candidates, size
-                )
-                stats = SolverStats()
-                kernel_group, kernel_score = greedy_best_group(
-                    quality, candidates, size, stats=stats
-                )
-                assert kernel_group == store_group, (count, size, trial)
-                assert repr(kernel_score) == repr(store_score)
-                assert len(kernel_group) == size
-                assert stats.kernel_fallback_calls == 1
+                blocks, available = one_task_blocks(quality, candidates)
+                # The first evaluation sees count + 3 candidates, the
+                # re-evaluation the count survivors of three departures.
+                for live in (candidates, candidates[3:]):
+                    available[:] = False
+                    available[live] = True
+                    store_group, store_score = reference_best_group(
+                        quality, live, size
+                    )
+                    stats = SolverStats()
+                    group, score = blocks.best_group(0, size, stats)
+                    assert group == store_group, (count, size, trial)
+                    assert repr(score) == repr(store_score)
+                    assert len(group) == size
+                    assert stats.kernel_fallback_calls == 1
         finally:
             if cleanup is not None:
                 cleanup()
 
     def test_exact_regime_boundary_is_honoured(self):
-        # C(12, 3) enumerates; 13 candidates go greedy — both through
-        # the kernel, both matching the store's gather (previous test); here
-        # we pin the threshold itself so a drive-by change is visible.
+        # C(12, 3) enumerates; 13 candidates go greedy — both matching
+        # the store's gather (previous test); here we pin the threshold
+        # itself so a drive-by change is visible.
         assert EXACT_SEED_THRESHOLD == 12
 
     def test_too_few_candidates_returns_empty(self):
         instance = make_dense_instance(10, 2, seed=1)
-        group, score = greedy_best_group(instance.quality, [1, 2], 3)
-        assert group == [] and score == 0.0
+        blocks, _ = one_task_blocks(instance.quality, [1, 2])
+        stats = SolverStats()
+        assert blocks.best_group(0, 3, stats) == ([], 0.0)
+        assert stats.kernel_fallback_calls == 0
 
     def test_tpg_native_reports_kernel_dispatches(self):
         instance = make_dense_instance(60, 12, seed=3)
         result = solve_tpg_with_stats(instance, compute_valid_pairs(instance))
         assert result.stats.kernel_fallback_calls > 0, "stage 1 never ran"
         assert result.stats.kernel_compiled_calls == 0
-
-    def test_best_group_rejects_short_candidate_lists(self):
-        # best_group's contract: the caller (greedy/exact_best_group)
-        # guarantees len(candidates) >= size >= 2 — the guard lives
-        # there, so tpg.greedy_best_group stays total.
-        instance = make_dense_instance(12, 2, seed=2)
-        buffers = instance.quality.as_kernel_buffers()
-        group, score = best_group(buffers, list(range(4)), 3)
-        assert len(group) == 3
-        assert isinstance(score, float)

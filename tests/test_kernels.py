@@ -31,8 +31,8 @@ from repro.core.kernels import (
     PEEL_CHUNK,
     counted_subset_batch,
     counted_subset_select,
+    block_entries,
     gather_block,
-    gather_symmetric,
     ordered_row_sums,
     score_candidates,
     verify_pairwise_cliff,
@@ -228,8 +228,10 @@ class TestGatherBlock:
 
 
 class TestGatherSymmetric:
-    """The sparse branch scatters the candidates' CSR row segments; it
-    must equal the global key search and the dense gather exactly."""
+    """Stage 1's sparse symmetric block comes from the candidates' CSR row
+    segments (:func:`block_entries`); filled with ``2 * prior``, the
+    entries scattered back and the diagonal zeroed, it must equal the
+    global key search and the dense gather exactly."""
 
     @staticmethod
     def _sparse(seed: int):
@@ -258,14 +260,19 @@ class TestGatherSymmetric:
             dense, sparse = self._sparse(seed)
             buffers = sparse.as_kernel_buffers()
             index = np.asarray(index)
-            scattered = gather_symmetric(buffers, index)
+            positions, values = block_entries(buffers, index)
+            scattered = np.full(index.size * index.size, 2 * 0.4)
+            scattered[positions] = values
+            scattered = scattered.reshape(index.size, index.size)
+            np.fill_diagonal(scattered, 0.0)
             searched = gather_block(buffers, index, index)
             sub = dense.gather(index)
             assert np.array_equal(scattered, searched + searched.T)
             assert np.array_equal(scattered, sub + sub.T)
-            assert np.array_equal(
-                scattered, gather_symmetric(dense.as_kernel_buffers(), index)
-            )
+            # Only the entries that differ from the default, off the
+            # diagonal.
+            assert not np.any(values == 2 * 0.4)
+            assert not np.any(positions % (index.size + 1) == 0)
 
     def test_buffers_share_the_store_csr(self):
         _, sparse = self._sparse(0)

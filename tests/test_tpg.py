@@ -5,39 +5,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audit.reference import (
+    reference_best_group,
+    reference_seed_groups,
+    stage_one_trace,
+)
 from repro.core.quality import CooperationMatrix
-from repro.core.tpg import greedy_best_group, solve_tpg, solve_tpg_with_stats
+from repro.core.tpg import (
+    EXACT_SEED_THRESHOLD,
+    seed_groups,
+    solve_tpg,
+    solve_tpg_with_stats,
+)
 from repro.core.validity import compute_valid_pairs
 from repro.datasets.synthetic import generate_instance
 
-from tests.conftest import make_dense_instance, make_example1_instance
+from tests.conftest import (
+    make_dense_instance,
+    make_example1_instance,
+    one_task_blocks,
+)
+
+
+def stage_one_group(quality, candidates, size):
+    """Stage 1's evaluation of one task whose valid workers are
+    ``candidates``: greedy above :data:`EXACT_SEED_THRESHOLD` of them,
+    exhaustive at or below."""
+    blocks, _ = one_task_blocks(quality, candidates)
+    return blocks.best_group(0, size, None)
 
 
 class TestGreedyBestGroup:
     def test_not_enough_candidates(self):
         q = CooperationMatrix.random_uniform(5, seed=0)
-        assert greedy_best_group(q, [0, 1], 3) == ([], 0.0)
-        assert greedy_best_group(q, [], 2) == ([], 0.0)
+        assert stage_one_group(q, [0, 1], 3) == ([], 0.0)
+        assert stage_one_group(q, [], 2) == ([], 0.0)
 
     def test_pair_is_exact(self):
         q = np.zeros((4, 4))
         q[0, 1] = q[1, 0] = 0.2
         q[2, 3] = q[3, 2] = 0.9
         matrix = CooperationMatrix(q)
-        group, score = greedy_best_group(matrix, [0, 1, 2, 3], 2)
+        group, score = stage_one_group(matrix, [0, 1, 2, 3], 2)
         assert sorted(group) == [2, 3]
         assert score == pytest.approx(1.8)
 
     def test_group_score_matches_revenue_formula(self):
         q = CooperationMatrix.random_uniform(10, seed=1)
-        group, score = greedy_best_group(q, list(range(10)), 4)
+        group, score = stage_one_group(q, list(range(10)), 4)
         assert len(group) == 4
         assert score == pytest.approx(q.ordered_pair_sum(group) / 3)
 
     def test_subset_of_candidates(self):
         q = CooperationMatrix.random_uniform(10, seed=2)
         candidates = [1, 4, 7, 9]
-        group, _ = greedy_best_group(q, candidates, 3)
+        group, _ = stage_one_group(q, candidates, 3)
         assert set(group) <= set(candidates)
 
     @settings(max_examples=30, deadline=None)
@@ -47,7 +69,7 @@ class TestGreedyBestGroup:
 
         q = CooperationMatrix.random_uniform(count, seed=seed)
         candidates = list(range(count))
-        group, score = greedy_best_group(q, candidates, 3)
+        group, score = stage_one_group(q, candidates, 3)
         best = max(
             q.ordered_pair_sum(list(combo)) / 2
             for combo in itertools.combinations(candidates, 3)
@@ -334,10 +356,8 @@ class TestExactBestGroup:
     def test_exact_is_optimal(self):
         import itertools
 
-        from repro.core.tpg import exact_best_group
-
         q = CooperationMatrix.random_uniform(8, seed=5)
-        group, score = exact_best_group(q, list(range(8)), 3)
+        group, score = reference_best_group(q, list(range(8)), 3)
         best = max(
             q.ordered_pair_sum(list(combo)) / 2
             for combo in itertools.combinations(range(8), 3)
@@ -346,18 +366,127 @@ class TestExactBestGroup:
         assert len(group) == 3
 
     def test_exact_not_enough_candidates(self):
-        from repro.core.tpg import exact_best_group
-
         q = CooperationMatrix.random_uniform(4, seed=0)
-        assert exact_best_group(q, [0, 1], 3) == ([], 0.0)
+        assert reference_best_group(q, [0, 1], 3) == ([], 0.0)
 
     def test_greedy_uses_exact_below_threshold(self):
-        """With <= EXACT_SEED_THRESHOLD candidates the greedy result must
+        """With <= EXACT_SEED_THRESHOLD candidates stage 1's result must
         equal the exhaustive optimum."""
-        from repro.core.tpg import EXACT_SEED_THRESHOLD, exact_best_group
+        import itertools
 
         q = CooperationMatrix.random_uniform(EXACT_SEED_THRESHOLD, seed=6)
         candidates = list(range(EXACT_SEED_THRESHOLD))
-        greedy_group, greedy_score = greedy_best_group(q, candidates, 3)
-        exact_group, exact_score = exact_best_group(q, candidates, 3)
-        assert greedy_score == pytest.approx(exact_score)
+        greedy_group, greedy_score = stage_one_group(q, candidates, 3)
+        exact_group, exact_score = reference_best_group(q, candidates, 3)
+        assert (greedy_group, repr(greedy_score)) == (
+            exact_group, repr(exact_score)
+        )
+        assert exact_score == pytest.approx(
+            max(
+                q.ordered_pair_sum(list(combo)) / 2
+                for combo in itertools.combinations(candidates, 3)
+            )
+        )
+
+
+class TestStageOneParity:
+    """Stage 1 gathers each task's candidate block once and commits every
+    group in one ``assign_pairs``; the from-scratch loop re-gathers every
+    stale task through the store and assigns member by member. Commits,
+    groups, score reprs, kernel calls and the revenue cache must match."""
+
+    @staticmethod
+    def _instance(backend: str, workers: int, tasks: int, radius, seed: int):
+        from repro.core.model import Instance
+        from repro.core.quality_store import (
+            SharedDenseQualityStore,
+            SparseQualityStore,
+        )
+
+        base = generate_instance(
+            workers, tasks, capacity=6, min_group_size=3, remaining_time=5,
+            speed_range=(0.1, 0.2), radius_range=radius, seed=seed,
+        )
+        dense = base.quality.to_dense()
+        # Mixed magnitudes and a common prior, so the sparse store holds
+        # both stored entries and prior defaults inside every block.
+        q = np.array(dense.values)
+        rng = np.random.default_rng(seed)
+        q[rng.random(q.shape) < 0.4] = 0.3
+        np.fill_diagonal(q, 0.0)
+        dense = CooperationMatrix(q)
+        store = {
+            "dense": lambda: dense,
+            "sparse": lambda: SparseQualityStore.from_dense(dense, prior=0.3),
+            "shared": lambda: SharedDenseQualityStore.create(dense),
+        }[backend]()
+        instance = Instance(
+            workers=base.workers, tasks=base.tasks, quality=store,
+            min_group_size=base.min_group_size,
+        )
+        return instance, store
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "shared"])
+    @pytest.mark.parametrize(
+        "radius",
+        [(0.12, 0.22), (0.3, 0.5)],
+        ids=["straddling-threshold", "greedy-regime"],
+    )
+    @pytest.mark.parametrize(
+        "prefer_wider, positive_only, share",
+        [(True, False, 1.0), (False, True, 0.6)],
+        ids=["tpg", "border"],
+    )
+    def test_cached_stage_one_matches_from_scratch(
+        self, backend, radius, prefer_wider, positive_only, share
+    ):
+        for seed in range(3):
+            instance, store = self._instance(backend, 120, 24, radius, seed)
+            try:
+                pairs = compute_valid_pairs(instance)
+                counts = [len(workers) for workers in pairs.workers_for_task]
+                # Re-evaluations of shrinking blocks cross the threshold
+                # either way.
+                if radius[1] < 0.3:
+                    assert min(counts) <= EXACT_SEED_THRESHOLD < max(counts)
+                else:
+                    assert min(counts) > EXACT_SEED_THRESHOLD
+                rng = np.random.default_rng(seed)
+                available = rng.random(instance.worker_count) < share
+                tasks = range(instance.task_count)
+                flags = dict(prefer_wider=prefer_wider, positive_only=positive_only)
+                cached = stage_one_trace(
+                    seed_groups, instance, pairs, available, tasks, **flags
+                )
+                scratch = stage_one_trace(
+                    reference_seed_groups, instance, pairs, available, tasks,
+                    **flags,
+                )
+                assert cached[0], "nothing committed"
+                assert cached == scratch, (seed, backend)
+            finally:
+                if backend == "shared":
+                    store.close()
+                    store.unlink()
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("prefer_wider", [True, False])
+    def test_tie_shapes(self, backend, prefer_wider):
+        shapes = []
+        q = np.full((3, 3), 0.1)
+        q[0, 1] = q[1, 0] = 0.9
+        shapes.append((q, [(0, 1), (0, 1, 2)]))
+        q = np.zeros((4, 4))
+        q[0, 1] = q[1, 0] = 0.5
+        q[1, 2] = q[2, 1] = 0.5
+        shapes.append((q, [(0, 1), (1, 2, 3)]))
+        for quality, workers_for_task in shapes:
+            instance, pairs = _tie_instance(quality, workers_for_task, backend)
+            available = np.ones(instance.worker_count, dtype=bool)
+            tasks = range(instance.task_count)
+            flags = dict(prefer_wider=prefer_wider, positive_only=False)
+            assert stage_one_trace(
+                seed_groups, instance, pairs, available, tasks, **flags
+            ) == stage_one_trace(
+                reference_seed_groups, instance, pairs, available, tasks, **flags
+            )

@@ -228,6 +228,66 @@ class TestReachLimitRegression:
             )
 
 
+def _hypot_mismatch(seed: int, np_above: bool):
+    """A seeded search for a worker/task point pair whose ``np.hypot``
+    distance lies one ulp above (or below) ``math.hypot``'s."""
+    import math
+
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    while True:
+        worker, task = rng.uniform(0.0, 1.0, size=(2, 2))
+        dx, dy = task - worker
+        grid, oracle = float(np.hypot(dx, dy)), math.hypot(dx, dy)
+        if (grid > oracle) if np_above else (grid < oracle):
+            return worker.tolist(), task.tolist(), grid, oracle
+
+
+class TestHypotBoundary:
+    """The grid measures with ``np.hypot``, Definition 3's oracle
+    (``Point.distance_to``) with ``math.hypot``; the two differ by an
+    ulp on ~0.6% of coordinate pairs. A task exactly at a decision
+    boundary must be decided the same way by both."""
+
+    @staticmethod
+    def _instance(worker, task, radius: float, remaining: float):
+        import numpy as np
+
+        from repro.core.model import Instance, Task, Worker
+        from repro.core.quality import CooperationMatrix
+        from repro.spatial.geometry import Point
+
+        return Instance(
+            workers=[
+                Worker(worker_id=0, location=Point(*worker), speed=1.0,
+                       radius=radius),
+            ],
+            tasks=[
+                Task(task_id=0, location=Point(*task), capacity=2,
+                     deadline=remaining, created_time=0.0),
+            ],
+            quality=CooperationMatrix(np.zeros((1, 1))),
+            min_group_size=2,
+            now=0.0,
+        )
+
+    @pytest.mark.parametrize("np_above", [True, False], ids=["np-above", "np-below"])
+    @pytest.mark.parametrize("boundary", ["radius", "deadline"])
+    def test_boundary_pair_matches_the_oracle(self, boundary, np_above):
+        for seed in range(5):
+            worker, task, grid, oracle = _hypot_mismatch(seed, np_above)
+            # The boundary sits at the oracle's distance when np.hypot
+            # overshoots it (oracle: valid) and at np.hypot's when it
+            # undershoots (oracle: invalid).
+            limit = oracle if np_above else grid
+            radius, remaining = (limit, 2.0) if boundary == "radius" else (2.0, limit)
+            instance = self._instance(worker, task, radius, remaining)
+            reference = compute_valid_pairs_reference(instance)
+            assert reference.tasks_for_worker == (((0,),) if np_above else ((),))
+            assert_matches_reference(instance)
+
+
 class TestIncrementalValidityIndex:
     """The delta-maintained task index must match the full rebuild
     round-by-round, and its reach bound must tighten when the task that
