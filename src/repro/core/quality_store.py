@@ -28,7 +28,7 @@ All three backends return *value-identical* arrays from ``q_row`` /
 ``q_col`` / ``gather``, and compute pair sums with the same numpy
 reduction over the same float values — so solvers produce repr-identical
 assignments regardless of backend (enforced by ``tests/test_quality_store.py``
-and ``benchmarks/bench_guard.py``). The closed form
+and the differential audit's backend axis). The closed form
 ``prior * |M| * (|M| - 1) + D[M, M].sum()`` is exact mathematics but a
 *different float reduction order*, so the sparse backend deliberately
 serves sums from gathered submatrices instead (see

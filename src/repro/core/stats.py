@@ -6,8 +6,8 @@ instrument: every revenue evaluation, incremental cache update, LUB
 cache hit/miss and invalidation is counted, and each best-response round
 (or TPG stage) is timed with ``perf_counter``. The GT and TPG solvers
 attach one to their result objects; the experiment runner and the CLI
-aggregate and print them, and ``benchmarks/bench_guard.py`` persists
-them as the repo's perf-trajectory record.
+aggregate and print them, and the sweep journal persists them through
+:meth:`SolverStats.to_dict` / :meth:`SolverStats.from_dict`.
 
 Counting is cheap (integer adds on the :class:`~repro.core.revenue.
 RevenueCache` and the dynamics object); there is deliberately no off
@@ -16,7 +16,7 @@ switch, so the numbers are always available after a solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable
 
 __all__ = ["RoundStats", "SolverStats"]
@@ -150,43 +150,23 @@ class SolverStats:
     def merge(self, other: "SolverStats") -> "SolverStats":
         """Accumulate another run's counters into this object (in place).
 
-        Per-round details are concatenated; phase timings are summed by
-        name. Returns ``self`` for chaining.
+        Derived from the dataclass fields: ``solver`` keeps the first
+        non-empty label, numbers (``runs`` included) add, dicts add by
+        key and ``rounds`` concatenates. Returns ``self`` for chaining.
         """
-        if not self.solver:
-            self.solver = other.solver
-        self.revenue_evaluations += other.revenue_evaluations
-        self.incremental_updates += other.incremental_updates
-        self.gain_evaluations += other.gain_evaluations
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.lub_invalidations += other.lub_invalidations
-        self.total_seconds += other.total_seconds
-        for name, seconds in other.phase_seconds.items():
-            self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
-        self.degraded_solves += other.degraded_solves
-        for tier, count in other.fallback_answers.items():
-            self.fallback_answers[tier] = (
-                self.fallback_answers.get(tier, 0) + count
-            )
-        self.kernel_fallback_calls += other.kernel_fallback_calls
-        self.peel_kernel_calls += other.peel_kernel_calls
-        self.rescan_batches += other.rescan_batches
-        self.rescan_rows += other.rescan_rows
-        self.shard_count += other.shard_count
-        self.border_workers += other.border_workers
-        self.halo_rounds += other.halo_rounds
-        self.halo_moves += other.halo_moves
-        self.border_seeded += other.border_seeded
-        self.shard_failures += other.shard_failures
-        self.shard_failovers += other.shard_failovers
-        self.rounds.extend(other.rounds)
-        # ``runs`` adds like every other counter: an incoming object that
-        # itself aggregates k runs contributes exactly k. (A previous
-        # version added ``other.runs - 1`` and then skipped the final +1
-        # for multi-run inputs, so merging {runs: 3} into {runs: 1}
-        # yielded 3 instead of 4.)
-        self.runs += other.runs
+        for spec in fields(self):
+            mine = getattr(self, spec.name)
+            theirs = getattr(other, spec.name)
+            if isinstance(mine, str):
+                if not mine:
+                    setattr(self, spec.name, theirs)
+            elif isinstance(mine, dict):
+                for key, value in theirs.items():
+                    mine[key] = mine.get(key, 0) + value
+            elif isinstance(mine, list):
+                mine.extend(theirs)
+            else:
+                setattr(self, spec.name, mine + theirs)
         return self
 
     @classmethod
@@ -214,42 +194,9 @@ class SolverStats:
         return self.cache_hits / scans if scans else 0.0
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (used by ``bench_guard``)."""
-        return {
-            "solver": self.solver,
-            "revenue_evaluations": self.revenue_evaluations,
-            "incremental_updates": self.incremental_updates,
-            "gain_evaluations": self.gain_evaluations,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "lub_invalidations": self.lub_invalidations,
-            "total_seconds": self.total_seconds,
-            "phase_seconds": dict(self.phase_seconds),
-            "rounds": [
-                {
-                    "index": r.index,
-                    "seconds": r.seconds,
-                    "moves": r.moves,
-                    "gain": r.gain,
-                    "evaluations": r.evaluations,
-                }
-                for r in self.rounds
-            ],
-            "runs": self.runs,
-            "degraded_solves": self.degraded_solves,
-            "fallback_answers": dict(self.fallback_answers),
-            "kernel_fallback_calls": self.kernel_fallback_calls,
-            "peel_kernel_calls": self.peel_kernel_calls,
-            "rescan_batches": self.rescan_batches,
-            "rescan_rows": self.rescan_rows,
-            "shard_count": self.shard_count,
-            "border_workers": self.border_workers,
-            "halo_rounds": self.halo_rounds,
-            "halo_moves": self.halo_moves,
-            "border_seeded": self.border_seeded,
-            "shard_failures": self.shard_failures,
-            "shard_failovers": self.shard_failovers,
-        }
+        """JSON-ready representation, one key per field in declaration
+        order (used by the sweep checkpoint journal)."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SolverStats":

@@ -28,7 +28,6 @@ from repro.experiments.parallel import (
     SweepExecutor,
 )
 from repro.experiments.reporting import format_figure, format_sweep_table
-from repro.experiments.convergence import ConvergenceTrace, trace_convergence
 from repro.experiments.equilibria import EquilibriumStudy, study_equilibria
 from repro.experiments.fairness import FairnessReport, fairness_report
 from repro.experiments.plotting import render_curves, render_figure_charts, render_map
@@ -48,8 +47,6 @@ __all__ = [
     "SweepExecutor",
     "format_figure",
     "format_sweep_table",
-    "ConvergenceTrace",
-    "trace_convergence",
     "EquilibriumStudy",
     "study_equilibria",
     "FairnessReport",

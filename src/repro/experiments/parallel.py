@@ -20,7 +20,7 @@ results **bit-identical** to the serial path:
   the sweep always completes.
 * :class:`ExecutorTelemetry` captures per-cell wall time, queue latency,
   worker utilization and the speedup over the serial estimate; the
-  reporting layer and ``benchmarks/bench_guard.py`` surface it.
+  reporting layer and ``run_all --jobs N`` surface it.
 * With ``checkpoint=<path>`` every finished cell is journaled to a
   schema-versioned JSONL file (:class:`SweepJournal`; append + flush +
   fsync per record), and a re-run with the same checkpoint resumes by
@@ -176,23 +176,8 @@ class ExecutorTelemetry:
     journal_recovered_lines: int = 0
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (used by ``bench_guard``)."""
-        return {
-            "n_jobs": self.n_jobs,
-            "cells": self.cells,
-            "failed_cells": self.failed_cells,
-            "retried_cells": self.retried_cells,
-            "resumed_cells": self.resumed_cells,
-            "wall_seconds": self.wall_seconds,
-            "cell_seconds": self.cell_seconds,
-            "mean_queue_seconds": self.mean_queue_seconds,
-            "worker_utilization": self.worker_utilization,
-            "speedup_vs_serial_estimate": self.speedup_vs_serial_estimate,
-            "distinct_workers": self.distinct_workers,
-            "pool_rebuilds": self.pool_rebuilds,
-            "quarantined_cells": self.quarantined_cells,
-            "journal_recovered_lines": self.journal_recovered_lines,
-        }
+        """JSON-ready representation, one key per field."""
+        return asdict(self)
 
     def summary(self) -> str:
         """One human-readable line for CLI output."""

@@ -160,8 +160,8 @@ def profile_solve(
     hotspot lists do not bleed into each other. The profiled solve *is*
     the report's solve — cProfile's overhead inflates the wall-clock
     (interpreted loops more than vectorized ones), so treat the numbers
-    as a map of *where* time goes, and use ``bench_guard`` for
-    unprofiled speedup ratios.
+    as a map of *where* time goes, and take unprofiled speedup ratios
+    from ``bench/``.
     """
     profiler = cProfile.Profile()
     started = time.perf_counter()

@@ -1,14 +1,19 @@
 """Tests for the Assignment state object, including property-based
 consistency of the incremental revenue maintenance."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import UNASSIGNED, Assignment
+from repro.core.game import solve_game_theoretic
 from repro.core.revenue import group_revenue
+from repro.core.tpg import solve_tpg
 from repro.core.validity import ValidPairs, compute_valid_pairs
+from repro.datasets.synthetic import generate_instance
 from repro.utils.errors import CapacityError, ValidityError
 
 from tests.conftest import make_dense_instance
@@ -437,3 +442,31 @@ class TestAssignPairs:
         with pytest.raises(RuntimeError, match="^shard 1 merge failed") as info:
             merge_shard_pairs(instance, pairs, [batch[:1], batch[1:]])
         assert isinstance(info.value.__cause__, ValidityError)
+
+
+#: The solvers whose incremental totals the Table II oracle test checks.
+TABLE_II_SOLVERS = {
+    "TPG": solve_tpg,
+    "GT": lambda instance, pairs: solve_game_theoretic(instance, pairs).assignment,
+    "GT+ALL": lambda instance, pairs: solve_game_theoretic(
+        instance, pairs, epsilon=0.05, lazy_update=True
+    ).assignment,
+}
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("solver", TABLE_II_SOLVERS)
+def test_table_ii_incremental_total_matches_from_scratch(solver, seed):
+    """At the Table II defaults (m = 1000, n = 500) each solver's
+    incrementally maintained total equals a from-scratch Equation 3
+    evaluation. The delta path accumulates pair sums one move at a time,
+    so the totals may differ by about one ulp per move; a cache bug
+    shows up orders of magnitude above 1e-9."""
+    instance = generate_instance(1000, 500, seed=seed)
+    assignment = TABLE_II_SOLVERS[solver](instance, compute_valid_pairs(instance))
+    assert math.isclose(
+        assignment.total_score(),
+        assignment.recompute_total(),
+        rel_tol=1e-9,
+        abs_tol=1e-9,
+    )

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import UNASSIGNED, Assignment
+from repro.core.bounds import upper_bound
 from repro.core.game import solve_game_theoretic, verify_nash_equilibrium
 from repro.core.tpg import solve_tpg
 from repro.core.validity import compute_valid_pairs
@@ -267,6 +268,66 @@ class TestScoreAccounting:
             instance, pairs, epsilon=0.05, lazy_update=True
         )
         assert result.final_score == result.score_history[-1]
+
+
+def _round_gains(result) -> list[float]:
+    """Per-round potential increase, from the initial score on."""
+    history = [result.initial_score, *result.score_history]
+    return [after - before for before, after in zip(history, history[1:])]
+
+
+class TestLemmaV1Convergence:
+    """Lemma V.1 instantiated: rounds raise the potential monotonically
+    up to the Equation 9 cap, and the gains motivate TSI."""
+
+    def test_gain_accounting(self):
+        instance = make_dense_instance(40, 8, seed=1)
+        pairs = compute_valid_pairs(instance)
+        result = solve_game_theoretic(instance, pairs, init="random", seed=0)
+        gains = _round_gains(result)
+        assert result.converged
+        assert sum(gains) == pytest.approx(result.final_score - result.initial_score)
+        # Every non-final round has a strictly positive potential gain.
+        assert all(gain >= -1e-9 for gain in gains)
+
+    def test_final_round_gains_nothing(self):
+        instance = make_dense_instance(30, 6, seed=2)
+        result = solve_game_theoretic(instance, compute_valid_pairs(instance))
+        assert _round_gains(result)[-1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_final_score_below_upper_bound(self):
+        for seed in range(3):
+            instance = make_dense_instance(30, 6, seed=seed)
+            pairs = compute_valid_pairs(instance)
+            result = solve_game_theoretic(instance, pairs)
+            assert result.final_score <= upper_bound(instance, pairs).value + 1e-9
+
+    def test_tpg_init_converges_in_fewer_rounds_than_random(self):
+        """The Algorithm 3 line-1 rationale: a good initial profile
+        shortens the dynamics (holds on the large majority of seeds)."""
+        faster = 0
+        for seed in range(5):
+            instance = make_dense_instance(40, 8, seed=seed)
+            pairs = compute_valid_pairs(instance)
+            tpg_start = solve_game_theoretic(instance, pairs, init="tpg")
+            random_start = solve_game_theoretic(
+                instance, pairs, init="random", seed=seed
+            )
+            if tpg_start.rounds <= random_start.rounds:
+                faster += 1
+        assert faster >= 4
+
+    def test_diminishing_gains_common(self):
+        """The TSI motivation: per-round gains typically shrink."""
+        diminishing = 0
+        for seed in range(5):
+            instance = make_dense_instance(40, 8, seed=10 + seed)
+            pairs = compute_valid_pairs(instance)
+            result = solve_game_theoretic(instance, pairs, init="random", seed=seed)
+            gains = [gain for gain in _round_gains(result) if gain > 0]
+            if all(b <= a + 1e-9 for a, b in zip(gains, gains[1:])):
+                diminishing += 1
+        assert diminishing >= 3
 
 
 class TestVectorizedScan:

@@ -6,6 +6,8 @@ results, the approach factories accumulate a ``stats_log``, and the
 experiment runner merges per-batch stats into the outcome.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.game import solve_game_theoretic
@@ -47,6 +49,39 @@ class TestSolverStatsDataclass:
         assert first.phase_seconds["rounds"] == pytest.approx(0.2)
         assert len(first.rounds) == 1
         assert first.runs == 2
+
+    def test_merge_and_to_dict_cover_every_field(self):
+        # Every numeric field gets a distinct non-zero value, so a field
+        # that merge or to_dict skipped (or mixed up) shows here.
+        numeric = [f.name for f in fields(SolverStats) if f.type in ("int", "float")]
+        assert {"runs", "total_seconds", "shard_failovers"} <= set(numeric)
+        first = SolverStats(
+            solver="GT",
+            phase_seconds={"init": 0.5},
+            fallback_answers={"GT": 2},
+            rounds=[RoundStats(index=0, seconds=0.1)],
+            **{name: index + 1 for index, name in enumerate(numeric)},
+        )
+        second = SolverStats(
+            solver="TPG",
+            phase_seconds={"init": 0.25, "rounds": 1.0},
+            fallback_answers={"TPG": 3},
+            rounds=[RoundStats(index=1, seconds=0.2)],
+            **{name: 100 * (index + 1) for index, name in enumerate(numeric)},
+        )
+        first.merge(second)
+        for index, name in enumerate(numeric):
+            assert getattr(first, name) == 101 * (index + 1), name
+        assert first.solver == "GT"
+        assert first.phase_seconds == {"init": 0.75, "rounds": 1.0}
+        assert first.fallback_answers == {"GT": 2, "TPG": 3}
+        assert [r.index for r in first.rounds] == [0, 1]
+        payload = first.to_dict()
+        assert list(payload) == [spec.name for spec in fields(SolverStats)]
+        assert list(payload["rounds"][1]) == [
+            spec.name for spec in fields(RoundStats)
+        ]
+        assert SolverStats.from_dict(payload).to_dict() == payload
 
     def test_merged_classmethod(self):
         runs = [SolverStats(solver="TPG", gain_evaluations=i) for i in (1, 2, 3)]
