@@ -14,7 +14,8 @@ Equation-2/Definition-3 machinery has historically broken:
 * qualities drawn from a dyadic grid (multiples of 1/8), which makes
   pair sums exact in binary floating point — reduction order cannot hide
   a real divergence, and equal contributions exercise the peel
-  tie-break;
+  tie-break; half the regular instances draw the two triangles
+  independently, so ``q_i(w_k) != q_k(w_i)``;
 * kernel-boundary shapes (:data:`_KERNEL_SHAPES`) that pin the batched
   best-response kernel's edges: a group saturated at exactly
   ``_VECTOR_GROUP_LIMIT = 8`` members (the scalar-path guard), a
@@ -160,6 +161,12 @@ def fuzz_instance(seed, config: FuzzConfig = FuzzConfig()) -> Instance:
         )
 
     quality = _dyadic_quality(rng, worker_count)
+    if rng.random() < 0.5:
+        # Half the instances draw the lower triangle independently, so
+        # the backend axis compares the sparse store's column
+        # orientation as well as its row orientation.
+        lower = rng.choice(_QUALITY_GRID, size=(worker_count, worker_count))
+        quality = CooperationMatrix(np.triu(quality.values) + np.tril(lower, k=-1))
 
     return Instance(
         workers=workers,

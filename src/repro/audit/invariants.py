@@ -3,7 +3,7 @@
 :func:`audit_assignment` takes any :class:`~repro.core.assignment.
 Assignment` and re-derives every guarantee the solver stack promises,
 against implementations that deliberately share *no* code with the hot
-path:
+path beyond the quality store's reads:
 
 * **Definition 3 validity** — each assigned pair is re-checked with
   :meth:`~repro.core.model.Instance.is_pair_valid` (pointwise geometry,
@@ -15,9 +15,9 @@ path:
 * **B-threshold** — groups below the minimum size ``B`` yield exactly
   zero revenue;
 * **Equation 2 / 3 revenue** — every cached per-task revenue and the
-  total are recomputed by :func:`oracle_group_revenue`, a pure-Python
-  scalar evaluation (including its own greedy peel with the documented
-  highest-index tie-break), catching
+  total are recomputed by :func:`oracle_group_revenue`, scalar Python
+  arithmetic over one ``quality.block`` read per group (including its
+  own greedy peel with the documented highest-index tie-break), catching
   :class:`~repro.core.revenue.RevenueCache` drift.
 
 The oracle accumulates with scalar Python adds while the cache uses numpy
@@ -84,15 +84,17 @@ class AuditFinding:
 
 
 # ---------------------------------------------------------------------------
-# The from-scratch Equation-2 oracle (pure Python, no shared code paths)
+# The from-scratch Equation-2 oracle (pure-Python arithmetic)
 # ---------------------------------------------------------------------------
 def oracle_pair_sum(quality, members) -> float:
-    """Equation 2's numerator via scalar ``pair`` reads only."""
+    """Equation 2's numerator: scalar Python adds over the members'
+    qualities, read in one ``block``."""
+    values = quality.block(members, members).tolist()
     total = 0.0
-    for i in members:
-        for k in members:
+    for i, row in zip(members, values):
+        for k, value in zip(members, row):
             if i != k:
-                total += quality.pair(i, k)
+                total += value
     return total
 
 
@@ -101,9 +103,11 @@ def oracle_counted_subset(quality, members, size: int) -> list[int]:
 
     Same contract — repeatedly drop the member with the smallest ordered
     pair contribution, ties peeling the *highest* worker index — but
-    evaluated with scalar reads and Python arithmetic.
+    evaluated with Python arithmetic over one ``block`` read.
     """
     kept = sorted(members)
+    values = quality.block(kept, kept).tolist()
+    at = {worker: position for position, worker in enumerate(kept)}
     while len(kept) > size:
         weakest_position = None
         weakest_key: tuple[float, int] | None = None
@@ -111,8 +115,8 @@ def oracle_counted_subset(quality, members, size: int) -> list[int]:
             contribution = 0.0
             for other in kept:
                 if other != worker:
-                    contribution += quality.pair(worker, other)
-                    contribution += quality.pair(other, worker)
+                    contribution += values[at[worker]][at[other]]
+                    contribution += values[at[other]][at[worker]]
             key = (contribution, -worker)
             if weakest_key is None or key < weakest_key:
                 weakest_key = key

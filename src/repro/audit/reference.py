@@ -9,12 +9,12 @@ tolerance, these reproduce the hot path's summation order, so the tests
 compare the kernels against them repr-exactly.
 
 * :func:`reference_counted_subset` — the greedy peel, one
-  ``quality.gather`` (or ``cross_sum`` per member) per peeled worker;
+  ``quality.block`` (or ``cross_sum`` per member) per peeled worker;
 * :func:`reference_utilities` / :func:`reference_best_alternative` — a
   worker's best-response scan as one scalar ``join_gain`` per candidate;
 * :func:`reference_best_group` / :func:`reference_seed_groups` — TPG
   stage 1 with every evaluation gathered from scratch through the
-  store's own ``gather`` and every commit a sequential ``assign``, the
+  store's own ``block`` and every commit a sequential ``assign``, the
   oracle of :func:`repro.core.tpg.seed_groups`' cached candidate blocks
   and bulk commit; :func:`stage_one_trace` is the comparison key.
 """
@@ -70,7 +70,7 @@ def reference_counted_subset(
     ensure_pairwise_cliff()
     while len(kept) > size:
         if len(kept) <= VECTOR_PEEL_LIMIT:
-            sub = quality.gather(np.asarray(kept, dtype=np.intp))
+            sub = quality.block(kept, kept)
             # The diagonal is exactly 0.0, so including it keeps every
             # partial sum bit-identical to cross_sum over the others.
             contributions = ordered_row_sums(sub) + ordered_row_sums(sub.T)
@@ -125,7 +125,7 @@ def reference_best_group(
 ) -> tuple[list[int], float]:
     """TPG stage 1's best ``size``-group among ``candidates``, from scratch.
 
-    Gathers the candidates' block through ``quality.gather`` and runs the
+    Gathers the candidates' block through ``quality.block`` and runs the
     stage-1 selection on ``sub + sub.T``: exhaustive over the sorted
     candidates up to :data:`~repro.core.tpg.EXACT_SEED_THRESHOLD` of
     them, greedy in the given order above. Returns ``(group, Q)`` with
@@ -138,7 +138,7 @@ def reference_best_group(
         return [], 0.0
     exact = count <= EXACT_SEED_THRESHOLD
     index = np.asarray(sorted(candidates) if exact else candidates, dtype=np.intp)
-    sub = quality.gather(index)
+    sub = quality.block(index, index)
     symmetric = sub + sub.T
     if stats is not None:
         stats.kernel_fallback_calls += 1

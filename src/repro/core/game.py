@@ -350,8 +350,8 @@ class _BestResponseDynamics:
             assignment.counted_members(task) for task in range(instance.task_count)
         ]
         # Batched-scan state: the validity relation as one flat CSR
-        # (slot order == each worker's candidate-list order), the quality
-        # store's kernel buffers, and the round's batched pass as
+        # (slot order == each worker's candidate-list order) and the
+        # round's batched pass as
         # ``(stamps, values, codes)`` (see _run_prepass). ``_rescan_dirty``
         # holds the workers whose prepass rows an accepted move may have
         # staled; _refresh_prepass_rows re-scores them in one batch.
@@ -369,7 +369,6 @@ class _BestResponseDynamics:
             count=int(self._vp_indptr[-1]),
         )
         self._capacities_array = np.asarray(self._capacities, dtype=np.int64)
-        self._kernel_buffers = self.quality.as_kernel_buffers()
         # Until the first round every row is unplayed; a scan before it
         # scores its own row (see _refresh_prepass_rows).
         self._run_prepass(players=())
@@ -485,7 +484,7 @@ class _BestResponseDynamics:
             count=rows.size,
         )
         sub_values, sub_codes = score_candidates(
-            self._kernel_buffers,
+            self.quality,
             sub_indptr,
             local[sub_tasks],
             mem_indptr,
@@ -770,17 +769,19 @@ class _BestResponseDynamics:
             # Theorems V.3 (current best == task) and V.4 (other tasks).
             (entering,) = added
             (leaving,) = removed
-            toward_leaving = self.quality.q_col(leaving)
-            toward_entering = self.quality.q_col(entering)
-            for other in watchers:
+            # q_other(leaving) and q_other(entering), over the watchers.
+            _, (toward_leaving, toward_entering) = self.quality.cross_values(
+                [[leaving], [entering]], watchers
+            )
+            for position, other in enumerate(watchers):
                 if other in (entering, leaving):
                     self._mark_dirty(other)
                     continue
                 if self._cached_best[other] == task:
-                    if toward_leaving[other] > toward_entering[other]:
+                    if toward_leaving[position] > toward_entering[position]:
                         self._mark_dirty(other)
                 else:
-                    if toward_leaving[other] < toward_entering[other]:
+                    if toward_leaving[position] < toward_entering[position]:
                         self._mark_dirty(other)
             return
         # Shrink or multi-element change: no theorem applies — rescan all.

@@ -7,11 +7,15 @@ flat CSR-style arrays; :func:`counted_subset_batch` runs the Equation-2
 best-``a_j``-subset peel of many equal-shaped groups in lockstep (one
 gather per chunk of groups; :func:`counted_subset_select` is its
 single-group call), and :func:`greedy_group_select` /
-:func:`exact_group_select` TPG's stage-1 group selection over a block
-whose stored entries :func:`block_entries` gathers. Each reproduces the
-scalar evaluation it replaced float for float — those scalar references
-now live in :mod:`repro.audit.reference`, and the unit tests hold the
-kernels to them bit for bit.
+:func:`exact_group_select` TPG's stage-1 group selection over a
+symmetric candidate block. Each reproduces the scalar evaluation it
+replaced float for float — those scalar references now live in
+:mod:`repro.audit.reference`, and the unit tests hold the kernels to
+them bit for bit.
+
+The kernels take the quality store itself and read it only through its
+two primitives, ``block`` and ``cross_values``
+(:mod:`repro.core.quality_store`); they never see a backend's layout.
 
 Summation-order contract
 ------------------------
@@ -35,8 +39,6 @@ that numpy still puts the pairwise cliff at :data:`PAIRWISE_CLIFF`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -44,13 +46,10 @@ __all__ = [
     "CODE_VALUE",
     "CODE_SCALAR",
     "CODE_CURRENT",
-    "KernelBuffers",
     "ordered_row_sums",
     "verify_pairwise_cliff",
     "ensure_pairwise_cliff",
     "score_candidates",
-    "block_entries",
-    "gather_block",
     "PEEL_CHUNK",
     "counted_subset_batch",
     "counted_subset_select",
@@ -62,63 +61,6 @@ __all__ = [
 CODE_VALUE = 0  #: utility fully evaluated by the kernel
 CODE_SCALAR = 1  #: overflow/oversized join — filled by the caller (peel/scalar)
 CODE_CURRENT = 2  #: the worker's own task — caller fills ``leave_delta``
-
-
-@dataclass(frozen=True)
-class KernelBuffers:
-    """Flat, read-only quality buffers exported by a ``QualityStore``.
-
-    Dense backends expose their matrix directly (``dense``); the sparse
-    backend exposes both orientations as globally-sorted key arrays
-    (``row * size + col`` for the CSR side, ``col * size + row`` for the
-    CSC side) so a single binary search answers any ordered-pair lookup,
-    with absent entries defaulting to ``prior`` and the diagonal to 0.
-    The sparse export also carries the store's own CSR row pointers and
-    column indices (``indptr``/``indices``, aligned with ``row_values``;
-    shared, not copied), so a gather over a few workers can scatter
-    their row segments instead of searching the global keys.
-    """
-
-    size: int
-    dense: np.ndarray | None = None
-    row_keys: np.ndarray | None = None
-    row_values: np.ndarray | None = None
-    col_keys: np.ndarray | None = None
-    col_values: np.ndarray | None = None
-    prior: float = 0.0
-    indptr: np.ndarray | None = None
-    indices: np.ndarray | None = None
-
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray) -> "KernelBuffers":
-        return cls(size=int(matrix.shape[0]), dense=matrix)
-
-    @classmethod
-    def from_csr(
-        cls,
-        size: int,
-        row_keys: np.ndarray,
-        row_values: np.ndarray,
-        col_keys: np.ndarray,
-        col_values: np.ndarray,
-        prior: float,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-    ) -> "KernelBuffers":
-        return cls(
-            size=size,
-            row_keys=np.ascontiguousarray(row_keys, dtype=np.int64),
-            row_values=np.ascontiguousarray(row_values, dtype=np.float64),
-            col_keys=np.ascontiguousarray(col_keys, dtype=np.int64),
-            col_values=np.ascontiguousarray(col_values, dtype=np.float64),
-            prior=float(prior),
-            indptr=indptr,
-            indices=indices,
-        )
-
-    @property
-    def is_dense(self) -> bool:
-        return self.dense is not None
 
 
 #: numpy's pairwise-summation threshold: ``ndarray.sum()`` accumulates
@@ -219,106 +161,13 @@ def ensure_pairwise_cliff() -> None:
         _cliff_state["verified"] = True
 
 
-def _lookup_sorted(
-    keys: np.ndarray, values: np.ndarray, targets: np.ndarray, prior: float
-) -> np.ndarray:
-    """Vectorized sparse lookup: ``values`` where ``targets`` appear in
-    the sorted ``keys``, ``prior`` elsewhere."""
-    if keys.size == 0:
-        return np.full(targets.shape, prior, dtype=np.float64)
-    position = np.searchsorted(keys, targets)
-    clamped = np.minimum(position, keys.size - 1)
-    found = keys[clamped] == targets
-    return np.where(found, values[clamped], prior)
-
-
-def block_entries(
-    buffers: KernelBuffers, index: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sparse symmetric candidate block over duplicate-free ``index``,
-    as its entries that differ from the default.
-
-    The block is ``sub + sub.T`` over the ``(k, k)`` submatrix ``sub``
-    (stored value where present, prior elsewhere, 0 on the diagonal), so
-    off the diagonal it is ``2 * prior`` (= ``prior + prior``, exactly)
-    except at the returned ``(positions, values)``: flat positions in the
-    row-major block and their values. Filling a block with the default,
-    scattering the entries back and zeroing the diagonal gives the same
-    floats as the dense ``gather(index)`` plus its transpose.
-
-    ``sub`` scatters the stored entries of the candidates' CSR row
-    segments, so the cost follows the k rows' stored entries instead of
-    ``k²`` binary searches over the global key array. A stored column is
-    mapped to its candidate position through an *uninitialised*
-    worker-to-position array, O(1) to allocate at any store size: only
-    the k candidate slots are written, so a read counts only if, clipped
-    into range, it maps back to the same worker. All scratch is
-    allocated per call; the buffers themselves are shared read-only
-    (e.g. by the fallback ladder's watchdog threads).
-    """
-    count = index.size
-    sub = np.full((count, count), buffers.prior, dtype=np.float64)
-    starts = buffers.indptr[index]
-    lengths = buffers.indptr[index + 1] - starts
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if count else 0
-    if total:
-        # Flat positions of every segment entry, segment by segment.
-        flat = np.arange(total) + np.repeat(starts - ends + lengths, lengths)
-        columns = buffers.indices[flat]
-        position = np.empty(buffers.size, dtype=np.intp)
-        position[index] = np.arange(count)
-        local = position[columns]
-        hit = np.flatnonzero(np.take(index, local, mode="clip") == columns)
-        owner = np.searchsorted(ends, hit, side="right")
-        sub[owner, local[hit]] = buffers.row_values[flat[hit]]
-    symmetric = sub + sub.T
-    differs = symmetric != 2.0 * buffers.prior
-    differs.ravel()[:: count + 1] = False
-    positions = np.flatnonzero(differs)
-    return positions, symmetric.ravel()[positions]
-
-
-def gather_block(
-    buffers: KernelBuffers, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Rectangular quality gather ``q[rows[..., :, None], cols[..., None, :]]``
-    from flat buffers.
-
-    One-dimensional ``rows``/``cols`` give the ``(len(rows), len(cols))``
-    block; leading batch dimensions give a stack of blocks (the peel
-    kernel gathers its ``(B, n, n)`` cube this way). The dense branch is
-    the stores' own fancy-indexing expression; the sparse branch answers
-    every position with one batched ``searchsorted`` over the globally
-    sorted CSR keys — absent pairs default to the prior, positions where
-    the row and column worker coincide to 0. The floats are exactly those
-    of per-row ``q_row``/``gather`` round-trips, so reductions over the
-    result stay bit-identical to the interpreted path. Returns a fresh
-    writable C-contiguous array.
-    """
-    rows = np.asarray(rows, dtype=np.int64)[..., :, None]
-    cols = np.asarray(cols, dtype=np.int64)[..., None, :]
-    if buffers.is_dense:
-        return np.ascontiguousarray(buffers.dense[rows, cols], dtype=np.float64)
-    block = _lookup_sorted(
-        buffers.row_keys,
-        buffers.row_values,
-        rows * np.int64(buffers.size) + cols,
-        buffers.prior,
-    )
-    block[rows == cols] = 0.0
-    return block
-
-
 #: Groups peeled per lockstep pass of :func:`counted_subset_batch`: the
 #: working set is a ``(chunk, n, n)`` cube, so chunking bounds the extra
 #: memory a whole kernel pass of stale overflow joins can allocate.
 PEEL_CHUNK = 512
 
 
-def counted_subset_batch(
-    buffers: KernelBuffers, groups, size: int
-) -> tuple[np.ndarray, np.ndarray]:
+def counted_subset_batch(quality, groups, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy counted-subset peel of ``B`` equal-shaped groups in lockstep.
 
     ``groups`` is a ``(B, n)`` integer array, each row duplicate-free
@@ -330,7 +179,7 @@ def counted_subset_batch(
     (:func:`repro.audit.reference.reference_counted_subset`) in floats
     *and* tie-breaks, and each pair sum to the store's
     ``submatrix_sum(kept)``. A chunk of at most :data:`PEEL_CHUNK`
-    groups pays ONE gather (:func:`gather_block`) of its ``(B, n, n)``
+    groups pays ONE gather (the store's ``block``) of its ``(B, n, n)``
     cube; every peel step then scores all of the chunk's groups at once:
 
     * while more than :data:`PAIRWISE_CLIFF` members survive, the
@@ -346,7 +195,7 @@ def counted_subset_batch(
       minimum, in both regimes.
 
     The kept blocks are cut from the same cube, so their pair sums reduce
-    arrays of the store gather's values and shape.
+    arrays of the store block's values and shape.
     """
     ensure_pairwise_cliff()
     groups = np.asarray(groups, dtype=np.int64)
@@ -356,16 +205,16 @@ def counted_subset_batch(
     pair_sums = np.empty(count, dtype=np.float64)
     for start in range(0, count, PEEL_CHUNK):
         chunk = slice(start, start + PEEL_CHUNK)
-        kept[chunk], pair_sums[chunk] = _peel_chunk(buffers, groups[chunk], size)
+        kept[chunk], pair_sums[chunk] = _peel_chunk(quality, groups[chunk], size)
     return kept, pair_sums
 
 
 def _peel_chunk(
-    buffers: KernelBuffers, groups: np.ndarray, size: int
+    quality, groups: np.ndarray, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """One lockstep pass of :func:`counted_subset_batch` over a chunk."""
     count, cur = groups.shape
-    cube = gather_block(buffers, groups, groups)
+    cube = quality.block(groups, groups)
     lanes = np.arange(count)[:, None]
     alive = np.broadcast_to(np.arange(cur), (count, cur))
     sub = cube
@@ -399,21 +248,19 @@ def _peel_chunk(
         alive = alive[survivors].reshape(count, cur)
         sub = cube[lanes[:, :, None], alive[:, :, None], alive[:, None, :]]
     # ``sub`` is now a fresh C-contiguous block of the kept values per
-    # group (or the cube itself), shaped like the store's own gather, so
+    # group (or the cube itself), shaped like the store's own block, so
     # each flattened row sums in the same order.
     pair_sums = sub.reshape(count, cur * cur).sum(axis=1)
     return groups[lanes, alive], pair_sums
 
 
-def counted_subset_select(
-    buffers: KernelBuffers, members, size: int
-) -> tuple[list[int], float]:
+def counted_subset_select(quality, members, size: int) -> tuple[list[int], float]:
     """:func:`counted_subset_batch` of a single group: ``(kept,
     pair_sum)`` with the kept members as a sorted list. ``members`` must
     be duplicate-free."""
     order = np.asarray(sorted(int(member) for member in members), dtype=np.int64)
     kept, pair_sums = counted_subset_batch(
-        buffers, order.reshape(1, order.size), size
+        quality, order.reshape(1, order.size), size
     )
     return kept[0].tolist(), float(pair_sums[0])
 
@@ -477,7 +324,7 @@ def exact_group_select(
 
 
 def score_candidates(
-    buffers: KernelBuffers,
+    quality,
     vp_indptr: np.ndarray,
     vp_tasks: np.ndarray,
     mem_indptr: np.ndarray,
@@ -544,23 +391,7 @@ def score_candidates(
         lane = offsets[None, :] < b_lengths[:, None]
         np.minimum(index, max(mem_flat.size - 1, 0), out=index)
         member = mem_flat[index]
-        if buffers.is_dense:
-            dense = buffers.dense
-            row_vals = dense[b_workers[:, None], member]
-            col_vals = dense[member, b_workers[:, None]]
-        else:
-            size = np.int64(buffers.size)
-            row_targets = b_workers[:, None] * size + member
-            col_targets = b_workers[:, None] * size + member
-            row_vals = _lookup_sorted(
-                buffers.row_keys, buffers.row_values, row_targets, buffers.prior
-            )
-            col_vals = _lookup_sorted(
-                buffers.col_keys, buffers.col_values, col_targets, buffers.prior
-            )
-            diagonal = member == b_workers[:, None]
-            row_vals = np.where(diagonal, 0.0, row_vals)
-            col_vals = np.where(diagonal, 0.0, col_vals)
+        row_vals, col_vals = quality.cross_values(b_workers[:, None], member)
         row_vals = np.where(lane, row_vals, 0.0)
         col_vals = np.where(lane, col_vals, 0.0)
         row_total = row_vals[:, 0].copy()

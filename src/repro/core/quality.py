@@ -14,6 +14,12 @@ constructors for every way the paper obtains these scores:
 * :meth:`CooperationMatrix.random_uniform` /
   :meth:`CooperationMatrix.random_community` — synthetic matrices for the
   UNIF/SKEW experiments and for tests.
+
+Every quality store answers reads through two primitives — ``block``
+(a block of ordered pairs) and ``cross_values`` (a worker's row and
+column over a member list) — plus an uncached ``q_row``.
+:class:`QualityReads` writes every other read once on top of them, so
+each backend feeds the same floats through the same numpy reductions.
 """
 
 from __future__ import annotations
@@ -25,7 +31,12 @@ import numpy as np
 from repro.utils.errors import InvalidInstanceError
 from repro.utils.rng import ensure_rng
 
-__all__ = ["CooperationMatrix", "estimate_pair_quality", "history_pair_values"]
+__all__ = [
+    "CooperationMatrix",
+    "QualityReads",
+    "estimate_pair_quality",
+    "history_pair_values",
+]
 
 DEFAULT_BASE_QUALITY = 0.5
 DEFAULT_ALPHA = 0.5
@@ -146,7 +157,73 @@ def history_pair_values(
     return rows, cols, np.repeat(values, 2)
 
 
-class CooperationMatrix:
+class QualityReads:
+    """The reads every quality store derives from its primitives.
+
+    A backend implements ``block(rows, cols)``, ``cross_values(workers,
+    members)`` and ``q_row(worker)``; this base writes the pair lookup,
+    Equation 2's pair sums, the cross sum of a join and the Lemma
+    V.2/V.3 row extremes once over them. Both primitives return
+    C-contiguous float64 arrays with 0 wherever the two ids are equal,
+    so every backend reduces the same floats in the same order; callers
+    only read ``cross_values``' arrays, which may be one array twice.
+    """
+
+    __slots__ = ()
+
+    def pair(self, i: int, k: int) -> float:
+        """``q_i(w_k)`` — quality of worker ``i`` toward worker ``k``."""
+        if i == k:
+            raise ValueError("cooperation quality is undefined for a self-pair")
+        return float(self.block([i], [k])[0, 0])
+
+    def ordered_pair_sum(self, members: Sequence[int]) -> float:
+        """``sum_{i in M} sum_{k in M, k != i} q_i(w_k)``.
+
+        This is the numerator of Equation 2 for the member set ``M``
+        (the block's diagonal is zero, so the full block sum equals the
+        ordered off-diagonal sum).
+        """
+        index = np.asarray(members, dtype=np.intp)
+        if np.unique(index).size != index.size:
+            raise ValueError(f"duplicate members: {sorted(members)}")
+        return self.submatrix_sum(index)
+
+    def submatrix_sum(self, index: np.ndarray) -> float:
+        """:meth:`ordered_pair_sum` without the duplicate check, for index
+        arrays the revenue hot paths already know to be duplicate-free."""
+        return float(self.block(index, index).sum())
+
+    def cross_sum(self, worker: int, members: Sequence[int]) -> float:
+        """Ordered-pair contribution of adding ``worker`` to ``members``.
+
+        Equals ``sum_k (q_worker(k) + q_k(worker))`` over ``k in members``,
+        i.e. exactly the increase of :meth:`ordered_pair_sum` when
+        ``worker`` joins.
+        """
+        toward, back = self.cross_values(worker, members)
+        return float(toward.sum() + back.sum())
+
+    def top_qualities(self, worker: int, count: int) -> np.ndarray:
+        """The worker's ``count`` largest qualities toward others, sorted
+        descending. Used by the UPPER bound (Lemma V.2)."""
+        row = np.delete(self.q_row(worker), worker)
+        if count >= row.size:
+            return np.sort(row)[::-1]
+        top = np.partition(row, row.size - count)[row.size - count :]
+        return np.sort(top)[::-1]
+
+    def bottom_qualities(self, worker: int, count: int) -> np.ndarray:
+        """The worker's ``count`` smallest qualities, sorted ascending
+        (Lemma V.3's lower bound)."""
+        row = np.delete(self.q_row(worker), worker)
+        if count >= row.size:
+            return np.sort(row)
+        bottom = np.partition(row, count - 1)[:count]
+        return np.sort(bottom)
+
+
+class CooperationMatrix(QualityReads):
     """Dense ``(m, m)`` matrix of cooperation qualities.
 
     The diagonal is forced to zero (a worker has no cooperation score with
@@ -293,112 +370,34 @@ class CooperationMatrix:
         """Bytes held by the backing store (the dense array here)."""
         return int(self._q.nbytes)
 
+    def block(self, rows, cols) -> np.ndarray:
+        """``q[rows[..., :, None], cols[..., None, :]]`` as a fresh array.
+
+        One-dimensional ``rows``/``cols`` give the ``(len(rows),
+        len(cols))`` block; leading batch dimensions give a stack of
+        blocks (the peel gathers its ``(B, n, n)`` cube this way). The
+        matrix's zero diagonal supplies the 0 where the ids are equal.
+        """
+        rows = np.asarray(rows, dtype=np.intp)[..., :, None]
+        cols = np.asarray(cols, dtype=np.intp)[..., None, :]
+        return np.ascontiguousarray(self._q[rows, cols], dtype=np.float64)
+
+    def cross_values(self, workers, members) -> tuple[np.ndarray, np.ndarray]:
+        """``(q[workers, members], q[members, workers])``, broadcast."""
+        workers = np.asarray(workers, dtype=np.intp)
+        members = np.asarray(members, dtype=np.intp)
+        return self._q[workers, members], self._q[members, workers]
+
     def q_row(self, worker: int) -> np.ndarray:
-        """Read-only view of row ``worker``: ``q_worker(w_k)`` for all k.
-
-        Part of the :class:`~repro.core.quality_store.QualityStore`
-        protocol — the GT best-response scan gathers from this row with
-        ``np.add.reduceat`` (see ``game.py``).
-        """
+        """Read-only view of row ``worker``: ``q_worker(w_k)`` for all k."""
         return self._q[worker]
-
-    def q_col(self, worker: int) -> np.ndarray:
-        """Read-only view of column ``worker``: ``q_i(w_worker)`` for all i."""
-        return self._q[:, worker]
-
-    def gather(self, index: np.ndarray) -> np.ndarray:
-        """The ``(k, k)`` submatrix ``q[index[:, None], index]`` as a copy.
-
-        Callers (the Equation 2 capacity peel, TPG group builders) may
-        add/transpose the result; the returned array is freshly allocated
-        and safe to mutate.
-        """
-        return self._q[index[:, None], index]
-
-    def gather_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Rectangular gather ``q[rows[:, None], cols]`` as a fresh copy.
-
-        The bulk multi-row form of :meth:`gather` on the
-        :class:`~repro.core.quality_store.QualityStore` protocol — one
-        call answers a whole block of rows instead of per-row
-        round-trips. Dense backends (including the shared-memory
-        subclass) serve it with the same fancy-indexing expression
-        :meth:`gather` uses, so the floats are identical.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        return self._q[rows[:, None], cols]
 
     def to_dense(self) -> "CooperationMatrix":
         """This store is already dense."""
         return self
 
-    def pair(self, i: int, k: int) -> float:
-        """``q_i(w_k)`` — quality of worker ``i`` toward worker ``k``."""
-        if i == k:
-            raise ValueError("cooperation quality is undefined for a self-pair")
-        return float(self._q[i, k])
-
     def is_symmetric(self, tolerance: float = 1e-12) -> bool:
         return bool(np.allclose(self._q, self._q.T, atol=tolerance))
-
-    def ordered_pair_sum(self, members: Sequence[int]) -> float:
-        """``sum_{i in M} sum_{k in M, k != i} q_i(w_k)``.
-
-        This is the numerator of Equation 2 for the member set ``M``
-        (diagonal is zero so the full submatrix sum equals the ordered
-        off-diagonal sum).
-        """
-        index = np.asarray(members, dtype=np.intp)
-        if np.unique(index).size != index.size:
-            raise ValueError(f"duplicate members: {sorted(members)}")
-        return float(self._q[index[:, None], index].sum())
-
-    def submatrix_sum(self, index: np.ndarray) -> float:
-        """:meth:`ordered_pair_sum` without the duplicate check.
-
-        The revenue hot paths call this with index arrays already known
-        to be duplicate-free (validated by ``best_counted_subset``); the
-        gathered submatrix and its sum are identical to
-        :meth:`ordered_pair_sum`, only the per-call overhead differs.
-        """
-        return float(self._q[index[:, None], index].sum())
-
-    def cross_sum(self, worker: int, members: Sequence[int]) -> float:
-        """Ordered-pair contribution of adding ``worker`` to ``members``.
-
-        Equals ``sum_k (q_worker(k) + q_k(worker))`` over ``k in members``,
-        i.e. exactly the increase of :meth:`ordered_pair_sum` when
-        ``worker`` joins.
-        """
-        index = np.asarray(members, dtype=np.intp)
-        return float(self._q[worker, index].sum() + self._q[index, worker].sum())
-
-    def as_kernel_buffers(self):
-        """Zero-copy dense export for the batched best-response kernels
-        (:mod:`repro.core.kernels`); shared-memory subclasses inherit
-        this verbatim, so their exported buffer aliases the segment."""
-        from repro.core.kernels import KernelBuffers
-
-        return KernelBuffers.from_dense(self._q)
-
-    def top_qualities(self, worker: int, count: int) -> np.ndarray:
-        """The worker's ``count`` largest qualities toward others, sorted
-        descending. Used by the UPPER bound (Lemma V.2)."""
-        row = np.delete(self._q[worker], worker)
-        if count >= row.size:
-            return np.sort(row)[::-1]
-        top = np.partition(row, row.size - count)[row.size - count :]
-        return np.sort(top)[::-1]
-
-    def bottom_qualities(self, worker: int, count: int) -> np.ndarray:
-        """The worker's ``count`` smallest qualities, sorted ascending
-        (Lemma V.3's lower bound)."""
-        row = np.delete(self._q[worker], worker)
-        if count >= row.size:
-            return np.sort(row)
-        bottom = np.partition(row, count - 1)[:count]
-        return np.sort(bottom)
 
     def restricted_to(self, workers: Sequence[int]) -> "CooperationMatrix":
         """The submatrix over ``workers``, re-indexed positionally.

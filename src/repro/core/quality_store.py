@@ -2,8 +2,12 @@
 
 Every consumer of pairwise qualities — Equation 2 revenue, the GT
 best-response scan, TPG stage one, the batch framework — reads through a
-small access protocol instead of touching a dense array directly. Three
-interchangeable backends implement it:
+small access protocol instead of touching a dense array directly. Each
+backend implements two read primitives, ``block(rows, cols)`` and
+``cross_values(workers, members)``, plus an uncached ``q_row``; every
+other read is written once on top of them
+(:class:`~repro.core.quality.QualityReads`). Three interchangeable
+backends implement it:
 
 * :class:`DenseQualityStore` (an alias of
   :class:`~repro.core.quality.CooperationMatrix`) — the historical dense
@@ -11,10 +15,10 @@ interchangeable backends implement it:
 * :class:`SparseQualityStore` — Equation 1 makes the matrix "prior +
   sparse deviations" by construction: most worker pairs share no history
   and sit exactly at the prior. This backend stores only the deviating
-  entries in a hand-rolled CSR/CSC pair (scipy is deliberately not a
-  dependency) for O(nnz) memory, serves the best-response ``reduceat``
-  pass from per-worker materialized rows behind a small LRU, and answers
-  point/sum queries with ``np.searchsorted`` gathers.
+  entries, as sorted ordered-pair keys (scipy is deliberately not a
+  dependency), for O(nnz) memory, and answers every read with one
+  ``np.searchsorted`` over them. This class is the one owner of that
+  key layout.
 * :class:`SharedDenseQualityStore` — the dense buffer placed in
   :mod:`multiprocessing.shared_memory` so sweep-pool workers attach
   zero-copy instead of rebuilding ``n^2`` floats per process. Lifecycle
@@ -24,15 +28,13 @@ interchangeable backends implement it:
 
 Bit-identity contract
 ---------------------
-All three backends return *value-identical* arrays from ``q_row`` /
-``q_col`` / ``gather``, and compute pair sums with the same numpy
-reduction over the same float values — so solvers produce repr-identical
-assignments regardless of backend (enforced by ``tests/test_quality_store.py``
-and the differential audit's backend axis). The closed form
-``prior * |M| * (|M| - 1) + D[M, M].sum()`` is exact mathematics but a
-*different float reduction order*, so the sparse backend deliberately
-serves sums from gathered submatrices instead (see
-:meth:`SparseQualityStore.structural_pair_sum` for the closed form).
+All three backends return *value-identical* arrays from ``block`` /
+``cross_values`` / ``q_row``, and the derived sums reduce them with the
+same numpy call — so solvers produce repr-identical assignments
+regardless of backend (enforced by ``tests/test_quality_store.py``, the
+golden fixture and the differential audit's backend axis). The closed
+form ``prior * |M| * (|M| - 1) + D[M, M].sum()`` is exact mathematics
+but a *different float reduction order*, so no backend uses it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
@@ -53,6 +54,7 @@ from repro.core.quality import (
     DEFAULT_ALPHA,
     DEFAULT_BASE_QUALITY,
     CooperationMatrix,
+    QualityReads,
     history_pair_values,
 )
 from repro.utils.errors import InvalidInstanceError
@@ -62,7 +64,6 @@ __all__ = [
     "DenseQualityStore",
     "SparseQualityStore",
     "SharedDenseQualityStore",
-    "RowCacheInfo",
     "QUALITY_BACKENDS",
     "REGISTRY_ENV_VAR",
     "ReapReport",
@@ -80,8 +81,9 @@ class QualityStore(Protocol):
     """Access protocol shared by all quality backends.
 
     Mirrors the read API of :class:`~repro.core.quality.CooperationMatrix`
-    (which satisfies it structurally); see that class for the semantics of
-    each method.
+    (which satisfies it structurally); see that class and
+    :class:`~repro.core.quality.QualityReads` for the semantics of each
+    method.
     """
 
     @property
@@ -93,6 +95,12 @@ class QualityStore(Protocol):
     @property
     def nbytes(self) -> int: ...
 
+    def block(self, rows, cols) -> np.ndarray: ...
+
+    def cross_values(self, workers, members) -> tuple[np.ndarray, np.ndarray]: ...
+
+    def q_row(self, worker: int) -> np.ndarray: ...
+
     def pair(self, i: int, k: int) -> float: ...
 
     def is_symmetric(self, tolerance: float = 1e-12) -> bool: ...
@@ -103,14 +111,6 @@ class QualityStore(Protocol):
 
     def cross_sum(self, worker: int, members: Sequence[int]) -> float: ...
 
-    def q_row(self, worker: int) -> np.ndarray: ...
-
-    def q_col(self, worker: int) -> np.ndarray: ...
-
-    def gather(self, index: np.ndarray) -> np.ndarray: ...
-
-    def gather_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray: ...
-
     def top_qualities(self, worker: int, count: int) -> np.ndarray: ...
 
     def bottom_qualities(self, worker: int, count: int) -> np.ndarray: ...
@@ -119,115 +119,22 @@ class QualityStore(Protocol):
 
     def to_dense(self) -> CooperationMatrix: ...
 
-    def as_kernel_buffers(self): ...
-
 
 #: The dense backend is the existing matrix, verbatim.
 DenseQualityStore = CooperationMatrix
 
 
-@dataclass(frozen=True)
-class RowCacheInfo:
-    """Counters of one materialized-row LRU (mirrors ``functools.lru_cache``)."""
-
-    hits: int
-    misses: int
-    evictions: int
-    currsize: int
-    maxsize: int
-
-
-class _CacheLedger:
-    """Per-orientation hit/miss/eviction counters over a shared LRU.
-
-    A symmetric store serves column reads from the row cache (one
-    physical cache, half the materialization work). Counting those reads
-    on the row cache's own counters double-counted them: both
-    ``row_cache_info()`` and ``col_cache_info()`` reported the same
-    totals, so summing the two infos — the natural aggregation — counted
-    every lookup twice, and row info silently included column traffic.
-    Each orientation now books its lookups on its own ledger while the
-    storage stays shared.
-    """
-
-    __slots__ = ("hits", "misses", "evictions")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-
-class _RowLRU:
-    """A tiny ordered-dict LRU holding materialized quality rows."""
-
-    __slots__ = ("maxsize", "hits", "misses", "evictions", "_rows")
-
-    def __init__(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError(f"row_cache_size must be >= 1, got {maxsize}")
-        self.maxsize = int(maxsize)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-
-    def get(self, key: int, build, ledger=None) -> np.ndarray:
-        """One lookup; counters land on ``ledger`` (default: the cache
-        itself), so aliased callers can attribute traffic separately."""
-        target = self if ledger is None else ledger
-        row = self._rows.get(key)
-        if row is not None:
-            self._rows.move_to_end(key)
-            target.hits += 1
-            return row
-        target.misses += 1
-        row = build()
-        self._rows[key] = row
-        while len(self._rows) > self.maxsize:
-            self._rows.popitem(last=False)
-            target.evictions += 1
-        return row
-
-    def info(self) -> RowCacheInfo:
-        return RowCacheInfo(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            currsize=len(self._rows),
-            maxsize=self.maxsize,
-        )
-
-
-def _sorted_lookup(
-    sorted_keys: np.ndarray,
-    values: np.ndarray,
-    queries: np.ndarray,
-    default: float,
-) -> np.ndarray:
-    """Gather ``values`` at ``queries`` from a sorted sparse axis.
-
-    ``sorted_keys`` are the stored (strictly increasing) positions of one
-    CSR/CSC slice; queries not present get ``default``.
-    """
-    out = np.full(queries.shape, default, dtype=float)
-    if sorted_keys.size:
-        pos = np.searchsorted(sorted_keys, queries)
-        clipped = np.minimum(pos, sorted_keys.size - 1)
-        hit = sorted_keys[clipped] == queries
-        out[hit] = values[clipped[hit]]
-    return out
-
-
-class SparseQualityStore:
+class SparseQualityStore(QualityReads):
     """``q[i, k] = prior`` except at explicitly stored deviating pairs.
 
     The store keeps the *absolute* quality value at each deviating entry
-    (not the delta), both in CSR order (row gathers) and CSC order
-    (column gathers), so every read materializes exactly the floats the
-    dense matrix holds — the key to backend bit-identity. Memory is
-    O(nnz) plus a bounded LRU of materialized rows (``row_cache_size``
-    rows of ``n`` floats) serving the GT best-response ``reduceat`` scan.
+    (not the delta) under the sorted ordered-pair key ``i * size + k``
+    (the row orientation), with the row pointer into it, and under
+    ``k * size + i`` (the column orientation), so every read looks up
+    exactly the floats the dense matrix holds — the key to backend
+    bit-identity. A store whose transpose matches exactly shares one
+    key/value pair for both orientations; memory is 16 bytes per stored
+    entry and orientation.
 
     Diagonal entries are implicitly zero, exactly like
     :class:`~repro.core.quality.CooperationMatrix`.
@@ -237,16 +144,10 @@ class SparseQualityStore:
         "_size",
         "_prior",
         "_indptr",
-        "_indices",
-        "_data",
-        "_col_indptr",
-        "_col_indices",
-        "_col_data",
-        "_symmetric",
-        "_row_cache",
-        "_col_cache",
-        "_col_ledger",
-        "_kernel_buffers",
+        "_row_keys",
+        "_row_values",
+        "_col_keys",
+        "_col_values",
     )
 
     def __init__(
@@ -256,7 +157,6 @@ class SparseQualityStore:
         rows: Sequence[int],
         cols: Sequence[int],
         values: Sequence[float],
-        row_cache_size: int = 128,
     ) -> None:
         size = int(size)
         if size < 0:
@@ -264,8 +164,8 @@ class SparseQualityStore:
         prior = float(prior)
         if not 0.0 <= prior <= 1.0:
             raise InvalidInstanceError(f"prior must be in [0, 1], got {prior}")
-        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-        cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        cols = np.asarray(cols, dtype=np.int64).reshape(-1)
         data = np.asarray(values, dtype=float).reshape(-1)
         if not (rows.size == cols.size == data.size):
             raise InvalidInstanceError(
@@ -285,55 +185,31 @@ class SparseQualityStore:
                 raise InvalidInstanceError("cooperation matrix contains NaN")
             if data.min() < 0.0 or data.max() > 1.0:
                 raise InvalidInstanceError("cooperation scores must lie in [0, 1]")
-            keys = rows * size + cols
-            if np.unique(keys).size != keys.size:
-                raise InvalidInstanceError("duplicate deviation entries")
 
-        order = np.lexsort((cols, rows))
-        rows, cols, data = rows[order], cols[order], data[order]
         self._size = size
         self._prior = prior
-        counts = np.bincount(rows, minlength=size) if size else np.zeros(0, dtype=np.intp)
-        self._indptr = np.concatenate(([0], counts)).cumsum().astype(np.intp)
-        self._indices = cols
-        self._data = data
-
-        col_order = np.lexsort((rows, cols))
-        col_counts = (
-            np.bincount(cols, minlength=size) if size else np.zeros(0, dtype=np.intp)
+        self._row_keys, self._row_values = _sorted_entries(rows * size + cols, data)
+        if (self._row_keys[1:] == self._row_keys[:-1]).any():
+            raise InvalidInstanceError("duplicate deviation entries")
+        self._indptr = np.searchsorted(
+            self._row_keys, np.arange(size + 1, dtype=np.int64) * size
         )
-        self._col_indptr = np.concatenate(([0], col_counts)).cumsum().astype(np.intp)
-        self._col_indices = rows[col_order]
-        self._col_data = data[col_order]
-
-        # Exact (not tolerance-based) symmetry lets the column cache alias
-        # the row cache and halves materialization work.
-        self._symmetric = bool(
-            np.array_equal(cols[col_order], rows)
-            and np.array_equal(rows[col_order], cols)
-            and np.array_equal(data[col_order], data)
-        )
-        self._row_cache = _RowLRU(row_cache_size)
-        if self._symmetric:
-            # One physical cache serves both orientations; the ledger
-            # keeps the column traffic's counters separate so the two
-            # info views never double-count a lookup.
-            self._col_cache = self._row_cache
-            self._col_ledger = _CacheLedger()
-        else:
-            self._col_cache = _RowLRU(row_cache_size)
-            self._col_ledger = None
-        self._kernel_buffers = None
+        col_keys, col_values = _sorted_entries(cols * size + rows, data)
+        if np.array_equal(col_keys, self._row_keys) and np.array_equal(
+            col_values, self._row_values
+        ):
+            # Exact (not tolerance-based) symmetry: one key/value pair
+            # serves both orientations.
+            col_keys, col_values = self._row_keys, self._row_values
+        self._col_keys = col_keys
+        self._col_values = col_values
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
     def from_dense(
-        cls,
-        matrix: "CooperationMatrix | np.ndarray",
-        prior: float,
-        row_cache_size: int = 128,
+        cls, matrix: "CooperationMatrix | np.ndarray", prior: float
     ) -> "SparseQualityStore":
         """Extract the deviations of a dense matrix around ``prior``.
 
@@ -347,7 +223,7 @@ class SparseQualityStore:
         mask = q != prior
         np.fill_diagonal(mask, False)
         rows, cols = np.nonzero(mask)
-        return cls(q.shape[0], prior, rows, cols, q[rows, cols], row_cache_size)
+        return cls(q.shape[0], prior, rows, cols, q[rows, cols])
 
     @classmethod
     def from_history(
@@ -356,7 +232,6 @@ class SparseQualityStore:
         shared_task_ratings: dict[tuple[int, int], Sequence[float]],
         base_quality: float = DEFAULT_BASE_QUALITY,
         alpha: float = DEFAULT_ALPHA,
-        row_cache_size: int = 128,
     ) -> "SparseQualityStore":
         """Equation 1 without ever allocating the dense matrix.
 
@@ -375,40 +250,28 @@ class SparseQualityStore:
             _, first_in_reversed = np.unique(keys[::-1], return_index=True)
             keep = keys.size - 1 - first_in_reversed
             rows, cols, values = rows[keep], cols[keep], values[keep]
-        return cls(worker_count, base_quality, rows, cols, values, row_cache_size)
+        return cls(worker_count, base_quality, rows, cols, values)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _row_slice(self, worker: int) -> tuple[np.ndarray, np.ndarray]:
-        start, end = self._indptr[worker], self._indptr[worker + 1]
-        return self._indices[start:end], self._data[start:end]
+    def _ids(self, ids) -> np.ndarray:
+        """``ids`` as int64, rejecting any outside ``[0, size)``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        # Negative ids read as huge unsigned ones: one max checks both ends.
+        if ids.size and ids.view(np.uint64).max() >= self._size:
+            raise IndexError(f"worker id out of range for {self._size} workers")
+        return ids
 
-    def _col_slice(self, worker: int) -> tuple[np.ndarray, np.ndarray]:
-        start, end = self._col_indptr[worker], self._col_indptr[worker + 1]
-        return self._col_indices[start:end], self._col_data[start:end]
-
-    def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = np.repeat(
-            np.arange(self._size, dtype=np.intp), np.diff(self._indptr)
-        )
-        return rows, self._indices, self._data
-
-    def _materialize_row(self, worker: int) -> np.ndarray:
-        row = np.full(self._size, self._prior, dtype=float)
-        idx, vals = self._row_slice(worker)
-        row[idx] = vals
-        row[worker] = 0.0
-        row.setflags(write=False)
-        return row
-
-    def _materialize_col(self, worker: int) -> np.ndarray:
-        col = np.full(self._size, self._prior, dtype=float)
-        idx, vals = self._col_slice(worker)
-        col[idx] = vals
-        col[worker] = 0.0
-        col.setflags(write=False)
-        return col
+    def _lookup(
+        self, keys: np.ndarray, values: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        """``values`` where ``targets`` appear in the sorted ``keys``, the
+        prior elsewhere."""
+        if keys.size == 0:
+            return np.full(targets.shape, self._prior, dtype=np.float64)
+        position = np.minimum(np.searchsorted(keys, targets), keys.size - 1)
+        return np.where(keys[position] == targets, values[position], self._prior)
 
     # ------------------------------------------------------------------
     # QualityStore API
@@ -420,7 +283,7 @@ class SparseQualityStore:
     @property
     def nnz(self) -> int:
         """Number of explicitly stored (deviating) entries."""
-        return int(self._data.size)
+        return int(self._row_values.size)
 
     @property
     def prior(self) -> float:
@@ -434,189 +297,120 @@ class SparseQualityStore:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the CSR+CSC arrays (LRU rows not included)."""
-        return int(
-            self._indptr.nbytes
-            + self._indices.nbytes
-            + self._data.nbytes
-            + self._col_indptr.nbytes
-            + self._col_indices.nbytes
-            + self._col_data.nbytes
-        )
+        """Bytes held by the row pointer and the key/value arrays."""
+        total = self._indptr.nbytes + self._row_keys.nbytes + self._row_values.nbytes
+        if self._col_keys is not self._row_keys:
+            total += self._col_keys.nbytes + self._col_values.nbytes
+        return int(total)
 
     @property
     def values(self) -> np.ndarray:
         """Materialized dense array — O(n²) escape hatch.
 
         Exists for dataset serialization (``datasets/io.py``) and tests;
-        hot paths must use ``q_row``/``q_col``/``gather`` instead.
+        hot paths must use ``block``/``cross_values`` instead.
         """
         return self.to_dense().values
 
     def to_dense(self) -> CooperationMatrix:
         """The equivalent dense matrix (the backend-parity bridge)."""
         q = np.full((self._size, self._size), self._prior, dtype=float)
-        rows, cols, vals = self._coo()
-        q[rows, cols] = vals
+        q.reshape(-1)[self._row_keys] = self._row_values
         return CooperationMatrix(q, copy=False)
 
-    def pair(self, i: int, k: int) -> float:
-        if i == k:
-            raise ValueError("cooperation quality is undefined for a self-pair")
-        idx, vals = self._row_slice(i)
-        pos = int(np.searchsorted(idx, k))
-        if pos < idx.size and idx[pos] == k:
-            return float(vals[pos])
-        return self._prior
+    def block(self, rows, cols) -> np.ndarray:
+        """``q[rows[..., :, None], cols[..., None, :]]`` as a fresh array.
 
-    def is_symmetric(self, tolerance: float = 1e-12) -> bool:
-        if self._symmetric:
-            return True
-        rows, cols, vals = self._coo()
-        forward = rows * self._size + cols
-        reverse = cols * self._size + rows
-        order = np.argsort(reverse)
-        transposed_keys = reverse[order]
-        transposed_vals = vals[order]
-        at_forward = _sorted_lookup(transposed_keys, transposed_vals, forward, self._prior)
-        at_reverse = _sorted_lookup(forward, vals, transposed_keys, self._prior)
-        return bool(
-            np.allclose(vals, at_forward, atol=tolerance)
-            and np.allclose(transposed_vals, at_reverse, atol=tolerance)
-        )
+        One batched ``searchsorted`` over the row keys answers every
+        position: absent pairs default to the prior, positions where the
+        row and column ids coincide are 0 — the dense matrix's floats.
+        """
+        rows = self._ids(rows)[..., :, None]
+        cols = self._ids(cols)[..., None, :]
+        out = self._lookup(self._row_keys, self._row_values, rows * self._size + cols)
+        out[rows == cols] = 0.0
+        return out
+
+    def cross_values(self, workers, members) -> tuple[np.ndarray, np.ndarray]:
+        """``(q[workers, members], q[members, workers])``, broadcast.
+
+        Both orientations are looked up under the key ``worker * size +
+        member``: the row keys give the first, the column keys the second.
+        A symmetric store's two orientations are one key/value pair, so it
+        returns one array as both.
+        """
+        workers = self._ids(workers)
+        members = self._ids(members)
+        keys = workers * self._size + members
+        diagonal = workers == members
+        toward = self._lookup(self._row_keys, self._row_values, keys)
+        toward[diagonal] = 0.0
+        if self._col_keys is self._row_keys:
+            return toward, toward
+        back = self._lookup(self._col_keys, self._col_values, keys)
+        back[diagonal] = 0.0
+        return toward, back
 
     def q_row(self, worker: int) -> np.ndarray:
-        """Full row ``worker``, materialized once and LRU-cached (read-only)."""
-        worker = int(worker)
-        return self._row_cache.get(worker, lambda: self._materialize_row(worker))
+        """Full row ``worker``, materialized from its stored entries."""
+        worker = int(self._ids(worker))
+        segment = slice(self._indptr[worker], self._indptr[worker + 1])
+        row = np.full(self._size, self._prior, dtype=float)
+        row[self._row_keys[segment] - worker * self._size] = self._row_values[segment]
+        row[worker] = 0.0
+        return row
 
-    def q_col(self, worker: int) -> np.ndarray:
-        """Full column ``worker``; served from the row cache when symmetric
-        (shared storage, column-ledger accounting)."""
-        worker = int(worker)
-        if self._symmetric:
-            return self._row_cache.get(
-                worker,
-                lambda: self._materialize_row(worker),
-                ledger=self._col_ledger,
-            )
-        return self._col_cache.get(worker, lambda: self._materialize_col(worker))
+    def block_entries(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The symmetric block over duplicate-free ``index``, as its
+        entries that differ from the default.
 
-    def gather(self, index: np.ndarray) -> np.ndarray:
-        """The ``(k, k)`` submatrix over ``index`` as a fresh writable array.
+        The block is ``sub + sub.T`` over ``sub = block(index, index)``,
+        so off the diagonal it is ``2 * prior`` (= ``prior + prior``,
+        exactly) except at the returned ``(positions, values)``: flat
+        positions in the row-major block and their values. Filling a
+        block with the default, scattering the entries back and zeroing
+        the diagonal gives the same floats as ``sub + sub.T``.
 
-        Delegates to :meth:`gather_rows` — one batched ``searchsorted``
-        over the globally sorted CSR keys instead of the historical
-        per-row lookup loop. The retrieved floats are exactly those of
-        the dense submatrix (pure lookups, no reductions), so sums over
-        the result are bit-identical to the dense backend and to the
-        per-row path this replaced.
+        ``sub`` scatters the stored entries of the candidates' row
+        segments, so the cost follows the k rows' stored entries instead
+        of ``k²`` binary searches. A stored column is mapped to its
+        candidate position through an *uninitialised* worker-to-position
+        array, O(1) to allocate at any store size: only the k candidate
+        slots are written, so a read counts only if, clipped into range,
+        it maps back to the same worker.
         """
-        index = np.asarray(index, dtype=np.intp)
-        return self.gather_rows(index, index)
-
-    def gather_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Rectangular gather ``q[rows[:, None], cols]`` in one batch.
-
-        The bulk multi-row protocol method: a single
-        :func:`~repro.core.kernels.gather_block` lookup over the store's
-        flat kernel buffers answers the whole block, replacing one
-        ``_sorted_lookup`` round-trip per row. Positions where
-        ``rows[i] == cols[j]`` are 0 (the implicit diagonal), absent
-        pairs default to the prior — value-identical to materialized
-        ``q_row`` reads.
-        """
-        from repro.core.kernels import gather_block
-
-        return gather_block(self.as_kernel_buffers(), rows, cols)
-
-    def ordered_pair_sum(self, members: Sequence[int]) -> float:
-        index = np.asarray(members, dtype=np.intp)
-        if np.unique(index).size != index.size:
-            raise ValueError(f"duplicate members: {sorted(members)}")
-        return float(self.gather(index).sum())
-
-    def submatrix_sum(self, index: np.ndarray) -> float:
-        return float(self.gather(index).sum())
-
-    def structural_pair_sum(self, members: Sequence[int]) -> float:
-        """Closed-form ordered pair sum: ``prior·|M|·(|M|−1) + Δ(M)``.
-
-        Exact mathematics in O(|M| log nnz) without materializing the
-        submatrix, where ``Δ(M)`` sums the stored deviations *relative to
-        the prior* inside ``M``. Not used on solver paths because its
-        float reduction order differs from the dense backend (breaking
-        repr-parity); exposed for analysis and cross-checks.
-        """
-        index = np.asarray(members, dtype=np.intp)
-        if np.unique(index).size != index.size:
-            raise ValueError(f"duplicate members: {sorted(members)}")
         count = index.size
-        delta = 0.0
-        for worker in index:
-            idx, vals = self._row_slice(worker)
-            present = _sorted_lookup(idx, vals, index, self._prior)
-            mask = index != worker
-            delta += float((present[mask] - self._prior).sum())
-        return self._prior * count * (count - 1) + delta
+        sub = np.full((count, count), self._prior, dtype=np.float64)
+        starts = self._indptr[index]
+        lengths = self._indptr[index + 1] - starts
+        ends = np.cumsum(lengths)
+        total = int(ends[-1]) if count else 0
+        if total:
+            # Flat positions of every segment entry, segment by segment.
+            flat = np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+            columns = self._row_keys[flat] - np.repeat(index * self._size, lengths)
+            position = np.empty(self._size, dtype=np.intp)
+            position[index] = np.arange(count)
+            local = position[columns]
+            hit = np.flatnonzero(np.take(index, local, mode="clip") == columns)
+            owner = np.searchsorted(ends, hit, side="right")
+            sub[owner, local[hit]] = self._row_values[flat[hit]]
+        symmetric = sub + sub.T
+        differs = symmetric != 2.0 * self._prior
+        differs.ravel()[:: count + 1] = False
+        positions = np.flatnonzero(differs)
+        return positions, symmetric.ravel()[positions]
 
-    def cross_sum(self, worker: int, members: Sequence[int]) -> float:
-        index = np.asarray(members, dtype=np.intp)
-        ridx, rvals = self._row_slice(worker)
-        row_part = _sorted_lookup(ridx, rvals, index, self._prior)
-        row_part[index == worker] = 0.0
-        cidx, cvals = self._col_slice(worker)
-        col_part = _sorted_lookup(cidx, cvals, index, self._prior)
-        col_part[index == worker] = 0.0
-        return float(row_part.sum() + col_part.sum())
-
-    def as_kernel_buffers(self):
-        """Flat CSR/CSC key-array export for the batched kernels.
-
-        Keys are globally sorted ordered-pair codes (``row * size + col``
-        for the row orientation, ``col * size + row`` for the column
-        orientation) so one binary search answers any lookup; absent
-        pairs default to the prior and the diagonal to 0 — exactly the
-        floats :meth:`q_row`/:meth:`q_col` materialize. The export also
-        shares (without copying) the CSR row pointers and column indices,
-        which small square gathers scatter from. Built lazily and cached
-        (the deviation arrays are immutable).
-        """
-        from repro.core.kernels import KernelBuffers
-
-        if self._kernel_buffers is None:
-            size = self._size
-            row_owner = np.repeat(
-                np.arange(size, dtype=np.int64), np.diff(self._indptr)
-            )
-            col_owner = np.repeat(
-                np.arange(size, dtype=np.int64), np.diff(self._col_indptr)
-            )
-            self._kernel_buffers = KernelBuffers.from_csr(
-                size=size,
-                row_keys=row_owner * size + self._indices,
-                row_values=self._data,
-                col_keys=col_owner * size + self._col_indices,
-                col_values=self._col_data,
-                prior=self._prior,
-                indptr=self._indptr,
-                indices=self._indices,
-            )
-        return self._kernel_buffers
-
-    def top_qualities(self, worker: int, count: int) -> np.ndarray:
-        row = np.delete(self.q_row(worker), worker)
-        if count >= row.size:
-            return np.sort(row)[::-1]
-        top = np.partition(row, row.size - count)[row.size - count :]
-        return np.sort(top)[::-1]
-
-    def bottom_qualities(self, worker: int, count: int) -> np.ndarray:
-        row = np.delete(self.q_row(worker), worker)
-        if count >= row.size:
-            return np.sort(row)
-        bottom = np.partition(row, count - 1)[:count]
-        return np.sort(bottom)
+    def is_symmetric(self, tolerance: float = 1e-12) -> bool:
+        if self._col_keys is self._row_keys:
+            return True
+        # Every pair with a stored orientation is a row entry one way or
+        # the other; the rest sit at the prior both ways.
+        transposed = self._lookup(self._col_keys, self._col_values, self._row_keys)
+        return bool(
+            np.allclose(self._row_values, transposed, atol=tolerance)
+            and np.allclose(transposed, self._row_values, atol=tolerance)
+        )
 
     def restricted_to(self, workers: Sequence[int]) -> "SparseQualityStore":
         """Positionally re-indexed sub-store (``workers`` must be unique)."""
@@ -625,53 +419,23 @@ class SparseQualityStore:
             raise ValueError(f"duplicate workers: {sorted(workers)}")
         position = np.full(self._size, -1, dtype=np.intp)
         position[index] = np.arange(index.size, dtype=np.intp)
-        rows, cols, vals = self._coo()
+        rows, cols = np.divmod(self._row_keys, self._size)
         keep = (position[rows] >= 0) & (position[cols] >= 0)
         return SparseQualityStore(
             index.size,
             self._prior,
             position[rows[keep]],
             position[cols[keep]],
-            vals[keep],
-            row_cache_size=self._row_cache.maxsize,
+            self._row_values[keep],
         )
-
-    def row_cache_info(self) -> RowCacheInfo:
-        """Counters of row-orientation (``q_row``) lookups only.
-
-        On a symmetric store the column orientation shares this cache's
-        *storage* but books its traffic on its own ledger, so
-        ``row_cache_info() + col_cache_info()`` sums to exactly the
-        physical lookup/eviction totals — no double counting.
-        """
-        return self._row_cache.info()
-
-    def col_cache_info(self) -> RowCacheInfo:
-        """Counters of column-orientation (``q_col``) lookups only.
-
-        Symmetric stores report the column ledger over the shared row
-        cache (``currsize``/``maxsize`` describe that shared storage);
-        asymmetric stores report their dedicated column cache.
-        """
-        if self._col_ledger is not None:
-            return RowCacheInfo(
-                hits=self._col_ledger.hits,
-                misses=self._col_ledger.misses,
-                evictions=self._col_ledger.evictions,
-                currsize=self._row_cache.info().currsize,
-                maxsize=self._row_cache.maxsize,
-            )
-        return self._col_cache.info()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseQualityStore):
             return NotImplemented
         if self._size != other._size or self._prior != other._prior:
             return False
-        return (
-            np.array_equal(self._indptr, other._indptr)
-            and np.array_equal(self._indices, other._indices)
-            and np.array_equal(self._data, other._data)
+        return np.array_equal(self._row_keys, other._row_keys) and np.array_equal(
+            self._row_values, other._row_values
         )
 
     def __repr__(self) -> str:
@@ -679,6 +443,14 @@ class SparseQualityStore:
             f"SparseQualityStore(size={self._size}, nnz={self.nnz}, "
             f"prior={self._prior!r})"
         )
+
+
+def _sorted_entries(
+    keys: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` sorted ascending, with ``values`` in the same order."""
+    order = np.argsort(keys)
+    return keys[order], values[order]
 
 
 #: Segment names created (and still owned) by *this* process. An attach

@@ -27,7 +27,6 @@ from repro.core.kernels import (
     PAIRWISE_CLIFF,
     counted_subset_batch,
     counted_subset_select,
-    gather_block,
     ordered_row_sums,
 )
 from repro.core.quality import CooperationMatrix
@@ -74,7 +73,7 @@ def _counted_subset(
         raise ValueError(f"size must be non-negative, got {size}")
     if len(members) != len(set(members)):
         raise ValueError(f"duplicate members: {sorted(members)}")
-    return counted_subset_select(quality.as_kernel_buffers(), members, size)
+    return counted_subset_select(quality, members, size)
 
 
 def group_revenue(
@@ -376,8 +375,8 @@ class RevenueCache:
         A task's state depends only on its own join sequence, so each
         task's joins are replayed in lockstep with every other task of
         the same shape (members already present, joins that fit within
-        capacity), from two gathered blocks per shape: the joiners' rows
-        over the final member list and its columns over the joiners.
+        capacity), from one ``cross_values`` read per shape: the
+        joiners' rows and columns over the final member list.
         Join ``i`` of a task with ``p`` members present adds the cross
         sum over its ``p + i`` predecessors, reduced in ``cross_sum``'s
         order: strictly left to right
@@ -400,21 +399,20 @@ class RevenueCache:
                 joining = joiners[task] = joining[:room]
             if joining:
                 shapes.setdefault((present, len(joining)), []).append(task)
-        buffers = self.quality.as_kernel_buffers()
         for (present, joins), group in shapes.items():
             members = np.array(
                 [self._members[task] + joiners[task] for task in group],
                 dtype=np.int64,
             )
-            entering = members[:, present:]
-            rows = gather_block(buffers, entering, members)
-            cols = gather_block(buffers, members, entering)
+            rows, cols = self.quality.cross_values(
+                members[:, present:, None], members[:, None, :]
+            )
             index = np.asarray(group, dtype=np.intp)
             pair_sums = self.pair_sums[index]
             for step in range(joins):
                 width = present + step
                 row = rows[:, step, :width]
-                col = cols[:, :width, step]
+                col = cols[:, step, :width]
                 if width < PAIRWISE_CLIFF:
                     cross = ordered_row_sums(row) + ordered_row_sums(col)
                 else:
@@ -528,12 +526,12 @@ class RevenueCache:
 
         Within capacity and at or above ``B`` every gain is
         ``(S + cross) / (k_new - 1) - Q`` with one ``cross`` per worker,
-        so the whole set is scored from two block gathers: the workers'
-        rows over the members and the members' rows over the workers.
-        Each worker's row part and column part are reduced separately
-        over contiguous rows (numpy reduces a C-contiguous row exactly as
-        it reduces the same values as a fresh 1-D array, on both sides of
-        the pairwise cliff), then added — the floats of ``cross_sum``.
+        so the whole set is scored from one ``cross_values`` read: the
+        workers' rows and columns over the members. Each worker's row
+        part and column part are reduced separately over contiguous rows
+        (numpy reduces a C-contiguous row exactly as it reduces the same
+        values as a fresh 1-D array, on both sides of the pairwise
+        cliff), then added — the floats of ``cross_sum``.
         Other joins (overflow, below ``B``) take the scalar path.
         """
         members = self._members[task]
@@ -544,11 +542,11 @@ class RevenueCache:
             or new_count < 2
         ):
             return [float(self.join_gain(w, task)) for w in workers.tolist()]
-        index = self.member_array(task)
-        row_part = self.quality.gather_rows(workers, index).sum(axis=1)
-        col_part = np.ascontiguousarray(
-            self.quality.gather_rows(index, workers).T
-        ).sum(axis=1)
+        toward, back = self.quality.cross_values(
+            workers[:, None], self.member_array(task)
+        )
+        row_part = toward.sum(axis=1)
+        col_part = back.sum(axis=1)
         new_revenue = (self.pair_sums[task] + (row_part + col_part)) / (new_count - 1)
         return (new_revenue - self.revenues[task]).tolist()
 
@@ -572,7 +570,6 @@ class RevenueCache:
             shape = (len(self._members[task]) + 1, int(self.capacities[task]))
             buckets.setdefault(shape, []).append(index)
         gains = [0.0] * len(tasks)
-        buffers = self.quality.as_kernel_buffers()
         for (size, capacity), bucket in buckets.items():
             groups = np.array(
                 [self._members[tasks[i]] + [workers[i]] for i in bucket],
@@ -581,7 +578,7 @@ class RevenueCache:
             groups.sort(axis=1)
             if (groups[:, 1:] == groups[:, :-1]).any():
                 raise ValueError("a joining worker is already a member")
-            _, pair_sums = counted_subset_batch(buffers, groups, capacity)
+            _, pair_sums = counted_subset_batch(self.quality, groups, capacity)
             revenues = self.revenues[[tasks[i] for i in bucket]]
             for index, gain in zip(
                 bucket, (pair_sums / (capacity - 1) - revenues).tolist()

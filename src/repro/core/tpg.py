@@ -43,12 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.assignment import Assignment
-from repro.core.kernels import (
-    block_entries,
-    exact_group_select,
-    greedy_group_select,
-)
+from repro.core.kernels import exact_group_select, greedy_group_select
 from repro.core.model import Instance
+from repro.core.quality_store import SparseQualityStore
 from repro.core.stats import SolverStats
 from repro.core.validity import ValidPairs, compute_valid_pairs
 
@@ -205,18 +202,19 @@ class _CandidateBlocks:
     available candidates — ascending, as :class:`ValidPairs` lists them,
     so one order serves the greedy and the exact selection — and, on the
     sparse store, only the entries of their symmetric block that differ
-    from ``2 * prior`` (:func:`~repro.core.kernels.block_entries`). A
-    re-evaluation rebuilds that block from the default fill and the
+    from ``2 * prior``
+    (:meth:`~repro.core.quality_store.SparseQualityStore.block_entries`).
+    A re-evaluation rebuilds that block from the default fill and the
     entries and cuts out the rows and columns of the candidates still
     available: off the diagonal, which neither selection reads, the same
-    floats a fresh gather of the survivors gives. The dense stores keep
-    only the ids and index their matrix.
+    floats a fresh block of the survivors gives. The dense stores keep
+    only the ids and read the survivors' block.
     """
 
-    __slots__ = ("_buffers", "_lists", "_available", "_blocks")
+    __slots__ = ("_quality", "_lists", "_available", "_blocks")
 
     def __init__(self, quality, valid_pairs: ValidPairs, available: np.ndarray):
-        self._buffers = quality.as_kernel_buffers()
+        self._quality = quality
         self._lists = valid_pairs.workers_for_task
         self._available = available
         self._blocks: dict[int, tuple] = {}  # task -> (ids, entries)
@@ -241,12 +239,16 @@ class _CandidateBlocks:
         """
         if size < 2:
             return [], 0.0
-        buffers = self._buffers
+        quality = self._quality
         block = self._blocks.get(task)
         if block is None:
             workers = np.asarray(self._lists[task], dtype=np.intp)
             ids = workers[self._available[workers]]
-            entries = None if buffers.is_dense else block_entries(buffers, ids)
+            entries = (
+                quality.block_entries(ids)
+                if isinstance(quality, SparseQualityStore)
+                else None
+            )
             self._blocks[task] = block = (ids, entries)
         ids, entries = block
         live = self._available[ids].nonzero()[0]
@@ -256,12 +258,12 @@ class _CandidateBlocks:
             return [], 0.0
         if entries is None:
             survivors = ids[live]
-            sub = buffers.dense[survivors[:, None], survivors]
+            sub = quality.block(survivors, survivors)
             symmetric = sub + sub.T
         else:
             positions, values = entries
             whole = np.empty(ids.size * ids.size)
-            whole.fill(2.0 * buffers.prior)
+            whole.fill(2.0 * quality.prior)
             whole[positions] = values
             symmetric = (
                 whole.reshape(ids.size, ids.size)

@@ -148,7 +148,6 @@ def sparse_community_quality(
     across: float = 0.3,
     noise: float = 0.1,
     seed=None,
-    row_cache_size: int = 128,
 ) -> SparseQualityStore:
     """Community-structured quality without the dense ``(n, n)`` matrix.
 
@@ -188,9 +187,7 @@ def sparse_community_quality(
         rows = np.empty(0, dtype=np.intp)
         cols = np.empty(0, dtype=np.intp)
         vals = np.empty(0, dtype=float)
-    return SparseQualityStore(
-        worker_count, across, rows, cols, vals, row_cache_size=row_cache_size
-    )
+    return SparseQualityStore(worker_count, across, rows, cols, vals)
 
 
 def generate_instance(

@@ -7,7 +7,7 @@ per-candidate ``join_gain`` scan, the lockstep peel
 (:func:`~repro.core.kernels.counted_subset_batch` and its single-group
 :func:`~repro.core.kernels.counted_subset_select`) against the greedy
 reference peel (both kept in :mod:`repro.audit.reference`), and the
-gathers against the stores' own lookups. Solve-level outputs are pinned by ``tests/test_golden.py``.
+stores' block reads against the dense matrix. Solve-level outputs are pinned by ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from repro.core.kernels import (
     PEEL_CHUNK,
     counted_subset_batch,
     counted_subset_select,
-    block_entries,
-    gather_block,
     ordered_row_sums,
     score_candidates,
     verify_pairwise_cliff,
@@ -74,25 +72,6 @@ def _with_backend(instance: Instance, backend: str):
 
         return swapped, cleanup
     return swapped, None
-
-
-class TestKernelBuffers:
-    def test_dense_and_csr_agree(self, dense_instance):
-        sparse = SparseQualityStore.from_dense(
-            dense_instance.quality.to_dense(), prior=0.0
-        )
-        dense_buffers = dense_instance.quality.as_kernel_buffers()
-        csr_buffers = sparse.as_kernel_buffers()
-        assert dense_buffers.is_dense and not csr_buffers.is_dense
-        size = dense_instance.worker_count
-        assert dense_buffers.size == csr_buffers.size == size
-        assert dense_buffers.dense.shape == (size, size)
-        # Rebuild the dense matrix from the CSR key/value arrays.
-        rebuilt = np.full((size, size), csr_buffers.prior)
-        np.fill_diagonal(rebuilt, 0.0)
-        rows, cols = np.divmod(csr_buffers.row_keys, size)
-        rebuilt[rows, cols] = csr_buffers.row_values
-        assert np.array_equal(rebuilt, dense_buffers.dense)
 
 
 class TestKernelBoundaryShapes:
@@ -202,36 +181,37 @@ class TestGatherBlock:
             rng = np.random.default_rng(3)
             rows = rng.integers(0, 24, size=6)
             cols = rng.integers(0, 24, size=9)
-            block = gather_block(
-                instance.quality.as_kernel_buffers(), rows, cols
-            )
+            block = instance.quality.block(rows, cols)
             expected = dense[rows[:, None], cols].copy()
             expected[rows[:, None] == cols[None, :]] = 0.0
             assert np.array_equal(block, expected)
-            # The store-level protocol method routes through the same path.
+            assert block.flags["C_CONTIGUOUS"] and block.dtype == np.float64
+            # Leading batch dimensions give a stack of blocks.
+            stacked = instance.quality.block(
+                np.stack([rows, rows[::-1]]), np.stack([cols, cols[::-1]])
+            )
+            assert np.array_equal(stacked[0], block)
             assert np.array_equal(
-                instance.quality.gather_rows(rows, cols), block
+                stacked[1], instance.quality.block(rows[::-1], cols[::-1])
             )
         finally:
             if cleanup is not None:
                 cleanup()
 
     def test_square_gather_matches_legacy_gather(self):
-        base = make_dense_instance(20, 4, seed=8)
-        sparse = SparseQualityStore.from_dense(
-            base.quality.to_dense(), prior=0.25
-        )
+        dense = make_dense_instance(20, 4, seed=8).quality.to_dense()
+        sparse = SparseQualityStore.from_dense(dense, prior=0.25)
         index = np.array([1, 4, 9, 13, 17])
         assert np.array_equal(
-            sparse.gather(index), sparse.gather_rows(index, index)
+            sparse.block(index, index), dense.values[index[:, None], index]
         )
 
 
 class TestGatherSymmetric:
-    """Stage 1's sparse symmetric block comes from the candidates' CSR row
-    segments (:func:`block_entries`); filled with ``2 * prior``, the
-    entries scattered back and the diagonal zeroed, it must equal the
-    global key search and the dense gather exactly."""
+    """Stage 1's sparse symmetric block comes from the candidates' row
+    segments (``SparseQualityStore.block_entries``); filled with
+    ``2 * prior``, the entries scattered back and the diagonal zeroed, it
+    must equal the store's own block and the dense block exactly."""
 
     @staticmethod
     def _sparse(seed: int):
@@ -258,27 +238,20 @@ class TestGatherSymmetric:
     def test_matches_key_search_and_dense_gather(self, index):
         for seed in range(3):
             dense, sparse = self._sparse(seed)
-            buffers = sparse.as_kernel_buffers()
             index = np.asarray(index)
-            positions, values = block_entries(buffers, index)
+            positions, values = sparse.block_entries(index)
             scattered = np.full(index.size * index.size, 2 * 0.4)
             scattered[positions] = values
             scattered = scattered.reshape(index.size, index.size)
             np.fill_diagonal(scattered, 0.0)
-            searched = gather_block(buffers, index, index)
-            sub = dense.gather(index)
+            searched = sparse.block(index, index)
+            sub = dense.block(index, index)
             assert np.array_equal(scattered, searched + searched.T)
             assert np.array_equal(scattered, sub + sub.T)
             # Only the entries that differ from the default, off the
             # diagonal.
             assert not np.any(values == 2 * 0.4)
             assert not np.any(positions % (index.size + 1) == 0)
-
-    def test_buffers_share_the_store_csr(self):
-        _, sparse = self._sparse(0)
-        buffers = sparse.as_kernel_buffers()
-        assert buffers.indptr is sparse._indptr
-        assert buffers.indices is sparse._indices
 
 
 class TestPeelPairSum:
@@ -292,7 +265,6 @@ class TestPeelPairSum:
         instance, cleanup = _with_backend(base, backend)
         try:
             quality = instance.quality
-            buffers = quality.as_kernel_buffers()
             rng = np.random.default_rng(6)
             for members_count in range(7, 13):
                 members = [
@@ -300,7 +272,7 @@ class TestPeelPairSum:
                     for w in rng.choice(16, size=members_count, replace=False)
                 ]
                 for size in range(members_count + 1):
-                    kept, pair_sum = counted_subset_select(buffers, members, size)
+                    kept, pair_sum = counted_subset_select(quality, members, size)
                     expected = quality.submatrix_sum(
                         np.asarray(kept, dtype=np.intp)
                     )
@@ -323,7 +295,6 @@ class TestCountedSubsetSelectParity:
         instance, cleanup = _with_backend(base, backend)
         try:
             quality = instance.quality
-            buffers = quality.as_kernel_buffers()
             rng = np.random.default_rng(4)
             for members_count in (7, 8, 9, 10, 12):
                 members = sorted(
@@ -332,7 +303,7 @@ class TestCountedSubsetSelectParity:
                 )
                 for size in range(members_count + 1):
                     oracle = reference_counted_subset(quality, members, size)
-                    kernel, _ = counted_subset_select(buffers, members, size)
+                    kernel, _ = counted_subset_select(quality, members, size)
                     assert kernel == oracle, (backend, members_count, size)
         finally:
             if cleanup is not None:
@@ -381,10 +352,9 @@ class TestCountedSubsetBatchParity:
         instance, cleanup = _with_backend(base, backend)
         try:
             quality = instance.quality
-            buffers = quality.as_kernel_buffers()
             groups = self._groups(4, width, 24, seed=width)
             for size in range(width + 1):
-                kept, pair_sums = counted_subset_batch(buffers, groups, size)
+                kept, pair_sums = counted_subset_batch(quality, groups, size)
                 self._assert_rows_match(
                     quality, groups, size, kept, pair_sums, (backend, width, size)
                 )
@@ -403,7 +373,7 @@ class TestCountedSubsetBatchParity:
             quality = instance.quality
             groups = self._groups(12, width, 40, seed=100 + width)
             kept, pair_sums = counted_subset_batch(
-                quality.as_kernel_buffers(), groups, size
+                quality, groups, size
             )
             self._assert_rows_match(
                 quality, groups, size, kept, pair_sums, (backend, width, size)
@@ -435,10 +405,9 @@ class TestCountedSubsetBatchParity:
         instance, cleanup = _with_backend(self._with_quality(q), backend)
         try:
             quality = instance.quality
-            buffers = quality.as_kernel_buffers()
             for width, size in ((8, 7), (8, 4), (9, 8), (10, 8), (12, 8), (17, 8)):
                 groups = self._groups(400, width, 60, seed=width)
-                kept, pair_sums = counted_subset_batch(buffers, groups, size)
+                kept, pair_sums = counted_subset_batch(quality, groups, size)
                 self._assert_rows_match(
                     quality, groups, size, kept, pair_sums, (backend, width)
                 )
@@ -457,7 +426,7 @@ class TestCountedSubsetBatchParity:
             groups = self._groups(6, 12, count, seed=5)
             for size in (11, 8, 7, 3):
                 kept, pair_sums = counted_subset_batch(
-                    quality.as_kernel_buffers(), groups, size
+                    quality, groups, size
                 )
                 # Every contribution ties at every step, so each row
                 # keeps its lowest-index members.
@@ -474,13 +443,13 @@ class TestCountedSubsetBatchParity:
         base = make_dense_instance(24, 3, seed=23)
         instance, cleanup = _with_backend(base, backend)
         try:
-            buffers = instance.quality.as_kernel_buffers()
+            quality = instance.quality
             for width in (5, 9, 12):
                 members = self._groups(1, width, 24, seed=width)
                 for size in (0, width - 1, 8, width):
-                    kept, pair_sums = counted_subset_batch(buffers, members, size)
+                    kept, pair_sums = counted_subset_batch(quality, members, size)
                     single = counted_subset_select(
-                        buffers, members[0][::-1].tolist(), size
+                        quality, members[0][::-1].tolist(), size
                     )
                     assert (kept[0].tolist(), repr(float(pair_sums[0]))) == (
                         single[0], repr(single[1]),
@@ -495,13 +464,12 @@ class TestCountedSubsetBatchParity:
         instance, cleanup = _with_backend(base, backend)
         try:
             quality = instance.quality
-            buffers = quality.as_kernel_buffers()
             for width, size in ((5, 4), (9, 8)):
                 groups = self._groups(PEEL_CHUNK + 3, width, 30, seed=width)
-                kept, pair_sums = counted_subset_batch(buffers, groups, size)
+                kept, pair_sums = counted_subset_batch(quality, groups, size)
                 for row in (0, PEEL_CHUNK - 1, PEEL_CHUNK, PEEL_CHUNK + 2):
                     single = counted_subset_select(
-                        buffers, groups[row].tolist(), size
+                        quality, groups[row].tolist(), size
                     )
                     assert (kept[row].tolist(), repr(float(pair_sums[row]))) == (
                         single[0], repr(single[1]),
@@ -539,7 +507,7 @@ class TestScoreCandidatesParity:
             dtype=np.int64,
         )
         values, codes = score_candidates(
-            assignment.instance.quality.as_kernel_buffers(),
+            assignment.instance.quality,
             vp_indptr,
             vp_tasks,
             mem_indptr,

@@ -55,7 +55,8 @@ def sparse_read_peak_kb(worker_count: int) -> int:
         store.ordered_pair_sum(np.sort(rng.choice(worker_count, 6, replace=False)))
     for worker in rng.integers(0, worker_count, size=50):
         store.q_row(int(worker)).sum()
-    store.gather(np.sort(rng.choice(worker_count, 200, replace=False))).sum()
+    index = np.sort(rng.choice(worker_count, 200, replace=False))
+    store.block(index, index).sum()
     return status_kb()
 
 

@@ -4,8 +4,9 @@ The contract under test: the dense, sparse and shared-memory quality
 backends hold the same floats and feed them through the same numpy
 reductions, so every consumer — revenue, GT, TPG, the fallback chain,
 the sweep executor — produces **repr-identical** results regardless of
-backend. Plus the sparse store's LRU row cache and the shared segment's
-create/attach/unlink lifecycle (nothing may leak, even on Ctrl-C).
+backend, on symmetric and asymmetric matrices alike. Plus the shared
+segment's create/attach/unlink lifecycle (nothing may leak, even on
+Ctrl-C).
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ def _reference_matrix(size: int = 60, seed: int = 7) -> CooperationMatrix:
     return sparse_community_quality(size, community_size=12, seed=seed).to_dense()
 
 
+def _asymmetric(matrix: CooperationMatrix, prior: float, seed: int = 11):
+    """``matrix`` with its upper triangle perturbed only: every stored
+    entry above the diagonal scaled, and a few prior-valued pairs there
+    stored one way round."""
+    q = matrix.values.copy()
+    upper = np.triu(np.ones(q.shape, dtype=bool), k=1)
+    q[upper & (q != prior)] *= 0.75
+    q[upper & (np.random.default_rng(seed).random(q.shape) < 0.05)] = 0.9
+    return CooperationMatrix(q)
+
+
 class TestProtocol:
     def test_all_backends_satisfy_the_protocol(self):
         dense = _reference_matrix(20)
@@ -70,9 +82,13 @@ class TestProtocol:
 class TestSparseStoreParity:
     """Every read of the sparse store must equal the dense oracle."""
 
+    @staticmethod
+    def matrix() -> CooperationMatrix:
+        return _reference_matrix()
+
     @pytest.fixture()
     def pair(self):
-        dense = _reference_matrix()
+        dense = self.matrix()
         sparse = SparseQualityStore.from_dense(dense, prior=0.3)
         return dense, sparse
 
@@ -84,10 +100,23 @@ class TestSparseStoreParity:
 
     def test_rows_cols_and_pairs(self, pair):
         dense, sparse = pair
+        everyone = np.arange(dense.size)
         for worker in (0, 13, 59):
             assert np.array_equal(sparse.q_row(worker), dense.q_row(worker))
-            assert np.array_equal(sparse.q_col(worker), dense.q_col(worker))
+            toward, back = sparse.cross_values(worker, everyone)
+            assert np.array_equal(toward, dense.values[worker])
+            assert np.array_equal(back, dense.values[:, worker])
+        # Broadcast: one row of members per worker.
+        workers = np.array([[4], [13], [40]])
+        members = np.array([[4, 9, 13], [40, 2, 13], [7, 40, 59]])
+        for got, expected in zip(
+            sparse.cross_values(workers, members),
+            dense.cross_values(workers, members),
+        ):
+            assert got.shape == (3, 3)
+            assert np.array_equal(got, expected)
         assert repr(sparse.pair(3, 44)) == repr(dense.pair(3, 44))
+        assert repr(sparse.pair(44, 3)) == repr(dense.pair(44, 3))
         with pytest.raises(ValueError, match="self-pair"):
             sparse.pair(5, 5)
 
@@ -96,7 +125,9 @@ class TestSparseStoreParity:
         rng = np.random.default_rng(0)
         for _ in range(25):
             index = np.sort(rng.choice(dense.size, size=6, replace=False))
-            assert np.array_equal(sparse.gather(index), dense.gather(index))
+            assert np.array_equal(
+                sparse.block(index, index), dense.block(index, index)
+            )
             assert repr(sparse.ordered_pair_sum(index)) == repr(
                 dense.ordered_pair_sum(index)
             )
@@ -108,6 +139,14 @@ class TestSparseStoreParity:
             assert repr(sparse.cross_sum(worker, members)) == repr(
                 dense.cross_sum(worker, members)
             )
+        # A batch dimension, with ids repeated across rows and columns so
+        # the zero diagonal shows up off the block's own diagonal.
+        rows = rng.integers(dense.size, size=(4, 5))
+        cols = np.concatenate([rows[:, :2], rng.integers(dense.size, size=(4, 3))], 1)
+        block = sparse.block(rows, cols)
+        assert block.shape == (4, 5, 5) and block.flags["C_CONTIGUOUS"]
+        assert np.array_equal(block, dense.block(rows, cols))
+        assert (block[:, [0, 1], [0, 1]] == 0.0).all()
 
     def test_top_and_bottom_qualities(self, pair):
         dense, sparse = pair
@@ -134,13 +173,6 @@ class TestSparseStoreParity:
         dense, sparse = pair
         assert sparse.is_symmetric() == dense.is_symmetric()
 
-    def test_structural_pair_sum_matches_the_reduction(self, pair):
-        dense, sparse = pair
-        index = np.array([2, 9, 17, 33])
-        assert sparse.structural_pair_sum(index) == pytest.approx(
-            dense.ordered_pair_sum(index)
-        )
-
     def test_from_history_matches_dense_from_history(self):
         history = {
             (0, 1): [0.9, 0.8],
@@ -153,10 +185,69 @@ class TestSparseStoreParity:
         assert np.array_equal(sparse.to_dense().values, dense.values)
 
 
+class TestAsymmetricStoreParity(TestSparseStoreParity):
+    """The same reads on an asymmetric store, whose column orientation is
+    kept apart from its row orientation."""
+
+    @staticmethod
+    def matrix() -> CooperationMatrix:
+        return _asymmetric(_reference_matrix(), prior=0.3)
+
+    def test_symmetry_detection(self, pair):
+        dense, sparse = pair
+        assert sparse.is_symmetric() is False
+        assert dense.is_symmetric() is False
+        assert sparse.restricted_to(range(60)).is_symmetric() is False
+
+
+class TestOutOfRangeIds:
+    """An id equal to the store's size is an error on every backend (the
+    sparse store used to alias it onto the next row's keys)."""
+
+    @pytest.fixture(params=QUALITY_BACKENDS)
+    def store(self, request):
+        dense = CooperationMatrix(np.random.default_rng(0).uniform(size=(5, 5)))
+        if request.param == "dense":
+            yield dense
+        elif request.param == "sparse":
+            yield SparseQualityStore.from_dense(dense, prior=0.5)
+        else:
+            shared = SharedDenseQualityStore.create(dense)
+            yield shared
+            shared.close()
+            shared.unlink()
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda q: q.block([0], [5]),
+            lambda q: q.block([5], [0]),
+            lambda q: q.cross_values(0, [5]),
+            lambda q: q.cross_values(5, [0]),
+            lambda q: q.q_row(5),
+            lambda q: q.pair(0, 5),
+            lambda q: q.pair(5, 0),
+        ],
+        ids=["block-col", "block-row", "cross-member", "cross-worker", "q_row",
+             "pair-col", "pair-row"],
+    )
+    def test_id_equal_to_size_raises(self, store, read):
+        with pytest.raises(IndexError):
+            read(store)
+
+
 class TestSparseValidation:
     def test_duplicate_entries_rejected(self):
         with pytest.raises(InvalidInstanceError, match="duplicate"):
             SparseQualityStore(4, 0.3, [0, 0], [1, 1], [0.5, 0.6])
+
+    def test_shuffled_duplicate_entries_rejected(self):
+        # (2, 0) is given twice, apart and in shuffled order; (0, 2) is
+        # its transpose, not a duplicate.
+        with pytest.raises(InvalidInstanceError, match="duplicate"):
+            SparseQualityStore(
+                4, 0.3, [2, 1, 0, 3, 2], [0, 3, 2, 1, 0], [0.5, 0.6, 0.7, 0.8, 0.9]
+            )
 
     def test_diagonal_entries_rejected(self):
         with pytest.raises(InvalidInstanceError, match="diagonal"):
@@ -173,72 +264,6 @@ class TestSparseValidation:
     def test_prior_must_be_a_probability(self):
         with pytest.raises(InvalidInstanceError, match="prior"):
             SparseQualityStore(4, 1.5, [], [], [])
-
-
-class TestRowCacheLRU:
-    def test_misses_hits_and_evictions(self):
-        sparse = SparseQualityStore.from_dense(
-            _reference_matrix(30), prior=0.3, row_cache_size=2
-        )
-        sparse.q_row(0)
-        sparse.q_row(1)
-        info = sparse.row_cache_info()
-        assert (info.hits, info.misses, info.evictions) == (0, 2, 0)
-        sparse.q_row(0)  # hit, refreshes row 0's recency
-        sparse.q_row(2)  # evicts row 1 (least recently used)
-        info = sparse.row_cache_info()
-        assert (info.hits, info.misses, info.evictions) == (1, 3, 1)
-        assert info.currsize == 2
-        assert info.maxsize == 2
-        sparse.q_row(1)  # was evicted: a miss again
-        assert sparse.row_cache_info().misses == 4
-
-    def test_symmetric_store_shares_storage_but_not_counters(self):
-        """Symmetric stores keep ONE physical row cache, yet attribute
-        traffic per orientation: ``q_row`` books on the row ledger,
-        ``q_col`` on the column ledger. (A previous version surfaced the
-        shared cache's counters from *both* ``row_cache_info`` and
-        ``col_cache_info``, double-counting every access in aggregate
-        dashboards.)"""
-        sparse = SparseQualityStore.from_dense(_reference_matrix(30), prior=0.3)
-        sparse.q_row(4)
-        row = sparse.row_cache_info()
-        col = sparse.col_cache_info()
-        assert (row.hits, row.misses) == (0, 1)
-        assert (col.hits, col.misses) == (0, 0)  # no column traffic yet
-        sparse.q_col(4)  # served from the shared cache: a *column* hit
-        row = sparse.row_cache_info()
-        col = sparse.col_cache_info()
-        assert (row.hits, row.misses) == (0, 1)
-        assert (col.hits, col.misses) == (1, 0)
-        # Both views see the one physical cache's occupancy.
-        assert row.currsize == col.currsize == 1
-
-    def test_symmetric_counters_sum_to_physical_traffic(self):
-        """row + col ledgers account for every access exactly once."""
-        sparse = SparseQualityStore.from_dense(
-            _reference_matrix(30), prior=0.3, row_cache_size=2
-        )
-        sparse.q_col(0)  # miss (col)
-        sparse.q_row(0)  # hit (row)
-        sparse.q_row(1)  # miss (row)
-        sparse.q_col(2)  # miss (col), evicts row 0
-        row = sparse.row_cache_info()
-        col = sparse.col_cache_info()
-        assert row.hits + col.hits == 1
-        assert row.misses + col.misses == 3
-        assert row.evictions + col.evictions == 1
-        assert (col.misses, col.evictions) == (2, 1)  # eviction blamed on q_col
-
-    def test_cached_rows_are_read_only(self):
-        sparse = SparseQualityStore.from_dense(_reference_matrix(20), prior=0.3)
-        row = sparse.q_row(3)
-        with pytest.raises(ValueError):
-            row[0] = 0.5
-
-    def test_cache_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="row_cache_size"):
-            SparseQualityStore(4, 0.3, [], [], [], row_cache_size=0)
 
 
 class TestSolverParity:
@@ -288,6 +313,29 @@ class TestSolverParity:
             shared.close()
             shared.unlink()
         assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+
+    def test_asymmetric_gt_and_tpg_identical_on_dense_and_sparse(self):
+        base = generate_instance(100, 25, seed=0, quality_backend="sparse")
+        prior = base.quality.prior
+        dense = _asymmetric(base.quality.to_dense(), prior)
+        sparse = SparseQualityStore.from_dense(dense, prior)
+        assert not sparse.is_symmetric()
+        fingerprints = []
+        for quality in (dense, sparse):
+            instance = _with_quality(base, quality)
+            valid_pairs = compute_valid_pairs(instance)
+            gt = solve_game_theoretic(instance, valid_pairs)
+            tpg = solve_tpg_with_stats(instance, valid_pairs).assignment
+            assert gt.assignment.to_pairs() and tpg.to_pairs()
+            fingerprints.append(
+                (
+                    repr(gt.assignment.to_pairs()),
+                    repr(gt.final_score),
+                    repr(tpg.to_pairs()),
+                    repr(tpg.total_score()),
+                )
+            )
+        assert fingerprints[0] == fingerprints[1]
 
     def test_population_locations_identical_across_backends(self):
         dense_pop = Population.synthetic(120, 40, seed=5)
