@@ -1,6 +1,6 @@
 """Differential runner — hunt divergence between documented-identical runs.
 
-The repo documents three equivalence families:
+The repo documents these equivalence families:
 
 * the vectorized grid validity path — the fresh build
   (:func:`~repro.core.validity.compute_valid_pairs`) and the
@@ -12,6 +12,11 @@ The repo documents three equivalence families:
   blocks, one bulk commit) reproduces the from-scratch loop
   (:func:`~repro.audit.reference.reference_seed_groups`) repr-exactly,
   on every backend, under both call sites' flags;
+* GT's bulk best-response rounds
+  (:meth:`~repro.core.game._BestResponseDynamics.run_round`) replay the
+  per-worker loop (:func:`~repro.audit.reference.reference_round`)
+  repr-exactly: each round's moves and gain, the final pairs and score,
+  and the scan counters;
 * the three quality-store backends are *repr-identical* under every
   solver (``repro.core.quality_store`` bit-identity contract);
 * every registered approach is deterministic given its seed, so the same
@@ -32,11 +37,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.assignment import Assignment
+from repro.core.game import (
+    DEFAULT_TOLERANCE,
+    _initial_assignment,
+    solve_game_theoretic,
+)
 from repro.core.model import Instance
 from repro.core.quality_store import (
     SharedDenseQualityStore,
     SparseQualityStore,
 )
+from repro.core.stats import SolverStats
 from repro.core.tpg import seed_groups
 from repro.core.validity import (
     IncrementalValidityIndex,
@@ -44,8 +55,13 @@ from repro.core.validity import (
     compute_valid_pairs,
     compute_valid_pairs_reference,
 )
+from repro.utils.rng import ensure_rng
 from repro.audit.invariants import AuditFinding, audit_assignment
-from repro.audit.reference import reference_seed_groups, stage_one_trace
+from repro.audit.reference import (
+    reference_round,
+    reference_seed_groups,
+    stage_one_trace,
+)
 
 __all__ = ["BACKENDS", "run_differential", "run_sharded_check"]
 
@@ -174,6 +190,61 @@ def _stage_one_parity(
     return findings
 
 
+#: The GT approaches the round axis replays, with their LUB flag.
+_GT_LAZY_UPDATE = {"GT": False, "GT+LUB": True, "GT+TSI": False, "GT+ALL": True}
+
+#: The scan counters the round oracle derives play by play.
+_ROUND_COUNTERS = ("cache_hits", "cache_misses", "gain_evaluations",
+                   "lub_invalidations")
+
+
+def _round_parity(
+    instance: Instance, pairs: ValidPairs, lazy_update: bool, seed: int
+) -> list[AuditFinding]:
+    """GT's bulk rounds against the per-worker oracle, run to convergence
+    from the TPG seed and from a seeded random profile: each round's
+    moves and gain, the equilibrium's pairs and score, and the scan
+    counters, as :func:`reference_round` replays them."""
+    findings = []
+    for init in ("tpg", "random"):
+        result = solve_game_theoretic(
+            instance, pairs, init=init, lazy_update=lazy_update, seed=seed
+        )
+        replay, _ = _initial_assignment(instance, pairs, init, ensure_rng(seed))
+        state, counted = {}, SolverStats()
+        trace = [
+            reference_round(
+                replay, pairs, range(instance.worker_count), DEFAULT_TOLERANCE,
+                lazy_update, state=state, stats=counted,
+            )
+            for _ in result.stats.rounds
+        ]
+        engine = (
+            [(r.moves, repr(r.gain)) for r in result.stats.rounds],
+            repr(result.final_score),
+            [getattr(result.stats, name) for name in _ROUND_COUNTERS],
+            result.equilibrium.to_pairs(),
+        )
+        oracle = (
+            [(moves, repr(float(gain))) for moves, gain in trace],
+            repr(replay.total_score()),
+            [getattr(counted, name) for name in _ROUND_COUNTERS],
+            replay.to_pairs(),
+        )
+        if engine != oracle:
+            findings.append(
+                AuditFinding(
+                    check="round-parity",
+                    detail=(
+                        f"bulk rounds from the {init} start diverge from the "
+                        "per-worker loop (rounds, score, counters): "
+                        f"{engine[:3]} vs {oracle[:3]}"
+                    ),
+                )
+            )
+    return findings
+
+
 def run_differential(
     instance: Instance,
     approaches=None,
@@ -225,6 +296,15 @@ def run_differential(
                         )
                     )
                     continue
+                if approach in _GT_LAZY_UPDATE and backend == backends[0]:
+                    try:
+                        rounds = _round_parity(
+                            variant, valid_pairs, _GT_LAZY_UPDATE[approach], seed
+                        )
+                    except Exception as error:
+                        detail = f"{type(error).__name__}: {error}"
+                        rounds = [AuditFinding(check="crash", detail=detail)]
+                    findings.extend(f.with_context(context) for f in rounds)
                 signature = _signature(assignment)
                 if reference is None:
                     reference = signature

@@ -24,7 +24,10 @@ Equation-2/Definition-3 machinery has historically broken:
 * peel-boundary shapes that force overflow counted-subset peels at the
   kept sizes where numpy's summation order changes (7/8/9, around the
   pairwise cliff at 8), single-step ``capacity == members - 1`` peels,
-  and all-tied contributions that hammer the highest-index tie-break.
+  and all-tied contributions that hammer the highest-index tie-break;
+* a hypot-band shape whose tasks sit exactly at a radius and at a
+  deadline reach where ``np.hypot`` and the oracle's ``math.hypot``
+  disagree by an ulp, so the grid's re-measure band is fuzzed.
 
 Everything is driven by one :func:`numpy.random.default_rng` stream, so
 a seed reproduces its instance exactly; the audit runner derives
@@ -33,6 +36,7 @@ per-instance seeds as ``(session_seed, index)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +67,7 @@ _KERNEL_SHAPES = (
     "peelcliff",
     "peelfit",
     "tiedpeel",
+    "hypotband",
 )
 
 
@@ -243,7 +248,38 @@ def _kernel_boundary_instance(shape: str, rng) -> Instance:
       quality: every contribution ties at every peel step, so the two
       peels (9 -> 8 -> 7) must both resolve through the highest-index
       tie-break on both sides of the cliff.
+    * ``"hypotband"`` — two colocated workers and two colocated tasks
+      whose ``np.hypot`` distance lies an ulp off ``math.hypot``'s. The
+      limit is the oracle's distance when ``np.hypot`` overshoots it
+      (valid) and ``np.hypot``'s when it undershoots (invalid): worker
+      0's radius, and task 1's remaining time at speed 1 for worker 1,
+      whose radius covers the square.
     """
+    if shape == "hypotband":
+        while True:
+            worker, task = rng.uniform(0.0, 1.0, size=(2, 2)).tolist()
+            dx, dy = task[0] - worker[0], task[1] - worker[1]
+            grid, oracle = float(np.hypot(dx, dy)), math.hypot(dx, dy)
+            if grid != oracle:
+                break
+        limit = oracle if grid > oracle else grid
+        workers = [
+            Worker(worker_id=0, location=Point(*worker), speed=1.0, radius=limit),
+            Worker(worker_id=1, location=Point(*worker), speed=1.0, radius=2.0),
+        ]
+        # now = 0, so a task's remaining time is exactly its deadline.
+        tasks = [
+            Task(task_id=index, location=Point(*task), capacity=2,
+                 deadline=deadline, created_time=0.0)
+            for index, deadline in enumerate((2.0, limit))
+        ]
+        return Instance(
+            workers=workers,
+            tasks=tasks,
+            quality=_dyadic_quality(rng, 2),
+            min_group_size=2,
+            now=0.0,
+        )
     if shape in ("peelcliff", "peelfit", "tiedpeel"):
         if shape == "peelcliff":
             worker_count, capacity = 9, 6

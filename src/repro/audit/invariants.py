@@ -58,8 +58,9 @@ class AuditFinding:
     ``"definition4-disjoint"``, ``"definition4-capacity"``,
     ``"b-threshold"``, ``"equation2"``, ``"equation3"``,
     ``"revenue-drift"``, ``"validity-parity"``, ``"stage1-parity"``,
-    ``"differential"``, ``"crash"``); ``context`` carries the approach/backend
-    combination that produced it (empty for direct assignment audits).
+    ``"round-parity"``, ``"differential"``, ``"crash"``); ``context``
+    carries the approach/backend combination that produced it (empty for
+    direct assignment audits).
     """
 
     check: str

@@ -12,6 +12,10 @@ compare the kernels against them repr-exactly.
   ``quality.block`` (or ``cross_sum`` per member) per peeled worker;
 * :func:`reference_utilities` / :func:`reference_best_alternative` — a
   worker's best-response scan as one scalar ``join_gain`` per candidate;
+* :func:`reference_round` — a GT best-response round as a per-worker
+  loop over that scan, the oracle of
+  :meth:`repro.core.game._BestResponseDynamics.run_round`'s bulk
+  classification: moves, gains, LUB invalidations and scan counters;
 * :func:`reference_best_group` / :func:`reference_seed_groups` — TPG
   stage 1 with every evaluation gathered from scratch through the
   store's own ``block`` and every commit a sequential ``assign``, the
@@ -26,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.assignment import UNASSIGNED, Assignment
+from repro.core.game import _lub_invalidate
 from repro.core.kernels import (
     ensure_pairwise_cliff,
     exact_group_select,
@@ -39,6 +44,7 @@ __all__ = [
     "reference_counted_subset",
     "reference_utilities",
     "reference_best_alternative",
+    "reference_round",
     "reference_best_group",
     "reference_seed_groups",
     "stage_one_trace",
@@ -118,6 +124,95 @@ def reference_best_alternative(
     if best_task == UNASSIGNED:
         return UNASSIGNED, 0.0
     return best_task, float(best_utility)
+
+
+def reference_round(
+    assignment: Assignment,
+    valid_pairs,
+    order,
+    tolerance: float,
+    lazy_update: bool,
+    state: dict | None = None,
+    stats: SolverStats | None = None,
+) -> tuple[int, float]:
+    """One GT best-response round (Algorithm 3) as a per-worker loop.
+
+    Each worker of ``order`` in turn: its current utility is
+    ``leave_delta``; with ``lazy_update`` and a clean cache it re-reads
+    its cached task (LUB), otherwise it scans every candidate
+    (:func:`reference_best_alternative`). A best utility at or below
+    ``tolerance`` means idle; the worker moves when the best beats its
+    current utility by more than ``tolerance``, and a LUB move marks
+    watchers dirty (:func:`repro.core.game._lub_invalidate`). ``state``
+    is a dict passed to every round of one run: LUB flags, cached
+    responses, counted subsets, and each worker's stamp (its candidates'
+    summed membership versions) at its last full scan. ``stats`` counts
+    ``cache_hits`` (a LUB re-read, or a scan at an unchanged stamp),
+    ``cache_misses``, ``gain_evaluations`` and ``lub_invalidations``.
+    Returns ``(moves, gain)``, ``gain`` summed in play order.
+    """
+    state = {} if state is None else state
+    count = assignment.instance.worker_count
+    dirty = state.setdefault("dirty", np.ones(count, dtype=bool))
+    cached_best = state.setdefault("cached_best", np.full(count, UNASSIGNED))
+    tasks = range(assignment.instance.task_count)
+    counted = state.setdefault(
+        "counted", [assignment.counted_members(task) for task in tasks]
+    )
+    scanned = state.setdefault("scanned", {})
+    stats = SolverStats() if stats is None else stats
+    versions = assignment.revenue_cache.versions
+    moves, gain = 0, 0.0
+    for worker in (int(worker) for worker in order):
+        tasks = valid_pairs.tasks_for_worker[worker]
+        current_task = assignment.task_of(worker)
+        current_utility = assignment.leave_delta(worker)
+        if lazy_update and not dirty[worker]:
+            stats.cache_hits += 1
+            stats.gain_evaluations += 1
+            best_task = int(cached_best[worker])
+            if best_task == UNASSIGNED:
+                best_utility = 0.0
+            elif best_task == current_task:
+                best_utility = current_utility
+            else:
+                best_utility = assignment.join_gain(worker, best_task)
+        else:
+            if tasks:
+                stamp = sum(versions[task] for task in tasks)
+                if scanned.get(worker) == stamp:
+                    stats.cache_hits += 1
+                else:
+                    stats.cache_misses += 1
+                    stats.gain_evaluations += len(tasks)
+                    scanned[worker] = stamp
+            best_task, best_utility = reference_best_alternative(
+                assignment, worker, tasks
+            )
+            cached_best[worker] = best_task
+            dirty[worker] = False
+        if best_utility <= tolerance:
+            best_task, best_utility = UNASSIGNED, 0.0
+        if best_utility <= current_utility + tolerance:
+            continue
+        for task in (current_task, best_task):
+            if task == UNASSIGNED:
+                continue
+            if task == current_task:
+                assignment.unassign(worker)
+            else:
+                assignment.assign(worker, task)
+            if lazy_update:
+                stats.lub_invalidations += _lub_invalidate(
+                    assignment, valid_pairs, counted, cached_best, dirty, task
+                )
+        cached_best[worker] = best_task
+        dirty[worker] = False
+        improvement = best_utility - current_utility
+        if improvement > 0.0:
+            moves += 1
+            gain += improvement
+    return moves, gain
 
 
 def reference_best_group(

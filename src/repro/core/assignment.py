@@ -71,6 +71,10 @@ class Assignment:
         """The worker's task index, or :data:`UNASSIGNED`."""
         return int(self._task_of[worker])
 
+    def tasks_of(self, workers: np.ndarray) -> np.ndarray:
+        """:meth:`task_of` of each of ``workers``, as one array."""
+        return self._task_of[workers]
+
     def is_assigned(self, worker: int) -> bool:
         return self._task_of[worker] != UNASSIGNED
 

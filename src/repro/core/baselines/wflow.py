@@ -16,8 +16,9 @@ Because the weights sit on *workers only*, the feasible worker sets form
 a transversal matroid and the optimum is found greedily: process workers
 in descending proxy weight, adding each via a Kuhn-style augmenting path
 when one exists. This is exactly equivalent to the min-cost max-flow
-formulation (asserted by tests against :mod:`repro.flow.mincost`) but
-runs orders of magnitude faster at the paper's scales.
+formulation (asserted by tests against the SPFA min-cost flow oracle
+in ``tests/mincost.py``) but runs orders of magnitude faster at the
+paper's scales.
 """
 
 from __future__ import annotations

@@ -27,35 +27,30 @@ Optimizations
   members-to-be; an exchange ``w_x`` in / ``w_y`` out only matters to a
   worker ``w_i`` with ``q_i(w_y) > q_i(w_x)`` (current best) or
   ``q_i(w_y) < q_i(w_x)`` (other tasks).
-* **Batched scans**: at the start of each round the utilities of
-  *every* worker's candidates are evaluated in one vectorized pass over
-  flat CSR buffers (:func:`~repro.core.kernels.score_candidates`), and
-  each worker's scan replays the precomputed row when its candidate
-  tasks' membership versions are unchanged. The batch sums each gather
-  strictly left to right, which is ``ndarray.sum()``'s own order for
-  groups of fewer than :data:`_VECTOR_GROUP_LIMIT` members, so the
-  floats equal the scalar ``join_gain`` of
-  :func:`repro.audit.reference.reference_utilities`; at eight or more
-  elements numpy's pairwise summation reorders, so those groups are
-  scored by the scalar ``join_gain``. Bit-identity preserves the exact
-  potential function and hence the reached equilibria.
+* **Bulk classification**: between two moves every worker sees the
+  same state, so a round classifies all its rows at once: every
+  candidate's utility in one vectorized pass over a flat CSR
+  (:func:`~repro.core.kernels.score_candidates`), the current tasks'
+  ``leave_deltas`` in one call, a first-occurrence segment argmax, the
+  idle floor and the tolerance test. Batched sums run in the scalar
+  ``join_gain``/``leave_delta`` order (strictly left to right below
+  :data:`_VECTOR_GROUP_LIMIT` members, where ``ndarray.sum()`` is
+  sequential; larger groups take the scalar path), so every float, and
+  hence the exact potential and the reached equilibrium, is that of the
+  per-worker loop :func:`repro.audit.reference.reference_round`. A row
+  whose candidates are unchanged since its last full scan would repeat
+  that scan, which did not move, so it is not scored.
 * **Batched overflow peels**: a join into a full task needs Equation
-  2's best-subset peel. Every kernel pass (prepass or dirty rescan)
-  collects the stale overflow joins of all the rows it scored and
-  peels them in lockstep, one
-  :func:`~repro.core.kernels.counted_subset_batch` call per group
-  shape, memoizing each exact gain under the task's membership version.
-  The scans then read the memo; a peel runs ahead of its scan, never
-  with different floats.
-* **Mid-round dirty rescan**: an accepted move only stales the prepass
-  rows of the moved tasks' watchers. Those workers are collected in a
-  dirty set and, the next time a stale row is actually needed, *all* of
-  them are re-scored in one batched ``score_candidates`` call that
-  patches the prepass in place — so the scans that follow replay
-  refreshed rows instead of each paying a per-worker call. Rounds
-  restricted to a player list (the sharded solver's halo passes) run
-  the same pass over the player rows only; non-player rows are never
-  scored.
+  2's best-subset peel. Each pass peels the stale overflow joins of all
+  its rows in lockstep (:func:`~repro.core.kernels.counted_subset_batch`)
+  and memoizes every deferred join gain per CSR slot under the task's
+  membership version.
+* **First mover, then the rows it staled**: the round jumps to the
+  first mover in play order, applies that one move and marks the
+  watchers of its two tasks stale. Reaching a stale row re-scores every
+  stale row still ahead in one batched call; played rows wait for the
+  next round. A round restricted to a player list (the sharded halo
+  passes) scores the player rows only.
 
 Every solve is instrumented: the returned :class:`GameResult` carries a
 :class:`~repro.core.stats.SolverStats` with revenue-evaluation counters,
@@ -89,12 +84,6 @@ DEFAULT_MAX_ROUNDS = 500
 #: (reordered) summation that the sequential batch reduction cannot
 #: reproduce bit-for-bit, so those groups use the scalar ``join_gain``.
 _VECTOR_GROUP_LIMIT = 8
-
-#: Prepass stamp of a row the current round does not play. Real stamps
-#: are sums of membership versions, hence non-negative, so an unplayed
-#: row never replays.
-_UNPLAYED = -1
-
 
 @dataclass
 class GameResult:
@@ -318,122 +307,65 @@ class _BestResponseDynamics:
         self.stats = stats if stats is not None else SolverStats(solver="GT")
         self.order_rng = None  # set for player_order="shuffled"
         self.cache = assignment.revenue_cache
-        # Candidate tasks per worker as plain lists (fast iteration).
-        self._tasks_lists: list[list[int]] = [
-            list(tasks) for tasks in valid_pairs.tasks_for_worker
-        ]
-        self._capacities: list[int] = [
-            task.capacity for task in instance.tasks
-        ]
         self._minimum = instance.min_group_size
-        # Overflow join gains are pure functions of (worker, task
-        # membership); the revenue cache's per-task version stamp makes
-        # them memoizable. Kernel passes fill it ahead of the scans (see
-        # _memoize_overflow_peels); once memberships stabilize, repeated
-        # scans of full tasks return the exact cached float instead of
-        # re-peeling.
-        self._overflow_memo: dict[tuple[int, int], tuple[int, float]] = {}
-        # Exact whole-scan memo: a worker's best alternative is a pure
-        # function of its candidate tasks' memberships (stamped by the
-        # sum of their versions — versions only grow, so the sum moves
-        # iff some candidate changed), the current task and the current
-        # utility. A hit replays the identical result, so later rounds —
-        # where most workers' neighbourhoods are stable — skip the scan
-        # entirely without changing a single float.
-        self._scan_memo: dict[int, tuple[int, int, float, int, float]] = {}
-        self._leave_memo: dict[int, tuple[int, int, float]] = {}
+        self._capacities = np.asarray(
+            [task.capacity for task in instance.tasks], dtype=np.int64
+        )
+        count = instance.worker_count
         # LUB state: cached best alternative task per worker, and the
-        # dirty set of workers whose cache may be stale.
-        self._cached_best = np.full(instance.worker_count, UNASSIGNED, dtype=int)
-        self._dirty = np.ones(instance.worker_count, dtype=bool)
+        # dirty flags of workers whose cache may be stale.
+        self._cached_best = np.full(count, UNASSIGNED, dtype=int)
+        self._dirty = np.ones(count, dtype=bool)
         self._counted: list[tuple[int, ...]] = [
             assignment.counted_members(task) for task in range(instance.task_count)
         ]
-        # Batched-scan state: the validity relation as one flat CSR
-        # (slot order == each worker's candidate-list order) and the
-        # round's batched pass as
-        # ``(stamps, values, codes)`` (see _run_prepass). ``_rescan_dirty``
-        # holds the workers whose prepass rows an accepted move may have
-        # staled; _refresh_prepass_rows re-scores them in one batch.
-        self._rescan_dirty: set[int] = set()
-        counts = np.fromiter(
-            (len(tasks) for tasks in self._tasks_lists),
-            dtype=np.int64,
-            count=len(self._tasks_lists),
-        )
-        self._vp_indptr = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._vp_indptr[1:])
+        # The validity relation as one flat CSR (slot order == each
+        # worker's candidate-list order).
+        self._vp_indptr = np.zeros(count + 1, dtype=np.int64)
+        lengths = [len(tasks) for tasks in valid_pairs.tasks_for_worker]
+        np.cumsum(lengths, out=self._vp_indptr[1:])
         self._vp_tasks = np.fromiter(
-            (task for tasks in self._tasks_lists for task in tasks),
+            (task for tasks in valid_pairs.tasks_for_worker for task in tasks),
             dtype=np.int64,
             count=int(self._vp_indptr[-1]),
         )
-        self._capacities_array = np.asarray(self._capacities, dtype=np.int64)
-        # Until the first round every row is unplayed; a scan before it
-        # scores its own row (see _refresh_prepass_rows).
-        self._run_prepass(players=())
+        # Per slot: the utility of its row's last scoring, and the memo
+        # of deferred join gains — pure functions of the task's
+        # membership, exact while the task's version is unchanged.
+        self._values = np.zeros(self._vp_tasks.size)
+        self._memo_versions = np.full(self._vp_tasks.size, -1, dtype=np.int64)
+        self._memo_gains = np.zeros(self._vp_tasks.size)
+        # Per worker, as of its row's last scoring: the sum of its
+        # candidate tasks' membership versions (versions only grow, so
+        # the stamp moves iff some candidate changed), the current
+        # utility, the response it would play with that response's
+        # utility, and whether playing it is a move. ``_scanned`` is the
+        # stamp of the worker's last full scan.
+        self._stamps = np.zeros(count, dtype=np.int64)
+        self._scanned = np.full(count, -1, dtype=np.int64)
+        self._utility = np.zeros(count)
+        self._choice = np.full(count, UNASSIGNED, dtype=np.int64)
+        self._choice_utility = np.zeros(count)
+        self._mover = np.zeros(count, dtype=bool)
 
     # ------------------------------------------------------------------
-    def _run_prepass(self, players=None) -> None:
-        """Score the round's player rows in one batched pass.
+    def _score_rows(self, rows: np.ndarray) -> int:
+        """Classify the player rows ``rows`` (sorted worker ids) at the
+        current state: stamps, utilities, responses and mover flags.
 
-        Runs at the start of every round: ``players=None`` scores every
-        worker's row, a player list only those rows (the sharded
-        solver's halo passes). Each scored row is stamped with the sum of
-        its candidate tasks' membership versions — the same integer the
-        stamp loop in :meth:`_best_alternative` computes — so a scan
-        later in the round replays the precomputed row exactly when none
-        of the worker's candidate memberships moved since the pass. Every
-        other row gets the :data:`_UNPLAYED` stamp, which never replays.
+        A row whose stamp equals its last full scan's would repeat that
+        scan exactly, and that scan did not move (a move changes the
+        stamp), so the row is not scored; LUB-clean rows always are,
+        since they play their cached task instead. The rest are scored
+        by one :func:`~repro.core.kernels.score_candidates` call over a
+        member CSR of only the tasks they reach (local ids, per-task
+        state gathered by global id). Deferred joins come from the slot
+        memo (:meth:`_deferred_gains`), current tasks from one batched
+        ``leave_deltas``; each row's response is its first candidate of
+        highest utility, ``np.argmax``'s tie-break. Returns the number
+        of rows scored.
         """
-        slots = self._vp_tasks.size
-        self._prepass = (
-            np.full(self.instance.worker_count, _UNPLAYED, dtype=np.int64),
-            np.zeros(slots, dtype=np.float64),
-            np.zeros(slots, dtype=np.uint8),
-        )
-        self._rescan_dirty.clear()
-        if players is None:
-            rows = np.arange(self.instance.worker_count, dtype=np.int64)
-        else:
-            rows = np.unique(np.asarray(players, dtype=np.int64))
-        self._score_rows(rows)
-
-    def _refresh_prepass_rows(self, worker: int) -> None:
-        """Re-score ``worker``'s stale row, together with every other
-        stale player row, in one batched kernel call.
-
-        An accepted move bumps the membership versions of (at most) two
-        tasks, staling exactly the rows of those tasks' watchers — the
-        workers accumulated in ``_rescan_dirty``. Only rows the round
-        plays are re-scored (an :data:`_UNPLAYED` row never reaches the
-        kernel), plus ``worker`` itself, so a scan outside any round —
-        or after a membership change made behind the engine's back —
-        scores its own row the same way. Rows whose stamp turns out
-        unchanged are skipped: their precomputed values are still exact.
-        """
-        dirty = self._rescan_dirty
-        dirty.add(worker)
-        rows = np.fromiter(sorted(dirty), dtype=np.int64, count=len(dirty))
-        dirty.clear()
-        rows = rows[(self._prepass[0][rows] != _UNPLAYED) | (rows == worker)]
-        scored = self._score_rows(rows, only_changed=True)
-        if scored:
-            self.stats.rescan_batches += 1
-            self.stats.rescan_rows += scored
-
-    def _score_rows(self, rows: np.ndarray, only_changed: bool = False) -> int:
-        """Score the candidate rows of ``rows`` (sorted worker ids) in one
-        :func:`~repro.core.kernels.score_candidates` call and patch the
-        prepass in place: stamps, utilities and classification codes.
-
-        The member CSR covers only the tasks these rows score, under
-        local ids, with their per-task state gathered by global id.
-        ``only_changed`` drops the rows whose stamp is unchanged. Stale
-        overflow joins among the scored slots are peeled in lockstep
-        (:meth:`_peel_deferred_slots`). Returns the number of rows scored.
-        """
-        stamps, values, codes = self._prepass
+        self._mover[rows] = False
         starts = self._vp_indptr[rows]
         counts = self._vp_indptr[rows + 1] - starts
         nonempty = counts > 0
@@ -442,351 +374,292 @@ class _BestResponseDynamics:
             return 0
         cache = self.cache
         versions = np.asarray(cache.versions, dtype=np.int64)
-        sub_indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=sub_indptr[1:])
-        # Slot positions of each row's slice in the flat CSR: for row i,
-        # starts[i] .. starts[i] + counts[i] - 1.
-        positions = np.repeat(starts - sub_indptr[:-1], counts) + np.arange(
-            int(sub_indptr[-1]), dtype=np.int64
+        offsets = np.cumsum(counts) - counts
+        positions = np.repeat(starts - offsets, counts) + np.arange(
+            int(counts.sum()), dtype=np.int64
         )
+        # Integer sums: reduceat's segment reordering is harmless.
+        self._stamps[rows] = np.add.reduceat(
+            versions[self._vp_tasks[positions]], offsets
+        )
+        scored = self._stamps[rows] != self._scanned[rows]
+        if self.lazy_update:
+            scored |= ~self._dirty[rows]
+        positions = positions[np.repeat(scored, counts)]
+        rows, counts = rows[scored], counts[scored]
+        if not rows.size:
+            return 0
+        offsets = np.cumsum(counts) - counts
         sub_tasks = self._vp_tasks[positions]
-        # Integer sums — reduceat's segment reordering is harmless, and
-        # every segment is nonempty after the filter above.
-        row_stamps = np.add.reduceat(versions[sub_tasks], sub_indptr[:-1])
-        if only_changed:
-            changed = row_stamps != stamps[rows]
-            if not changed.any():
-                return 0
-            if not changed.all():
-                slot_changed = np.repeat(changed, counts)
-                rows, counts = rows[changed], counts[changed]
-                row_stamps = row_stamps[changed]
-                positions = positions[slot_changed]
-                sub_tasks = sub_tasks[slot_changed]
-                sub_indptr = np.zeros(rows.size + 1, dtype=np.int64)
-                np.cumsum(counts, out=sub_indptr[1:])
         # Local ids of the scored tasks. The trailing slot stays -1, so
         # an idle worker's UNASSIGNED (-1) current task maps to no task.
         local = np.full(self.instance.task_count + 1, -1, dtype=np.int64)
         local[sub_tasks] = 0
         tasks = np.flatnonzero(local[:-1] == 0)
         local[tasks] = np.arange(tasks.size, dtype=np.int64)
-        member_array = cache.member_array
         mem_indptr = np.zeros(tasks.size + 1, dtype=np.int64)
         np.cumsum(cache.counts[tasks], out=mem_indptr[1:])
         mem_flat = np.concatenate(
-            [member_array(task) for task in tasks.tolist()]
+            [cache.member_array(task) for task in tasks.tolist()]
         ).astype(np.int64, copy=False)
-        task_of = self.assignment.task_of
-        current_tasks = np.fromiter(
-            (task_of(worker) for worker in rows.tolist()),
-            dtype=np.int64,
-            count=rows.size,
-        )
-        sub_values, sub_codes = score_candidates(
+        current = self.assignment.tasks_of(rows)
+        values, codes = score_candidates(
             self.quality,
-            sub_indptr,
+            np.append(offsets, positions.size),
             local[sub_tasks],
             mem_indptr,
             mem_flat,
             cache.pair_sums[tasks],
             cache.revenues[tasks],
-            self._capacities_array[tasks],
+            self._capacities[tasks],
             self._minimum,
             _VECTOR_GROUP_LIMIT,
-            local[current_tasks],
+            local[current],
             stats=self.stats,
             worker_ids=rows,
         )
-        values[positions] = sub_values
-        codes[positions] = sub_codes
-        stamps[rows] = row_stamps
-        self._peel_deferred_slots(positions[sub_codes == CODE_SCALAR])
+        deferred = codes == CODE_SCALAR
+        if deferred.any():
+            values[deferred] = self._deferred_gains(positions[deferred], versions)
+        utility = np.zeros(rows.size)
+        assigned = current != UNASSIGNED
+        if assigned.any():
+            utility[assigned] = cache.leave_deltas(rows[assigned], current[assigned])
+        owner = np.repeat(np.arange(rows.size), counts)
+        own = codes == CODE_CURRENT
+        values[own] = utility[owner[own]]
+        self._values[positions] = values
+        top = np.maximum.reduceat(values, offsets)
+        first = np.minimum.reduceat(
+            np.where(values == top[owner], np.arange(values.size), values.size),
+            offsets,
+        )
+        choice, choice_utility = sub_tasks[first], values[first]
+        if self.lazy_update:
+            # A clean row plays its cached task: that slot's utility (the
+            # current utility for its own task), or idle at 0.0.
+            clean = ~self._dirty[rows]
+            cached = self._cached_best[rows]
+            match = sub_tasks == cached[owner]
+            cached_utility = np.zeros(rows.size)
+            cached_utility[owner[match]] = values[match]
+            choice = np.where(clean, cached, choice)
+            choice_utility = np.where(clean, cached_utility, choice_utility)
+        # The idle strategy has utility 0.
+        response = np.where(choice_utility <= self.tolerance, 0.0, choice_utility)
+        self._utility[rows] = utility
+        self._choice[rows] = choice
+        self._choice_utility[rows] = choice_utility
+        self._mover[rows] = response > utility + self.tolerance
         return int(rows.size)
 
-    def _peel_deferred_slots(self, slots: np.ndarray) -> None:
-        """Memoize every stale overflow peel among deferred prepass slots.
-
-        ``slots`` are positions in the flat validity CSR that a kernel
-        pass classified :data:`~repro.core.kernels.CODE_SCALAR`; their
-        owners come from one ``searchsorted`` over the row pointers.
+    def _deferred_gains(self, slots: np.ndarray, versions: np.ndarray) -> np.ndarray:
+        """The join gains of deferred slots, from the slot memo. Stale
+        entries are computed first: joins that need Equation 2's peel
+        (a full task, ``B`` reached, capacity at least 2) in lockstep
+        (``overflow_join_gains``), the rest by the scalar ``join_gain``.
         """
-        owners = np.searchsorted(self._vp_indptr, slots, side="right") - 1
-        self._memoize_overflow_peels(owners, self._vp_tasks[slots])
-
-    def _memoize_overflow_peels(
-        self, workers: np.ndarray, tasks: np.ndarray
-    ) -> None:
-        """Peel the stale overflow joins among ``(workers[i], tasks[i])``
-        in lockstep and write their exact ``(version, gain)`` memo entries.
-
-        Only joins that need Equation 2's peel are kept — the task is
-        full, the joined group reaches ``B`` and the capacity is at least
-        2 — and only those whose memo entry is not at the task's current
-        version. Gains are pure functions of the task's membership, so a
-        peel run ahead of the scan that reads it leaves every utility the
-        scan sees unchanged; only the time of the evaluation moves.
-        """
-        cache = self.cache
-        sizes = cache.counts[tasks] + 1
-        capacities = self._capacities_array[tasks]
-        peel = (
-            (sizes > capacities) & (sizes >= self._minimum) & (capacities >= 2)
-        )
-        if not peel.any():
-            return
-        memo = self._overflow_memo
-        versions = cache.versions
-        stale_workers: list[int] = []
-        stale_tasks: list[int] = []
-        for worker, task in zip(workers[peel].tolist(), tasks[peel].tolist()):
-            entry = memo.get((worker, task))
-            if entry is None or entry[0] != versions[task]:
-                stale_workers.append(worker)
-                stale_tasks.append(task)
-        if not stale_tasks:
-            return
-        gains = cache.overflow_join_gains(stale_workers, stale_tasks)
-        for worker, task, gain in zip(stale_workers, stale_tasks, gains):
-            memo[worker, task] = (versions[task], gain)
-
-    def _fill_deferred_slots(
-        self,
-        worker: int,
-        tasks: list[int],
-        utilities: np.ndarray,
-        codes: np.ndarray,
-        current_utility: float,
-    ) -> None:
-        """Fill the slots a kernel pass deferred to the caller, in place:
-        overflow/oversized joins from the join-gain memo and the worker's
-        own task via the already-computed ``leave_delta``.
-
-        The row replays a pass at the current memberships, and that pass
-        memoized every overflow peel among its slots, so peels are read
-        back. The other deferred joins — oversized within capacity, or
-        below ``B`` — go through the scalar ``join_gain`` (memoized too).
-        """
-        cache = self.cache
-        versions = cache.versions
-        memo = self._overflow_memo
-        for position in np.flatnonzero(codes == CODE_SCALAR).tolist():
-            task = tasks[position]
-            entry = memo.get((worker, task))
-            if entry is None or entry[0] != versions[task]:
-                entry = (versions[task], cache.join_gain(worker, task))
-                memo[worker, task] = entry
-            utilities[position] = entry[1]
-        for position in np.flatnonzero(codes == CODE_CURRENT):
-            utilities[int(position)] = current_utility
+        tasks = self._vp_tasks[slots]
+        current = versions[tasks]
+        stale = self._memo_versions[slots] != current
+        if stale.any():
+            cache = self.cache
+            stale_slots, tasks = slots[stale], tasks[stale]
+            workers = np.searchsorted(self._vp_indptr, stale_slots, side="right") - 1
+            sizes = cache.counts[tasks] + 1
+            capacities = self._capacities[tasks]
+            peel = (sizes > capacities) & (sizes >= self._minimum) & (capacities >= 2)
+            gains = np.empty(stale_slots.size)
+            if peel.any():
+                gains[peel] = cache.overflow_join_gains(
+                    workers[peel].tolist(), tasks[peel].tolist()
+                )
+            for index in np.flatnonzero(~peel).tolist():
+                gains[index] = cache.join_gain(int(workers[index]), int(tasks[index]))
+            self._memo_gains[stale_slots] = gains
+            self._memo_versions[stale_slots] = current[stale]
+        return self._memo_gains[slots]
 
     # ------------------------------------------------------------------
     def run_round(self, players=None) -> tuple[int, float]:
         """One Algorithm 3 round: every worker plays its best response.
 
         ``players`` restricts the round to the given workers, in the
-        given order — the sharded solver's halo-reconcile passes play
-        border workers only. ``None`` (the default) plays everyone.
-        Either way the round starts with one batched pass over exactly
-        the rows it plays (:meth:`_run_prepass`); non-players are never
-        scored. Returns ``(moves, score_gain)``; the gain equals the
+        given order (repeats allowed) — the sharded solver's
+        halo-reconcile passes play border workers only. ``None`` (the
+        default) plays everyone. Between two moves every worker sees the
+        same state, so the round classifies all its rows at once
+        (:meth:`_score_rows`), jumps to the first mover in play order,
+        applies that one move, and re-scores the rows it staled — the
+        watchers of its two tasks — once one of them still ahead is
+        reached. Returns ``(moves, score_gain)``; the gain equals the
         potential increase of the round (Theorem V.1).
         """
-        if players is not None:
-            players = [int(worker) for worker in players]
-        self._run_prepass(players)
-        moves = 0
-        gain = 0.0
-        if players is not None:
-            order = players
-        elif self.order_rng is None:
-            order = range(self.instance.worker_count)
+        count = self.instance.worker_count
+        if players is None:
+            self._score_rows(np.arange(count))
+            order = (
+                np.arange(count)
+                if self.order_rng is None
+                else self.order_rng.permutation(count)
+            )
         else:
-            order = self.order_rng.permutation(self.instance.worker_count)
-        for worker in order:
-            improvement = self._play_best_response(int(worker))
+            order = np.asarray([int(worker) for worker in players], dtype=np.int64)
+            self._score_rows(np.unique(order))
+        last = np.full(count, -1, dtype=np.int64)
+        np.maximum.at(last, order, np.arange(order.size))
+        repeats = np.count_nonzero(last >= 0) < order.size
+        stale = np.zeros(count, dtype=bool)
+        moves, gain, position = 0, 0.0, 0
+        while True:
+            ahead = order[position:]
+            flags = self._mover[ahead] | stale[ahead]
+            stop = position + int(np.argmax(flags)) if flags.any() else order.size
+            if stop < order.size and stale[order[stop]]:
+                rows = np.flatnonzero(stale & (last >= stop))
+                stale[rows] = False
+                scored = self._score_rows(rows)
+                if scored:
+                    self.stats.rescan_batches += 1
+                    self.stats.rescan_rows += scored
+                continue
+            if stop == order.size:
+                self._account(order[position:], repeats)
+                return moves, gain
+            worker = int(order[stop])
+            clean = self.lazy_update and not self._dirty[worker]
+            self._account(order[position : stop + 1], repeats)
+            improvement = self._move(worker, clean, stale)
             if improvement > 0.0:
                 moves += 1
                 gain += improvement
-        return moves, gain
+            position = stop + 1
 
-    def _play_best_response(self, worker: int) -> float:
-        """Move ``worker`` to its best response; returns the utility gain."""
+    def _account(self, workers: np.ndarray, repeats: bool) -> None:
+        """Count the plays of ``workers`` — a stretch of the order that
+        only its last entry may move — as per-worker scans would: a
+        LUB-clean play re-reads its cached task (a hit, one evaluation),
+        a row whose stamp equals its last full scan's is a hit, any other
+        nonempty row a miss that evaluates all its candidates and caches
+        its response. Scanned rows come out clean, so a worker's later
+        plays in the stretch are hits."""
+        stats = self.stats
+        if repeats:
+            _, first = np.unique(workers, return_index=True)
+            again = np.delete(workers, first)
+            workers = workers[first]
+            if self.lazy_update:
+                stats.cache_hits += again.size
+                stats.gain_evaluations += again.size
+            else:
+                indptr = self._vp_indptr
+                stats.cache_hits += int(np.count_nonzero(indptr[again + 1] > indptr[again]))
+        if self.lazy_update:
+            clean = ~self._dirty[workers]
+            hits = int(np.count_nonzero(clean))
+            stats.cache_hits += hits
+            stats.gain_evaluations += hits
+            workers = workers[~clean]
+        sizes = self._vp_indptr[workers + 1] - self._vp_indptr[workers]
+        missed = (sizes > 0) & (self._stamps[workers] != self._scanned[workers])
+        misses = int(np.count_nonzero(missed))
+        stats.cache_misses += misses
+        stats.cache_hits += int(np.count_nonzero(sizes)) - misses
+        stats.gain_evaluations += int(sizes[missed].sum())
+        self._dirty[workers] = False
+        self._cached_best[workers[sizes == 0]] = UNASSIGNED
+        workers = workers[missed]
+        self._scanned[workers] = self._stamps[workers]
+        self._cached_best[workers] = self._choice[workers]
+
+    def _move(self, worker: int, clean: bool, stale: np.ndarray) -> float:
+        """Move ``worker`` (a fresh mover row, LUB-``clean`` or not) to
+        its response, mark the rows the move stales, and return the
+        utility gain."""
         assignment = self.assignment
         current_task = assignment.task_of(worker)
-        if current_task == UNASSIGNED:
-            current_utility = 0.0
-        else:
-            # leave_delta is pure in the current task's membership.
-            version = self.cache.versions[current_task]
-            entry = self._leave_memo.get(worker)
-            if (
-                entry is not None
-                and entry[0] == current_task
-                and entry[1] == version
-            ):
-                current_utility = entry[2]
-            else:
-                current_utility = assignment.leave_delta(worker)
-                self._leave_memo[worker] = (current_task, version, current_utility)
-
-        best_task, best_utility = self._best_alternative(
-            worker, current_task, current_utility
-        )
-
-        # The idle strategy has utility 0.
+        best_task = int(self._choice[worker])
+        best_utility = float(self._choice_utility[worker])
         if best_utility <= self.tolerance:
             best_task, best_utility = UNASSIGNED, 0.0
-
-        if best_utility <= current_utility + self.tolerance:
-            return 0.0
-
+        improvement = best_utility - float(self._utility[worker])
+        # The gain keeps the type the scalar evaluations gave it:
+        # ``np.float64`` from the within-capacity branches of
+        # ``leave_delta`` and of a LUB-clean row's cached ``join_gain``,
+        # ``float`` otherwise; ``run_round`` returns it as it sums.
+        counts, capacities = self.cache.counts, self._capacities
+        leave_vector = current_task != UNASSIGNED and (
+            max(self._minimum, 2) < counts[current_task] <= capacities[current_task]
+        )
+        join_vector = clean and best_task not in (UNASSIGNED, current_task) and (
+            counts[best_task] < capacities[best_task]
+        )
+        if leave_vector or join_vector:
+            improvement = np.float64(improvement)
         if current_task != UNASSIGNED:
             assignment.unassign(worker)
             self._after_membership_change(current_task)
         if best_task != UNASSIGNED:
             assignment.assign(worker, best_task)
             self._after_membership_change(best_task)
-        # The move bumped (at most) these two tasks' membership versions,
-        # staling exactly their watchers' prepass rows.
         for task in (current_task, best_task):
             if task != UNASSIGNED:
-                self._rescan_dirty.update(self.valid_pairs.workers_for_task[task])
+                stale[list(self.valid_pairs.workers_for_task[task])] = True
         self._cached_best[worker] = best_task
         self._dirty[worker] = False
-        return best_utility - current_utility
-
-    def _best_alternative(
-        self, worker: int, current_task: int, current_utility: float
-    ) -> tuple[int, float]:
-        """The worker's best task *other than* staying put.
-
-        With LUB enabled and a clean cache, only the cached candidate is
-        re-evaluated; otherwise all valid tasks are read from the
-        round's batched pass, re-scored first if the row went stale
-        (:meth:`_refresh_prepass_rows`). ``current_utility`` is the
-        already-computed ``leave_delta`` of the worker's current task.
-        """
-        assignment = self.assignment
-        stats = self.stats
-        if self.lazy_update and not self._dirty[worker]:
-            stats.cache_hits += 1
-            stats.gain_evaluations += 1
-            cached = int(self._cached_best[worker])
-            if cached == UNASSIGNED:
-                return UNASSIGNED, 0.0
-            if cached == current_task:
-                return cached, current_utility
-            return cached, assignment.join_gain(worker, cached)
-
-        tasks = self._tasks_lists[worker]
-        if not tasks:
-            self._cached_best[worker] = UNASSIGNED
-            self._dirty[worker] = False
-            return UNASSIGNED, 0.0
-
-        cache = self.cache
-        versions = cache.versions
-        stamp = 0
-        for task in tasks:
-            stamp += versions[task]
-        memo_entry = self._scan_memo.get(worker)
-        if (
-            memo_entry is not None
-            and memo_entry[0] == stamp
-            and memo_entry[1] == current_task
-            and memo_entry[2] == current_utility
-        ):
-            stats.cache_hits += 1
-            best_task, best_utility = memo_entry[3], memo_entry[4]
-            self._cached_best[worker] = best_task
-            self._dirty[worker] = False
-            return best_task, best_utility
-
-        stats.cache_misses += 1
-        stats.gain_evaluations += len(tasks)
-
-        stamps, values, codes = self._prepass
-        if stamps[worker] != stamp:
-            # The row is stale: refresh it together with every other
-            # stale row in one batched call, so later stale workers in
-            # the same round replay without further kernel work.
-            self._refresh_prepass_rows(worker)
-        # The stamp match proves none of the worker's candidate
-        # memberships (its own task's included) moved since its row was
-        # scored, so the batched utilities and classifications are exact.
-        start = int(self._vp_indptr[worker])
-        end = int(self._vp_indptr[worker + 1])
-        utilities = values[start:end].copy()
-        codes = codes[start:end]
-        # Only the deferred slots remain: overflow/oversized joins via the
-        # join-gain memo, the worker's own task via ``leave_delta``.
-        self._fill_deferred_slots(worker, tasks, utilities, codes, current_utility)
-        best_position = int(np.argmax(utilities))
-        best_task = tasks[best_position]
-        best_utility = float(utilities[best_position])
-        self._scan_memo[worker] = (
-            stamp, current_task, current_utility, best_task, best_utility
-        )
-        self._cached_best[worker] = best_task
-        self._dirty[worker] = False
-        return best_task, best_utility
-
-    # ------------------------------------------------------------------
-    # LUB invalidation (Theorems V.3 / V.4)
-    # ------------------------------------------------------------------
-    def _counted_subset(self, task: int) -> tuple[int, ...]:
-        """The members Equation 2 currently counts for the task (the
-        revenue cache's subset — no re-peel)."""
-        return self.assignment.counted_members(task)
-
-    def _mark_dirty(self, worker: int) -> None:
-        if not self._dirty[worker]:
-            self._dirty[worker] = True
-            self.stats.lub_invalidations += 1
+        return improvement
 
     def _after_membership_change(self, task: int) -> None:
-        if not self.lazy_update:
-            return
-        before = set(self._counted[task])
-        after_tuple = self.assignment.counted_members(task)
-        self._counted[task] = after_tuple
-        after = set(after_tuple)
-        added = after - before
-        removed = before - after
-        watchers = self.valid_pairs.workers_for_task[task]
-
-        if not removed and len(added) <= 1:
-            # Pure growth: Theorem V.3's no-crowd-out case — a worker whose
-            # best response already is this task keeps it; everyone else
-            # must rescan because joining here just became different.
-            for other in watchers:
-                if self._cached_best[other] != task:
-                    self._mark_dirty(other)
-            return
-        if len(added) == 1 and len(removed) == 1:
-            # Exchange x in / y out: apply the quality comparisons of
-            # Theorems V.3 (current best == task) and V.4 (other tasks).
-            (entering,) = added
-            (leaving,) = removed
-            # q_other(leaving) and q_other(entering), over the watchers.
-            _, (toward_leaving, toward_entering) = self.quality.cross_values(
-                [[leaving], [entering]], watchers
+        if self.lazy_update:
+            self.stats.lub_invalidations += _lub_invalidate(
+                self.assignment, self.valid_pairs, self._counted,
+                self._cached_best, self._dirty, task,
             )
-            for position, other in enumerate(watchers):
-                if other in (entering, leaving):
-                    self._mark_dirty(other)
-                    continue
-                if self._cached_best[other] == task:
-                    if toward_leaving[position] > toward_entering[position]:
-                        self._mark_dirty(other)
-                else:
-                    if toward_leaving[position] < toward_entering[position]:
-                        self._mark_dirty(other)
-            return
-        # Shrink or multi-element change: no theorem applies — rescan all.
-        for other in watchers:
-            self._mark_dirty(other)
+
+
+def _lub_invalidate(
+    assignment: Assignment,
+    valid_pairs: ValidPairs,
+    counted: list,
+    cached_best: np.ndarray,
+    dirty: np.ndarray,
+    task: int,
+) -> int:
+    """LUB's invalidation rules after ``task``'s membership changed:
+    refresh ``counted[task]`` (its counted subset) and mark dirty each
+    watcher whose cached best response may have moved. Returns how many
+    watchers turned dirty.
+
+    * Pure growth (no one crowded out): a watcher whose cached best is
+      the task keeps it (Theorem V.3); every other watcher rescans.
+    * Exchange ``x`` in / ``y`` out: the two movers rescan, and so do
+      watchers with ``q(y) > q(x)`` whose cached best is the task
+      (Theorem V.3) or ``q(y) < q(x)`` otherwise (Theorem V.4).
+    * Any other change (a shrink, several members): everyone rescans.
+    """
+    before = set(counted[task])
+    counted[task] = assignment.counted_members(task)
+    added, removed = set(counted[task]) - before, before - set(counted[task])
+    watchers = np.asarray(valid_pairs.workers_for_task[task], dtype=np.int64)
+    on_task = cached_best[watchers] == task
+    if not removed and len(added) <= 1:
+        stale = ~on_task
+    elif len(added) == 1 and len(removed) == 1:
+        (entering,), (leaving,) = added, removed
+        # q_other(leaving) and q_other(entering), over the watchers.
+        quality = assignment.instance.quality
+        _, (toward_leaving, toward_entering) = quality.cross_values(
+            [[leaving], [entering]], watchers
+        )
+        stale = np.where(
+            on_task, toward_leaving > toward_entering, toward_leaving < toward_entering
+        )
+        stale |= (watchers == entering) | (watchers == leaving)
+    else:
+        stale = np.ones(watchers.size, dtype=bool)
+    marked = watchers[stale & ~dirty[watchers]]
+    dirty[marked] = True
+    return int(marked.size)
 
 
 def verify_nash_equilibrium(

@@ -347,8 +347,8 @@ def score_candidates(
     ``join_gain`` / ``leave_delta``).
 
     ``worker_ids`` maps CSR rows to quality-store worker ids when the
-    call covers a subset of workers (one row per rescanned worker, as in
-    the mid-round rescan path); by default row ``i`` *is* worker ``i``.
+    call covers a subset of workers (one row per scored worker, as in
+    every GT round); by default row ``i`` *is* worker ``i``.
     ``current_tasks`` is always indexed by row. The optional ``stats``
     (a :class:`~repro.core.stats.SolverStats`) counts the call in
     ``kernel_fallback_calls``.
@@ -368,7 +368,7 @@ def score_candidates(
     )
     # ``rows`` indexes the CSR rows of this call; ``workers`` are the
     # matching quality-store ids (identical unless the caller scores a
-    # row subset, e.g. the per-worker mid-round rescan).
+    # row subset, as every GT round does).
     workers = rows if worker_ids is None else worker_ids[rows]
     is_current = current_tasks[rows] == vp_tasks
     needs_scalar = (slot_counts + 1 > capacities[vp_tasks]) | (slot_counts >= limit)

@@ -261,10 +261,6 @@ class RevenueCache:
         """Cached ``Q(W_j)``."""
         return float(self.revenues[task])
 
-    def pair_sum(self, task: int) -> float:
-        """Cached Equation-2 numerator for the full member set."""
-        return float(self.pair_sums[task])
-
     def total(self) -> float:
         """Equation 3: the summed revenue over all tasks."""
         return float(self.revenues.sum())
@@ -587,6 +583,65 @@ class RevenueCache:
         self.peel_kernel_calls += len(tasks)
         self.full_evaluations += len(tasks)
         return gains
+
+    def leave_deltas(self, workers: np.ndarray, tasks: np.ndarray) -> np.ndarray:
+        """:meth:`leave_delta` of each member ``workers[i]`` of ``tasks[i]``,
+        bit for bit, from batched reads.
+
+        Each leaver's survivors (the members in insertion order, the
+        leaver cut out) form a row; rows are bucketed by group shape
+        (members, capacity), so each bucket's rows are contiguous and as
+        wide as the scalar path's arrays, and numpy reduces every row as
+        it reduces the same values as a fresh 1-D array. Within capacity
+        a bucket sums its ``cross_values`` rows (the floats of
+        ``cross_sum``); over capacity, survivors that fit sum their
+        ``block`` (the floats of ``submatrix_sum``) and the others are
+        peeled in lockstep
+        (:func:`~repro.core.kernels.counted_subset_batch`), with
+        :meth:`leave_delta`'s evaluation and peel counts.
+        """
+        counts, capacities = self.counts[tasks], self.capacities[tasks]
+        deltas = self.revenues[tasks].copy()  # below B: the whole revenue
+        live = np.flatnonzero((counts > self.min_group_size) & (counts > 2))
+        if not live.size:
+            return deltas
+        workers, tasks = workers[live], tasks[live]
+        counts, capacities = counts[live], capacities[live]
+        width = int(counts.max())
+        groups, inverse = np.unique(tasks, return_inverse=True)
+        table = np.zeros((groups.size, width), dtype=np.int64)
+        for row, task in enumerate(groups.tolist()):
+            members = self._members[task]
+            table[row, : len(members)] = members
+        members = table[inverse]
+        leaver = np.argmax(members == workers[:, None], axis=1)
+        columns = np.arange(width - 1)
+        rest = np.take_along_axis(
+            members, columns + (columns >= leaver[:, None]), axis=1
+        )
+        shapes, bucket_of = np.unique(
+            counts * (int(capacities.max()) + 1) + capacities, return_inverse=True
+        )
+        for index in range(shapes.size):
+            bucket = np.flatnonzero(bucket_of == index)
+            count, capacity = int(counts[bucket[0]]), int(capacities[bucket[0]])
+            group = np.ascontiguousarray(rest[bucket, : count - 1])
+            if count <= capacity:
+                toward, back = self.quality.cross_values(workers[bucket, None], group)
+                cross = toward.sum(axis=1) + back.sum(axis=1)
+                without = (self.pair_sums[tasks[bucket]] - cross) / (count - 2)
+            elif count - 1 <= capacity:
+                block = self.quality.block(group, group)
+                without = block.reshape(bucket.size, -1).sum(axis=1) / (count - 2)
+                self.full_evaluations += bucket.size
+            else:
+                group.sort(axis=1)
+                _, pair_sums = counted_subset_batch(self.quality, group, capacity)
+                without = pair_sums / (capacity - 1) if capacity >= 2 else 0.0
+                self.peel_kernel_calls += bucket.size
+                self.full_evaluations += bucket.size
+            deltas[live[bucket]] -= without
+        return deltas
 
     def leave_delta(self, worker: int, task: int) -> float:
         """``Q(W_j) - Q(W_j - {w_i})`` for a current member of ``task``."""

@@ -61,10 +61,10 @@ class SolverStats:
         Candidate ``(worker, task)`` utilities scored by the solvers'
         marginal-gain machinery.
     cache_hits / cache_misses:
-        LUB best-response cache: a *hit* re-evaluates only the cached
-        candidate task, a *miss* rescans the worker's whole valid set.
-        Without LUB every scan counts as a miss, so the hit ratio is the
-        direct measure of what LUB saves.
+        Best-response plays served without / with a full scan: a *hit*
+        is a LUB re-read of the cached candidate task, or a worker whose
+        candidate memberships are unchanged since its last full scan; a
+        *miss* scans the worker's whole valid set.
     lub_invalidations:
         Workers marked dirty by the Theorem V.3/V.4 invalidation rules.
     total_seconds:
@@ -94,9 +94,10 @@ class SolverStats:
         evaluated, including peels batched ahead of the scan that reads
         them.
     rescan_batches / rescan_rows:
-        Mid-round dirty rescan: batched refresh calls issued after
-        accepted moves, and how many stale prepass rows they re-scored
-        in total (full and player-restricted rounds alike).
+        Mid-round re-scores: batched calls over the rows accepted moves
+        staled that are still ahead in the play order, and how many rows
+        they re-scored in total (full and player-restricted rounds
+        alike).
     shard_count / border_workers / halo_rounds / halo_moves:
         Geo-sharded solving (:mod:`repro.core.sharding`): number of
         spatial shards the instance was split into (1 = monolithic or

@@ -104,7 +104,7 @@ class TestWFlowKuhnEquivalence:
         max-flow formulation in both cardinality and summed proxy weight
         (solutions may differ, the objective values may not)."""
         from repro.core.bounds import highest_average_quality
-        from repro.flow.mincost import MinCostFlowNetwork, min_cost_max_flow
+        from tests.mincost import MinCostFlowNetwork, min_cost_max_flow
         import repro.core.baselines.wflow as wflow_module
 
         for seed in range(5):

@@ -330,58 +330,70 @@ class TestLemmaV1Convergence:
         assert diminishing >= 3
 
 
+def _classifier(instance, pairs, assignment):
+    """A best-response engine over ``assignment``, every row classified."""
+    from repro.core.game import DEFAULT_TOLERANCE, _BestResponseDynamics
+
+    dynamics = _BestResponseDynamics(
+        instance, pairs, assignment, DEFAULT_TOLERANCE, lazy_update=False
+    )
+    dynamics._score_rows(np.arange(instance.worker_count))
+    return dynamics
+
+
+def _response(dynamics, worker):
+    return int(dynamics._choice[worker]), float(dynamics._choice_utility[worker])
+
+
 class TestVectorizedScan:
     def test_vectorized_best_alternative_matches_reference(self):
-        # The batched numpy scan must agree with the scalar reference
-        # loop bit-for-bit: same best task, same utility float.
+        # The bulk classifier must agree with the scalar reference loop
+        # bit-for-bit: same best task, same utility float, and the
+        # current utility of leave_delta.
         from repro.audit.reference import reference_best_alternative
-        from repro.core.game import _BestResponseDynamics
-        from repro.core.tpg import solve_tpg
 
         instance = make_dense_instance(40, 8, capacity=4, seed=31)
         pairs = compute_valid_pairs(instance)
         assignment = Assignment(instance, pairs, allow_overflow=True)
         for worker, task in solve_tpg(instance, pairs).to_pairs():
             assignment.assign(worker, task)
-        dynamics = _BestResponseDynamics(
-            instance, pairs, assignment, tolerance=1e-9, lazy_update=False
-        )
+        dynamics = _classifier(instance, pairs, assignment)
         for worker in range(instance.worker_count):
-            current_task = assignment.task_of(worker)
-            current_utility = assignment.leave_delta(worker)
-            vector = dynamics._best_alternative(
-                worker, current_task, current_utility
-            )
+            vector = _response(dynamics, worker)
             reference = reference_best_alternative(
                 assignment, worker, pairs.tasks_for_worker[worker]
             )
             assert vector == reference
+            assert repr(float(dynamics._utility[worker])) == repr(
+                float(assignment.leave_delta(worker))
+            )
 
     def test_scan_memo_replays_identical_results(self):
-        from repro.core.game import _BestResponseDynamics
-
         instance = make_dense_instance(30, 6, capacity=4, seed=37)
         pairs = compute_valid_pairs(instance)
         assignment = Assignment(instance, pairs, allow_overflow=True)
-        dynamics = _BestResponseDynamics(
-            instance, pairs, assignment, tolerance=1e-9, lazy_update=False
-        )
-        worker = 0
-        first = dynamics._best_alternative(worker, UNASSIGNED, 0.0)
+        dynamics = _classifier(instance, pairs, assignment)
+        worker = np.array([0])
+        dynamics._account(worker, False)  # the first play scans
+        first = _response(dynamics, 0)
         hits_before = dynamics.stats.cache_hits
-        second = dynamics._best_alternative(worker, UNASSIGNED, 0.0)
-        assert second == first
+        # Unchanged candidates: the row is not re-scored, and its play
+        # replays the scan as a hit.
+        assert dynamics._score_rows(worker) == 0
+        dynamics._account(worker, False)
+        assert _response(dynamics, 0) == first
         assert dynamics.stats.cache_hits == hits_before + 1
         # A membership change in a candidate task must invalidate the memo.
-        task = pairs.tasks_for_worker[worker][0]
+        task = pairs.tasks_for_worker[0][0]
         joiner = next(
             w
             for w in pairs.workers_for_task[task]
-            if w != worker and assignment.task_of(w) == UNASSIGNED
+            if w != 0 and assignment.task_of(w) == UNASSIGNED
         )
         assignment.assign(joiner, task)
         misses_before = dynamics.stats.cache_misses
-        dynamics._best_alternative(worker, UNASSIGNED, 0.0)
+        assert dynamics._score_rows(worker) == 1
+        dynamics._account(worker, False)
         assert dynamics.stats.cache_misses == misses_before + 1
 
 
@@ -431,19 +443,14 @@ class TestVectorGroupBoundary:
     @pytest.mark.parametrize("size", [7, 8, 9])
     def test_boundary_sizes_bit_identical(self, size):
         from repro.audit.reference import reference_best_alternative
-        from repro.core.game import _BestResponseDynamics
 
         instance = self._scan_instance(size)
         pairs = compute_valid_pairs(instance)
         assignment = Assignment(instance, pairs, allow_overflow=True)
         for member in range(1, size + 1):
             assignment.assign(member, 0)
-        dynamics = _BestResponseDynamics(
-            instance, pairs, assignment, tolerance=1e-9, lazy_update=False
-        )
-        vector_task, vector_utility = dynamics._best_alternative(
-            0, UNASSIGNED, 0.0
-        )
+        dynamics = _classifier(instance, pairs, assignment)
+        vector_task, vector_utility = _response(dynamics, 0)
         ref_task, ref_utility = reference_best_alternative(
             assignment, 0, pairs.tasks_for_worker[0]
         )
@@ -452,10 +459,11 @@ class TestVectorGroupBoundary:
 
 
 class TestOverflowMemoSoundness:
-    """Kernel passes peel stale overflow joins ahead of the scans that
-    read them. Every memo entry still at its task's current version must
-    be exactly the gain a fresh scalar ``join_gain`` computes now, and
-    the solve must still reach a Nash equilibrium."""
+    """Kernel passes peel stale overflow joins in lockstep and memoize
+    every deferred join per slot. Every memo entry still at its task's
+    current version must be exactly the gain a fresh scalar
+    ``join_gain`` computes now, and the solve must still reach a Nash
+    equilibrium."""
 
     @staticmethod
     def _instances():
@@ -492,10 +500,15 @@ class TestOverflowMemoSoundness:
             try:
                 pairs = compute_valid_pairs(instance)
                 result = solve_game_theoretic(instance, pairs, **options)
-                cache = engines[-1].cache
-                for (worker, task), (version, gain) in engines[-1]._overflow_memo.items():
-                    if version != cache.versions[task]:
-                        continue
+                engine = engines[-1]
+                cache = engine.cache
+                owners = np.repeat(
+                    np.arange(instance.worker_count), np.diff(engine._vp_indptr)
+                )
+                versions = np.asarray(cache.versions)[engine._vp_tasks]
+                for slot in np.flatnonzero(engine._memo_versions == versions):
+                    worker, task = int(owners[slot]), int(engine._vp_tasks[slot])
+                    gain = float(engine._memo_gains[slot])
                     fresh = cache.join_gain(worker, task)
                     assert repr(gain) == repr(fresh), (name, worker, task)
                     checked += 1
@@ -507,9 +520,9 @@ class TestOverflowMemoSoundness:
 
 
 class TestRestrictedPrepass:
-    """Rounds restricted to a player list (the sharded halo passes) run
-    one batched pass over the player rows and refresh only stale player
-    rows; non-players never reach the kernel."""
+    """Rounds restricted to a player list (the sharded halo passes)
+    classify the player rows in one batched pass and re-score only stale
+    player rows still ahead; non-players never reach the kernel."""
 
     @staticmethod
     def _dynamics(instance):
@@ -568,18 +581,25 @@ class TestRestrictedPrepass:
         try:
             dynamics = self._dynamics(instance)
             assignment = dynamics.assignment
+            pairs = dynamics.valid_pairs
+            indptr = dynamics._vp_indptr
             checked = []
-            fill = dynamics._fill_deferred_slots
+            account = dynamics._account
 
-            def checking(worker, tasks, utilities, codes, current_utility):
-                fill(worker, tasks, utilities, codes, current_utility)
-                expected = reference_utilities(assignment, worker, tasks)
-                assert [repr(float(u)) for u in utilities] == [
-                    repr(float(e)) for e in expected
-                ], (backend, worker)
-                checked.append(worker)
+            def checking(workers, repeats):
+                # Every play reads its row as classified: each slot's
+                # utility must be the scalar scan's at the time of play.
+                for worker in workers.tolist():
+                    utilities = dynamics._values[indptr[worker] : indptr[worker + 1]]
+                    tasks = pairs.tasks_for_worker[worker]
+                    expected = reference_utilities(assignment, worker, tasks)
+                    assert [repr(float(u)) for u in utilities] == [
+                        repr(float(e)) for e in expected
+                    ], (backend, worker)
+                    checked.append(worker)
+                account(workers, repeats)
 
-            dynamics._fill_deferred_slots = checking
+            dynamics._account = checking
             players = self._players(instance.worker_count)
             moves = sum(dynamics.run_round(players=players)[0] for _ in range(3))
             assert moves > 0 and dynamics.stats.rescan_rows > 0
@@ -610,3 +630,125 @@ class TestRestrictedPrepass:
         assert case["score"] == record["score"]
         assert [list(step) for step in case["trace"]] == record["trace"]
         assert any(moves for moves, _, _ in record["trace"])
+
+
+class TestRoundParity:
+    """Bulk ``run_round`` against the per-worker oracle
+    (:func:`repro.audit.reference.reference_round`), repr-exactly: each
+    round's moves and gain, the final pairs and score, and the scan
+    counters the oracle derives play by play."""
+
+    @staticmethod
+    def _instance(name):
+        from repro.audit.fuzzer import _kernel_boundary_instance, _uniform_quality
+        from repro.core.model import Instance, Task, Worker
+        from repro.spatial.geometry import Point
+
+        if name == "contended":
+            return make_dense_instance(60, 12, seed=3)
+        if name == "ties":
+            # Uniform quality on colocated tasks: equally full tasks tie
+            # exactly, so the first-best tie-break decides every move.
+            origin = Point(0.5, 0.5)
+            return Instance(
+                workers=[
+                    Worker(worker_id=i, location=origin, speed=1.0, radius=1.0)
+                    for i in range(12)
+                ],
+                tasks=[
+                    Task(task_id=j, location=origin, capacity=3, deadline=5.0)
+                    for j in range(4)
+                ],
+                quality=_uniform_quality(12, 0.5),
+                min_group_size=2,
+            )
+        return _kernel_boundary_instance(name, np.random.default_rng(1))
+
+    @staticmethod
+    def _start(name, instance, pairs):
+        """The TPG seed, or for ``ties`` a seeded random profile."""
+        assignment = Assignment(instance, pairs, allow_overflow=True)
+        if name == "ties":
+            rng = np.random.default_rng(2)
+            assignment.assign_pairs(
+                (worker, int(rng.integers(4))) for worker in range(12)
+            )
+        else:
+            assignment.assign_pairs(solve_tpg(instance, pairs).to_pairs())
+        return assignment
+
+    @staticmethod
+    def _orders(kind, count, rounds):
+        """Per round: the player list (``None`` plays everyone) and the
+        order the oracle plays."""
+        if kind == "sequential":
+            return [(None, list(range(count)))] * rounds
+        if kind == "shuffled":
+            rng = np.random.default_rng(11)
+            return [(None, rng.permutation(count).tolist()) for _ in range(rounds)]
+        orders = []
+        for round_index in range(rounds):
+            players = np.random.default_rng(round_index).permutation(count)
+            players = players[: max(count * 2 // 3, 1)].tolist()
+            players.insert(len(players) // 2, players[0])  # one repeated id
+            orders.append((players, players))
+        return orders
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "shared"])
+    @pytest.mark.parametrize("kind", ["sequential", "shuffled", "restricted"])
+    @pytest.mark.parametrize("lazy_update", [False, True], ids=["GT", "GT+ALL"])
+    @pytest.mark.parametrize(
+        "name", ["contended", "peelcliff", "tiedpeel", "group8", "ties"]
+    )
+    def test_rounds_match_the_reference_loop(self, backend, kind, lazy_update, name):
+        from repro.audit.differential import _with_backend
+        from repro.audit.reference import reference_round
+        from repro.core.game import DEFAULT_TOLERANCE, _BestResponseDynamics
+        from repro.core.stats import SolverStats
+
+        instance, cleanup = _with_backend(self._instance(name), backend)
+        try:
+            pairs = compute_valid_pairs(instance)
+            bulk = self._start(name, instance, pairs)
+            scalar = bulk.copy()
+            dynamics = _BestResponseDynamics(
+                instance, pairs, bulk, DEFAULT_TOLERANCE, lazy_update
+            )
+            orders = self._orders(kind, instance.worker_count, rounds=4)
+            if kind == "shuffled":
+                dynamics.order_rng = np.random.default_rng(11)
+            state, stats = {}, SolverStats()
+            for players, order in orders:
+                moves, gain = dynamics.run_round(players)
+                expected = reference_round(
+                    scalar, pairs, order, DEFAULT_TOLERANCE, lazy_update,
+                    state=state, stats=stats,
+                )
+                assert (moves, repr(gain)) == (expected[0], repr(expected[1]))
+            assert bulk.to_pairs() == scalar.to_pairs()
+            assert repr(bulk.total_score()) == repr(scalar.total_score())
+            counters = (
+                "cache_hits", "cache_misses", "gain_evaluations", "lub_invalidations"
+            )
+            assert [getattr(dynamics.stats, c) for c in counters] == [
+                getattr(stats, c) for c in counters
+            ]
+            assert dynamics._dirty.tolist() == state["dirty"].tolist()
+        finally:
+            if cleanup is not None:
+                cleanup()
+
+    def test_contended_rounds_move(self):
+        # The parity above is only a guard if the bulk loop meets movers
+        # mid-round and re-scores rows they staled.
+        from repro.core.game import DEFAULT_TOLERANCE, _BestResponseDynamics
+
+        instance = self._instance("contended")
+        pairs = compute_valid_pairs(instance)
+        assignment = Assignment(instance, pairs, allow_overflow=True)
+        assignment.assign_pairs(solve_tpg(instance, pairs).to_pairs())
+        dynamics = _BestResponseDynamics(
+            instance, pairs, assignment, DEFAULT_TOLERANCE, lazy_update=False
+        )
+        assert dynamics.run_round()[0] > 1
+        assert dynamics.stats.rescan_rows > 0

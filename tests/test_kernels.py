@@ -112,6 +112,8 @@ class TestKernelBoundaryShapes:
                 10,
             ) and capacity == instance.worker_count - 1:
                 seen.setdefault("peelfit", seed)
+            elif instance.now == 0.0:
+                seen.setdefault("hypotband", seed)
             elif not any(compute_valid_pairs(instance).tasks_for_worker):
                 seen.setdefault("nopairs", seed)
             if len(seen) == len(_KERNEL_SHAPES):

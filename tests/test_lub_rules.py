@@ -59,7 +59,7 @@ class TestLUBInvalidation:
         instance, pairs, assignment, dynamics = make_setup(q)
         assignment.assign(0, 0)
         assignment.assign(1, 0)
-        dynamics._counted[0] = dynamics._counted_subset(0)
+        dynamics._counted[0] = dynamics.assignment.counted_members(0)
         dynamics._dirty[:] = False
         assignment.unassign(1)
         dynamics._after_membership_change(0)
@@ -80,7 +80,7 @@ class TestLUBInvalidation:
         instance, pairs, assignment, dynamics = make_setup(q, capacity=2, b=2)
         assignment.assign(0, 0)
         assignment.assign(1, 0)
-        dynamics._counted[0] = dynamics._counted_subset(0)
+        dynamics._counted[0] = dynamics.assignment.counted_members(0)
         dynamics._dirty[:] = False
         # Watchers 3 and 4 both cache task 1 (not the changed task).
         dynamics._cached_best[:] = [0, 0, 1, 1, 1]
@@ -102,7 +102,7 @@ class TestLUBInvalidation:
         instance, pairs, assignment, dynamics = make_setup(q, capacity=2, b=2)
         assignment.assign(0, 0)
         assignment.assign(1, 0)
-        dynamics._counted[0] = dynamics._counted_subset(0)
+        dynamics._counted[0] = dynamics.assignment.counted_members(0)
         dynamics._dirty[:] = False
         # Watchers 3 and 4 cache the changed task itself.
         dynamics._cached_best[:] = [0, 0, 1, 0, 0]
@@ -120,7 +120,7 @@ class TestLUBInvalidation:
         instance, pairs, assignment, dynamics = make_setup(q, capacity=2, b=2)
         assignment.assign(0, 0)
         assignment.assign(1, 0)
-        dynamics._counted[0] = dynamics._counted_subset(0)
+        dynamics._counted[0] = dynamics.assignment.counted_members(0)
         dynamics._dirty[:] = False
         assignment.assign(2, 0)
         dynamics._after_membership_change(0)

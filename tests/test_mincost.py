@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flow.mincost import MinCostFlowNetwork, min_cost_max_flow
+from tests.mincost import MinCostFlowNetwork, min_cost_max_flow
 
 
 class TestBasics:
