@@ -1,14 +1,20 @@
 """Micro-benchmarks for the substrates: the grid index, grid validity
 against its brute-force reference, TPG stage 1 against its from-scratch
-reference, max-flow, and the incremental revenue engine."""
+reference, the lockstep overflow peel against its scalar reference,
+max-flow, and the incremental revenue engine."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.audit.reference import reference_seed_groups, stage_one_trace
+from repro.audit.reference import (
+    reference_counted_subset,
+    reference_seed_groups,
+    stage_one_trace,
+)
 from repro.core.assignment import Assignment
+from repro.core.kernels import counted_subset_batch
 from repro.core.tpg import seed_groups
 from repro.core.validity import compute_valid_pairs, compute_valid_pairs_reference
 from repro.datasets.synthetic import generate_instance
@@ -89,6 +95,51 @@ def test_stage_one(benchmark, hotpath_batch, seeder, oracle):
     assert trace == stage_one_trace(
         oracle, instance, valid_pairs, available, tasks, **flags
     )
+
+
+@pytest.fixture(scope="module")
+def peel_stacks(hotpath_batch):
+    """Overflow joins shaped like the contended workload's: 9 members
+    peeled to capacity 8, and 13 to 12, each group drawn from one task's
+    watchers (up to 256 groups per shape)."""
+    instance, valid_pairs = hotpath_batch
+    rng = np.random.default_rng(5)
+    stacks = []
+    for width, size in ((9, 8), (13, 12)):
+        groups = [
+            np.sort(rng.choice(watchers, size=width, replace=False))
+            for watchers in valid_pairs.workers_for_task
+            if len(watchers) >= width
+        ]
+        stacks.append((np.stack(groups[:256]), size))
+    return instance.quality, stacks
+
+
+def _batch_peels(quality, stacks):
+    peels = []
+    for groups, size in stacks:
+        kept, pair_sums = counted_subset_batch(quality, groups, size)
+        peels.extend(zip(kept.tolist(), map(repr, pair_sums.tolist())))
+    return peels
+
+
+def _reference_peels(quality, stacks):
+    peels = []
+    for groups, size in stacks:
+        for members in groups.tolist():
+            kept = reference_counted_subset(quality, members, size)
+            peels.append((kept, repr(quality.submatrix_sum(np.asarray(kept)))))
+    return peels
+
+
+@pytest.mark.parametrize(
+    "peel, oracle",
+    [(_batch_peels, _reference_peels), (_reference_peels, _batch_peels)],
+    ids=["batch", "reference"],
+)
+def test_overflow_peel(benchmark, peel_stacks, peel, oracle):
+    quality, stacks = peel_stacks
+    assert benchmark(peel, quality, stacks) == oracle(quality, stacks)
 
 
 def test_dinic_bipartite(benchmark):

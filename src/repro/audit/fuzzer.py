@@ -17,14 +17,15 @@ Equation-2/Definition-3 machinery has historically broken:
   tie-break; half the regular instances draw the two triangles
   independently, so ``q_i(w_k) != q_k(w_i)``;
 * kernel-boundary shapes (:data:`_KERNEL_SHAPES`) that pin the batched
-  best-response kernel's edges: a group saturated at exactly
-  ``_VECTOR_GROUP_LIMIT = 8`` members (the scalar-path guard), a
-  single-worker batch (one-segment CSR prepass), and a zero-valid-pairs
-  batch (empty candidate arrays);
-* peel-boundary shapes that force overflow counted-subset peels at the
-  kept sizes where numpy's summation order changes (7/8/9, around the
-  pairwise cliff at 8), single-step ``capacity == members - 1`` peels,
-  and all-tied contributions that hammer the highest-index tie-break;
+  best-response kernel's edges: a group that fills its capacity of 8
+  exactly (the last within-capacity join, then an overflow join), a
+  single-worker batch (one-segment CSR prepass), a zero-valid-pairs
+  batch (empty candidate arrays), and a wide group of up to 12 members
+  whose within-capacity joins and leaves are batched;
+* peel-boundary shapes that force overflow counted-subset peels across
+  several kept sizes in one peel, single-step ``capacity == members -
+  1`` peels, and all-tied contributions that hammer the highest-index
+  tie-break;
 * a hypot-band shape whose tasks sit exactly at a radius and at a
   deadline reach where ``np.hypot`` and the oracle's ``math.hypot``
   disagree by an ulp, so the grid's re-measure band is fuzzed.
@@ -68,6 +69,7 @@ _KERNEL_SHAPES = (
     "peelfit",
     "tiedpeel",
     "hypotband",
+    "wide",
 )
 
 
@@ -229,31 +231,35 @@ def _kernel_boundary_instance(shape: str, rng) -> Instance:
     """One of the :data:`_KERNEL_SHAPES` layouts, still rng-driven.
 
     * ``"group8"`` — nine workers stacked on one capacity-8 task: the
-      group saturates at exactly ``_VECTOR_GROUP_LIMIT`` members, so the
-      ninth worker's candidate scan crosses the scalar-path guard.
+      group fills its capacity exactly, so the eighth join is the last
+      within-capacity one and the ninth worker's join is an overflow
+      peel (``CODE_SCALAR``).
     * ``"solo"`` — a single worker: the CSR prepass degenerates to one
       (possibly empty) segment and the round has no cross-worker moves.
     * ``"nopairs"`` — reachable distances all exceed every radius/reach
       bound: ``ValidPairs`` is empty and every candidate array in the
       kernel has length zero.
     * ``"peelcliff"`` — nine workers stacked on one capacity-6 task: an
-      overflow join probe peels 9 -> 8 -> 7 -> 6 kept members, crossing
-      numpy's pairwise-summation cliff (kept >= 9 pairwise, kept == 8
-      sequential, kept <= 7 vector branch) inside a single peel.
+      overflow join probe peels 9 -> 8 -> 7 -> 6 kept members, so one
+      peel runs three steps in lockstep (the shape once straddled
+      numpy's 8-element pairwise-summation cliff, hence its name).
     * ``"peelfit"`` — ``N`` workers on one capacity ``N - 1`` task with
-      ``N`` drawn from {8, 10}: the single-step peel lands exactly at
-      the kept sizes 8 and 10 (``"group8"`` already covers 9), i.e.
-      ``capacity == members - 1`` on both sides of the cliff.
+      ``N`` drawn from {8, 10}: an overflow join peels one step,
+      ``capacity == members - 1``, from 8 or 10 members.
     * ``"tiedpeel"`` — nine workers on a capacity-7 task with *uniform*
       quality: every contribution ties at every peel step, so the two
       peels (9 -> 8 -> 7) must both resolve through the highest-index
-      tie-break on both sides of the cliff.
+      tie-break.
     * ``"hypotband"`` — two colocated workers and two colocated tasks
       whose ``np.hypot`` distance lies an ulp off ``math.hypot``'s. The
       limit is the oracle's distance when ``np.hypot`` overshoots it
       (valid) and ``np.hypot``'s when it undershoots (invalid): worker
       0's radius, and task 1's remaining time at speed 1 for worker 1,
       whose radius covers the square.
+    * ``"wide"`` — thirteen workers stacked on one capacity-12 task:
+      within-capacity groups of 8 to 12 members take the batched scan,
+      ``join_gains`` and ``leave_deltas``, and the 13 -> 12 overflow
+      peel scores thirteen members per step.
     """
     if shape == "hypotband":
         while True:
@@ -280,9 +286,11 @@ def _kernel_boundary_instance(shape: str, rng) -> Instance:
             min_group_size=2,
             now=0.0,
         )
-    if shape in ("peelcliff", "peelfit", "tiedpeel"):
+    if shape in ("peelcliff", "peelfit", "tiedpeel", "wide"):
         if shape == "peelcliff":
             worker_count, capacity = 9, 6
+        elif shape == "wide":
+            worker_count, capacity = 13, 12
         elif shape == "peelfit":
             worker_count = int(rng.choice((8, 10)))
             capacity = worker_count - 1

@@ -20,8 +20,9 @@ path beyond the quality store's reads:
   own greedy peel with the documented highest-index tie-break), catching
   :class:`~repro.core.revenue.RevenueCache` drift.
 
-The oracle accumulates with scalar Python adds while the cache uses numpy
-pairwise reductions, so revenues are compared within a relative
+The oracle adds in Equation 2's left-to-right order, but the cache
+builds a pair sum from one cross sum per join (Equation 4's delta form),
+a different association, so revenues are compared within a relative
 ``tolerance`` (default ``1e-9`` — far above float reassociation noise,
 far below any genuine accounting bug). The fuzzer keeps qualities on a
 dyadic grid, making its oracle comparisons exact in practice. Cache
@@ -104,7 +105,10 @@ def oracle_counted_subset(quality, members, size: int) -> list[int]:
 
     Same contract — repeatedly drop the member with the smallest ordered
     pair contribution, ties peeling the *highest* worker index — but
-    evaluated with Python arithmetic over one ``block`` read.
+    evaluated with Python arithmetic over one ``block`` read. A
+    member's contribution is its row over the others, summed in member
+    order, plus its column summed the same way: Equation 2's order, so
+    near-ties peel as the kernel does.
     """
     kept = sorted(members)
     values = quality.block(kept, kept).tolist()
@@ -113,12 +117,12 @@ def oracle_counted_subset(quality, members, size: int) -> list[int]:
         weakest_position = None
         weakest_key: tuple[float, int] | None = None
         for position, worker in enumerate(kept):
-            contribution = 0.0
+            row = column = 0.0
             for other in kept:
                 if other != worker:
-                    contribution += values[at[worker]][at[other]]
-                    contribution += values[at[other]][at[worker]]
-            key = (contribution, -worker)
+                    row += values[at[worker]][at[other]]
+                    column += values[at[other]][at[worker]]
+            key = (row + column, -worker)
             if weakest_key is None or key < weakest_key:
                 weakest_key = key
                 weakest_position = position

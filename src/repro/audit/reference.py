@@ -9,7 +9,8 @@ tolerance, these reproduce the hot path's summation order, so the tests
 compare the kernels against them repr-exactly.
 
 * :func:`reference_counted_subset` — the greedy peel, one
-  ``quality.block`` (or ``cross_sum`` per member) per peeled worker;
+  ``cross_sum`` per member per peeled worker, sharing no code with the
+  lockstep peel kernel;
 * :func:`reference_utilities` / :func:`reference_best_alternative` — a
   worker's best-response scan as one scalar ``join_gain`` per candidate;
 * :func:`reference_round` — a GT best-response round as a per-worker
@@ -31,12 +32,7 @@ import numpy as np
 
 from repro.core.assignment import UNASSIGNED, Assignment
 from repro.core.game import _lub_invalidate
-from repro.core.kernels import (
-    ensure_pairwise_cliff,
-    exact_group_select,
-    greedy_group_select,
-    ordered_row_sums,
-)
+from repro.core.kernels import exact_group_select, greedy_group_select
 from repro.core.stats import SolverStats
 from repro.core.tpg import EXACT_SEED_THRESHOLD, _combo_table
 
@@ -50,46 +46,28 @@ __all__ = [
     "stage_one_trace",
 ]
 
-#: Member counts up to this bound peel from one gathered submatrix,
-#: summed row by row in strict left-to-right order; larger groups call
-#: ``cross_sum`` once per member, whose ``ndarray.sum()`` reduces
-#: pairwise from :data:`~repro.core.kernels.PAIRWISE_CLIFF` elements on.
-#: Below the cliff both evaluations give the same bits.
-VECTOR_PEEL_LIMIT = 7
-
-
 def reference_counted_subset(
     quality, members: Sequence[int], size: int
 ) -> list[int]:
     """The greedy counted-subset peel, evaluated through the store.
 
     Repeatedly removes the member with the smallest ordered-pair
-    contribution to the rest, ties peeling the *highest* worker index —
-    the contract of :func:`repro.core.revenue.best_counted_subset`, which
-    must match this bit for bit. Returns the kept members sorted.
+    contribution to the rest (its ``cross_sum`` over the others),
+    ties peeling the *highest* worker index — the contract of
+    :func:`repro.core.revenue.best_counted_subset`, which must match
+    this bit for bit. Returns the kept members sorted.
     """
     if size < 0:
         raise ValueError(f"size must be non-negative, got {size}")
     kept = sorted(members)
     if len(kept) != len(set(kept)):
         raise ValueError(f"duplicate members: {kept}")
-    ensure_pairwise_cliff()
     while len(kept) > size:
-        if len(kept) <= VECTOR_PEEL_LIMIT:
-            sub = quality.block(kept, kept)
-            # The diagonal is exactly 0.0, so including it keeps every
-            # partial sum bit-identical to cross_sum over the others.
-            contributions = ordered_row_sums(sub) + ordered_row_sums(sub.T)
-            minimum = contributions.min()
-            # kept is sorted, so the highest index is the last minimum.
-            weakest = int(np.flatnonzero(contributions == minimum)[-1])
-        else:
-            scored = [
-                (quality.cross_sum(worker, [k for k in kept if k != worker]), -worker)
-                for worker in kept
-            ]
-            weakest = min(range(len(kept)), key=lambda idx: scored[idx])
-        kept.pop(weakest)
+        scored = [
+            (quality.cross_sum(worker, [k for k in kept if k != worker]), -worker)
+            for worker in kept
+        ]
+        kept.pop(min(range(len(kept)), key=scored.__getitem__))
     return kept
 
 

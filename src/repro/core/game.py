@@ -32,12 +32,13 @@ Optimizations
   candidate's utility in one vectorized pass over a flat CSR
   (:func:`~repro.core.kernels.score_candidates`), the current tasks'
   ``leave_deltas`` in one call, a first-occurrence segment argmax, the
-  idle floor and the tolerance test. Batched sums run in the scalar
-  ``join_gain``/``leave_delta`` order (strictly left to right below
-  :data:`_VECTOR_GROUP_LIMIT` members, where ``ndarray.sum()`` is
-  sequential; larger groups take the scalar path), so every float, and
-  hence the exact potential and the reached equilibrium, is that of the
-  per-worker loop :func:`repro.audit.reference.reference_round`. A row
+  idle floor and the tolerance test. Every sum runs in Equation 2's
+  one order, strictly left to right over the members
+  (:func:`~repro.core.kernels.ordered_row_sums`), the order of the
+  scalar ``join_gain``/``leave_delta`` too, so at every group size each
+  float, and hence the exact potential and the reached equilibrium, is
+  that of the per-worker loop
+  :func:`repro.audit.reference.reference_round`. A row
   whose candidates are unchanged since its last full scan would repeat
   that scan, which did not move, so it is not scored.
 * **Batched overflow peels**: a join into a full task needs Equation
@@ -76,14 +77,6 @@ __all__ = ["GameResult", "solve_game_theoretic", "verify_nash_equilibrium"]
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_ROUNDS = 500
-
-#: Candidate groups of fewer than this many members are scored by the
-#: batched pass, whose strict left-to-right sums match the scalar
-#: ``cross_sum``'s ``ndarray.sum()`` exactly below this size.
-#: From eight summed elements on, ``ndarray.sum()`` switches to pairwise
-#: (reordered) summation that the sequential batch reduction cannot
-#: reproduce bit-for-bit, so those groups use the scalar ``join_gain``.
-_VECTOR_GROUP_LIMIT = 8
 
 @dataclass
 class GameResult:
@@ -163,8 +156,9 @@ def solve_game_theoretic(
         Hard safety cap; the potential argument guarantees convergence,
         the cap only guards against pathological tolerance settings.
     tolerance:
-        A move requires a utility improvement strictly above this value,
-        which also bounds the numeric drift per accepted move.
+        A move requires a utility improvement strictly above this
+        non-negative value, which also bounds the numeric drift per
+        accepted move.
     player_order:
         ``"sequential"`` plays workers in index order every round (the
         paper's Algorithm 3); ``"shuffled"`` reshuffles the order each
@@ -298,6 +292,10 @@ class _BestResponseDynamics:
         lazy_update: bool,
         stats: SolverStats | None = None,
     ) -> None:
+        # A negative tolerance accepts moves that lower the potential,
+        # and Theorem V.1's termination argument no longer holds.
+        if tolerance < 0:
+            raise ValueError(f"tolerance must be non-negative, got {tolerance}")
         self.instance = instance
         self.valid_pairs = valid_pairs
         self.assignment = assignment
@@ -413,7 +411,6 @@ class _BestResponseDynamics:
             cache.revenues[tasks],
             self._capacities[tasks],
             self._minimum,
-            _VECTOR_GROUP_LIMIT,
             local[current],
             stats=self.stats,
             worker_ids=rows,
@@ -527,9 +524,8 @@ class _BestResponseDynamics:
                 self._account(order[position:], repeats)
                 return moves, gain
             worker = int(order[stop])
-            clean = self.lazy_update and not self._dirty[worker]
             self._account(order[position : stop + 1], repeats)
-            improvement = self._move(worker, clean, stale)
+            improvement = self._move(worker, stale)
             if improvement > 0.0:
                 moves += 1
                 gain += improvement
@@ -572,10 +568,9 @@ class _BestResponseDynamics:
         self._scanned[workers] = self._stamps[workers]
         self._cached_best[workers] = self._choice[workers]
 
-    def _move(self, worker: int, clean: bool, stale: np.ndarray) -> float:
-        """Move ``worker`` (a fresh mover row, LUB-``clean`` or not) to
-        its response, mark the rows the move stales, and return the
-        utility gain."""
+    def _move(self, worker: int, stale: np.ndarray) -> float:
+        """Move ``worker`` (a fresh mover row) to its response, mark the
+        rows the move stales, and return the utility gain."""
         assignment = self.assignment
         current_task = assignment.task_of(worker)
         best_task = int(self._choice[worker])
@@ -583,19 +578,6 @@ class _BestResponseDynamics:
         if best_utility <= self.tolerance:
             best_task, best_utility = UNASSIGNED, 0.0
         improvement = best_utility - float(self._utility[worker])
-        # The gain keeps the type the scalar evaluations gave it:
-        # ``np.float64`` from the within-capacity branches of
-        # ``leave_delta`` and of a LUB-clean row's cached ``join_gain``,
-        # ``float`` otherwise; ``run_round`` returns it as it sums.
-        counts, capacities = self.cache.counts, self._capacities
-        leave_vector = current_task != UNASSIGNED and (
-            max(self._minimum, 2) < counts[current_task] <= capacities[current_task]
-        )
-        join_vector = clean and best_task not in (UNASSIGNED, current_task) and (
-            counts[best_task] < capacities[best_task]
-        )
-        if leave_vector or join_vector:
-            improvement = np.float64(improvement)
         if current_task != UNASSIGNED:
             assignment.unassign(worker)
             self._after_membership_change(current_task)

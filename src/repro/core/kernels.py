@@ -19,22 +19,20 @@ two primitives, ``block`` and ``cross_values``
 
 Summation-order contract
 ------------------------
-The scalar path (``RevenueCache.join_gain`` via ``cross_sum``) sums the
-row gather and the column gather separately with ``ndarray.sum()``,
-which numpy evaluates strictly left-to-right for fewer than eight
-elements and with pairwise (reordered) partial sums from eight elements
-on. ``np.add.reduceat`` does *not* share that contract: on current numpy
-its SIMD partial sums reorder segments of as few as three elements.
-Every float reduction in this module therefore either accumulates
-strictly left-to-right (column by column over padded rows, or
-:func:`ordered_row_sums` over the last axis of a stack of groups) or
-calls genuine ``ndarray.sum()`` over contiguous last-axis rows of the
-oracle's exact length (numpy reduces each such row exactly like a fresh
-1-D array), and groups of
-:data:`~repro.core.game._VECTOR_GROUP_LIMIT` or more members — where the
-scalar path itself reorders — are deferred to the scalar evaluation via
-:data:`CODE_SCALAR`. :func:`verify_pairwise_cliff` checks at first use
-that numpy still puts the pairwise cliff at :data:`PAIRWISE_CLIFF`.
+Equation 2 has one summation order, in every path, scalar and batched:
+strictly left to right over the members in the order they are given,
+and row-major over a block. :func:`ordered_row_sums` is the one helper
+that computes it; every revenue evaluation (the stores' ``cross_sum``
+and ``submatrix_sum``, the revenue cache's batched joins and leaves,
+the peel below and :func:`score_candidates`) goes through it, so a
+batched evaluation gives the bits of the scalar one at every group
+size. Neither ``ndarray.sum()`` (block-pairwise from eight elements on)
+nor ``np.add.reduceat`` (whose SIMD partial sums reorder segments of as
+few as three elements) reduces in this order, so neither sums an
+Equation-2 float. TPG stage 1's group selection
+(:func:`greedy_group_select`, :func:`exact_group_select`) ranks
+candidate groups by its own sequential pair order; the groups it picks
+are then evaluated like any other.
 """
 
 from __future__ import annotations
@@ -42,13 +40,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "PAIRWISE_CLIFF",
     "CODE_VALUE",
     "CODE_SCALAR",
     "CODE_CURRENT",
     "ordered_row_sums",
-    "verify_pairwise_cliff",
-    "ensure_pairwise_cliff",
     "score_candidates",
     "PEEL_CHUNK",
     "counted_subset_batch",
@@ -59,106 +54,34 @@ __all__ = [
 
 #: Per-slot classification emitted by :func:`score_candidates`.
 CODE_VALUE = 0  #: utility fully evaluated by the kernel
-CODE_SCALAR = 1  #: overflow/oversized join — filled by the caller (peel/scalar)
+CODE_SCALAR = 1  #: overflow join — filled by the caller (peel/scalar)
 CODE_CURRENT = 2  #: the worker's own task — caller fills ``leave_delta``
 
 
-#: numpy's pairwise-summation threshold: ``ndarray.sum()`` accumulates
-#: strictly left-to-right below this many elements and with reordered
-#: (block-pairwise) partial sums from it on. The counted-subset peel and
-#: its scalar reference (``repro.audit.reference``) both assume this value;
-#: :func:`verify_pairwise_cliff` fails loudly if a numpy upgrade moves it.
-PAIRWISE_CLIFF = 8
-
-_cliff_state = {"verified": False}
+#: ``np.cumsum`` pays per row and the column loop per column, so
+#: :func:`ordered_row_sums` loops only from this many rows per column on
+#: (one ``cross_sum`` row: cumsum; a scan's thousands of slot rows: loop).
+_LOOP_MIN_ROWS = 8
 
 
 def ordered_row_sums(matrix: np.ndarray) -> np.ndarray:
     """Sums over the last axis in strict left-to-right order.
 
-    Bit-identical to ``matrix.sum(axis=-1)`` for widths below
-    :data:`PAIRWISE_CLIFF` (where numpy itself reduces sequentially), and
-    the single source of truth for the counted-subset peel's ordered
-    accumulation: both the sub-cliff steps of
-    :func:`counted_subset_batch` (a ``(B, n, n)`` stack of groups) and
-    the vector branch of the scalar reference peel
-    (:func:`repro.audit.reference.reference_counted_subset`) route
-    through it, so the summation order that defines the peel (hence the
-    potential function) lives in exactly one place.
+    The summation order of Equation 2 (see the module docstring). Few
+    wide rows take the last column of ``np.cumsum``, many narrow rows
+    one vector add per column; both accumulate sequentially, so they
+    give the same bits. A 1-D input gives a 0-d array.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     width = matrix.shape[-1]
     if width == 0:
         return np.zeros(matrix.shape[:-1], dtype=np.float64)
-    total = matrix[..., 0].astype(np.float64, copy=True)
+    if matrix.size < _LOOP_MIN_ROWS * width * width:
+        return np.cumsum(matrix, axis=-1)[..., -1]
+    total = matrix[..., 0].copy()
     for column in range(1, width):
         total += matrix[..., column]
     return total
-
-
-def verify_pairwise_cliff(sum_func=None) -> None:
-    """Assert numpy's pairwise-summation cliff still sits at 8 elements.
-
-    The peel paths depend on two numpy facts: ``ndarray.sum()`` reduces
-    strictly left-to-right below :data:`PAIRWISE_CLIFF` elements, and at
-    exactly eight uses the block-pairwise order
-    ``((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7))``. Both are probed with a
-    discriminating array (``1e16`` followed by ones: sequential addition
-    absorbs every ``1.0`` into the big value's rounding, any reordering
-    does not), and a deviation raises ``RuntimeError`` — a loud failure
-    at the first peel instead of assignments silently diverging between
-    code paths after a numpy upgrade.
-
-    ``sum_func`` overrides the reduction under test (the regression test
-    injects impostors); the default is genuine ``ndarray.sum``.
-    """
-    if sum_func is None:
-        def sum_func(array):
-            return array.sum()
-
-    probe = np.empty(PAIRWISE_CLIFF, dtype=np.float64)
-    probe[0] = 1e16
-    probe[1:] = 1.0
-    for length in range(1, PAIRWISE_CLIFF):
-        sequential = probe[0]
-        for value in probe[1:length]:
-            sequential = sequential + value
-        observed = float(sum_func(probe[:length]))
-        if observed != float(sequential):
-            raise RuntimeError(
-                f"numpy no longer sums {length}-element arrays strictly "
-                f"left-to-right (got {observed!r}, sequential gives "
-                f"{float(sequential)!r}): the pairwise-summation cliff "
-                f"moved below {PAIRWISE_CLIFF}. The counted-subset peel's "
-                "summation-order contract "
-                "(kernels.counted_subset_batch) is broken — pin "
-                "numpy, or update PAIRWISE_CLIFF and the peel kernels "
-                "together."
-            )
-    sequential = probe[0]
-    for value in probe[1:]:
-        sequential = sequential + value
-    pairwise = ((probe[0] + probe[1]) + (probe[2] + probe[3])) + (
-        (probe[4] + probe[5]) + (probe[6] + probe[7])
-    )
-    observed = float(sum_func(probe))
-    if observed == float(sequential) or observed != float(pairwise):
-        raise RuntimeError(
-            f"numpy's {PAIRWISE_CLIFF}-element reduction is no longer the "
-            f"expected block-pairwise order (got {observed!r}, expected "
-            f"{float(pairwise)!r}, sequential gives {float(sequential)!r}): "
-            "the pairwise-summation cliff moved. The counted-subset peel's "
-            "summation-order contract "
-            "(kernels.counted_subset_batch) is broken — pin "
-            "numpy, or update PAIRWISE_CLIFF and the peel kernels together."
-        )
-
-
-def ensure_pairwise_cliff() -> None:
-    """Run :func:`verify_pairwise_cliff` once per process (cached)."""
-    if not _cliff_state["verified"]:
-        verify_pairwise_cliff()
-        _cliff_state["verified"] = True
 
 
 #: Groups peeled per lockstep pass of :func:`counted_subset_batch`: the
@@ -180,24 +103,13 @@ def counted_subset_batch(quality, groups, size: int) -> tuple[np.ndarray, np.nda
     *and* tie-breaks, and each pair sum to the store's
     ``submatrix_sum(kept)``. A chunk of at most :data:`PEEL_CHUNK`
     groups pays ONE gather (the store's ``block``) of its ``(B, n, n)``
-    cube; every peel step then scores all of the chunk's groups at once:
-
-    * while more than :data:`PAIRWISE_CLIFF` members survive, the
-      oracle's per-member others-arrays hold at least eight elements and
-      numpy reduces them pairwise — reproduced by genuine
-      ``sum(axis=-1)`` reductions over fresh contiguous rows of identical
-      values, so the bits match by construction rather than by emulating
-      numpy's blocked accumulation;
-    * at or below the cliff every oracle reduction is strictly
-      sequential, so the survivors' rows and columns are re-summed left
-      to right by :func:`ordered_row_sums`;
-    * ties peel the last (= highest-index) survivor attaining a row's
-      minimum, in both regimes.
-
-    The kept blocks are cut from the same cube, so their pair sums reduce
-    arrays of the store block's values and shape.
+    cube; every peel step then scores all of the chunk's groups at once,
+    each survivor's row plus its column summed left to right by
+    :func:`ordered_row_sums` (the diagonal's 0.0 leaves every partial
+    sum unchanged), and peels the last (= highest-index) survivor
+    attaining a row's minimum. The kept blocks are cut from the same
+    cube and summed row-major.
     """
-    ensure_pairwise_cliff()
     groups = np.asarray(groups, dtype=np.int64)
     count, width = groups.shape
     size = min(size, width)
@@ -219,27 +131,7 @@ def _peel_chunk(
     alive = np.broadcast_to(np.arange(cur), (count, cur))
     sub = cube
     while cur > size:
-        if cur > PAIRWISE_CLIFF:
-            # Each survivor's others-row/column as one contiguous (cur,
-            # cur - 1) block per group: row p is exactly np.delete(sub[b,
-            # p], p) (resp. the column), and the last-axis reduction
-            # applies numpy's pairwise blocking per row — the same bits
-            # as the oracle's 1-D ``ndarray.sum()``. ``np.take`` returns
-            # C-contiguous blocks; fancy or boolean indexing along the
-            # trailing axes would lay the group axis innermost, and numpy
-            # would then reduce each row sequentially instead.
-            flat = sub.reshape(count, cur * cur)
-            others = np.flatnonzero(~np.eye(cur, dtype=bool))
-            transposed = others % cur * cur + others // cur
-            scores = np.take(flat, others, axis=1).reshape(
-                count, cur, cur - 1
-            ).sum(axis=-1) + np.take(flat, transposed, axis=1).reshape(
-                count, cur, cur - 1
-            ).sum(axis=-1)
-        else:
-            scores = ordered_row_sums(sub) + ordered_row_sums(
-                sub.transpose(0, 2, 1)
-            )
+        scores = ordered_row_sums(sub) + ordered_row_sums(sub.transpose(0, 2, 1))
         # Ties peel the last (= highest-index) surviving position.
         ties = scores == scores.min(axis=1, keepdims=True)
         weakest = cur - 1 - np.argmax(ties[:, ::-1], axis=1)
@@ -247,10 +139,7 @@ def _peel_chunk(
         cur -= 1
         alive = alive[survivors].reshape(count, cur)
         sub = cube[lanes[:, :, None], alive[:, :, None], alive[:, None, :]]
-    # ``sub`` is now a fresh C-contiguous block of the kept values per
-    # group (or the cube itself), shaped like the store's own block, so
-    # each flattened row sums in the same order.
-    pair_sums = sub.reshape(count, cur * cur).sum(axis=1)
+    pair_sums = ordered_row_sums(sub.reshape(count, cur * cur))
     return groups[lanes, alive], pair_sums
 
 
@@ -333,7 +222,6 @@ def score_candidates(
     revenues: np.ndarray,
     capacities: np.ndarray,
     minimum: int,
-    limit: int,
     current_tasks: np.ndarray,
     stats=None,
     worker_ids: np.ndarray | None = None,
@@ -344,7 +232,10 @@ def score_candidates(
     (:data:`CODE_VALUE` / :data:`CODE_SCALAR` / :data:`CODE_CURRENT`)
     per slot of ``vp_tasks``. Values for non-``CODE_VALUE`` slots are
     placeholders the caller must fill (overflow peel or scalar
-    ``join_gain`` / ``leave_delta``).
+    ``join_gain`` / ``leave_delta``). Every other join is evaluated
+    here, whatever its group size, in ``cross_sum``'s order: the row
+    part and the column part each summed left to right over the
+    members, then added.
 
     ``worker_ids`` maps CSR rows to quality-store worker ids when the
     call covers a subset of workers (one row per scored worker, as in
@@ -371,7 +262,7 @@ def score_candidates(
     # row subset, as every GT round does).
     workers = rows if worker_ids is None else worker_ids[rows]
     is_current = current_tasks[rows] == vp_tasks
-    needs_scalar = (slot_counts + 1 > capacities[vp_tasks]) | (slot_counts >= limit)
+    needs_scalar = slot_counts + 1 > capacities[vp_tasks]
     is_zero = ~needs_scalar & ((slot_counts == 0) | (slot_counts + 1 < minimum))
     batchable = ~(needs_scalar | is_zero) & ~is_current
 
@@ -392,14 +283,10 @@ def score_candidates(
         np.minimum(index, max(mem_flat.size - 1, 0), out=index)
         member = mem_flat[index]
         row_vals, col_vals = quality.cross_values(b_workers[:, None], member)
-        row_vals = np.where(lane, row_vals, 0.0)
-        col_vals = np.where(lane, col_vals, 0.0)
-        row_total = row_vals[:, 0].copy()
-        col_total = col_vals[:, 0].copy()
-        for column in range(1, width):
-            row_total += row_vals[:, column]
-            col_total += col_vals[:, column]
-        cross = row_total + col_total
+        # Padding lanes add 0.0 after the last member: no partial sum moves.
+        cross = ordered_row_sums(np.where(lane, row_vals, 0.0)) + ordered_row_sums(
+            np.where(lane, col_vals, 0.0)
+        )
         new_revenue = (pair_sums[b_tasks] + cross) / b_lengths
         values[batchable] = new_revenue - revenues[b_tasks]
     return values, codes

@@ -19,7 +19,8 @@ Every quality store answers reads through two primitives — ``block``
 (a block of ordered pairs) and ``cross_values`` (a worker's row and
 column over a member list) — plus an uncached ``q_row``.
 :class:`QualityReads` writes every other read once on top of them, so
-each backend feeds the same floats through the same numpy reductions.
+each backend feeds the same floats through the same reduction, Equation
+2's one left-to-right order (:func:`~repro.core.kernels.ordered_row_sums`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.kernels import ordered_row_sums
 from repro.utils.errors import InvalidInstanceError
 from repro.utils.rng import ensure_rng
 
@@ -191,18 +193,21 @@ class QualityReads:
 
     def submatrix_sum(self, index: np.ndarray) -> float:
         """:meth:`ordered_pair_sum` without the duplicate check, for index
-        arrays the revenue hot paths already know to be duplicate-free."""
-        return float(self.block(index, index).sum())
+        arrays the revenue hot paths already know to be duplicate-free.
+        The block is summed row-major, left to right."""
+        return float(ordered_row_sums(self.block(index, index).reshape(-1)))
 
     def cross_sum(self, worker: int, members: Sequence[int]) -> float:
         """Ordered-pair contribution of adding ``worker`` to ``members``.
 
         Equals ``sum_k (q_worker(k) + q_k(worker))`` over ``k in members``,
         i.e. exactly the increase of :meth:`ordered_pair_sum` when
-        ``worker`` joins.
+        ``worker`` joins. The row part and the column part are each
+        summed left to right over ``members`` in the given order, then
+        added.
         """
         toward, back = self.cross_values(worker, members)
-        return float(toward.sum() + back.sum())
+        return float(ordered_row_sums(toward) + ordered_row_sums(back))
 
     def top_qualities(self, worker: int, count: int) -> np.ndarray:
         """The worker's ``count`` largest qualities toward others, sorted

@@ -29,12 +29,14 @@ backends implement it:
 Bit-identity contract
 ---------------------
 All three backends return *value-identical* arrays from ``block`` /
-``cross_values`` / ``q_row``, and the derived sums reduce them with the
-same numpy call — so solvers produce repr-identical assignments
-regardless of backend (enforced by ``tests/test_quality_store.py``, the
-golden fixture and the differential audit's backend axis). The closed
-form ``prior * |M| * (|M| - 1) + D[M, M].sum()`` is exact mathematics
-but a *different float reduction order*, so no backend uses it.
+``cross_values`` / ``q_row``, and the derived sums reduce them in
+Equation 2's one order, left to right over the members and row-major
+over a block (:func:`~repro.core.kernels.ordered_row_sums`) — so
+solvers produce repr-identical assignments regardless of backend
+(enforced by ``tests/test_quality_store.py``, the golden fixture and the
+differential audit's backend axis). The closed form ``prior * |M| *
+(|M| - 1) + D[M, M].sum()`` is exact mathematics but a *different float
+reduction order*, so no backend uses it.
 """
 
 from __future__ import annotations

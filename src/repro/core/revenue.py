@@ -14,7 +14,11 @@ path: it maintains per-task pair sums, revenues and (for overflowing
 tasks) the counted best-``a_j``-subset across join/leave/exchange moves,
 so Equation 4's delta form replaces from-scratch Equation 2 re-sums. It
 also counts how often each path runs, feeding
-:class:`~repro.core.stats.SolverStats`.
+:class:`~repro.core.stats.SolverStats`. Its batched evaluations sum in
+Equation 2's one left-to-right order
+(:func:`~repro.core.kernels.ordered_row_sums`), as the scalar ones do,
+so a batch gives the scalar floats at every group size; every revenue
+evaluation returns builtin ``float`` values.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.kernels import (
-    PAIRWISE_CLIFF,
     counted_subset_batch,
     counted_subset_select,
     ordered_row_sums,
@@ -175,13 +178,12 @@ class RevenueCache:
     peeling evaluation, and their counted subset is cached for reuse by
     the LUB invalidation rules and the final capacity clamp.
 
-    Determinism contract: every arithmetic step matches the from-scratch
-    evaluation bit-for-bit for the group sizes the experiments use
-    (``a_j <= 6``), because identical floats are what keep best-response
-    dynamics an exact potential game (Theorem V.1). The hypothesis state
-    machine in ``tests/test_stateful.py`` drives random join/leave/
-    exchange sequences — including overflow states — asserting the cache
-    never drifts from :func:`group_revenue`.
+    Determinism contract: every batched evaluation matches its scalar
+    twin bit for bit at every group size, because identical floats are
+    what keep best-response dynamics an exact potential game (Theorem
+    V.1). The hypothesis state machine in ``tests/test_stateful.py``
+    drives random join/leave/exchange sequences — including overflow
+    states — asserting the cache never drifts from :func:`group_revenue`.
 
     Observability: ``full_evaluations`` counts from-scratch Equation 2
     evaluations (the expensive path), ``incremental_updates`` the O(k)
@@ -375,11 +377,8 @@ class RevenueCache:
         joiners' rows and columns over the final member list.
         Join ``i`` of a task with ``p`` members present adds the cross
         sum over its ``p + i`` predecessors, reduced in ``cross_sum``'s
-        order: strictly left to right
-        (:func:`~repro.core.kernels.ordered_row_sums`) below
-        :data:`~repro.core.kernels.PAIRWISE_CLIFF`, as genuine
-        ``ndarray.sum()`` over fresh contiguous rows at or above it. The
-        joins that would overflow a task take the scalar :meth:`join`, so
+        order (:func:`~repro.core.kernels.ordered_row_sums`). The joins
+        that would overflow a task take the scalar :meth:`join`, so
         peels and counters match the sequential replay too.
         """
         joiners: dict[int, list[int]] = {}
@@ -407,15 +406,9 @@ class RevenueCache:
             pair_sums = self.pair_sums[index]
             for step in range(joins):
                 width = present + step
-                row = rows[:, step, :width]
-                col = cols[:, step, :width]
-                if width < PAIRWISE_CLIFF:
-                    cross = ordered_row_sums(row) + ordered_row_sums(col)
-                else:
-                    cross = np.ascontiguousarray(row).sum(axis=1) + (
-                        np.ascontiguousarray(col).sum(axis=1)
-                    )
-                pair_sums += cross
+                pair_sums += ordered_row_sums(rows[:, step, :width]) + (
+                    ordered_row_sums(cols[:, step, :width])
+                )
             self.pair_sums[index] = pair_sums
             count = present + joins
             if count < self.min_group_size or count < 2:
@@ -507,9 +500,9 @@ class RevenueCache:
         capacity = int(self.capacities[task])
         if new_count <= capacity:
             if new_count < self.min_group_size or new_count < 2:
-                return 0.0 - self.revenues[task]
+                return 0.0 - float(self.revenues[task])
             cross = self.quality.cross_sum(worker, members)
-            new_revenue = (self.pair_sums[task] + cross) / (new_count - 1)
+            new_revenue = (float(self.pair_sums[task]) + cross) / (new_count - 1)
         elif new_count < self.min_group_size or capacity < 2:
             self.full_evaluations += 1
             new_revenue = 0.0
@@ -524,11 +517,9 @@ class RevenueCache:
         ``(S + cross) / (k_new - 1) - Q`` with one ``cross`` per worker,
         so the whole set is scored from one ``cross_values`` read: the
         workers' rows and columns over the members. Each worker's row
-        part and column part are reduced separately over contiguous rows
-        (numpy reduces a C-contiguous row exactly as it reduces the same
-        values as a fresh 1-D array, on both sides of the pairwise
-        cliff), then added — the floats of ``cross_sum``.
-        Other joins (overflow, below ``B``) take the scalar path.
+        part and column part are summed left to right, then added — the
+        floats of ``cross_sum``. Other joins (overflow, below ``B``) take
+        the scalar path.
         """
         members = self._members[task]
         new_count = len(members) + 1
@@ -537,13 +528,12 @@ class RevenueCache:
             or new_count < self.min_group_size
             or new_count < 2
         ):
-            return [float(self.join_gain(w, task)) for w in workers.tolist()]
+            return [self.join_gain(w, task) for w in workers.tolist()]
         toward, back = self.quality.cross_values(
             workers[:, None], self.member_array(task)
         )
-        row_part = toward.sum(axis=1)
-        col_part = back.sum(axis=1)
-        new_revenue = (self.pair_sums[task] + (row_part + col_part)) / (new_count - 1)
+        cross = ordered_row_sums(toward) + ordered_row_sums(back)
+        new_revenue = (self.pair_sums[task] + cross) / (new_count - 1)
         return (new_revenue - self.revenues[task]).tolist()
 
     def overflow_join_gains(
@@ -584,27 +574,24 @@ class RevenueCache:
         self.full_evaluations += len(tasks)
         return gains
 
-    def leave_deltas(self, workers: np.ndarray, tasks: np.ndarray) -> np.ndarray:
+    def leave_deltas(self, workers: np.ndarray, tasks: np.ndarray) -> list[float]:
         """:meth:`leave_delta` of each member ``workers[i]`` of ``tasks[i]``,
         bit for bit, from batched reads.
 
         Each leaver's survivors (the members in insertion order, the
         leaver cut out) form a row; rows are bucketed by group shape
-        (members, capacity), so each bucket's rows are contiguous and as
-        wide as the scalar path's arrays, and numpy reduces every row as
-        it reduces the same values as a fresh 1-D array. Within capacity
-        a bucket sums its ``cross_values`` rows (the floats of
-        ``cross_sum``); over capacity, survivors that fit sum their
-        ``block`` (the floats of ``submatrix_sum``) and the others are
-        peeled in lockstep
-        (:func:`~repro.core.kernels.counted_subset_batch`), with
+        (members, capacity). Within capacity a bucket sums its
+        ``cross_values`` rows (the floats of ``cross_sum``); over
+        capacity, survivors that fit sum their ``block`` row-major (the
+        floats of ``submatrix_sum``) and the others are peeled in
+        lockstep (:func:`~repro.core.kernels.counted_subset_batch`), with
         :meth:`leave_delta`'s evaluation and peel counts.
         """
         counts, capacities = self.counts[tasks], self.capacities[tasks]
         deltas = self.revenues[tasks].copy()  # below B: the whole revenue
         live = np.flatnonzero((counts > self.min_group_size) & (counts > 2))
         if not live.size:
-            return deltas
+            return deltas.tolist()
         workers, tasks = workers[live], tasks[live]
         counts, capacities = counts[live], capacities[live]
         width = int(counts.max())
@@ -625,14 +612,14 @@ class RevenueCache:
         for index in range(shapes.size):
             bucket = np.flatnonzero(bucket_of == index)
             count, capacity = int(counts[bucket[0]]), int(capacities[bucket[0]])
-            group = np.ascontiguousarray(rest[bucket, : count - 1])
+            group = rest[bucket, : count - 1]
             if count <= capacity:
                 toward, back = self.quality.cross_values(workers[bucket, None], group)
-                cross = toward.sum(axis=1) + back.sum(axis=1)
+                cross = ordered_row_sums(toward) + ordered_row_sums(back)
                 without = (self.pair_sums[tasks[bucket]] - cross) / (count - 2)
             elif count - 1 <= capacity:
                 block = self.quality.block(group, group)
-                without = block.reshape(bucket.size, -1).sum(axis=1) / (count - 2)
+                without = ordered_row_sums(block.reshape(bucket.size, -1)) / (count - 2)
                 self.full_evaluations += bucket.size
             else:
                 group.sort(axis=1)
@@ -641,7 +628,7 @@ class RevenueCache:
                 self.peel_kernel_calls += bucket.size
                 self.full_evaluations += bucket.size
             deltas[live[bucket]] -= without
-        return deltas
+        return deltas.tolist()
 
     def leave_delta(self, worker: int, task: int) -> float:
         """``Q(W_j) - Q(W_j - {w_i})`` for a current member of ``task``."""
@@ -657,7 +644,7 @@ class RevenueCache:
             cross = self.quality.cross_sum(
                 worker, [m for m in members if m != worker]
             )
-            without = (self.pair_sums[task] - cross) / (count - 2)
+            without = (float(self.pair_sums[task]) - cross) / (count - 2)
         else:
             rest = [m for m in members if m != worker]
             if len(rest) > capacity:

@@ -87,6 +87,30 @@ class TestConvergenceAndStability:
         with pytest.raises(ValueError):
             solve_game_theoretic(instance, init="warmstart")
 
+    def test_negative_tolerance_is_rejected(self):
+        # A negative tolerance accepts moves that lower the potential,
+        # so the dynamics need not terminate (Theorem V.1).
+        from repro.core.sharding.reconcile import reconcile_borders
+
+        instance = make_dense_instance(30, 6, seed=2)
+        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+            solve_game_theoretic(instance, tolerance=-1e-3)
+        pairs = compute_valid_pairs(instance)
+        assignment = Assignment(instance, pairs, allow_overflow=True)
+        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+            reconcile_borders(
+                instance, pairs, assignment, range(instance.worker_count),
+                tolerance=-1e-3,
+            )
+
+    def test_zero_tolerance_still_converges(self):
+        instance = make_dense_instance(30, 6, seed=2)
+        result = solve_game_theoretic(instance, tolerance=0.0)
+        assert result.converged
+        assert verify_nash_equilibrium(
+            result.equilibrium, compute_valid_pairs(instance), tolerance=0.0
+        ) == []
+
 
 class TestPotentialProperty:
     """Theorem V.1: a unilateral move changes the total score by exactly
@@ -398,16 +422,16 @@ class TestVectorizedScan:
 
 
 class TestVectorGroupBoundary:
-    """Regression pins for the batch/scalar boundary at sizes 7, 8, 9.
+    """Regression pins for the batched scan at group sizes 7, 8, 9.
 
     The size-7 row qualities are adversarial: ``np.add.reduceat`` — which
     the batch path historically used for its segment sums — reorders
     their sum on current numpy (3.8759979999999996 instead of the
     sequential 3.875998), so the size-7 case fails on any revision whose
     batch reduction is not order-exact with the scalar ``join_gain``
-    oracle. Sizes 8 and 9 pin the ``_VECTOR_GROUP_LIMIT`` guard: from
-    eight members on, ``ndarray.sum()`` itself reorders, so those groups
-    must keep going through the scalar path.
+    oracle. Sizes 8 and 9 are where ``ndarray.sum()`` itself reorders;
+    groups that size are scored by the batched scan too, and both paths
+    must still sum left to right.
     """
 
     _ADVERSARIAL = [

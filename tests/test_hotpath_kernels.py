@@ -53,10 +53,10 @@ def _with_backend(instance: Instance, backend: str):
     return swapped, None
 
 
-#: (candidate_count, group_size) shapes spanning both selection regimes
-#: and the exactly-8-member boundary (= game._VECTOR_GROUP_LIMIT, the
-#: scalar/vector watershed elsewhere in the engine): exact enumeration
-#: at count <= EXACT_SEED_THRESHOLD, greedy above it.
+#: (candidate_count, group_size) shapes spanning both selection regimes,
+#: exact enumeration at count <= EXACT_SEED_THRESHOLD and greedy above
+#: it, with 8-member groups in each (eight summed elements is where
+#: ``ndarray.sum()`` would start to reorder; stage 1 adds sequentially).
 GROUP_SHAPES = (
     (8, 8),  # exact, single combination, 8-member group
     (9, 8),  # exact, 8-member group with a real choice

@@ -340,8 +340,8 @@ class TestTieBreakPin:
         assert best_counted_subset(matrix, [0, 1, 2, 3], 3) == [0, 1, 2]
 
     def test_tie_break_consistent_above_vector_limit(self):
-        # Groups larger than the vectorized-peel limit use the scalar
-        # reference loop; the tie-break must be the same there.
+        # A ten-member peel scores more than eight terms per member;
+        # the tie-break must be the same there.
         matrix = uniform_matrix(10, 0.5)
         assert best_counted_subset(matrix, list(range(10)), 4) == [0, 1, 2, 3]
 
