@@ -1,6 +1,7 @@
 """Micro-benchmarks for the substrates: the grid index, grid validity
 against its brute-force reference, TPG stage 1 against its from-scratch
-reference, the lockstep overflow peel against its scalar reference,
+reference, the lockstep overflow peel against its scalar reference, the
+Meetup cooperation matrix against its incidence-matmul reference,
 max-flow, and the incremental revenue engine."""
 
 import math
@@ -10,13 +11,16 @@ import pytest
 
 from repro.audit.reference import (
     reference_counted_subset,
+    reference_group_quality,
     reference_seed_groups,
     stage_one_trace,
 )
 from repro.core.assignment import Assignment
 from repro.core.kernels import counted_subset_batch
+from repro.core.quality import CooperationMatrix
 from repro.core.tpg import seed_groups
 from repro.core.validity import compute_valid_pairs, compute_valid_pairs_reference
+from repro.datasets.meetup import draw_meetup_population
 from repro.datasets.synthetic import generate_instance
 from repro.flow.bipartite import max_bipartite_assignment
 from repro.spatial.geometry import Point
@@ -140,6 +144,24 @@ def _reference_peels(quality, stacks):
 def test_overflow_peel(benchmark, peel_stacks, peel, oracle):
     quality, stacks = peel_stacks
     assert benchmark(peel, quality, stacks) == oracle(quality, stacks)
+
+
+@pytest.fixture(scope="module")
+def meetup_memberships():
+    """The default Meetup surrogate's group memberships (3 525 users)."""
+    return draw_meetup_population(seed=0)[2]
+
+
+@pytest.mark.parametrize(
+    "build, oracle",
+    [
+        (CooperationMatrix.from_group_memberships, reference_group_quality),
+        (reference_group_quality, CooperationMatrix.from_group_memberships),
+    ],
+    ids=["build", "reference"],
+)
+def test_meetup_quality(benchmark, meetup_memberships, build, oracle):
+    assert benchmark(build, meetup_memberships) == oracle(meetup_memberships)
 
 
 def test_dinic_bipartite(benchmark):

@@ -21,18 +21,23 @@ compare the kernels against them repr-exactly.
   stage 1 with every evaluation gathered from scratch through the
   store's own ``block`` and every commit a sequential ``assign``, the
   oracle of :func:`repro.core.tpg.seed_groups`' cached candidate blocks
-  and bulk commit; :func:`stage_one_trace` is the comparison key.
+  and bulk commit; :func:`stage_one_trace` is the comparison key;
+* :func:`reference_group_quality` — the Meetup Equation 1 through a
+  dense incidence matmul, the oracle of
+  :meth:`repro.core.quality.CooperationMatrix.from_group_memberships`'
+  in-place build, which must match it bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.assignment import UNASSIGNED, Assignment
 from repro.core.game import _lub_invalidate
 from repro.core.kernels import exact_group_select, greedy_group_select
+from repro.core.quality import DEFAULT_ALPHA, DEFAULT_BASE_QUALITY, CooperationMatrix
 from repro.core.stats import SolverStats
 from repro.core.tpg import EXACT_SEED_THRESHOLD, _combo_table
 
@@ -44,6 +49,7 @@ __all__ = [
     "reference_best_group",
     "reference_seed_groups",
     "stage_one_trace",
+    "reference_group_quality",
 ]
 
 def reference_counted_subset(
@@ -333,3 +339,34 @@ def stage_one_trace(
         [cache.members(task) for task in range(instance.task_count)],
         (cache.full_evaluations, cache.incremental_updates, cache.peel_kernel_calls),
     )
+
+
+def reference_group_quality(
+    memberships: Sequence[Iterable[int]],
+    base_quality: float = DEFAULT_BASE_QUALITY,
+    alpha: float = DEFAULT_ALPHA,
+) -> CooperationMatrix:
+    """The Meetup configuration of Equation 1 from a dense incidence
+    matrix: ``|common|`` is one ``(m, groups)`` matmul and ``|union|`` is
+    ``deg_i + deg_k - |common|``, each an ``(m, m)`` temporary."""
+    group_sets = [frozenset(groups) for groups in memberships]
+    count = len(group_sets)
+    prior = alpha * base_quality
+    if count == 0:
+        return CooperationMatrix(np.zeros((0, 0)), copy=False)
+
+    all_groups = sorted({g for groups in group_sets for g in groups})
+    group_index = {group: index for index, group in enumerate(all_groups)}
+    incidence = np.zeros((count, max(len(all_groups), 1)), dtype=np.float64)
+    for worker, groups in enumerate(group_sets):
+        for group in groups:
+            incidence[worker, group_index[group]] = 1.0
+
+    # |common| via one matmul; |union| = deg_i + deg_k - |common|.
+    common = incidence @ incidence.T
+    degrees = incidence.sum(axis=1)
+    union = degrees[:, None] + degrees[None, :] - common
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jaccard = np.where(union > 0, common / np.maximum(union, 1e-300), 0.0)
+    q = prior + (1.0 - alpha) * jaccard
+    return CooperationMatrix(q, copy=False)

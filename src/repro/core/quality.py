@@ -42,6 +42,9 @@ __all__ = [
 
 DEFAULT_BASE_QUALITY = 0.5
 DEFAULT_ALPHA = 0.5
+# Rows per Equation-1 pass of the in-place Meetup build: each pass's
+# temporaries are a few (rows, m) arrays, not (m, m) ones.
+_GROUP_QUALITY_BLOCK_ROWS = 128
 
 
 def estimate_pair_quality(
@@ -295,6 +298,14 @@ class CooperationMatrix(QualityReads):
         ``C_ik = |union|``. Two workers with no groups at all share no
         evidence, so their score is the prior ``alpha * base_quality``
         contribution only (the paper's formula with ``c_ik / C_ik = 0``).
+
+        The matrix is built in place and allocates no other ``(m, m)``
+        array: every group adds 1 to the ``|common|`` count of each pair
+        of its members, then Equation 1 overwrites the counts a block of
+        rows at a time, with ``|union| = deg_i + deg_k - |common|``. The
+        counts are small integers, exact in float64, so the result is
+        bit-identical to the dense incidence-matmul formula kept as
+        :func:`repro.audit.reference.reference_group_quality`.
         """
         group_sets = [frozenset(groups) for groups in memberships]
         count = len(group_sets)
@@ -302,20 +313,23 @@ class CooperationMatrix(QualityReads):
         if count == 0:
             return cls(np.zeros((0, 0)), copy=False)
 
-        all_groups = sorted({g for groups in group_sets for g in groups})
-        group_index = {group: index for index, group in enumerate(all_groups)}
-        incidence = np.zeros((count, max(len(all_groups), 1)), dtype=np.float64)
+        members_of: dict[int, list[int]] = {}
         for worker, groups in enumerate(group_sets):
             for group in groups:
-                incidence[worker, group_index[group]] = 1.0
+                members_of.setdefault(group, []).append(worker)
+        q = np.zeros((count, count), dtype=np.float64)
+        for members in members_of.values():
+            index = np.array(members, dtype=np.intp)
+            q[np.ix_(index, index)] += 1.0
 
-        # |common| via one matmul; |union| = deg_i + deg_k - |common|.
-        common = incidence @ incidence.T
-        degrees = incidence.sum(axis=1)
-        union = degrees[:, None] + degrees[None, :] - common
-        with np.errstate(divide="ignore", invalid="ignore"):
-            jaccard = np.where(union > 0, common / np.maximum(union, 1e-300), 0.0)
-        q = prior + (1.0 - alpha) * jaccard
+        degrees = np.array([len(groups) for groups in group_sets], dtype=np.float64)
+        for start in range(0, count, _GROUP_QUALITY_BLOCK_ROWS):
+            stop = start + _GROUP_QUALITY_BLOCK_ROWS
+            common = q[start:stop]
+            union = degrees[start:stop, None] + degrees[None, :] - common
+            with np.errstate(divide="ignore", invalid="ignore"):
+                jaccard = np.where(union > 0, common / np.maximum(union, 1e-300), 0.0)
+            common[...] = prior + (1.0 - alpha) * jaccard
         return cls(q, copy=False)
 
     @classmethod

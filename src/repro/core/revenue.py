@@ -549,7 +549,8 @@ class RevenueCache:
         is the counted subset's pair sum over ``capacity - 1`` (Equation
         2, inlined from :func:`group_revenue` bit for bit). Every group
         counts as one peel and one full evaluation, exactly as if it had
-        been scored one at a time.
+        been scored one at a time. Raises ``ValueError`` for a task of
+        capacity below 2 or a join that does not overflow.
         """
         buckets: dict[tuple[int, int], list[int]] = {}
         for index, task in enumerate(tasks):
@@ -557,6 +558,12 @@ class RevenueCache:
             buckets.setdefault(shape, []).append(index)
         gains = [0.0] * len(tasks)
         for (size, capacity), bucket in buckets.items():
+            if capacity < 2 or size <= capacity:
+                raise ValueError(
+                    "overflow_join_gains needs a join past a capacity of at "
+                    f"least 2; task {tasks[bucket[0]]} has capacity {capacity} "
+                    f"and the join makes {size} members"
+                )
             groups = np.array(
                 [self._members[tasks[i]] + [workers[i]] for i in bucket],
                 dtype=np.int64,

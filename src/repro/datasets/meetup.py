@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.quality import CooperationMatrix
 from repro.utils.rng import ensure_rng
 
-__all__ = ["MeetupDataset", "generate_meetup_dataset"]
+__all__ = ["MeetupDataset", "draw_meetup_population", "generate_meetup_dataset"]
 
 DEFAULT_USER_COUNT = 3525
 DEFAULT_EVENT_COUNT = 1282
@@ -91,6 +91,40 @@ def generate_meetup_dataset(
         district rather than from the whole city; higher values give
         stronger spatial-social correlation.
     """
+    user_locations, event_locations, memberships = draw_meetup_population(
+        user_count=user_count,
+        event_count=event_count,
+        group_count=group_count,
+        district_count=district_count,
+        mean_groups_per_user=mean_groups_per_user,
+        locality=locality,
+        seed=seed,
+    )
+    quality = CooperationMatrix.from_group_memberships(memberships)
+    return MeetupDataset(
+        user_locations=user_locations,
+        event_locations=event_locations,
+        memberships=tuple(frozenset(m) for m in memberships),
+        quality=quality,
+    )
+
+
+def draw_meetup_population(
+    user_count: int = DEFAULT_USER_COUNT,
+    event_count: int = DEFAULT_EVENT_COUNT,
+    group_count: int = DEFAULT_GROUP_COUNT,
+    district_count: int = DEFAULT_DISTRICT_COUNT,
+    mean_groups_per_user: float = 3.0,
+    locality: float = 0.7,
+    seed=None,
+) -> tuple[np.ndarray, np.ndarray, list[set[int]]]:
+    """The random part of :func:`generate_meetup_dataset`: ``(user
+    locations, event locations, memberships)``.
+
+    The cooperation matrix takes no draws, so a caller that brings its
+    own quality store gets the same locations from this alone, without
+    building the matrix.
+    """
     if not 0.0 <= locality <= 1.0:
         raise ValueError(f"locality must be in [0, 1], got {locality}")
     rng = ensure_rng(seed)
@@ -121,14 +155,7 @@ def generate_meetup_dataset(
         mean_groups_per_user=mean_groups_per_user,
         locality=locality,
     )
-
-    quality = CooperationMatrix.from_group_memberships(memberships)
-    return MeetupDataset(
-        user_locations=user_locations,
-        event_locations=event_locations,
-        memberships=tuple(frozenset(m) for m in memberships),
-        quality=quality,
-    )
+    return user_locations, event_locations, memberships
 
 
 def _generate_groups(

@@ -102,11 +102,10 @@ def build_population(settings: ExperimentSettings, seed=None, quality=None) -> P
     derives its matrix from group memberships and stays dense).
 
     ``quality`` overrides the cooperation store entirely — sweep-pool
-    workers pass an attached shared-memory store here. Synthetic datasets
-    then skip quality generation (locations are drawn first from the
-    same rng stream, so they match the creator's); the meetup surrogate
-    still derives its matrix internally, so the override only avoids the
-    per-process matrix copy, not the surrogate build.
+    workers pass an attached shared-memory store here. Every dataset then
+    skips quality generation: synthetic locations are drawn first from
+    the same rng stream, and the meetup surrogate's matrix takes no
+    draws, so the locations match the creator's either way.
     """
     if settings.dataset == "meetup":
         if settings.quality_backend == "sparse":
@@ -115,16 +114,19 @@ def build_population(settings: ExperimentSettings, seed=None, quality=None) -> P
                 "('unif'/'skew') only; the meetup surrogate derives a dense "
                 "Jaccard matrix from group memberships"
             )
-        from repro.datasets.meetup import generate_meetup_dataset
+        from repro.datasets.meetup import (
+            draw_meetup_population,
+            generate_meetup_dataset,
+        )
 
-        dataset = generate_meetup_dataset(seed=seed)
         if quality is not None:
+            user_locations, event_locations, _ = draw_meetup_population(seed=seed)
             return Population(
-                worker_locations=dataset.user_locations,
-                task_locations=dataset.event_locations,
+                worker_locations=user_locations,
+                task_locations=event_locations,
                 quality=quality,
             )
-        return Population.from_meetup(dataset)
+        return Population.from_meetup(generate_meetup_dataset(seed=seed))
     if settings.dataset in ("unif", "skew"):
         distribution = "uniform" if settings.dataset == "unif" else "skewed"
         worker_pool, task_pool = synthetic_pool_sizes(settings)

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: approach registry, runner, figure
 sweeps (scaled down) and reporting."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.config import (
@@ -105,6 +106,23 @@ class TestRunner:
         assert skew.worker_pool_size >= 40
         with pytest.raises(ValueError):
             build_population(ExperimentSettings(dataset="gowalla"), seed=0)
+
+    def test_meetup_quality_override_skips_the_matrix_build(self, monkeypatch):
+        # Sweep workers attach the creator's matrix; building their own
+        # would only be thrown away. The locations must still match.
+        from repro.core.quality import CooperationMatrix
+
+        settings = ExperimentSettings(dataset="meetup")
+        built = build_population(settings, seed=3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the override path built a Meetup matrix")
+
+        monkeypatch.setattr(CooperationMatrix, "from_group_memberships", refuse)
+        attached = build_population(settings, seed=3, quality=built.quality)
+        assert attached.quality is built.quality
+        assert np.array_equal(attached.worker_locations, built.worker_locations)
+        assert np.array_equal(attached.task_locations, built.task_locations)
 
     def test_run_approaches_shapes(self):
         population = build_population(QUICK, seed=0)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audit.reference import reference_group_quality
 from repro.core.quality import (
     CooperationMatrix,
     estimate_pair_quality,
 )
+from repro.datasets.meetup import generate_meetup_dataset
 from repro.utils.errors import InvalidInstanceError
 
 ratings = st.lists(st.floats(0, 1, allow_nan=False), max_size=10)
@@ -151,6 +153,77 @@ class TestMatrixConstruction:
     def test_random_community_validation(self):
         with pytest.raises(ValueError):
             CooperationMatrix.random_community(10, community_count=0)
+
+
+def _group_quality_or_error(build, memberships, **kwargs):
+    """``build``'s matrix values, or its exception type when it raises."""
+    try:
+        return build(memberships, **kwargs).values
+    except InvalidInstanceError as error:
+        return type(error)
+
+
+def _assert_matches_reference(memberships, **kwargs):
+    built = _group_quality_or_error(
+        CooperationMatrix.from_group_memberships, memberships, **kwargs
+    )
+    expected = _group_quality_or_error(reference_group_quality, memberships, **kwargs)
+    if isinstance(expected, type):
+        assert built is expected
+    else:
+        assert isinstance(built, np.ndarray)
+        assert np.array_equal(built, expected)
+
+
+group_ids = st.one_of(st.integers(0, 8), st.integers(-(2**64), 2**64))
+
+
+class TestGroupQualityOracle:
+    """The in-place Meetup build against the incidence-matmul formula,
+    bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_meetup_surrogate(self, seed):
+        dataset = generate_meetup_dataset(seed=seed)
+        expected = reference_group_quality(dataset.memberships)
+        assert np.array_equal(dataset.quality.values, expected.values)
+
+    @pytest.mark.parametrize(
+        "memberships",
+        [
+            [],
+            [{3}],
+            [set()],
+            [set(), set(), set()],
+            [{7}] * 5,
+            [{7}, set(), {7}, set()],
+            [{10**12, 5}, {5}, {2**70, 10**12}, {-3, 2**70}],
+            [[1, 1, 2], [2, 2], [1], [2, 1, 2, 1]],
+        ],
+        ids=[
+            "no-users",
+            "one-user",
+            "one-user-no-groups",
+            "no-groups",
+            "one-group-holds-everyone",
+            "one-group-and-loners",
+            "non-contiguous-large-ids",
+            "lists-with-duplicates",
+        ],
+    )
+    def test_hand_cases(self, memberships):
+        _assert_matches_reference(memberships)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        memberships=st.lists(st.lists(group_ids, max_size=6), max_size=14),
+        alpha=st.floats(0, 1),
+        base_quality=st.floats(0, 1),
+    )
+    def test_property_random_memberships(self, memberships, alpha, base_quality):
+        _assert_matches_reference(
+            memberships, alpha=alpha, base_quality=base_quality
+        )
 
 
 class TestMatrixQueries:

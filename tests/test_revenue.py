@@ -421,6 +421,19 @@ class TestRevenueCacheIncremental:
         )
         assert cache.peel_kernel_calls == 3
 
+    def test_overflow_join_gains_rejects_joins_that_need_no_peel(self):
+        # A capacity-1 task would divide the peel's pair sum by
+        # capacity - 1 == 0, and a join that fits has no peel to run:
+        # both raise instead of answering nan or a wrong gain.
+        q, cache = self.make_cache(capacities=(1, 4))
+        cache.join(0, 0)
+        cache.join(2, 1)
+        with pytest.raises(ValueError, match="past a capacity"):
+            cache.overflow_join_gains([1], [0])
+        with pytest.raises(ValueError, match="past a capacity"):
+            cache.overflow_join_gains([1, 3], [1, 0])
+        assert cache.peel_kernel_calls == cache.full_evaluations == 0
+
     def test_clone_copies_peel_counter(self):
         q, cache = self.make_cache(capacities=(2, 4))
         for worker in (0, 1, 2):
