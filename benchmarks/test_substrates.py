@@ -1,8 +1,9 @@
 """Micro-benchmarks for the substrates: the grid index, grid validity
 against its brute-force reference, TPG stage 1 against its from-scratch
-reference, the lockstep overflow peel against its scalar reference, the
-Meetup cooperation matrix against its incidence-matmul reference,
-max-flow, and the incremental revenue engine."""
+reference, the lockstep overflow peel against its scalar reference,
+task-local block reads against store reads, the Meetup cooperation
+matrix against its incidence-matmul reference, max-flow, and the
+incremental revenue engine."""
 
 import math
 
@@ -16,8 +17,9 @@ from repro.audit.reference import (
     stage_one_trace,
 )
 from repro.core.assignment import Assignment
-from repro.core.kernels import counted_subset_batch
+from repro.core.kernels import counted_subset_batch, cross_values
 from repro.core.quality import CooperationMatrix
+from repro.core.quality_store import StoreReads, task_blocks
 from repro.core.tpg import seed_groups
 from repro.core.validity import compute_valid_pairs, compute_valid_pairs_reference
 from repro.datasets.meetup import draw_meetup_population
@@ -144,6 +146,55 @@ def _reference_peels(quality, stacks):
 def test_overflow_peel(benchmark, peel_stacks, peel, oracle):
     quality, stacks = peel_stacks
     assert benchmark(peel, quality, stacks) == oracle(quality, stacks)
+
+
+@pytest.fixture(scope="module")
+def block_reads(hotpath_batch):
+    """A contended-shaped peel cube (512 groups of 9 watchers, each one
+    task's) and a slot scan (every validity slot's worker against up to
+    8 other watchers of its task), as worker ids and as positions of a
+    task-block reader whose blocks are all built: the read cost alone,
+    the build being the solve's ``blocks`` phase."""
+    instance, valid_pairs = hotpath_batch
+    blocks = task_blocks(instance.quality, valid_pairs)
+    rng = np.random.default_rng(7)
+    wide = [t for t, w in enumerate(valid_pairs.workers_for_task) if len(w) >= 9]
+    tasks = [wide[lane % len(wide)] for lane in range(512)]
+    groups = np.stack(
+        [np.sort(rng.choice(valid_pairs.workers_for_task[t], 9, replace=False)) for t in tasks]
+    )
+    slots = [
+        (worker, task, [m for m in valid_pairs.workers_for_task[task] if m != worker][:8])
+        for worker, task in valid_pairs.iter_pairs()
+        if len(valid_pairs.workers_for_task[task]) >= 9
+    ]
+    workers = np.array([worker for worker, _, _ in slots])[:, None]
+    members = np.array([others for _, _, others in slots])
+    slot_tasks = np.array([task for _, task, _ in slots])[:, None]
+    as_ids = (StoreReads(instance.quality), groups, workers, members)
+    as_positions = (
+        blocks,
+        blocks.locate(np.array(tasks)[:, None], groups),
+        blocks.locate(slot_tasks, workers),
+        blocks.locate(slot_tasks, members),
+    )
+    blocks.block(as_positions[1], as_positions[1])  # build every block read
+    blocks.block(as_positions[3], as_positions[3])
+    return {"blocks": as_positions, "store": as_ids}
+
+
+def _read_cube_and_scan(reads, groups, workers, members):
+    cube = reads.block(groups, groups)
+    toward, back = cross_values(reads, workers, members)
+    return cube, toward, back
+
+
+@pytest.mark.parametrize("reader", ["blocks", "store"])
+def test_task_block_reads(benchmark, block_reads, reader):
+    other = "store" if reader == "blocks" else "blocks"
+    values = benchmark(_read_cube_and_scan, *block_reads[reader])
+    for got, expected in zip(values, _read_cube_and_scan(*block_reads[other])):
+        assert np.array_equal(got, expected)
 
 
 @pytest.fixture(scope="module")

@@ -22,11 +22,17 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.model import Instance
+from repro.core.quality_store import SparseTaskBlocks
 from repro.core.revenue import RevenueCache
+from repro.core.validity import compute_valid_pairs
 from repro.audit.corpus import iter_corpus, save_corpus_entry
 from repro.audit.differential import (
     BACKENDS,
+    _with_backend,
+    block_parity,
     run_differential,
     run_sharded_check,
 )
@@ -38,6 +44,7 @@ __all__ = [
     "AuditOutcome",
     "SelfTestResult",
     "audit_instance",
+    "injected_block_bug",
     "injected_pair_sum_bug",
     "run_audit",
     "run_self_test",
@@ -259,15 +266,41 @@ def injected_pair_sum_bug(offset: float = 1.0):
         RevenueCache.join = original
 
 
+@contextmanager
+def injected_block_bug():
+    """Temporarily shift every sparse task block's value table by one.
+
+    A corrupted task-local block: each code then reads its neighbour's
+    value. Installed by monkeypatching
+    :meth:`SparseTaskBlocks._build_task`; the original method is always
+    restored.
+    """
+    original = SparseTaskBlocks._build_task
+
+    def buggy_build(self, task: int) -> None:
+        original(self, task)
+        _, _, start, end = self._tasks[task]
+        self._values[start:end] = np.roll(self._values[start:end], 1)
+
+    SparseTaskBlocks._build_task = buggy_build
+    try:
+        yield
+    finally:
+        SparseTaskBlocks._build_task = original
+
+
 @dataclass(frozen=True)
 class SelfTestResult:
-    """Outcome of one mutation self-test run."""
+    """Outcome of one mutation self-test run: the injected pair-sum bug
+    (detected, where, shrunk to what) and the corrupted task block
+    (``block_bug_detected`` by the ``block-parity`` axis)."""
 
     detected: bool
     instances_until_detection: int
     shrunk_workers: int
     shrunk_tasks: int
     findings: tuple[AuditFinding, ...] = ()
+    block_bug_detected: bool = False
 
     def summary(self) -> str:
         if not self.detected:
@@ -275,10 +308,13 @@ class SelfTestResult:
                 "self-test FAILED: injected pair-sum bug not detected "
                 f"within {self.instances_until_detection} instance(s)"
             )
+        if not self.block_bug_detected:
+            return "self-test FAILED: corrupted task block not flagged"
         return (
             "self-test passed: injected pair-sum bug detected after "
             f"{self.instances_until_detection} instance(s), shrunk to "
-            f"{self.shrunk_workers} worker(s) / {self.shrunk_tasks} task(s)"
+            f"{self.shrunk_workers} worker(s) / {self.shrunk_tasks} task(s); "
+            "corrupted task block flagged by block-parity"
         )
 
 
@@ -296,8 +332,10 @@ def run_self_test(
     auditor's oracle recomputation flags regardless of which solver
     built the assignment. Runs entirely under
     :func:`injected_pair_sum_bug`, including the shrink, and reports the
-    minimal repro size.
+    minimal repro size. Then, under :func:`injected_block_bug`, the
+    ``block-parity`` axis must flag the corrupted sparse task blocks.
     """
+    block_bug_detected = _block_bug_flagged(seed, max_instances)
     with injected_pair_sum_bug(offset):
 
         def audit(instance: Instance) -> list[AuditFinding]:
@@ -321,10 +359,25 @@ def run_self_test(
                 shrunk_workers=shrunk.worker_count,
                 shrunk_tasks=shrunk.task_count,
                 findings=tuple(audit(shrunk)),
+                block_bug_detected=block_bug_detected,
             )
     return SelfTestResult(
         detected=False,
         instances_until_detection=max_instances,
         shrunk_workers=0,
         shrunk_tasks=0,
+        block_bug_detected=block_bug_detected,
     )
+
+
+def _block_bug_flagged(seed: int, max_instances: int) -> bool:
+    """Whether ``block-parity`` flags :func:`injected_block_bug` on one
+    of the first ``max_instances`` fuzzed instances, on the sparse
+    backend."""
+    with injected_block_bug():
+        for index in range(max_instances):
+            instance, _ = _with_backend(fuzz_instance((seed, index)), "sparse")
+            findings = block_parity("sparse", instance, compute_valid_pairs(instance))
+            if any(finding.check == "block-parity" for finding in findings):
+                return True
+    return False

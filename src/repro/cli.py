@@ -320,7 +320,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.self_test:
         result = run_self_test(seed=args.seed)
         print(result.summary())
-        if not result.detected:
+        if not (result.detected and result.block_bug_detected):
             return 1
         if result.shrunk_workers > 6 or result.shrunk_tasks > 3:
             print(

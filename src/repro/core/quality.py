@@ -15,12 +15,14 @@ constructors for every way the paper obtains these scores:
   :meth:`CooperationMatrix.random_community` — synthetic matrices for the
   UNIF/SKEW experiments and for tests.
 
-Every quality store answers reads through two primitives — ``block``
-(a block of ordered pairs) and ``cross_values`` (a worker's row and
-column over a member list) — plus an uncached ``q_row``.
-:class:`QualityReads` writes every other read once on top of them, so
-each backend feeds the same floats through the same reduction, Equation
-2's one left-to-right order (:func:`~repro.core.kernels.ordered_row_sums`).
+Every quality store answers reads through one primitive, ``block`` (a
+block of ordered pairs, with leading batch dimensions), plus an uncached
+``q_row``. :class:`QualityReads` writes every other read once on top of
+them, so each backend feeds the same floats through the same reduction,
+Equation 2's one left-to-right order
+(:func:`~repro.core.kernels.ordered_row_sums`). The solvers read
+task-local blocks instead (:mod:`repro.core.quality_store`); these reads
+serve the oracles, the baselines and the tests.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.kernels import ordered_row_sums
+from repro.core.kernels import cross_values, ordered_row_sums
 from repro.utils.errors import InvalidInstanceError
 from repro.utils.rng import ensure_rng
 
@@ -165,13 +167,12 @@ def history_pair_values(
 class QualityReads:
     """The reads every quality store derives from its primitives.
 
-    A backend implements ``block(rows, cols)``, ``cross_values(workers,
-    members)`` and ``q_row(worker)``; this base writes the pair lookup,
-    Equation 2's pair sums, the cross sum of a join and the Lemma
-    V.2/V.3 row extremes once over them. Both primitives return
-    C-contiguous float64 arrays with 0 wherever the two ids are equal,
-    so every backend reduces the same floats in the same order; callers
-    only read ``cross_values``' arrays, which may be one array twice.
+    A backend implements ``block(rows, cols)`` and ``q_row(worker)``;
+    this base writes the pair lookup, Equation 2's pair sums, the cross
+    sum of a join and the Lemma V.2/V.3 row extremes once over them.
+    ``block`` returns a C-contiguous float64 array with 0 wherever the
+    two ids are equal, so every backend reduces the same floats in the
+    same order.
     """
 
     __slots__ = ()
@@ -207,9 +208,10 @@ class QualityReads:
         i.e. exactly the increase of :meth:`ordered_pair_sum` when
         ``worker`` joins. The row part and the column part are each
         summed left to right over ``members`` in the given order, then
-        added.
+        added. Both parts come from one ``block`` read
+        (:func:`~repro.core.kernels.cross_values`).
         """
-        toward, back = self.cross_values(worker, members)
+        toward, back = cross_values(self, worker, members)
         return float(ordered_row_sums(toward) + ordered_row_sums(back))
 
     def top_qualities(self, worker: int, count: int) -> np.ndarray:
@@ -399,13 +401,8 @@ class CooperationMatrix(QualityReads):
         """
         rows = np.asarray(rows, dtype=np.intp)[..., :, None]
         cols = np.asarray(cols, dtype=np.intp)[..., None, :]
-        return np.ascontiguousarray(self._q[rows, cols], dtype=np.float64)
-
-    def cross_values(self, workers, members) -> tuple[np.ndarray, np.ndarray]:
-        """``(q[workers, members], q[members, workers])``, broadcast."""
-        workers = np.asarray(workers, dtype=np.intp)
-        members = np.asarray(members, dtype=np.intp)
-        return self._q[workers, members], self._q[members, workers]
+        # Advanced indexing always returns a fresh C-contiguous copy.
+        return self._q[rows, cols]
 
     def q_row(self, worker: int) -> np.ndarray:
         """Read-only view of row ``worker``: ``q_worker(w_k)`` for all k."""

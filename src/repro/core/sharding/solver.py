@@ -270,6 +270,10 @@ def solve_sharded(
     shard_seconds = [float(outcome["seconds"]) for outcome in outcomes]
 
     merge_started = time.perf_counter()
+    # The merged assignment reads the store: the replay reads each task
+    # once and the halo passes touch few pairs per task, so building
+    # their task blocks costs more than it saves (the border seeding's
+    # stage 1 builds its own).
     assignment = merge_shard_pairs(
         instance,
         valid_pairs,

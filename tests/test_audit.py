@@ -35,7 +35,7 @@ from repro.audit import (
     shrink_instance,
 )
 from repro.audit.fuzzer import FuzzConfig
-from repro.audit.runner import DEFAULT_CORPUS_DIR
+from repro.audit.runner import DEFAULT_CORPUS_DIR, injected_block_bug
 from repro.core.assignment import Assignment
 from repro.core.validity import compute_valid_pairs
 from repro.experiments.config import make_solver
@@ -371,6 +371,15 @@ class TestMutationSelfTest:
         assert result.shrunk_tasks <= 3
         checks = {finding.check for finding in result.findings}
         assert "equation2" in checks or "revenue-drift" in checks
+
+    def test_corrupted_task_block_is_flagged_and_restored(self):
+        from repro.core.quality_store import SparseTaskBlocks
+
+        assert run_self_test(seed=0).block_bug_detected
+        original = SparseTaskBlocks._build_task
+        with injected_block_bug():
+            assert SparseTaskBlocks._build_task is not original
+        assert SparseTaskBlocks._build_task is original
 
     def test_mutation_restores_join(self):
         from repro.core.revenue import RevenueCache

@@ -570,9 +570,10 @@ class TestRestrictedPrepass:
         scored: list[int] = []
         kernel = game.score_candidates
 
-        def recording(*args, worker_ids=None, **kwargs):
-            scored.extend(worker_ids.tolist())
-            return kernel(*args, worker_ids=worker_ids, **kwargs)
+        def recording(reads, vp_indptr, *args, positions=None, **kwargs):
+            # Each scored slot's worker, from its position in its task.
+            scored.extend(reads.worker_ids(positions).tolist())
+            return kernel(reads, vp_indptr, *args, positions=positions, **kwargs)
 
         monkeypatch.setattr(game, "score_candidates", recording)
         instance = make_dense_instance(60, 12, seed=3)

@@ -38,10 +38,11 @@ from repro.core.quality import CooperationMatrix
 from repro.core.quality_store import (
     SharedDenseQualityStore,
     SparseQualityStore,
+    task_blocks,
 )
 from repro.core.revenue import RevenueCache
 from repro.core.tpg import solve_tpg
-from repro.core.validity import compute_valid_pairs
+from repro.core.validity import ValidPairs, compute_valid_pairs
 from tests.conftest import make_dense_instance
 from tests.test_revenue import _backend_quality
 
@@ -367,10 +368,12 @@ class TestGatherBlock:
 
 
 class TestGatherSymmetric:
-    """Stage 1's sparse symmetric block comes from the candidates' row
-    segments (``SparseQualityStore.block_entries``); filled with
-    ``2 * prior``, the entries scattered back and the diagonal zeroed, it
-    must equal the store's own block and the dense block exactly."""
+    """Stage 1's symmetric block comes from the task-local block
+    (``quality_store.SparseTaskBlocks``: codes into a small value table,
+    scattered from the watchers' row segments); its live block plus its
+    transpose must equal the store's own block and the dense block
+    exactly, and the codes must mark the prior, the diagonal and the
+    stored entries."""
 
     @staticmethod
     def _sparse(seed: int):
@@ -398,19 +401,26 @@ class TestGatherSymmetric:
         for seed in range(3):
             dense, sparse = self._sparse(seed)
             index = np.asarray(index)
-            positions, values = sparse.block_entries(index)
-            scattered = np.full(index.size * index.size, 2 * 0.4)
-            scattered[positions] = values
-            scattered = scattered.reshape(index.size, index.size)
-            np.fill_diagonal(scattered, 0.0)
+            # One task watched by exactly the indexed workers.
+            pairs = ValidPairs.from_worker_lists(
+                [[0] if worker in index else [] for worker in range(30)], 1
+            )
+            reader = task_blocks(sparse, pairs)
+            positions = reader.locate(0, index)
+            assert np.array_equal(reader.worker_ids(positions), index)
+            sub = reader.block(positions, positions)
             searched = sparse.block(index, index)
-            sub = dense.block(index, index)
-            assert np.array_equal(scattered, searched + searched.T)
-            assert np.array_equal(scattered, sub + sub.T)
-            # Only the entries that differ from the default, off the
-            # diagonal.
-            assert not np.any(values == 2 * 0.4)
-            assert not np.any(positions % (index.size + 1) == 0)
+            assert np.array_equal(sub, searched)
+            assert np.array_equal(sub + sub.T, searched + searched.T)
+            gathered = dense.block(index, index)
+            assert np.array_equal(sub + sub.T, gathered + gathered.T)
+            ids = np.sort(index)
+            codes = reader.codes(0)
+            diagonal = np.eye(ids.size, dtype=bool)
+            stored = (dense.block(ids, ids) != 0.4) & ~diagonal
+            assert np.array_equal(codes == 1, diagonal)
+            assert np.array_equal(codes >= 2, stored)
+            assert reader.built == 1
 
 
 class TestPeelPairSum:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.fallback import FallbackSolver
 from repro.core.game import solve_game_theoretic
+from repro.core.kernels import cross_values
 from repro.core.model import Instance
 from repro.core.quality import CooperationMatrix
 from repro.core.quality_store import (
@@ -103,18 +104,23 @@ class TestSparseStoreParity:
         everyone = np.arange(dense.size)
         for worker in (0, 13, 59):
             assert np.array_equal(sparse.q_row(worker), dense.q_row(worker))
-            toward, back = sparse.cross_values(worker, everyone)
+            toward, back = cross_values(sparse, worker, everyone)
             assert np.array_equal(toward, dense.values[worker])
             assert np.array_equal(back, dense.values[:, worker])
         # Broadcast: one row of members per worker.
         workers = np.array([[4], [13], [40]])
         members = np.array([[4, 9, 13], [40, 2, 13], [7, 40, 59]])
         for got, expected in zip(
-            sparse.cross_values(workers, members),
-            dense.cross_values(workers, members),
+            cross_values(sparse, workers, members),
+            cross_values(dense, workers, members),
         ):
             assert got.shape == (3, 3)
             assert np.array_equal(got, expected)
+        # The elementwise block both orientations come from.
+        assert np.array_equal(
+            sparse.block(workers[..., None], members[..., None])[..., 0, 0],
+            dense.values[workers, members],
+        )
         assert repr(sparse.pair(3, 44)) == repr(dense.pair(3, 44))
         assert repr(sparse.pair(44, 3)) == repr(dense.pair(44, 3))
         with pytest.raises(ValueError, match="self-pair"):
@@ -186,8 +192,8 @@ class TestSparseStoreParity:
 
 
 class TestAsymmetricStoreParity(TestSparseStoreParity):
-    """The same reads on an asymmetric store, whose column orientation is
-    kept apart from its row orientation."""
+    """The same reads on an asymmetric store, whose two orientations of a
+    pair are different stored entries."""
 
     @staticmethod
     def matrix() -> CooperationMatrix:
@@ -222,8 +228,8 @@ class TestOutOfRangeIds:
         [
             lambda q: q.block([0], [5]),
             lambda q: q.block([5], [0]),
-            lambda q: q.cross_values(0, [5]),
-            lambda q: q.cross_values(5, [0]),
+            lambda q: q.cross_sum(0, [5]),
+            lambda q: q.cross_sum(5, [0]),
             lambda q: q.q_row(5),
             lambda q: q.pair(0, 5),
             lambda q: q.pair(5, 0),

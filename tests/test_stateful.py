@@ -9,7 +9,8 @@ Three rule-based state machines drive long random operation sequences:
   (incremental pair sums and revenues must never drift);
 * the RevenueCache directly, with random join/leave/exchange moves
   including deep overflow states, against :func:`group_revenue` — the
-  incremental engine's determinism contract.
+  incremental engine's determinism contract — and the same moves on a
+  cache reading task-local blocks, in lockstep with a store-reading one.
 """
 
 import numpy as np
@@ -25,7 +26,9 @@ from hypothesis.stateful import (
 
 from repro.core.assignment import UNASSIGNED, Assignment
 from repro.core.quality import CooperationMatrix
+from repro.core.quality_store import SparseQualityStore, task_blocks
 from repro.core.revenue import RevenueCache, best_counted_subset, group_revenue
+from repro.core.validity import ValidPairs
 from repro.spatial.geometry import Point
 from repro.spatial.grid import GridIndex
 
@@ -216,6 +219,68 @@ class RevenueCacheMachine(RuleBasedStateMachine):
         assert abs(self.cache.total() - self.cache.recompute_total()) < 1e-9
 
 
+def _plain(value):
+    """A repr-comparable copy of a cache field (arrays as typed lists)."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.tolist())
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    return value
+
+
+class _Lockstep:
+    """Applies every mutation to each cache in turn; reads the last."""
+
+    MUTATIONS = ("join", "leave", "exchange", "clear")
+
+    def __init__(self, *caches):
+        self.caches = caches
+
+    def __getattr__(self, name):
+        if name not in self.MUTATIONS:
+            return getattr(self.caches[-1], name)
+
+        def apply(*args, **kwargs):
+            for cache in self.caches:
+                getattr(cache, name)(*args, **kwargs)
+
+        return apply
+
+
+class TaskBlockCacheMachine(RevenueCacheMachine):
+    """The RevenueCache machine's moves on a cache that reads task-local
+    blocks of an asymmetric sparse store (every worker watches every
+    task, so a worker's position differs from its id), in lockstep with
+    a cache reading the same store directly: after every step the two
+    ``state_dict``s are equal bit for bit, the reader and its cached
+    member positions aside."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(23)
+        # One decimal: many entries sit at the prior, others are stored,
+        # and q[i, k] != q[k, i] in general.
+        self.quality = CooperationMatrix(
+            np.round(rng.uniform(size=(self.WORKERS, self.WORKERS)), 1)
+        )
+        store = SparseQualityStore.from_dense(self.quality, prior=0.5)
+        pairs = ValidPairs.from_worker_lists(
+            [range(len(self.capacities))] * self.WORKERS, len(self.capacities)
+        )
+        blocked = RevenueCache(store, self.capacities, self.minimum)
+        blocked.use_reads(task_blocks(store, pairs))
+        self.cache = _Lockstep(
+            RevenueCache(store, self.capacities, self.minimum), blocked
+        )
+
+    @invariant()
+    def state_matches_the_store_reading_cache(self):
+        plain, blocked = (cache.state_dict() for cache in self.cache.caches)
+        for state in (plain, blocked):
+            del state["reads"], state["_member_positions"]
+        assert repr(_plain(blocked)) == repr(_plain(plain))
+
+
 TestRevenueCacheStateful = RevenueCacheMachine.TestCase
 TestRevenueCacheStateful.settings = settings(
     max_examples=30, stateful_step_count=60, deadline=None
@@ -229,4 +294,9 @@ TestGridIndexStateful.settings = settings(
 TestAssignmentStateful = AssignmentMachine.TestCase
 TestAssignmentStateful.settings = settings(
     max_examples=25, stateful_step_count=50, deadline=None
+)
+
+TestTaskBlockCacheStateful = TaskBlockCacheMachine.TestCase
+TestTaskBlockCacheStateful.settings = settings(
+    max_examples=30, stateful_step_count=60, deadline=None
 )
