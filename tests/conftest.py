@@ -99,6 +99,7 @@ def example1():
 def one_task_blocks(quality, candidates):
     """TPG stage 1's block cache over one task whose valid workers are
     ``candidates``, with every worker available: ``(blocks, available)``."""
+    from repro.core.quality_store import task_blocks
     from repro.core.tpg import _CandidateBlocks
 
     wanted = set(candidates)
@@ -106,4 +107,4 @@ def one_task_blocks(quality, candidates):
         [[0] if worker in wanted else [] for worker in range(quality.size)], 1
     )
     available = np.ones(quality.size, dtype=bool)
-    return _CandidateBlocks(quality, pairs, available), available
+    return _CandidateBlocks(task_blocks(quality, pairs), pairs, available), available
