@@ -15,8 +15,9 @@ they disagree:
   {approaches} x {quality backends} on one instance and flags any
   divergence between combinations documented as identical;
 * :mod:`repro.audit.reference` — the bit-exact scalar evaluations the
-  batched kernels replaced (greedy counted-subset peel, per-candidate
-  ``join_gain`` scan), kept as oracles for the kernel unit tests;
+  batched kernels replaced (greedy counted-subset peel, one join gain
+  or leave delta read through the store, the per-candidate scan, the
+  Nash deviation check), kept as oracles for the kernel unit tests;
 * :mod:`repro.audit.fuzzer` — seeded boundary-biased instance generation
   (capacity == B, zero-speed workers, expired deadlines, duplicate
   locations, tie-heavy dyadic qualities);
@@ -26,7 +27,8 @@ they disagree:
   ``tests/data/audit_corpus/``;
 * :mod:`repro.audit.runner` — the ``repro audit`` session: corpus replay
   followed by budgeted fuzzing, plus the mutation-style self-test that
-  proves the harness catches an injected pair-sum off-by-one.
+  proves the harness catches an injected pair-sum off-by-one, a
+  corrupted task block and a one-ulp shift of the join kernel.
 
 See docs/AUDIT.md for the harness design and the corpus triage workflow.
 """

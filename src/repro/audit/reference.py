@@ -11,12 +11,16 @@ compare the kernels against them repr-exactly.
 * :func:`reference_counted_subset` — the greedy peel, one
   ``cross_sum`` per member per peeled worker, sharing no code with the
   lockstep peel kernel;
+* :func:`reference_join_gain` / :func:`reference_leave_delta` — one
+  join gain or leave delta read through the store, the oracles of
+  ``RevenueCache.join_gains`` / ``leave_deltas``;
 * :func:`reference_utilities` / :func:`reference_best_alternative` — a
-  worker's best-response scan as one scalar ``join_gain`` per candidate;
+  worker's best-response scan as one scalar evaluation per candidate;
 * :func:`reference_round` — a GT best-response round as a per-worker
   loop over that scan, the oracle of
   :meth:`repro.core.game._BestResponseDynamics.run_round`'s bulk
   classification: moves, gains, LUB invalidations and scan counters;
+* :func:`verify_nash_equilibrium` — a profile's profitable deviations;
 * :func:`reference_best_group` / :func:`reference_seed_groups` — TPG
   stage 1 with every evaluation gathered from scratch through the
   store's own ``block`` and every commit a sequential ``assign``, the
@@ -38,11 +42,14 @@ from repro.core.assignment import UNASSIGNED, Assignment
 from repro.core.game import _lub_invalidate
 from repro.core.kernels import exact_group_select, greedy_group_select
 from repro.core.quality import DEFAULT_ALPHA, DEFAULT_BASE_QUALITY, CooperationMatrix
+from repro.core.revenue import RevenueCache
 from repro.core.stats import SolverStats
 from repro.core.tpg import EXACT_SEED_THRESHOLD, _combo_table
 
 __all__ = [
     "reference_counted_subset",
+    "reference_join_gain",
+    "reference_leave_delta",
     "reference_utilities",
     "reference_best_alternative",
     "reference_round",
@@ -50,6 +57,7 @@ __all__ = [
     "reference_seed_groups",
     "stage_one_trace",
     "reference_group_quality",
+    "verify_nash_equilibrium",
 ]
 
 def reference_counted_subset(
@@ -77,21 +85,72 @@ def reference_counted_subset(
     return kept
 
 
+def reference_join_gain(cache: RevenueCache, worker: int, task: int) -> float:
+    """``DeltaQ`` of the idle ``worker`` joining ``task``, read through
+    the cache's store: ``0 - Q`` below ``B``, for a singleton group or
+    under a capacity of 2; within capacity the cached pair sum plus the
+    store's ``cross_sum`` over the members; over capacity the reference
+    peel's ``submatrix_sum``."""
+    members = cache.member_list(task)
+    if worker in members:
+        raise ValueError(f"worker {worker} is already a member of task {task}")
+    store, revenue = cache.quality, float(cache.revenues[task])
+    size, capacity = len(members) + 1, int(cache.capacities[task])
+    if size < cache.min_group_size or size < 2 or capacity < 2:
+        return 0.0 - revenue
+    if size <= capacity:
+        cross = store.cross_sum(worker, members)
+        return (float(cache.pair_sums[task]) + cross) / (size - 1) - revenue
+    kept = reference_counted_subset(store, [*members, worker], capacity)
+    return store.submatrix_sum(np.asarray(kept)) / (capacity - 1) - revenue
+
+
+def reference_leave_delta(cache: RevenueCache, worker: int, task: int) -> float:
+    """``Q(W_j) - Q(W_j - {w_i})`` of the member ``worker`` of ``task``,
+    read through the cache's store: the whole revenue when the survivors
+    fall below ``B`` or to one or the capacity is below 2; within
+    capacity the cached pair sum less the store's ``cross_sum`` over the
+    survivors; over capacity the survivors' ``submatrix_sum``, peeled
+    first if they do not fit."""
+    members = cache.member_list(task)
+    if worker not in members:
+        raise ValueError(f"worker {worker} is not a member of task {task}")
+    store, current = cache.quality, float(cache.revenues[task])
+    count, capacity = len(members), int(cache.capacities[task])
+    if count - 1 < cache.min_group_size or count - 1 < 2 or capacity < 2:
+        return current
+    rest = [member for member in members if member != worker]
+    if count <= capacity:
+        cross = store.cross_sum(worker, rest)
+        return current - (float(cache.pair_sums[task]) - cross) / (count - 2)
+    if count - 1 <= capacity:
+        return current - store.submatrix_sum(np.asarray(rest)) / (count - 2)
+    kept = reference_counted_subset(store, rest, capacity)
+    return current - store.submatrix_sum(np.asarray(kept)) / (capacity - 1)
+
+
+def _current_utility(assignment: Assignment, worker: int) -> float:
+    """The worker's Equation-5 utility at its task; 0.0 when idle."""
+    task = assignment.task_of(worker)
+    if task == UNASSIGNED:
+        return 0.0
+    return reference_leave_delta(assignment.revenue_cache, worker, task)
+
+
 def reference_utilities(
     assignment: Assignment, worker: int, tasks: Sequence[int]
 ) -> list[float]:
-    """Equation-5 utility of each of ``tasks`` for ``worker``.
-
-    One scalar evaluation per task: ``leave_delta`` for the worker's own
-    task, ``join_gain`` for every other — the floats the batched scan
-    (:func:`~repro.core.kernels.score_candidates` plus the scalar fill of
-    its deferred slots) must reproduce.
-    """
+    """Equation-5 utility of each of ``tasks`` for ``worker``: the
+    scalar :func:`reference_leave_delta` for the worker's own task,
+    :func:`reference_join_gain` for every other — the floats the batched
+    scan (:func:`~repro.core.kernels.score_candidates` plus the revenue
+    cache's fill of its other slots) must reproduce."""
+    cache = assignment.revenue_cache
     current = assignment.task_of(worker)
     return [
-        assignment.leave_delta(worker)
+        reference_leave_delta(cache, worker, task)
         if task == current
-        else assignment.join_gain(worker, task)
+        else reference_join_gain(cache, worker, task)
         for task in tasks
     ]
 
@@ -122,7 +181,7 @@ def reference_round(
     """One GT best-response round (Algorithm 3) as a per-worker loop.
 
     Each worker of ``order`` in turn: its current utility is
-    ``leave_delta``; with ``lazy_update`` and a clean cache it re-reads
+    :func:`reference_leave_delta`; with ``lazy_update`` and a clean cache it re-reads
     its cached task (LUB), otherwise it scans every candidate
     (:func:`reference_best_alternative`). A best utility at or below
     ``tolerance`` means idle; the worker moves when the best beats its
@@ -150,7 +209,7 @@ def reference_round(
     for worker in (int(worker) for worker in order):
         tasks = valid_pairs.tasks_for_worker[worker]
         current_task = assignment.task_of(worker)
-        current_utility = assignment.leave_delta(worker)
+        current_utility = _current_utility(assignment, worker)
         if lazy_update and not dirty[worker]:
             stats.cache_hits += 1
             stats.gain_evaluations += 1
@@ -160,7 +219,9 @@ def reference_round(
             elif best_task == current_task:
                 best_utility = current_utility
             else:
-                best_utility = assignment.join_gain(worker, best_task)
+                best_utility = reference_join_gain(
+                    assignment.revenue_cache, worker, best_task
+                )
         else:
             if tasks:
                 stamp = sum(versions[task] for task in tasks)
@@ -370,3 +431,25 @@ def reference_group_quality(
         jaccard = np.where(union > 0, common / np.maximum(union, 1e-300), 0.0)
     q = prior + (1.0 - alpha) * jaccard
     return CooperationMatrix(q, copy=False)
+
+
+def verify_nash_equilibrium(
+    assignment: Assignment, valid_pairs, tolerance: float = 1e-6
+) -> list[tuple[int, int, float]]:
+    """All profitable unilateral deviations, as ``(worker, task, gain)``,
+    each utility one scalar oracle evaluation.
+
+    Empty iff the assignment is a pure Nash equilibrium (up to
+    ``tolerance``). ``task = UNASSIGNED`` denotes the idle deviation.
+    """
+    deviations: list[tuple[int, int, float]] = []
+    for worker in range(assignment.instance.worker_count):
+        current_task = assignment.task_of(worker)
+        current_utility = _current_utility(assignment, worker)
+        if current_utility < -tolerance:
+            deviations.append((worker, UNASSIGNED, -current_utility))
+        tasks = [t for t in valid_pairs.tasks_for_worker[worker] if t != current_task]
+        for task, gain in zip(tasks, reference_utilities(assignment, worker, tasks)):
+            if gain > current_utility + tolerance:
+                deviations.append((worker, task, gain - current_utility))
+    return deviations

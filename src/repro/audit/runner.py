@@ -11,8 +11,11 @@ ones into the corpus — see docs/AUDIT.md).
 deliberate pair-sum off-by-one into :class:`~repro.core.revenue.
 RevenueCache` (mutation testing in miniature), then asserts the audit
 loop detects the divergence and shrinks the repro to a handful of
-workers. A harness that cannot catch the class of bug it exists for is
-worse than none — this keeps it honest on every CI run.
+workers. It also corrupts a sparse task block and shifts the shared
+join kernel by one ulp, and asserts the ``block-parity`` and
+``round-parity`` axes flag them. A harness that cannot catch the class
+of bug it exists for is worse than none — this keeps it honest on every
+CI run.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import kernels, revenue
 from repro.core.model import Instance
 from repro.core.quality_store import SparseTaskBlocks
 from repro.core.revenue import RevenueCache
@@ -31,6 +35,7 @@ from repro.core.validity import compute_valid_pairs
 from repro.audit.corpus import iter_corpus, save_corpus_entry
 from repro.audit.differential import (
     BACKENDS,
+    _round_parity,
     _with_backend,
     block_parity,
     run_differential,
@@ -45,6 +50,7 @@ __all__ = [
     "SelfTestResult",
     "audit_instance",
     "injected_block_bug",
+    "injected_join_gain_bug",
     "injected_pair_sum_bug",
     "run_audit",
     "run_self_test",
@@ -289,11 +295,30 @@ def injected_block_bug():
         SparseTaskBlocks._build_task = original
 
 
+@contextmanager
+def injected_join_gain_bug():
+    """Temporarily shift every within-capacity join gain by one ulp, in
+    the join kernel GT's scan and ``RevenueCache.join_gains`` share
+    (:func:`~repro.core.kernels.fit_join_gains`). The round oracle reads
+    the store itself, so ``round-parity`` must flag the shift."""
+    original = kernels.fit_join_gains
+
+    def buggy_gains(*args):
+        return np.nextafter(original(*args), np.inf)
+
+    kernels.fit_join_gains = revenue.fit_join_gains = buggy_gains
+    try:
+        yield
+    finally:
+        kernels.fit_join_gains = revenue.fit_join_gains = original
+
+
 @dataclass(frozen=True)
 class SelfTestResult:
     """Outcome of one mutation self-test run: the injected pair-sum bug
-    (detected, where, shrunk to what) and the corrupted task block
-    (``block_bug_detected`` by the ``block-parity`` axis)."""
+    (detected, where, shrunk to what), the corrupted task block
+    (``block_bug_detected`` by the ``block-parity`` axis) and the
+    shifted join kernel (``join_gain_bug_detected`` by ``round-parity``)."""
 
     detected: bool
     instances_until_detection: int
@@ -301,6 +326,7 @@ class SelfTestResult:
     shrunk_tasks: int
     findings: tuple[AuditFinding, ...] = ()
     block_bug_detected: bool = False
+    join_gain_bug_detected: bool = False
 
     def summary(self) -> str:
         if not self.detected:
@@ -310,11 +336,14 @@ class SelfTestResult:
             )
         if not self.block_bug_detected:
             return "self-test FAILED: corrupted task block not flagged"
+        if not self.join_gain_bug_detected:
+            return "self-test FAILED: shifted join gains not flagged by round-parity"
         return (
             "self-test passed: injected pair-sum bug detected after "
             f"{self.instances_until_detection} instance(s), shrunk to "
             f"{self.shrunk_workers} worker(s) / {self.shrunk_tasks} task(s); "
-            "corrupted task block flagged by block-parity"
+            "corrupted task block flagged by block-parity; "
+            "shifted join gains flagged by round-parity"
         )
 
 
@@ -333,9 +362,26 @@ def run_self_test(
     built the assignment. Runs entirely under
     :func:`injected_pair_sum_bug`, including the shrink, and reports the
     minimal repro size. Then, under :func:`injected_block_bug`, the
-    ``block-parity`` axis must flag the corrupted sparse task blocks.
+    ``block-parity`` axis must flag the corrupted sparse task blocks, and
+    under :func:`injected_join_gain_bug` the ``round-parity`` axis the
+    shifted join gains.
     """
-    block_bug_detected = _block_bug_flagged(seed, max_instances)
+    def block_flagged(instance: Instance) -> bool:
+        instance, _ = _with_backend(instance, "sparse")
+        findings = block_parity("sparse", instance, compute_valid_pairs(instance))
+        return any(finding.check == "block-parity" for finding in findings)
+
+    def rounds_flagged(instance: Instance) -> bool:
+        pairs = compute_valid_pairs(instance)
+        return bool(_round_parity(instance, pairs, lazy_update=False, seed=seed))
+
+    block_bug_detected, join_gain_bug_detected = (
+        _flagged(mutation, check, seed, max_instances)
+        for mutation, check in (
+            (injected_block_bug, block_flagged),
+            (injected_join_gain_bug, rounds_flagged),
+        )
+    )
     with injected_pair_sum_bug(offset):
 
         def audit(instance: Instance) -> list[AuditFinding]:
@@ -360,6 +406,7 @@ def run_self_test(
                 shrunk_tasks=shrunk.task_count,
                 findings=tuple(audit(shrunk)),
                 block_bug_detected=block_bug_detected,
+                join_gain_bug_detected=join_gain_bug_detected,
             )
     return SelfTestResult(
         detected=False,
@@ -367,17 +414,12 @@ def run_self_test(
         shrunk_workers=0,
         shrunk_tasks=0,
         block_bug_detected=block_bug_detected,
+        join_gain_bug_detected=join_gain_bug_detected,
     )
 
 
-def _block_bug_flagged(seed: int, max_instances: int) -> bool:
-    """Whether ``block-parity`` flags :func:`injected_block_bug` on one
-    of the first ``max_instances`` fuzzed instances, on the sparse
-    backend."""
-    with injected_block_bug():
-        for index in range(max_instances):
-            instance, _ = _with_backend(fuzz_instance((seed, index)), "sparse")
-            findings = block_parity("sparse", instance, compute_valid_pairs(instance))
-            if any(finding.check == "block-parity" for finding in findings):
-                return True
-    return False
+def _flagged(mutation, check, seed: int, max_instances: int) -> bool:
+    """Whether ``check`` flags one of the first ``max_instances`` fuzzed
+    instances under ``mutation``."""
+    with mutation():
+        return any(check(fuzz_instance((seed, i))) for i in range(max_instances))

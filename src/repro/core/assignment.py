@@ -197,22 +197,25 @@ class Assignment:
     def join_gain(self, worker: int, task: int) -> float:
         """``DeltaQ(w_i, t_j)`` if the (idle) worker joined ``task``.
 
-        Fast path: within capacity the new revenue is
-        ``(S + cross) / (k_new - 1)`` with the cached pair sum ``S``; only
-        overflow joins fall back to the peeling evaluation.
+        The one-row call of :meth:`RevenueCache.join_gains
+        <repro.core.revenue.RevenueCache.join_gains>`: within capacity
+        the new revenue is ``(S + cross) / (k_new - 1)`` with the cached
+        pair sum ``S``; only overflow joins run the peeling evaluation.
         """
-        return self.revenue_cache.join_gain(worker, task)
+        return self.revenue_cache.join_gains([worker], task)[0]
 
     def leave_delta(self, worker: int) -> float:
         """``Q(W_j) - Q(W_j - {w_i})`` at the worker's current task.
 
-        This is the worker's current utility (Equation 5); zero for idle
+        This is the worker's current utility (Equation 5), the one-row
+        call of :meth:`RevenueCache.leave_deltas
+        <repro.core.revenue.RevenueCache.leave_deltas>`; zero for idle
         workers.
         """
         task = int(self._task_of[worker])
         if task == UNASSIGNED:
             return 0.0
-        return self.revenue_cache.leave_delta(worker, task)
+        return self.revenue_cache.leave_deltas([worker], task)[0]
 
     # ------------------------------------------------------------------
     # feasibility

@@ -35,17 +35,18 @@ Optimizations
   idle floor and the tolerance test. Every sum runs in Equation 2's
   one order, strictly left to right over the members
   (:func:`~repro.core.kernels.ordered_row_sums`), the order of the
-  scalar ``join_gain``/``leave_delta`` too, so at every group size each
-  float, and hence the exact potential and the reached equilibrium, is
-  that of the per-worker loop
+  scalar oracles ``reference_join_gain``/``reference_leave_delta`` too,
+  so at every group size each float, and hence the exact potential and
+  the reached equilibrium, is that of the per-worker loop
   :func:`repro.audit.reference.reference_round`. A row
   whose candidates are unchanged since its last full scan would repeat
   that scan, which did not move, so it is not scored.
 * **Batched overflow peels**: a join into a full task needs Equation
-  2's best-subset peel. Each pass peels the stale overflow joins of all
-  its rows in lockstep (:func:`~repro.core.kernels.counted_subset_batch`)
-  and memoizes every deferred join gain per CSR slot under the task's
-  membership version.
+  2's best-subset peel. Each pass scores the stale overflow joins of
+  all its rows in one ``join_gains`` call, which peels them in lockstep
+  (:func:`~repro.core.kernels.counted_subset_batch`), and memoizes
+  every deferred join gain per CSR slot under the task's membership
+  version.
 * **First mover, then the rows it staled**: the round jumps to the
   first mover in play order, applies that one move and marks the
   watchers of its two tasks stale. Reaching a stale row re-scores every
@@ -74,7 +75,7 @@ from repro.core.tpg import _solve_tpg_full
 from repro.core.validity import ValidPairs, compute_valid_pairs
 from repro.utils.rng import ensure_rng
 
-__all__ = ["GameResult", "solve_game_theoretic", "verify_nash_equilibrium"]
+__all__ = ["GameResult", "solve_game_theoretic"]
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_ROUNDS = 500
@@ -469,29 +470,16 @@ class _BestResponseDynamics:
         return int(rows.size)
 
     def _deferred_gains(self, slots: np.ndarray, versions: np.ndarray) -> np.ndarray:
-        """The join gains of deferred slots, from the slot memo. Stale
-        entries are computed first: joins that need Equation 2's peel
-        (a full task, ``B`` reached, capacity at least 2) in lockstep
-        (``overflow_join_gains``), the rest by the scalar ``join_gain``.
-        """
+        """The join gains of deferred slots (joins that overflow their
+        task), from the slot memo; the stale entries are computed by one
+        ``join_gains`` call."""
         tasks = self._vp_tasks[slots]
         current = versions[tasks]
         stale = self._memo_versions[slots] != current
         if stale.any():
-            cache = self.cache
-            stale_slots, tasks = slots[stale], tasks[stale]
+            stale_slots = slots[stale]
             workers = np.searchsorted(self._vp_indptr, stale_slots, side="right") - 1
-            sizes = cache.counts[tasks] + 1
-            capacities = self._capacities[tasks]
-            peel = (sizes > capacities) & (sizes >= self._minimum) & (capacities >= 2)
-            gains = np.empty(stale_slots.size)
-            if peel.any():
-                gains[peel] = cache.overflow_join_gains(
-                    workers[peel].tolist(), tasks[peel].tolist()
-                )
-            for index in np.flatnonzero(~peel).tolist():
-                gains[index] = cache.join_gain(int(workers[index]), int(tasks[index]))
-            self._memo_gains[stale_slots] = gains
+            self._memo_gains[stale_slots] = self.cache.join_gains(workers, tasks[stale])
             self._memo_versions[stale_slots] = current[stale]
         return self._memo_gains[slots]
 
@@ -665,30 +653,3 @@ def _lub_invalidate(
     dirty[marked] = True
     return int(marked.size)
 
-
-def verify_nash_equilibrium(
-    assignment: Assignment,
-    valid_pairs: ValidPairs,
-    tolerance: float = 1e-6,
-) -> list[tuple[int, int, float]]:
-    """All profitable unilateral deviations, as ``(worker, task, gain)``.
-
-    Empty iff the assignment is a pure Nash equilibrium (up to
-    ``tolerance``). ``task = UNASSIGNED`` denotes the idle deviation.
-    Used by the test suite to certify the solver's stability claim.
-    """
-    deviations: list[tuple[int, int, float]] = []
-    probe = assignment.copy()
-    probe.allow_overflow = True
-    for worker in range(assignment.instance.worker_count):
-        current_utility = probe.leave_delta(worker)
-        if current_utility < -tolerance:
-            deviations.append((worker, UNASSIGNED, -current_utility))
-        current_task = probe.task_of(worker)
-        for task in valid_pairs.tasks_for_worker[worker]:
-            if task == current_task:
-                continue
-            gain = probe.join_gain(worker, task)
-            if gain > current_utility + tolerance:
-                deviations.append((worker, task, gain - current_utility))
-    return deviations

@@ -51,6 +51,7 @@ __all__ = [
     "CODE_CURRENT",
     "ordered_row_sums",
     "cross_values",
+    "fit_join_gains",
     "score_candidates",
     "PEEL_CHUNK",
     "counted_subset_batch",
@@ -61,8 +62,8 @@ __all__ = [
 
 #: Per-slot classification emitted by :func:`score_candidates`.
 CODE_VALUE = 0  #: utility fully evaluated by the kernel
-CODE_SCALAR = 1  #: overflow join — filled by the caller (peel/scalar)
-CODE_CURRENT = 2  #: the worker's own task — caller fills ``leave_delta``
+CODE_SCALAR = 1  #: overflow join — caller fills ``join_gains``
+CODE_CURRENT = 2  #: the worker's own task — caller fills ``leave_deltas``
 
 
 #: ``np.cumsum`` pays per row and the column loop per column, so
@@ -105,6 +106,23 @@ def cross_values(reads, workers, members) -> tuple[np.ndarray, np.ndarray]:
     if getattr(reads, "symmetric", False):
         return toward, toward
     return toward, reads.block(members, workers)[..., 0, 0]
+
+
+def fit_join_gains(
+    reads, workers, members, lengths, pair_sums, revenues
+) -> np.ndarray:
+    """``(S + cross) / k - Q`` per row: Equation 4 for joins that fit
+    their task's capacity and reach ``B``.
+
+    Row ``i`` joins the position ``workers[i]`` to ``lengths[i]`` (``k``)
+    members ``members[i]`` (insertion order, every argument but
+    ``workers`` broadcast) with pair sum ``pair_sums[i]`` and revenue
+    ``revenues[i]``. Lanes past ``k`` hold the joiner itself: its
+    diagonal 0.0 moves no partial sum. ``cross`` is ``cross_sum``'s.
+    """
+    toward, back = cross_values(reads, workers[:, None], members)
+    cross = ordered_row_sums(toward) + ordered_row_sums(back)
+    return (pair_sums + cross) / lengths - revenues
 
 
 #: Groups peeled per lockstep pass of :func:`counted_subset_batch`: the
@@ -255,11 +273,10 @@ def score_candidates(
     Returns ``(values, codes)`` — one float and one classification code
     (:data:`CODE_VALUE` / :data:`CODE_SCALAR` / :data:`CODE_CURRENT`)
     per slot of ``vp_tasks``. Values for non-``CODE_VALUE`` slots are
-    placeholders the caller must fill (overflow peel or scalar
-    ``join_gain`` / ``leave_delta``). Every other join is evaluated
-    here, whatever its group size, in ``cross_sum``'s order: the row
-    part and the column part each summed left to right over the
-    members, then added.
+    placeholders the caller must fill (the revenue cache's
+    ``join_gains`` / ``leave_deltas``). Every other join is evaluated
+    here, whatever its group size: ``0 - Q`` below ``B``, otherwise
+    :func:`fit_join_gains`.
 
     ``mem_flat`` holds the members as ``quality``'s positions, and
     ``positions`` gives each slot's worker as a position in the slot's
@@ -299,18 +316,10 @@ def score_candidates(
         b_tasks = vp_tasks[batchable]
         b_workers = workers[batchable]
         b_lengths = slot_counts[batchable]
-        b_starts = mem_indptr[b_tasks]
-        width = int(b_lengths.max())
-        offsets = np.arange(width, dtype=np.intp)
-        index = b_starts[:, None] + offsets[None, :]
-        lane = offsets[None, :] < b_lengths[:, None]
-        np.minimum(index, max(mem_flat.size - 1, 0), out=index)
-        member = mem_flat[index]
-        row_vals, col_vals = cross_values(quality, b_workers[:, None], member)
-        # Padding lanes add 0.0 after the last member: no partial sum moves.
-        cross = ordered_row_sums(np.where(lane, row_vals, 0.0)) + ordered_row_sums(
-            np.where(lane, col_vals, 0.0)
+        offsets = np.arange(int(b_lengths.max()), dtype=np.int64)
+        members = mem_flat.take(mem_indptr[b_tasks][:, None] + offsets, mode="clip")
+        members = np.where(offsets < b_lengths[:, None], members, b_workers[:, None])
+        values[batchable] = fit_join_gains(
+            quality, b_workers, members, b_lengths, pair_sums[b_tasks], revenues[b_tasks]
         )
-        new_revenue = (pair_sums[b_tasks] + cross) / b_lengths
-        values[batchable] = new_revenue - revenues[b_tasks]
     return values, codes

@@ -14,11 +14,15 @@ path: it maintains per-task pair sums, revenues and (for overflowing
 tasks) the counted best-``a_j``-subset across join/leave/exchange moves,
 so Equation 4's delta form replaces from-scratch Equation 2 re-sums. It
 also counts how often each path runs, feeding
-:class:`~repro.core.stats.SolverStats`. Its batched evaluations sum in
+:class:`~repro.core.stats.SolverStats`. It has one evaluator per kind
+of move, each batched over any pairs: :meth:`RevenueCache.join_gains`
+for joins and :meth:`RevenueCache.leave_deltas` for leaves. Both sum in
 Equation 2's one left-to-right order
-(:func:`~repro.core.kernels.ordered_row_sums`), as the scalar ones do,
-so a batch gives the scalar floats at every group size; every revenue
-evaluation returns builtin ``float`` values.
+(:func:`~repro.core.kernels.ordered_row_sums`) and return builtin
+``float`` values, the bits of the scalar oracles
+:func:`repro.audit.reference.reference_join_gain` and
+:func:`~repro.audit.reference.reference_leave_delta` at every group
+size.
 
 The cache reads qualities through its ``reads``: a solver sets it to
 its own task-block reader for the length of the solve
@@ -41,6 +45,7 @@ from repro.core.kernels import (
     counted_subset_batch,
     counted_subset_select,
     cross_values,
+    fit_join_gains,
     ordered_row_sums,
 )
 from repro.core.quality import CooperationMatrix
@@ -50,8 +55,6 @@ __all__ = [
     "RevenueCache",
     "group_revenue",
     "best_counted_subset",
-    "marginal_gain",
-    "removal_delta",
     "worker_average_quality",
 ]
 
@@ -121,44 +124,6 @@ def group_revenue(
     return pair_sum / (capacity - 1)
 
 
-def marginal_gain(
-    quality: QualityStore,
-    members: Sequence[int],
-    worker: int,
-    capacity: int,
-    min_group_size: int,
-) -> float:
-    """``DeltaQ(w_i, t_j) = Q(W_j + {w_i}) - Q(W_j)`` (Equation 4 applied
-    to a prospective join).
-
-    ``members`` must not already contain ``worker``. The gain can be
-    negative — a poorly-matched worker dilutes the per-member average —
-    and is zero when even with the newcomer the group stays below ``B``.
-    """
-    if worker in members:
-        raise ValueError(f"worker {worker} already in the group")
-    before = group_revenue(quality, members, capacity, min_group_size)
-    after = group_revenue(quality, [*members, worker], capacity, min_group_size)
-    return after - before
-
-
-def removal_delta(
-    quality: QualityStore,
-    members: Sequence[int],
-    worker: int,
-    capacity: int,
-    min_group_size: int,
-) -> float:
-    """``Q(W_j) - Q(W_j - {w_i})`` — the utility a member currently
-    derives from staying (Equation 5 evaluated at the current strategy)."""
-    if worker not in members:
-        raise ValueError(f"worker {worker} not in the group")
-    with_worker = group_revenue(quality, members, capacity, min_group_size)
-    rest = [m for m in members if m != worker]
-    without_worker = group_revenue(quality, rest, capacity, min_group_size)
-    return with_worker - without_worker
-
-
 def worker_average_quality(
     quality: QualityStore, worker: int, members: Sequence[int], capacity: int
 ) -> float:
@@ -193,10 +158,11 @@ class RevenueCache:
     ``reads`` instead, with each task's members as positions cached per
     membership version (see the module docstring).
 
-    Determinism contract: every batched evaluation matches its scalar
-    twin bit for bit at every group size, because identical floats are
-    what keep best-response dynamics an exact potential game (Theorem
-    V.1). The hypothesis state machine in ``tests/test_stateful.py``
+    Determinism contract: every evaluation matches its scalar oracle in
+    :mod:`repro.audit.reference` bit for bit at every group size, and a
+    batch matches scoring its pairs one at a time, because identical
+    floats are what keep best-response dynamics an exact potential game
+    (Theorem V.1). The hypothesis state machine in ``tests/test_stateful.py``
     drives random join/leave/exchange sequences — including overflow
     states — asserting the cache never drifts from :func:`group_revenue`.
 
@@ -506,19 +472,6 @@ class RevenueCache:
         toward, back = cross_values(self.reads, position, positions)
         return float(ordered_row_sums(toward) + ordered_row_sums(back))
 
-    def _peel(self, positions: np.ndarray, capacity: int) -> tuple[list[int], float]:
-        """Counted overflow peel of the members at ``positions``: the kept
-        workers (ascending) and their ordered pair sum."""
-        self.peel_kernel_calls += 1
-        order = np.sort(positions)
-        if (order[1:] == order[:-1]).any():
-            members = self.reads.worker_ids(order).tolist()
-            raise ValueError(f"duplicate members: {members}")
-        kept, pair_sums = counted_subset_batch(
-            self.reads, order.reshape(1, order.size), capacity
-        )
-        return self.reads.worker_ids(kept[0]).tolist(), float(pair_sums[0])
-
     def _refresh(self, task: int) -> None:
         """Recompute the task's revenue from the cached pair sum.
 
@@ -535,149 +488,107 @@ class RevenueCache:
         elif count <= capacity:
             self.revenues[task] = self.pair_sums[task] / (count - 1)
         else:
-            kept, pair_sum = self._peel(self.member_positions(task), capacity)
-            self._counted[task] = tuple(kept)
+            order = np.sort(self.member_positions(task))
+            if (order[1:] == order[:-1]).any():
+                members = self.reads.worker_ids(order).tolist()
+                raise ValueError(f"duplicate members: {members}")
+            kept, pair_sums = counted_subset_batch(self.reads, order[None], capacity)
+            self._counted[task] = tuple(self.reads.worker_ids(kept[0]).tolist())
+            self.peel_kernel_calls += 1
             self.full_evaluations += 1
-            if capacity < 2:
-                self.revenues[task] = 0.0
-            else:
-                self.revenues[task] = pair_sum / (capacity - 1)
+            self.revenues[task] = pair_sums[0] / (capacity - 1) if capacity >= 2 else 0.0
 
     # ------------------------------------------------------------------
     # marginal evaluations (the solvers' hot path)
     # ------------------------------------------------------------------
-    def join_gain(self, worker: int, task: int) -> float:
-        """``DeltaQ(w_i, t_j)`` if the (idle) worker joined ``task``.
+    def join_gains(self, workers, tasks) -> list[float]:
+        """``DeltaQ(w_i, t_j)`` if each idle ``workers[i]`` joined
+        ``tasks[i]`` (``tasks`` broadcast): Equation 4, with the floats
+        and counters of scoring one pair at a time.
 
-        Fast path: within capacity the new revenue is
-        ``(S + cross) / (k_new - 1)`` with the cached pair sum ``S``; only
-        overflow joins fall back to the peeling evaluation
-        (:meth:`overflow_join_gains`).
+        A task's pairs share a case: ``0 - Q`` below ``B`` or for a
+        singleton group; within capacity
+        :func:`~repro.core.kernels.fit_join_gains`; over capacity one
+        full evaluation each, ``0 - Q`` short of ``B`` or under a
+        capacity of 2, else a peel, the groups of one shape peeled in
+        lockstep (:func:`~repro.core.kernels.counted_subset_batch`).
+        Raises ``ValueError`` for a worker already in its task.
         """
-        members = self._members[task]
-        new_count = len(members) + 1
-        capacity = int(self.capacities[task])
-        if new_count <= capacity:
-            if new_count < self.min_group_size or new_count < 2:
-                return 0.0 - float(self.revenues[task])
-            cross = self._cross_sum(
-                self.reads.locate(task, worker), self.member_positions(task)
-            )
-            new_revenue = (float(self.pair_sums[task]) + cross) / (new_count - 1)
-        elif new_count < self.min_group_size or capacity < 2:
-            self.full_evaluations += 1
-            new_revenue = 0.0
-        else:
-            return self.overflow_join_gains([worker], [task])[0]
-        return new_revenue - float(self.revenues[task])
-
-    def join_gains(self, workers: np.ndarray, task: int) -> list[float]:
-        """:meth:`join_gain` of each idle worker in ``workers`` for one task.
-
-        Within capacity and at or above ``B`` every gain is
-        ``(S + cross) / (k_new - 1) - Q`` with one ``cross`` per worker,
-        so the whole set is scored from one read: the workers' rows and
-        columns over the members. Each worker's row part and column part
-        are summed left to right, then added — the floats of
-        ``cross_sum``. Other joins (overflow, below ``B``) take the
-        scalar path.
-        """
-        members = self._members[task]
-        new_count = len(members) + 1
-        if (
-            new_count > int(self.capacities[task])
-            or new_count < self.min_group_size
-            or new_count < 2
-        ):
-            return [self.join_gain(w, task) for w in workers.tolist()]
-        toward, back = cross_values(
-            self.reads,
-            self.reads.locate(task, workers)[:, None],
-            self.member_positions(task),
-        )
-        cross = ordered_row_sums(toward) + ordered_row_sums(back)
-        new_revenue = (self.pair_sums[task] + cross) / (new_count - 1)
-        return (new_revenue - self.revenues[task]).tolist()
-
-    def overflow_join_gains(
-        self, workers: Sequence[int], tasks: Sequence[int]
-    ) -> list[float]:
-        """:meth:`join_gain` of each idle ``workers[i]`` for ``tasks[i]``,
-        for joins that overflow a task of capacity at least 2 and reach
-        ``B`` — the joins whose gain needs the counted-subset peel.
-
-        The hypothetical groups are bucketed by shape (member count,
-        capacity) and each bucket is peeled in lockstep by
-        :func:`~repro.core.kernels.counted_subset_batch`; the new revenue
-        is the counted subset's pair sum over ``capacity - 1`` (Equation
-        2, inlined from :func:`group_revenue` bit for bit). Every group
-        counts as one peel and one full evaluation, exactly as if it had
-        been scored one at a time. Raises ``ValueError`` for a task of
-        capacity below 2 or a join that does not overflow.
-        """
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for index, task in enumerate(tasks):
-            shape = (len(self._members[task]) + 1, int(self.capacities[task]))
-            buckets.setdefault(shape, []).append(index)
-        gains = [0.0] * len(tasks)
-        for (size, capacity), bucket in buckets.items():
-            if capacity < 2 or size <= capacity:
-                raise ValueError(
-                    "overflow_join_gains needs a join past a capacity of at "
-                    f"least 2; task {tasks[bucket[0]]} has capacity {capacity} "
-                    f"and the join makes {size} members"
+        workers = np.asarray(workers, dtype=np.int64)
+        tasks = np.asarray(tasks, dtype=np.int64)
+        positions = self.reads.locate(tasks, workers)
+        gains = np.empty(workers.size)
+        peels: dict[tuple[int, int], list] = {}
+        for task, rows in _rows_by_task(tasks, workers.size):
+            if not set(self._members[task]).isdisjoint(workers[rows].tolist()):
+                raise ValueError(f"a joining worker is already a member of task {task}")
+            members, joiners = self.member_positions(task), positions[rows]
+            size, capacity = members.size + 1, int(self.capacities[task])
+            revenue, pair_sum = self.revenues[task], self.pair_sums[task]
+            if size > capacity:
+                self.full_evaluations += rows.size
+            if size < self.min_group_size or size < 2 or capacity < 2:
+                gains[rows] = 0.0 - revenue
+            elif size <= capacity:
+                gains[rows] = fit_join_gains(
+                    self.reads, joiners, members, members.size, pair_sum, revenue
                 )
-            bucket_tasks = [tasks[i] for i in bucket]
-            groups = self.reads.locate(
-                np.asarray(bucket_tasks, dtype=np.int64)[:, None],
-                [self._members[tasks[i]] + [workers[i]] for i in bucket],
-            )
+            else:
+                groups = np.column_stack((np.tile(members, (rows.size, 1)), joiners))
+                revenues = np.full(rows.size, revenue)
+                peels.setdefault((size, capacity), []).append((rows, groups, revenues))
+        for (_, capacity), entries in peels.items():
+            rows, groups, revenues = map(np.concatenate, zip(*entries))
             # Positions sort like the worker ids within a task.
             groups.sort(axis=1)
-            if (groups[:, 1:] == groups[:, :-1]).any():
-                raise ValueError("a joining worker is already a member")
             _, pair_sums = counted_subset_batch(self.reads, groups, capacity)
-            revenues = self.revenues[bucket_tasks]
-            for index, gain in zip(
-                bucket, (pair_sums / (capacity - 1) - revenues).tolist()
-            ):
-                gains[index] = gain
-        self.peel_kernel_calls += len(tasks)
-        self.full_evaluations += len(tasks)
-        return gains
+            gains[rows] = pair_sums / (capacity - 1) - revenues
+            self.peel_kernel_calls += rows.size
+        return gains.tolist()
 
-    def leave_deltas(self, workers: np.ndarray, tasks: np.ndarray) -> list[float]:
-        """:meth:`leave_delta` of each member ``workers[i]`` of ``tasks[i]``,
-        bit for bit, from batched reads.
+    def leave_deltas(self, workers, tasks) -> list[float]:
+        """``Q(W_j) - Q(W_j - {w_i})`` of each member ``workers[i]`` of
+        ``tasks[i]`` (``tasks`` broadcast): Equation 5's current utility.
 
-        Each leaver's survivors (the members in insertion order, the
-        leaver cut out) form a row; rows are bucketed by group shape
-        (members, capacity). Within capacity a bucket sums its cross
-        values rows (the floats of ``cross_sum``); over capacity,
-        survivors that fit sum their ``block`` row-major (the floats of
-        ``submatrix_sum``) and the others are peeled in lockstep
-        (:func:`~repro.core.kernels.counted_subset_batch`), with
-        :meth:`leave_delta`'s evaluation and peel counts.
+        Survivors below ``B`` (or one survivor) leave the whole revenue.
+        Otherwise each leaver's survivors (the members in insertion
+        order, the leaver cut out) form a row, bucketed by shape
+        (members, capacity): within capacity the pair sum minus the
+        cross values' sums (``cross_sum``'s floats); over capacity the
+        survivors' ``block`` summed row-major when they fit, else a
+        lockstep peel (:func:`~repro.core.kernels.counted_subset_batch`),
+        with one full evaluation each. Raises ``ValueError`` for a
+        worker that is not a member of its task.
         """
-        counts, capacities = self.counts[tasks], self.capacities[tasks]
+        workers = np.asarray(workers, dtype=np.int64)
+        tasks = np.broadcast_to(np.asarray(tasks, dtype=np.int64), workers.shape)
+        movers = self.reads.locate(tasks, workers)
+        if not workers.size:
+            return []
+        groups, inverse = np.unique(tasks, return_inverse=True)
+        counts = self.counts[groups]
+        flat = np.concatenate([self.member_positions(task) for task in groups.tolist()])
+        offsets = np.arange(int(counts.max()))
+        starts = np.cumsum(counts) - counts
+        index = starts[:, None] + np.minimum(offsets, counts[:, None] - 1)
+        # Each task's members in insertion order, the last repeated; -1 for none.
+        table = np.where(counts[:, None] > 0, flat.take(index, mode="clip"), -1)
+        members, counts = table[inverse], counts[inverse]
+        found = members == movers[:, None]
+        if not found.any(axis=1).all():
+            raise ValueError("a leaving worker is not a member of its task")
+        capacities = self.capacities[tasks]
         deltas = self.revenues[tasks].copy()  # below B: the whole revenue
         live = np.flatnonzero((counts > self.min_group_size) & (counts > 2))
         if not live.size:
             return deltas.tolist()
-        workers, tasks = workers[live], tasks[live]
+        movers, tasks = movers[live], tasks[live]
         counts, capacities = counts[live], capacities[live]
-        width = int(counts.max())
-        groups, inverse = np.unique(tasks, return_inverse=True)
-        table = np.zeros((groups.size, width), dtype=np.int64)
-        for row, task in enumerate(groups.tolist()):
-            positions = self.member_positions(task)
-            table[row, : positions.size] = positions
-        members = table[inverse]
-        movers = self.reads.locate(tasks, workers)
-        leaver = np.argmax(members == movers[:, None], axis=1)
-        columns = np.arange(width - 1)
+        # The first match is the leaver's own lane; padding comes after.
+        leaver = np.argmax(found[live], axis=1)
+        columns = np.arange(members.shape[1] - 1)
         rest = np.take_along_axis(
-            members, columns + (columns >= leaver[:, None]), axis=1
+            members[live], columns + (columns >= leaver[:, None]), axis=1
         )
         shapes, bucket_of = np.unique(
             counts * (int(capacities.max()) + 1) + capacities, return_inverse=True
@@ -703,29 +614,12 @@ class RevenueCache:
             deltas[live[bucket]] -= without
         return deltas.tolist()
 
-    def leave_delta(self, worker: int, task: int) -> float:
-        """``Q(W_j) - Q(W_j - {w_i})`` for a current member of ``task``."""
-        members = self._members[task]
-        count = len(members)
-        capacity = int(self.capacities[task])
-        current = float(self.revenues[task])
-        if count - 1 < self.min_group_size or count - 1 < 2:
-            # The survivors fall below B — or a lone survivor remains,
-            # whose pairless group scores 0 (the B = 1 edge case).
-            return current
-        positions = self.member_positions(task)
-        index = members.index(worker)
-        rest = np.concatenate((positions[:index], positions[index + 1 :]))
-        if count <= capacity:
-            cross = self._cross_sum(positions[index], rest)
-            without = (float(self.pair_sums[task]) - cross) / (count - 2)
-        else:
-            # group_revenue(rest): the survivors reach B and hold a pair.
-            if rest.size > capacity:
-                _, pair_sum = self._peel(rest, capacity)
-                without = pair_sum / (capacity - 1) if capacity >= 2 else 0.0
-            else:
-                pair_sum = float(ordered_row_sums(self.reads.block(rest, rest).reshape(-1)))
-                without = pair_sum / (rest.size - 1)
-            self.full_evaluations += 1
-        return current - without
+
+def _rows_by_task(tasks: np.ndarray, count: int) -> list:
+    """``(task, rows)`` for each distinct task of ``tasks``, broadcast
+    over ``count`` rows; ``rows`` ascending."""
+    if not tasks.ndim:
+        return [(int(tasks), np.arange(count))]
+    order = np.argsort(tasks, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(tasks[order])) + 1)
+    return [(int(tasks[rows[0]]), rows) for rows in runs if rows.size]

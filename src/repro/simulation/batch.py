@@ -511,15 +511,16 @@ class BatchSimulator:
             needed = minimum - count
             candidates: list[int] = []
             if model.repair:
-                candidates = sorted(
-                    (
-                        worker
-                        for worker in valid_pairs.workers_for_task[task]
-                        if not assignment.is_assigned(worker)
-                        and worker not in no_show_set
-                    ),
-                    key=lambda worker: (-assignment.join_gain(worker, task), worker),
-                )
+                idle = [
+                    worker
+                    for worker in valid_pairs.workers_for_task[task]
+                    if not assignment.is_assigned(worker)
+                    and worker not in no_show_set
+                ]
+                gains = assignment.revenue_cache.join_gains(idle, task)
+                candidates = [
+                    worker for _, worker in sorted(zip((-g for g in gains), idle))
+                ]
             if model.repair and len(candidates) >= needed and count > 0:
                 for worker in candidates[:needed]:
                     assignment.assign(worker, task)

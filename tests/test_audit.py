@@ -35,7 +35,11 @@ from repro.audit import (
     shrink_instance,
 )
 from repro.audit.fuzzer import FuzzConfig
-from repro.audit.runner import DEFAULT_CORPUS_DIR, injected_block_bug
+from repro.audit.runner import (
+    DEFAULT_CORPUS_DIR,
+    injected_block_bug,
+    injected_join_gain_bug,
+)
 from repro.core.assignment import Assignment
 from repro.core.validity import compute_valid_pairs
 from repro.experiments.config import make_solver
@@ -380,6 +384,17 @@ class TestMutationSelfTest:
         with injected_block_bug():
             assert SparseTaskBlocks._build_task is not original
         assert SparseTaskBlocks._build_task is original
+
+    def test_shifted_join_kernel_is_flagged_and_restored(self):
+        from repro.core import kernels, revenue
+
+        assert run_self_test(seed=0).join_gain_bug_detected
+        original = kernels.fit_join_gains
+        with injected_join_gain_bug():
+            assert kernels.fit_join_gains is not original
+            assert revenue.fit_join_gains is kernels.fit_join_gains
+        assert kernels.fit_join_gains is original
+        assert revenue.fit_join_gains is original
 
     def test_mutation_restores_join(self):
         from repro.core.revenue import RevenueCache

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audit.reference import reference_join_gain, verify_nash_equilibrium
 from repro.core.assignment import UNASSIGNED, Assignment
 from repro.core.bounds import upper_bound
-from repro.core.game import solve_game_theoretic, verify_nash_equilibrium
+from repro.core.game import solve_game_theoretic
 from repro.core.tpg import solve_tpg
 from repro.core.validity import compute_valid_pairs
 from repro.datasets.synthetic import generate_instance
@@ -428,10 +429,10 @@ class TestVectorGroupBoundary:
     the batch path historically used for its segment sums — reorders
     their sum on current numpy (3.8759979999999996 instead of the
     sequential 3.875998), so the size-7 case fails on any revision whose
-    batch reduction is not order-exact with the scalar ``join_gain``
-    oracle. Sizes 8 and 9 are where ``ndarray.sum()`` itself reorders;
-    groups that size are scored by the batched scan too, and both paths
-    must still sum left to right.
+    batch reduction is not order-exact with the scalar
+    ``reference_join_gain`` oracle. Sizes 8 and 9 are where
+    ``ndarray.sum()`` itself reorders; groups that size are scored by the
+    batched scan too, and both paths must still sum left to right.
     """
 
     _ADVERSARIAL = [
@@ -485,9 +486,9 @@ class TestVectorGroupBoundary:
 class TestOverflowMemoSoundness:
     """Kernel passes peel stale overflow joins in lockstep and memoize
     every deferred join per slot. Every memo entry still at its task's
-    current version must be exactly the gain a fresh scalar
-    ``join_gain`` computes now, and the solve must still reach a Nash
-    equilibrium."""
+    current version must be exactly the gain the scalar oracle
+    ``reference_join_gain`` computes now, and the solve must still reach
+    a Nash equilibrium."""
 
     @staticmethod
     def _instances():
@@ -533,7 +534,7 @@ class TestOverflowMemoSoundness:
                 for slot in np.flatnonzero(engine._memo_versions == versions):
                     worker, task = int(owners[slot]), int(engine._vp_tasks[slot])
                     gain = float(engine._memo_gains[slot])
-                    fresh = cache.join_gain(worker, task)
+                    fresh = reference_join_gain(cache, worker, task)
                     assert repr(gain) == repr(fresh), (name, worker, task)
                     checked += 1
                 assert verify_nash_equilibrium(result.equilibrium, pairs) == [], name

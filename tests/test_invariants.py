@@ -139,7 +139,7 @@ def test_score_invariant_under_worker_relabeling(seed):
     # permuted equilibrium pulled back through the permutation is a
     # feasible equilibrium of the *original* game with the same score.
     from repro.core.assignment import Assignment
-    from repro.core.game import verify_nash_equilibrium
+    from repro.audit.reference import verify_nash_equilibrium
 
     original = solve_game_theoretic(instance, original_pairs)
     permuted_result = solve_game_theoretic(permuted, permuted_pairs)

@@ -3,7 +3,7 @@
 Every kernel in :mod:`repro.core.kernels` replaced a scalar evaluation
 and must reproduce its floats bit for bit on every quality-store
 backend: :func:`~repro.core.kernels.score_candidates` rows against the
-per-candidate ``join_gain`` scan, the lockstep peel
+per-candidate scan of the scalar oracles, the lockstep peel
 (:func:`~repro.core.kernels.counted_subset_batch` and its single-group
 :func:`~repro.core.kernels.counted_subset_select`) against the greedy
 reference peel (both kept in :mod:`repro.audit.reference`), and the
@@ -20,6 +20,8 @@ from repro.audit.invariants import oracle_counted_subset
 from repro.audit.reference import (
     reference_best_alternative,
     reference_counted_subset,
+    reference_join_gain,
+    reference_leave_delta,
     reference_utilities,
 )
 from repro.core.assignment import Assignment
@@ -223,17 +225,16 @@ class TestPairwiseCliff:
                 assert repr(float(cache.pair_sums[0])) == repr(pair_sum)
                 revenue = cache.revenue(0)
 
-                gain = cache.join_gain(0, 0)
+                gain = reference_join_gain(cache, 0, 0)
                 cross = _loop(q[0, members]) + _loop(q[members, 0])
                 assert type(gain) is float
                 assert repr(gain) == repr((pair_sum + cross) / width - revenue)
                 gains = cache.join_gains(np.array([0, outsider]), 0)
                 assert [type(value) for value in gains] == [float, float]
-                assert gains == [gain, cache.join_gain(outsider, 0)]
-                overflow = cache.join_gain(0, 1)
+                assert gains == [gain, reference_join_gain(cache, outsider, 0)]
+                overflow = reference_join_gain(cache, 0, 1)
                 assert type(overflow) is float
-                if width >= 2:  # the peel needs a capacity of two
-                    assert cache.overflow_join_gains([0], [1]) == [overflow]
+                assert cache.join_gains([0], [1]) == [overflow]
 
                 joined = RevenueCache(quality, [width + 1], 2)
                 joined.join_pairs(members + [0], [0] * (width + 1))
@@ -247,7 +248,7 @@ class TestPairwiseCliff:
                 for task in (0, 1):
                     deltas = cache.leave_deltas(everyone, np.full(everyone.size, task))
                     for worker, delta in zip(everyone.tolist(), deltas):
-                        single = cache.leave_delta(worker, task)
+                        single = reference_leave_delta(cache, worker, task)
                         assert type(single) is float and type(delta) is float
                         assert repr(delta) == repr(single), (width, task, worker)
                 current = cache.revenue(0)
@@ -255,12 +256,12 @@ class TestPairwiseCliff:
                 if width >= 2:
                     with_worker = float(cache.pair_sums[0])
                     expected = current - (with_worker - cross) / (width - 1)
-                assert repr(cache.leave_delta(0, 0)) == repr(expected), width
+                assert repr(cache.leave_deltas([0], 0)[0]) == repr(expected), width
                 if width >= 3:
                     # Over capacity, the survivors fit: their block sum.
                     survivors = np.array(members)
                     block = _loop(q[survivors[:, None], survivors].reshape(-1))
-                    assert repr(cache.leave_delta(0, 1)) == repr(
+                    assert repr(cache.leave_deltas([0], 1)[0]) == repr(
                         cache.revenue(1) - block / (width - 1)
                     ), width
         finally:
@@ -652,8 +653,8 @@ class TestCountedSubsetBatchParity:
 
 
 class TestScoreCandidatesParity:
-    """A batched row, its deferred slots filled, must equal the scalar
-    ``join_gain`` scan slot for slot, on every backend."""
+    """A batched row, its deferred slots filled, must equal the scan of
+    the scalar oracles slot for slot, on every backend."""
 
     @staticmethod
     def _rows(assignment: Assignment, tasks_lists: list[list[int]]):
@@ -692,7 +693,7 @@ class TestScoreCandidatesParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rows_match_the_reference_scan(self, backend):
         # 60 workers for 6 tasks of capacity 8: full tasks defer to the
-        # scalar peel, 7-member ones are the widest batched segments.
+        # peel, 7-member ones are the widest batched segments.
         base = make_dense_instance(60, 6, capacity=8, seed=3)
         instance, cleanup = _with_backend(base, backend)
         try:

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.audit.reference import reference_counted_subset
+from repro.audit.reference import (
+    reference_counted_subset,
+    reference_join_gain,
+    reference_leave_delta,
+)
 from repro.core.quality import CooperationMatrix
 from repro.core.revenue import (
     best_counted_subset,
     group_revenue,
-    marginal_gain,
-    removal_delta,
     worker_average_quality,
 )
 
@@ -114,11 +116,24 @@ class TestBestCountedSubset:
         assert greedy_value >= 0.75 * best_value - 1e-12
 
 
+def _group_cache(quality, members, capacity, minimum):
+    """A one-task revenue cache holding ``members``."""
+    from repro.core.revenue import RevenueCache
+
+    cache = RevenueCache(quality, [capacity], minimum)
+    for worker in members:
+        cache.join(worker, 0)
+    return cache
+
+
 class TestMarginals:
+    """The revenue cache's two evaluators against differences of the
+    from-scratch :func:`group_revenue`."""
+
     def test_marginal_matches_difference(self):
         q = CooperationMatrix.random_uniform(8, seed=3)
         members = [0, 2, 5]
-        gain = marginal_gain(q, members, 6, capacity=5, min_group_size=3)
+        gain = _group_cache(q, members, 5, 3).join_gains([6], 0)[0]
         expected = group_revenue(q, members + [6], 5, 3) - group_revenue(
             q, members, 5, 3
         )
@@ -127,12 +142,12 @@ class TestMarginals:
     def test_marginal_rejects_member(self):
         q = CooperationMatrix.random_uniform(4, seed=0)
         with pytest.raises(ValueError):
-            marginal_gain(q, [0, 1], 1, 4, 2)
+            _group_cache(q, [0, 1], 4, 2).join_gains([1], 0)
 
     def test_removal_delta_matches_difference(self):
         q = CooperationMatrix.random_uniform(8, seed=4)
         members = [1, 3, 4, 6]
-        delta = removal_delta(q, members, 3, capacity=5, min_group_size=3)
+        delta = _group_cache(q, members, 5, 3).leave_deltas([3], 0)[0]
         expected = group_revenue(q, members, 5, 3) - group_revenue(
             q, [1, 4, 6], 5, 3
         )
@@ -141,19 +156,19 @@ class TestMarginals:
     def test_removal_rejects_non_member(self):
         q = CooperationMatrix.random_uniform(4, seed=0)
         with pytest.raises(ValueError):
-            removal_delta(q, [0, 1], 3, 4, 2)
+            _group_cache(q, [0, 1], 4, 2).leave_deltas([3], 0)
 
     def test_crossing_b_boundary(self):
         """Adding the B-th worker jumps revenue from 0 to the full score."""
         q = uniform_matrix(4, 0.6)
-        gain = marginal_gain(q, [0, 1], 2, capacity=4, min_group_size=3)
+        gain = _group_cache(q, [0, 1], 4, 3).join_gains([2], 0)[0]
         assert gain == pytest.approx(3 * 0.6)
 
     def test_negative_gain_possible(self):
         q = np.full((4, 4), 0.9)
         q[3, :] = q[:, 3] = 0.0
         matrix = CooperationMatrix(q)
-        gain = marginal_gain(matrix, [0, 1, 2], 3, capacity=4, min_group_size=3)
+        gain = _group_cache(matrix, [0, 1, 2], 4, 3).join_gains([3], 0)[0]
         assert gain < 0
 
     def test_worker_average_quality(self):
@@ -228,11 +243,11 @@ class TestEquationTwoEdgeCases:
         q = CooperationMatrix.random_uniform(4, seed=2)
         cache = RevenueCache(q, capacities=[3], min_group_size=1)
         # Joining an empty task forms a singleton: gain must be 0.
-        assert cache.join_gain(0, 0) == 0.0
+        assert cache.join_gains([0], 0) == [0.0]
         cache.join(0, 0)
         assert cache.revenue(0) == 0.0
         # Leaving the singleton symmetrically yields delta 0.
-        assert cache.leave_delta(0, 0) == 0.0
+        assert cache.leave_deltas([0], 0) == [0.0]
 
 
 def _backend_quality(matrix: CooperationMatrix, backend: str):
@@ -399,7 +414,7 @@ class TestRevenueCacheIncremental:
         assert cache.full_evaluations == 0
         cache.join(2, 0)  # overflow: triggers a from-scratch peel
         assert cache.full_evaluations == 1
-        cache.join_gain(3, 0)  # overflow probe counts as full evaluation
+        cache.join_gains([3], 0)  # overflow probe counts as full evaluation
         assert cache.full_evaluations == 2
 
     def test_native_kernel_overflow_is_repr_identical(self):
@@ -413,26 +428,30 @@ class TestRevenueCacheIncremental:
         assert repr(cache.revenue(0)) == repr(q.submatrix_sum(np.asarray(kept)))
         assert cache.peel_kernel_calls == 2  # joins 3 and 4 overflow
         # Overflow probes peel (and count) too.
-        assert repr(cache.join_gain(4, 0)) == repr(
+        gain = cache.join_gains([4], 0)[0]
+        assert repr(gain) == repr(
             q.submatrix_sum(
                 np.asarray(reference_counted_subset(q, [0, 1, 2, 3, 4], 2))
             )
             - cache.revenue(0)
         )
+        assert repr(gain) == repr(reference_join_gain(cache, 4, 0))
         assert cache.peel_kernel_calls == 3
 
     def test_overflow_join_gains_rejects_joins_that_need_no_peel(self):
         # A capacity-1 task would divide the peel's pair sum by
-        # capacity - 1 == 0, and a join that fits has no peel to run:
-        # both raise instead of answering nan or a wrong gain.
-        q, cache = self.make_cache(capacities=(1, 4))
+        # capacity - 1 == 0: its overflowing join scores 0 - Q with one
+        # full evaluation and no peel, never nan. A join that fits runs
+        # no peel either.
+        q, cache = self.make_cache(capacities=(1, 4), minimum=1)
         cache.join(0, 0)
         cache.join(2, 1)
-        with pytest.raises(ValueError, match="past a capacity"):
-            cache.overflow_join_gains([1], [0])
-        with pytest.raises(ValueError, match="past a capacity"):
-            cache.overflow_join_gains([1, 3], [1, 0])
-        assert cache.peel_kernel_calls == cache.full_evaluations == 0
+        gains = cache.join_gains([1, 3, 1], [0, 0, 1])
+        assert not np.isnan(gains).any()
+        assert gains[:2] == [0.0 - cache.revenue(0)] * 2
+        assert gains[2] == reference_join_gain(cache, 1, 1) > 0.0
+        assert cache.full_evaluations == 2
+        assert cache.peel_kernel_calls == 0
 
     def test_clone_copies_peel_counter(self):
         q, cache = self.make_cache(capacities=(2, 4))
@@ -446,8 +465,150 @@ class TestRevenueCacheIncremental:
         cache.join(0, 0)
         cache.join(1, 0)
         for worker in (2, 9):
-            predicted = cache.join_gain(worker, 0)
+            predicted = cache.join_gains([worker], 0)[0]
             before = cache.revenue(0)
             cache.join(worker, 0)
             assert cache.revenue(0) - before == pytest.approx(predicted)
             cache.leave(worker, 0)
+
+
+class TestEvaluatorsRejectBadPairs:
+    """A join of a member and a leave of a non-member have no Equation
+    4/5 value; the evaluators raise instead of answering a float."""
+
+    @staticmethod
+    def _cache():
+        from repro.core.revenue import RevenueCache
+
+        cache = RevenueCache(CooperationMatrix.random_uniform(6, seed=4), [4, 4], 2)
+        for worker in (1, 2, 3):
+            cache.join(worker, 0)
+        return cache
+
+    def test_leave_deltas_rejects_a_non_member(self):
+        cache = self._cache()
+        with pytest.raises(ValueError, match="not a member"):
+            cache.leave_deltas(np.array([0]), np.array([0]))
+        # Also where the survivors would fall below B, and in a batch.
+        with pytest.raises(ValueError, match="not a member"):
+            cache.leave_deltas(np.array([1, 2]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="not a member"):
+            reference_leave_delta(cache, 0, 0)
+        assert cache.full_evaluations == cache.peel_kernel_calls == 0
+
+    def test_join_gains_rejects_a_member(self):
+        cache = self._cache()
+        with pytest.raises(ValueError, match="already a member"):
+            cache.join_gains(np.array([1]), 0)
+        with pytest.raises(ValueError, match="already a member"):
+            cache.join_gains([0, 3], [1, 0])
+        with pytest.raises(ValueError, match="already a member"):
+            reference_join_gain(cache, 1, 0)
+        assert cache.full_evaluations == cache.peel_kernel_calls == 0
+
+
+#: Workers and tasks of the evaluator property's caches.
+_EVAL_WORKERS, _EVAL_TASKS = 16, 4
+
+
+@pytest.fixture(scope="module")
+def evaluator_stores():
+    """One asymmetric mixed-magnitude matrix on every backend, and as the
+    sparse store's task-block reader (positions differ from ids)."""
+    from repro.core.quality_store import (
+        SharedDenseQualityStore,
+        SparseQualityStore,
+        task_blocks,
+    )
+    from repro.core.validity import ValidPairs
+
+    rng = np.random.default_rng(29)
+    size = _EVAL_WORKERS
+    q = rng.uniform(size=(size, size))
+    q[rng.random((size, size)) < 0.3] = 1e-16
+    q[rng.random((size, size)) < 0.3] = 0.25  # the sparse prior
+    dense = CooperationMatrix(q)
+    sparse = SparseQualityStore.from_dense(dense, prior=0.25)
+    shared = SharedDenseQualityStore.create(dense)
+    pairs = ValidPairs.from_worker_lists(
+        [range(_EVAL_TASKS)] * _EVAL_WORKERS, _EVAL_TASKS
+    )
+    yield {
+        "dense": (dense, None),
+        "sparse": (sparse, None),
+        "shared": (shared, None),
+        "blocks": (sparse, lambda: task_blocks(sparse, pairs)),
+    }
+    shared.close()
+    shared.unlink()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    backend=st.sampled_from(["dense", "sparse", "shared", "blocks"]),
+    capacities=st.lists(
+        st.integers(1, 5), min_size=_EVAL_TASKS, max_size=_EVAL_TASKS
+    ),
+    minimum=st.integers(1, 4),
+    owners=st.lists(
+        st.integers(-1, _EVAL_TASKS - 1),
+        min_size=_EVAL_WORKERS,
+        max_size=_EVAL_WORKERS,
+    ),
+    joins=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, _EVAL_TASKS - 1)),
+        max_size=12,
+    ),
+    leaves=st.lists(st.integers(0, 10**6), max_size=12),
+)
+def test_evaluators_match_the_oracles_and_a_pairwise_replay(
+    evaluator_stores, backend, capacities, minimum, owners, joins, leaves
+):
+    """Mixed batches (fits, below ``B``, ``B = 1``, overflow, capacity 1,
+    repeated tasks): ``join_gains`` and ``leave_deltas`` equal the scalar
+    oracles repr-exactly, and count the full evaluations and peels of
+    scoring the pairs one at a time."""
+    from repro.core.revenue import RevenueCache
+
+    store, reader = evaluator_stores[backend]
+    cache = RevenueCache(store, capacities, minimum)
+    if reader is not None:
+        cache.use_reads(reader())
+    for worker, task in enumerate(owners):
+        if task >= 0:
+            cache.join(worker, task)
+
+    def counters():
+        return cache.full_evaluations, cache.peel_kernel_calls
+
+    def check(evaluate, oracle, workers, tasks):
+        before = counters()
+        batch = evaluate(np.asarray(workers), np.asarray(tasks))
+        middle = counters()
+        single = [evaluate([w], t)[0] for w, t in zip(workers, tasks)]
+        after = counters()
+        expected = [oracle(cache, w, t) for w, t in zip(workers, tasks)]
+        assert [type(value) for value in batch] == [float] * len(workers)
+        assert repr(batch) == repr(single) == repr(expected)
+        assert np.subtract(middle, before).tolist() == (
+            np.subtract(after, middle).tolist()
+        )
+
+    idle = [worker for worker, task in enumerate(owners) if task < 0]
+    if idle:
+        pairs = [(idle[pick % len(idle)], task) for pick, task in joins]
+        check(
+            cache.join_gains,
+            reference_join_gain,
+            [worker for worker, _ in pairs],
+            [task for _, task in pairs],
+        )
+    members = [worker for worker, task in enumerate(owners) if task >= 0]
+    if members:
+        leavers = [members[pick % len(members)] for pick in leaves]
+        check(
+            cache.leave_deltas,
+            reference_leave_delta,
+            leavers,
+            [owners[worker] for worker in leavers],
+        )

@@ -243,7 +243,7 @@ class TestStageOneTies:
 class TestStageTwoParity:
     """Stage 2 scores a task's idle candidates in one block evaluation;
     every gain, hence every assignment and counter, must match the scalar
-    ``join_gain`` it replaces."""
+    oracle ``reference_join_gain``."""
 
     @staticmethod
     def _stores(size: int, seed: int):
@@ -267,6 +267,7 @@ class TestStageTwoParity:
 
     @pytest.mark.parametrize("min_group_size", [1, 2, 3])
     def test_block_gains_match_scalar_join_gain(self, min_group_size):
+        from repro.audit.reference import reference_join_gain
         from repro.core.revenue import RevenueCache
 
         size = 24
@@ -280,7 +281,9 @@ class TestStageTwoParity:
                             cache.join(worker, 0)
                         idle = np.arange(count, size, dtype=np.intp)[::-1]
                         batched = cache.join_gains(idle, 0)
-                        scalar = [cache.join_gain(int(w), 0) for w in idle]
+                        scalar = [
+                            reference_join_gain(cache, int(w), 0) for w in idle
+                        ]
                         assert [repr(g) for g in batched] == [
                             repr(float(g)) for g in scalar
                         ], (backend, count, capacity)
@@ -298,6 +301,7 @@ class TestStageTwoParity:
             SharedDenseQualityStore,
             SparseQualityStore,
         )
+        from repro.audit.reference import reference_join_gain
         from repro.core.revenue import RevenueCache
 
         base = generate_instance(
@@ -341,7 +345,8 @@ class TestStageTwoParity:
                 RevenueCache,
                 "join_gains",
                 lambda self, workers, task: [
-                    self.join_gain(worker, task) for worker in workers.tolist()
+                    reference_join_gain(self, worker, task)
+                    for worker in workers.tolist()
                 ],
             )
             scalar = run()
