@@ -1,6 +1,6 @@
 """Micro-benchmarks for the substrates: the grid index, grid validity
 against its brute-force reference, TPG stage 1 against its from-scratch
-reference, the lockstep overflow peel against its scalar reference,
+reference, TPG stage 2 against its per-pair reference, the lockstep overflow peel against its scalar reference,
 task-local block reads against store reads, the Meetup cooperation
 matrix against its incidence-matmul reference, max-flow, and the
 incremental revenue engine."""
@@ -14,13 +14,16 @@ from repro.audit.reference import (
     reference_counted_subset,
     reference_group_quality,
     reference_seed_groups,
+    reference_stage_two,
     stage_one_trace,
+    stage_two_start,
+    stage_two_trace,
 )
 from repro.core.assignment import Assignment
 from repro.core.kernels import counted_subset_batch, cross_values
 from repro.core.quality import CooperationMatrix
 from repro.core.quality_store import StoreReads, task_blocks
-from repro.core.tpg import seed_groups
+from repro.core.tpg import _stage_two, seed_groups
 from repro.core.validity import compute_valid_pairs, compute_valid_pairs_reference
 from repro.datasets.meetup import draw_meetup_population
 from repro.datasets.synthetic import generate_instance
@@ -101,6 +104,44 @@ def test_stage_one(benchmark, hotpath_batch, seeder, oracle):
     assert trace == stage_one_trace(
         oracle, instance, valid_pairs, available, tasks, **flags
     )
+
+
+@pytest.fixture(scope="module")
+def contended_batch():
+    """A twelfth of the contended population (12 000 workers, 750 tasks
+    at capacity 8, reach stretched to keep ~74 watchers per task) on the
+    sparse store."""
+    window = 1 / 12
+    stretch = 1.0 / math.sqrt(window)
+    instance = generate_instance(
+        round(12000 * window),
+        round(750 * window),
+        capacity=8,
+        speed_range=(0.01 * stretch, 0.05 * stretch),
+        radius_range=(0.03 * stretch, 0.06 * stretch),
+        seed=[1, 0],
+        quality_backend="sparse",
+    )
+    return instance, compute_valid_pairs(instance)
+
+
+@pytest.mark.parametrize(
+    "stage_two, oracle",
+    [(_stage_two, reference_stage_two), (reference_stage_two, _stage_two)],
+    ids=["flat", "reference"],
+)
+def test_stage_two(benchmark, contended_batch, stage_two, oracle):
+    """Stage 2 alone, from a fresh stage-1 seeding per round."""
+    instance, valid_pairs = contended_batch
+
+    def start():
+        assignment, available, seeded = stage_two_start(instance, valid_pairs)
+        return (instance, valid_pairs, assignment, available, seeded, False), {}
+
+    benchmark.pedantic(stage_two, setup=start, rounds=3)
+    trace = stage_two_trace(stage_two, instance, valid_pairs, False)
+    assert trace[0], "stage 2 committed nothing"
+    assert trace == stage_two_trace(oracle, instance, valid_pairs, False)
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,11 @@ The repo documents these equivalence families:
   blocks, one bulk commit) reproduces the from-scratch loop
   (:func:`~repro.audit.reference.reference_seed_groups`) repr-exactly,
   on every backend, under both call sites' flags;
+* TPG stage 2 (:func:`~repro.core.tpg._stage_two`: per-task heads over
+  running cross sums, one bulk commit) reproduces the per-pair heap loop
+  (:func:`~repro.audit.reference.reference_stage_two`) repr-exactly, on
+  every backend, with ``allow_negative_gain`` off and on (the
+  ``stage2-parity`` axis);
 * GT's bulk best-response rounds
   (:meth:`~repro.core.game._BestResponseDynamics.run_round`) replay the
   per-worker loop (:func:`~repro.audit.reference.reference_round`)
@@ -53,7 +58,7 @@ from repro.core.quality_store import (
     task_blocks,
 )
 from repro.core.stats import SolverStats
-from repro.core.tpg import seed_groups
+from repro.core.tpg import _stage_two, seed_groups
 from repro.core.validity import (
     IncrementalValidityIndex,
     ValidPairs,
@@ -65,7 +70,9 @@ from repro.audit.invariants import AuditFinding, audit_assignment
 from repro.audit.reference import (
     reference_round,
     reference_seed_groups,
+    reference_stage_two,
     stage_one_trace,
+    stage_two_trace,
 )
 
 __all__ = ["BACKENDS", "block_parity", "run_differential", "run_sharded_check"]
@@ -231,6 +238,51 @@ def _stage_one_parity(
     return findings
 
 
+def _stage_two_parity(
+    backend: str, instance: Instance, pairs: ValidPairs
+) -> list[AuditFinding]:
+    """Stage 2's per-task heads and bulk commit against the per-pair heap
+    loop, from the same stage-1 seeding, with ``allow_negative_gain`` off
+    and on: the commit trace (worker, task, gain repr),
+    ``gain_evaluations`` and the final revenue-cache state."""
+    findings = []
+    for allow_negative_gain in (False, True):
+        context = f"stage2 allow_negative_gain={allow_negative_gain} backend={backend}"
+        try:
+            heads = stage_two_trace(_stage_two, instance, pairs, allow_negative_gain)
+        except Exception as error:
+            findings.append(
+                AuditFinding(
+                    check="crash",
+                    detail=f"{type(error).__name__}: {error}",
+                    context=context,
+                )
+            )
+            continue
+        loop = stage_two_trace(
+            reference_stage_two, instance, pairs, allow_negative_gain
+        )
+        if heads != loop:
+            ours, theirs, first = heads[0], loop[0], 0
+            while first < min(len(ours), len(theirs)) and ours[first] == theirs[first]:
+                first += 1
+            fields = [name for name in heads[2] if heads[2][name] != loop[2][name]]
+            findings.append(
+                AuditFinding(
+                    check="stage2-parity",
+                    detail=(
+                        f"stage 2 diverges from the per-pair loop at commit "
+                        f"{first} of {len(ours)} vs {len(theirs)}: "
+                        f"{ours[first:first + 1]} vs {theirs[first:first + 1]}, "
+                        f"gain evaluations {heads[1]} vs {loop[1]}, "
+                        f"cache fields {fields}"
+                    ),
+                    context=context,
+                )
+            )
+    return findings
+
+
 #: The GT approaches the round axis replays, with their LUB flag.
 _GT_LAZY_UPDATE = {"GT": False, "GT+LUB": True, "GT+TSI": False, "GT+ALL": True}
 
@@ -320,6 +372,7 @@ def run_differential(
                 cleanups.append(cleanup)
             findings.extend(block_parity(backend, variant, valid_pairs))
             findings.extend(_stage_one_parity(backend, variant, valid_pairs))
+            findings.extend(_stage_two_parity(backend, variant, valid_pairs))
 
         for approach in approaches:
             reference: tuple | None = None

@@ -26,6 +26,12 @@ compare the kernels against them repr-exactly.
   store's own ``block`` and every commit a sequential ``assign``, the
   oracle of :func:`repro.core.tpg.seed_groups`' cached candidate blocks
   and bulk commit; :func:`stage_one_trace` is the comparison key;
+* :func:`reference_stage_two` — TPG stage 2 as a per-pair heap loop,
+  every gain one :func:`reference_join_gain` and every commit an
+  ``assign``, the oracle of :func:`repro.core.tpg._stage_two`'s
+  per-task heads over running cross sums and bulk commit, from
+  :func:`stage_two_start`; :func:`stage_two_trace` is the comparison
+  key;
 * :func:`reference_group_quality` — the Meetup Equation 1 through a
   dense incidence matmul, the oracle of
   :meth:`repro.core.quality.CooperationMatrix.from_group_memberships`'
@@ -34,6 +40,7 @@ compare the kernels against them repr-exactly.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,9 +49,10 @@ from repro.core.assignment import UNASSIGNED, Assignment
 from repro.core.game import _lub_invalidate
 from repro.core.kernels import exact_group_select, greedy_group_select
 from repro.core.quality import DEFAULT_ALPHA, DEFAULT_BASE_QUALITY, CooperationMatrix
+from repro.core.quality_store import task_blocks
 from repro.core.revenue import RevenueCache
 from repro.core.stats import SolverStats
-from repro.core.tpg import EXACT_SEED_THRESHOLD, _combo_table
+from repro.core.tpg import EXACT_SEED_THRESHOLD, _combo_table, seed_groups
 
 __all__ = [
     "reference_counted_subset",
@@ -56,6 +64,10 @@ __all__ = [
     "reference_best_group",
     "reference_seed_groups",
     "stage_one_trace",
+    "reference_stage_two",
+    "stage_two_start",
+    "stage_two_trace",
+    "cache_state",
     "reference_group_quality",
     "verify_nash_equilibrium",
 ]
@@ -400,6 +412,129 @@ def stage_one_trace(
         [cache.members(task) for task in range(instance.task_count)],
         (cache.full_evaluations, cache.incremental_updates, cache.peel_kernel_calls),
     )
+
+
+def reference_stage_two(
+    instance,
+    valid_pairs,
+    assignment: Assignment,
+    available: np.ndarray,
+    seeded,
+    allow_negative_gain: bool,
+    stats=None,
+) -> list[tuple[int, int, float]]:
+    """TPG stage 2 as a per-pair heap loop, the oracle of
+    :func:`repro.core.tpg._stage_two`'s per-task heads and bulk commit.
+
+    Every idle candidate of each seeded task with room is scored with
+    :func:`reference_join_gain` and pushed as ``(-gain, version, worker,
+    task)``; the first live entry (its task open, its worker idle, its
+    version the task's) commits with ``assign``, unless its gain is not
+    positive and ``allow_negative_gain`` is off, and its task's idle
+    candidates are re-scored at the task's next version while it has
+    room. ``stats`` counts every score in ``gain_evaluations``. Returns
+    the commits in order as ``(worker, task, gain)``.
+    """
+    capacities = [task.capacity for task in instance.tasks]
+    open_tasks = {
+        task for task in seeded if assignment.assigned_count(task) < capacities[task]
+    }
+    commits: list[tuple[int, int, float]] = []
+    if not open_tasks or not available.any():
+        return commits
+    cache = assignment.revenue_cache
+    versions = [0] * instance.task_count
+    heap: list[tuple[float, int, int, int]] = []
+
+    def push(task: int) -> None:
+        idle = [w for w in valid_pairs.workers_for_task[task] if available[w]]
+        for worker in idle:
+            gain = reference_join_gain(cache, worker, task)
+            heapq.heappush(heap, (-gain, versions[task], worker, task))
+        if stats is not None:
+            stats.gain_evaluations += len(idle)
+
+    for task in sorted(open_tasks):
+        push(task)
+    idle_workers = int(np.count_nonzero(available))
+    while heap and open_tasks and idle_workers:
+        negative_gain, version, worker, task = heapq.heappop(heap)
+        if task not in open_tasks or not available[worker]:
+            continue
+        if version != versions[task]:
+            continue
+        gain = -negative_gain
+        if not allow_negative_gain and gain <= 0.0:
+            break
+        assignment.assign(worker, task)
+        available[worker] = False
+        idle_workers -= 1
+        versions[task] += 1
+        commits.append((worker, task, gain))
+        if assignment.assigned_count(task) >= capacities[task]:
+            open_tasks.discard(task)
+        else:
+            push(task)
+    return commits
+
+
+def stage_two_start(
+    instance, valid_pairs
+) -> tuple[Assignment, np.ndarray, set[int]]:
+    """A fresh stage-2 start: ``(assignment, available, seeded)`` after
+    stage 1 (:func:`~repro.core.tpg.seed_groups`, TPG's flags) over
+    every worker, the revenue cache reading a task-block reader as in a
+    solve."""
+    assignment = Assignment(instance, valid_pairs)
+    assignment.revenue_cache.use_reads(task_blocks(instance.quality, valid_pairs))
+    available = np.ones(instance.worker_count, dtype=bool)
+    seeded = {
+        task
+        for task, _, _ in seed_groups(
+            instance, valid_pairs, assignment, available,
+            range(instance.task_count), prefer_wider=True, positive_only=False,
+        )
+    }
+    return assignment, available, seeded
+
+
+def stage_two_trace(
+    stage_two, instance, valid_pairs, allow_negative_gain: bool
+) -> tuple:
+    """What two stage-2 runs must share, repr-exactly.
+
+    Runs ``stage_two`` (:func:`repro.core.tpg._stage_two` or
+    :func:`reference_stage_two`) from :func:`stage_two_start` and
+    returns the commits (worker, task, ``repr`` of the gain),
+    ``gain_evaluations`` and the revenue cache's state
+    (:func:`cache_state`).
+    """
+    assignment, available, seeded = stage_two_start(instance, valid_pairs)
+    stats = SolverStats()
+    commits = stage_two(
+        instance, valid_pairs, assignment, available, seeded,
+        allow_negative_gain, stats,
+    )
+    return (
+        [(worker, task, repr(gain)) for worker, task, gain in commits],
+        stats.gain_evaluations,
+        cache_state(assignment.revenue_cache),
+    )
+
+
+def cache_state(cache: RevenueCache) -> dict:
+    """:meth:`RevenueCache.state_dict` with every value as nested lists
+    of ``repr`` strings (arrays with their dtype), so ``==`` compares
+    floats bit for bit."""
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, plain(value.tolist())
+        if isinstance(value, (list, tuple)):
+            return [plain(item) for item in value]
+        return repr(value)
+
+    return {name: plain(value) for name, value in cache.state_dict().items()}
 
 
 def reference_group_quality(

@@ -11,9 +11,10 @@ ones into the corpus — see docs/AUDIT.md).
 deliberate pair-sum off-by-one into :class:`~repro.core.revenue.
 RevenueCache` (mutation testing in miniature), then asserts the audit
 loop detects the divergence and shrinks the repro to a handful of
-workers. It also corrupts a sparse task block and shifts the shared
-join kernel by one ulp, and asserts the ``block-parity`` and
-``round-parity`` axes flag them. A harness that cannot catch the class
+workers. It also corrupts a sparse task block, shifts the shared
+join kernel by one ulp and shifts TPG stage 2's initial running sums by
+one ulp, and asserts the ``block-parity``, ``round-parity`` and
+``stage2-parity`` axes flag them. A harness that cannot catch the class
 of bug it exists for is worse than none — this keeps it honest on every
 CI run.
 """
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import kernels, revenue
+from repro.core import kernels, revenue, tpg
 from repro.core.model import Instance
 from repro.core.quality_store import SparseTaskBlocks
 from repro.core.revenue import RevenueCache
@@ -36,6 +37,7 @@ from repro.audit.corpus import iter_corpus, save_corpus_entry
 from repro.audit.differential import (
     BACKENDS,
     _round_parity,
+    _stage_two_parity,
     _with_backend,
     block_parity,
     run_differential,
@@ -52,6 +54,7 @@ __all__ = [
     "injected_block_bug",
     "injected_join_gain_bug",
     "injected_pair_sum_bug",
+    "injected_stage_two_bug",
     "run_audit",
     "run_self_test",
 ]
@@ -313,12 +316,32 @@ def injected_join_gain_bug():
         kernels.fit_join_gains = revenue.fit_join_gains = original
 
 
+@contextmanager
+def injected_stage_two_bug():
+    """Temporarily shift TPG stage 2's initial running sums by one ulp
+    (:func:`repro.core.tpg._slot_sums`, every slot's row and column sum
+    over its task's members). The per-pair loop scores every join
+    through the store, so ``stage2-parity`` must flag the shift."""
+    original = tpg._slot_sums
+
+    def buggy_sums(*args):
+        return tuple(np.nextafter(sums, np.inf) for sums in original(*args))
+
+    tpg._slot_sums = buggy_sums
+    try:
+        yield
+    finally:
+        tpg._slot_sums = original
+
+
 @dataclass(frozen=True)
 class SelfTestResult:
     """Outcome of one mutation self-test run: the injected pair-sum bug
     (detected, where, shrunk to what), the corrupted task block
-    (``block_bug_detected`` by the ``block-parity`` axis) and the
-    shifted join kernel (``join_gain_bug_detected`` by ``round-parity``)."""
+    (``block_bug_detected`` by the ``block-parity`` axis), the
+    shifted join kernel (``join_gain_bug_detected`` by ``round-parity``)
+    and the shifted stage-2 running sums (``stage_two_bug_detected`` by
+    ``stage2-parity``)."""
 
     detected: bool
     instances_until_detection: int
@@ -327,6 +350,7 @@ class SelfTestResult:
     findings: tuple[AuditFinding, ...] = ()
     block_bug_detected: bool = False
     join_gain_bug_detected: bool = False
+    stage_two_bug_detected: bool = False
 
     def summary(self) -> str:
         if not self.detected:
@@ -338,12 +362,18 @@ class SelfTestResult:
             return "self-test FAILED: corrupted task block not flagged"
         if not self.join_gain_bug_detected:
             return "self-test FAILED: shifted join gains not flagged by round-parity"
+        if not self.stage_two_bug_detected:
+            return (
+                "self-test FAILED: shifted stage-2 running sums not flagged "
+                "by stage2-parity"
+            )
         return (
             "self-test passed: injected pair-sum bug detected after "
             f"{self.instances_until_detection} instance(s), shrunk to "
             f"{self.shrunk_workers} worker(s) / {self.shrunk_tasks} task(s); "
             "corrupted task block flagged by block-parity; "
-            "shifted join gains flagged by round-parity"
+            "shifted join gains flagged by round-parity; "
+            "shifted stage-2 running sums flagged by stage2-parity"
         )
 
 
@@ -362,9 +392,10 @@ def run_self_test(
     built the assignment. Runs entirely under
     :func:`injected_pair_sum_bug`, including the shrink, and reports the
     minimal repro size. Then, under :func:`injected_block_bug`, the
-    ``block-parity`` axis must flag the corrupted sparse task blocks, and
+    ``block-parity`` axis must flag the corrupted sparse task blocks,
     under :func:`injected_join_gain_bug` the ``round-parity`` axis the
-    shifted join gains.
+    shifted join gains, and under :func:`injected_stage_two_bug` the
+    ``stage2-parity`` axis the shifted running sums.
     """
     def block_flagged(instance: Instance) -> bool:
         instance, _ = _with_backend(instance, "sparse")
@@ -375,11 +406,17 @@ def run_self_test(
         pairs = compute_valid_pairs(instance)
         return bool(_round_parity(instance, pairs, lazy_update=False, seed=seed))
 
-    block_bug_detected, join_gain_bug_detected = (
+    def stage_two_flagged(instance: Instance) -> bool:
+        pairs = compute_valid_pairs(instance)
+        findings = _stage_two_parity("dense", instance, pairs)
+        return any(finding.check == "stage2-parity" for finding in findings)
+
+    block_bug_detected, join_gain_bug_detected, stage_two_bug_detected = (
         _flagged(mutation, check, seed, max_instances)
         for mutation, check in (
             (injected_block_bug, block_flagged),
             (injected_join_gain_bug, rounds_flagged),
+            (injected_stage_two_bug, stage_two_flagged),
         )
     )
     with injected_pair_sum_bug(offset):
@@ -407,6 +444,7 @@ def run_self_test(
                 findings=tuple(audit(shrunk)),
                 block_bug_detected=block_bug_detected,
                 join_gain_bug_detected=join_gain_bug_detected,
+                stage_two_bug_detected=stage_two_bug_detected,
             )
     return SelfTestResult(
         detected=False,
@@ -415,6 +453,7 @@ def run_self_test(
         shrunk_tasks=0,
         block_bug_detected=block_bug_detected,
         join_gain_bug_detected=join_gain_bug_detected,
+        stage_two_bug_detected=stage_two_bug_detected,
     )
 
 

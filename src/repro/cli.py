@@ -324,6 +324,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             result.detected
             and result.block_bug_detected
             and result.join_gain_bug_detected
+            and result.stage_two_bug_detected
         ):
             return 1
         if result.shrunk_workers > 6 or result.shrunk_tasks > 3:

@@ -360,8 +360,11 @@ class RevenueCache:
     # ------------------------------------------------------------------
     def join(self, worker: int, task: int) -> None:
         """Add ``worker`` to the task, updating the pair sum by one
-        cross sum instead of re-summing the group."""
+        cross sum instead of re-summing the group. Raises
+        ``ValueError`` for a worker already in the task."""
         members = self._members[task]
+        if worker in members:
+            raise ValueError(f"worker {worker} is already a member of task {task}")
         positions = np.append(
             self.member_positions(task), self.reads.locate(task, worker)
         )
@@ -387,7 +390,9 @@ class RevenueCache:
         sum over its ``p + i`` predecessors, reduced in ``cross_sum``'s
         order (:func:`~repro.core.kernels.ordered_row_sums`). The joins
         that would overflow a task take the scalar :meth:`join`, so
-        peels and counters match the sequential replay too.
+        peels and counters match the sequential replay too. Raises
+        ``ValueError``, before any join, when a worker would join a task
+        it is already in.
         """
         joiners: dict[int, list[int]] = {}
         for worker, task in zip(workers, tasks):
@@ -396,6 +401,8 @@ class RevenueCache:
         overflow: list[tuple[int, int]] = []
         for task, joining in joiners.items():
             present = len(self._members[task])
+            if len(set(self._members[task]).union(joining)) < present + len(joining):
+                raise ValueError(f"a joining worker is already a member of task {task}")
             room = max(int(self.capacities[task]) - present, 0)
             if room < len(joining):
                 overflow.extend((worker, task) for worker in joining[room:])

@@ -22,28 +22,41 @@ The implementation keeps the asymptotics of the paper's analysis
   through an inverted index from each worker to the cached sets holding
   it — no per-commit rescan of the open tasks. All groups commit in one
   :meth:`~repro.core.assignment.Assignment.assign_pairs` call;
-* stage 2 keeps a version-stamped heap of pair gains, so each commit
-  re-scores only the pairs of the task whose membership changed, and
-  scores all of that task's idle candidates in one block evaluation
-  (:meth:`~repro.core.revenue.RevenueCache.join_gains`).
+* stage 2 (:func:`_stage_two`) numbers every open task's idle watchers
+  into flat slots and keeps each slot's row and column sum over its
+  task's members, read for all slots at once and grown by one column
+  read per commit, so a gain is ``(S + cross) / k - Q`` elementwise
+  from sums it already holds. A max-heap holds one head per open task,
+  its best live slot; a commit re-scores only its own task, and a head
+  whose worker another task took is replaced from the task's stored
+  gains. Stage 2 keeps its tasks' ``S``, ``k`` and ``Q`` itself, and
+  all its commits reach the assignment in one
+  :meth:`~repro.core.assignment.Assignment.assign_pairs` call.
 
 Every score, tie-break and counter is bit-identical to the scalar loops
 these replace (stage 1's from-scratch loop is
-:func:`repro.audit.reference.reference_seed_groups`); the sharding
-pipeline's border seeding reuses :func:`seed_groups` with its own floor
-and tie rule.
+:func:`repro.audit.reference.reference_seed_groups`, stage 2's per-pair
+heap loop :func:`repro.audit.reference.reference_stage_two`); the
+sharding pipeline's border seeding reuses :func:`seed_groups` with its
+own floor and tie rule.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.assignment import Assignment
-from repro.core.kernels import exact_group_select, greedy_group_select
+from repro.core.kernels import (
+    cross_values,
+    exact_group_select,
+    greedy_group_select,
+    ordered_row_sums,
+)
 from repro.core.model import Instance
 from repro.core.quality_store import StoreReads, task_blocks
 from repro.core.stats import SolverStats
@@ -82,8 +95,6 @@ _COMBO_TABLES: dict[
 def _combo_table(
     count: int, size: int
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    import itertools
-
     key = (count, size)
     table = _COMBO_TABLES.get(key)
     if table is None:
@@ -186,24 +197,6 @@ def _solve_tpg_full(
     stats.phase_seconds["stage2"] = finished - stage_one_done
     stats.total_seconds = finished - started
     return TPGResult(assignment=assignment, seeded_tasks=len(seeded), stats=stats)
-
-
-class _TaskWorkers:
-    """Each task's valid workers as an index array, built on first use."""
-
-    __slots__ = ("_lists", "_arrays")
-
-    def __init__(self, valid_pairs: ValidPairs) -> None:
-        self._lists = valid_pairs.workers_for_task
-        self._arrays: dict[int, np.ndarray] = {}
-
-    def idle(self, task: int, available: np.ndarray) -> np.ndarray:
-        """The task's still-available workers, in validity order."""
-        workers = self._arrays.get(task)
-        if workers is None:
-            workers = np.asarray(self._lists[task], dtype=np.intp)
-            self._arrays[task] = workers
-        return workers[available[workers]]
 
 
 class _CandidateBlocks:
@@ -404,6 +397,19 @@ def _seed_groups(
     return commits
 
 
+
+
+def _slot_sums(
+    reads, positions: np.ndarray, members: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's row and column sums over its task's members: position
+    ``positions[i]`` against the row ``members[i]``, each orientation
+    summed left to right (:func:`~repro.core.kernels.ordered_row_sums`),
+    as ``cross_sum`` sums them."""
+    toward, back = cross_values(reads, positions[:, None], members)
+    return ordered_row_sums(toward), ordered_row_sums(back)
+
+
 def _stage_two(
     instance: Instance,
     valid_pairs: ValidPairs,
@@ -412,51 +418,134 @@ def _stage_two(
     seeded: set[int],
     allow_negative_gain: bool,
     stats: SolverStats | None = None,
-) -> None:
-    """Fill seeded tasks up to capacity by max marginal gain."""
-    open_tasks = {
-        task
-        for task in seeded
-        if assignment.assigned_count(task) < instance.tasks[task].capacity
-    }
-    if not open_tasks or not available.any():
-        return
+) -> list[tuple[int, int, float]]:
+    """Fill seeded tasks up to capacity by max marginal gain.
 
-    pool = _TaskWorkers(valid_pairs)
+    Returns the commits in order as ``(worker, task, gain)``; they reach
+    ``assignment`` in one
+    :meth:`~repro.core.assignment.Assignment.assign_pairs` call at the
+    end. The loop is :func:`repro.audit.reference.reference_stage_two`'s
+    (one heap over ``(-gain, version, worker, task)``, a task's version
+    bumped by each of its commits), with its gains, order and
+    ``gain_evaluations`` bit for bit.
+
+    Every open task's available watchers are numbered into flat slots,
+    task by task, each task's ascending. A slot keeps its row sum and
+    column sum over the task's members in member order, read once for
+    all slots (members padded with the slot's own position, whose
+    diagonal 0.0 adds nothing) and grown by one term per commit, so
+    they stay ``cross_sum``'s two sums and the gains ``fit_join_gains``'
+    floats. The heap holds one head per open task, its best live slot
+    (first maximum in worker order): a task's gains change only with its
+    own members, so a head whose worker another task took is replaced
+    by the next best of the task's stored gains, and a commit re-scores
+    only its own task, from one column read.
+    """
     cache = assignment.revenue_cache
-    versions = [0] * instance.task_count
-    heap: list[tuple[float, int, int, int]] = []  # (-gain, version, worker, task)
+    reads = cache.reads
+    tasks = np.asarray(sorted(seeded), dtype=np.int64)
+    tasks = tasks[cache.counts[tasks] < cache.capacities[tasks]]
+    counts = cache.counts[tasks]
+    # Seeded tasks hold at least B members and have room, so every join
+    # fits its task and reaches B: the case of ``fit_join_gains``.
+    assert (counts >= max(cache.min_group_size, 1)).all()
 
-    def push_pairs_for_task(task: int) -> None:
-        idle = pool.idle(task, available)
-        if not idle.size:
-            return
-        # One batched evaluation scores every idle candidate of the task.
-        gains = cache.join_gains(idle, task)
-        version = versions[task]
-        for worker, gain in zip(idle.tolist(), gains):
-            heapq.heappush(heap, (-gain, version, worker, task))
-        if stats is not None:
-            stats.gain_evaluations += len(gains)
+    lists = valid_pairs.workers_for_task
+    sizes = np.fromiter(
+        (len(lists[task]) for task in tasks.tolist()), dtype=np.int64, count=tasks.size
+    )
+    watchers = np.fromiter(
+        itertools.chain.from_iterable(lists[task] for task in tasks.tolist()),
+        dtype=np.int64,
+        count=int(sizes.sum()),
+    )
+    owner = np.repeat(np.arange(tasks.size), sizes)
+    idle = available[watchers]
+    watchers, owner = watchers[idle], owner[idle]
+    if not watchers.size:
+        return []
+    lengths = np.bincount(owner, minlength=tasks.size)
+    starts = np.zeros(tasks.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    positions = reads.locate(tasks[owner], watchers)
+    table = np.full((tasks.size, int(counts.max())), -1, dtype=np.int64)
+    for row, task in enumerate(tasks.tolist()):
+        table[row, : counts[row]] = cache.member_positions(task)
+    members = table[owner]
+    members = np.where(members < 0, positions[:, None], members)
+    toward, back = _slot_sums(reads, positions, members)
 
-    for task in open_tasks:
-        push_pairs_for_task(task)
+    pair_sums = cache.pair_sums[tasks]
+    revenues = cache.revenues[tasks]
+    gains = (pair_sums[owner] + (toward + back)) / counts[owner] - revenues[owner]
+    if stats is not None:
+        stats.gain_evaluations += gains.size
+    # Each task's head: the first maximum of its slots.
+    filled = np.flatnonzero(lengths)
+    best = np.maximum.reduceat(gains, starts[filled])
+    hits = np.flatnonzero(gains == np.repeat(best, lengths[filled]))
+    heads = hits[np.diff(owner[hits], prepend=-1) != 0]
+    heap = list(
+        zip(
+            (-gains[heads]).tolist(),
+            [0] * heads.size,
+            watchers[heads].tolist(),
+            tasks[owner[heads]].tolist(),
+            heads.tolist(),
+        )
+    )  # (-gain, version, worker, task, slot)
+    heapq.heapify(heap)
 
+    pair_sums, revenues = pair_sums.tolist(), revenues.tolist()
+    counts = counts.tolist()
+    capacities = cache.capacities[tasks].tolist()
+    versions = [0] * tasks.size
+    starts = starts.tolist()
+    owner = owner.tolist()
+
+    def push_head(row: int, task: int, push) -> int:
+        """Put the row's best live slot on the heap with ``push``;
+        returns how many live slots the row has."""
+        live = starts[row] + np.flatnonzero(
+            available[watchers[starts[row] : starts[row + 1]]]
+        )
+        if live.size:
+            slot = int(live[np.argmax(gains[live])])
+            entry = (-float(gains[slot]), versions[row], int(watchers[slot]), task, slot)
+            push(heap, entry)
+        return live.size
+
+    commits: list[tuple[int, int, float]] = []
     idle_workers = int(np.count_nonzero(available))
-    while heap and open_tasks and idle_workers:
-        negative_gain, version, worker, task = heapq.heappop(heap)
-        if task not in open_tasks or not available[worker]:
+    while heap and idle_workers:
+        negative_gain, _, worker, task, slot = heap[0]
+        row = owner[slot]
+        if not available[worker]:
+            # Taken by another task: the next best of the stored gains.
+            if not push_head(row, task, heapq.heapreplace):
+                heapq.heappop(heap)
             continue
-        if version != versions[task]:
-            continue  # stale entry; a fresh one was pushed on the update
         gain = -negative_gain
         if not allow_negative_gain and gain <= 0.0:
             break  # heap max is non-positive: no pair improves the score
-        assignment.assign(worker, task)
+        heapq.heappop(heap)
         available[worker] = False
         idle_workers -= 1
-        versions[task] += 1
-        if assignment.assigned_count(task) >= instance.tasks[task].capacity:
-            open_tasks.discard(task)
-        else:
-            push_pairs_for_task(task)
+        commits.append((worker, task, gain))
+        pair_sums[row] += float(toward[slot] + back[slot])
+        counts[row] += 1
+        revenues[row] = pair_sums[row] / (counts[row] - 1)
+        versions[row] += 1
+        if counts[row] >= capacities[row]:
+            continue
+        column = slice(starts[row], starts[row + 1])
+        near, far = cross_values(reads, positions[column], positions[slot])
+        toward[column] += near
+        back[column] += far
+        cross = toward[column] + back[column]
+        gains[column] = (pair_sums[row] + cross) / counts[row] - revenues[row]
+        scored = push_head(row, task, heapq.heappush)
+        if stats is not None:
+            stats.gain_evaluations += scored
+    assignment.assign_pairs((worker, task) for worker, task, _ in commits)
+    return commits

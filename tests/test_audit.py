@@ -39,6 +39,7 @@ from repro.audit.runner import (
     DEFAULT_CORPUS_DIR,
     injected_block_bug,
     injected_join_gain_bug,
+    injected_stage_two_bug,
 )
 from repro.core.assignment import Assignment
 from repro.core.validity import compute_valid_pairs
@@ -260,6 +261,25 @@ class TestDifferentialRunner:
             for backend in differential.BACKENDS
         }
 
+    def test_stage_two_divergence_is_flagged(self):
+        # One ulp on stage 2's initial running sums moves its gains off
+        # the per-pair loop's on every backend, with negative gains
+        # allowed or not.
+        from repro.audit import differential
+
+        instance = make_dense_instance(seed=1)
+        assert differential.run_differential(instance, approaches=()) == []
+        with injected_stage_two_bug():
+            findings = differential.run_differential(instance, approaches=())
+        flagged = {
+            f.context for f in findings if f.check == "stage2-parity"
+        }
+        assert flagged == {
+            f"stage2 allow_negative_gain={allow} backend={backend}"
+            for allow in (False, True)
+            for backend in differential.BACKENDS
+        }
+
     def test_validity_reference_parity_on_boundary_instances(self):
         # The range query is pruned to min(r_i, v_i * max_remaining);
         # parity of the grid with the brute-force reference on
@@ -395,6 +415,15 @@ class TestMutationSelfTest:
             assert revenue.fit_join_gains is kernels.fit_join_gains
         assert kernels.fit_join_gains is original
         assert revenue.fit_join_gains is original
+
+    def test_shifted_stage_two_sums_are_flagged_and_restored(self):
+        from repro.core import tpg
+
+        assert run_self_test(seed=0).stage_two_bug_detected
+        original = tpg._slot_sums
+        with injected_stage_two_bug():
+            assert tpg._slot_sums is not original
+        assert tpg._slot_sums is original
 
     def test_mutation_restores_join(self):
         from repro.core.revenue import RevenueCache

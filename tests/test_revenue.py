@@ -507,6 +507,48 @@ class TestEvaluatorsRejectBadPairs:
         assert cache.full_evaluations == cache.peel_kernel_calls == 0
 
 
+class TestMutationsRejectAMember:
+    """A worker joins a task at most once: ``join`` and ``join_pairs``
+    raise for a member, and a rejected ``join_pairs`` joins nobody."""
+
+    @staticmethod
+    def _state(cache):
+        return (
+            [cache.members(task) for task in range(cache.task_count)],
+            cache.pair_sums.tolist(),
+            cache.revenues.tolist(),
+            list(cache.versions),
+            cache.incremental_updates,
+        )
+
+    def test_join_rejects_a_member(self):
+        from repro.core.revenue import RevenueCache
+
+        cache = RevenueCache(CooperationMatrix.random_uniform(6, seed=4), [4], 2)
+        cache.join(1, 0)
+        cache.join(2, 0)
+        before = self._state(cache)
+        with pytest.raises(ValueError, match="already a member"):
+            cache.join(1, 0)
+        assert self._state(cache) == before
+
+    @pytest.mark.parametrize(
+        "workers, tasks",
+        [([1], [0]), ([3, 3], [0, 0]), ([4, 3, 4], [1, 0, 1]), ([0, 2], [1, 0])],
+        ids=["member", "twice", "twice-other-task", "member-after-a-valid-join"],
+    )
+    def test_join_pairs_rejects_a_member(self, workers, tasks):
+        from repro.core.revenue import RevenueCache
+
+        cache = RevenueCache(CooperationMatrix.random_uniform(6, seed=4), [4, 4], 2)
+        cache.join(1, 0)
+        cache.join(2, 0)
+        before = self._state(cache)
+        with pytest.raises(ValueError, match="already a member"):
+            cache.join_pairs(workers, tasks)
+        assert self._state(cache) == before
+
+
 #: Workers and tasks of the evaluator property's caches.
 _EVAL_WORKERS, _EVAL_TASKS = 16, 4
 

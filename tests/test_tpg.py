@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit.reference import (
+    cache_state,
     reference_best_group,
     reference_seed_groups,
+    reference_stage_two,
     stage_one_trace,
+    stage_two_trace,
 )
 from repro.core.quality import CooperationMatrix
+from repro.core.stats import SolverStats
 from repro.core.tpg import (
     EXACT_SEED_THRESHOLD,
+    _stage_two,
     seed_groups,
     solve_tpg,
     solve_tpg_with_stats,
@@ -241,9 +246,10 @@ class TestStageOneTies:
 
 
 class TestStageTwoParity:
-    """Stage 2 scores a task's idle candidates in one block evaluation;
-    every gain, hence every assignment and counter, must match the scalar
-    oracle ``reference_join_gain``."""
+    """Stage 2's gains, hence every assignment and counter, must match
+    the scalar oracles: ``join_gains`` against ``reference_join_gain``,
+    and the stage itself against the per-pair heap loop
+    ``reference_stage_two``, which scores with ``reference_join_gain``."""
 
     @staticmethod
     def _stores(size: int, seed: int):
@@ -293,16 +299,12 @@ class TestStageTwoParity:
 
     @pytest.mark.parametrize("allow_negative_gain", [False, True])
     @pytest.mark.parametrize("backend", ["dense", "sparse", "shared"])
-    def test_tpg_matches_a_scalar_stage_two(
-        self, backend, allow_negative_gain, monkeypatch
-    ):
+    def test_tpg_matches_a_scalar_stage_two(self, backend, allow_negative_gain):
         from repro.core.model import Instance
         from repro.core.quality_store import (
             SharedDenseQualityStore,
             SparseQualityStore,
         )
-        from repro.audit.reference import reference_join_gain
-        from repro.core.revenue import RevenueCache
 
         base = generate_instance(
             90, 8, capacity=12, min_group_size=2, remaining_time=5,
@@ -320,41 +322,180 @@ class TestStageTwoParity:
         )
         pairs = compute_valid_pairs(instance)
 
-        def run():
-            result = solve_tpg_with_stats(
-                instance, pairs, allow_negative_gain=allow_negative_gain
-            )
-            stats = result.stats
-            return (
-                result.assignment.to_pairs(),
-                repr(result.assignment.total_score()),
-                stats.gain_evaluations,
-                stats.incremental_updates,
-                stats.peel_kernel_calls,
-                stats.revenue_evaluations,
-            )
-
         try:
             # The groups grow past numpy's 8-element pairwise cliff.
             filled = solve_tpg(instance, pairs, allow_negative_gain=True)
             assert max(
                 filled.assigned_count(task) for task in range(instance.task_count)
             ) > 9
-            batched = run()
-            monkeypatch.setattr(
-                RevenueCache,
-                "join_gains",
-                lambda self, workers, task: [
-                    reference_join_gain(self, worker, task)
-                    for worker in workers.tolist()
-                ],
+            heads = stage_two_trace(_stage_two, instance, pairs, allow_negative_gain)
+            loop = stage_two_trace(
+                reference_stage_two, instance, pairs, allow_negative_gain
             )
-            scalar = run()
+            result = solve_tpg_with_stats(
+                instance, pairs, allow_negative_gain=allow_negative_gain
+            )
         finally:
             if backend == "shared":
                 store.close()
                 store.unlink()
-        assert batched == scalar
+        assert heads == loop
+        assert heads[0], "stage 2 committed nothing"
+        # The solve runs the traced stage 2: same gain evaluations, members
+        # in join order, sums and counters.
+        assert result.stats.gain_evaluations == heads[1]
+        solved = cache_state(result.assignment.revenue_cache)
+        for field in (
+            "_members", "pair_sums", "revenues", "counts", "versions",
+            "full_evaluations", "incremental_updates", "peel_kernel_calls",
+        ):
+            assert solved[field] == heads[2][field], field
+
+
+#: Workers and tasks of the stage-2 property's instances.
+_STAGE_TWO_WORKERS, _STAGE_TWO_TASKS = 24, 5
+
+
+@pytest.fixture(scope="module")
+def stage_two_stores():
+    """Three quality matrices on the dense, sparse and shared stores:
+    the mixed magnitudes of :meth:`TestStageTwoParity._stores`, a few
+    dyadic values, whose exact sums tie some gains, and one value
+    everywhere, which ties every gain of a task (and across tasks of one
+    size), so the heap's tie-breaks decide every commit."""
+    from repro.core.quality_store import (
+        SharedDenseQualityStore,
+        SparseQualityStore,
+    )
+
+    mixed, shared = TestStageTwoParity._stores(_STAGE_TWO_WORKERS, seed=11)
+    rng = np.random.default_rng(12)
+    q = rng.choice([0.0, 0.25, 0.5, 1.0], size=(_STAGE_TWO_WORKERS,) * 2)
+    dense = CooperationMatrix(q)
+    dyadic_shared = SharedDenseQualityStore.create(dense)
+    dyadic = {
+        "dense": dense,
+        "sparse": SparseQualityStore.from_dense(dense, prior=0.25),
+        "shared": dyadic_shared,
+    }
+    flat = CooperationMatrix(np.full((_STAGE_TWO_WORKERS,) * 2, 0.5))
+    flat_shared = SharedDenseQualityStore.create(flat)
+    uniform = {
+        "dense": flat,
+        "sparse": SparseQualityStore.from_dense(flat, prior=0.5),
+        "shared": flat_shared,
+    }
+    yield {"mixed": mixed, "dyadic": dyadic, "uniform": uniform}
+    for store in (shared, dyadic_shared, flat_shared):
+        store.close()
+        store.unlink()
+
+
+def _hand_made_start(store, minimum, capacity, seed):
+    """A hand-made stage-2 start on ``store``: random validity, each
+    task seeded with a random number of its watchers (none, or ``B`` up
+    to two more within its capacity, joined in random order) and random
+    workers taken elsewhere, with one seeded task's watchers all taken
+    when the draw says so. Returns ``(instance, valid_pairs, assignment,
+    available, seeded)``; the revenue cache reads a task-block reader,
+    as in a solve.
+
+    ``B = 1`` lies below the floor :class:`Instance` enforces, so the
+    instance is assembled without its validation; the revenue cache and
+    stage 2 define that case.
+    """
+    from dataclasses import replace
+
+    from repro.core.assignment import Assignment
+    from repro.core.model import Instance
+    from repro.core.quality_store import task_blocks
+    from repro.core.validity import ValidPairs
+
+    rng = np.random.default_rng(seed)
+    base = generate_instance(
+        _STAGE_TWO_WORKERS, _STAGE_TWO_TASKS, capacity=12, min_group_size=2,
+        seed=seed,
+    )
+    instance = object.__new__(Instance)
+    for name, value in (
+        ("workers", base.workers),
+        ("tasks", tuple(replace(task, capacity=capacity) for task in base.tasks)),
+        ("quality", store),
+        ("min_group_size", minimum),
+        ("now", base.now),
+    ):
+        object.__setattr__(instance, name, value)
+    valid = rng.random((_STAGE_TWO_WORKERS, _STAGE_TWO_TASKS)) < rng.uniform(0.3, 0.9)
+    pairs = ValidPairs(
+        tasks_for_worker=tuple(tuple(np.flatnonzero(row).tolist()) for row in valid),
+        workers_for_task=tuple(tuple(np.flatnonzero(col).tolist()) for col in valid.T),
+    )
+    assignment = Assignment(instance, pairs)
+    assignment.revenue_cache.use_reads(task_blocks(store, pairs))
+    available = np.ones(_STAGE_TWO_WORKERS, dtype=bool)
+    seeded = set()
+    for task in rng.permutation(_STAGE_TWO_TASKS).tolist():
+        free = [w for w in pairs.workers_for_task[task] if available[w]]
+        low = max(minimum, 1)
+        if len(free) < low or rng.random() < 0.2:
+            continue
+        size = int(rng.integers(low, min(capacity, len(free), low + 2) + 1))
+        for worker in rng.permutation(free)[:size].tolist():
+            assignment.assign(worker, task)
+            available[worker] = False
+        seeded.add(task)
+    available[rng.random(_STAGE_TWO_WORKERS) < rng.uniform(0.0, 0.4)] = False
+    if seeded and rng.random() < 0.3:
+        task = sorted(seeded)[int(rng.integers(len(seeded)))]
+        available[list(pairs.workers_for_task[task])] = False
+    return instance, pairs, assignment, available, seeded
+
+
+class TestStageTwoProperty:
+    """Stage 2's per-task heads over running sums equal the per-pair heap
+    loop (``reference_stage_two``) from any stage-2 start."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        values=st.sampled_from(["mixed", "dyadic", "uniform"]),
+        backend=st.sampled_from(["dense", "sparse", "shared"]),
+        minimum=st.sampled_from([1, 2, 3]),
+        room=st.sampled_from(["B", "B+1", "12"]),
+        allow_negative_gain=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_heads_match_the_per_pair_loop(
+        self, stage_two_stores, values, backend, minimum, room,
+        allow_negative_gain, seed,
+    ):
+        capacity = {"B": minimum, "B+1": minimum + 1, "12": 12}[room]
+        store = stage_two_stores[values][backend]
+        runs = []
+        for stage_two in (_stage_two, reference_stage_two):
+            instance, pairs, assignment, available, seeded = _hand_made_start(
+                store, minimum, capacity, seed
+            )
+            stats = SolverStats()
+            commits = stage_two(
+                instance, pairs, assignment, available, seeded,
+                allow_negative_gain, stats,
+            )
+            cache = assignment.revenue_cache
+            stats.add_cache_counters(cache)
+            runs.append(
+                (
+                    [(worker, task, repr(gain)) for worker, task, gain in commits],
+                    (
+                        stats.gain_evaluations,
+                        stats.incremental_updates,
+                        stats.revenue_evaluations,
+                        stats.peel_kernel_calls,
+                    ),
+                    available.tolist(),
+                    cache_state(cache),
+                )
+            )
+        assert runs[0] == runs[1]
 
 
 class TestExactBestGroup:
