@@ -10,25 +10,28 @@ they disagree:
   :class:`~repro.core.assignment.Assignment` against a from-scratch pure
   Python oracle (catching :class:`~repro.core.revenue.RevenueCache`
   drift);
-* :mod:`repro.audit.differential` — checks the grid's valid pairs
-  against the brute-force Definition 3 oracle, runs the cross-product
-  {approaches} x {quality backends} on one instance and flags any
-  divergence between combinations documented as identical;
+* :mod:`repro.audit.differential` — one table of parity axes (grid
+  validity, task blocks, TPG stages 1 and 2, GT rounds), each a fast
+  path, its oracle and an optional self-test mutation, run by one loop;
+  then the cross-product {approaches} x {quality backends} on one
+  instance, flagging any divergence between combinations documented as
+  identical;
 * :mod:`repro.audit.reference` — the bit-exact scalar evaluations the
   batched kernels replaced (greedy counted-subset peel, one join gain
   or leave delta read through the store, the per-candidate scan, the
   Nash deviation check), kept as oracles for the kernel unit tests;
 * :mod:`repro.audit.fuzzer` — seeded boundary-biased instance generation
   (capacity == B, zero-speed workers, expired deadlines, duplicate
-  locations, tie-heavy dyadic qualities);
+  locations, tie-heavy dyadic qualities, half of the regular instances
+  with sub-step noise so last-bit divergences show);
 * :mod:`repro.audit.shrink` — greedy minimization of a failing instance
   to a small repro;
 * :mod:`repro.audit.corpus` — JSON serialization of shrunk repros under
   ``tests/data/audit_corpus/``;
 * :mod:`repro.audit.runner` — the ``repro audit`` session: corpus replay
   followed by budgeted fuzzing, plus the mutation-style self-test that
-  proves the harness catches an injected pair-sum off-by-one, a
-  corrupted task block and a one-ulp shift of the join kernel.
+  proves the harness catches an injected pair-sum off-by-one and
+  reports each axis mutation's kill rate against a fixed floor.
 
 See docs/AUDIT.md for the harness design and the corpus triage workflow.
 """

@@ -1,52 +1,57 @@
 """Differential runner — hunt divergence between documented-identical runs.
 
-The repo documents these equivalence families:
+The repo documents these equivalence families. The first five are the
+parity axes of :data:`AXES`, each a fast path, its oracle, the cases
+and backends to run them on, and an optional self-test mutation:
 
-* the vectorized grid validity path — the fresh build
+* ``validity-parity`` — the grid validity path, the fresh build
   (:func:`~repro.core.validity.compute_valid_pairs`) and the
   round-to-round :class:`~repro.core.validity.IncrementalValidityIndex`
-  alike — produces exactly Definition 3's pairs, as computed by the
-  brute-force oracle
-  (:func:`~repro.core.validity.compute_valid_pairs_reference`);
-* TPG stage 1 (:func:`~repro.core.tpg.seed_groups`: cached candidate
-  blocks, one bulk commit) reproduces the from-scratch loop
-  (:func:`~repro.audit.reference.reference_seed_groups`) repr-exactly,
-  on every backend, under both call sites' flags;
-* TPG stage 2 (:func:`~repro.core.tpg._stage_two`: per-task heads over
-  running cross sums, one bulk commit) reproduces the per-pair heap loop
-  (:func:`~repro.audit.reference.reference_stage_two`) repr-exactly, on
-  every backend, with ``allow_negative_gain`` off and on (the
-  ``stage2-parity`` axis);
-* GT's bulk best-response rounds
-  (:meth:`~repro.core.game._BestResponseDynamics.run_round`) replay the
-  per-worker loop (:func:`~repro.audit.reference.reference_round`)
-  repr-exactly: each round's moves and gain, the final pairs and score,
-  and the scan counters;
+  alike, produces exactly Definition 3's pairs, as the brute-force
+  oracle (:func:`~repro.core.validity.compute_valid_pairs_reference`)
+  computes them;
+* ``block-parity`` — every task's block in the solve's task-block reader
+  (:func:`~repro.core.quality_store.task_blocks`), and TPG stage 1's
+  pair block cut from it, equals the store's own ``block`` over the
+  task's watchers, on every backend;
+* ``stage1-parity`` — TPG stage 1 (:func:`~repro.core.tpg.seed_groups`)
+  reproduces the from-scratch loop
+  (:func:`~repro.audit.reference.reference_seed_groups`), on every
+  backend, under both call sites' flags;
+* ``stage2-parity`` — TPG stage 2 (:func:`~repro.core.tpg._stage_two`)
+  reproduces the per-pair heap loop
+  (:func:`~repro.audit.reference.reference_stage_two`), on every
+  backend, with ``allow_negative_gain`` off and on;
+* ``round-parity`` — GT's bulk best-response rounds replay the
+  per-worker loop (:func:`~repro.audit.reference.reference_round`),
+  LUB off and on, from the TPG seed and a seeded random profile;
 * the three quality-store backends are *repr-identical* under every
-  solver (``repro.core.quality_store`` bit-identity contract);
-* every task's block in the solve's task-block reader
-  (:func:`~repro.core.quality_store.task_blocks`) — and TPG stage 1's
-  pair block cut from it — equals the store's own ``block`` over the
-  task's watchers, on every backend (the ``block-parity`` axis);
-* every registered approach is deterministic given its seed, so the same
-  (approach, backend) combination must reproduce itself.
+  solver, and every registered approach is deterministic given its seed,
+  so the same (approach, backend) combination must reproduce itself.
 
-:func:`run_differential` executes the full cross-product
-``approaches x backends`` on one instance and emits an
-:class:`~repro.audit.invariants.AuditFinding` for every divergence —
+:func:`run_differential` runs every axis (:func:`run_axis`), then the
+full cross-product ``approaches x backends``, on one instance and emits
+an :class:`~repro.audit.invariants.AuditFinding` for every divergence —
 plus the invariant audit of each produced assignment, so a combination
 that agrees with its peers but violates Definition 3/4 or Equation 2/3
-is still caught. A solver crash on any combination is converted into a
+is still caught. A crash in an axis or a solver is converted into a
 ``"crash"`` finding rather than aborting the sweep (a crash on a valid
 instance is itself a bug worth shrinking).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
+
 import numpy as np
 
+from repro.core import kernels, revenue, tpg
 from repro.core.assignment import Assignment
 from repro.core.game import (
+    DEFAULT_MAX_ROUNDS,
     DEFAULT_TOLERANCE,
     _initial_assignment,
     solve_game_theoretic,
@@ -55,13 +60,14 @@ from repro.core.model import Instance
 from repro.core.quality_store import (
     SharedDenseQualityStore,
     SparseQualityStore,
+    SparseTaskBlocks,
     task_blocks,
 )
+from repro.core.revenue import RevenueCache
 from repro.core.stats import SolverStats
 from repro.core.tpg import _stage_two, seed_groups
 from repro.core.validity import (
     IncrementalValidityIndex,
-    ValidPairs,
     compute_valid_pairs,
     compute_valid_pairs_reference,
 )
@@ -75,16 +81,21 @@ from repro.audit.reference import (
     stage_two_trace,
 )
 
-__all__ = ["BACKENDS", "block_parity", "run_differential", "run_sharded_check"]
+__all__ = [
+    "AXES",
+    "BACKENDS",
+    "Axis",
+    "injected_block_bug",
+    "injected_join_gain_bug",
+    "injected_pair_sum_bug",
+    "injected_stage_two_bug",
+    "run_axis",
+    "run_differential",
+    "run_sharded_check",
+]
 
 #: Quality-store backends the differential runner cycles through.
 BACKENDS = ("dense", "sparse", "shared")
-
-
-def _default_approaches() -> tuple[str, ...]:
-    from repro.experiments.config import DIFFERENTIAL_APPROACH_ORDER
-
-    return DIFFERENTIAL_APPROACH_ORDER
 
 
 def _with_backend(instance: Instance, backend: str):
@@ -125,215 +136,282 @@ def _signature(assignment: Assignment) -> tuple:
     )
 
 
-def _validity_parity(instance: Instance, pairs: ValidPairs) -> list[AuditFinding]:
-    """The grid's pairs — fresh and incremental — against brute force."""
-    reference = compute_valid_pairs_reference(instance).tasks_for_worker
-    candidates = [("grid", pairs)]
+@contextmanager
+def _patched(*targets):
+    """Set each ``(owner, attribute, wrapper)`` target's attribute to its
+    wrapper for the duration; the originals are always restored."""
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in targets]
+    try:
+        for owner, name, wrapper in targets:
+            setattr(owner, name, wrapper)
+        yield
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
+def injected_pair_sum_bug(offset: float = 1.0):
+    """Mis-account every join's pair sum by ``offset``.
+
+    The classic incremental-cache bug shape: the delta update drifts from
+    the from-scratch value by a constant per operation, in
+    :meth:`RevenueCache.join`. The invariant audit's oracle must flag it.
+    """
+    join = RevenueCache.join
+
+    def buggy_join(self, worker: int, task: int) -> None:
+        join(self, worker, task)
+        if len(self._members[task]) >= 2:
+            self.pair_sums[task] += offset
+            self._refresh(task)
+
+    return _patched((RevenueCache, "join", buggy_join))
+
+
+def injected_block_bug():
+    """Shift every sparse task block's value table by one, in
+    :meth:`SparseTaskBlocks._build_task`: each code then reads its
+    neighbour's value, which ``block-parity`` must flag."""
+    build = SparseTaskBlocks._build_task
+
+    def buggy_build(self, task: int) -> None:
+        build(self, task)
+        _, _, start, end = self._tasks[task]
+        self._values[start:end] = np.roll(self._values[start:end], 1)
+
+    return _patched((SparseTaskBlocks, "_build_task", buggy_build))
+
+
+def injected_join_gain_bug():
+    """Shift every within-capacity join gain by one ulp, in the join
+    kernel GT's scan and ``RevenueCache.join_gains`` share
+    (:func:`~repro.core.kernels.fit_join_gains`). The round oracle reads
+    the store itself, so ``round-parity`` must flag the shift."""
+    gains = kernels.fit_join_gains
+
+    def buggy_gains(*args):
+        return np.nextafter(gains(*args), np.inf)
+
+    return _patched(
+        (kernels, "fit_join_gains", buggy_gains),
+        (revenue, "fit_join_gains", buggy_gains),
+    )
+
+
+def injected_stage_two_bug():
+    """Shift TPG stage 2's initial running sums by one ulp
+    (:func:`repro.core.tpg._slot_sums`, every slot's row and column sum
+    over its task's members). The per-pair loop scores every join
+    through the store, so ``stage2-parity`` must flag the shift."""
+    slot_sums = tpg._slot_sums
+
+    def buggy_sums(*args):
+        return tuple(np.nextafter(sums, np.inf) for sums in slot_sums(*args))
+
+    return _patched((tpg, "_slot_sums", buggy_sums))
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One parity axis: a fast path, its oracle and where to run them.
+
+    ``cases(instance, seed)`` yields ``(context, kwargs)`` pairs, the
+    context possibly holding a ``{backend}`` field; ``fast(instance,
+    valid_pairs, **kwargs)`` and ``oracle(...)`` return comparison keys
+    (nested lists, tuples and dicts of ints, reprs and never-NaN floats)
+    that must be equal. The axis runs on every backend, or only on the
+    first one.
+    ``mutation`` is its self-test bug, counted on ``mutation_backend``.
+    """
+
+    name: str
+    cases: Callable
+    fast: Callable
+    oracle: Callable
+    every_backend: bool = True
+    mutation: Callable | None = None
+    mutation_backend: str = "dense"
+
+
+def _validity_cases(instance: Instance, seed: int):
+    yield "validity=grid vs reference", {"incremental": False}
     if len({task.task_id for task in instance.tasks}) == instance.task_count:
-        # A fresh incremental index at the mean radius: a different
-        # cell tiling from the fresh build's, over stable task ids.
-        radii = [worker.radius for worker in instance.workers]
-        index = IncrementalValidityIndex(
-            cell_size=sum(radii) / len(radii) if radii else 1.0
-        )
-        index.sync(instance.tasks)
-        candidates.append(("incremental", index.compute(instance)))
-    return [
-        AuditFinding(
-            check="validity-parity",
-            detail=(
-                f"{name} membership diverges from the brute-force "
-                f"reference: {candidate.tasks_for_worker} vs {reference}"
-            ),
-            context=f"validity={name} vs reference",
-        )
-        for name, candidate in candidates
-        if candidate.tasks_for_worker != reference
-    ]
+        yield "validity=incremental vs reference", {"incremental": True}
 
 
-#: Stage 1's two call sites: TPG over every worker, and the sharded
-#: border seeding over a partial pool (here every worker but each third).
-_STAGE_ONE_SITES = (
-    ("tpg", dict(prefer_wider=True, positive_only=False), None),
-    ("border", dict(prefer_wider=False, positive_only=True), 3),
-)
+def _grid_pairs(instance: Instance, pairs, incremental: bool):
+    """The grid's pairs: the fresh build's, or a fresh incremental
+    index's at the mean radius — a different cell tiling from the fresh
+    build's, over stable task ids."""
+    if not incremental:
+        return pairs.tasks_for_worker
+    radii = [worker.radius for worker in instance.workers]
+    index = IncrementalValidityIndex(
+        cell_size=sum(radii) / len(radii) if radii else 1.0
+    )
+    index.sync(instance.tasks)
+    return index.compute(instance).tasks_for_worker
 
 
-def block_parity(
-    backend: str, instance: Instance, pairs: ValidPairs
-) -> list[AuditFinding]:
-    """Each task's reader block against the store's block over its
-    watchers, and stage 1's pair block against that block plus its
-    transpose, ``array_equal`` (NaN never occurs: qualities lie in
-    [0, 1])."""
-    store = instance.quality
-    findings = []
-    reads = task_blocks(store, pairs)
+def _reference_pairs(instance: Instance, pairs, incremental: bool):
+    return compute_valid_pairs_reference(instance).tasks_for_worker
+
+
+def _reader_blocks(instance: Instance, pairs) -> list:
+    """Each task's block in the solve's task-block reader and stage 1's
+    pair block cut from it, over the task's watchers."""
+    reads = task_blocks(instance.quality, pairs)
+    blocks = []
     for task, watchers in enumerate(pairs.workers_for_task):
+        positions = reads.locate(task, np.asarray(watchers, dtype=np.int64))
+        pair = reads.pair_block(task, np.arange(len(watchers)))
+        blocks.append((reads.block(positions, positions).tolist(), pair.tolist()))
+    return blocks
+
+
+def _store_blocks(instance: Instance, pairs) -> list:
+    """The store's own ``block`` over each task's watchers, and that
+    block plus its transpose (``==`` on floats: qualities are never
+    NaN)."""
+    blocks = []
+    for watchers in pairs.workers_for_task:
         ids = np.asarray(watchers, dtype=np.int64)
-        expected = store.block(ids, ids)
-        positions = reads.locate(task, ids)
-        got = reads.block(positions, positions)
-        pair = reads.pair_block(task, np.arange(ids.size))
-        for name, value, wanted in (
-            ("block", got, expected),
-            ("pair block", pair, expected + expected.T),
-        ):
-            if not np.array_equal(value, wanted):
-                row, col = np.argwhere(value != wanted)[0]
-                findings.append(
-                    AuditFinding(
-                        check="block-parity",
-                        detail=(
-                            f"task {task}'s {name} differs from the "
-                            f"store's at workers ({ids[row]}, {ids[col]}): "
-                            f"{value[row, col]!r} vs {wanted[row, col]!r}"
-                        ),
-                        context=f"backend={backend}",
-                    )
-                )
-    return findings
+        block = instance.quality.block(ids, ids)
+        blocks.append((block.tolist(), (block + block.T).tolist()))
+    return blocks
 
 
-def _stage_one_parity(
-    backend: str, instance: Instance, pairs: ValidPairs
-) -> list[AuditFinding]:
-    """Stage 1's cached blocks and bulk commit against the from-scratch
-    loop: commits, groups, score reprs, kernel calls and revenue state."""
-    findings = []
+def _stage_one_cases(instance: Instance, seed: int):
+    """Stage 1's two call sites: TPG over every worker, and the sharded
+    border seeding over a partial pool (every worker but each third)."""
+    every = np.ones(instance.worker_count, dtype=bool)
+    pool = every.copy()
+    pool[::3] = False
     tasks = range(instance.task_count)
-    for site, flags, skip in _STAGE_ONE_SITES:
-        available = np.ones(instance.worker_count, dtype=bool)
-        if skip is not None:
-            available[::skip] = False
-        context = f"stage1={site} backend={backend}"
-        try:
-            cached = stage_one_trace(
-                seed_groups, instance, pairs, available, tasks, **flags
-            )
-        except Exception as error:
-            findings.append(
-                AuditFinding(
-                    check="crash",
-                    detail=f"{type(error).__name__}: {error}",
-                    context=context,
-                )
-            )
-            continue
-        scratch = stage_one_trace(
-            reference_seed_groups, instance, pairs, available, tasks, **flags
+    yield "stage1=tpg backend={backend}", dict(
+        available=every, tasks=tasks, prefer_wider=True, positive_only=False
+    )
+    yield "stage1=border backend={backend}", dict(
+        available=pool, tasks=tasks, prefer_wider=False, positive_only=True
+    )
+
+
+def _stage_two_cases(instance: Instance, seed: int):
+    for allow in (False, True):
+        yield (
+            f"stage2 allow_negative_gain={allow} backend={{backend}}",
+            {"allow_negative_gain": allow},
         )
-        if cached != scratch:
-            findings.append(
-                AuditFinding(
-                    check="stage1-parity",
-                    detail=(
-                        "cached stage 1 diverges from the from-scratch "
-                        f"loop: commits {cached[0]} vs {scratch[0]}"
-                    ),
-                    context=context,
-                )
-            )
-    return findings
 
-
-def _stage_two_parity(
-    backend: str, instance: Instance, pairs: ValidPairs
-) -> list[AuditFinding]:
-    """Stage 2's per-task heads and bulk commit against the per-pair heap
-    loop, from the same stage-1 seeding, with ``allow_negative_gain`` off
-    and on: the commit trace (worker, task, gain repr),
-    ``gain_evaluations`` and the final revenue-cache state."""
-    findings = []
-    for allow_negative_gain in (False, True):
-        context = f"stage2 allow_negative_gain={allow_negative_gain} backend={backend}"
-        try:
-            heads = stage_two_trace(_stage_two, instance, pairs, allow_negative_gain)
-        except Exception as error:
-            findings.append(
-                AuditFinding(
-                    check="crash",
-                    detail=f"{type(error).__name__}: {error}",
-                    context=context,
-                )
-            )
-            continue
-        loop = stage_two_trace(
-            reference_stage_two, instance, pairs, allow_negative_gain
-        )
-        if heads != loop:
-            ours, theirs, first = heads[0], loop[0], 0
-            while first < min(len(ours), len(theirs)) and ours[first] == theirs[first]:
-                first += 1
-            fields = [name for name in heads[2] if heads[2][name] != loop[2][name]]
-            findings.append(
-                AuditFinding(
-                    check="stage2-parity",
-                    detail=(
-                        f"stage 2 diverges from the per-pair loop at commit "
-                        f"{first} of {len(ours)} vs {len(theirs)}: "
-                        f"{ours[first:first + 1]} vs {theirs[first:first + 1]}, "
-                        f"gain evaluations {heads[1]} vs {loop[1]}, "
-                        f"cache fields {fields}"
-                    ),
-                    context=context,
-                )
-            )
-    return findings
-
-
-#: The GT approaches the round axis replays, with their LUB flag.
-_GT_LAZY_UPDATE = {"GT": False, "GT+LUB": True, "GT+TSI": False, "GT+ALL": True}
 
 #: The scan counters the round oracle derives play by play.
 _ROUND_COUNTERS = ("cache_hits", "cache_misses", "gain_evaluations",
                    "lub_invalidations")
 
 
-def _round_parity(
-    instance: Instance, pairs: ValidPairs, lazy_update: bool, seed: int
-) -> list[AuditFinding]:
-    """GT's bulk rounds against the per-worker oracle, run to convergence
-    from the TPG seed and from a seeded random profile: each round's
-    moves and gain, the equilibrium's pairs and score, and the scan
-    counters, as :func:`reference_round` replays them."""
-    findings = []
-    for init in ("tpg", "random"):
-        result = solve_game_theoretic(
-            instance, pairs, init=init, lazy_update=lazy_update, seed=seed
-        )
-        replay, _ = _initial_assignment(instance, pairs, init, ensure_rng(seed))
-        state, counted = {}, SolverStats()
-        trace = [
-            reference_round(
-                replay, pairs, range(instance.worker_count), DEFAULT_TOLERANCE,
-                lazy_update, state=state, stats=counted,
+def _round_cases(instance: Instance, seed: int):
+    """LUB off and on, labelled with the default lineup's GT approach of
+    each flag (the round trace ignores TSI's epsilon), each run to
+    convergence from the TPG seed and from a seeded random profile."""
+    for approach, lazy_update in (("GT", False), ("GT+ALL", True)):
+        for init in ("tpg", "random"):
+            yield f"approach={approach} backend={{backend}}", dict(
+                lazy_update=lazy_update, init=init, seed=seed
             )
-            for _ in result.stats.rounds
-        ]
-        engine = (
-            [(r.moves, repr(r.gain)) for r in result.stats.rounds],
-            repr(result.final_score),
-            [getattr(result.stats, name) for name in _ROUND_COUNTERS],
-            result.equilibrium.to_pairs(),
+
+
+def _engine_rounds(instance: Instance, pairs, lazy_update, init, seed) -> tuple:
+    result = solve_game_theoretic(
+        instance, pairs, init=init, lazy_update=lazy_update, seed=seed
+    )
+    return (
+        [(r.moves, repr(r.gain)) for r in result.stats.rounds],
+        repr(result.final_score),
+        [getattr(result.stats, name) for name in _ROUND_COUNTERS],
+        result.equilibrium.to_pairs(),
+    )
+
+
+def _replayed_rounds(instance: Instance, pairs, lazy_update, init, seed) -> tuple:
+    """:func:`reference_round` from the same start until a round makes
+    no move (or the engine's round cap)."""
+    replay, _ = _initial_assignment(instance, pairs, init, ensure_rng(seed))
+    state, counted, trace = {}, SolverStats(), []
+    while len(trace) < DEFAULT_MAX_ROUNDS and (not trace or trace[-1][0]):
+        moves, gain = reference_round(
+            replay, pairs, range(instance.worker_count), DEFAULT_TOLERANCE,
+            lazy_update, state=state, stats=counted,
         )
-        oracle = (
-            [(moves, repr(float(gain))) for moves, gain in trace],
-            repr(replay.total_score()),
-            [getattr(counted, name) for name in _ROUND_COUNTERS],
-            replay.to_pairs(),
-        )
-        if engine != oracle:
+        trace.append((moves, repr(float(gain))))
+    return (
+        trace,
+        repr(replay.total_score()),
+        [getattr(counted, name) for name in _ROUND_COUNTERS],
+        replay.to_pairs(),
+    )
+
+
+#: The parity axes, in the order :func:`run_differential` runs them.
+AXES = (
+    Axis("validity-parity", _validity_cases, _grid_pairs, _reference_pairs,
+         every_backend=False),
+    Axis("block-parity", lambda instance, seed: [("backend={backend}", {})],
+         _reader_blocks, _store_blocks,
+         mutation=injected_block_bug, mutation_backend="sparse"),
+    Axis("stage1-parity", _stage_one_cases,
+         partial(stage_one_trace, seed_groups),
+         partial(stage_one_trace, reference_seed_groups)),
+    Axis("stage2-parity", _stage_two_cases,
+         partial(stage_two_trace, _stage_two),
+         partial(stage_two_trace, reference_stage_two),
+         mutation=injected_stage_two_bug),
+    Axis("round-parity", _round_cases, _engine_rounds, _replayed_rounds,
+         every_backend=False, mutation=injected_join_gain_bug),
+)
+
+
+def _crash(context: str, error: Exception, prefix: str = "") -> AuditFinding:
+    """The ``crash`` finding for an exception raised under ``context``."""
+    detail = f"{prefix}{type(error).__name__}: {error}"
+    return AuditFinding(check="crash", detail=detail, context=context)
+
+
+def _first_difference(ours, theirs, where: str = "key") -> str:
+    """Where two comparison keys first differ, and the two values there."""
+    if isinstance(ours, dict) and isinstance(theirs, dict):
+        for name in ours:
+            other = theirs.get(name)
+            if ours[name] != other:
+                return _first_difference(ours[name], other, f"{where}[{name!r}]")
+    elif isinstance(ours, (list, tuple)) and isinstance(theirs, (list, tuple)):
+        for index, (mine, other) in enumerate(zip(ours, theirs)):
+            if mine != other:
+                return _first_difference(mine, other, f"{where}[{index}]")
+        if len(ours) != len(theirs):
+            return f"{where} has {len(ours)} vs {len(theirs)} entries"
+    return f"{where}: {ours!r} vs {theirs!r}"
+
+
+def run_axis(
+    axis: Axis, instance: Instance, pairs, backend: str, seed: int = 0
+) -> list[AuditFinding]:
+    """Every case of ``axis`` on ``instance`` (already on ``backend``):
+    a finding named after the axis for each key mismatch, a ``crash``
+    finding for each exception."""
+    findings = []
+    for context, kwargs in axis.cases(instance, seed):
+        context = context.format(backend=backend)
+        try:
+            ours = axis.fast(instance, pairs, **kwargs)
+            theirs = axis.oracle(instance, pairs, **kwargs)
+        except Exception as error:
+            findings.append(_crash(context, error, prefix=f"{axis.name}: "))
+            continue
+        if ours != theirs:
+            where = _first_difference(ours, theirs)
+            detail = f"fast path diverges from its oracle at {where}"
             findings.append(
-                AuditFinding(
-                    check="round-parity",
-                    detail=(
-                        f"bulk rounds from the {init} start diverge from the "
-                        "per-worker loop (rounds, score, counters): "
-                        f"{engine[:3]} vs {oracle[:3]}"
-                    ),
-                )
+                AuditFinding(check=axis.name, detail=detail, context=context)
             )
     return findings
 
@@ -349,18 +427,19 @@ def run_differential(
 ) -> list[AuditFinding]:
     """All divergences and invariant violations on one instance.
 
-    Every approach is instantiated fresh (same ``seed``) for each
-    backend, so seeded randomness replays identically; the first
-    backend of each approach is the reference and every other must
-    match its assignment repr-exactly.
+    Every axis of :data:`AXES` runs on its backends first. Then every
+    approach is instantiated fresh (same ``seed``) for each backend, so
+    seeded randomness replays identically; the first backend of each
+    approach is the reference and every other must match its assignment
+    repr-exactly.
     """
-    from repro.experiments.config import make_solver
+    from repro.experiments.config import DIFFERENTIAL_APPROACH_ORDER, make_solver
 
     if approaches is None:
-        approaches = _default_approaches()
+        approaches = DIFFERENTIAL_APPROACH_ORDER
 
     valid_pairs = compute_valid_pairs(instance)
-    findings = _validity_parity(instance, valid_pairs)
+    findings: list[AuditFinding] = []
 
     variants: list[tuple[str, Instance]] = []
     cleanups = []
@@ -370,9 +449,9 @@ def run_differential(
             variants.append((backend, variant))
             if cleanup is not None:
                 cleanups.append(cleanup)
-            findings.extend(block_parity(backend, variant, valid_pairs))
-            findings.extend(_stage_one_parity(backend, variant, valid_pairs))
-            findings.extend(_stage_two_parity(backend, variant, valid_pairs))
+            for axis in AXES:
+                if axis.every_backend or backend == backends[0]:
+                    findings.extend(run_axis(axis, variant, valid_pairs, backend, seed))
 
         for approach in approaches:
             reference: tuple | None = None
@@ -383,23 +462,8 @@ def run_differential(
                 try:
                     assignment = solver(variant, valid_pairs)
                 except Exception as error:
-                    findings.append(
-                        AuditFinding(
-                            check="crash",
-                            detail=f"{type(error).__name__}: {error}",
-                            context=context,
-                        )
-                    )
+                    findings.append(_crash(context, error))
                     continue
-                if approach in _GT_LAZY_UPDATE and backend == backends[0]:
-                    try:
-                        rounds = _round_parity(
-                            variant, valid_pairs, _GT_LAZY_UPDATE[approach], seed
-                        )
-                    except Exception as error:
-                        detail = f"{type(error).__name__}: {error}"
-                        rounds = [AuditFinding(check="crash", detail=detail)]
-                    findings.extend(f.with_context(context) for f in rounds)
                 signature = _signature(assignment)
                 if reference is None:
                     reference = signature
@@ -490,13 +554,7 @@ def run_sharded_check(
                 halo_rounds=halo_rounds,
             )(instance, valid_pairs)
         except Exception as error:
-            findings.append(
-                AuditFinding(
-                    check="crash",
-                    detail=f"{type(error).__name__}: {error}",
-                    context=context,
-                )
-            )
+            findings.append(_crash(context, error))
             continue
         findings.extend(
             finding.with_context(context)

@@ -11,11 +11,13 @@ Equation-2/Definition-3 machinery has historically broken:
 * expired and exactly-at-``now`` deadlines;
 * duplicate locations — workers stacked on tasks and on each other, so
   distance-0 and equal-distance tie cases are common;
-* qualities drawn from a dyadic grid (multiples of 1/8), which makes
-  pair sums exact in binary floating point — reduction order cannot hide
-  a real divergence, and equal contributions exercise the peel
-  tie-break; half the regular instances draw the two triangles
-  independently, so ``q_i(w_k) != q_k(w_i)``;
+* qualities drawn from a dyadic grid (multiples of 1/8), so equal
+  contributions are frequent and exercise the peel tie-break; half the
+  regular instances draw the two triangles independently, so
+  ``q_i(w_k) != q_k(w_i)``, and half (rolled after every other draw)
+  add ``uniform(0, 1/8)`` noise to each positive quality, capped at 1
+  and symmetric where the matrix is, so their pair sums are not exact
+  and a one-ulp divergence in a running sum is not rounded away;
 * kernel-boundary shapes (:data:`_KERNEL_SHAPES`) that pin the batched
   best-response kernel's edges: a group that fills its capacity of 8
   exactly (the last within-capacity join, then an overflow join), a
@@ -50,7 +52,8 @@ __all__ = ["FuzzConfig", "fuzz_instance"]
 
 #: Locations live on a coarse dyadic grid — duplicates are likely.
 _LOCATION_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-#: Dyadic qualities: sums are exact, ties are frequent.
+#: Dyadic qualities: ties are frequent (half the regular instances
+#: add sub-step noise on top, see the module docstring).
 _QUALITY_GRID = (0.0, 0.125, 0.25, 0.5, 0.75, 1.0)
 _SPEED_GRID = (0.125, 0.25, 0.5, 1.0)
 #: Includes radius 0 (nothing reachable) and 2 (covers the whole square).
@@ -168,12 +171,21 @@ def fuzz_instance(seed, config: FuzzConfig = FuzzConfig()) -> Instance:
         )
 
     quality = _dyadic_quality(rng, worker_count)
-    if rng.random() < 0.5:
+    symmetric = rng.random() >= 0.5
+    if not symmetric:
         # Half the instances draw the lower triangle independently, so
         # the backend axis compares the sparse store's column
         # orientation as well as its row orientation.
         lower = rng.choice(_QUALITY_GRID, size=(worker_count, worker_count))
         quality = CooperationMatrix(np.triu(quality.values) + np.tril(lower, k=-1))
+    if rng.random() < 0.5:
+        noise = rng.uniform(0.0, 0.125, size=(worker_count, worker_count))
+        if symmetric:
+            noise = np.triu(noise, k=1) + np.triu(noise, k=1).T
+        values = quality.values
+        quality = CooperationMatrix(
+            np.minimum(values + np.where(values > 0.0, noise, 0.0), 1.0)
+        )
 
     return Instance(
         workers=workers,

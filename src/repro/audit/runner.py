@@ -7,39 +7,36 @@ failing instance is greedily shrunk to a minimal repro and serialized
 (CI uploads these as artifacts; a maintainer commits the interesting
 ones into the corpus — see docs/AUDIT.md).
 
-:func:`run_self_test` is the harness's proof of usefulness: it injects a
-deliberate pair-sum off-by-one into :class:`~repro.core.revenue.
-RevenueCache` (mutation testing in miniature), then asserts the audit
-loop detects the divergence and shrinks the repro to a handful of
-workers. It also corrupts a sparse task block, shifts the shared
-join kernel by one ulp and shifts TPG stage 2's initial running sums by
-one ulp, and asserts the ``block-parity``, ``round-parity`` and
-``stage2-parity`` axes flag them. A harness that cannot catch the class
-of bug it exists for is worse than none — this keeps it honest on every
-CI run.
+:func:`run_self_test` is the harness's proof of usefulness (mutation
+testing in miniature). It injects a deliberate pair-sum off-by-one into
+:class:`~repro.core.revenue.RevenueCache` and asserts the audit loop
+detects the divergence and shrinks the repro to a handful of workers.
+Then, for every axis of :data:`~repro.audit.differential.AXES` with a
+mutation, it counts how many of the first :data:`KILL_BUDGET` fuzzed
+instances the axis flags under that mutation, and fails below
+:data:`KILL_RATE_FLOOR`. A harness that cannot catch the class of bug
+it exists for is worse than none — this keeps it honest on every CI
+run.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from repro.core import kernels, revenue, tpg
 from repro.core.model import Instance
-from repro.core.quality_store import SparseTaskBlocks
-from repro.core.revenue import RevenueCache
 from repro.core.validity import compute_valid_pairs
 from repro.audit.corpus import iter_corpus, save_corpus_entry
 from repro.audit.differential import (
+    AXES,
     BACKENDS,
-    _round_parity,
-    _stage_two_parity,
     _with_backend,
-    block_parity,
+    injected_block_bug,
+    injected_join_gain_bug,
+    injected_pair_sum_bug,
+    injected_stage_two_bug,
+    run_axis,
     run_differential,
     run_sharded_check,
 )
@@ -251,129 +248,62 @@ def run_audit(
 # ---------------------------------------------------------------------------
 # Mutation self-test
 # ---------------------------------------------------------------------------
-@contextmanager
-def injected_pair_sum_bug(offset: float = 1.0):
-    """Temporarily mis-account every join's pair sum by ``offset``.
+#: The self-test runs each axis mutation over this many fuzzed
+#: instances: the first ones of the session seed.
+KILL_BUDGET = 200
 
-    The classic incremental-cache bug shape: the delta update drifts from
-    the from-scratch value by a constant per operation. Installed by
-    monkeypatching :meth:`RevenueCache.join`; the original method is
-    always restored.
-    """
-    original = RevenueCache.join
-
-    def buggy_join(self, worker: int, task: int) -> None:
-        original(self, worker, task)
-        if len(self._members[task]) >= 2:
-            self.pair_sums[task] += offset
-            self._refresh(task)
-
-    RevenueCache.join = buggy_join
-    try:
-        yield
-    finally:
-        RevenueCache.join = original
-
-
-@contextmanager
-def injected_block_bug():
-    """Temporarily shift every sparse task block's value table by one.
-
-    A corrupted task-local block: each code then reads its neighbour's
-    value. Installed by monkeypatching
-    :meth:`SparseTaskBlocks._build_task`; the original method is always
-    restored.
-    """
-    original = SparseTaskBlocks._build_task
-
-    def buggy_build(self, task: int) -> None:
-        original(self, task)
-        _, _, start, end = self._tasks[task]
-        self._values[start:end] = np.roll(self._values[start:end], 1)
-
-    SparseTaskBlocks._build_task = buggy_build
-    try:
-        yield
-    finally:
-        SparseTaskBlocks._build_task = original
-
-
-@contextmanager
-def injected_join_gain_bug():
-    """Temporarily shift every within-capacity join gain by one ulp, in
-    the join kernel GT's scan and ``RevenueCache.join_gains`` share
-    (:func:`~repro.core.kernels.fit_join_gains`). The round oracle reads
-    the store itself, so ``round-parity`` must flag the shift."""
-    original = kernels.fit_join_gains
-
-    def buggy_gains(*args):
-        return np.nextafter(original(*args), np.inf)
-
-    kernels.fit_join_gains = revenue.fit_join_gains = buggy_gains
-    try:
-        yield
-    finally:
-        kernels.fit_join_gains = revenue.fit_join_gains = original
-
-
-@contextmanager
-def injected_stage_two_bug():
-    """Temporarily shift TPG stage 2's initial running sums by one ulp
-    (:func:`repro.core.tpg._slot_sums`, every slot's row and column sum
-    over its task's members). The per-pair loop scores every join
-    through the store, so ``stage2-parity`` must flag the shift."""
-    original = tpg._slot_sums
-
-    def buggy_sums(*args):
-        return tuple(np.nextafter(sums, np.inf) for sums in original(*args))
-
-    tpg._slot_sums = buggy_sums
-    try:
-        yield
-    finally:
-        tpg._slot_sums = original
+#: The lowest share of those instances an axis must flag under its
+#: mutation: 4 of 200, below every count measured on seeds 0-4 (block
+#: 81-97, round 9-16, stage 2 9-14).
+KILL_RATE_FLOOR = 0.02
 
 
 @dataclass(frozen=True)
 class SelfTestResult:
     """Outcome of one mutation self-test run: the injected pair-sum bug
-    (detected, where, shrunk to what), the corrupted task block
-    (``block_bug_detected`` by the ``block-parity`` axis), the
-    shifted join kernel (``join_gain_bug_detected`` by ``round-parity``)
-    and the shifted stage-2 running sums (``stage_two_bug_detected`` by
-    ``stage2-parity``)."""
+    (detected, where, shrunk to what), and one ``(name, kills, tried)``
+    row per axis mutation — how many of ``tried`` fuzzed instances the
+    axis ``name`` flagged under it."""
 
     detected: bool
     instances_until_detection: int
     shrunk_workers: int
     shrunk_tasks: int
     findings: tuple[AuditFinding, ...] = ()
-    block_bug_detected: bool = False
-    join_gain_bug_detected: bool = False
-    stage_two_bug_detected: bool = False
+    kill_rows: tuple[tuple[str, int, int], ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        """Pair-sum bug caught and shrunk to at most 6 workers / 3 tasks,
+        every kill rate at or above :data:`KILL_RATE_FLOOR`."""
+        return (
+            self.detected
+            and self.shrunk_workers <= 6
+            and self.shrunk_tasks <= 3
+            and all(
+                kills >= KILL_RATE_FLOOR * tried for _, kills, tried in self.kill_rows
+            )
+        )
 
     def summary(self) -> str:
-        if not self.detected:
-            return (
-                "self-test FAILED: injected pair-sum bug not detected "
-                f"within {self.instances_until_detection} instance(s)"
+        if self.detected:
+            pair_sum = (
+                f"detected after {self.instances_until_detection} instance(s), "
+                f"shrunk to {self.shrunk_workers} worker(s) / "
+                f"{self.shrunk_tasks} task(s) (contract: at most 6 / 3)"
             )
-        if not self.block_bug_detected:
-            return "self-test FAILED: corrupted task block not flagged"
-        if not self.join_gain_bug_detected:
-            return "self-test FAILED: shifted join gains not flagged by round-parity"
-        if not self.stage_two_bug_detected:
-            return (
-                "self-test FAILED: shifted stage-2 running sums not flagged "
-                "by stage2-parity"
+        else:
+            pair_sum = (
+                f"not detected within {self.instances_until_detection} instance(s)"
             )
-        return (
-            "self-test passed: injected pair-sum bug detected after "
-            f"{self.instances_until_detection} instance(s), shrunk to "
-            f"{self.shrunk_workers} worker(s) / {self.shrunk_tasks} task(s); "
-            "corrupted task block flagged by block-parity; "
-            "shifted join gains flagged by round-parity; "
-            "shifted stage-2 running sums flagged by stage2-parity"
+        verdict = "passed" if self.ok else "FAILED"
+        return "\n".join(
+            [f"self-test {verdict}: injected pair-sum bug {pair_sum}"]
+            + [
+                f"  {name} mutation: killed on {kills}/{tried} fuzzed "
+                f"instances (floor {KILL_RATE_FLOOR:.0%})"
+                for name, kills, tried in self.kill_rows
+            ]
         )
 
 
@@ -384,40 +314,21 @@ def run_self_test(
     approaches=("PGREEDY",),
     backends=("dense",),
 ) -> SelfTestResult:
-    """Prove the harness catches an injected pair-sum off-by-one.
+    """Prove the harness catches its mutations.
 
-    A single cheap deterministic approach on one backend is enough —
-    the mutation corrupts the revenue cache itself, which the invariant
-    auditor's oracle recomputation flags regardless of which solver
-    built the assignment. Runs entirely under
-    :func:`injected_pair_sum_bug`, including the shrink, and reports the
-    minimal repro size. Then, under :func:`injected_block_bug`, the
-    ``block-parity`` axis must flag the corrupted sparse task blocks,
-    under :func:`injected_join_gain_bug` the ``round-parity`` axis the
-    shifted join gains, and under :func:`injected_stage_two_bug` the
-    ``stage2-parity`` axis the shifted running sums.
+    Each axis mutation runs over the first :data:`KILL_BUDGET` fuzzed
+    instances of ``seed``, its axis on the mutation's backend, and gives
+    one kill row. Then the pair-sum off-by-one: a single cheap
+    deterministic approach on one backend is enough — the mutation
+    corrupts the revenue cache itself, which the invariant auditor's
+    oracle recomputation flags regardless of which solver built the
+    assignment. Runs entirely under :func:`injected_pair_sum_bug`,
+    including the shrink, and reports the minimal repro size.
     """
-    def block_flagged(instance: Instance) -> bool:
-        instance, _ = _with_backend(instance, "sparse")
-        findings = block_parity("sparse", instance, compute_valid_pairs(instance))
-        return any(finding.check == "block-parity" for finding in findings)
-
-    def rounds_flagged(instance: Instance) -> bool:
-        pairs = compute_valid_pairs(instance)
-        return bool(_round_parity(instance, pairs, lazy_update=False, seed=seed))
-
-    def stage_two_flagged(instance: Instance) -> bool:
-        pairs = compute_valid_pairs(instance)
-        findings = _stage_two_parity("dense", instance, pairs)
-        return any(finding.check == "stage2-parity" for finding in findings)
-
-    block_bug_detected, join_gain_bug_detected, stage_two_bug_detected = (
-        _flagged(mutation, check, seed, max_instances)
-        for mutation, check in (
-            (injected_block_bug, block_flagged),
-            (injected_join_gain_bug, rounds_flagged),
-            (injected_stage_two_bug, stage_two_flagged),
-        )
+    kill_rows = tuple(
+        (axis.name, _kills(axis, seed), KILL_BUDGET)
+        for axis in AXES
+        if axis.mutation is not None
     )
     with injected_pair_sum_bug(offset):
 
@@ -442,23 +353,29 @@ def run_self_test(
                 shrunk_workers=shrunk.worker_count,
                 shrunk_tasks=shrunk.task_count,
                 findings=tuple(audit(shrunk)),
-                block_bug_detected=block_bug_detected,
-                join_gain_bug_detected=join_gain_bug_detected,
-                stage_two_bug_detected=stage_two_bug_detected,
+                kill_rows=kill_rows,
             )
     return SelfTestResult(
         detected=False,
         instances_until_detection=max_instances,
         shrunk_workers=0,
         shrunk_tasks=0,
-        block_bug_detected=block_bug_detected,
-        join_gain_bug_detected=join_gain_bug_detected,
-        stage_two_bug_detected=stage_two_bug_detected,
+        kill_rows=kill_rows,
     )
 
 
-def _flagged(mutation, check, seed: int, max_instances: int) -> bool:
-    """Whether ``check`` flags one of the first ``max_instances`` fuzzed
-    instances under ``mutation``."""
-    with mutation():
-        return any(check(fuzz_instance((seed, i))) for i in range(max_instances))
+def _kills(axis, seed: int) -> int:
+    """How many of the first :data:`KILL_BUDGET` fuzzed instances
+    ``axis`` flags under its mutation."""
+    kills = 0
+    with axis.mutation():
+        for index in range(KILL_BUDGET):
+            instance, cleanup = _with_backend(
+                fuzz_instance((seed, index)), axis.mutation_backend
+            )
+            pairs = compute_valid_pairs(instance)
+            findings = run_axis(axis, instance, pairs, axis.mutation_backend, seed)
+            kills += any(finding.check == axis.name for finding in findings)
+            if cleanup is not None:
+                cleanup()
+    return kills

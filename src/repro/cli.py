@@ -320,22 +320,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.self_test:
         result = run_self_test(seed=args.seed)
         print(result.summary())
-        if not (
-            result.detected
-            and result.block_bug_detected
-            and result.join_gain_bug_detected
-            and result.stage_two_bug_detected
-        ):
-            return 1
-        if result.shrunk_workers > 6 or result.shrunk_tasks > 3:
-            print(
-                "self-test FAILED: shrunk repro larger than the "
-                f"6-worker/3-task contract ({result.shrunk_workers}w/"
-                f"{result.shrunk_tasks}t)",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
+        return 0 if result.ok else 1
 
     approaches = args.approaches.split(",") if args.approaches else None
     outcome = run_audit(

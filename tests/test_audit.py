@@ -37,6 +37,7 @@ from repro.audit import (
 from repro.audit.fuzzer import FuzzConfig
 from repro.audit.runner import (
     DEFAULT_CORPUS_DIR,
+    KILL_RATE_FLOOR,
     injected_block_bug,
     injected_join_gain_bug,
     injected_stage_two_bug,
@@ -211,6 +212,34 @@ class TestDifferentialRunner:
         assert all(f.check == "crash" for f in findings)
         assert any("boom" in f.detail for f in findings)
 
+    def test_axis_crash_becomes_finding(self, monkeypatch):
+        # A parity axis whose fast path raises yields a crash finding
+        # naming the axis, and an audit session goes on to shrink it.
+        from repro.core.quality_store import SparseTaskBlocks
+        from repro.core.validity import IncrementalValidityIndex
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        for owner, method, axis, context in (
+            (IncrementalValidityIndex, "compute", "validity-parity",
+             "validity=incremental vs reference"),
+            (SparseTaskBlocks, "_build_task", "block-parity", "backend=sparse"),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, method, boom)
+                findings = run_differential(make_dense_instance(seed=1))
+                assert any(
+                    f.check == "crash" and f.context == context
+                    and f.detail == f"{axis}: RuntimeError: boom"
+                    for f in findings
+                )
+                outcome = run_audit(
+                    budget=60.0, seed=0, corpus_dir=None, max_instances=3
+                )
+                assert outcome.instances_fuzzed == 3
+                assert not outcome.ok
+
     def test_validity_parity_divergence_is_flagged(self, monkeypatch):
         # Corrupt the grid (drop one valid pair from the batched lists);
         # the brute-force reference must flag it for both the fresh
@@ -300,6 +329,15 @@ class TestFuzzerAndShrink:
         second = fuzz_instance((5, 7))
         assert instance_to_dict(first) == instance_to_dict(second)
 
+    def test_stream_mixes_dyadic_and_noisy_qualities(self):
+        # Half the regular instances leave the 1/8 grid, so a one-ulp
+        # divergence in a running sum is not always rounded away.
+        dyadic = set()
+        for index in range(20):
+            values = fuzz_instance((5, index)).quality.to_dense().values
+            dyadic.add(bool(np.all(values * 8 == np.round(values * 8))))
+        assert dyadic == {True, False}
+
     def test_boundaries_are_exercised(self):
         saw_zero_speed = saw_tight_capacity = False
         saw_expired = saw_colocated = False
@@ -387,28 +425,40 @@ class TestCorpus:
             assert metadata["description"]
 
 
+@pytest.fixture(scope="module")
+def self_test():
+    return run_self_test(seed=0)
+
+
+def _killed(result, axis):
+    """Whether ``axis``'s mutation row clears the kill-rate floor."""
+    [(kills, tried)] = [(k, t) for name, k, t in result.kill_rows if name == axis]
+    return kills >= KILL_RATE_FLOOR * tried
+
+
 class TestMutationSelfTest:
-    def test_injected_bug_is_detected_and_shrunk(self):
-        result = run_self_test(seed=0)
+    def test_injected_bug_is_detected_and_shrunk(self, self_test):
+        result = self_test
+        assert result.ok
         assert result.detected
         assert result.shrunk_workers <= 6
         assert result.shrunk_tasks <= 3
         checks = {finding.check for finding in result.findings}
         assert "equation2" in checks or "revenue-drift" in checks
 
-    def test_corrupted_task_block_is_flagged_and_restored(self):
+    def test_corrupted_task_block_is_flagged_and_restored(self, self_test):
         from repro.core.quality_store import SparseTaskBlocks
 
-        assert run_self_test(seed=0).block_bug_detected
+        assert _killed(self_test, "block-parity")
         original = SparseTaskBlocks._build_task
         with injected_block_bug():
             assert SparseTaskBlocks._build_task is not original
         assert SparseTaskBlocks._build_task is original
 
-    def test_shifted_join_kernel_is_flagged_and_restored(self):
+    def test_shifted_join_kernel_is_flagged_and_restored(self, self_test):
         from repro.core import kernels, revenue
 
-        assert run_self_test(seed=0).join_gain_bug_detected
+        assert _killed(self_test, "round-parity")
         original = kernels.fit_join_gains
         with injected_join_gain_bug():
             assert kernels.fit_join_gains is not original
@@ -416,14 +466,30 @@ class TestMutationSelfTest:
         assert kernels.fit_join_gains is original
         assert revenue.fit_join_gains is original
 
-    def test_shifted_stage_two_sums_are_flagged_and_restored(self):
+    def test_shifted_stage_two_sums_are_flagged_and_restored(self, self_test):
         from repro.core import tpg
 
-        assert run_self_test(seed=0).stage_two_bug_detected
+        assert _killed(self_test, "stage2-parity")
         original = tpg._slot_sums
         with injected_stage_two_bug():
             assert tpg._slot_sums is not original
         assert tpg._slot_sums is original
+
+    @pytest.mark.parametrize(
+        "entry, mutation, check",
+        [
+            ("join_gain_mutation_minimal.json", injected_join_gain_bug, "round-parity"),
+            ("stage_two_mutation_minimal.json", injected_stage_two_bug, "stage2-parity"),
+        ],
+    )
+    def test_corpus_catches_rare_mutation(self, entry, mutation, check):
+        # Few fuzzed instances show a one-ulp shift, so the corpus keeps
+        # a shrunk one per mutation and replay alone catches it.
+        instance, _ = load_corpus_entry(DEFAULT_CORPUS_DIR / entry)
+        assert run_differential(instance, approaches=()) == []
+        with mutation():
+            findings = run_differential(instance, approaches=())
+        assert any(f.check == check for f in findings)
 
     def test_mutation_restores_join(self):
         from repro.core.revenue import RevenueCache
