@@ -1,6 +1,7 @@
 """Micro-benchmarks for the substrates: the grid index, grid validity
 against its brute-force reference, TPG stage 1 against its from-scratch
-reference, TPG stage 2 against its per-pair reference, the lockstep overflow peel against its scalar reference,
+reference, stage 1's selection kernels against their plain loops, TPG
+stage 2 against its per-pair reference, the lockstep overflow peel against its scalar reference,
 task-local block reads against store reads, the Meetup cooperation
 matrix against its incidence-matmul reference, max-flow, and the
 incremental revenue engine."""
@@ -12,6 +13,8 @@ import pytest
 
 from repro.audit.reference import (
     reference_counted_subset,
+    reference_exact_select,
+    reference_greedy_select,
     reference_group_quality,
     reference_seed_groups,
     reference_stage_two,
@@ -20,10 +23,15 @@ from repro.audit.reference import (
     stage_two_trace,
 )
 from repro.core.assignment import Assignment
-from repro.core.kernels import counted_subset_batch, cross_values
+from repro.core.kernels import (
+    counted_subset_batch,
+    cross_values,
+    exact_group_select,
+    greedy_group_select,
+)
 from repro.core.quality import CooperationMatrix
 from repro.core.quality_store import StoreReads, task_blocks
-from repro.core.tpg import _stage_two, seed_groups
+from repro.core.tpg import EXACT_SEED_THRESHOLD, _combo_table, _stage_two, seed_groups
 from repro.core.validity import compute_valid_pairs, compute_valid_pairs_reference
 from repro.datasets.meetup import draw_meetup_population
 from repro.datasets.synthetic import generate_instance
@@ -104,6 +112,61 @@ def test_stage_one(benchmark, hotpath_batch, seeder, oracle):
     assert trace == stage_one_trace(
         oracle, instance, valid_pairs, available, tasks, **flags
     )
+
+
+@pytest.fixture(scope="module")
+def selection_blocks(hotpath_batch):
+    """Every hot-path task's stage-1 pair block over all its watchers
+    (each task's first evaluation in stage 1) and the group size."""
+    instance, valid_pairs = hotpath_batch
+    reads = task_blocks(instance.quality, valid_pairs)
+    size = instance.min_group_size
+    blocks = [
+        reads.pair_block(task, np.arange(len(watchers)))
+        for task, watchers in enumerate(valid_pairs.workers_for_task)
+        if len(watchers) >= size
+    ]
+    return blocks, size
+
+
+def _kernel_selections(blocks, size):
+    # The greedy writes -inf on a block's diagonal, which neither side
+    # reads, so the blocks are reused as they are.
+    selections = []
+    for block in blocks:
+        count = block.shape[0]
+        if count <= EXACT_SEED_THRESHOLD:
+            combos, offsets = _combo_table(count, size)
+            best, pair_sum = exact_group_select(block, offsets)
+            chosen = combos[best].tolist()
+        else:
+            chosen, pair_sum = greedy_group_select(block, size)
+        selections.append((chosen, repr(pair_sum)))
+    return selections
+
+
+def _oracle_selections(blocks, size):
+    selections = []
+    for block in blocks:
+        if block.shape[0] <= EXACT_SEED_THRESHOLD:
+            chosen, pair_sum = reference_exact_select(block, size)
+        else:
+            chosen, pair_sum = reference_greedy_select(block, size)
+        selections.append((chosen, repr(pair_sum)))
+    return selections
+
+
+@pytest.mark.parametrize(
+    "select, oracle",
+    [
+        (_kernel_selections, _oracle_selections),
+        (_oracle_selections, _kernel_selections),
+    ],
+    ids=["kernel", "oracle"],
+)
+def test_stage_one_selection(benchmark, selection_blocks, select, oracle):
+    blocks, size = selection_blocks
+    assert benchmark(select, blocks, size) == oracle(blocks, size)
 
 
 @pytest.fixture(scope="module")

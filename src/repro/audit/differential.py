@@ -88,6 +88,7 @@ __all__ = [
     "injected_block_bug",
     "injected_join_gain_bug",
     "injected_pair_sum_bug",
+    "injected_stage_one_bug",
     "injected_stage_two_bug",
     "run_axis",
     "run_differential",
@@ -209,6 +210,33 @@ def injected_stage_two_bug():
         return tuple(np.nextafter(sums, np.inf) for sums in slot_sums(*args))
 
     return _patched((tpg, "_slot_sums", buggy_sums))
+
+
+def injected_stage_one_bug():
+    """Break TPG stage 1's selection ties the wrong way: both selection
+    kernels (:func:`~repro.core.kernels.greedy_group_select`,
+    :func:`~repro.core.kernels.exact_group_select`) keep the *last*
+    maximum instead of the first, by running on their input reversed
+    and mapping the positions back. Only tied candidates change, and the
+    scalar selection loops keep the first, so ``stage1-parity`` must
+    flag it on tie-prone instances."""
+    greedy, exact = tpg.greedy_group_select, tpg.exact_group_select
+
+    def last_greedy(symmetric, size):
+        count = symmetric.shape[0]
+        selection = greedy(symmetric[::-1, ::-1], size)
+        if selection is None:
+            return None
+        return [count - 1 - position for position in selection[0]], selection[1]
+
+    def last_exact(symmetric, offsets):
+        best, pair_sum = exact(symmetric, offsets[:, ::-1])
+        return offsets.shape[1] - 1 - best, pair_sum
+
+    return _patched(
+        (tpg, "greedy_group_select", last_greedy),
+        (tpg, "exact_group_select", last_exact),
+    )
 
 
 @dataclass(frozen=True)
@@ -360,7 +388,8 @@ AXES = (
          mutation=injected_block_bug, mutation_backend="sparse"),
     Axis("stage1-parity", _stage_one_cases,
          partial(stage_one_trace, seed_groups),
-         partial(stage_one_trace, reference_seed_groups)),
+         partial(stage_one_trace, reference_seed_groups),
+         mutation=injected_stage_one_bug),
     Axis("stage2-parity", _stage_two_cases,
          partial(stage_two_trace, _stage_two),
          partial(stage_two_trace, reference_stage_two),
@@ -542,10 +571,10 @@ def run_sharded_check(
             f"approach={approach} shards={shards} "
             f"(planned {plan.shard_count}) halo_rounds={halo_rounds}"
         )
-        mono = make_solver(approach, epsilon=epsilon, seed=seed)(
-            instance, valid_pairs
-        )
         try:
+            mono = make_solver(approach, epsilon=epsilon, seed=seed)(
+                instance, valid_pairs
+            )
             sharded = make_solver(
                 approach,
                 epsilon=epsilon,

@@ -21,9 +21,16 @@ compare the kernels against them repr-exactly.
   :meth:`repro.core.game._BestResponseDynamics.run_round`'s bulk
   classification: moves, gains, LUB invalidations and scan counters;
 * :func:`verify_nash_equilibrium` — a profile's profitable deviations;
+* :func:`reference_greedy_select` / :func:`reference_exact_select` —
+  stage 1's two selection rules as plain Python loops (a strict ``>``
+  pair scan then sequential argmax additions; ``itertools``
+  combinations with left-to-right pair sums), sharing no code with
+  :func:`~repro.core.kernels.greedy_group_select` and
+  :func:`~repro.core.kernels.exact_group_select`;
 * :func:`reference_best_group` / :func:`reference_seed_groups` — TPG
   stage 1 with every evaluation gathered from scratch through the
-  store's own ``block`` and every commit a sequential ``assign``, the
+  store's own ``block``, selected by those loops, and every commit a
+  sequential ``assign``, the
   oracle of :func:`repro.core.tpg.seed_groups`' cached candidate blocks
   and bulk commit; :func:`stage_one_trace` is the comparison key;
 * :func:`reference_stage_two` — TPG stage 2 as a per-pair heap loop,
@@ -41,18 +48,18 @@ compare the kernels against them repr-exactly.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.assignment import UNASSIGNED, Assignment
 from repro.core.game import _lub_invalidate
-from repro.core.kernels import exact_group_select, greedy_group_select
 from repro.core.quality import DEFAULT_ALPHA, DEFAULT_BASE_QUALITY, CooperationMatrix
 from repro.core.quality_store import task_blocks
 from repro.core.revenue import RevenueCache
 from repro.core.stats import SolverStats
-from repro.core.tpg import EXACT_SEED_THRESHOLD, _combo_table, seed_groups
+from repro.core.tpg import EXACT_SEED_THRESHOLD, seed_groups
 
 __all__ = [
     "reference_counted_subset",
@@ -61,6 +68,8 @@ __all__ = [
     "reference_utilities",
     "reference_best_alternative",
     "reference_round",
+    "reference_greedy_select",
+    "reference_exact_select",
     "reference_best_group",
     "reference_seed_groups",
     "stage_one_trace",
@@ -272,18 +281,78 @@ def reference_round(
     return moves, gain
 
 
+def reference_greedy_select(
+    symmetric, size: int
+) -> tuple[list[int], float] | None:
+    """Stage 1's greedy selection as plain Python loops, the oracle of
+    :func:`~repro.core.kernels.greedy_group_select`.
+
+    Seeds with the first off-diagonal maximum of a strict-``>``
+    row-major scan, then adds, one at a time, the first unchosen
+    position of largest cross sum (its entries in the chosen rows,
+    added in selection order). Returns ``(positions, pair_sum)`` in
+    selection order, or ``None`` when fewer than ``size`` positions
+    exist. Reads ``symmetric`` only.
+    """
+    values = np.asarray(symmetric, dtype=np.float64).tolist()
+    count = len(values)
+    if count < max(size, 2):
+        return None
+    first, second = 0, 1
+    for row in range(count):
+        for col in range(count):
+            if row != col and values[row][col] > values[first][second]:
+                first, second = row, col
+    chosen = [first, second]
+    pair_sum = values[first][second]
+    cross = [values[first][col] + values[second][col] for col in range(count)]
+    while len(chosen) < size:
+        pick = None
+        for col in range(count):
+            if col not in chosen and (pick is None or cross[col] > cross[pick]):
+                pick = col
+        pair_sum += cross[pick]
+        chosen.append(pick)
+        for col in range(count):
+            cross[col] += values[pick][col]
+    return chosen, pair_sum
+
+
+def reference_exact_select(symmetric, size: int) -> tuple[list[int], float]:
+    """Stage 1's exhaustive selection as plain Python loops, the oracle
+    of :func:`~repro.core.kernels.exact_group_select`.
+
+    Scans :func:`itertools.combinations` of the positions, sums each
+    one's pairs left to right in lexicographic order, and keeps the
+    first maximum (strict ``>``). Returns ``(positions, pair_sum)``.
+    """
+    values = np.asarray(symmetric, dtype=np.float64).tolist()
+    best, best_sum = None, 0.0
+    for combo in itertools.combinations(range(len(values)), size):
+        pairs = itertools.combinations(combo, 2)
+        row, col = next(pairs)
+        total = values[row][col]
+        for row, col in pairs:
+            total += values[row][col]
+        if best is None or total > best_sum:
+            best, best_sum = combo, total
+    return list(best), best_sum
+
+
 def reference_best_group(
     quality, candidates: Sequence[int], size: int, stats=None
 ) -> tuple[list[int], float]:
     """TPG stage 1's best ``size``-group among ``candidates``, from scratch.
 
     Gathers the candidates' block through ``quality.block`` and runs the
-    stage-1 selection on ``sub + sub.T``: exhaustive over the sorted
-    candidates up to :data:`~repro.core.tpg.EXACT_SEED_THRESHOLD` of
-    them, greedy in the given order above. Returns ``(group, Q)`` with
-    the group in selection order and ``Q`` its Equation 2 revenue, or
-    ``([], 0.0)`` without a group. ``stats`` counts one kernel call per
-    selection run, as stage 1 does.
+    scalar selection (:func:`reference_exact_select`,
+    :func:`reference_greedy_select`) on ``sub + sub.T``: exhaustive over
+    the sorted candidates up to
+    :data:`~repro.core.tpg.EXACT_SEED_THRESHOLD` of them, greedy in the
+    given order above. Returns ``(group, Q)`` with the group in
+    selection order and ``Q`` its Equation 2 revenue, or ``([], 0.0)``
+    without a group. ``stats`` counts one kernel call per selection run,
+    as stage 1 does.
     """
     count = len(candidates)
     if count < size or size < 2:
@@ -295,14 +364,12 @@ def reference_best_group(
     if stats is not None:
         stats.kernel_fallback_calls += 1
     if exact:
-        combos, pair_columns = _combo_table(count, size)
-        best, pair_sum = exact_group_select(symmetric, pair_columns)
-        chosen = combos[best]
+        selection = reference_exact_select(symmetric, size)
     else:
-        selection = greedy_group_select(symmetric, size)
+        selection = reference_greedy_select(symmetric, size)
         if selection is None:
             return [], 0.0
-        chosen, pair_sum = selection
+    chosen, pair_sum = selection
     return [int(index[local]) for local in chosen], pair_sum / (size - 1)
 
 

@@ -35,6 +35,7 @@ from repro.audit.differential import (
     injected_block_bug,
     injected_join_gain_bug,
     injected_pair_sum_bug,
+    injected_stage_one_bug,
     injected_stage_two_bug,
     run_axis,
     run_differential,
@@ -51,6 +52,7 @@ __all__ = [
     "injected_block_bug",
     "injected_join_gain_bug",
     "injected_pair_sum_bug",
+    "injected_stage_one_bug",
     "injected_stage_two_bug",
     "run_audit",
     "run_self_test",
@@ -254,7 +256,7 @@ KILL_BUDGET = 200
 
 #: The lowest share of those instances an axis must flag under its
 #: mutation: 4 of 200, below every count measured on seeds 0-4 (block
-#: 81-97, round 9-16, stage 2 9-14).
+#: 81-97, stage 1 24-33, round 9-16, stage 2 9-14).
 KILL_RATE_FLOOR = 0.02
 
 

@@ -13,6 +13,15 @@ replaced float for float — those scalar references now live in
 :mod:`repro.audit.reference`, and the unit tests hold the kernels to
 them bit for bit.
 
+Stage 1 calls the two selection kernels tens of thousands of times per
+``simulate`` run on blocks of a few dozen candidates, so they are
+written at numpy's per-call floor: the greedy masks with the ``-inf``
+diagonal alone (no per-step ``isfinite`` wrappers; the off-diagonal
+values are finite), and the exact selection reads every combination's
+pairs with one ``take`` of precomputed flat offsets. Their oracles are
+plain Python loops (:func:`~repro.audit.reference.reference_greedy_select`,
+:func:`~repro.audit.reference.reference_exact_select`).
+
 The kernels read qualities only through a reader's ``block(rows,
 cols)``, never a backend's layout. During a solve the reader is the
 solve's task-block reader (:func:`~repro.core.quality_store.task_blocks`)
@@ -205,52 +214,51 @@ def greedy_group_select(
     argmax cross-sum additions — the float operations of TPG's
     historical stage-1 greedy, verbatim. Returns ``(positions,
     pair_sum)`` in selection order, or ``None`` when the matrix cannot
-    yield a connected ``size``-group. Mutates ``symmetric``'s diagonal.
+    yield a connected ``size``-group. Writes ``-inf`` on ``symmetric``'s
+    diagonal.
+
+    The off-diagonal values are finite (qualities lie in [0, 1]), so
+    the ``-inf`` diagonal does all the masking: a chosen position's own
+    row adds ``-inf`` to its ``cross`` slot, and ``-inf`` plus a finite
+    value stays ``-inf``. Every other slot gets the same float additions
+    as a masked sum, and the first maximum is the same.
     """
     count = symmetric.shape[0]
-    np.fill_diagonal(symmetric, -np.inf)
-    flat_best = int(np.argmax(symmetric))
-    first, second = divmod(flat_best, count)
-
+    symmetric.flat[:: count + 1] = -np.inf
+    first, second = divmod(int(symmetric.argmax()), count)
     chosen = [first, second]
     # cross[c] = ordered-pair contribution of candidate c to the chosen set.
-    cross = symmetric[first].copy()
-    cross[first] = -np.inf
-    cross += np.where(np.isfinite(symmetric[second]), symmetric[second], 0.0)
-    cross[second] = -np.inf
+    cross = symmetric[first] + symmetric[second]
     pair_sum = float(symmetric[first, second])
-
     while len(chosen) < size:
-        next_local = int(np.argmax(cross))
-        if not np.isfinite(cross[next_local]):
+        next_local = int(cross.argmax())
+        gain = float(cross[next_local])
+        if gain == -np.inf:
             return None
-        pair_sum += float(cross[next_local])
+        pair_sum += gain
         chosen.append(next_local)
-        addition = np.where(
-            np.isfinite(symmetric[next_local]), symmetric[next_local], 0.0
-        )
-        cross += addition
-        cross[next_local] = -np.inf
+        cross += symmetric[next_local]
     return chosen, pair_sum
 
 
 def exact_group_select(
-    symmetric: np.ndarray,
-    pair_columns: list[tuple[np.ndarray, np.ndarray]],
+    symmetric: np.ndarray, offsets: np.ndarray
 ) -> tuple[int, float]:
-    """Exhaustive group selection over precomputed combination columns.
+    """Exhaustive group selection over precomputed combination offsets.
 
-    Each combination's pair sum is the sequential left-to-right
-    accumulation over its position pairs in lexicographic order (the
+    ``offsets[p, c]`` is combination ``c``'s ``p``-th position pair
+    ``(i, j)``, ``i < j``, in lexicographic order, as the flat offset
+    ``i * count + j`` into the C-contiguous ``(count, count)`` matrix.
+    Each combination's pair sum accumulates its pairs left to right (the
     scalar loop's float additions, in the same order), and ``argmax``
     keeps the first maximum like a strict ``>`` scan. Returns
     ``(combination_row, pair_sum)``.
     """
-    rows, cols = pair_columns[0]
-    pair_sums = symmetric[rows, cols]
-    for rows, cols in pair_columns[1:]:
-        pair_sums = pair_sums + symmetric[rows, cols]
-    best = int(np.argmax(pair_sums))
+    values = symmetric.ravel().take(offsets)
+    pair_sums = values[0]
+    for pair in values[1:]:
+        pair_sums += pair
+    best = int(pair_sums.argmax())
     return best, float(pair_sums[best])
 
 

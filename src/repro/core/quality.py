@@ -419,10 +419,17 @@ class CooperationMatrix(QualityReads):
         """The submatrix over ``workers``, re-indexed positionally.
 
         The batch framework uses this to carve each batch's matrix out of
-        the population-level matrix.
+        the population-level matrix. A principal submatrix of a
+        validated matrix is valid as it stands (values in [0, 1], zero
+        diagonal), so the one gather is wrapped read-only without the
+        constructor's copy and scans.
         """
         index = np.asarray(workers, dtype=np.intp)
-        return CooperationMatrix(self._q[np.ix_(index, index)], copy=True)
+        values = self._q[index[:, None], index]
+        values.setflags(write=False)
+        restricted = CooperationMatrix.__new__(CooperationMatrix)
+        restricted._q = values
+        return restricted
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CooperationMatrix):

@@ -83,30 +83,24 @@ class TPGResult:
 
 
 #: Memoized combination tables for stage 1's exact selection, keyed by
-#: ``(candidate_count, size)``: the combination matrix plus one pair of
-#: column index arrays per unordered position pair. Stage 1 calls the
+#: ``(candidate_count, size)``: the combination matrix plus each
+#: combination's position pairs as flat offsets into the pair block
+#: (:func:`~repro.core.kernels.exact_group_select`). Stage 1 calls the
 #: exact seeder hundreds of times per batch with the same tiny shapes,
 #: so the itertools enumeration is paid once per shape.
-_COMBO_TABLES: dict[
-    tuple[int, int], tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]
-] = {}
+_COMBO_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _combo_table(
-    count: int, size: int
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+def _combo_table(count: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     key = (count, size)
     table = _COMBO_TABLES.get(key)
     if table is None:
         combos = np.asarray(
             list(itertools.combinations(range(count), size)), dtype=np.intp
         )
-        pair_columns = [
-            (combos[:, i], combos[:, j])
-            for i in range(size)
-            for j in range(i + 1, size)
-        ]
-        table = (combos, pair_columns)
+        rows, cols = np.triu_indices(size, 1)
+        offsets = (combos[:, rows] * count + combos[:, cols]).T
+        table = (combos, np.ascontiguousarray(offsets))
         _COMBO_TABLES[key] = table
     return table
 
@@ -252,8 +246,8 @@ class _CandidateBlocks:
         if stats is not None:
             stats.kernel_fallback_calls += 1
         if count <= EXACT_SEED_THRESHOLD:
-            combos, pair_columns = _combo_table(count, size)
-            best, pair_sum = exact_group_select(symmetric, pair_columns)
+            combos, offsets = _combo_table(count, size)
+            best, pair_sum = exact_group_select(symmetric, offsets)
             chosen = combos[best]
         else:
             selection = greedy_group_select(symmetric, size)

@@ -6,11 +6,13 @@ before its deadline at speed ``v_i``. The paper computes each worker's
 valid task set ``T_i`` with a circular range query over an R-tree of
 task locations, then applies the deadline filter.
 
-This module answers the same range query with a uniform grid
-(:class:`~repro.spatial.grid.GridIndex`) instead of an R-tree: workers
-whose query circles cover the same cell rectangle are scored as one
-numpy block. On every named bench regime the grid beat an R-tree, a
-k-d tree and a dense distance matrix (docs/PERFORMANCE.md,
+This module answers every worker's range query at once, as one grid
+join (:func:`_grid_join`): the tasks are bucketed by uniform grid cell
+(one sort of their cell ids), each worker's reach circle expands into
+the task runs of the cell columns its bounding rectangle covers, and the
+resulting candidate pairs are filtered elementwise, a bounded slice of
+workers at a time. On every named bench regime the grid beat an R-tree,
+a k-d tree and a dense distance matrix (docs/PERFORMANCE.md,
 "Substrates"), so it is the only production path — shared by
 :func:`compute_valid_pairs` and :class:`IncrementalValidityIndex`.
 
@@ -107,52 +109,32 @@ class ValidPairs:
         )
 
     @classmethod
-    def from_sorted_rows(cls, rows, task_count: int) -> "ValidPairs":
-        """Build from per-worker arrays already sorted and duplicate-free.
+    def from_pairs(
+        cls,
+        workers: np.ndarray,
+        tasks: np.ndarray,
+        worker_count: int,
+        task_count: int,
+    ) -> "ValidPairs":
+        """Build from duplicate-free, in-range pair arrays in any order
+        (the grid join's output).
 
-        The vectorized grid path emits rows with both properties by
-        construction (each task lives in exactly one grid cell, and
-        candidates are pre-sorted per rectangle group), so the
-        per-element set/sort of :meth:`from_worker_lists` is skipped and
-        the transpose comes from one stable argsort over the flattened
-        pairs instead of per-pair list appends. Output is structurally
-        identical to ``from_worker_lists`` on the same membership.
+        Each side is one sort of unique integer keys (``worker * n +
+        task`` and ``task * m + worker``; numpy's unstable sort of such
+        keys is several times faster than a stable argsort), one bulk
+        ``tolist`` and ``islice`` consumption. Structurally identical to
+        :meth:`from_worker_lists` on the same membership.
         """
-        worker_count = len(rows)
-        counts = np.fromiter(
-            (len(row) for row in rows), dtype=np.int64, count=worker_count
-        )
-        total = int(counts.sum())
-        if total == 0:
-            return cls(
-                tuple(() for _ in range(worker_count)),
-                tuple(() for _ in range(task_count)),
-            )
-        tasks_flat = np.concatenate(
-            [np.asarray(row, dtype=np.int64) for row in rows if len(row)]
-        )
-        if int(tasks_flat.min()) < 0 or int(tasks_flat.max()) >= task_count:
-            raise ValueError("task index out of range")
-        # One bulk tolist per side, then islice consumption — far
-        # cheaper than a small ndarray.tolist per worker/task at scale.
-        worker_iter = iter(tasks_flat.tolist())
-        per_worker = tuple(
-            tuple(islice(worker_iter, width)) for width in counts.tolist()
-        )
-        workers_flat = np.repeat(
-            np.arange(worker_count, dtype=np.int32), counts
-        )
-        # int32 keys roughly halve the stable (radix) argsort cost and
-        # are always wide enough: indices were range-checked above.
-        order = np.argsort(tasks_flat.astype(np.int32), kind="stable")
-        task_widths = np.bincount(
-            tasks_flat, minlength=task_count
-        ).tolist()
-        task_iter = iter(workers_flat[order].tolist())
-        per_task = tuple(
-            tuple(islice(task_iter, width)) for width in task_widths
-        )
-        return cls(per_worker, per_task)
+        rows = []
+        for major, minor, majors, minors in (
+            (workers, tasks, worker_count, task_count),
+            (tasks, workers, task_count, worker_count),
+        ):
+            keys = np.sort(major.astype(np.int64) * minors + minor)
+            items = iter((keys % minors).tolist())
+            widths = np.bincount(major, minlength=majors).tolist()
+            rows.append(tuple(tuple(islice(items, width)) for width in widths))
+        return cls(*rows)
 
 
 def compute_valid_pairs(
@@ -181,15 +163,7 @@ def compute_valid_pairs(
         return _no_pairs(instance)
     if travel_model is not None:
         return _compute_with_travel_model(instance, travel_model)
-    mean_radius = float(np.mean([worker.radius for worker in instance.workers]))
-    index = GridIndex.build(
-        ((position, task.location) for position, task in enumerate(instance.tasks)),
-        cell_size=max(mean_radius * _GRID_CELL_MULTIPLIER, 1e-6),
-    )
-    return ValidPairs.from_sorted_rows(
-        _grid_valid_lists(instance, index, _max_remaining(instance)),
-        instance.task_count,
-    )
+    return _grid_join(instance, _max_remaining(instance))
 
 
 def compute_valid_pairs_reference(instance: Instance) -> ValidPairs:
@@ -255,30 +229,20 @@ def _reach_limits(
     return np.where(speeds > 0, reach, 0.0)
 
 
-#: Cell-size factor of the grid build relative to the mean worker
-#: radius. Membership is invariant to the cell size (the distance and
-#: deadline filters are exact); coarser cells trade a wider candidate
-#: superset (cheap float32 prefilter cells) for far fewer worker
-#: rectangle groups, and ~3x is the sweet spot at n = 20k.
-_GRID_CELL_MULTIPLIER = 3.0
+#: Cell side of :func:`compute_valid_pairs`' join relative to the mean
+#: worker radius. Membership is invariant to the cell size (the distance
+#: and deadline filters are exact); smaller cells cut the candidate
+#: superset, larger ones the strips per worker, and 0.5-1x measured
+#: fastest on every bench regime (docs/PERFORMANCE.md, "Substrates").
+_CELL_FACTOR = 0.75
 
-#: Row-chunk budget for the batched distance matrices: a worker-group's
-#: (rows x candidates) block is processed in slices of at most this many
-#: float64 cells, bounding peak memory regardless of how many workers
-#: share one cell rectangle.
-_GRID_BLOCK_CELLS = 2_000_000
+#: Candidate pairs scored per slice of workers: bounds the join's
+#: working arrays (a dozen per candidate) to a few MB whatever the
+#: batch size.
+_CANDIDATE_BUDGET = 1 << 15
 
-#: Reach-margin factor of the squared-distance prefilter. The prefilter
-#: runs in float32 (it only has to be a *superset* of the exact test,
-#: and halving the bandwidth of the big block matrices is the point);
-#: the comparison radius is inflated additively by ``scale * 1e-5``,
-#: where ``scale`` bounds the coordinate magnitudes, which dwarfs the
-#: worst-case float32 cast/subtract/square error (~4 ulps, i.e. ~2.4e-7
-#: relative to ``scale``) while still rejecting essentially everything
-#: outside the circle. Exact float64 hypot decides membership for the
-#: survivors.
-_PREFILTER_MARGIN = 1e-5
-
+#: Cap on the join's grid resolution, in cells across the tasks' extent.
+_MAX_CELLS_PER_SIDE = 4096
 
 #: Relative distance band around the radius and the deadline reach
 #: inside which the grid re-measures a pair with ``math.hypot`` (the
@@ -287,221 +251,157 @@ _PREFILTER_MARGIN = 1e-5
 _HYPOT_BAND = 8 * np.finfo(np.float64).eps
 
 
-def _cell_table(index: GridIndex, position_of=None):
-    """Per-cell candidate arrays: ``(cx, cy) -> (positions, xs, ys)``.
+def _coordinates(points, count: int) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.fromiter((p.location.x for p in points), dtype=np.float64, count=count)
+    ys = np.fromiter((p.location.y for p in points), dtype=np.float64, count=count)
+    return xs, ys
 
-    ``position_of`` maps bucket items (stable task ids in the
-    incremental index) to task positions; ``None`` means items already
-    *are* positions (the fresh-build path).
+
+def _grid_join(
+    instance: Instance, max_remaining: float, cell_size: float | None = None
+) -> ValidPairs:
+    """Definition 3's pairs of a non-empty batch, as one grid join.
+
+    The tasks are sorted by cell id (``x`` column major, ``y`` within a
+    column), so the tasks of one column's cell range are one run of the
+    sorted order, found by two ``searchsorted``. Each worker's query
+    circle has its reach limit (:func:`_reach_limits`) as radius; its
+    inclusive cell rectangle (the floor of ``(centre -+ limit) /
+    cell``), clipped to the tasks' cells, is one strip per column.
+    Workers are scored in slices of at most :data:`_CANDIDATE_BUDGET`
+    candidates (one worker's alone may exceed it): the strips expand
+    into candidate pairs with ``np.repeat``, distances come from
+    ``np.hypot``, re-measured with the oracle's ``math.hypot`` within a
+    few ulps of the reach limit or the deadline reach
+    (:data:`_HYPOT_BAND`), then two masks: within the reach limit, and
+    deadline-feasible (``remaining < 0`` rejects; zero-speed workers
+    only reach distance 0; otherwise ``distance / speed <= remaining``).
+    Membership is Definition 3's, which
+    :func:`compute_valid_pairs_reference` checks by brute force; a task
+    lies in one cell and a worker's strips are disjoint, so no pair
+    repeats, and :meth:`ValidPairs.from_pairs` sorts the kept pairs
+    both ways.
+
+    ``cell_size`` defaults to :data:`_CELL_FACTOR` times the mean worker
+    radius.
     """
-    table: dict = {}
-    for key, bucket in index.cells():
-        count = len(bucket)
-        if position_of is None:
-            positions = np.fromiter(
-                (item for item, _ in bucket), dtype=np.int64, count=count
-            )
-        else:
-            positions = np.fromiter(
-                (position_of[item] for item, _ in bucket),
-                dtype=np.int64,
-                count=count,
-            )
-        xs = np.fromiter(
-            (point.x for _, point in bucket), dtype=np.float64, count=count
-        )
-        ys = np.fromiter(
-            (point.y for _, point in bucket), dtype=np.float64, count=count
-        )
-        table[key] = (positions, xs, ys)
-    return table
-
-
-def _grid_valid_lists(
-    instance: Instance,
-    index: GridIndex,
-    max_remaining: float,
-    position_of=None,
-) -> "list[np.ndarray]":
-    """Batched grid validity: per-worker valid task lists.
-
-    Each worker's query circle has its reach limit (:func:`_reach_limits`)
-    as radius, and workers whose circles cover the same cell rectangle
-    are scored as one broadcast block — distances via :func:`np.hypot`,
-    re-measured with the oracle's ``math.hypot`` within a few ulps of the
-    radius or the deadline reach (:data:`_HYPOT_BAND`), then two masks: within the reach limit, and deadline-feasible
-    (``remaining < 0`` rejects; zero-speed workers only reach distance
-    0; otherwise ``distance / speed <= remaining``). Membership is
-    Definition 3's, which :func:`compute_valid_pairs_reference` checks
-    by brute force. Each emitted row is sorted ascending and
-    duplicate-free (candidates are argsorted once per rectangle group; a
-    task lives in exactly one cell), satisfying
-    :meth:`ValidPairs.from_sorted_rows`'s contract.
-    """
-    workers = instance.workers
-    cell_size = index.cell_size
-    table = _cell_table(index, position_of)
-    remaining = np.fromiter(
-        (task.remaining_time(instance.now) for task in instance.tasks),
-        dtype=np.float64,
-        count=instance.task_count,
-    )
-    count = len(workers)
-    wx = np.fromiter(
-        (w.location.x for w in workers), dtype=np.float64, count=count
-    )
-    wy = np.fromiter(
-        (w.location.y for w in workers), dtype=np.float64, count=count
-    )
+    workers, tasks = instance.workers, instance.tasks
+    worker_count, task_count = len(workers), len(tasks)
+    wx, wy = _coordinates(workers, worker_count)
     radii = np.fromiter(
-        (w.radius for w in workers), dtype=np.float64, count=count
+        (w.radius for w in workers), dtype=np.float64, count=worker_count
     )
     speeds = np.fromiter(
-        (w.speed for w in workers), dtype=np.float64, count=count
+        (w.speed for w in workers), dtype=np.float64, count=worker_count
     )
     limits = _reach_limits(radii, speeds, max_remaining)
-    # Coordinate/limit magnitude bound for the prefilter's additive
-    # reach margin.
-    scale = 1.0
-    if count:
-        scale = max(
-            scale,
-            float(np.abs(wx).max()),
-            float(np.abs(wy).max()),
-            float(limits.max()),
-        )
-    for _, xs, ys in table.values():
-        scale = max(
-            scale, float(np.abs(xs).max()), float(np.abs(ys).max())
-        )
-    margin = scale * _PREFILTER_MARGIN
+    tx, ty = _coordinates(tasks, task_count)
+    remaining = np.fromiter(
+        (task.remaining_time(instance.now) for task in tasks),
+        dtype=np.float64,
+        count=task_count,
+    )
+    if cell_size is None:
+        cell_size = float(np.mean(radii)) * _CELL_FACTOR
+    # At most _MAX_CELLS_PER_SIDE cells across the tasks' extent: keeps
+    # the cell ids well inside int64 and a worker's strips bounded
+    # whatever the radii.
+    extent = max(np.ptp(tx), np.ptp(ty))
+    cell_size = max(cell_size, extent / _MAX_CELLS_PER_SIDE, 1e-6)
 
-    # The inclusive cell rectangle each reach circle covers, with the
-    # same subtract/divide/floor as GridIndex.query_circle.
-    min_cx = np.floor((wx - limits) / cell_size).astype(np.int64)
-    max_cx = np.floor((wx + limits) / cell_size).astype(np.int64)
-    min_cy = np.floor((wy - limits) / cell_size).astype(np.int64)
-    max_cy = np.floor((wy + limits) / cell_size).astype(np.int64)
+    def cell_of(values: np.ndarray) -> np.ndarray:
+        return np.floor(values / cell_size).astype(np.int64)
 
-    groups: dict[tuple[int, int, int, int], list[int]] = {}
-    for row in range(count):
-        key = (
-            int(min_cx[row]),
-            int(max_cx[row]),
-            int(min_cy[row]),
-            int(max_cy[row]),
-        )
-        groups.setdefault(key, []).append(row)
+    column, row = cell_of(tx), cell_of(ty)
+    x0, y0 = column.min(), row.min()
+    columns, rows = column.max() - x0 + 1, row.max() - y0 + 1
+    cell_ids = (column - x0) * rows + (row - y0)
+    by_cell = np.argsort(cell_ids, kind="stable")
+    cell_ids = cell_ids[by_cell]
 
-    empty_row = np.empty(0, dtype=np.int64)
-    result: list[np.ndarray] = [empty_row] * count
-    # Distinct rectangles frequently clip to the same subset of present
-    # cells (coarse cells, map edges), so the sorted candidate bundles
-    # are memoized by that subset.
-    bundles: dict = {}
-    for (cx_lo, cx_hi, cy_lo, cy_hi), rows in groups.items():
-        keys = tuple(
-            (cx, cy)
-            for cx in range(cx_lo, cx_hi + 1)
-            for cy in range(cy_lo, cy_hi + 1)
-            if (cx, cy) in table
-        )
-        if not keys:
+    # Each worker's cell rectangle, clipped to the tasks' cells, as one
+    # strip per column: strip ``k`` of worker ``i`` is column
+    # ``lo_x[i] + k`` and covers sorted tasks ``first : first + length``.
+    lo_x = np.maximum(cell_of(wx - limits) - x0, 0)
+    hi_x = np.minimum(cell_of(wx + limits) - x0, columns - 1)
+    lo_y = np.maximum(cell_of(wy - limits) - y0, 0)
+    hi_y = np.minimum(cell_of(wy + limits) - y0, rows - 1)
+    widths = np.where(lo_y <= hi_y, np.maximum(hi_x - lo_x + 1, 0), 0)
+    strip_ptr = np.zeros(worker_count + 1, dtype=np.int64)
+    np.cumsum(widths, out=strip_ptr[1:])
+    owner = np.repeat(np.arange(worker_count), widths)
+    strip_x = np.arange(strip_ptr[-1]) - np.repeat(strip_ptr[:-1] - lo_x, widths)
+    first = cell_ids.searchsorted(strip_x * rows + lo_y[owner], "left")
+    lengths = cell_ids.searchsorted(strip_x * rows + hi_y[owner], "right") - first
+    candidate_ptr = np.zeros(worker_count + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(owner, lengths, worker_count).astype(np.int64),
+        out=candidate_ptr[1:],
+    )
+
+    kept = []
+    stop = 0
+    while stop < worker_count:
+        start = stop
+        budget = candidate_ptr[start] + _CANDIDATE_BUDGET
+        stop = max(int(candidate_ptr.searchsorted(budget, "right")) - 1, start + 1)
+        strips = slice(strip_ptr[start], strip_ptr[stop])
+        runs = lengths[strips]
+        total = int(candidate_ptr[stop] - candidate_ptr[start])
+        if not total:
             continue
-        bundle = bundles.get(keys)
-        if bundle is None:
-            parts = [table[key] for key in keys]
-            if len(parts) == 1:
-                cand_pos, cand_x, cand_y = parts[0]
-            else:
-                cand_pos = np.concatenate([p[0] for p in parts])
-                cand_x = np.concatenate([p[1] for p in parts])
-                cand_y = np.concatenate([p[2] for p in parts])
-            order = np.argsort(cand_pos)
-            cand_pos = cand_pos[order]
-            cand_x = cand_x[order]
-            cand_y = cand_y[order]
-            bundle = (
-                cand_pos,
-                cand_x,
-                cand_y,
-                cand_x.astype(np.float32),
-                cand_y.astype(np.float32),
-                remaining[cand_pos],
-            )
-            bundles[keys] = bundle
-        cand_pos, cand_x, cand_y, cand_x32, cand_y32, cand_remaining = bundle
-        rows_array = np.asarray(rows, dtype=np.int64)
-        chunk = max(1, _GRID_BLOCK_CELLS // max(1, cand_pos.size))
-        for start in range(0, rows_array.size, chunk):
-            block = rows_array[start : start + chunk]
-            block_wx = wx[block]
-            block_wy = wy[block]
-            block_limits = limits[block]
-            dx32 = cand_x32[None, :] - block_wx.astype(np.float32)[:, None]
-            dy32 = cand_y32[None, :] - block_wy.astype(np.float32)[:, None]
-            # float32 squared-distance prefilter — a strict superset of
-            # hypot(dx, dy) <= limit thanks to the additive margin (see
-            # _PREFILTER_MARGIN); exact float64 hypot then decides
-            # membership on the surviving cells only.
-            threshold = (
-                ((block_limits + margin) * (block_limits + margin))
-                .astype(np.float32)[:, None]
-            )
-            near = dx32 * dx32 + dy32 * dy32 <= threshold
-            row_hits, col_hits = np.nonzero(near)
-            dx = cand_x[col_hits] - block_wx[row_hits]
-            dy = cand_y[col_hits] - block_wy[row_hits]
-            dist = np.hypot(dx, dy)
-            speed = speeds[block][row_hits]
-            rem = cand_remaining[col_hits]
-            limit = block_limits[row_hits]
-            # Definition 3's oracle measures with math.hypot, which can
-            # differ from np.hypot by an ulp: re-measure the pairs that
-            # lie within a few ulps of the reach limit (the radius when
-            # it binds) or of the deadline reach.
-            with np.errstate(invalid="ignore", over="ignore"):
-                gap = np.abs(dist - limit)
-                np.minimum(gap, np.abs(dist - speed * rem), out=gap)
-            for hit in np.flatnonzero(gap <= _HYPOT_BAND * dist).tolist():
-                dist[hit] = math.hypot(dx[hit], dy[hit])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                travel = np.where(
-                    speed > 0, dist / np.maximum(speed, 1e-300), np.inf
-                )
-            keep = (
-                (dist <= limit)
-                & (rem >= 0)
-                & np.where(speed > 0, travel <= rem, dist == 0.0)
-            )
-            row_hits = row_hits[keep]
-            kept_pos = cand_pos[col_hits[keep]]
-            # np.nonzero is row-major, so kept_pos is grouped by row
-            # with ascending candidate order inside each group; slice
-            # views per row keep this allocation-free.
-            row_counts = np.bincount(row_hits, minlength=block.size)
-            bounds = np.concatenate(([0], np.cumsum(row_counts))).tolist()
-            for offset, row in enumerate(block.tolist()):
-                result[row] = kept_pos[bounds[offset] : bounds[offset + 1]]
-    return result
+        pair_worker = np.repeat(owner[strips], runs)
+        run_offsets = first[strips] - (np.cumsum(runs) - runs)
+        pair_task = by_cell[np.arange(total) + np.repeat(run_offsets, runs)]
+        dx = tx[pair_task] - wx[pair_worker]
+        dy = ty[pair_task] - wy[pair_worker]
+        dist = np.hypot(dx, dy)
+        speed = speeds[pair_worker]
+        rem = remaining[pair_task]
+        limit = limits[pair_worker]
+        # Definition 3's oracle measures with math.hypot, which can
+        # differ from np.hypot by an ulp: re-measure the pairs that lie
+        # within a few ulps of the reach limit (the radius when it
+        # binds) or of the deadline reach.
+        with np.errstate(invalid="ignore", over="ignore"):
+            gap = np.abs(dist - limit)
+            np.minimum(gap, np.abs(dist - speed * rem), out=gap)
+        for hit in np.flatnonzero(gap <= _HYPOT_BAND * dist).tolist():
+            dist[hit] = math.hypot(dx[hit], dy[hit])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            travel = np.where(speed > 0, dist / np.maximum(speed, 1e-300), np.inf)
+        keep = (
+            (dist <= limit)
+            & (rem >= 0)
+            & np.where(speed > 0, travel <= rem, dist == 0.0)
+        )
+        kept.append((pair_worker[keep], pair_task[keep]))
+
+    empty = np.empty(0, dtype=np.int64)
+    return ValidPairs.from_pairs(
+        np.concatenate([pair[0] for pair in kept] or [empty]),
+        np.concatenate([pair[1] for pair in kept] or [empty]),
+        worker_count,
+        task_count,
+    )
 
 
 class IncrementalValidityIndex:
     """Task-side validity state maintained *across* batch rounds.
 
     The batch simulator's task pool evolves by small deltas — arrivals,
-    served/cancelled departures, deadline expiries — while the historical
-    path rebuilt the whole spatial index from scratch every round. This
-    class keeps one :class:`~repro.spatial.grid.GridIndex` alive and
-    applies the pool's deltas via ``insert``/``delete`` (keyed by the
-    stable ``task_id``), so per-round cost is proportional to the churn,
-    not the pool size.
+    served/cancelled departures, deadline expiries. This class tracks
+    the live pool by stable ``task_id`` (:meth:`sync` applies the
+    deltas) together with its longest deadline, and answers each round
+    with the same grid join as :func:`compute_valid_pairs`
+    (:func:`_grid_join`), at the cell size fixed at construction instead
+    of one re-derived from each round's mean worker radius. The join
+    buckets the round's tasks from arrays in well under a millisecond,
+    so no spatial index is carried between rounds.
 
-    Results are *identical* to :func:`compute_valid_pairs`: both run
-    :func:`_grid_valid_lists`, whose exact distance and deadline filters
-    make the outcome invariant to the index's cell size, which here is
-    fixed at construction instead of re-derived from each round's mean
-    worker radius. The test suite asserts the equivalence, and equality
+    Results are *identical* to :func:`compute_valid_pairs`: the join's
+    exact distance and deadline filters make the outcome invariant to
+    the cell size. The test suite asserts the equivalence, and equality
     with :func:`compute_valid_pairs_reference`, round by round.
 
     Stale-deadline contract: the reach bound's ``max_remaining`` is
@@ -513,7 +413,7 @@ class IncrementalValidityIndex:
     """
 
     def __init__(self, cell_size: float) -> None:
-        self._index = GridIndex(cell_size=max(float(cell_size), 1e-6))
+        self._cell_size = float(cell_size)
         self._tasks: dict[int, Task] = {}
         self._max_deadline = -np.inf
         self._max_stale = False
@@ -533,7 +433,6 @@ class IncrementalValidityIndex:
         removed = [key for key in self._tasks if key not in current]
         for key in removed:
             task = self._tasks.pop(key)
-            self._index.delete(key, task.location)
             if task.deadline == self._max_deadline:
                 self._max_stale = True
         added = 0
@@ -541,7 +440,6 @@ class IncrementalValidityIndex:
             if key in self._tasks:
                 continue
             self._tasks[key] = task
-            self._index.insert(key, task.location)
             added += 1
             if task.deadline > self._max_deadline and not self._max_stale:
                 self._max_deadline = task.deadline
@@ -565,29 +463,20 @@ class IncrementalValidityIndex:
         return max(0.0, self._max_deadline - now)
 
     def compute(self, instance: Instance) -> ValidPairs:
-        """This round's :class:`ValidPairs` from the maintained index.
+        """This round's :class:`ValidPairs` over the synced pool.
 
         ``instance.tasks`` must be exactly the pool last passed to
-        :meth:`sync` (positions may differ from insertion order; the
-        query is mapped back through ``task_id``).
+        :meth:`sync`, in any order (pairs name task positions).
         """
         if instance.task_count == 0 or instance.worker_count == 0:
             return _no_pairs(instance)
-        position_of = {
-            task.task_id: position
-            for position, task in enumerate(instance.tasks)
-        }
-        if position_of.keys() != self._tasks.keys():
+        if {task.task_id for task in instance.tasks} != self._tasks.keys():
             raise ValueError(
                 "instance task pool is out of sync with the index; "
                 "call sync() with the live pool first"
             )
-        max_remaining = self.max_remaining(instance.now)
-        return ValidPairs.from_sorted_rows(
-            _grid_valid_lists(
-                instance, self._index, max_remaining, position_of=position_of
-            ),
-            instance.task_count,
+        return _grid_join(
+            instance, self.max_remaining(instance.now), self._cell_size
         )
 
 

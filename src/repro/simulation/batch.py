@@ -263,11 +263,11 @@ class BatchSimulator:
         busy_until: dict[int, float] = {}
         open_tasks: list[_OpenTask] = []
         next_task_id = 0
-        # One task index maintained across rounds from the pool's deltas.
-        # Fixed cell size (the mean configured radius) instead of the
-        # per-round mean of materialized radii: the index outlives any
-        # single round, and ValidPairs results are invariant to the cell
-        # size (exact distance + deadline filters, sorted candidate lists).
+        # One validity index tracks the task pool across rounds from its
+        # deltas. Its grid join uses a fixed cell size (the mean
+        # configured radius) instead of the per-round mean of materialized
+        # radii; ValidPairs results are invariant to the cell size (exact
+        # distance + deadline filters).
         validity_index = IncrementalValidityIndex(
             cell_size=sum(config.radius_range) / 2.0
         )
@@ -345,7 +345,7 @@ class BatchSimulator:
                 now=now,
             )
             # Delta maintenance: expiries/cancellations/served tasks
-            # leave the index, arrivals join it; the reach bound's
+            # leave the pool, arrivals join it; the reach bound's
             # max_remaining is re-derived from the live pool so an
             # expired task can never widen a worker's candidate radius.
             validity_index.sync(instance.tasks)

@@ -3,12 +3,13 @@
 The paper answers Definition 3's circular range queries with an R-tree.
 This repo answers them with a uniform grid instead: for the paper's
 workloads — points in the unit square, query radii of 5-25% of the
-space — a grid answers queries in near-constant time, builds in O(n),
-and lets the validity layer score all workers that cover the same cell
-rectangle as one numpy block. On every named bench regime it beat an
-R-tree, a k-d tree and a dense distance matrix (docs/PERFORMANCE.md,
-"Substrates"), so it is the repo's only spatial index; the tests check
-it against brute force.
+space — a grid answers queries in near-constant time and builds in
+O(n). On every named bench regime it beat an R-tree, a k-d tree and a
+dense distance matrix (docs/PERFORMANCE.md, "Substrates"), so it is the
+repo's only spatial index; the tests check it against brute force. The
+validity layer runs the same cell scheme as one vectorised join over
+arrays (:mod:`repro.core.validity`); this class serves the point-by-
+point users (road-network snapping, travel-model validity).
 """
 
 from __future__ import annotations
@@ -104,17 +105,6 @@ class GridIndex:
                     if point.distance_to(center) <= radius
                 )
         return results
-
-    def cells(
-        self,
-    ) -> Iterator[tuple[tuple[int, int], list[tuple[Hashable, Point]]]]:
-        """Iterate ``(cell_key, bucket)`` pairs.
-
-        A read-only view for vectorized consumers (the validity layer
-        turns each bucket into numpy coordinate arrays); mutating a
-        yielded bucket corrupts the index.
-        """
-        return iter(self._cells.items())
 
     def __len__(self) -> int:
         return self._size

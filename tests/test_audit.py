@@ -212,6 +212,26 @@ class TestDifferentialRunner:
         assert all(f.check == "crash" for f in findings)
         assert any("boom" in f.detail for f in findings)
 
+    def test_sharded_check_survives_a_crashing_solver(self, monkeypatch):
+        # Regression: the sharded check ran the monolithic solve outside
+        # its try, so a raising GT or TPG solver ended the whole audit
+        # session instead of giving a shrinkable finding.
+        from repro.experiments import config
+
+        def crashing_factory(epsilon, seed):
+            def solver(instance, valid_pairs):
+                raise RuntimeError("boom")
+
+            return solver
+
+        monkeypatch.setitem(config.APPROACHES, "TPG", crashing_factory)
+        outcome = run_audit(budget=30, seed=0, corpus_dir=None, max_instances=1)
+        assert outcome.instances_fuzzed == 1
+        assert any(
+            finding.check == "crash" and "boom" in finding.detail
+            for _, finding in outcome.findings
+        )
+
     def test_axis_crash_becomes_finding(self, monkeypatch):
         # A parity axis whose fast path raises yields a crash finding
         # naming the axis, and an audit session goes on to shrink it.
@@ -241,23 +261,23 @@ class TestDifferentialRunner:
                 assert not outcome.ok
 
     def test_validity_parity_divergence_is_flagged(self, monkeypatch):
-        # Corrupt the grid (drop one valid pair from the batched lists);
+        # Corrupt the grid join (drop one valid pair from its output);
         # the brute-force reference must flag it for both the fresh
-        # build and the incremental index, which share the grid code.
+        # build and the incremental index, which share the join.
         from repro.audit import differential
         from repro.core import validity
 
-        real = validity._grid_valid_lists
+        real = validity._grid_join
 
         def broken(*args, **kwargs):
-            rows = real(*args, **kwargs)
-            for position, row in enumerate(rows):
-                if len(row):
-                    rows[position] = row[:-1]
-                    break
-            return rows
+            pairs = real(*args, **kwargs)
+            rows = [list(tasks) for tasks in pairs.tasks_for_worker]
+            next(row for row in rows if row).pop()
+            return validity.ValidPairs.from_worker_lists(
+                rows, len(pairs.workers_for_task)
+            )
 
-        monkeypatch.setattr(validity, "_grid_valid_lists", broken)
+        monkeypatch.setattr(validity, "_grid_join", broken)
         instance = make_dense_instance(seed=1)
         findings = differential.run_differential(
             instance, approaches=("PGREEDY",), backends=("dense",)

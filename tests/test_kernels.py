@@ -6,7 +6,8 @@ backend: :func:`~repro.core.kernels.score_candidates` rows against the
 per-candidate scan of the scalar oracles, the lockstep peel
 (:func:`~repro.core.kernels.counted_subset_batch` and its single-group
 :func:`~repro.core.kernels.counted_subset_select`) against the greedy
-reference peel (both kept in :mod:`repro.audit.reference`), and the
+reference peel (both kept in :mod:`repro.audit.reference`), TPG stage
+1's two selection kernels against their plain-loop oracles, and the
 stores' block reads against the dense matrix. Solve-level outputs are pinned by ``tests/test_golden.py``.
 """
 
@@ -14,12 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audit.fuzzer import _KERNEL_SHAPES, fuzz_instance
 from repro.audit.invariants import oracle_counted_subset
 from repro.audit.reference import (
     reference_best_alternative,
     reference_counted_subset,
+    reference_exact_select,
+    reference_greedy_select,
     reference_join_gain,
     reference_leave_delta,
     reference_utilities,
@@ -32,6 +37,8 @@ from repro.core.kernels import (
     PEEL_CHUNK,
     counted_subset_batch,
     counted_subset_select,
+    exact_group_select,
+    greedy_group_select,
     ordered_row_sums,
     score_candidates,
 )
@@ -43,7 +50,7 @@ from repro.core.quality_store import (
     task_blocks,
 )
 from repro.core.revenue import RevenueCache
-from repro.core.tpg import solve_tpg
+from repro.core.tpg import EXACT_SEED_THRESHOLD, _combo_table, solve_tpg
 from repro.core.validity import ValidPairs, compute_valid_pairs
 from tests.conftest import make_dense_instance
 from tests.test_revenue import _backend_quality
@@ -729,3 +736,50 @@ class TestScoreCandidatesParity:
         finally:
             if cleanup is not None:
                 cleanup()
+
+
+@st.composite
+def _pair_blocks(draw):
+    """A stage-1 pair block (``q + q.T``, zero diagonal) and a group
+    size ``B`` of 2-4: uniform values, or multiples of 1/8, whose exact
+    sums tie often; counts around the exact/greedy boundary are drawn
+    more often."""
+    count = draw(
+        st.one_of(
+            st.integers(2, 16),
+            st.sampled_from([EXACT_SEED_THRESHOLD, EXACT_SEED_THRESHOLD + 1]),
+        )
+    )
+    size = draw(st.integers(2, min(4, count)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        q = rng.integers(0, 9, size=(count, count)) / 8.0
+    else:
+        q = rng.random((count, count))
+    np.fill_diagonal(q, 0.0)
+    return q + q.T, size
+
+
+class TestGroupSelectParity:
+    """Stage 1's selection kernels pick the plain loops' groups, ties
+    included, with their pair sums repr-exact."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pair_blocks())
+    def test_greedy_matches_scalar_loop(self, block):
+        symmetric, size = block
+        chosen, pair_sum = greedy_group_select(symmetric.copy(), size)
+        expected, expected_sum = reference_greedy_select(symmetric, size)
+        assert (chosen, repr(pair_sum)) == (expected, repr(expected_sum))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pair_blocks())
+    def test_exact_matches_scalar_loop(self, block):
+        symmetric, size = block
+        combos, offsets = _combo_table(symmetric.shape[0], size)
+        best, pair_sum = exact_group_select(symmetric.copy(), offsets)
+        expected, expected_sum = reference_exact_select(symmetric, size)
+        assert (combos[best].tolist(), repr(pair_sum)) == (
+            expected,
+            repr(expected_sum),
+        )

@@ -268,6 +268,16 @@ class TestMatrixQueries:
         assert sub.pair(0, 1) == matrix.pair(1, 3)
         assert sub.pair(2, 0) == matrix.pair(5, 1)
 
+    def test_restricted_to_is_one_read_only_gather(self):
+        matrix = CooperationMatrix.random_uniform(9, seed=2)
+        workers = [7, 0, 4, 8, 2]
+        sub = matrix.restricted_to(workers)
+        assert type(sub) is CooperationMatrix
+        assert np.array_equal(sub.values, matrix.values[np.ix_(workers, workers)])
+        assert not sub.values.flags.writeable
+        assert not np.diagonal(sub.values).any()
+        assert matrix.restricted_to([]).size == 0
+
     @given(st.integers(2, 12), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_pair_sum_permutation_invariant(self, size, seed):

@@ -44,6 +44,20 @@ class TestValidPairsStructure:
         with pytest.raises(ValueError):
             ValidPairs.from_worker_lists([[5]], task_count=2)
 
+    def test_from_pairs_matches_from_worker_lists(self):
+        import numpy as np
+
+        workers = np.array([2, 0, 2, 1, 0])
+        tasks = np.array([0, 3, 1, 3, 0])
+        pairs = ValidPairs.from_pairs(workers, tasks, worker_count=4, task_count=5)
+        assert pairs == ValidPairs.from_worker_lists(
+            [[0, 3], [3], [0, 1], []], task_count=5
+        )
+        empty = np.empty(0, dtype=np.int64)
+        assert ValidPairs.from_pairs(empty, empty, 2, 1) == ValidPairs.from_worker_lists(
+            [[], []], task_count=1
+        )
+
     def test_is_valid_and_iter(self):
         pairs = ValidPairs.from_worker_lists([[0], [1]], task_count=2)
         assert pairs.is_valid(0, 0)
@@ -98,6 +112,35 @@ class TestComputeValidPairs:
             compute_valid_pairs(small).pair_count
             <= compute_valid_pairs(large).pair_count
         )
+
+
+class TestGridJoin:
+    """Membership does not depend on how the join slices the workers or
+    on the cell size."""
+
+    @staticmethod
+    def _instance(seed: int):
+        return generate_instance(
+            60, 15, speed_range=(0.05, 0.4), radius_range=(0.05, 0.6), seed=seed
+        )
+
+    @pytest.mark.parametrize("budget", [1, 7, 100])
+    def test_candidate_budget_does_not_change_pairs(self, monkeypatch, budget):
+        # A budget of one candidate gives every worker a slice of its own
+        # (and most of them more candidates than the budget).
+        from repro.core import validity
+
+        monkeypatch.setattr(validity, "_CANDIDATE_BUDGET", budget)
+        for seed in range(3):
+            assert_matches_reference(self._instance(seed))
+
+    @pytest.mark.parametrize("cell_size", [0.005, 0.05, 0.3, 10.0])
+    def test_cell_size_does_not_change_pairs(self, cell_size):
+        for seed in range(3):
+            instance = self._instance(seed)
+            assert incremental_pairs(instance, cell_size) == (
+                compute_valid_pairs_reference(instance)
+            )
 
 
 @settings(max_examples=20, deadline=None)
