@@ -1,5 +1,6 @@
 """Micro-benchmarks for the substrates: the grid index, grid validity
-against its brute-force reference, TPG stage 1 against its from-scratch
+against its brute-force reference, the valid-pair arrays against their
+tuple rows, TPG stage 1 against its from-scratch
 reference, stage 1's selection kernels against their plain loops, TPG
 stage 2 against its per-pair reference, the lockstep overflow peel against its scalar reference,
 task-local block reads against store reads, the Meetup cooperation
@@ -32,7 +33,11 @@ from repro.core.kernels import (
 from repro.core.quality import CooperationMatrix
 from repro.core.quality_store import StoreReads, task_blocks
 from repro.core.tpg import EXACT_SEED_THRESHOLD, _combo_table, _stage_two, seed_groups
-from repro.core.validity import compute_valid_pairs, compute_valid_pairs_reference
+from repro.core.validity import (
+    ValidPairs,
+    compute_valid_pairs,
+    compute_valid_pairs_reference,
+)
 from repro.datasets.meetup import draw_meetup_population
 from repro.datasets.synthetic import generate_instance
 from repro.flow.bipartite import max_bipartite_assignment
@@ -94,6 +99,41 @@ def hotpath_batch():
         quality_backend="sparse",
     )
     return instance, compute_valid_pairs(instance)
+
+
+def _build_valid_pairs(workers, tasks, worker_count, task_count, views):
+    """The CSR arrays of ``from_pairs``, plus both tuple rows if ``views``."""
+    pairs = ValidPairs.from_pairs(workers, tasks, worker_count, task_count)
+    if views:
+        return pairs, pairs.tasks_for_worker, pairs.workers_for_task
+    return pairs, None, None
+
+
+@pytest.mark.parametrize("views", [False, True], ids=["csr", "tuples"])
+def test_valid_pairs_build(benchmark, hotpath_batch, views):
+    instance, valid_pairs = hotpath_batch
+    # The join emits its pairs unsorted; a fixed shuffle stands in.
+    order = np.random.default_rng(0).permutation(valid_pairs.pair_count)
+    workers = valid_pairs.pair_workers()[order]
+    tasks = valid_pairs.worker_tasks[order]
+    pairs, by_worker, by_task = benchmark(
+        _build_valid_pairs,
+        workers, tasks, instance.worker_count, instance.task_count, views,
+    )
+    assert pairs == valid_pairs
+    rows = [[] for _ in range(instance.worker_count)]
+    columns = [[] for _ in range(instance.task_count)]
+    for worker, task in sorted(zip(workers.tolist(), tasks.tolist())):
+        rows[worker].append(task)
+        columns[task].append(worker)
+    if views:
+        assert by_worker == tuple(map(tuple, rows))
+        assert by_task == tuple(map(tuple, columns))
+    for worker, row in enumerate(rows):
+        start, end = pairs.worker_ptr[worker], pairs.worker_ptr[worker + 1]
+        assert pairs.worker_tasks[start:end].tolist() == row
+    for task, column in enumerate(columns):
+        assert pairs.workers_of(task).tolist() == column
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,8 @@ and backends to run them on, and an optional self-test mutation:
 * ``validity-parity`` — the grid validity path, the fresh build
   (:func:`~repro.core.validity.compute_valid_pairs`) and the
   round-to-round :class:`~repro.core.validity.IncrementalValidityIndex`
-  alike, produces exactly Definition 3's pairs, as the brute-force
+  alike, produces exactly Definition 3's pairs on both of its sides
+  (each worker's tasks and each task's workers), as the brute-force
   oracle (:func:`~repro.core.validity.compute_valid_pairs_reference`)
   computes them;
 * ``block-parity`` — every task's block in the solve's task-block reader
@@ -268,21 +269,25 @@ def _validity_cases(instance: Instance, seed: int):
 
 
 def _grid_pairs(instance: Instance, pairs, incremental: bool):
-    """The grid's pairs: the fresh build's, or a fresh incremental
-    index's at the mean radius — a different cell tiling from the fresh
-    build's, over stable task ids."""
-    if not incremental:
-        return pairs.tasks_for_worker
-    radii = [worker.radius for worker in instance.workers]
-    index = IncrementalValidityIndex(
-        cell_size=sum(radii) / len(radii) if radii else 1.0
-    )
-    index.sync(instance.tasks)
-    return index.compute(instance).tasks_for_worker
+    """The grid's pairs, both sides: the fresh build's, or a fresh
+    incremental index's at the mean radius — a different cell tiling
+    from the fresh build's, over stable task ids."""
+    if incremental:
+        radii = [worker.radius for worker in instance.workers]
+        index = IncrementalValidityIndex(
+            cell_size=sum(radii) / len(radii) if radii else 1.0
+        )
+        index.sync(instance.tasks)
+        pairs = index.compute(instance)
+    return pairs.tasks_for_worker, pairs.workers_for_task
 
 
 def _reference_pairs(instance: Instance, pairs, incremental: bool):
-    return compute_valid_pairs_reference(instance).tasks_for_worker
+    """The brute-force oracle's rows and their transpose by a plain scan
+    (not by the fast path's task-side sort)."""
+    rows = compute_valid_pairs_reference(instance).tasks_for_worker
+    tasks = range(instance.task_count)
+    return rows, tuple(tuple(w for w, row in enumerate(rows) if t in row) for t in tasks)
 
 
 def _reader_blocks(instance: Instance, pairs) -> list:

@@ -126,8 +126,9 @@ class Assignment:
         Raises
         ------
         ValidityError
-            If a ``valid_pairs`` structure was provided and rejects the
-            pair, or the worker is already assigned.
+            If the worker or the task lies outside the batch, a
+            ``valid_pairs`` structure was provided and rejects the pair,
+            or the worker is already assigned.
         CapacityError
             If the task is full and overflow is disabled.
         """
@@ -162,6 +163,8 @@ class Assignment:
         self, worker: int, task: int, task_of: np.ndarray, counts: np.ndarray
     ) -> None:
         """:meth:`assign`'s checks of one pair against the given state."""
+        if not (0 <= worker < task_of.size and 0 <= task < counts.size):
+            raise ValidityError(f"pair <{worker}, {task}> is outside the batch")
         if task_of[worker] != UNASSIGNED:
             raise ValidityError(
                 f"worker {worker} already assigned to task {task_of[worker]}"

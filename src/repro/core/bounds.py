@@ -65,7 +65,7 @@ def task_upper_bound(
     actually serve the task; zero when fewer than ``B`` workers are valid
     (the task cannot be completed at all).
     """
-    workers = np.asarray(valid_pairs.workers_for_task[task], dtype=int)
+    workers = valid_pairs.workers_of(task)
     if workers.size < instance.min_group_size:
         return 0.0
     capacity = instance.tasks[task].capacity
@@ -120,12 +120,8 @@ def upper_bound(
         for task in range(instance.task_count)
     )
     # Workers with no valid task cannot contribute revenue at all.
-    employable = [
-        worker
-        for worker in range(instance.worker_count)
-        if valid_pairs.tasks_for_worker[worker]
-    ]
-    worker_side = float(q_hat[employable].sum()) if employable else 0.0
+    employable = np.diff(valid_pairs.worker_ptr) > 0
+    worker_side = float(q_hat[employable].sum())
     return BoundReport(
         value=min(task_side, worker_side),
         task_side=task_side,

@@ -284,10 +284,11 @@ def _initial_assignment(
         return assignment, tpg.seeded_tasks
     if init == "random":
         rng = ensure_rng(seed)
+        starts, tasks = valid_pairs.worker_ptr.tolist(), valid_pairs.worker_tasks
         assignment.assign_pairs(
-            (worker, tasks[int(rng.integers(len(tasks)))])
-            for worker, tasks in enumerate(valid_pairs.tasks_for_worker)
-            if tasks
+            (worker, tasks[start + int(rng.integers(end - start))])
+            for worker, (start, end) in enumerate(zip(starts, starts[1:]))
+            if end > start
         )
         return assignment, 0
     if init == "empty":
@@ -331,19 +332,13 @@ class _BestResponseDynamics:
         self._counted: list[tuple[int, ...]] = [
             assignment.counted_members(task) for task in range(instance.task_count)
         ]
-        # The validity relation as one flat CSR (slot order == each
+        # The validity relation's worker side (slot order == each
         # worker's candidate-list order).
-        self._vp_indptr = np.zeros(count + 1, dtype=np.int64)
-        lengths = [len(tasks) for tasks in valid_pairs.tasks_for_worker]
-        np.cumsum(lengths, out=self._vp_indptr[1:])
-        self._vp_tasks = np.fromiter(
-            (task for tasks in valid_pairs.tasks_for_worker for task in tasks),
-            dtype=np.int64,
-            count=int(self._vp_indptr[-1]),
-        )
+        self._vp_indptr = valid_pairs.worker_ptr
+        self._vp_tasks = valid_pairs.worker_tasks
         # Each slot's worker as a position of the cache's reader, once.
         self._slot_positions = self.cache.reads.locate(
-            self._vp_tasks, np.repeat(np.arange(count), lengths)
+            self._vp_tasks, valid_pairs.pair_workers()
         )
         # Per slot: the utility of its row's last scoring, and the memo
         # of deferred join gains — pure functions of the task's
@@ -592,7 +587,7 @@ class _BestResponseDynamics:
             self._after_membership_change(best_task)
         for task in (current_task, best_task):
             if task != UNASSIGNED:
-                stale[list(self.valid_pairs.workers_for_task[task])] = True
+                stale[self.valid_pairs.workers_of(task)] = True
         self._cached_best[worker] = best_task
         self._dirty[worker] = False
         return improvement
@@ -631,7 +626,7 @@ def _lub_invalidate(
     before = set(counted[task])
     counted[task] = assignment.counted_members(task)
     added, removed = set(counted[task]) - before, before - set(counted[task])
-    watchers = np.asarray(valid_pairs.workers_for_task[task], dtype=np.int64)
+    watchers = valid_pairs.workers_of(task)
     on_task = cached_best[watchers] == task
     if not removed and len(added) <= 1:
         stale = ~on_task

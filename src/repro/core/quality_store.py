@@ -60,7 +60,6 @@ differential audit's backend and block-parity axes). The closed form
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import tempfile
@@ -448,8 +447,8 @@ class StoreReads:
 class TaskBlocks(StoreReads):
     """Each task's directed quality block ``q[ids, ids]`` over its
     watchers ``ids`` (ascending, as
-    :attr:`ValidPairs.workers_for_task <repro.core.validity.ValidPairs>`
-    lists them), read by position: one solve's reader
+    :meth:`ValidPairs.workers_of <repro.core.validity.ValidPairs.workers_of>`
+    slices them), read by position: one solve's reader
     (:func:`task_blocks`).
 
     :meth:`block` keeps the store's contract with positions in place of
@@ -465,12 +464,11 @@ class TaskBlocks(StoreReads):
     numbers positions per task.
     """
 
-    __slots__ = ("built", "build_seconds", "_lists", "_watchers")
+    __slots__ = ("built", "build_seconds", "_pairs")
 
     def __init__(self, store, valid_pairs) -> None:
         super().__init__(store)
-        self._lists = valid_pairs.workers_for_task
-        self._watchers: dict[int, np.ndarray] = {}
+        self._pairs = valid_pairs
         self.built = 0
         self.build_seconds = 0.0
 
@@ -478,11 +476,7 @@ class TaskBlocks(StoreReads):
         """``sub + sub.T`` over ``sub``, the square block of task
         ``task``'s watchers at the local indices ``local`` (indices into
         the ascending watcher list)."""
-        ids = self._watchers.get(task)
-        if ids is None:
-            ids = np.asarray(self._lists[task], dtype=np.intp)
-            self._watchers[task] = ids
-        ids = ids[local]
+        ids = self._pairs.workers_of(task)[local]
         sub = self.store.block(ids, ids)
         return sub + sub.T
 
@@ -528,15 +522,9 @@ class SparseTaskBlocks(TaskBlocks):
 
     def __init__(self, store: SparseQualityStore, valid_pairs) -> None:
         super().__init__(store, valid_pairs)
-        lists = self._lists
-        sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-        self._starts = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self._starts[1:])
-        self._workers = np.fromiter(
-            itertools.chain.from_iterable(lists),
-            dtype=np.int64,
-            count=int(self._starts[-1]),
-        )
+        self._starts = valid_pairs.task_ptr
+        self._workers = valid_pairs.task_workers
+        sizes = np.diff(self._starts)
         tasks = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
         # Ascending: task-major, each task's watchers ascending.
         self._keys = (tasks << _KEY_SHIFT) + self._workers

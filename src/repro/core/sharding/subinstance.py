@@ -76,19 +76,17 @@ def carve_shard(
     worker_ids = plan.workers_of(shard)
     task_ids = plan.tasks_of(shard)
     sub = instance.carve(worker_ids, task_ids)
-    task_local = np.full(instance.task_count, -1, dtype=np.intp)
-    task_local[task_ids] = np.arange(task_ids.size, dtype=np.intp)
-    task_shard = plan.task_shard
-    local_lists = [
-        [
-            int(task_local[task])
-            for task in valid_pairs.tasks_for_worker[int(worker)]
-            if task_shard[task] == shard
-        ]
-        for worker in worker_ids
-    ]
-    local_pairs = ValidPairs.from_worker_lists(
-        local_lists, task_count=int(task_ids.size)
+    worker_local = np.full(instance.worker_count, -1, dtype=np.int64)
+    worker_local[worker_ids] = np.arange(worker_ids.size)
+    task_local = np.full(instance.task_count, -1, dtype=np.int64)
+    task_local[task_ids] = np.arange(task_ids.size)
+    workers, tasks = valid_pairs.pair_workers(), valid_pairs.worker_tasks
+    keep = (plan.worker_shard[workers] == shard) & (plan.task_shard[tasks] == shard)
+    local_pairs = ValidPairs.from_pairs(
+        worker_local[workers[keep]],
+        task_local[tasks[keep]],
+        worker_ids.size,
+        task_ids.size,
     )
     return ShardInstance(
         shard=int(shard),

@@ -197,28 +197,24 @@ class _CandidateBlocks:
     """Each task's stage-1 candidates, read from its task-local block.
 
     A task's valid workers are fixed within a batch; only their
-    availability shrinks. The first evaluation keeps the task's watchers
-    — ascending, as :class:`ValidPairs` lists them, so one order serves
-    the greedy and the exact selection; every evaluation cuts the live
+    availability shrinks. Each evaluation reads the task's watchers as
+    a slice of :class:`ValidPairs`' task side — ascending, so one order
+    serves the greedy and the exact selection — cuts the live
     candidates' block out of the task's block in the solve's task-block
     reader ``reads`` (:func:`~repro.core.quality_store.task_blocks`) and
     adds its transpose. One path for every backend.
     """
 
-    __slots__ = ("_reads", "_lists", "_available", "_blocks")
+    __slots__ = ("_reads", "_pairs", "_available")
 
     def __init__(self, reads, valid_pairs: ValidPairs, available: np.ndarray):
         self._reads = reads
-        self._lists = valid_pairs.workers_for_task
+        self._pairs = valid_pairs
         self._available = available
-        self._blocks: dict[int, np.ndarray] = {}  # task -> watcher ids
 
     def live_count(self, task: int) -> int:
         """How many of the task's candidates are still available."""
-        return int(np.count_nonzero(self._available[self._blocks[task]]))
-
-    def free(self, task: int) -> None:
-        self._blocks.pop(task, None)
+        return int(np.count_nonzero(self._available[self._pairs.workers_of(task)]))
 
     def best_group(
         self, task: int, size: int, stats: SolverStats | None
@@ -226,21 +222,17 @@ class _CandidateBlocks:
         """The task's best ``size``-group over its available candidates.
 
         Returns ``(group, Q)`` with the group in selection order and
-        ``Q`` its Equation 2 revenue, or ``([], 0.0)`` — freeing the
-        block — when no group is left. Exact enumeration up to
-        :data:`EXACT_SEED_THRESHOLD` live candidates, greedy above it;
-        ``stats`` counts one kernel call per selection run.
+        ``Q`` its Equation 2 revenue, or ``([], 0.0)`` when no group is
+        left. Exact enumeration up to :data:`EXACT_SEED_THRESHOLD` live
+        candidates, greedy above it; ``stats`` counts one kernel call per
+        selection run.
         """
         if size < 2:
             return [], 0.0
-        ids = self._blocks.get(task)
-        if ids is None:
-            ids = np.asarray(self._lists[task], dtype=np.intp)
-            self._blocks[task] = ids
+        ids = self._pairs.workers_of(task)
         live = self._available[ids].nonzero()[0]
         count = live.size
         if count < size:
-            self.free(task)
             return [], 0.0
         symmetric = self._reads.pair_block(task, live)
         if stats is not None:
@@ -252,7 +244,6 @@ class _CandidateBlocks:
         else:
             selection = greedy_group_select(symmetric, size)
             if selection is None:
-                self.free(task)
                 return [], 0.0
             chosen, pair_sum = selection
         return ids[live[chosen]].tolist(), pair_sum / (size - 1)
@@ -372,7 +363,6 @@ def _seed_groups(
 
         versions[best_task] += 1
         del groups[best_task]
-        blocks.free(best_task)
         available[group] = False
         commits.append((best_task, group, -top[0]))
         stale: set[int] = set()
@@ -444,16 +434,12 @@ def _stage_two(
     # fits its task and reaches B: the case of ``fit_join_gains``.
     assert (counts >= max(cache.min_group_size, 1)).all()
 
-    lists = valid_pairs.workers_for_task
-    sizes = np.fromiter(
-        (len(lists[task]) for task in tasks.tolist()), dtype=np.int64, count=tasks.size
-    )
-    watchers = np.fromiter(
-        itertools.chain.from_iterable(lists[task] for task in tasks.tolist()),
-        dtype=np.int64,
-        count=int(sizes.sum()),
-    )
+    firsts = valid_pairs.task_ptr[tasks]
+    sizes = valid_pairs.task_ptr[tasks + 1] - firsts
     owner = np.repeat(np.arange(tasks.size), sizes)
+    watchers = valid_pairs.task_workers[
+        np.arange(owner.size) + np.repeat(firsts - (np.cumsum(sizes) - sizes), sizes)
+    ]
     idle = available[watchers]
     watchers, owner = watchers[idle], owner[idle]
     if not watchers.size:

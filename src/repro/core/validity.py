@@ -20,13 +20,18 @@ a k-d tree and a dense distance matrix (docs/PERFORMANCE.md,
 scalar scan of every ``(worker, task)`` pair through
 :meth:`~repro.core.model.Instance.is_pair_valid`. It shares no cell,
 rectangle or reach-limit code with the grid.
+
+:class:`ValidPairs` holds the relation once, as the join's two CSR
+sides, which every solver slices; its tuple rows are views built on
+first read, for the scalar baselines, the oracles and the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
@@ -41,72 +46,88 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidPairs:
-    """The bipartite validity structure of one batch.
+    """Definition 3's valid pairs of one batch, as two CSR sides.
 
-    ``tasks_for_worker[i]`` lists task indices worker ``i`` may serve
-    (the paper's ``T_i``); ``workers_for_task[j]`` is the transpose view.
-    Both sides are sorted ascending for determinism.
+    Worker ``i``'s valid tasks (the paper's ``T_i``) are
+    ``worker_tasks[worker_ptr[i] : worker_ptr[i + 1]]``; ``task_ptr`` and
+    ``task_workers`` hold the transpose. Every row is ascending, and the
+    four ``int64`` arrays are read-only.
     """
 
-    tasks_for_worker: tuple[tuple[int, ...], ...]
-    workers_for_task: tuple[tuple[int, ...], ...]
+    worker_ptr: np.ndarray
+    worker_tasks: np.ndarray
+    task_ptr: np.ndarray
+    task_workers: np.ndarray
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            array = np.asarray(getattr(self, field.name), dtype=np.int64)
+            array.flags.writeable = False
+            object.__setattr__(self, field.name, array)
+
+    def __reduce__(self):
+        # The arrays only: the views and the key set rebuild on demand.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ValidPairs):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
 
     @property
     def pair_count(self) -> int:
-        """Total number of valid worker-task pairs (cached).
+        """Total number of valid worker-task pairs."""
+        return self.worker_tasks.size
 
-        Read every simulation round by the batch reporter and inside
-        stats loops; the tuple-of-tuples re-sum is O(m) per call, so the
-        first computation is memoized on the frozen instance the same
-        way as the ``is_valid`` side-index.
-        """
-        cached = self.__dict__.get("_pair_count_cache")
-        if cached is None:
-            cached = sum(len(tasks) for tasks in self.tasks_for_worker)
-            object.__setattr__(self, "_pair_count_cache", cached)
-        return cached
+    def workers_of(self, task: int) -> np.ndarray:
+        """Task ``task``'s valid workers, ascending (a read-only slice)."""
+        return self.task_workers[self.task_ptr[task] : self.task_ptr[task + 1]]
+
+    def pair_workers(self) -> np.ndarray:
+        """The worker of each entry of ``worker_tasks``."""
+        return np.repeat(np.arange(self.worker_ptr.size - 1), np.diff(self.worker_ptr))
 
     def is_valid(self, worker: int, task: int) -> bool:
-        """O(1) membership via a lazily-built frozenset side-index.
+        """Membership, ``False`` outside the batch: one probe of a flat
+        ``worker * n + task`` key set, as the callers check pair by pair."""
+        keys, task_count = self._keys
+        return 0 <= task < task_count and worker * task_count + task in keys
 
-        Called inside ``Assignment.assign`` and the local-search inner
-        loops, where the previous O(k) tuple scan was a measurable cost
-        for high-degree workers.
-        """
-        return task in self._task_sets[worker]
+    @cached_property
+    def _keys(self) -> tuple[frozenset, int]:
+        task_count = self.task_ptr.size - 1
+        keys = self.pair_workers() * task_count + self.worker_tasks
+        return frozenset(keys.tolist()), task_count
 
-    @property
-    def _task_sets(self) -> tuple[frozenset, ...]:
-        cached = self.__dict__.get("_task_sets_cache")
-        if cached is None:
-            cached = tuple(frozenset(tasks) for tasks in self.tasks_for_worker)
-            object.__setattr__(self, "_task_sets_cache", cached)
-        return cached
+    @cached_property
+    def tasks_for_worker(self) -> tuple[tuple[int, ...], ...]:
+        """Each worker's valid tasks as tuples, built on first read."""
+        return _rows(self.worker_ptr, self.worker_tasks)
+
+    @cached_property
+    def workers_for_task(self) -> tuple[tuple[int, ...], ...]:
+        """Each task's valid workers as tuples, built on first read."""
+        return _rows(self.task_ptr, self.task_workers)
 
     def iter_pairs(self):
-        """Yield all valid ``(worker, task)`` pairs."""
-        for worker, tasks in enumerate(self.tasks_for_worker):
-            for task in tasks:
-                yield worker, task
+        """All valid ``(worker, task)`` pairs, worker-major."""
+        return zip(self.pair_workers().tolist(), self.worker_tasks.tolist())
 
     @classmethod
-    def from_worker_lists(
-        cls, tasks_for_worker, task_count: int
-    ) -> "ValidPairs":
-        """Build (and transpose) from per-worker task lists."""
-        per_worker = tuple(tuple(sorted(set(tasks))) for tasks in tasks_for_worker)
-        per_task: list[list[int]] = [[] for _ in range(task_count)]
-        for worker, tasks in enumerate(per_worker):
-            for task in tasks:
-                if not 0 <= task < task_count:
-                    raise ValueError(f"task index {task} out of range")
-                per_task[task].append(worker)
-        return cls(
-            tasks_for_worker=per_worker,
-            workers_for_task=tuple(tuple(workers) for workers in per_task),
-        )
+    def from_worker_lists(cls, tasks_for_worker, task_count: int) -> "ValidPairs":
+        """Build from per-worker task lists (any order, repeats allowed)."""
+        rows = [set(tasks) for tasks in tasks_for_worker]
+        tasks = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+        outside = tasks[(tasks < 0) | (tasks >= task_count)]
+        if outside.size:
+            raise ValueError(f"task index {outside[0]} out of range")
+        workers = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        return cls.from_pairs(workers, tasks, len(rows), task_count)
 
     @classmethod
     def from_pairs(
@@ -121,20 +142,25 @@ class ValidPairs:
 
         Each side is one sort of unique integer keys (``worker * n +
         task`` and ``task * m + worker``; numpy's unstable sort of such
-        keys is several times faster than a stable argsort), one bulk
-        ``tolist`` and ``islice`` consumption. Structurally identical to
-        :meth:`from_worker_lists` on the same membership.
+        keys is several times faster than a stable argsort), whose
+        remainders are the rows, and one ``bincount`` of the pointers.
         """
-        rows = []
+        sides = []
         for major, minor, majors, minors in (
             (workers, tasks, worker_count, task_count),
             (tasks, workers, task_count, worker_count),
         ):
-            keys = np.sort(major.astype(np.int64) * minors + minor)
-            items = iter((keys % minors).tolist())
-            widths = np.bincount(major, minlength=majors).tolist()
-            rows.append(tuple(tuple(islice(items, width)) for width in widths))
-        return cls(*rows)
+            major = np.asarray(major, dtype=np.int64)
+            ptr = np.zeros(majors + 1, dtype=np.int64)
+            np.cumsum(np.bincount(major, minlength=majors), out=ptr[1:])
+            sides += [ptr, np.sort(major * minors + minor) % minors]
+        return cls(*sides)
+
+
+def _rows(ptr: np.ndarray, items: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The CSR rows ``items[ptr[k] : ptr[k + 1]]`` as tuples."""
+    values = iter(items.tolist())
+    return tuple(tuple(islice(values, width)) for width in np.diff(ptr).tolist())
 
 
 def compute_valid_pairs(
@@ -190,8 +216,9 @@ def compute_valid_pairs_reference(instance: Instance) -> ValidPairs:
 
 
 def _no_pairs(instance: Instance) -> ValidPairs:
-    return ValidPairs.from_worker_lists(
-        [[] for _ in range(instance.worker_count)], instance.task_count
+    empty = np.empty(0, dtype=np.int64)
+    return ValidPairs.from_pairs(
+        empty, empty, instance.worker_count, instance.task_count
     )
 
 

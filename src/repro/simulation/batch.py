@@ -513,7 +513,7 @@ class BatchSimulator:
             if model.repair:
                 idle = [
                     worker
-                    for worker in valid_pairs.workers_for_task[task]
+                    for worker in valid_pairs.workers_of(task).tolist()
                     if not assignment.is_assigned(worker)
                     and worker not in no_show_set
                 ]

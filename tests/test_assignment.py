@@ -125,6 +125,52 @@ class TestBasicOperations:
         assert "score=" in repr(assignment)
 
 
+class TestIndicesOutsideTheBatch:
+    """An index outside ``[0, m) x [0, n)`` is rejected, with or without
+    a validity structure: a negative worker must not alias the last one."""
+
+    @pytest.fixture
+    def batch(self):
+        instance = generate_instance(60, 20, radius_range=(0.2, 0.4), seed=0)
+        pairs = compute_valid_pairs(instance)
+        # A task the last worker may serve, so ``-1`` would alias a
+        # valid pair.
+        return instance, pairs, pairs.tasks_for_worker[-1][0]
+
+    @pytest.mark.parametrize("attached", [True, False])
+    def test_assign_rejects_a_negative_worker(self, batch, attached):
+        instance, pairs, task = batch
+        assignment = Assignment(instance, pairs if attached else None)
+        with pytest.raises(ValidityError):
+            assignment.assign(-1, task)
+        assert assignment.to_pairs() == []
+        assert assignment.revenue_cache.members(task) == ()
+
+    @pytest.mark.parametrize("attached", [True, False])
+    def test_assign_pairs_rejects_a_negative_worker(self, batch, attached):
+        instance, pairs, task = batch
+        assignment = Assignment(instance, pairs if attached else None)
+        with pytest.raises(ValidityError):
+            assignment.assign_pairs([(-1, task)])
+        assert assignment.to_pairs() == []
+        assert assignment.revenue_cache.members(task) == ()
+
+    @pytest.mark.parametrize("attached", [True, False])
+    @pytest.mark.parametrize("worker, task", [(60, 0), (0, -1), (0, 20)])
+    def test_indices_past_either_end_are_rejected(
+        self, batch, attached, worker, task
+    ):
+        instance, pairs, _ = batch
+        for bulk in (False, True):
+            assignment = Assignment(instance, pairs if attached else None)
+            with pytest.raises(ValidityError):
+                if bulk:
+                    assignment.assign_pairs([(worker, task)])
+                else:
+                    assignment.assign(worker, task)
+            assert assignment.to_pairs() == []
+
+
 class TestMarginals:
     def test_join_gain_matches_actual_join(self, instance):
         assignment = Assignment(instance)

@@ -263,13 +263,16 @@ class TestDifferentialRunner:
     def test_validity_parity_divergence_is_flagged(self, monkeypatch):
         # Corrupt the grid join (drop one valid pair from its output);
         # the brute-force reference must flag it for both the fresh
-        # build and the incremental index, which share the join.
+        # build and the incremental index, which share the join. Then
+        # corrupt the task side alone (one task's watchers reversed, the
+        # worker side intact): TPG, the block readers and LUB read that
+        # side, so the audit must flag it too.
         from repro.audit import differential
         from repro.core import validity
 
         real = validity._grid_join
 
-        def broken(*args, **kwargs):
+        def dropped(*args, **kwargs):
             pairs = real(*args, **kwargs)
             rows = [list(tasks) for tasks in pairs.tasks_for_worker]
             next(row for row in rows if row).pop()
@@ -277,18 +280,29 @@ class TestDifferentialRunner:
                 rows, len(pairs.workers_for_task)
             )
 
-        monkeypatch.setattr(validity, "_grid_join", broken)
+        def reversed_watchers(*args, **kwargs):
+            pairs = real(*args, **kwargs)
+            task = int(np.flatnonzero(np.diff(pairs.task_ptr) >= 2)[0])
+            start, end = pairs.task_ptr[task], pairs.task_ptr[task + 1]
+            task_workers = pairs.task_workers.copy()
+            task_workers[start:end] = task_workers[start:end][::-1]
+            return validity.ValidPairs(
+                pairs.worker_ptr, pairs.worker_tasks, pairs.task_ptr, task_workers
+            )
+
         instance = make_dense_instance(seed=1)
-        findings = differential.run_differential(
-            instance, approaches=("PGREEDY",), backends=("dense",)
-        )
-        flagged = {
-            f.context for f in findings if f.check == "validity-parity"
-        }
-        assert flagged == {
-            "validity=grid vs reference",
-            "validity=incremental vs reference",
-        }
+        for broken in (dropped, reversed_watchers):
+            monkeypatch.setattr(validity, "_grid_join", broken)
+            findings = differential.run_differential(
+                instance, approaches=("PGREEDY",), backends=("dense",)
+            )
+            flagged = {
+                f.context for f in findings if f.check == "validity-parity"
+            }
+            assert flagged == {
+                "validity=grid vs reference",
+                "validity=incremental vs reference",
+            }, broken.__name__
 
     def test_stage_one_divergence_is_flagged(self, monkeypatch):
         # Send every stage-1 evaluation down the greedy selection; the

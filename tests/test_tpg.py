@@ -426,9 +426,8 @@ def _hand_made_start(store, minimum, capacity, seed):
     ):
         object.__setattr__(instance, name, value)
     valid = rng.random((_STAGE_TWO_WORKERS, _STAGE_TWO_TASKS)) < rng.uniform(0.3, 0.9)
-    pairs = ValidPairs(
-        tasks_for_worker=tuple(tuple(np.flatnonzero(row).tolist()) for row in valid),
-        workers_for_task=tuple(tuple(np.flatnonzero(col).tolist()) for col in valid.T),
+    pairs = ValidPairs.from_worker_lists(
+        [np.flatnonzero(row).tolist() for row in valid], _STAGE_TWO_TASKS
     )
     assignment = Assignment(instance, pairs)
     assignment.revenue_cache.use_reads(task_blocks(store, pairs))

@@ -1,9 +1,15 @@
 """Tests for the Definition 3 valid-pair computation."""
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audit.differential import _with_backend
+from repro.core import validity
+from repro.core.sharding import solve_sharded
 from repro.core.validity import (
     IncrementalValidityIndex,
     ValidPairs,
@@ -11,6 +17,10 @@ from repro.core.validity import (
     compute_valid_pairs_reference,
 )
 from repro.datasets.synthetic import generate_instance
+from repro.experiments.config import make_solver
+from repro.simulation.batch import BatchConfig, BatchSimulator
+from repro.simulation.faults import FaultModel
+from repro.simulation.population import Population
 
 from tests.conftest import make_dense_instance
 
@@ -45,8 +55,6 @@ class TestValidPairsStructure:
             ValidPairs.from_worker_lists([[5]], task_count=2)
 
     def test_from_pairs_matches_from_worker_lists(self):
-        import numpy as np
-
         workers = np.array([2, 0, 2, 1, 0])
         tasks = np.array([0, 3, 1, 3, 0])
         pairs = ValidPairs.from_pairs(workers, tasks, worker_count=4, task_count=5)
@@ -63,6 +71,143 @@ class TestValidPairsStructure:
         assert pairs.is_valid(0, 0)
         assert not pairs.is_valid(0, 1)
         assert sorted(pairs.iter_pairs()) == [(0, 0), (1, 1)]
+
+
+@st.composite
+def relations(draw):
+    """``(m, n, pairs)``: a duplicate-free pair set over ``m`` workers and
+    ``n`` tasks (either may be 0 or 1, rows may be empty), shuffled."""
+    worker_count = draw(st.integers(0, 6))
+    task_count = draw(st.integers(0, 6))
+    if not worker_count or not task_count:
+        return worker_count, task_count, []
+    pairs = draw(
+        st.sets(
+            st.tuples(
+                st.integers(0, worker_count - 1), st.integers(0, task_count - 1)
+            )
+        )
+    )
+    return worker_count, task_count, draw(st.permutations(sorted(pairs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation=relations())
+def test_property_csr_sides(relation):
+    worker_count, task_count, pairs = relation
+    built = ValidPairs.from_pairs(
+        np.array([w for w, _ in pairs], dtype=np.int64),
+        np.array([t for _, t in pairs], dtype=np.int64),
+        worker_count,
+        task_count,
+    )
+    # Per-worker lists in the shuffled input order.
+    lists = [[] for _ in range(worker_count)]
+    for worker, task in pairs:
+        lists[worker].append(task)
+    assert built == ValidPairs.from_worker_lists(lists, task_count)
+
+    # Plain-loop rows and columns, both ascending.
+    rows = [[] for _ in range(worker_count)]
+    columns = [[] for _ in range(task_count)]
+    for worker, task in sorted(pairs):
+        rows[worker].append(task)
+    for task, worker in sorted((t, w) for w, t in pairs):
+        columns[task].append(worker)
+    assert built.tasks_for_worker == tuple(map(tuple, rows))
+    assert built.workers_for_task == tuple(map(tuple, columns))
+
+    # The task side is exactly the worker side's transpose, every row
+    # is ascending, and the arrays are read-only int64.
+    sides = (
+        (built.worker_ptr, built.worker_tasks, worker_count),
+        (built.task_ptr, built.task_workers, task_count),
+    )
+    for ptr, items, majors in sides:
+        assert ptr.size == majors + 1 and ptr[0] == 0 and ptr[-1] == len(pairs)
+        for start, end in zip(ptr[:-1], ptr[1:]):
+            assert (np.diff(items[start:end]) > 0).all()
+    task_side = zip(
+        np.repeat(np.arange(task_count), np.diff(built.task_ptr)).tolist(),
+        built.task_workers.tolist(),
+    )
+    assert sorted((w, t) for t, w in task_side) == sorted(built.iter_pairs())
+    assert sorted(built.iter_pairs()) == sorted(pairs)
+    assert built.pair_count == len(pairs)
+    for task in range(task_count):
+        assert built.workers_of(task).tolist() == columns[task]
+    for array in (built.worker_ptr, built.worker_tasks, built.task_ptr,
+                  built.task_workers):
+        assert array.dtype == np.int64 and not array.flags.writeable
+
+    # Membership, probes outside [0, m) x [0, n) included.
+    members = set(pairs)
+    for worker in range(-2, worker_count + 2):
+        for task in range(-2, task_count + 2):
+            assert built.is_valid(worker, task) == ((worker, task) in members)
+
+    # Shard and sweep children receive ValidPairs by pickle.
+    copy = pickle.loads(pickle.dumps(built))
+    assert copy == built
+    assert not copy.task_workers.flags.writeable
+
+
+class TestSolverPathsBuildNoTupleView:
+    """The bench paths read :class:`ValidPairs`' arrays only: with the
+    tuple-view builder made to raise, TPG and GT+ALL on every store, a
+    sharded solve and a faulty simulation with group repair all run."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_views(self, monkeypatch):
+        def refuse(ptr, items):
+            raise AssertionError("a solver path built a tuple view")
+
+        monkeypatch.setattr(validity, "_rows", refuse)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "shared"])
+    @pytest.mark.parametrize("approach", ["TPG", "GT+ALL"])
+    def test_solvers(self, approach, backend):
+        base = generate_instance(120, 30, radius_range=(0.2, 0.4), seed=3)
+        instance, cleanup = _with_backend(base, backend)
+        try:
+            pairs = compute_valid_pairs(instance)
+            assert make_solver(approach, seed=0)(instance, pairs).to_pairs()
+        finally:
+            if cleanup is not None:
+                cleanup()
+
+    def test_sharded_solve(self):
+        instance = generate_instance(400, 100, radius_range=(0.05, 0.1), seed=0)
+        result = solve_sharded(
+            instance, compute_valid_pairs(instance), approach="GT+ALL",
+            shards=2, n_jobs=1,
+        )
+        assert result.plan.shard_count == 2
+        assert result.assignment.to_pairs()
+
+    def test_faulty_simulation(self):
+        config = BatchConfig(
+            rounds=2,
+            workers_per_round=60,
+            tasks_per_round=15,
+            capacity=4,
+            min_group_size=3,
+            remaining_time=3.0,
+            speed_range=(0.05, 0.2),
+            radius_range=(0.2, 0.4),
+            faults=FaultModel(
+                no_show_rate=0.25,
+                dropout_rate=0.15,
+                cancellation_rate=0.1,
+                location_noise_sigma=0.02,
+            ),
+        )
+        report = BatchSimulator(
+            Population.synthetic(150, 60, seed=5), config,
+            make_solver("GT+ALL", seed=0), seed=9,
+        ).run()
+        assert len(report.rounds) == 2
+        assert report.total_repaired_groups
 
 
 class TestComputeValidPairs:
