@@ -4,13 +4,13 @@ The repo documents these equivalence families. The first five are the
 parity axes of :data:`AXES`, each a fast path, its oracle, the cases
 and backends to run them on, and an optional self-test mutation:
 
-* ``validity-parity`` — the grid validity path, the fresh build
-  (:func:`~repro.core.validity.compute_valid_pairs`) and the
-  round-to-round :class:`~repro.core.validity.IncrementalValidityIndex`
-  alike, produces exactly Definition 3's pairs on both of its sides
-  (each worker's tasks and each task's workers), as the brute-force
-  oracle (:func:`~repro.core.validity.compute_valid_pairs_reference`)
-  computes them;
+* ``validity-parity`` — the grid validity path, at its own cell size
+  (:func:`~repro.core.validity.compute_valid_pairs`) and over cells of
+  the mean worker radius alike, produces exactly Definition 3's pairs on
+  both of its sides (each worker's tasks and each task's workers), as
+  the brute-force oracle
+  (:func:`~repro.core.validity.compute_valid_pairs_reference`) computes
+  them;
 * ``block-parity`` — every task's block in the solve's task-block reader
   (:func:`~repro.core.quality_store.task_blocks`), and TPG stage 1's
   pair block cut from it, equals the store's own ``block`` over the
@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core import kernels, revenue, tpg
+from repro.core import kernels, revenue, tpg, validity
 from repro.core.assignment import Assignment
 from repro.core.game import (
     DEFAULT_MAX_ROUNDS,
@@ -67,11 +67,7 @@ from repro.core.quality_store import (
 from repro.core.revenue import RevenueCache
 from repro.core.stats import SolverStats
 from repro.core.tpg import _stage_two, seed_groups
-from repro.core.validity import (
-    IncrementalValidityIndex,
-    compute_valid_pairs,
-    compute_valid_pairs_reference,
-)
+from repro.core.validity import compute_valid_pairs, compute_valid_pairs_reference
 from repro.utils.rng import ensure_rng
 from repro.audit.invariants import AuditFinding, audit_assignment
 from repro.audit.reference import (
@@ -263,26 +259,26 @@ class Axis:
 
 
 def _validity_cases(instance: Instance, seed: int):
-    yield "validity=grid vs reference", {"incremental": False}
-    if len({task.task_id for task in instance.tasks}) == instance.task_count:
-        yield "validity=incremental vs reference", {"incremental": True}
+    yield "validity=grid vs reference", {"retile": False}
+    if instance.worker_count and instance.task_count:
+        yield "validity=mean-radius cells vs reference", {"retile": True}
 
 
-def _grid_pairs(instance: Instance, pairs, incremental: bool):
-    """The grid's pairs, both sides: the fresh build's, or a fresh
-    incremental index's at the mean radius — a different cell tiling
-    from the fresh build's, over stable task ids."""
-    if incremental:
+def _grid_pairs(instance: Instance, pairs, retile: bool):
+    """The grid's pairs, both sides: the fresh build's, or a join over
+    cells of the mean radius — a different tiling from the fresh
+    build's."""
+    if retile:
         radii = [worker.radius for worker in instance.workers]
-        index = IncrementalValidityIndex(
-            cell_size=sum(radii) / len(radii) if radii else 1.0
+        pairs = validity._grid_join(
+            instance,
+            validity._max_remaining(instance),
+            cell_size=sum(radii) / len(radii),
         )
-        index.sync(instance.tasks)
-        pairs = index.compute(instance)
     return pairs.tasks_for_worker, pairs.workers_for_task
 
 
-def _reference_pairs(instance: Instance, pairs, incremental: bool):
+def _reference_pairs(instance: Instance, pairs, retile: bool):
     """The brute-force oracle's rows and their transpose by a plain scan
     (not by the fast path's task-side sort)."""
     rows = compute_valid_pairs_reference(instance).tasks_for_worker

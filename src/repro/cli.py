@@ -277,40 +277,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import ALL_FIGURES
-    from repro.experiments.reporting import (
-        figure_to_markdown,
-        format_failures,
-        format_figure,
-        format_telemetry,
-    )
+    from repro.experiments.run_all import run_figures
 
-    started = time.perf_counter()
-    result = ALL_FIGURES[args.figure](
-        scale=args.scale,
-        seed=args.seed,
-        n_jobs=args.jobs,
-        checkpoint=args.resume,
-        quality_backend=args.quality_backend,
-        shards=args.shards,
-        halo_rounds=args.halo_rounds,
-        shard_timeout=args.shard_timeout,
-    )
-    elapsed = time.perf_counter() - started
-    print(format_figure(result))
-    if args.jobs > 1 or args.resume:
-        print(format_telemetry(result.telemetry))
-    print(f"[{args.figure} regenerated in {elapsed:.1f}s]")
-    if args.out:
-        with open(args.out, "a", encoding="utf-8") as handle:
-            handle.write(
-                f"### {result.figure}\n\n" + figure_to_markdown(result) + "\n"
-            )
-        print(f"wrote markdown tables to {args.out}")
-    if result.failures:
-        print(format_failures(result.failures), file=sys.stderr)
-        return 1
-    return 0
+    journals = {args.figure: args.resume} if args.resume else {}
+    return run_figures([args.figure], args, journals)
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:

@@ -13,8 +13,8 @@ the task runs of the cell columns its bounding rectangle covers, and the
 resulting candidate pairs are filtered elementwise, a bounded slice of
 workers at a time. On every named bench regime the grid beat an R-tree,
 a k-d tree and a dense distance matrix (docs/PERFORMANCE.md,
-"Substrates"), so it is the only production path — shared by
-:func:`compute_valid_pairs` and :class:`IncrementalValidityIndex`.
+"Substrates"), so it is the only production path, behind
+:func:`compute_valid_pairs`.
 
 :func:`compute_valid_pairs_reference` is its oracle: a brute-force
 scalar scan of every ``(worker, task)`` pair through
@@ -35,14 +35,13 @@ from itertools import chain, islice
 
 import numpy as np
 
-from repro.core.model import Instance, Task
+from repro.core.model import Instance
 from repro.spatial.grid import GridIndex
 
 __all__ = [
     "ValidPairs",
     "compute_valid_pairs",
     "compute_valid_pairs_reference",
-    "IncrementalValidityIndex",
 ]
 
 
@@ -200,7 +199,7 @@ def compute_valid_pairs_reference(instance: Instance) -> ValidPairs:
     distance against the radius, then the deadline test), so it shares
     no cell, rectangle or reach-limit code with the grid. O(m x n); the
     audit harness and the tests compare it against
-    :func:`compute_valid_pairs` and :class:`IncrementalValidityIndex`.
+    :func:`compute_valid_pairs`.
     """
     return ValidPairs.from_worker_lists(
         [
@@ -411,100 +410,6 @@ def _grid_join(
         worker_count,
         task_count,
     )
-
-
-class IncrementalValidityIndex:
-    """Task-side validity state maintained *across* batch rounds.
-
-    The batch simulator's task pool evolves by small deltas — arrivals,
-    served/cancelled departures, deadline expiries. This class tracks
-    the live pool by stable ``task_id`` (:meth:`sync` applies the
-    deltas) together with its longest deadline, and answers each round
-    with the same grid join as :func:`compute_valid_pairs`
-    (:func:`_grid_join`), at the cell size fixed at construction instead
-    of one re-derived from each round's mean worker radius. The join
-    buckets the round's tasks from arrays in well under a millisecond,
-    so no spatial index is carried between rounds.
-
-    Results are *identical* to :func:`compute_valid_pairs`: the join's
-    exact distance and deadline filters make the outcome invariant to
-    the cell size. The test suite asserts the equivalence, and equality
-    with :func:`compute_valid_pairs_reference`, round by round.
-
-    Stale-deadline contract: the reach bound's ``max_remaining`` is
-    re-derived from the *live* task set on every delta — an expired or
-    departed task can never widen a worker's candidate radius. (The
-    cached maximum is invalidated whenever the task holding it leaves;
-    keeping it would only cost query time, not correctness, but the
-    bound-tightness invariant is pinned by a regression test.)
-    """
-
-    def __init__(self, cell_size: float) -> None:
-        self._cell_size = float(cell_size)
-        self._tasks: dict[int, Task] = {}
-        self._max_deadline = -np.inf
-        self._max_stale = False
-
-    def __len__(self) -> int:
-        return len(self._tasks)
-
-    def sync(self, tasks: "list[Task] | tuple[Task, ...]") -> tuple[int, int]:
-        """Apply the pool's deltas: insert arrivals, drop departures.
-
-        ``tasks`` is the current live pool (any order, unique
-        ``task_id``s). Returns ``(added, removed)`` for observability.
-        """
-        current = {task.task_id: task for task in tasks}
-        if len(current) != len(tasks):
-            raise ValueError("duplicate task_id in the live pool")
-        removed = [key for key in self._tasks if key not in current]
-        for key in removed:
-            task = self._tasks.pop(key)
-            if task.deadline == self._max_deadline:
-                self._max_stale = True
-        added = 0
-        for key, task in current.items():
-            if key in self._tasks:
-                continue
-            self._tasks[key] = task
-            added += 1
-            if task.deadline > self._max_deadline and not self._max_stale:
-                self._max_deadline = task.deadline
-        return added, len(removed)
-
-    def max_remaining(self, now: float) -> float:
-        """Longest remaining deadline over the *live* tasks (>= 0).
-
-        Bit-identical to :func:`_max_remaining` on an instance holding
-        the same tasks: the maximizing task is the same either way, and
-        ``max(deadline) - now`` is the same subtraction of the same two
-        floats as ``max(deadline - now)``.
-        """
-        if not self._tasks:
-            return 0.0
-        if self._max_stale:
-            self._max_deadline = max(
-                task.deadline for task in self._tasks.values()
-            )
-            self._max_stale = False
-        return max(0.0, self._max_deadline - now)
-
-    def compute(self, instance: Instance) -> ValidPairs:
-        """This round's :class:`ValidPairs` over the synced pool.
-
-        ``instance.tasks`` must be exactly the pool last passed to
-        :meth:`sync`, in any order (pairs name task positions).
-        """
-        if instance.task_count == 0 or instance.worker_count == 0:
-            return _no_pairs(instance)
-        if {task.task_id for task in instance.tasks} != self._tasks.keys():
-            raise ValueError(
-                "instance task pool is out of sync with the index; "
-                "call sync() with the live pool first"
-            )
-        return _grid_join(
-            instance, self.max_remaining(instance.now), self._cell_size
-        )
 
 
 def _compute_with_travel_model(instance: Instance, travel_model) -> ValidPairs:

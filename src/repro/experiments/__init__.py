@@ -4,11 +4,13 @@
   registry (RAND, MFLOW, TPG, GT, GT+LUB, GT+TSI, GT+ALL).
 * :mod:`repro.experiments.runner` — runs every approach over identical
   batch streams and collects scores, times and the UPPER bound.
-* :mod:`repro.experiments.figures` — one sweep function per paper figure
-  (Figures 2-8).
+* :mod:`repro.experiments.figures` — the figure table: one callable
+  ``Figure`` entry per paper figure (Figures 2-8) plus the Figure 9
+  extension.
 * :mod:`repro.experiments.parallel` — deterministic process-pool
-  fan-out of sweep cells (``SweepExecutor``; every sweep takes
-  ``n_jobs=``/``executor=``).
+  fan-out of sweep cells (``SweepExecutor``; every figure takes one as
+  ``executor=``, with its worker count, checkpoint journal and
+  shared-memory transport).
 * :mod:`repro.experiments.reporting` — plain-text / markdown tables.
 * ``python -m repro.experiments.run_all`` — regenerate every experiment
   (``--jobs N`` parallelizes with bit-identical results).

@@ -1,16 +1,23 @@
-"""One sweep per paper figure (Figures 2-8).
+"""The paper's figure sweeps (Figures 2-8, plus one extension) as a table.
 
-Every function returns a :class:`FigureResult` whose points hold, per
-parameter value, the total cooperation score and mean batch time of each
-approach plus the UPPER bound — the two panels (a) and (b) of each paper
-figure. ``scale < 1`` shrinks the workload (fewer rounds, workers and
-tasks) for the pytest-benchmark wrappers; the full-size runs are invoked
-by ``python -m repro.experiments.run_all``.
+Each :class:`Figure` entry names one Section VI sweep: the Table II
+parameter it varies, the dataset, the default values and approaches, and
+the one-line setter that maps a value onto the settings. Calling an
+entry returns a :class:`FigureResult` whose points hold, per parameter
+value, the total cooperation score and mean batch time of each approach
+plus the UPPER bound — the two panels (a) and (b) of each paper figure.
+
+Settings-side options (the ``"sparse"`` quality store, geo-sharding)
+travel on ``base``; pool-side ones (worker processes, the checkpoint
+journal, the ``"shared"`` transport) on ``executor``. ``scale < 1``
+shrinks the workload for quick runs; the full-size runs are invoked by
+``python -m repro.experiments.run_all``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.experiments.config import (
     DEFAULT_APPROACH_ORDER,
@@ -27,6 +34,7 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import SweepPoint
 
 __all__ = [
+    "Figure",
     "FigureResult",
     "fig2_capacity",
     "fig3_speed",
@@ -63,367 +71,116 @@ class FigureResult:
         return [point.value for point in self.points]
 
 
-def _sweep(
-    figure: str,
-    parameter: str,
-    values,
-    settings_for_value,
-    base: ExperimentSettings,
-    approaches: tuple[str, ...],
-    seed: int,
-    executor: SweepExecutor | None = None,
-    n_jobs: int = 1,
-    checkpoint: str | None = None,
-    quality_backend: str = "dense",
-    shards: "int | str | None" = None,
-    halo_rounds: int | None = None,
-    shard_timeout: float | None = None,
-) -> FigureResult:
-    """Expand the sweep into (value x approach) cells and execute them.
+@dataclass(frozen=True)
+class Figure:
+    """One figure's sweep: ``parameter`` over ``values`` on ``dataset``.
 
-    ``n_jobs=1`` runs the cells inline in grid order — the historical
-    serial path; larger values fan out over a process pool with
-    bit-identical results (see :mod:`repro.experiments.parallel`).
-    ``checkpoint`` journals finished cells to a JSONL file so an
-    interrupted sweep resumes where it stopped (ignored when an explicit
-    ``executor`` is passed — configure it on the executor instead).
-    ``quality_backend`` selects the cooperation-store backend:
-    ``"sparse"`` makes the population itself O(nnz) (synthetic datasets
-    only), ``"shared"`` keeps a dense population but moves it into
-    shared memory for the worker pool (also ignored when an explicit
-    ``executor`` is passed).
-    ``shards``/``halo_rounds``/``shard_timeout`` — when given —
-    override the base settings' geo-sharding knobs for every cell (the
-    GT/TPG family solves sharded; baselines stay monolithic), and flow
-    into the checkpoint journal key like every other setting.
+    ``setter(settings, value)`` returns the settings of one value's
+    cells. ``floor`` marks a size parameter: below ``scale=1`` its
+    values shrink with the workload, but not under ``floor``.
     """
-    if quality_backend == "sparse" and base.quality_backend != "sparse":
-        base = replace(base, quality_backend="sparse")
-    if shards is not None:
-        base = replace(base, shards=shards)
-    if halo_rounds is not None:
-        base = replace(base, halo_rounds=halo_rounds)
-    if shard_timeout is not None:
-        base = replace(base, shard_timeout=shard_timeout)
-    if executor is None:
-        executor = SweepExecutor(
-            n_jobs=n_jobs, checkpoint=checkpoint, quality_backend=quality_backend
+
+    label: str
+    parameter: str
+    dataset: str
+    values: tuple
+    setter: Callable[[ExperimentSettings, object], ExperimentSettings]
+    approaches: tuple[str, ...] = DEFAULT_APPROACH_ORDER
+    floor: int | None = None
+
+    def __call__(
+        self,
+        base: ExperimentSettings | None = None,
+        values=None,
+        approaches: tuple[str, ...] | None = None,
+        scale: float = 1.0,
+        seed: int = 0,
+        executor: SweepExecutor | None = None,
+    ) -> FigureResult:
+        """Expand the sweep into (value x approach) cells and execute them.
+
+        ``executor`` defaults to an inline :class:`SweepExecutor`. At
+        ``scale=1.0`` the cells run exactly ``base`` (default: Table
+        II's on this figure's dataset) and ``values``; any other scale
+        goes through :meth:`ExperimentSettings.scaled`, which rejects
+        factors outside ``(0, 1]``.
+        """
+        base = base or ExperimentSettings(dataset=self.dataset)
+        values = list(self.values if values is None else values)
+        if scale != 1.0:
+            base = base.scaled(scale)
+            if self.floor is not None:
+                values = [max(self.floor, round(v * scale)) for v in values]
+        approaches = self.approaches if approaches is None else tuple(approaches)
+        specs = build_cell_specs(
+            self.label, self.parameter, values, self.setter, base, approaches, seed
         )
-    values = list(values)
-    specs = build_cell_specs(
-        figure, parameter, values, settings_for_value, base, approaches, seed
-    )
-    results, telemetry = executor.run(specs)
-    points, failures = assemble_points(results, parameter, values, approaches)
-    return FigureResult(
-        figure=figure,
-        parameter=parameter,
-        approaches=approaches,
-        points=points,
-        telemetry=telemetry,
-        failures=failures,
-    )
+        results, telemetry = (executor or SweepExecutor()).run(specs)
+        points, failures = assemble_points(results, self.parameter, values, approaches)
+        return FigureResult(
+            figure=self.label,
+            parameter=self.parameter,
+            approaches=approaches,
+            points=points,
+            telemetry=telemetry,
+            failures=failures,
+        )
 
 
-def fig2_capacity(
-    base: ExperimentSettings | None = None,
-    values=TABLE_II["capacity"],
-    approaches: tuple[str, ...] = DEFAULT_APPROACH_ORDER,
-    scale: float = 1.0,
-    seed: int = 0,
-    executor: SweepExecutor | None = None,
-    n_jobs: int = 1,
-    checkpoint: str | None = None,
-    quality_backend: str = "dense",
-    shards: "int | str | None" = None,
-    halo_rounds: int | None = None,
-    shard_timeout: float | None = None,
-) -> FigureResult:
-    """Figure 2 — effect of the capacity ``a_j`` of tasks (Meetup)."""
-    base = (base or ExperimentSettings(dataset="meetup")).scaled(scale)
-    return _sweep(
-        "Figure 2",
-        "capacity",
-        values,
-        lambda settings, value: replace(settings, capacity=value),
-        base,
-        approaches,
-        seed,
-        executor=executor,
-        n_jobs=n_jobs,
-        checkpoint=checkpoint,
-        quality_backend=quality_backend,
-        shards=shards,
-        halo_rounds=halo_rounds,
-        shard_timeout=shard_timeout,
+def _percent_range(name: str):
+    """Setter for a range given in percent of the unit space, e.g.
+    ``(1, 5)`` -> ``(0.01, 0.05)``."""
+    return lambda settings, value: replace(
+        settings, **{name: (value[0] / 100.0, value[1] / 100.0)}
     )
 
 
-def fig3_speed(
-    base: ExperimentSettings | None = None,
-    values=TABLE_II["speed_range_percent"],
-    approaches: tuple[str, ...] = DEFAULT_APPROACH_ORDER,
-    scale: float = 1.0,
-    seed: int = 0,
-    executor: SweepExecutor | None = None,
-    n_jobs: int = 1,
-    checkpoint: str | None = None,
-    quality_backend: str = "dense",
-    shards: "int | str | None" = None,
-    halo_rounds: int | None = None,
-    shard_timeout: float | None = None,
-) -> FigureResult:
-    """Figure 3 — effect of the worker speed range ``[v-, v+]`` (Meetup).
-
-    Values are percent of the unit space per time unit, e.g. ``(1, 5)``
-    means speeds in ``[0.01, 0.05]``.
-    """
-    base = (base or ExperimentSettings(dataset="meetup")).scaled(scale)
-    return _sweep(
-        "Figure 3",
-        "speed_range_percent",
-        values,
-        lambda settings, value: replace(
-            settings, speed_range=(value[0] / 100.0, value[1] / 100.0)
-        ),
-        base,
-        approaches,
-        seed,
-        executor=executor,
-        n_jobs=n_jobs,
-        checkpoint=checkpoint,
-        quality_backend=quality_backend,
-        shards=shards,
-        halo_rounds=halo_rounds,
-        shard_timeout=shard_timeout,
-    )
-
-
-def fig4_radius(
-    base: ExperimentSettings | None = None,
-    values=TABLE_II["radius_range_percent"],
-    approaches: tuple[str, ...] = DEFAULT_APPROACH_ORDER,
-    scale: float = 1.0,
-    seed: int = 0,
-    executor: SweepExecutor | None = None,
-    n_jobs: int = 1,
-    checkpoint: str | None = None,
-    quality_backend: str = "dense",
-    shards: "int | str | None" = None,
-    halo_rounds: int | None = None,
-    shard_timeout: float | None = None,
-) -> FigureResult:
-    """Figure 4 — effect of the working-area range ``[r-, r+]`` (Meetup)."""
-    base = (base or ExperimentSettings(dataset="meetup")).scaled(scale)
-    return _sweep(
-        "Figure 4",
-        "radius_range_percent",
-        values,
-        lambda settings, value: replace(
-            settings, radius_range=(value[0] / 100.0, value[1] / 100.0)
-        ),
-        base,
-        approaches,
-        seed,
-        executor=executor,
-        n_jobs=n_jobs,
-        checkpoint=checkpoint,
-        quality_backend=quality_backend,
-        shards=shards,
-        halo_rounds=halo_rounds,
-        shard_timeout=shard_timeout,
-    )
-
-
-def fig5_deadline(
-    base: ExperimentSettings | None = None,
-    values=TABLE_II["remaining_time"],
-    approaches: tuple[str, ...] = DEFAULT_APPROACH_ORDER,
-    scale: float = 1.0,
-    seed: int = 0,
-    executor: SweepExecutor | None = None,
-    n_jobs: int = 1,
-    checkpoint: str | None = None,
-    quality_backend: str = "dense",
-    shards: "int | str | None" = None,
-    halo_rounds: int | None = None,
-    shard_timeout: float | None = None,
-) -> FigureResult:
-    """Figure 5 — effect of the remaining time ``tau_j`` of tasks (Meetup)."""
-    base = (base or ExperimentSettings(dataset="meetup")).scaled(scale)
-    return _sweep(
-        "Figure 5",
-        "remaining_time",
-        values,
-        lambda settings, value: replace(settings, remaining_time=float(value)),
-        base,
-        approaches,
-        seed,
-        executor=executor,
-        n_jobs=n_jobs,
-        checkpoint=checkpoint,
-        quality_backend=quality_backend,
-        shards=shards,
-        halo_rounds=halo_rounds,
-        shard_timeout=shard_timeout,
-    )
-
-
-def fig6_epsilon(
-    base: ExperimentSettings | None = None,
-    values=TABLE_II["epsilon"],
-    approaches: tuple[str, ...] = ("GT+TSI",),
-    scale: float = 1.0,
-    seed: int = 0,
-    executor: SweepExecutor | None = None,
-    n_jobs: int = 1,
-    checkpoint: str | None = None,
-    quality_backend: str = "dense",
-    shards: "int | str | None" = None,
-    halo_rounds: int | None = None,
-    shard_timeout: float | None = None,
-) -> FigureResult:
-    """Figure 6 — effect of the TSI threshold ``epsilon`` (synthetic).
-
-    The paper plots GT+TSI only; ``epsilon = 0`` degenerates to plain GT.
-    """
-    base = base or ExperimentSettings(dataset="unif")
-    base = base.scaled(scale)
-    return _sweep(
-        "Figure 6",
-        "epsilon",
-        values,
-        lambda settings, value: replace(settings, epsilon=float(value)),
-        base,
-        approaches,
-        seed,
-        executor=executor,
-        n_jobs=n_jobs,
-        checkpoint=checkpoint,
-        quality_backend=quality_backend,
-        shards=shards,
-        halo_rounds=halo_rounds,
-        shard_timeout=shard_timeout,
-    )
-
-
-def fig7_workers(
-    base: ExperimentSettings | None = None,
-    values=TABLE_II["workers_per_round"],
-    approaches: tuple[str, ...] = DEFAULT_APPROACH_ORDER,
-    scale: float = 1.0,
-    seed: int = 0,
-    executor: SweepExecutor | None = None,
-    n_jobs: int = 1,
-    checkpoint: str | None = None,
-    quality_backend: str = "dense",
-    shards: "int | str | None" = None,
-    halo_rounds: int | None = None,
-    shard_timeout: float | None = None,
-) -> FigureResult:
-    """Figure 7 — effect of the number of workers ``m`` (synthetic)."""
-    base = base or ExperimentSettings(dataset="unif")
-    base = base.scaled(scale)
-    scaled_values = [max(20, round(v * scale)) for v in values]
-    return _sweep(
-        "Figure 7",
-        "workers_per_round",
-        scaled_values,
-        lambda settings, value: replace(settings, workers_per_round=int(value)),
-        base,
-        approaches,
-        seed,
-        executor=executor,
-        n_jobs=n_jobs,
-        checkpoint=checkpoint,
-        quality_backend=quality_backend,
-        shards=shards,
-        halo_rounds=halo_rounds,
-        shard_timeout=shard_timeout,
-    )
-
-
-def fig8_tasks(
-    base: ExperimentSettings | None = None,
-    values=TABLE_II["tasks_per_round"],
-    approaches: tuple[str, ...] = DEFAULT_APPROACH_ORDER,
-    scale: float = 1.0,
-    seed: int = 0,
-    executor: SweepExecutor | None = None,
-    n_jobs: int = 1,
-    checkpoint: str | None = None,
-    quality_backend: str = "dense",
-    shards: "int | str | None" = None,
-    halo_rounds: int | None = None,
-    shard_timeout: float | None = None,
-) -> FigureResult:
-    """Figure 8 — effect of the number of tasks ``n`` (synthetic)."""
-    base = base or ExperimentSettings(dataset="unif")
-    base = base.scaled(scale)
-    scaled_values = [max(5, round(v * scale)) for v in values]
-    return _sweep(
-        "Figure 8",
-        "tasks_per_round",
-        scaled_values,
-        lambda settings, value: replace(settings, tasks_per_round=int(value)),
-        base,
-        approaches,
-        seed,
-        executor=executor,
-        n_jobs=n_jobs,
-        checkpoint=checkpoint,
-        quality_backend=quality_backend,
-        shards=shards,
-        halo_rounds=halo_rounds,
-        shard_timeout=shard_timeout,
-    )
-
+fig2_capacity = Figure(
+    "Figure 2", "capacity", "meetup", TABLE_II["capacity"],
+    lambda settings, value: replace(settings, capacity=value),
+)
+fig3_speed = Figure(
+    "Figure 3", "speed_range_percent", "meetup",
+    TABLE_II["speed_range_percent"], _percent_range("speed_range"),
+)
+fig4_radius = Figure(
+    "Figure 4", "radius_range_percent", "meetup",
+    TABLE_II["radius_range_percent"], _percent_range("radius_range"),
+)
+fig5_deadline = Figure(
+    "Figure 5", "remaining_time", "meetup", TABLE_II["remaining_time"],
+    lambda settings, value: replace(settings, remaining_time=float(value)),
+)
+# The paper plots GT+TSI only; epsilon = 0 degenerates to plain GT.
+fig6_epsilon = Figure(
+    "Figure 6", "epsilon", "unif", TABLE_II["epsilon"],
+    lambda settings, value: replace(settings, epsilon=float(value)),
+    approaches=("GT+TSI",),
+)
+fig7_workers = Figure(
+    "Figure 7", "workers_per_round", "unif", TABLE_II["workers_per_round"],
+    lambda settings, value: replace(settings, workers_per_round=int(value)),
+    floor=20,
+)
+fig8_tasks = Figure(
+    "Figure 8", "tasks_per_round", "unif", TABLE_II["tasks_per_round"],
+    lambda settings, value: replace(settings, tasks_per_round=int(value)),
+    floor=5,
+)
 
 EXTENSION_LINEUP = ("ONLINE", "PGREEDY", "MFLOW", "WFLOW", "TPG", "GT+ALL", "LSEARCH")
 
-
-def fig9_extensions(
-    base: ExperimentSettings | None = None,
+# Not in the paper: the baseline ladder over the number of workers.
+# ONLINE < PGREEDY/MFLOW < WFLOW < TPG < GT+ALL <= LSEARCH quantifies, in
+# order, the value of batching, of task-priority seeding, of preferring
+# good workers, of true pairwise reasoning, and of coalitional 2-swaps
+# beyond the Nash equilibrium.
+fig9_extensions = replace(
+    fig7_workers,
+    label="Figure 9 (extension)",
     values=(500, 1000, 2000),
-    approaches: tuple[str, ...] = EXTENSION_LINEUP,
-    scale: float = 1.0,
-    seed: int = 0,
-    executor: SweepExecutor | None = None,
-    n_jobs: int = 1,
-    checkpoint: str | None = None,
-    quality_backend: str = "dense",
-    shards: "int | str | None" = None,
-    halo_rounds: int | None = None,
-    shard_timeout: float | None = None,
-) -> FigureResult:
-    """Extension figure (not in the paper): the baseline ladder.
-
-    Sweeps the number of workers over the extension lineup — ONLINE <
-    PGREEDY/MFLOW < WFLOW < TPG < GT+ALL <= LSEARCH — quantifying, in
-    order: the value of batching, of task-priority seeding, of preferring
-    good workers, of true pairwise reasoning, and of coalitional 2-swaps
-    beyond the Nash equilibrium.
-    """
-    base = base or ExperimentSettings(dataset="unif")
-    base = base.scaled(scale)
-    scaled_values = [max(20, round(v * scale)) for v in values]
-    return _sweep(
-        "Figure 9 (extension)",
-        "workers_per_round",
-        scaled_values,
-        lambda settings, value: replace(settings, workers_per_round=int(value)),
-        base,
-        approaches,
-        seed,
-        executor=executor,
-        n_jobs=n_jobs,
-        checkpoint=checkpoint,
-        quality_backend=quality_backend,
-        shards=shards,
-        halo_rounds=halo_rounds,
-        shard_timeout=shard_timeout,
-    )
-
+    approaches=EXTENSION_LINEUP,
+)
 
 ALL_FIGURES = {
     "fig2": fig2_capacity,

@@ -593,6 +593,8 @@ class SweepExecutor:
         #: rebuilds; ``None`` uses the :class:`RetryPolicy` defaults.
         self.retry_policy = retry_policy
         self.partial_telemetry: ExecutorTelemetry | None = None
+        self._last_rebuilds = 0
+        self._journal_recovered = 0
         #: Names of the shared-memory segments the most recent
         #: :meth:`run` created (all unlinked by the time run returns).
         self.last_shared_segments: list[str] = []
@@ -633,23 +635,37 @@ class SweepExecutor:
 
         shared_stores: list[SharedDenseQualityStore] = []
         self.last_shared_segments = []
+        # FanoutPool runs inline when n_jobs == 1 or at most one cell is
+        # left; shared memory only pays off on the pool path.
+        pool = FanoutPool(
+            n_jobs=self.n_jobs,
+            timeout=self.timeout,
+            retries=self.retries,
+            mp_context=self.mp_context,
+            poll_seconds=self.poll_seconds,
+            retry_policy=self.retry_policy,
+            chaos_scope="cell",
+        )
         try:
-            if self.n_jobs == 1 or len(remaining) <= 1:
-                self._run_fanout(
-                    FanoutPool(
-                        n_jobs=1,
-                        retries=self.retries,
-                        retry_policy=self.retry_policy,
-                        chaos_scope="cell",
-                    ),
-                    remaining,
-                    results,
-                    journal,
-                )
-            else:
-                if self.quality_backend == "shared":
-                    remaining = self._annotate_shared(remaining, shared_stores)
-                self._run_pool(remaining, results, journal)
+            if (
+                self.quality_backend == "shared"
+                and self.n_jobs > 1
+                and len(remaining) > 1
+            ):
+                remaining = self._annotate_shared(remaining, shared_stores)
+            indices = [index for index, _ in remaining]
+            cells = [spec for _, spec in remaining]
+
+            def on_result(outcome: PoolOutcome) -> None:
+                # Fires as cells finish (completion order), so each one
+                # is durably journaled before the next completes.
+                result = self._cell_result(cells[outcome.index], outcome)
+                results[indices[outcome.index]] = result
+                if journal is not None and result.failure is None:
+                    journal.append(result)
+
+            pool.run(_execute_cell, cells, on_result=on_result)
+            self._last_rebuilds = pool.last_rebuilds
         except KeyboardInterrupt:
             # Satellite contract: the journal already holds every cell
             # that finished (each append flushed + fsynced), so surface
@@ -677,18 +693,6 @@ class SweepExecutor:
         ordered = [results[index] for index in range(len(specs))]
         telemetry = self._telemetry(ordered, time.perf_counter() - started)
         return ordered, telemetry
-
-    def _finish(
-        self,
-        index: int,
-        result: CellResult,
-        results: dict[int, CellResult],
-        journal: SweepJournal | None,
-    ) -> None:
-        """Record one finished cell and (durably) journal successes."""
-        results[index] = result
-        if journal is not None and result.failure is None:
-            journal.append(result)
 
     def _annotate_shared(
         self,
@@ -722,53 +726,6 @@ class SweepExecutor:
                 spec = replace(spec, quality_shm=entry)
             annotated.append((index, spec))
         return annotated
-
-    # -- execution (delegated to the generic fan-out pool) -----------------
-
-    def _run_pool(
-        self,
-        remaining: list[tuple[int, CellSpec]],
-        results: dict[int, CellResult],
-        journal: SweepJournal | None,
-    ) -> None:
-        pool = FanoutPool(
-            n_jobs=self.n_jobs,
-            timeout=self.timeout,
-            retries=self.retries,
-            mp_context=self.mp_context,
-            poll_seconds=self.poll_seconds,
-            retry_policy=self.retry_policy,
-            chaos_scope="cell",
-        )
-        self._run_fanout(pool, remaining, results, journal)
-
-    def _run_fanout(
-        self,
-        pool: FanoutPool,
-        remaining: list[tuple[int, CellSpec]],
-        results: dict[int, CellResult],
-        journal: SweepJournal | None,
-    ) -> None:
-        """Drive the generic pool and translate outcomes to cell results.
-
-        The ``on_result`` hook fires as cells finish (completion order),
-        so each cell is journaled before the next completes — the same
-        durability the historical inline/pool loops provided.
-        """
-        indices = [index for index, _ in remaining]
-        specs = [spec for _, spec in remaining]
-
-        def on_result(outcome: PoolOutcome) -> None:
-            spec = specs[outcome.index]
-            self._finish(
-                indices[outcome.index],
-                self._cell_result(spec, outcome),
-                results,
-                journal,
-            )
-
-        pool.run(_execute_cell, specs, on_result=on_result)
-        self._last_rebuilds = getattr(self, "_last_rebuilds", 0) + pool.last_rebuilds
 
     @staticmethod
     def _cell_result(spec: CellSpec, outcome: PoolOutcome) -> CellResult:
@@ -808,15 +765,13 @@ class SweepExecutor:
             wall_seconds=wall_seconds,
             cell_seconds=cell_seconds,
             distinct_workers=len({r.worker_pid for r in executed}),
-            # getattr defaults: _telemetry is also exercised standalone
-            # (property tests bind it to a bare namespace with n_jobs).
-            pool_rebuilds=getattr(self, "_last_rebuilds", 0),
+            pool_rebuilds=self._last_rebuilds,
             quarantined_cells=sum(
                 1
                 for r in results
                 if r.failure is not None and r.failure.kind == "poison"
             ),
-            journal_recovered_lines=getattr(self, "_journal_recovered", 0),
+            journal_recovered_lines=self._journal_recovered,
         )
         if executed:
             telemetry.mean_queue_seconds = sum(

@@ -21,7 +21,9 @@ import sys
 import time
 from pathlib import Path
 
+from repro.experiments.config import ExperimentSettings
 from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.parallel import SweepExecutor
 from repro.experiments.reporting import (
     figure_to_markdown,
     format_failures,
@@ -80,30 +82,56 @@ def main(argv: list[str] | None = None) -> int:
         help="also print unicode sparkline charts of both panels",
     )
     args = parser.parse_args(argv)
+    journals = {}
+    if args.checkpoint_dir:
+        directory = Path(args.checkpoint_dir)
+        journals = {name: str(directory / f"{name}.jsonl") for name in args.figures}
+    return run_figures(args.figures, args, journals)
 
+
+def run_figures(names, args: argparse.Namespace, journals: dict[str, str]) -> int:
+    """Run each named figure and report it; the loop of both shells.
+
+    ``args`` holds either shell's parsed flags (this module's or
+    ``repro.cli sweep``'s). The shard knobs it lacks keep their
+    :class:`ExperimentSettings` defaults. ``--quality-backend`` splits
+    here: ``sparse`` is a settings choice (an O(nnz) population),
+    ``shared`` an executor one (the pool's transport). ``journals`` maps
+    a figure to its checkpoint file. Prints both panels (plus charts,
+    telemetry when a pool or journal is in play, and failures on
+    stderr), appends the markdown to ``args.out`` when set, and returns
+    1 if any cell failed.
+    """
+    settings = {
+        knob: getattr(args, knob)
+        for knob in ("shards", "halo_rounds", "shard_timeout")
+        if hasattr(args, knob)
+    }
+    if args.quality_backend == "sparse":
+        settings["quality_backend"] = "sparse"
     markdown_chunks: list[str] = []
     failed_cells = 0
-    for name in args.figures:
-        sweep = ALL_FIGURES[name]
-        checkpoint = None
-        if args.checkpoint_dir:
-            checkpoint = str(Path(args.checkpoint_dir) / f"{name}.jsonl")
+    for name in names:
+        figure = ALL_FIGURES[name]
+        journal = journals.get(name)
+        executor = SweepExecutor(
+            n_jobs=args.jobs, checkpoint=journal, quality_backend=args.quality_backend
+        )
         started = time.perf_counter()
-        result = sweep(
+        result = figure(
+            base=ExperimentSettings(dataset=figure.dataset, **settings),
             scale=args.scale,
             seed=args.seed,
-            n_jobs=args.jobs,
-            checkpoint=checkpoint,
-            quality_backend=args.quality_backend,
+            executor=executor,
         )
         elapsed = time.perf_counter() - started
         print(format_figure(result))
-        if args.charts:
+        if getattr(args, "charts", False):
             from repro.experiments.plotting import render_figure_charts
 
             print()
             print(render_figure_charts(result))
-        if args.jobs > 1 or checkpoint:
+        if args.jobs > 1 or journal:
             print(format_telemetry(result.telemetry))
         if result.failures:
             failed_cells += len(result.failures)
@@ -115,6 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         with open(args.out, "a", encoding="utf-8") as handle:
             handle.write("\n\n".join(markdown_chunks) + "\n")
+        print(f"wrote markdown tables to {args.out}")
     return 1 if failed_cells else 0
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.assignment import Assignment
 from repro.core.model import Instance, Task, Worker
-from repro.core.validity import IncrementalValidityIndex, ValidPairs
+from repro.core.validity import ValidPairs, compute_valid_pairs
 from repro.datasets.synthetic import gaussian_in_range
 from repro.simulation.faults import FaultEvent, FaultInjector, FaultModel
 from repro.simulation.population import Population
@@ -263,14 +263,6 @@ class BatchSimulator:
         busy_until: dict[int, float] = {}
         open_tasks: list[_OpenTask] = []
         next_task_id = 0
-        # One validity index tracks the task pool across rounds from its
-        # deltas. Its grid join uses a fixed cell size (the mean
-        # configured radius) instead of the per-round mean of materialized
-        # radii; ValidPairs results are invariant to the cell size (exact
-        # distance + deadline filters).
-        validity_index = IncrementalValidityIndex(
-            cell_size=sum(config.radius_range) / 2.0
-        )
 
         for round_index in range(config.rounds):
             now = round_index * config.batch_interval
@@ -344,12 +336,10 @@ class BatchSimulator:
                 min_group_size=config.min_group_size,
                 now=now,
             )
-            # Delta maintenance: expiries/cancellations/served tasks
-            # leave the pool, arrivals join it; the reach bound's
-            # max_remaining is re-derived from the live pool so an
-            # expired task can never widen a worker's candidate radius.
-            validity_index.sync(instance.tasks)
-            valid_pairs = validity_index.compute(instance)
+            # The live pool only: the reach bound's max_remaining comes
+            # from this round's tasks, so an expired task never widens a
+            # worker's candidate radius.
+            valid_pairs = compute_valid_pairs(instance)
             if self.instance_hook is not None:
                 self.instance_hook(instance, valid_pairs)
 

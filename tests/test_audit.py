@@ -235,19 +235,29 @@ class TestDifferentialRunner:
     def test_axis_crash_becomes_finding(self, monkeypatch):
         # A parity axis whose fast path raises yields a crash finding
         # naming the axis, and an audit session goes on to shrink it.
+        from repro.core import validity
         from repro.core.quality_store import SparseTaskBlocks
-        from repro.core.validity import IncrementalValidityIndex
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        for owner, method, axis, context in (
-            (IncrementalValidityIndex, "compute", "validity-parity",
-             "validity=incremental vs reference"),
-            (SparseTaskBlocks, "_build_task", "block-parity", "backend=sparse"),
+        real_join = validity._grid_join
+
+        def boom_on_retile(instance, max_remaining, cell_size=None):
+            # The fresh build (no cell size) still works; only the
+            # axis's second tiling raises.
+            if cell_size is not None:
+                raise RuntimeError("boom")
+            return real_join(instance, max_remaining)
+
+        for owner, method, broken, axis, context in (
+            (validity, "_grid_join", boom_on_retile, "validity-parity",
+             "validity=mean-radius cells vs reference"),
+            (SparseTaskBlocks, "_build_task", boom, "block-parity",
+             "backend=sparse"),
         ):
             with monkeypatch.context() as patch:
-                patch.setattr(owner, method, boom)
+                patch.setattr(owner, method, broken)
                 findings = run_differential(make_dense_instance(seed=1))
                 assert any(
                     f.check == "crash" and f.context == context
@@ -262,8 +272,8 @@ class TestDifferentialRunner:
 
     def test_validity_parity_divergence_is_flagged(self, monkeypatch):
         # Corrupt the grid join (drop one valid pair from its output);
-        # the brute-force reference must flag it for both the fresh
-        # build and the incremental index, which share the join. Then
+        # the brute-force reference must flag it at both of the axis's
+        # cell tilings, which share the join. Then
         # corrupt the task side alone (one task's watchers reversed, the
         # worker side intact): TPG, the block readers and LUB read that
         # side, so the audit must flag it too.
@@ -301,7 +311,7 @@ class TestDifferentialRunner:
             }
             assert flagged == {
                 "validity=grid vs reference",
-                "validity=incremental vs reference",
+                "validity=mean-radius cells vs reference",
             }, broken.__name__
 
     def test_stage_one_divergence_is_flagged(self, monkeypatch):

@@ -33,6 +33,12 @@ QUICK = ExperimentSettings(
 )
 
 
+def resumable(journal, n_jobs=1):
+    """An executor that journals finished cells to ``journal`` and
+    skips the cells already there."""
+    return SweepExecutor(n_jobs=n_jobs, checkpoint=str(journal))
+
+
 def fingerprint(result):
     """Exact (repr-level) scores/uppers/counts of a sweep, for parity."""
     return [
@@ -60,8 +66,8 @@ class TestParity:
             approaches=("RAND", "TPG", "GT"),
             seed=3,
         )
-        serial = fig7_workers(**kwargs, n_jobs=1)
-        parallel = fig7_workers(**kwargs, n_jobs=4)
+        serial = fig7_workers(**kwargs)
+        parallel = fig7_workers(**kwargs, executor=SweepExecutor(n_jobs=4))
         assert not parallel.failures
         assert fingerprint(parallel) == fingerprint(serial)
         # dict iteration order must match the approach lineup, not the
@@ -79,8 +85,8 @@ class TestParity:
             dataset="meetup",
         )
         kwargs = dict(base=base, values=(3, 4), approaches=("RAND",), seed=0)
-        serial = fig2_capacity(**kwargs, n_jobs=1)
-        parallel = fig2_capacity(**kwargs, n_jobs=2)
+        serial = fig2_capacity(**kwargs)
+        parallel = fig2_capacity(**kwargs, executor=SweepExecutor(n_jobs=2))
         assert not parallel.failures
         assert fingerprint(parallel) == fingerprint(serial)
 
@@ -92,7 +98,6 @@ class TestFailureInjection:
             values=(30,),
             approaches=("RAND", "BOGUS"),
             seed=0,
-            n_jobs=1,
         )
         assert len(result.failures) == 1
         failure = result.failures[0]
@@ -110,7 +115,7 @@ class TestFailureInjection:
             values=(30,),
             approaches=("RAND", "BOGUS"),
             seed=0,
-            n_jobs=2,
+            executor=SweepExecutor(n_jobs=2),
         )
         assert len(result.failures) == 1
         assert result.failures[0].approach == "BOGUS"
@@ -229,9 +234,9 @@ class TestCheckpointResume:
 
     def test_full_resume_is_repr_identical_to_writing_run(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        first = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        first = fig7_workers(**self.KWARGS, executor=resumable(journal))
         assert first.telemetry.resumed_cells == 0
-        resumed = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        resumed = fig7_workers(**self.KWARGS, executor=resumable(journal))
         assert resumed.telemetry.resumed_cells == 4
         assert fingerprint(resumed) == fingerprint(first)
         # Beyond scores: the whole outcome (reports, timings, stats) is
@@ -242,11 +247,11 @@ class TestCheckpointResume:
 
     def test_truncated_journal_reruns_only_missing_cells(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        first = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        first = fig7_workers(**self.KWARGS, executor=resumable(journal))
         lines = journal.read_text().strip().splitlines()
         assert len(lines) == 4
         journal.write_text("\n".join(lines[:2]) + "\n")
-        resumed = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        resumed = fig7_workers(**self.KWARGS, executor=resumable(journal))
         assert resumed.telemetry.resumed_cells == 2
         assert not resumed.failures
         assert fingerprint(resumed) == fingerprint(first)
@@ -257,7 +262,7 @@ class TestCheckpointResume:
         from repro.experiments.parallel import SweepJournal
 
         journal = tmp_path / "sweep.jsonl"
-        fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        fig7_workers(**self.KWARGS, executor=resumable(journal))
         with open(journal, "a", encoding="utf-8") as handle:
             handle.write('{"schema": 999, "key": "future-version"}\n')
             handle.write('{"schema": 1, "key": "trunc')  # killed mid-write
@@ -265,18 +270,18 @@ class TestCheckpointResume:
         assert len(records) == 4
         assert "future-version" not in records
         # A resume over the damaged journal still works.
-        resumed = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        resumed = fig7_workers(**self.KWARGS, executor=resumable(journal))
         assert resumed.telemetry.resumed_cells == 4
 
     def test_settings_change_invalidates_journal_entries(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        fig7_workers(**self.KWARGS, executor=resumable(journal))
         changed = fig7_workers(
             base=QUICK,
             values=(30, 40),
             approaches=("RAND", "TPG"),
             seed=4,  # different seed -> different cells
-            checkpoint=str(journal),
+            executor=resumable(journal),
         )
         assert changed.telemetry.resumed_cells == 0
 
@@ -289,7 +294,7 @@ class TestCheckpointResume:
         from repro.experiments.parallel import SweepJournal, _journal_line
 
         journal = tmp_path / "sweep.jsonl"
-        first = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        first = fig7_workers(**self.KWARGS, executor=resumable(journal))
         legacy = []
         for record in SweepJournal(journal).load().values():
             key = json.loads(record["key"])
@@ -305,7 +310,7 @@ class TestCheckpointResume:
         reader = SweepJournal(journal)
         assert len(reader.load()) == 4
         assert reader.recovered_lines == 0
-        resumed = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        resumed = fig7_workers(**self.KWARGS, executor=resumable(journal))
         assert resumed.telemetry.resumed_cells == 0
         assert not resumed.failures
         assert fingerprint(resumed) == fingerprint(first)
@@ -343,7 +348,7 @@ class TestCheckpointResume:
             calls["armed"] = False
             calls["count"] = 0
             clean = fig7_workers(**kwargs)
-            resumed = fig7_workers(**kwargs, checkpoint=str(journal))
+            resumed = fig7_workers(**kwargs, executor=resumable(journal))
             assert resumed.telemetry.resumed_cells == 1
             assert not resumed.failures
             assert fingerprint(resumed) == fingerprint(clean)
@@ -352,14 +357,10 @@ class TestCheckpointResume:
 
     def test_pool_path_journals_and_resumes(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        parallel = fig7_workers(
-            **self.KWARGS, n_jobs=2, checkpoint=str(journal)
-        )
+        parallel = fig7_workers(**self.KWARGS, executor=resumable(journal, 2))
         assert not parallel.failures
         assert len(journal.read_text().strip().splitlines()) == 4
-        resumed = fig7_workers(
-            **self.KWARGS, n_jobs=2, checkpoint=str(journal)
-        )
+        resumed = fig7_workers(**self.KWARGS, executor=resumable(journal, 2))
         assert resumed.telemetry.resumed_cells == 4
         assert fingerprint(resumed) == fingerprint(parallel)
 
@@ -436,7 +437,7 @@ class TestRetryPolicy:
         kwargs = dict(
             base=QUICK, values=(30, 40), approaches=("RAND", "GT"), seed=3
         )
-        serial = fig7_workers(**kwargs, n_jobs=1)
+        serial = fig7_workers(**kwargs)
         executor = SweepExecutor(
             n_jobs=2, retry_policy=RetryPolicy(backoff_base=0.2, seed=7)
         )
@@ -471,9 +472,9 @@ class TestJournalDurability:
 
     def test_torn_trailing_line_truncated_and_resume_matches(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        first = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        first = fig7_workers(**self.KWARGS, executor=resumable(journal))
         self._tear_tail(journal)
-        resumed = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        resumed = fig7_workers(**self.KWARGS, executor=resumable(journal))
         assert resumed.telemetry.resumed_cells == 3  # torn cell re-ran
         assert resumed.telemetry.journal_recovered_lines >= 1
         assert not resumed.failures
@@ -495,7 +496,7 @@ class TestJournalDurability:
         from repro.experiments.parallel import SweepJournal
 
         journal = tmp_path / "sweep.jsonl"
-        first = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        first = fig7_workers(**self.KWARGS, executor=resumable(journal))
         self._tear_tail(journal)
         assert first is not None
         writer = SweepJournal(journal)
@@ -531,7 +532,7 @@ class TestJournalDurability:
         from repro.experiments.parallel import SweepJournal
 
         journal = tmp_path / "sweep.jsonl"
-        first = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        first = fig7_workers(**self.KWARGS, executor=resumable(journal))
         lines = journal.read_text(encoding="utf-8").strip().splitlines()
         wrapper = json.loads(lines[-1])
         wrapper["crc"] = (wrapper["crc"] + 1) % 2**32  # bit rot
@@ -540,7 +541,7 @@ class TestJournalDurability:
         reader = SweepJournal(journal)
         assert len(reader.load()) == 3
         assert reader.recovered_lines == 1
-        resumed = fig7_workers(**self.KWARGS, checkpoint=str(journal))
+        resumed = fig7_workers(**self.KWARGS, executor=resumable(journal))
         assert resumed.telemetry.resumed_cells == 3
         assert fingerprint(resumed) == fingerprint(first)
 
@@ -611,8 +612,6 @@ class TestReportingIntegration:
 # ---------------------------------------------------------------------------
 # Telemetry accounting properties
 # ---------------------------------------------------------------------------
-from types import SimpleNamespace
-
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
@@ -666,8 +665,7 @@ def test_property_telemetry_accounting(cells, n_jobs, idle_seconds):
     # bound over the executed cells, plus arbitrary idle time.
     cell_seconds = sum(r.wall_seconds for r in executed)
     wall = cell_seconds / n_jobs + idle_seconds
-    executor = SimpleNamespace(n_jobs=n_jobs)
-    telemetry = SweepExecutor._telemetry(executor, results, wall)
+    telemetry = SweepExecutor(n_jobs=n_jobs)._telemetry(results, wall)
 
     assert telemetry.cells == len(results)
     assert (
@@ -692,8 +690,7 @@ def test_property_telemetry_accounting(cells, n_jobs, idle_seconds):
 
 
 def test_telemetry_zero_wall_clock_is_safe():
-    executor = SimpleNamespace(n_jobs=4)
-    telemetry = SweepExecutor._telemetry(executor, [], 0.0)
+    telemetry = SweepExecutor(n_jobs=4)._telemetry([], 0.0)
     assert telemetry.cells == 0
     assert telemetry.worker_utilization == 0.0
     assert telemetry.speedup_vs_serial_estimate == 0.0

@@ -606,13 +606,14 @@ class TestExecutorSharedBackend:
 
     def test_interrupt_still_unlinks_segments(self, monkeypatch):
         from repro.experiments.parallel import SweepExecutor
+        from repro.utils.procpool import FanoutPool
 
         executor = SweepExecutor(n_jobs=2, quality_backend="shared")
 
-        def interrupted(remaining, results, journal):
+        def interrupted(pool, fn, items, on_result=None):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(executor, "_run_pool", interrupted)
+        monkeypatch.setattr(FanoutPool, "run", interrupted)
         with pytest.raises(KeyboardInterrupt):
             executor.run(self._specs())
         assert executor.last_shared_segments, "segments were created pre-pool"
@@ -629,6 +630,7 @@ class TestExecutorSharedBackend:
     def test_sparse_settings_sweep_parallel_parity(self):
         from repro.experiments.config import ExperimentSettings
         from repro.experiments.figures import fig7_workers
+        from repro.experiments.parallel import SweepExecutor
 
         quick = ExperimentSettings(
             rounds=2,
@@ -637,16 +639,16 @@ class TestExecutorSharedBackend:
             speed_range=(0.05, 0.2),
             radius_range=(0.2, 0.4),
             dataset="unif",
+            quality_backend="sparse",
         )
         kwargs = dict(
             base=quick,
             values=(30, 40),
             approaches=("RAND", "GT"),
             seed=1,
-            quality_backend="sparse",
         )
-        serial = fig7_workers(**kwargs, n_jobs=1)
-        parallel = fig7_workers(**kwargs, n_jobs=2)
+        serial = fig7_workers(**kwargs)
+        parallel = fig7_workers(**kwargs, executor=SweepExecutor(n_jobs=2))
         serial_scores = [
             {name: repr(out.total_score) for name, out in point.outcomes.items()}
             for point in serial.points

@@ -11,7 +11,6 @@ from repro.audit.differential import _with_backend
 from repro.core import validity
 from repro.core.sharding import solve_sharded
 from repro.core.validity import (
-    IncrementalValidityIndex,
     ValidPairs,
     compute_valid_pairs,
     compute_valid_pairs_reference,
@@ -25,18 +24,21 @@ from repro.simulation.population import Population
 from tests.conftest import make_dense_instance
 
 
-def incremental_pairs(instance, cell_size=0.1):
-    """The instance's pairs through a fresh incremental index."""
-    index = IncrementalValidityIndex(cell_size=cell_size)
-    index.sync(instance.tasks)
-    return index.compute(instance)
+def retiled_pairs(instance, cell_size=0.1):
+    """The instance's pairs from the grid join at another cell size."""
+    if not (instance.worker_count and instance.task_count):
+        return compute_valid_pairs(instance)
+    return validity._grid_join(
+        instance, validity._max_remaining(instance), cell_size
+    )
 
 
 def assert_matches_reference(instance):
-    """Grid and incremental index both equal the brute-force oracle."""
+    """The grid, at its own and at another cell size, equals the
+    brute-force oracle."""
     reference = compute_valid_pairs_reference(instance)
     assert compute_valid_pairs(instance) == reference
-    assert incremental_pairs(instance) == reference
+    assert retiled_pairs(instance) == reference
 
 
 class TestValidPairsStructure:
@@ -283,7 +285,7 @@ class TestGridJoin:
     def test_cell_size_does_not_change_pairs(self, cell_size):
         for seed in range(3):
             instance = self._instance(seed)
-            assert incremental_pairs(instance, cell_size) == (
+            assert retiled_pairs(instance, cell_size) == (
                 compute_valid_pairs_reference(instance)
             )
 
@@ -354,7 +356,7 @@ class TestReachLimitRegression:
         assert limits[0] == 0.0
         # The radius-0 range query still returns the co-located task:
         # <w0, t0> is valid (distance 0), <w0, t1> is not.
-        for pairs in (compute_valid_pairs(instance), incremental_pairs(instance)):
+        for pairs in (compute_valid_pairs(instance), retiled_pairs(instance)):
             assert pairs.tasks_for_worker == ((0,), (0, 1))
         assert_matches_reference(instance)
 
@@ -381,7 +383,7 @@ class TestReachLimitRegression:
             now=0.0,
         )
         assert compute_valid_pairs(instance).tasks_for_worker == ((0,),)
-        assert incremental_pairs(instance).tasks_for_worker == ((0,),)
+        assert retiled_pairs(instance).tasks_for_worker == ((0,),)
         assert compute_valid_pairs_reference(instance).tasks_for_worker == (
             (0,),
         )
@@ -476,15 +478,12 @@ class TestHypotBoundary:
             assert_matches_reference(instance)
 
 
-class TestIncrementalValidityIndex:
-    """The delta-maintained task index must match the full rebuild
-    round-by-round, and its reach bound must tighten when the task that
-    carries the longest deadline leaves the pool."""
+class TestEvolvingPool:
+    """Across rounds of an evolving task pool, each round's pairs equal
+    the oracle's, and the reach bound comes from the live tasks only."""
 
     @staticmethod
     def _instance(workers, tasks, now):
-        import numpy as np
-
         from repro.core.model import Instance
         from repro.core.quality import CooperationMatrix
 
@@ -498,15 +497,11 @@ class TestIncrementalValidityIndex:
             now=now,
         )
 
-    def test_matches_full_rebuild_across_evolving_pool(self):
-        import numpy as np
-
+    def test_each_round_matches_reference(self):
         from repro.core.model import Task, Worker
-        from repro.core.validity import IncrementalValidityIndex
         from repro.spatial.geometry import Point
 
         rng = np.random.default_rng(11)
-        index = IncrementalValidityIndex(cell_size=0.2)
         pool: list[Task] = []
         next_id = 0
         for round_index in range(6):
@@ -538,27 +533,23 @@ class TestIncrementalValidityIndex:
                 for i in range(12)
             ]
             instance = self._instance(workers, list(pool), now)
-            index.sync(instance.tasks)
-            assert len(index) == len(pool)
-            incremental = index.compute(instance)
-            rebuilt = compute_valid_pairs(instance)
-            assert incremental == rebuilt, f"round {round_index}"
-            assert incremental == compute_valid_pairs_reference(instance)
+            pairs = compute_valid_pairs(instance)
+            assert pairs == compute_valid_pairs_reference(instance), (
+                f"round {round_index}"
+            )
+            assert retiled_pairs(instance, 0.2) == pairs, f"round {round_index}"
 
     def test_expired_candidate_tightens_reach_bound(self):
         from repro.core.model import Task, Worker
-        from repro.core.validity import (
-            IncrementalValidityIndex,
-            _max_remaining,
-        )
+        from repro.core.validity import _max_remaining
         from repro.spatial.geometry import Point
 
         # Round 0: the worker's only candidate is a long-deadline task
         # 0.2 away. Round 1: it has expired; the surviving task's
-        # deadline is much shorter. A bound cached from round 0 would
-        # still cover distance speed * ~2.0 — wide enough to (wrongly)
-        # keep scanning the far cell — so the pin is that the index's
-        # max_remaining re-derives from the live pool.
+        # deadline is much shorter. A bound carried over from round 0
+        # would still cover distance speed * ~2.0 — wide enough to
+        # (wrongly) keep scanning the far cell — so the pin is that the
+        # bound comes from the live pool.
         worker = Worker(
             worker_id=0, location=Point(0.0, 0.0), speed=0.1, radius=1.0
         )
@@ -569,13 +560,9 @@ class TestIncrementalValidityIndex:
             task_id=1, location=Point(0.9, 0.0), capacity=3,
             deadline=2.5, created_time=0.0,
         )
-        index = IncrementalValidityIndex(cell_size=0.2)
-
-        index.sync([only_candidate, far_short])
         first = self._instance([worker], [only_candidate, far_short], now=0.0)
-        assert index.max_remaining(0.0) == _max_remaining(first)
-        pairs = index.compute(first)
-        assert pairs.tasks_for_worker[0] == (0,)
+        assert _max_remaining(first) == 2.5
+        assert compute_valid_pairs(first).tasks_for_worker[0] == (0,)
 
         # Between rounds both tasks' deadlines pass; a new nearby task
         # with a short fuse arrives.
@@ -583,26 +570,10 @@ class TestIncrementalValidityIndex:
             task_id=2, location=Point(0.01, 0.0), capacity=3,
             deadline=3.2, created_time=3.0,
         )
-        index.sync([fresh])
         second = self._instance([worker], [fresh], now=3.0)
         # The bound tightened: 0.2 (remaining) not 2.0 (stale round-0).
-        assert index.max_remaining(3.0) == _max_remaining(second)
-        assert index.max_remaining(3.0) == pytest.approx(0.2)
-        incremental = index.compute(second)
-        assert incremental == compute_valid_pairs(second)
+        assert _max_remaining(second) == pytest.approx(0.2)
+        pairs = compute_valid_pairs(second)
+        assert pairs == compute_valid_pairs_reference(second)
         # Positional index 0 — the fresh task is reachable (0.1 travel).
-        assert incremental.tasks_for_worker[0] == (0,)
-
-    def test_sync_rejects_duplicate_ids_and_unsynced_compute(self):
-        from repro.core.model import Task, Worker
-        from repro.core.validity import IncrementalValidityIndex
-        from repro.spatial.geometry import Point
-
-        task = Task(task_id=0, location=Point(0.5, 0.5), capacity=3, deadline=2.0)
-        index = IncrementalValidityIndex(cell_size=0.25)
-        with pytest.raises(ValueError):
-            index.sync([task, task])
-        worker = Worker(worker_id=0, location=Point(0.5, 0.5), speed=0.1, radius=1.0)
-        instance = self._instance([worker], [task], now=0.0)
-        with pytest.raises(ValueError):
-            index.compute(instance)
+        assert pairs.tasks_for_worker[0] == (0,)
