@@ -680,14 +680,6 @@ def task_blocks(store, valid_pairs) -> TaskBlocks:
     return TaskBlocks(store, valid_pairs)
 
 
-#: Segment names created (and still owned) by *this* process. An attach
-#: within the creating process must not unregister the name — the
-#: tracker keeps one entry per name, so doing so would strip the
-#: creator's crash-cleanup registration and make the eventual unlink()
-#: complain about an unknown name.
-_OWNED_SEGMENT_NAMES: set[str] = set()
-
-
 # --------------------------------------------------------------------------
 # Segment name registry + orphan reaping.
 #
@@ -815,7 +807,7 @@ def reap_orphans(force: bool = False) -> ReapReport:
             unregister_segment(name)
             report.stale.append(name)
             continue
-        _unregister_attached_segment(shm)
+        # A tracked attach: unlink() unregisters the name it registered.
         shm.close()
         try:
             shm.unlink()
@@ -826,21 +818,23 @@ def reap_orphans(force: bool = False) -> ReapReport:
     return report
 
 
-def _unregister_attached_segment(shm: shared_memory.SharedMemory) -> None:
-    """Detach a segment from this process's resource tracker.
+def _attach_untracked(name: str) -> shared_memory.SharedMemory:
+    """Open an existing segment without registering it with the tracker.
 
-    Python 3.11 has no ``SharedMemory(track=False)``; without this, every
-    *attaching* process registers the segment and the tracker both warns
-    about and destroys it at interpreter exit — yanking it out from under
-    the creating process. The creator stays registered so a crashed run
-    is still cleaned up by its tracker.
+    Python 3.11 has no ``SharedMemory(track=False)``: its constructor
+    registers every *attach* with the resource tracker, which then warns
+    about and destroys the segment when the attaching process exits. The
+    tracker keeps one entry per name and is shared with spawn children,
+    so unregistering after the fact would strip the creator's
+    crash-cleanup entry too. The register call is skipped for the length
+    of the constructor instead; only the creator stays registered.
     """
-    if shm.name in _OWNED_SEGMENT_NAMES:
-        return
+    register = resource_tracker.register
+    resource_tracker.register = lambda name, rtype: None
     try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary by version
-        pass
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
 
 
 class SharedDenseQualityStore(CooperationMatrix):
@@ -878,15 +872,13 @@ class SharedDenseQualityStore(CooperationMatrix):
         shm = shared_memory.SharedMemory(create=True, size=max(validated.nbytes, 1))
         view = np.ndarray((size, size), dtype=np.float64, buffer=shm.buf)
         view[:] = validated
-        _OWNED_SEGMENT_NAMES.add(shm.name)
         register_segment(shm.name, size)
         return cls(shm, size, owner=True)
 
     @classmethod
     def attach(cls, name: str, size: int) -> "SharedDenseQualityStore":
         """Attach read-only to an existing segment (zero-copy)."""
-        shm = shared_memory.SharedMemory(name=name)
-        _unregister_attached_segment(shm)
+        shm = _attach_untracked(name)
         if os.environ.get("REPRO_CHAOS_SPEC"):
             # Chaos hook: an armed attach_exit injection hard-exits here,
             # between opening the segment and building the store — the
@@ -921,7 +913,6 @@ class SharedDenseQualityStore(CooperationMatrix):
         """Destroy the segment (creator only; no-op for attachers)."""
         if self._owner and self._shm is not None:
             self._shm.unlink()
-            _OWNED_SEGMENT_NAMES.discard(self._shm.name)
             unregister_segment(self._shm.name)
             self._owner = False
 

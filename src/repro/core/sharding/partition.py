@@ -32,6 +32,9 @@ from repro.core.validity import _max_remaining, _reach_limits
 
 __all__ = ["ShardPlan", "partition_instance", "resolve_shard_request"]
 
+#: Workers per shard that ``shards="auto"`` aims for.
+TARGET_WORKERS_PER_SHARD = 2500
+
 #: Floor on the cell side, mirroring the grid index's guard against
 #: zero-radius/zero-speed batches collapsing the tiling.
 _MIN_CELL = 1e-6
@@ -118,23 +121,17 @@ def _trivial_plan(instance: Instance, occupied: int) -> ShardPlan:
 
 
 def partition_instance(
-    instance: Instance,
-    shards: "int | str" = "auto",
-    target_workers_per_shard: int = 2500,
+    instance: Instance, shards: "int | str" = "auto"
 ) -> ShardPlan:
     """Tile the batch into shards of spatially contiguous cells.
 
-    ``shards`` is ``"auto"`` (aim for ``target_workers_per_shard``
+    ``shards`` is ``"auto"`` (aim for :data:`TARGET_WORKERS_PER_SHARD`
     workers per shard) or an explicit count; either way the result is
     capped by the number of occupied cells — a batch that fits one cell
     yields a single-shard plan, which the solver treats as monolithic
     passthrough.
     """
     request = resolve_shard_request(shards)
-    if target_workers_per_shard < 1:
-        raise ValueError(
-            f"target_workers_per_shard must be >= 1, got {target_workers_per_shard}"
-        )
     worker_count = instance.worker_count
     task_count = instance.task_count
     if worker_count == 0 or task_count == 0:
@@ -164,7 +161,7 @@ def partition_instance(
     occupied_count = len(ordered)
 
     if request == "auto":
-        count = max(1, round(worker_count / target_workers_per_shard))
+        count = max(1, round(worker_count / TARGET_WORKERS_PER_SHARD))
     else:
         count = request
     count = max(1, min(count, occupied_count))

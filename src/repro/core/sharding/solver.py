@@ -68,12 +68,44 @@ class ShardedSolveResult:
     border_seeded: int = 0
 
 
-def _base_solver(approach: str, epsilon: float, seed):
+def _solve(payload: dict, wrap=None):
+    """``make_solver`` -> call on the payload's instance.
+
+    ``wrap`` (optional) decorates the made solver before the call.
+    Returns the assignment and the solver's last stats (``None`` for
+    uninstrumented approaches).
+    """
     # Deferred: repro.experiments.config imports this package for the
     # --shards plumbing; importing it lazily keeps the layering acyclic.
     from repro.experiments.config import make_solver
 
-    return make_solver(approach, epsilon=epsilon, seed=seed)
+    solver = make_solver(
+        payload["approach"], epsilon=payload["epsilon"], seed=payload["seed"]
+    )
+    if wrap is not None:
+        solver = wrap(solver)
+    assignment = solver(payload["instance"], payload["valid_pairs"])
+    stats_log = getattr(solver, "stats_log", None)
+    return assignment, stats_log[-1] if stats_log else None
+
+
+def _shard_solution(payload: dict, wrap=None) -> dict:
+    """Solve one carved shard into plain picklable data: the shard-local
+    assignment as sorted pairs, the solver's stats as a dict (``None``
+    for uninstrumented approaches) and the measured solve seconds."""
+    started = time.perf_counter()
+    assignment, stats = _solve(payload, wrap)
+    return {
+        "pairs": assignment.to_pairs(),
+        "stats": stats.to_dict() if stats is not None else None,
+        "seconds": time.perf_counter() - started,
+    }
+
+
+def _solve_shard_payload(payload: dict, submitted_at: float) -> dict:
+    """Pool worker: :func:`_shard_solution`; module-level for spawn-pool
+    pickling."""
+    return _shard_solution(payload)
 
 
 def _failover_shard(
@@ -89,64 +121,26 @@ def _failover_shard(
     is a bit-identical passthrough — the failover is then simply an
     inline re-run of the primary.
     """
-    # Deferred like _base_solver: fallback sits above the experiments
+    # Deferred like make_solver: fallback sits above the experiments
     # layer from this package's point of view.
     from repro.core.fallback import FallbackSolver
 
-    started = time.perf_counter()
-    primary = _base_solver(
-        payload["approach"], payload["epsilon"], payload["seed"]
+    return _shard_solution(
+        payload,
+        lambda primary: FallbackSolver(
+            primary,
+            budget=shard_timeout,
+            label=f"{payload['approach']}/shard{piece.shard}",
+            seed=payload["seed"],
+        ),
     )
-    solver = FallbackSolver(
-        primary,
-        budget=shard_timeout,
-        label=f"{payload['approach']}/shard{piece.shard}",
-        seed=payload["seed"],
-    )
-    assignment = solver(piece.instance, piece.valid_pairs)
-    stats_log = getattr(solver, "stats_log", None)
-    stats = stats_log[-1].to_dict() if stats_log else None
-    return {
-        "pairs": assignment.to_pairs(),
-        "stats": stats,
-        "seconds": time.perf_counter() - started,
-    }
 
 
-def _solve_shard_payload(payload: dict, submitted_at: float) -> dict:
-    """Solve one carved shard; module-level for spawn-pool pickling.
-
-    Returns plain picklable data: the shard-local assignment as sorted
-    pairs, the solver's stats as a dict (``None`` for uninstrumented
-    approaches) and the child-measured solve seconds.
-    """
-    started = time.perf_counter()
-    solver = _base_solver(
-        payload["approach"], payload["epsilon"], payload["seed"]
-    )
-    assignment = solver(payload["instance"], payload["valid_pairs"])
-    stats_log = getattr(solver, "stats_log", None)
-    stats = stats_log[-1].to_dict() if stats_log else None
-    return {
-        "pairs": assignment.to_pairs(),
-        "stats": stats,
-        "seconds": time.perf_counter() - started,
-    }
-
-
-def _passthrough(
-    instance: Instance,
-    valid_pairs: ValidPairs,
-    approach: str,
-    epsilon: float,
-    seed,
-    started: float,
-) -> ShardedSolveResult:
+def _passthrough(payload: dict, started: float) -> ShardedSolveResult:
     """Monolithic solve — ``shards=1`` must be repr-identical to it."""
-    solver = _base_solver(approach, epsilon, seed)
-    assignment = solver(instance, valid_pairs)
-    stats_log = getattr(solver, "stats_log", None)
-    stats = stats_log[-1] if stats_log else SolverStats(solver=approach)
+    assignment, stats = _solve(payload)
+    if stats is None:
+        stats = SolverStats(solver=payload["approach"])
     stats.shard_count = 1
     stats.total_seconds = time.perf_counter() - started
     return ShardedSolveResult(assignment=assignment, stats=stats)
@@ -161,7 +155,6 @@ def solve_sharded(
     shards: "int | str" = "auto",
     halo_rounds: int = 2,
     n_jobs: int = 1,
-    target_workers_per_shard: int = 2500,
     shard_timeout: float | None = None,
 ) -> ShardedSolveResult:
     """Solve a batch by spatial shards with boundary reconciliation.
@@ -170,13 +163,14 @@ def solve_sharded(
     plus the sharding knobs: ``shards`` is ``"auto"`` or an explicit
     count (``1`` = monolithic passthrough), ``halo_rounds`` bounds the
     border best-response passes, ``n_jobs`` fans shard solves out over
-    a process pool (``1`` solves them inline, in shard order).
+    a :class:`~repro.utils.procpool.FanoutPool` (``1`` solves them
+    inline, in shard order).
 
     ``shard_timeout`` bounds each shard solve's wall-clock on the pool
-    path; a shard that times out — or whose worker crashes/kills the
-    pool — is re-solved inline via :func:`_failover_shard` instead of
-    failing the whole batch, counted in ``stats.shard_failures`` /
-    ``stats.shard_failovers``.
+    path. A shard solve that raises, times out or whose worker
+    crashes/kills the pool is re-solved inline via
+    :func:`_failover_shard` instead of failing the whole batch, counted
+    in ``stats.shard_failures`` / ``stats.shard_failovers``.
     """
     if approach not in SHARDABLE_APPROACHES:
         raise ValueError(
@@ -193,18 +187,15 @@ def solve_sharded(
     if valid_pairs is None:
         valid_pairs = compute_valid_pairs(instance)
     request = resolve_shard_request(shards)
+    knobs = {"approach": approach, "epsilon": epsilon, "seed": seed}
     if request == 1:
         return _passthrough(
-            instance, valid_pairs, approach, epsilon, seed, started
+            dict(knobs, instance=instance, valid_pairs=valid_pairs), started
         )
-    plan = partition_instance(
-        instance,
-        shards=request,
-        target_workers_per_shard=target_workers_per_shard,
-    )
+    plan = partition_instance(instance, shards=request)
     if plan.shard_count == 1:
         return _passthrough(
-            instance, valid_pairs, approach, epsilon, seed, started
+            dict(knobs, instance=instance, valid_pairs=valid_pairs), started
         )
     partition_seconds = time.perf_counter() - started
 
@@ -219,44 +210,24 @@ def solve_sharded(
     carve_seconds = time.perf_counter() - started - partition_seconds
 
     payloads = [
-        {
-            "approach": approach,
-            "epsilon": epsilon,
-            "seed": seed,
-            "instance": piece.instance,
-            "valid_pairs": piece.valid_pairs,
-        }
+        dict(knobs, instance=piece.instance, valid_pairs=piece.valid_pairs)
         for piece in pieces
     ]
+    # Inline at n_jobs == 1 or with one shard, a process pool otherwise.
+    pool = FanoutPool(
+        n_jobs, timeout=shard_timeout, retries=0, chaos_scope="shard"
+    )
+    results = pool.run(_solve_shard_payload, payloads)
+    outcomes = []
     shard_failures = 0
-    shard_failovers = 0
-    if n_jobs <= 1 or len(payloads) <= 1:
-        outcomes = []
-        for piece, payload in zip(pieces, payloads):
-            try:
-                outcomes.append(_solve_shard_payload(payload, time.time()))
-            except Exception:  # noqa: BLE001 — failed over, counted
-                shard_failures += 1
-                outcomes.append(_failover_shard(piece, payload, shard_timeout))
-                shard_failovers += 1
-    else:
-        pool = FanoutPool(
-            n_jobs=min(n_jobs, len(payloads)),
-            timeout=shard_timeout,
-            retries=0,
-            chaos_scope="shard",
-        )
-        results = pool.run(_solve_shard_payload, payloads)
-        outcomes = []
-        for piece, payload, result in zip(pieces, payloads, results):
-            if result.succeeded:
-                outcomes.append(result.payload)
-                continue
-            # A crashed, hung or quarantined shard never aborts the
-            # batch: re-solve it inline via the fallback ladder.
-            shard_failures += 1
-            outcomes.append(_failover_shard(piece, payload, shard_timeout))
-            shard_failovers += 1
+    for piece, payload, result in zip(pieces, payloads, results):
+        if result.succeeded:
+            outcomes.append(result.payload)
+            continue
+        # A raised, crashed, hung or quarantined shard never aborts the
+        # batch: re-solve it inline via the fallback ladder.
+        shard_failures += 1
+        outcomes.append(_failover_shard(piece, payload, shard_timeout))
 
     stats = SolverStats.merged(
         SolverStats.from_dict(outcome["stats"])
@@ -302,8 +273,7 @@ def solve_sharded(
     stats.halo_rounds = halo_rounds_run
     stats.halo_moves = halo_moves
     stats.border_seeded = border_seeded
-    stats.shard_failures = shard_failures
-    stats.shard_failovers = shard_failovers
+    stats.shard_failures = stats.shard_failovers = shard_failures
     stats.phase_seconds["partition"] = partition_seconds
     stats.phase_seconds["carve"] = carve_seconds
     stats.phase_seconds["shard_solve"] = float(np.sum(shard_seconds))

@@ -127,8 +127,11 @@ class CellFailure:
     approach: str
     error: str
     attempts: int
-    timed_out: bool = False
     kind: str = "error"
+
+    @property
+    def timed_out(self) -> bool:
+        return self.kind == "timeout"
 
 
 @dataclass
@@ -566,38 +569,37 @@ class SweepExecutor:
         timeout: float | None = None,
         retries: int = 1,
         mp_context: str = "spawn",
-        poll_seconds: float = 0.05,
         checkpoint: str | Path | None = None,
         quality_backend: str = "dense",
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        if n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
+        #: The one pool every run fans out over; it validates and keeps
+        #: ``n_jobs``, ``timeout``, ``retries``, ``mp_context`` and
+        #: ``retry_policy`` (``None``: the :class:`RetryPolicy` defaults).
+        self.pool = FanoutPool(
+            n_jobs=n_jobs,
+            timeout=timeout,
+            retries=retries,
+            mp_context=mp_context,
+            retry_policy=retry_policy,
+            chaos_scope="cell",
+        )
         if quality_backend not in QUALITY_BACKENDS:
             raise ValueError(
                 f"unknown quality_backend {quality_backend!r}; "
                 f"expected one of {QUALITY_BACKENDS}"
             )
-        self.n_jobs = n_jobs
-        self.timeout = timeout
-        self.retries = retries
-        self.mp_context = mp_context
-        self.poll_seconds = poll_seconds
         self.checkpoint = checkpoint
         self.quality_backend = quality_backend
-        #: Backoff/jitter/timeout-escalation knobs for retries and pool
-        #: rebuilds; ``None`` uses the :class:`RetryPolicy` defaults.
-        self.retry_policy = retry_policy
         self.partial_telemetry: ExecutorTelemetry | None = None
-        self._last_rebuilds = 0
         self._journal_recovered = 0
         #: Names of the shared-memory segments the most recent
         #: :meth:`run` created (all unlinked by the time run returns).
         self.last_shared_segments: list[str] = []
+
+    @property
+    def n_jobs(self) -> int:
+        return self.pool.n_jobs
 
     def run(
         self, specs: list[CellSpec]
@@ -617,7 +619,6 @@ class SweepExecutor:
             if self.checkpoint is not None
             else None
         )
-        self._last_rebuilds = 0
         self._journal_recovered = 0
         results: dict[int, CellResult] = {}
         remaining: list[tuple[int, CellSpec]] = []
@@ -635,18 +636,9 @@ class SweepExecutor:
 
         shared_stores: list[SharedDenseQualityStore] = []
         self.last_shared_segments = []
-        # FanoutPool runs inline when n_jobs == 1 or at most one cell is
-        # left; shared memory only pays off on the pool path.
-        pool = FanoutPool(
-            n_jobs=self.n_jobs,
-            timeout=self.timeout,
-            retries=self.retries,
-            mp_context=self.mp_context,
-            poll_seconds=self.poll_seconds,
-            retry_policy=self.retry_policy,
-            chaos_scope="cell",
-        )
         try:
+            # FanoutPool runs inline when n_jobs == 1 or at most one cell
+            # is left; shared memory only pays off on the pool path.
             if (
                 self.quality_backend == "shared"
                 and self.n_jobs > 1
@@ -664,8 +656,7 @@ class SweepExecutor:
                 if journal is not None and result.failure is None:
                     journal.append(result)
 
-            pool.run(_execute_cell, cells, on_result=on_result)
-            self._last_rebuilds = pool.last_rebuilds
+            self.pool.run(_execute_cell, cells, on_result=on_result)
         except KeyboardInterrupt:
             # Satellite contract: the journal already holds every cell
             # that finished (each append flushed + fsynced), so surface
@@ -741,7 +732,6 @@ class SweepExecutor:
                 approach=spec.approach,
                 error=outcome.error or "unknown error",
                 attempts=outcome.attempts,
-                timed_out=outcome.timed_out,
                 kind=outcome.kind if outcome.kind != "ok" else "error",
             ),
         )
@@ -765,7 +755,7 @@ class SweepExecutor:
             wall_seconds=wall_seconds,
             cell_seconds=cell_seconds,
             distinct_workers=len({r.worker_pid for r in executed}),
-            pool_rebuilds=self._last_rebuilds,
+            pool_rebuilds=self.pool.last_rebuilds,
             quarantined_cells=sum(
                 1
                 for r in results

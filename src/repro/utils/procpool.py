@@ -57,6 +57,9 @@ __all__ = ["PoolOutcome", "RetryPolicy", "FanoutPool"]
 #: plain string so the clean path never imports the chaos package.
 _CHAOS_ENV = "REPRO_CHAOS_SPEC"
 
+#: Wait granularity of the supervision loops, in seconds.
+POLL_SECONDS = 0.05
+
 
 @dataclass
 class PoolOutcome:
@@ -76,12 +79,15 @@ class PoolOutcome:
     payload: object | None = None
     error: str | None = None
     attempts: int = 1
-    timed_out: bool = False
     kind: str = "ok"
 
     @property
     def succeeded(self) -> bool:
         return self.error is None
+
+    @property
+    def timed_out(self) -> bool:
+        return self.kind == "timeout"
 
 
 @dataclass(frozen=True)
@@ -184,6 +190,129 @@ class _Attempt:
         self.running_since: float | None = None
 
 
+class _Workers:
+    """One ``ProcessPoolExecutor`` and the attempts in flight on it.
+
+    The steps both supervision loops share — submit, poll, mark
+    attempts running, classify finished futures, expire timeouts, shut
+    down — and none of the verdicts: what a break, a raise or a timeout
+    means is up to the caller. Used as a context manager; leaving it
+    waits for the workers only when nothing was abandoned (timed out,
+    killed by a break) and no exception is propagating.
+    """
+
+    def __init__(self, fanout: "FanoutPool", fn, max_workers: int) -> None:
+        self.fn = fn
+        self.timeout = fanout.timeout
+        self.policy = fanout._policy()
+        # None keeps the clean path free of the chaos wrapper.
+        self.chaos_scope = (
+            fanout.chaos_scope if os.environ.get(_CHAOS_ENV) else None
+        )
+        self.executor = ProcessPoolExecutor(
+            max_workers=max_workers,
+            mp_context=multiprocessing.get_context(fanout.mp_context),
+        )
+        self.pending: dict = {}
+        self.abandoned = False
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        # Abandoned (timed-out, killed or interrupted) items are still
+        # running inside their workers, or never will; waiting would hang.
+        self.executor.shutdown(
+            wait=exc_type is None and not self.abandoned, cancel_futures=True
+        )
+
+    def submit(self, info: _Attempt) -> bool:
+        """Put ``info`` in flight; ``False`` when the pool is broken."""
+        try:
+            if self.chaos_scope is None:
+                future = self.executor.submit(
+                    self.fn, info.item, info.submitted_at
+                )
+            else:
+                future = self.executor.submit(
+                    _chaos_invoke,
+                    (
+                        self.fn, self.chaos_scope, info.index,
+                        info.attempt, info.item, False,
+                    ),
+                    info.submitted_at,
+                )
+        except (BrokenProcessPool, RuntimeError):
+            self.abandoned = True
+            return False
+        self.pending[future] = info
+        return True
+
+    def poll(self) -> tuple[list[tuple[_Attempt, PoolOutcome]], bool]:
+        """Wait up to one poll interval for attempts to end.
+
+        Returns each attempt that finished, raised or ran out of time
+        with its outcome, and whether the pool broke. The attempts a
+        break killed stay in ``pending`` for the caller to blame.
+        """
+        done, _ = wait(
+            set(self.pending), timeout=POLL_SECONDS, return_when=FIRST_COMPLETED
+        )
+        now = time.monotonic()
+        # Mark running unconditionally (not just under a timeout): crash
+        # blame needs to know which attempts were on a worker when the
+        # pool broke.
+        for future, info in self.pending.items():
+            if info.running_since is None and future.running():
+                info.running_since = now
+        ended: list[tuple[_Attempt, PoolOutcome]] = []
+        broken = False
+        for future in done:
+            info = self.pending[future]
+            try:
+                outcome = PoolOutcome(
+                    index=info.index,
+                    payload=future.result(),
+                    attempts=info.attempt,
+                )
+            except BrokenProcessPool:
+                # Every pending future is now dead; dead children can't
+                # finish anything, so never wait on them.
+                broken = self.abandoned = True
+                continue
+            except Exception as error:  # noqa: BLE001 — converted to a record
+                outcome = PoolOutcome(
+                    index=info.index,
+                    error=_format_error(error),
+                    attempts=info.attempt,
+                    kind="error",
+                )
+            del self.pending[future]
+            ended.append((info, outcome))
+        if broken or self.timeout is None:
+            return ended, broken
+        now = time.monotonic()
+        for future, info in list(self.pending.items()):
+            budget = self.policy.timeout_for(self.timeout, info.attempt)
+            if info.running_since is not None and now - info.running_since > budget:
+                future.cancel()
+                del self.pending[future]
+                self.abandoned = True
+                error = TimeoutError(f"item exceeded {budget:g}s wall-clock")
+                ended.append(
+                    (
+                        info,
+                        PoolOutcome(
+                            index=info.index,
+                            error=_format_error(error),
+                            attempts=info.attempt,
+                            kind="timeout",
+                        ),
+                    )
+                )
+        return ended, broken
+
+
 class FanoutPool:
     """Deterministic fan-out of independent work items.
 
@@ -208,8 +337,6 @@ class FanoutPool:
         ``multiprocessing`` start method; ``"spawn"`` (default) is the
         portable, thread-safe choice, ``"fork"`` exists for tests that
         must inherit monkeypatched module state.
-    poll_seconds:
-        Wait granularity of the completion/timeout loop.
     retry_policy:
         Backoff/jitter/escalation knobs; ``None`` uses the default
         :class:`RetryPolicy`.
@@ -217,14 +344,13 @@ class FanoutPool:
         Label mixed into the chaos injector's RNG key so different
         fan-out layers (sweep cells vs. shard solves) draw independent
         injection schedules.
-    max_rebuilds:
-        Pool reconstructions to tolerate before giving up and failing
-        all outstanding items as ``kind="crash"``. ``None`` derives
-        ``2 * len(items) + 4`` — far above what quarantine-bound items
-        can cause, a backstop against environmental crash loops.
 
-    After :meth:`run`, ``last_rebuilds`` reports how many times the pool
-    had to be rebuilt (0 on a healthy run).
+    The pool path polls every :data:`POLL_SECONDS` and tolerates
+    ``2 * len(items) + 4`` pool reconstructions before failing all
+    outstanding items as ``kind="crash"`` — far above what
+    quarantine-bound items can cause, a backstop against environmental
+    crash loops. After :meth:`run`, ``last_rebuilds`` reports how many
+    times a pool broke (0 on a healthy run).
 
     ``KeyboardInterrupt`` mid-run tears the pool down without waiting on
     in-flight items and re-raises; outcomes delivered to ``on_result``
@@ -237,10 +363,8 @@ class FanoutPool:
         timeout: float | None = None,
         retries: int = 1,
         mp_context: str = "spawn",
-        poll_seconds: float = 0.05,
         retry_policy: RetryPolicy | None = None,
         chaos_scope: str = "pool",
-        max_rebuilds: int | None = None,
     ) -> None:
         if n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -248,16 +372,12 @@ class FanoutPool:
             raise ValueError(f"timeout must be positive, got {timeout}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if max_rebuilds is not None and max_rebuilds < 0:
-            raise ValueError(f"max_rebuilds must be >= 0, got {max_rebuilds}")
         self.n_jobs = n_jobs
         self.timeout = timeout
         self.retries = retries
         self.mp_context = mp_context
-        self.poll_seconds = poll_seconds
         self.retry_policy = retry_policy
         self.chaos_scope = chaos_scope
-        self.max_rebuilds = max_rebuilds
         self.last_rebuilds = 0
 
     def run(self, fn, items, on_result=None) -> list[PoolOutcome]:
@@ -322,24 +442,9 @@ class FanoutPool:
 
     # -- pool path ---------------------------------------------------------
 
-    def _submit(self, pool, fn, info: _Attempt, chaos_active: bool):
-        if chaos_active:
-            return pool.submit(
-                _chaos_invoke,
-                (fn, self.chaos_scope, info.index, info.attempt, info.item, False),
-                info.submitted_at,
-            )
-        return pool.submit(fn, info.item, info.submitted_at)
-
     def _run_pool(self, fn, items, record) -> None:
-        context = multiprocessing.get_context(self.mp_context)
         policy = self._policy()
-        chaos_active = bool(os.environ.get(_CHAOS_ENV))
-        max_rebuilds = (
-            self.max_rebuilds
-            if self.max_rebuilds is not None
-            else 2 * len(items) + 4
-        )
+        max_rebuilds = 2 * len(items) + 4
 
         #: (index, item, attempt) triples ready to submit now.
         ready: list[tuple[int, object, int]] = [
@@ -350,299 +455,116 @@ class FanoutPool:
         #: Attempts blamed for two pool breaks, awaiting a solo retrial.
         suspects: list[_Attempt] = []
         crash_counts: dict[int, int] = {}
-        pending: dict = {}
-        pool = None
-        abandoned = False
 
-        def handle_failure(info: _Attempt, error, timed_out: bool) -> None:
-            if info.attempt <= self.retries:
-                deferred.append(
-                    (
-                        time.monotonic() + policy.delay(info.index, info.attempt),
-                        info.index,
-                        info.item,
-                        info.attempt + 1,
-                    )
+        def defer(info: _Attempt) -> None:
+            deferred.append(
+                (
+                    time.monotonic() + policy.delay(info.index, info.attempt),
+                    info.index,
+                    info.item,
+                    info.attempt + 1,
                 )
-            else:
-                record(
-                    PoolOutcome(
-                        index=info.index,
-                        error=_format_error(error),
-                        attempts=info.attempt,
-                        timed_out=timed_out,
-                        kind="timeout" if timed_out else "error",
-                    )
-                )
+            )
 
-        try:
-            while pending or ready or deferred:
+        # One pool per pass: a pass ends when every item has ended (the
+        # loop below then finds nothing left) or when the pool broke.
+        while ready or deferred:
+            with _Workers(self, fn, min(self.n_jobs, len(items))) as workers:
                 broken = False
-                now = time.monotonic()
-                held = []
-                for entry in deferred:
-                    if entry[0] <= now:
-                        ready.append(entry[1:])
-                    else:
-                        held.append(entry)
-                deferred = held
-
-                while ready:
-                    index, item, attempt = ready[0]
-                    if pool is None:
-                        pool = ProcessPoolExecutor(
-                            max_workers=min(self.n_jobs, len(items)),
-                            mp_context=context,
-                        )
-                    info = _Attempt(index, item, attempt)
-                    try:
-                        future = self._submit(pool, fn, info, chaos_active)
-                    except (BrokenProcessPool, RuntimeError):
-                        broken = True
-                        break
-                    ready.pop(0)
-                    pending[future] = info
-
-                if not broken and pending:
-                    done, _ = wait(
-                        set(pending),
-                        timeout=self.poll_seconds,
-                        return_when=FIRST_COMPLETED,
-                    )
+                while not broken and (workers.pending or ready or deferred):
                     now = time.monotonic()
-                    # Mark running unconditionally (not just under a
-                    # timeout): crash blame needs to know which attempts
-                    # were on a worker when the pool broke.
-                    for future, info in pending.items():
-                        if info.running_since is None and future.running():
-                            info.running_since = now
-                    for future in done:
-                        info = pending.pop(future)
-                        try:
-                            payload = future.result()
-                        except BrokenProcessPool:
-                            # Every pending future is now dead; put this
-                            # one back so the rebuild block below blames
-                            # and re-enqueues them all uniformly.
-                            pending[future] = info
-                            broken = True
-                            break
-                        except Exception as error:  # noqa: BLE001
-                            handle_failure(info, error, timed_out=False)
+                    ready.extend(entry[1:] for entry in deferred if entry[0] <= now)
+                    deferred = [entry for entry in deferred if entry[0] > now]
+                    while ready and not broken:
+                        broken = not workers.submit(_Attempt(*ready[0]))
+                        if not broken:
+                            ready.pop(0)
+                    if broken:
+                        break
+                    if not workers.pending:
+                        # Nothing in flight; sleep toward the earliest
+                        # backoff release instead of spinning.
+                        if deferred:
+                            pause = min(e[0] for e in deferred) - time.monotonic()
+                            time.sleep(min(POLL_SECONDS, max(0.0, pause)))
+                        continue
+                    ended, broken = workers.poll()
+                    for info, outcome in ended:
+                        # A raise or timeout in a shared pool consumes
+                        # one retry; the last one is final.
+                        if not outcome.succeeded and info.attempt <= self.retries:
+                            defer(info)
                         else:
-                            record(
-                                PoolOutcome(
-                                    index=info.index,
-                                    payload=payload,
-                                    attempts=info.attempt,
-                                )
-                            )
-                    if not broken and self.timeout is not None:
-                        now = time.monotonic()
-                        for future, info in list(pending.items()):
-                            budget = policy.timeout_for(self.timeout, info.attempt)
-                            if (
-                                info.running_since is not None
-                                and now - info.running_since > budget
-                            ):
-                                future.cancel()
-                                pending.pop(future)
-                                abandoned = True
-                                handle_failure(
-                                    info,
-                                    TimeoutError(
-                                        f"item exceeded {budget:g}s wall-clock"
-                                    ),
-                                    timed_out=True,
-                                )
-                elif not broken:
-                    # Nothing in flight; sleep toward the earliest
-                    # backoff release instead of spinning.
-                    if deferred:
-                        pause = min(e[0] for e in deferred) - time.monotonic()
-                        time.sleep(min(self.poll_seconds, max(0.0, pause)))
+                            record(outcome)
+            if not broken:
+                continue
+            self.last_rebuilds += 1
+            # A child can pick up an item and die inside a single poll
+            # interval, so its future goes straight from pending to
+            # broken without ever being *observed* running. If that
+            # happened to every pending attempt, blame them all — the
+            # solo-retrial stage exonerates innocents, so over-blame
+            # costs time, never correctness; under-blame would re-enqueue
+            # the true killer as an innocent forever.
+            dead = list(workers.pending.values())
+            blame_all = not any(info.running_since is not None for info in dead)
+            for info in dead:
+                if info.running_since is None and not blame_all:
+                    # Still queued — an innocent; resubmit as-is.
+                    ready.append((info.index, info.item, info.attempt))
                     continue
-
-                if broken:
-                    self.last_rebuilds += 1
-                    if pool is not None:
-                        # Dead children can't finish anything; never wait.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = None
-                    # A child can pick up an item and die inside a single
-                    # poll interval, so its future goes straight from
-                    # pending to broken without ever being *observed*
-                    # running. If that happened to every pending attempt,
-                    # blame them all — the solo-retrial stage exonerates
-                    # innocents, so over-blame costs time, never
-                    # correctness; under-blame would re-enqueue the true
-                    # killer as an innocent forever.
-                    blame_all = pending and not any(
-                        info.running_since is not None
-                        for info in pending.values()
-                    )
-                    for future, info in pending.items():
-                        if info.running_since is not None or blame_all:
-                            # Observed running when the pool died — a
-                            # suspect. Twice-blamed items go to a solo
-                            # retrial (innocent bystanders clear their
-                            # name there; true killers get quarantined).
-                            crash_counts[info.index] = (
-                                crash_counts.get(info.index, 0) + 1
-                            )
-                            if crash_counts[info.index] >= 2:
-                                info.attempt += 1
-                                suspects.append(info)
-                            else:
-                                deferred.append(
-                                    (
-                                        time.monotonic()
-                                        + policy.delay(info.index, info.attempt),
-                                        info.index,
-                                        info.item,
-                                        info.attempt + 1,
-                                    )
-                                )
-                        else:
-                            # Still queued — an innocent; resubmit as-is.
-                            ready.append((info.index, info.item, info.attempt))
-                    pending.clear()
-                    if self.last_rebuilds > max_rebuilds:
-                        message = (
-                            f"process pool broke {self.last_rebuilds} times; "
-                            "giving up on outstanding items"
-                        )
-                        for index, item, attempt in ready:
-                            record(
-                                PoolOutcome(
-                                    index=index,
-                                    error=message,
-                                    attempts=attempt,
-                                    kind="crash",
-                                )
-                            )
-                        for _, index, item, attempt in deferred:
-                            record(
-                                PoolOutcome(
-                                    index=index,
-                                    error=message,
-                                    attempts=attempt,
-                                    kind="crash",
-                                )
-                            )
-                        ready, deferred = [], []
-                    else:
-                        pause = policy.rebuild_delay(self.last_rebuilds)
-                        if pause > 0:
-                            time.sleep(pause)
-
-            # Solo retrials: each twice-blamed item gets a fresh
-            # single-worker pool with nothing else in it. Breaking that
-            # pool is proof of guilt.
-            for info in sorted(suspects, key=lambda s: s.index):
-                self._solo_trial(
-                    fn, info, policy, chaos_active, context,
-                    crash_counts.get(info.index, 2), record,
+                # Observed running when the pool died — a suspect.
+                # Twice-blamed items go to a solo retrial (innocent
+                # bystanders clear their name there; true killers get
+                # quarantined).
+                crash_counts[info.index] = crash_counts.get(info.index, 0) + 1
+                if crash_counts[info.index] >= 2:
+                    info.attempt += 1
+                    suspects.append(info)
+                else:
+                    defer(info)
+            if self.last_rebuilds > max_rebuilds:
+                message = (
+                    f"process pool broke {self.last_rebuilds} times; "
+                    "giving up on outstanding items"
                 )
-        except KeyboardInterrupt:
-            # Don't wait for in-flight items on a user interrupt; the
-            # caller's on_result hook already saw everything that
-            # finished, so just tear down and re-raise.
-            abandoned = True
-            raise
-        finally:
-            # Abandoned (timed-out or interrupted) items are still
-            # running inside their workers; waiting on them would hang.
-            if pool is not None:
-                pool.shutdown(wait=not abandoned, cancel_futures=True)
-
-    def _solo_trial(
-        self,
-        fn,
-        suspect: _Attempt,
-        policy: RetryPolicy,
-        chaos_active: bool,
-        context,
-        prior_blames: int,
-        record,
-    ) -> None:
-        """Re-run a twice-blamed item alone; quarantine it if it kills
-        again, clear it if it completes."""
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
-        info = _Attempt(suspect.index, suspect.item, suspect.attempt)
-        abandoned = False
-        try:
-            try:
-                future = self._submit(pool, fn, info, chaos_active)
-            except (BrokenProcessPool, RuntimeError) as error:
-                record(
-                    PoolOutcome(
-                        index=info.index,
-                        error=_format_error(error),
-                        attempts=info.attempt,
-                        kind="poison",
-                    )
-                )
-                return
-            while True:
-                done, _ = wait(
-                    {future}, timeout=self.poll_seconds,
-                    return_when=FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                if info.running_since is None and future.running():
-                    info.running_since = now
-                if done:
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        self.last_rebuilds += 1
-                        record(
-                            PoolOutcome(
-                                index=info.index,
-                                error=(
-                                    f"item killed {prior_blames} shared pool(s) "
-                                    "and its solo retrial pool; quarantined"
-                                ),
-                                attempts=info.attempt,
-                                kind="poison",
-                            )
-                        )
-                    except Exception as error:  # noqa: BLE001
-                        record(
-                            PoolOutcome(
-                                index=info.index,
-                                error=_format_error(error),
-                                attempts=info.attempt,
-                                kind="error",
-                            )
-                        )
-                    else:
-                        record(
-                            PoolOutcome(
-                                index=info.index,
-                                payload=payload,
-                                attempts=info.attempt,
-                            )
-                        )
-                    return
-                budget = policy.timeout_for(self.timeout, info.attempt)
-                if (
-                    budget is not None
-                    and info.running_since is not None
-                    and now - info.running_since > budget
-                ):
-                    future.cancel()
-                    abandoned = True
+                for index, _, attempt in ready + [e[1:] for e in deferred]:
                     record(
                         PoolOutcome(
-                            index=info.index,
-                            error=f"item exceeded {budget:g}s wall-clock",
-                            attempts=info.attempt,
-                            timed_out=True,
-                            kind="timeout",
+                            index=index, error=message, attempts=attempt, kind="crash"
                         )
                     )
+                ready, deferred = [], []
+            else:
+                pause = policy.rebuild_delay(self.last_rebuilds)
+                if pause > 0:
+                    time.sleep(pause)
+
+        # Solo retrials: each twice-blamed item gets a fresh single-worker
+        # pool with nothing else in it. Breaking that pool is proof of guilt.
+        for suspect in sorted(suspects, key=lambda s: s.index):
+            self._solo_trial(fn, suspect, crash_counts[suspect.index], record)
+
+    def _solo_trial(self, fn, suspect: _Attempt, prior_blames: int, record) -> None:
+        """Re-run a twice-blamed item alone; quarantine it if it kills
+        again, clear it if it completes. A raise or timeout is final."""
+        info = _Attempt(suspect.index, suspect.item, suspect.attempt)
+        with _Workers(self, fn, 1) as solo:
+            broken = not solo.submit(info)
+            while not broken:
+                ended, broken = solo.poll()
+                if ended:
+                    record(ended[0][1])
                     return
-        finally:
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
+        self.last_rebuilds += 1
+        record(
+            PoolOutcome(
+                index=info.index,
+                error=(
+                    f"item killed {prior_blames} shared pool(s) "
+                    "and its solo retrial pool; quarantined"
+                ),
+                attempts=info.attempt,
+                kind="poison",
+            )
+        )

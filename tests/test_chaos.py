@@ -208,6 +208,24 @@ class TestFanoutPoolSupervision:
         assert [o.payload for o in outcomes[1:]] == [4, 6]
         assert pool.last_rebuilds >= 3  # two shared breaks + the solo one
 
+    def test_twice_blamed_bystander_completes_in_its_solo_retrial(self):
+        # max_attempt=2: item 0 kills the shared pool on its first two
+        # attempts, so it is blamed twice and re-tried alone; the third
+        # (solo) attempt runs clean and clears it.
+        policy = ChaosPolicy(kill_rate=1.0, only_indices=(0,), max_attempt=2)
+        pool = FanoutPool(
+            n_jobs=2,
+            retries=1,
+            mp_context="fork",
+            retry_policy=RetryPolicy(backoff_base=0.0),
+        )
+        with activate(policy):
+            outcomes = pool.run(_double, [1, 2, 3])
+        assert outcomes[0].kind == "ok"
+        assert outcomes[0].payload == 2
+        assert outcomes[0].attempts == 3
+        assert [o.payload for o in outcomes] == [2, 4, 6]
+
     def test_injected_raise_consumes_a_retry(self):
         policy = ChaosPolicy(raise_rate=1.0, only_indices=(1,), max_attempt=1)
         pool = FanoutPool(

@@ -553,6 +553,69 @@ class TestOrphanReaping:
             shared_memory.SharedMemory(name=name)
 
 
+#: Two ways a segment used to be unregistered from the resource tracker
+#: twice, each a ``KeyError`` traceback on the tracker's stderr.
+_TRACKER_PROBES = """
+import multiprocessing
+from multiprocessing import resource_tracker, shared_memory
+
+import numpy as np
+
+from repro.core.quality import CooperationMatrix
+from repro.core.quality_store import (
+    SharedDenseQualityStore,
+    reap_orphans,
+    register_segment,
+)
+
+
+def attach_and_close(name, size):
+    SharedDenseQualityStore.attach(name, size).close()
+
+
+if __name__ == "__main__":
+    # A spawn child (sharing the creator's tracker) attaches and closes,
+    # then the creator unlinks.
+    shared = SharedDenseQualityStore.create(CooperationMatrix(np.zeros((4, 4))))
+    child = multiprocessing.get_context("spawn").Process(
+        target=attach_and_close, args=(shared.name, shared.size)
+    )
+    child.start()
+    child.join()
+    assert child.exitcode == 0
+    shared.close()
+    shared.unlink()
+    # The reaper attaches and unlinks a segment its tracker never saw.
+    shm = shared_memory.SharedMemory(create=True, size=64)
+    resource_tracker.unregister(shm._name, "shared_memory")
+    register_segment(shm.name, 64)
+    shm.close()
+    assert reap_orphans(force=True).reaped == [shm.name]
+"""
+
+
+def test_attach_and_reap_leave_the_resource_tracker_balanced(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    script = tmp_path / "probes.py"
+    script.write_text(_TRACKER_PROBES, encoding="utf-8")
+    env = dict(os.environ)
+    env["REPRO_SHM_REGISTRY"] = str(tmp_path / "registry")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 class TestExecutorSharedBackend:
     """SweepExecutor with ``quality_backend='shared'``: parity + cleanup."""
 

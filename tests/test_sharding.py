@@ -353,6 +353,32 @@ def test_shard_failover_recovers_from_killed_child(boundary_instance):
     assert "shard_failures=1" in stats.summary()
 
 
+def test_inline_shard_failover_recovers_from_a_raise(
+    boundary_instance, monkeypatch
+):
+    """``n_jobs=1``: a shard solve that raises is failed over inline,
+    counted, and the merged assignment matches a clean inline run."""
+    from repro.core.sharding import solver as sharded_solver
+
+    instance, valid_pairs = boundary_instance
+    kwargs = dict(approach="GT", seed=4, shards=3, halo_rounds=2, n_jobs=1)
+    clean = solve_sharded(instance, valid_pairs, **kwargs)
+    real = sharded_solver._solve_shard_payload
+    calls = []
+
+    def raise_first(payload, submitted_at):
+        calls.append(payload)
+        if len(calls) == 1:
+            raise RuntimeError("injected shard failure")
+        return real(payload, submitted_at)
+
+    monkeypatch.setattr(sharded_solver, "_solve_shard_payload", raise_first)
+    failed_over = solve_sharded(instance, valid_pairs, **kwargs)
+    assert failed_over.stats.shard_failures == 1
+    assert failed_over.stats.shard_failovers == 1
+    assert failed_over.assignment.to_pairs() == clean.assignment.to_pairs()
+
+
 def test_make_solver_rejects_unshardable_approach():
     with pytest.raises(ValueError, match="sharded"):
         make_solver("RAND", shards=2)
