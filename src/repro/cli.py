@@ -46,11 +46,7 @@ from repro.core.bounds import upper_bound
 from repro.core.validity import compute_valid_pairs
 from repro.datasets.io import load_instance, save_instance
 from repro.datasets.synthetic import generate_instance
-from repro.experiments.config import (
-    APPROACHES,
-    DEFAULT_APPROACH_ORDER,
-    make_solver,
-)
+from repro.experiments.config import APPROACHES, make_solver
 from repro.utils.errors import ReproError
 
 __all__ = ["main"]
@@ -79,7 +75,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _wrap_budget(solver, args: argparse.Namespace):
-    """Wrap a solver in the anytime fallback chain when a budget is set.
+    """Run a solver under an anytime deadline when a budget is set.
 
     Without ``--solver-budget`` the raw solver is returned unchanged, so
     assignments stay bit-identical to earlier releases.
@@ -385,8 +381,8 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="wall-clock budget per shard solve: a shard that exceeds it "
-        "(or whose worker process crashes) is failed over to an inline "
-        "fallback-ladder re-solve instead of aborting the batch, counted "
+        "(or whose worker process crashes) is re-solved inline under the "
+        "same budget instead of aborting the batch, counted "
         "in the stats line as shard_failures/failovers (default: "
         "unbounded; see docs/ROBUSTNESS.md)",
     )
@@ -421,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = commands.add_parser("solve", help="solve a JSON instance")
     solve.add_argument("instance")
     solve.add_argument(
-        "--approach", choices=DEFAULT_APPROACH_ORDER, default="GT+ALL"
+        "--approach", choices=sorted(APPROACHES), default="GT+ALL"
     )
     solve.add_argument("--epsilon", type=float, default=0.05)
     solve.add_argument("--seed", type=int, default=0)
@@ -430,9 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="anytime wall-clock budget: on overrun the solver degrades "
-        "GT -> TPG -> pair-greedy -> random but always answers "
-        "(see docs/ROBUSTNESS.md)",
+        help="anytime wall-clock budget: the solver stops at the deadline "
+        "with its state so far (see docs/ROBUSTNESS.md)",
     )
     solve.add_argument("--out", default=None, help="write assignment JSON here")
     _add_shard_arguments(solve)
@@ -465,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="anytime per-batch budget with solver degradation "
-        "(see docs/ROBUSTNESS.md)",
+        help="anytime per-batch budget: the solver stops at the deadline "
+        "with its state so far (see docs/ROBUSTNESS.md)",
     )
     simulate.add_argument(
         "--faults",

@@ -19,7 +19,7 @@ Public surface (re-exported at package top level):
   :func:`~repro.core.exact.solve_exact`.
 * :func:`~repro.core.bounds.upper_bound` — Equation 9's UPPER reference.
 * :class:`~repro.core.fallback.FallbackSolver` — anytime wall-clock
-  budget with the GT -> TPG -> pair-greedy -> random degradation ladder
+  budget: a deadline the solver checks itself, with a random floor
   (see docs/ROBUSTNESS.md).
 """
 

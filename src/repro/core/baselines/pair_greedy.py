@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.assignment import Assignment
 from repro.core.model import Instance
 from repro.core.validity import ValidPairs, compute_valid_pairs
+from repro.utils.deadline import current_deadline
 
 __all__ = ["solve_pair_greedy"]
 
@@ -47,7 +48,10 @@ def solve_pair_greedy(
     instance: Instance,
     valid_pairs: ValidPairs | None = None,
 ) -> Assignment:
-    """Greedy max-gain pair selection without task-priority seeding."""
+    """Greedy max-gain pair selection without task-priority seeding;
+    under a budget it stops before the first scoring or commit past the
+    deadline (:func:`~repro.utils.deadline.deadline`)."""
+    deadline = current_deadline()
     if valid_pairs is None:
         valid_pairs = compute_valid_pairs(instance)
     assignment = Assignment(instance, valid_pairs)
@@ -66,9 +70,14 @@ def solve_pair_greedy(
                 )
 
     for task in open_tasks:
+        if deadline is not None and deadline.passed("PGREEDY", commit=0):
+            break
         push_task(task)
 
+    commits = 0
     while heap and open_tasks:
+        if deadline is not None and deadline.passed("PGREEDY", commit=commits):
+            break
         negative_priority, version, worker, task = heapq.heappop(heap)
         if task not in open_tasks or not available[worker]:
             continue
@@ -76,6 +85,7 @@ def solve_pair_greedy(
             continue
         assignment.assign(worker, task)
         available[worker] = False
+        commits += 1
         versions[task] += 1
         if assignment.assigned_count(task) >= instance.tasks[task].capacity:
             open_tasks.discard(task)

@@ -6,6 +6,10 @@ workers to it." Tasks are visited in random order; each receives up to
 the minimum size ``B`` release their workers back to the pool so they
 remain usable by later tasks — without this, RAND strands workers on
 hopeless tasks and scores even worse than the paper reports.
+
+The draws never read the revenue state, so every pair reaches the
+assignment in one :meth:`~repro.core.assignment.Assignment.assign_pairs`
+call at the end, bit for bit the state of one ``assign`` per pair.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ def solve_random(
     rng = ensure_rng(seed)
     assignment = Assignment(instance, valid_pairs)
     available = np.ones(instance.worker_count, dtype=bool)
+    pairs = []
 
     task_order = rng.permutation(instance.task_count)
     for task in task_order:
@@ -46,6 +51,7 @@ def solve_random(
         chosen = rng.choice(len(candidates), size=take, replace=False)
         for local in chosen:
             worker = candidates[int(local)]
-            assignment.assign(worker, int(task))
+            pairs.append((worker, int(task)))
             available[worker] = False
+    assignment.assign_pairs(pairs)
     return assignment

@@ -73,6 +73,7 @@ from repro.core.quality_store import StoreReads, task_blocks
 from repro.core.stats import RoundStats, SolverStats
 from repro.core.tpg import _solve_tpg_full
 from repro.core.validity import ValidPairs, compute_valid_pairs
+from repro.utils.deadline import current_deadline
 from repro.utils.rng import ensure_rng
 
 __all__ = ["GameResult", "solve_game_theoretic"]
@@ -182,6 +183,7 @@ def solve_game_theoretic(
         valid_pairs = compute_valid_pairs(instance)
 
     stats = SolverStats(solver="GT")
+    deadline = current_deadline()
     solve_started = time.perf_counter()
     # TPG's initialisation, the rounds, the equilibrium copy and the
     # clamp all read one task-block reader, built for this solve.
@@ -199,12 +201,17 @@ def solve_game_theoretic(
     )
     if player_order == "shuffled":
         dynamics.order_rng = rng
+    dynamics.deadline = deadline
     score_history: list[float] = []
     rounds = 0
     total_moves = 0
     converged = False
 
     while rounds < max_rounds:
+        # A budgeted solve stops between rounds and between moves
+        # (run_round); every state on the way is feasible once clamped.
+        if deadline is not None and deadline.passed("GT", round=rounds, move=0):
+            break
         round_started = time.perf_counter()
         evaluations_before = stats.gain_evaluations
         moves, round_gain = dynamics.run_round()
@@ -229,6 +236,8 @@ def solve_game_theoretic(
                 evaluations=stats.gain_evaluations - evaluations_before,
             )
         )
+        if deadline is not None and deadline.stopped_at:
+            break
         if moves == 0:
             converged = True
             break
@@ -319,6 +328,7 @@ class _BestResponseDynamics:
         self.lazy_update = lazy_update
         self.stats = stats if stats is not None else SolverStats(solver="GT")
         self.order_rng = None  # set for player_order="shuffled"
+        self.deadline = None  # set for a budgeted solve
         self.cache = assignment.revenue_cache
         self._minimum = instance.min_group_size
         self._capacities = np.asarray(
@@ -491,7 +501,9 @@ class _BestResponseDynamics:
         applies that one move, and re-scores the rows it staled — the
         watchers of its two tasks — once one of them still ahead is
         reached. Returns ``(moves, score_gain)``; the gain equals the
-        potential increase of the round (Theorem V.1).
+        potential increase of the round (Theorem V.1). With a
+        ``deadline`` set, the round ends early at the first check past
+        it, before a move or a re-score.
         """
         count = self.instance.worker_count
         if players is None:
@@ -509,7 +521,12 @@ class _BestResponseDynamics:
         repeats = np.count_nonzero(last >= 0) < order.size
         stale = np.zeros(count, dtype=bool)
         moves, gain, position = 0, 0.0, 0
+        deadline = self.deadline
         while True:
+            if deadline is not None and deadline.passed(
+                "GT", round=len(self.stats.rounds), move=moves
+            ):
+                return moves, gain
             ahead = order[position:]
             flags = self._mover[ahead] | stale[ahead]
             stop = position + int(np.argmax(flags)) if flags.any() else order.size

@@ -32,6 +32,7 @@ from repro.core.assignment import UNASSIGNED, Assignment
 from repro.core.game import solve_game_theoretic
 from repro.core.model import Instance
 from repro.core.validity import ValidPairs, compute_valid_pairs
+from repro.utils.deadline import current_deadline
 
 __all__ = ["LocalSearchResult", "solve_local_search"]
 
@@ -71,7 +72,11 @@ def solve_local_search(
     max_passes:
         Each pass scans all relocations then all swaps; the search stops
         early once a full pass accepts nothing.
+
+    Under a budget (:func:`~repro.utils.deadline.deadline`) the search
+    stops before the first relocation or swap scan past it.
     """
+    deadline = current_deadline()
     if valid_pairs is None:
         valid_pairs = compute_valid_pairs(instance)
     if start is None:
@@ -87,8 +92,8 @@ def solve_local_search(
     passes = 0
     for _ in range(max_passes):
         passes += 1
-        moved = _relocation_pass(instance, valid_pairs, working, tolerance)
-        swapped = _swap_pass(instance, valid_pairs, working, tolerance)
+        moved = _relocation_pass(instance, valid_pairs, working, tolerance, deadline)
+        swapped = _swap_pass(instance, valid_pairs, working, tolerance, deadline)
         relocations += moved
         swaps += swapped
         if moved == 0 and swapped == 0:
@@ -108,10 +113,13 @@ def _relocation_pass(
     valid_pairs: ValidPairs,
     assignment: Assignment,
     tolerance: float,
+    deadline=None,
 ) -> int:
     """Greedy single-worker relocations; returns accepted move count."""
     moves = 0
     for worker in range(instance.worker_count):
+        if deadline is not None and deadline.passed("LSEARCH:relocate", worker=worker):
+            break
         current_task = assignment.task_of(worker)
         current_utility = assignment.leave_delta(worker)
         best_task, best_value = current_task, current_utility
@@ -140,6 +148,7 @@ def _swap_pass(
     valid_pairs: ValidPairs,
     assignment: Assignment,
     tolerance: float,
+    deadline=None,
 ) -> int:
     """First-improvement pairwise swaps; returns accepted swap count.
 
@@ -155,6 +164,8 @@ def _swap_pass(
         if assignment.task_of(worker) != UNASSIGNED
     ]
     for first in assigned:
+        if deadline is not None and deadline.passed("LSEARCH:swap", worker=first):
+            break
         task_a = assignment.task_of(first)
         if task_a == UNASSIGNED:
             continue  # moved by an earlier swap in this pass

@@ -114,12 +114,11 @@ def _failover_shard(
     """Re-solve a crashed/hung/quarantined shard inline, in the parent.
 
     Goes through the anytime :class:`~repro.core.fallback.FallbackSolver`
-    ladder with the shard timeout as its budget: the primary approach
-    gets one more chance with real wall-clock room, and a shard whose
-    primary genuinely cannot finish degrades to a cheaper tier instead
-    of sinking the whole solve. With ``shard_timeout=None`` the ladder
-    is a bit-identical passthrough — the failover is then simply an
-    inline re-run of the primary.
+    with the shard timeout as its budget: the primary approach gets one
+    more chance with real wall-clock room and, if it cannot finish,
+    stops itself at the deadline and answers with its state so far
+    instead of sinking the whole solve. With ``shard_timeout=None`` the
+    failover is a bit-identical inline re-run of the primary.
     """
     # Deferred like make_solver: fallback sits above the experiments
     # layer from this package's point of view.
@@ -225,7 +224,7 @@ def solve_sharded(
             outcomes.append(result.payload)
             continue
         # A raised, crashed, hung or quarantined shard never aborts the
-        # batch: re-solve it inline via the fallback ladder.
+        # batch: re-solve it inline under the shard timeout.
         shard_failures += 1
         outcomes.append(_failover_shard(piece, payload, shard_timeout))
 

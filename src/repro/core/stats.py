@@ -77,11 +77,11 @@ class SolverStats:
     runs:
         Number of solver invocations merged into this object.
     degraded_solves:
-        Calls an anytime :class:`~repro.core.fallback.FallbackSolver`
-        had to answer with a lower tier (0 for unwrapped solvers).
+        Calls of an anytime :class:`~repro.core.fallback.FallbackSolver`
+        whose primary was stopped or raised (0 for unwrapped solvers).
     fallback_answers:
-        Per-tier answer counts of a fallback chain (empty for unwrapped
-        solvers); sums to ``runs`` when every call went through a chain.
+        Per-solver answer counts of those calls, the primary's label or
+        ``RAND`` (empty for unwrapped solvers).
     kernel_fallback_calls:
         Batched kernel calls (:mod:`repro.core.kernels`): GT's round
         prepasses and row rescans plus TPG's stage-1 group evaluations.
@@ -119,7 +119,7 @@ class SolverStats:
     shard_failures / shard_failovers:
         Shard solves that crashed, hung past ``shard_timeout`` or were
         quarantined (failures), and how many of those were recovered by
-        the inline fallback-ladder re-solve (failovers). Both zero on a
+        the inline budgeted re-solve (failovers). Both zero on a
         healthy run.
     """
 
@@ -229,7 +229,7 @@ class SolverStats:
         return cls(rounds=rounds, **payload)
 
     def summary(self) -> str:
-        """One human-readable line for CLI/benchmark output."""
+        """One CLI/benchmark line; phase times print as ``<phase>_ms``."""
         parts = [
             f"evals={self.gain_evaluations}",
             f"full_Q={self.revenue_evaluations}",
@@ -251,7 +251,7 @@ class SolverStats:
         if self.kernel_fallback_calls:
             parts.append(f"kernels={self.kernel_fallback_calls}")
         if self.peel_kernel_calls:
-            parts.append(f"peel={self.peel_kernel_calls}k")
+            parts.append(f"peel={self.peel_kernel_calls}")
         if self.rescan_batches:
             parts.append(
                 f"rescan={self.rescan_batches}b/{self.rescan_rows}r"
@@ -268,6 +268,6 @@ class SolverStats:
                 f" failovers={self.shard_failovers}"
             )
         for name, seconds in self.phase_seconds.items():
-            parts.append(f"{name}={seconds * 1e3:.1f}ms")
-        parts.append(f"total={self.total_seconds * 1e3:.1f}ms")
+            parts.append(f"{name}_ms={seconds * 1e3:.1f}")
+        parts.append(f"total_ms={self.total_seconds * 1e3:.1f}")
         return " ".join(parts)

@@ -61,6 +61,7 @@ from repro.core.model import Instance
 from repro.core.quality_store import StoreReads, task_blocks
 from repro.core.stats import SolverStats
 from repro.core.validity import ValidPairs, compute_valid_pairs
+from repro.utils.deadline import current_deadline
 
 __all__ = ["solve_tpg", "seed_groups", "TPGResult"]
 
@@ -155,6 +156,7 @@ def _solve_tpg_full(
         valid_pairs = compute_valid_pairs(instance)
     available = np.ones(instance.worker_count, dtype=bool)
     stats = SolverStats(solver="TPG")
+    deadline = current_deadline()
     own_reads = reads is None
     if own_reads:
         reads = task_blocks(instance.quality, valid_pairs)
@@ -174,12 +176,13 @@ def _solve_tpg_full(
             stats,
             prefer_wider=True,
             positive_only=False,
+            deadline=deadline,
         )
     }
     stage_one_done = time.perf_counter()
     _stage_two(
         instance, valid_pairs, assignment, available, seeded,
-        allow_negative_gain, stats,
+        allow_negative_gain, stats, deadline,
     )
     assignment.revenue_cache.use_reads(StoreReads(instance.quality))
     finished = time.perf_counter()
@@ -307,8 +310,12 @@ def _seed_groups(
     *,
     prefer_wider: bool,
     positive_only: bool,
+    deadline=None,
 ) -> list[tuple[int, list[int], float]]:
-    """:func:`seed_groups` over the task-block reader ``reads``."""
+    """:func:`seed_groups` over the task-block reader ``reads``; with a
+    ``deadline`` (:class:`~repro.utils.deadline.Deadline`) it stops at
+    the first check past it, before an evaluation of the first pass or
+    before a commit."""
     minimum = instance.min_group_size
     blocks = _CandidateBlocks(reads, valid_pairs, available)
     groups: dict[int, list[int]] = {}  # cached best group of each live task
@@ -334,10 +341,16 @@ def _seed_groups(
         return None
 
     for task in tasks:
+        if deadline is not None and deadline.passed("TPG:stage1", commit=0):
+            break
         evaluate(task)
 
     commits: list[tuple[int, list[int], float]] = []
     while True:
+        if deadline is not None and deadline.passed(
+            "TPG:stage1", commit=len(commits)
+        ):
+            break
         top = pop_live()
         if top is None or (positive_only and not -top[0] > 0.0):
             break
@@ -402,8 +415,10 @@ def _stage_two(
     seeded: set[int],
     allow_negative_gain: bool,
     stats: SolverStats | None = None,
+    deadline=None,
 ) -> list[tuple[int, int, float]]:
-    """Fill seeded tasks up to capacity by max marginal gain.
+    """Fill seeded tasks up to capacity by max marginal gain, stopping
+    at the first check past ``deadline`` (before a commit) when set.
 
     Returns the commits in order as ``(worker, task, gain)``; they reach
     ``assignment`` in one
@@ -498,6 +513,10 @@ def _stage_two(
     commits: list[tuple[int, int, float]] = []
     idle_workers = int(np.count_nonzero(available))
     while heap and idle_workers:
+        if deadline is not None and deadline.passed(
+            "TPG:stage2", commit=len(commits)
+        ):
+            break
         negative_gain, _, worker, task, slot = heap[0]
         row = owner[slot]
         if not available[worker]:

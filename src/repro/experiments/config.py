@@ -116,8 +116,8 @@ class ExperimentSettings:
     #: Bound on the boundary-reconcile best-response passes.
     halo_rounds: int = 2
     #: Wall-clock budget (seconds) for each shard solve on the pool
-    #: path; a shard that exceeds it (or crashes) is failed over to the
-    #: inline fallback ladder instead of aborting the batch. ``None``
+    #: path; a shard that exceeds it (or crashes) is re-solved inline
+    #: under that budget instead of aborting the batch. ``None``
     #: (the default) keeps shard solves unbounded and bit-identical.
     shard_timeout: "float | None" = None
 
@@ -187,8 +187,8 @@ def make_solver(
     best-response passes. ``shards=1`` is the monolithic solver itself
     — not a one-shard wrapper — so results are repr-identical to
     historical runs. ``shard_timeout`` bounds each shard solve's
-    wall-clock (crashed/hung shards fail over to the inline fallback
-    ladder; see :func:`repro.core.sharding.solve_sharded`); ``None``
+    wall-clock (crashed/hung shards are re-solved inline under that
+    budget; see :func:`repro.core.sharding.solve_sharded`); ``None``
     keeps solves unbounded and bit-identical.
 
     Instrumented approaches (TPG and the GT variants) expose a

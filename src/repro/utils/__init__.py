@@ -5,7 +5,6 @@ from repro.utils.errors import (
     DegradedResultError,
     InvalidInstanceError,
     ReproError,
-    SolverTimeoutError,
     ValidityError,
 )
 from repro.utils.rng import ensure_rng, spawn_rngs
@@ -16,7 +15,6 @@ __all__ = [
     "DegradedResultError",
     "InvalidInstanceError",
     "ReproError",
-    "SolverTimeoutError",
     "ValidityError",
     "ensure_rng",
     "spawn_rngs",

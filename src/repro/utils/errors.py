@@ -32,21 +32,10 @@ class CapacityError(ReproError):
     """An assignment gives a task more workers than its capacity allows."""
 
 
-class SolverTimeoutError(ReproError):
-    """A solver exceeded its wall-clock budget.
-
-    Raised inside the anytime fallback chain
-    (:mod:`repro.core.fallback`) when a tier fails to answer within its
-    remaining budget; the chain catches it and degrades to the next
-    tier, recording the timeout in the
-    :class:`~repro.core.fallback.DegradationRecord`.
-    """
-
-
 class DegradedResultError(ReproError):
-    """A fallback chain had to answer with a lower tier.
+    """A budgeted solve answered with less than the primary's full solve.
 
     Only raised when the caller opted into strict mode
     (``FallbackSolver(on_degrade="raise")``); the default mode records
-    the degradation and returns the lower-tier assignment instead.
+    the degradation and returns the degraded assignment instead.
     """

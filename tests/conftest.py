@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,31 @@ from repro.core.quality import CooperationMatrix
 from repro.core.validity import ValidPairs, compute_valid_pairs
 from repro.datasets.synthetic import generate_instance
 from repro.spatial.geometry import Point
+from repro.utils.deadline import Deadline
+
+
+@contextmanager
+def patch_expiry(after: int):
+    """Make deadlines expire by count instead of by clock: the first
+    ``after`` checks find every deadline ahead, all later ones passed.
+    Yields the check counter."""
+    checks = itertools.count()
+    original = Deadline.expired
+    Deadline.expired = lambda self: next(checks) >= after
+    try:
+        yield checks
+    finally:
+        Deadline.expired = original
+
+
+def count_checks(solve, instance, valid_pairs) -> int:
+    """How many deadline checks ``solve`` takes on a budgeted call that
+    runs to completion."""
+    from repro.core.fallback import FallbackSolver
+
+    with patch_expiry(after=float("inf")) as checks:
+        FallbackSolver(solve, budget=60.0)(instance, valid_pairs)
+    return next(checks)
 
 
 def make_dense_instance(

@@ -127,6 +127,38 @@ class TestSolverStatsDataclass:
         assert "\n" not in line
         assert "evals=12" in line
 
+    def test_summary_keys_are_unique_and_counts_plain(self):
+        """Every part of the line at once: the round count and the
+        ``rounds`` phase time get distinct keys, and counts print as
+        plain integers."""
+        stats = SolverStats(
+            solver="GT+ALL",
+            gain_evaluations=9,
+            cache_hits=3,
+            cache_misses=1,
+            lub_invalidations=2,
+            rounds=[RoundStats(index=0, seconds=0.1), RoundStats(index=1, seconds=0.2)],
+            degraded_solves=1,
+            fallback_answers={"GT+ALL": 1},
+            kernel_fallback_calls=7,
+            peel_kernel_calls=5146,
+            rescan_batches=2,
+            rescan_rows=5,
+            shard_count=3,
+            shard_failures=1,
+            phase_seconds={"init": 0.25, "rounds": 0.3},
+            total_seconds=0.6,
+        )
+        tokens = stats.summary().split()
+        pairs = [token.split("=", 1) for token in tokens if "=" in token]
+        keys = [key for key, _ in pairs]
+        assert len(keys) == len(set(keys)), keys
+        values = dict(pairs)
+        assert values["peel"] == "5146"
+        assert values["rounds"] == "2"
+        assert values["rounds_ms"] == "300.0"
+        assert values["total_ms"] == "600.0"
+
 
 class TestSolverInstrumentation:
     def test_gt_result_carries_populated_stats(self):

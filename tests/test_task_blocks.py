@@ -8,7 +8,7 @@ store), the edge cases of the sparse block build (empty and
 one-watcher tasks, more than 254 stored entries in one block), reads
 with leading batch dimensions and reads spanning several tasks, the
 build counters, a sparse GT solve building each task's block at most
-once, and a fallback chain whose tiers each read a reader of their own.
+once, and a budgeted solve that reads on the calling thread only.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from repro.core.quality_store import (
     task_blocks,
 )
 from repro.core.stats import SolverStats
-from repro.core.tpg import solve_tpg
 from repro.core.validity import ValidPairs, compute_valid_pairs
 from repro.datasets.synthetic import generate_instance
+from tests.conftest import count_checks, patch_expiry
 
 
 def _matrix(size: int, seed: int, symmetric: bool, prior: float) -> CooperationMatrix:
@@ -254,10 +254,10 @@ def test_sparse_gt_solve_builds_each_block_at_most_once(monkeypatch):
         assert solved.audit() == []
 
 
-def test_fallback_tiers_never_share_a_reader(monkeypatch):
-    """A primary abandoned at the budget keeps solving in its thread
-    while the next tier solves the same ``ValidPairs``: every reader is
-    read by one thread, and the tier's answer is the unwrapped one."""
+def test_budgeted_solve_starts_no_thread(monkeypatch):
+    """A budgeted sparse GT solve stopped by its deadline mid-solve runs
+    on the calling thread only: no thread is started or left behind,
+    every reader is read by the caller, and the answer audits clean."""
     readers: dict[int, set[int]] = {}
     alive = []  # so no reader's id is reused by a later one
 
@@ -279,29 +279,21 @@ def test_fallback_tiers_never_share_a_reader(monkeypatch):
         radius_range=(0.3, 0.5), seed=4, quality_backend="sparse",
     )
     pairs = compute_valid_pairs(instance)
-    expected = solve_tpg(instance, pairs)
-    stop, started = threading.Event(), threading.Event()
 
-    def endless_gt(inst, valid_pairs):
-        while not stop.is_set():
-            solve_game_theoretic(inst, valid_pairs)
-            started.set()
-        raise AssertionError("abandoned")
+    def gt(inst, valid_pairs):
+        return solve_game_theoretic(inst, valid_pairs).assignment
 
-    chain = FallbackSolver(
-        endless_gt, budget=1.0, label="GT", tiers=(("TPG", solve_tpg),)
-    )
-    try:
+    chain = FallbackSolver(gt, budget=60.0, label="GT")
+    threads = threading.active_count()
+    with patch_expiry(after=count_checks(gt, instance, pairs) - 3):
         answer = chain(instance, pairs)
-        assert started.is_set()
-    finally:
-        stop.set()
-    assert chain.degradation_log[-1].answered_by == "TPG"
-    assert answer.to_pairs() == expected.to_pairs()
-    assert repr(answer.total_score()) == repr(expected.total_score())
-    assert repr(answer.revenue_cache.revenues.tolist()) == repr(
-        expected.revenue_cache.revenues.tolist()
-    )
+    assert threading.active_count() == threads
+    record = chain.degradation_log[-1]
+    assert record.answered_by == "GT"
+    assert record.stopped_at.startswith("GT round=")
+    answer.check_feasible()
     assert answer.audit() == []
-    assert len(readers) > 2
-    assert all(len(threads) == 1 for threads in readers.values())
+    assert readers
+    assert all(
+        threads == {threading.get_ident()} for threads in readers.values()
+    )
